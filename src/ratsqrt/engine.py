@@ -344,16 +344,3 @@ def _projection_attempt(model, f, clock, config):
     return m, h, {"witness": m.to_json(), "square_root": rf_str(h),
                   "projection_centre": pt.to_json()}
 
-
-def decide_univariate(f: MultiPoly, config: Config = None) -> Verdict:
-    """Verdict for a squarefree radicand in one effective variable."""
-    if len(effective_vars(f)) != 1:
-        raise ValueError("decide_univariate expects one effective variable")
-    return decide(f, None, config)
-
-
-def decide_bivariate(f: MultiPoly, config: Config = None) -> Verdict:
-    """Verdict for a squarefree radicand in two effective variables."""
-    if len(effective_vars(f)) != 2:
-        raise ValueError("decide_bivariate expects two effective variables")
-    return decide(f, None, config)

@@ -8,9 +8,14 @@ non-rational quadric points stay exact.  The canonical term order is graded
 lexicographic in the declared variable order, which makes equality, hashing
 and printing representational.
 
-Heavy kernels (gcd, squarefree decomposition, factorization) are delegated
-to sympy behind the operation surface of this module; everything layered on
-top only uses the functions exported here.
+The exact kernels (cancellation, gcd, squarefree decomposition,
+factorization, the perfect-square test) run on sympy's sparse polynomial
+rings (``PolyElement``), never on expression trees.  ``_to_ring`` and
+``_from_ring`` are the one conversion boundary: the ring is
+``PolyRing(vars, K, lex)`` with the generators in variable order, K is QQ
+when every coefficient is rational (converted straight from the term dict)
+and otherwise the algebraic field sympy constructs for the coefficients.
+Everything layered on top only uses the functions exported here.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.constructor import construct_domain
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 from .errors import (
     OddDegree,
@@ -36,6 +45,8 @@ def _sym(name: str) -> sp.Symbol:
 
 
 def _canon_coeff(c):
+    if isinstance(c, sp.Rational):
+        return c
     if isinstance(c, Fraction):
         return sp.Rational(c.numerator, c.denominator)
     if isinstance(c, int):
@@ -60,7 +71,6 @@ class MultiPoly:
             if c != 0:
                 clean[tuple(exp)] = c
         self.terms = clean
-        object.__setattr__ if False else None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -319,14 +329,34 @@ def poly_str(p: MultiPoly) -> str:
 
 
 # --------------------------------------------------------------------------
-# sympy-backed kernels
+# exact kernels on sympy's sparse polynomial rings
 
 
-def _to_poly(p: MultiPoly, extra=()):
-    syms = [_sym(v) for v in p.vars] + [_sym(v) for v in extra]
-    if p.coefficients_rational():
-        return sp.Poly(p.to_sympy(), *syms, domain="QQ")
-    return sp.Poly(p.to_sympy(), *syms, extension=True)
+def _ring(variables, domain=QQ):
+    return PolyRing([_sym(v) for v in variables], domain, lex)
+
+
+def _to_ring(*polys: MultiPoly):
+    """The polynomials (sharing one variable tuple) as elements of one ring:
+    over QQ when every coefficient is rational, else over the algebraic
+    field sympy constructs for all their coefficients."""
+    variables = polys[0].vars
+    if all(p.coefficients_rational() for p in polys):
+        ring = _ring(variables)
+        return [
+            ring.from_dict({e: QQ(c.p, c.q) for e, c in p.terms.items()})
+            for p in polys
+        ]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    K, elems = construct_domain(coeffs, field=True, extension=True)
+    ring = _ring(variables, K)
+    it = iter(elems)
+    return [ring.from_dict({e: next(it) for e in p.terms}) for p in polys]
+
+
+def _from_ring(pe, variables) -> MultiPoly:
+    to_sympy = pe.ring.domain.to_sympy
+    return MultiPoly(variables, {e: to_sympy(c) for e, c in pe.terms()})
 
 
 def mgcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -336,24 +366,29 @@ def mgcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    g = sp.gcd(_to_poly(a), _to_poly(b))
-    return MultiPoly.from_sympy(g.as_expr(), a.vars).monic()
+    ra, rb = _to_ring(a, b)
+    return _from_ring(ra.gcd(rb), a.vars).monic()
 
 
 def factor_list(p: MultiPoly):
     """(constant, [(MultiPoly factor, multiplicity), ...]) with monic factors,
     deterministically sorted."""
-    poly = _to_poly(p)
-    const, factors = poly.factor_list()
+    (pe,) = _to_ring(p)
+    const, factors = pe.factor_list()
     out = []
-    c = sp.sympify(const)
+    c = pe.ring.domain.to_sympy(const)
     for f, m in factors:
-        mp = MultiPoly.from_sympy(f.as_expr(), p.vars)
+        mp = _from_ring(f, p.vars)
         lc = mp.leading_coeff()
         c *= lc**m
         out.append((mp.monic(), m))
     out.sort(key=lambda fm: (fm[0].total_degree(), poly_str(fm[0])))
     return sp.expand(c), out
+
+
+def _sqf_list(p: MultiPoly):
+    (pe,) = _to_ring(p)
+    return pe.ring, pe.sqf_list()
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -368,13 +403,12 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
         raise ZeroRadicand("squarefree part of zero is undefined")
     if p.is_constant():
         return p
-    const, factors = sp.sqf_list(_to_poly(p))
-    out = MultiPoly.const(p.vars, sp.sympify(const))
+    ring, (const, factors) = _sqf_list(p)
+    out = ring(const)
     for f, m in factors:
-        fp = MultiPoly.from_sympy(f.as_expr(), p.vars)
         if m % 2 == 1:
-            out = out * fp
-    return out
+            out *= f
+    return _from_ring(out, p.vars)
 
 
 def radical(p: MultiPoly) -> MultiPoly:
@@ -383,11 +417,11 @@ def radical(p: MultiPoly) -> MultiPoly:
         raise ZeroRadicand("radical of zero is undefined")
     if p.is_constant():
         return MultiPoly.const(p.vars, 1)
-    _, factors = sp.sqf_list(_to_poly(p))
-    out = MultiPoly.const(p.vars, 1)
+    ring, (_, factors) = _sqf_list(p)
+    out = ring.one
     for f, _m in factors:
-        out = out * MultiPoly.from_sympy(f.as_expr(), p.vars)
-    return out.monic()
+        out *= f
+    return _from_ring(out, p.vars).monic()
 
 
 def is_squarefree(p: MultiPoly) -> bool:
@@ -395,7 +429,7 @@ def is_squarefree(p: MultiPoly) -> bool:
         return False
     if p.is_constant():
         return True
-    _, factors = sp.sqf_list(_to_poly(p))
+    _, (_, factors) = _sqf_list(p)
     return all(m == 1 for _f, m in factors)
 
 
@@ -473,11 +507,12 @@ class RationalFunction:
         num._check_vars(den)
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
-        if reduce and not num.is_zero():
-            g = sp.cancel(num.to_sympy() / den.to_sympy())
-            n_expr, d_expr = sp.fraction(sp.together(g))
-            num = MultiPoly.from_sympy(n_expr, num.vars)
-            den = MultiPoly.from_sympy(d_expr, den.vars)
+        # a constant on either side leaves nothing to cancel
+        if reduce and not num.is_constant() and not den.is_constant():
+            rn, rd = _to_ring(num, den)
+            rn, rd = rn.cancel(rd)
+            num = _from_ring(rn, num.vars)
+            den = _from_ring(rd, den.vars)
         if num.is_zero():
             den = MultiPoly.const(den.vars, 1)
         lc = den.leading_coeff()
@@ -615,26 +650,30 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
             MultiPoly.const(m.source_vars or f.vars, f.constant_value())
         )
     target_vars = m.assignments[needed[0]].vars
-    degs = {v: f.degree_in(v) for v in f.vars}
-    nums = {}
-    dens = {}
-    for v in needed:
-        g = m.assignments[v]
-        nums[v] = g.num.with_vars(target_vars)
-        dens[v] = g.den.with_vars(target_vars)
-    total_num = MultiPoly.zero(target_vars)
-    for e, c in f.terms.items():
-        term = MultiPoly.const(target_vars, c)
-        for i, exp in enumerate(e):
-            v = f.vars[i]
-            if degs[v] == 0:
-                continue
-            term = term * nums[v] ** exp * dens[v] ** (degs[v] - exp)
-        total_num = total_num + term
-    total_den = MultiPoly.const(target_vars, 1)
-    for v in needed:
-        total_den = total_den * dens[v] ** degs[v]
-    return RationalFunction(total_num, total_den)
+    degs = [f.degree_in(v) for v in needed]
+    idx = [f.vars.index(v) for v in needed]
+    parts = [m.assignments[v].num.with_vars(target_vars) for v in needed]
+    parts += [m.assignments[v].den.with_vars(target_vars) for v in needed]
+    # f's coefficients enter as constants so that all share one ring
+    parts += [MultiPoly.const(target_vars, c) for c in f.terms.values()]
+    ring_parts = _to_ring(*parts)
+    k = len(needed)
+    nums, dens, coeffs = ring_parts[:k], ring_parts[k:2 * k], ring_parts[2 * k:]
+    # clearing denominators: x_v = n_v/d_v, times prod d_v^deg_v
+    num_pows = [[g**j for j in range(d + 1)] for g, d in zip(nums, degs)]
+    den_pows = [[g**j for j in range(d + 1)] for g, d in zip(dens, degs)]
+    total_num = ring_parts[0].ring.zero
+    for e, c in zip(f.terms, coeffs):
+        term = c
+        for j, i in enumerate(idx):
+            term = term * num_pows[j][e[i]] * den_pows[j][degs[j] - e[i]]
+        total_num += term
+    total_den = ring_parts[0].ring.one
+    for j in range(k):
+        total_den *= den_pows[j][degs[j]]
+    return RationalFunction(
+        _from_ring(total_num, target_vars), _from_ring(total_den, target_vars)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -709,19 +748,20 @@ def is_perfect_square(g: RationalFunction):
     """Return h with h^2 = g when it exists, else None.
 
     g = N/D is a square iff N*D = c * s^2 with c a square constant of the
-    coefficient field; then h = sqrt(c) * s / D, reduced.
+    coefficient field; then h = sqrt(c) * s / D, reduced.  The squarefree
+    decomposition decides this: every multiplicity even and c a square.
     """
     if g.num.is_zero():
         return RationalFunction.from_poly(MultiPoly.zero(g.vars))
-    prod = g.num * g.den
-    const, factors = factor_list(prod)
-    s = MultiPoly.const(g.vars, 1)
+    num, den = _to_ring(g.num, g.den)
+    const, factors = (num * den).sqf_list()
+    s = num.ring.one
     for f, m in factors:
         if m % 2 == 1:
             return None
-        s = s * f ** (m // 2)
-    root_c = _field_sqrt(const)
+        s *= f ** (m // 2)
+    root_c = _field_sqrt(num.ring.domain.to_sympy(const))
     if root_c is None:
         return None
-    h = RationalFunction(s.scale(root_c), g.den)
+    h = RationalFunction(_from_ring(s, g.vars).scale(root_c), g.den)
     return _sign_normalize(h)

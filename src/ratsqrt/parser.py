@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 import sympy as sp
 
@@ -39,7 +38,7 @@ from .errors import (
     SchemaError,
     ZeroDenominator,
 )
-from .mpoly import MultiPoly, RationalFunction, RationalMap
+from .mpoly import MultiPoly, RationalFunction, RationalMap, _from_ring, _ring
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT = re.compile(r"[0-9]+")
@@ -90,66 +89,74 @@ class _Scanner:
 
 
 class _Parser:
-    """Parses into RationalFunction over a fixed or growing variable tuple."""
+    """Parses into a (numerator, denominator) pair of ring elements.
 
-    def __init__(self, text, variables=None, extension_name=None, extension_value=None):
+    The ring is fixed before parsing: the given variables, or every
+    identifier of the text in order of first appearance (in a text that
+    parses, each identifier token is a variable).  Constant denominators are
+    folded into the numerator at once, so polynomial input stays one ring
+    element; other denominators are cancelled once, at the end.
+    """
+
+    def __init__(self, text, variables=None):
         self.sc = _Scanner(text)
         self.fixed = variables is not None
-        self.vars = list(variables) if variables else []
-        self.ext_name = extension_name
-        self.ext_value = extension_value
-        self.seen = set(self.vars)
+        if self.fixed:
+            self.vars = list(variables)
+        else:
+            self.vars = list(dict.fromkeys(_IDENT.findall(text)))
+        self.ring = _ring(self.vars)
+        self.gens = dict(zip(self.vars, self.ring.gens))
 
-    def _ensure_var(self, name):
-        if name == self.ext_name:
-            return None
-        if name not in self.seen:
-            if self.fixed:
-                raise ParseSyntaxError(
-                    f"unknown variable '{name}'", self.sc.pos - len(name)
-                )
-            self.seen.add(name)
-            self.vars.append(name)
-        return name
-
-    # builders over a growing ring: keep sympy exprs, convert at the end
     def parse(self):
-        expr = self.expr()
+        node = self.expr()
         self.sc.skip_ws()
         if self.sc.pos != len(self.sc.text):
             raise ParseSyntaxError("unexpected trailing input", self.sc.pos)
-        return expr
+        return node
+
+    def _frac(self, num, den):
+        if den.is_ground:
+            return num.quo_ground(den.LC), self.ring.one
+        return num, den
 
     def expr(self):
-        node = self.term()
+        num, den = self.term()
         while True:
             if self.sc.match("+"):
-                node = node + self.term()
+                n2, d2 = self.term()
             elif self.sc.match("-"):
-                node = node - self.term()
+                n2, d2 = self.term()
+                n2 = -n2
             else:
-                return node
+                return num, den
+            if d2 == den:
+                num = num + n2
+            else:
+                num, den = num * d2 + n2 * den, den * d2
 
     def term(self):
-        node = self.factor()
+        num, den = self.factor()
         while True:
             if self.sc.match("*"):
-                node = node * self.factor()
+                n2, d2 = self.factor()
+                num, den = self._frac(num * n2, den * d2)
             elif self.sc.match("/"):
                 pos = self.sc.pos
-                rhs = self.factor()
-                if sp.simplify(rhs) == 0:
+                n2, d2 = self.factor()
+                if not n2:
                     raise ZeroDenominator(
                         f"division by zero at offset {pos}"
                     )
-                node = node / rhs
+                num, den = self._frac(num * d2, den * n2)
             else:
-                return node
+                return num, den
 
     def factor(self):
         if self.sc.match("-"):
-            return -self.factor()
-        node = self.base()
+            num, den = self.factor()
+            return -num, den
+        num, den = self.base()
         if self.sc.match("^"):
             pos = self.sc.pos
             if self.sc.peek() == "-" or self.sc.peek() == "(":
@@ -161,8 +168,10 @@ class _Parser:
                 raise NonIntegerExponent(
                     f"exponent must be a nonnegative integer literal (offset {pos})"
                 )
-            return node**n
-        return node
+            if n == 0:  # also for a zero base, as 0^0 = 1
+                return self.ring.one, self.ring.one
+            return num**n, den**n
+        return num, den
 
     def base(self):
         ch = self.sc.peek()
@@ -172,39 +181,34 @@ class _Parser:
             self.sc.expect(")")
             return node
         if ch.isdigit():
-            n = self.sc.integer()
-            return sp.Integer(n)
+            return self.ring(self.sc.integer()), self.ring.one
         name = self.sc.ident()
         if name is None:
             if ch == "":
                 raise ParseSyntaxError("unexpected end of input", self.sc.pos)
             raise ParseSyntaxError(f"unexpected character '{ch}'", self.sc.pos)
-        if name == self.ext_name:
-            return self.ext_value
-        self._ensure_var(name)
-        return sp.Symbol(name)
+        if name not in self.gens:
+            raise ParseSyntaxError(
+                f"unknown variable '{name}'", self.sc.pos - len(name)
+            )
+        return self.gens[name], self.ring.one
 
 
-def parse_rational(text, variables=None, extension_name=None, extension_value=None):
+def parse_rational(text, variables=None):
     """Parse an expression string into a RationalFunction.
 
     With ``variables`` given, only those names are accepted and the result
     lives in that exact ring; otherwise variables are collected in order of
-    first appearance.  ``extension_name``/``extension_value`` let a named
-    symbol stand for an algebraic constant (used when reading witnesses).
+    first appearance.
     """
-    p = _Parser(text, variables, extension_name, extension_value)
-    expr = p.parse()
-    expr = sp.cancel(sp.together(expr))
-    num, den = sp.fraction(expr)
-    ring = tuple(variables) if variables is not None else tuple(p.vars)
-    if not ring:
-        ring = ()
-        # constant expression over the empty ring is fine but downstream code
-        # expects at least the declared variables; keep empty tuple.
-    num_p = MultiPoly.from_sympy(num, ring)
-    den_p = MultiPoly.from_sympy(den, ring)
-    return RationalFunction(num_p, den_p, reduce=False)
+    p = _Parser(text, variables)
+    num, den = p.parse()
+    if not den.is_ground:
+        num, den = num.cancel(den)
+    ring = tuple(p.vars)
+    return RationalFunction(
+        _from_ring(num, ring), _from_ring(den, ring), reduce=False
+    )
 
 
 def parse_poly(text, variables=None):
@@ -216,8 +220,7 @@ def parse_poly(text, variables=None):
             "denominator",
             0,
         )
-    c = g.den.constant_value()
-    return g.num.scale(sp.Integer(1) / c) if c != 1 else g.num
+    return g.num
 
 
 def infer_variables(texts):

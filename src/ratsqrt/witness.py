@@ -29,6 +29,7 @@ from .mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _rational_sqrt,
     effective_vars,
     is_perfect_square,
     substitute,
@@ -102,7 +103,7 @@ def point_on_quadric(f: MultiPoly, height=50):
         c = value_at(x0)
         if not c.is_Rational:
             continue
-        root = _rat_sqrt(c)
+        root = _rational_sqrt(c)
         if root is not None and regular(x0, root):
             coords = [sp.Integer(1)] + [sp.Rational(v) for v in x0] + [root]
             return coords, None
@@ -148,16 +149,6 @@ def _height_tuples(n, height):
         for s in stack:
             if max(s) == top:
                 yield tuple(vals[i] for i in s)
-
-
-def _rat_sqrt(c):
-    if not c.is_Rational or c < 0:
-        return None
-    rp = sp.integer_nthroot(sp.Integer(c.p), 2)
-    rq = sp.integer_nthroot(sp.Integer(c.q), 2)
-    if rp[1] and rq[1]:
-        return sp.Rational(rp[0], rq[0])
-    return None
 
 
 def parametrize_from_point(H: MultiPoly, q, extension=None):
