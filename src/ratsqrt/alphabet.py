@@ -296,7 +296,7 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
             return m
         f = remaining[0]
         img = substitute(f, m)
-        if is_perfect_square(img) is not None:
+        if is_perfect_square(img, m.extension) is not None:
             return extend(m, remaining[1:])
         red = squarefree_part(img.num * img.den)
         if red.is_constant():

@@ -54,6 +54,12 @@ def _canon_coeff(c):
     return sp.expand(sp.sympify(c))
 
 
+def _inverse(c):
+    """1/c, with a quadratic irrationality kept in the canonical a + b*theta
+    form (the denominator rationalized)."""
+    return sp.Integer(1) / c if c.is_Rational else sp.radsimp(1 / c)
+
+
 def grlex_key(exp):
     return (sum(exp), exp)
 
@@ -196,7 +202,7 @@ class MultiPoly:
         if not self.terms:
             return self
         lc = self.leading_coeff()
-        return self.scale(sp.Integer(1) / lc)
+        return self.scale(_inverse(lc))
 
     def derivative(self, name):
         i = self.vars.index(name)
@@ -517,7 +523,7 @@ class RationalFunction:
             den = MultiPoly.const(den.vars, 1)
         lc = den.leading_coeff()
         if lc != 1:
-            inv = sp.Integer(1) / lc
+            inv = _inverse(lc)
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num
@@ -691,65 +697,62 @@ def _rational_sqrt(c):
     return None
 
 
-def _field_sqrt(c):
-    """Square root of a constant within QQ or QQ(sqrt(r)), or None.
+def _field_sqrt(c, extension=None):
+    """Square root of a constant c = a + b*theta within QQ(theta), or None.
 
-    c is a sympy expression of the form a + b*sqrt(r) with a, b, r rational.
+    theta (with theta^2 rational) is the given extension, else the
+    irrationality of c itself; a rational c with no extension is tested
+    within QQ.
     """
     c = sp.expand(c)
     if c == 0:
         return sp.Integer(0)
-    if c.is_Rational:
+    a, rest = c.as_coeff_Add()
+    theta = extension
+    if theta is None and rest != 0:
+        theta = rest.as_coeff_Mul()[1]
+    if theta is None:
         return _rational_sqrt(c)
-    # decompose as a + b*sqrt(r)
-    rad = None
-    for node in sp.preorder_traversal(c):
-        if node.is_Pow and node.exp == sp.Rational(1, 2):
-            rad = node
-            break
-    if rad is None:
-        return None
-    r = rad.base
-    a = c.subs(rad, 0)
-    b = sp.expand((c - a) / rad)
+    r = sp.expand(theta**2)
+    b = sp.expand(rest / theta)
     if not (a.is_Rational and b.is_Rational and r.is_Rational):
         return None
-    # (p + q*sqrt(r))^2 = p^2 + r q^2 + 2pq sqrt(r)
+    if b == 0:
+        # c = p^2, or c = r*q^2 = (q*theta)^2
+        p = _rational_sqrt(a)
+        if p is not None:
+            return p
+        q = _rational_sqrt(a / r)
+        return None if q is None else q * theta
+    # (p + q*theta)^2 = p^2 + r q^2 + 2pq theta
     disc = _rational_sqrt(a * a - r * b * b)
     if disc is None:
         return None
     for p2 in ((a + disc) / 2, (a - disc) / 2):
         p = _rational_sqrt(p2)
         if p is not None and p != 0:
-            q = b / (2 * p)
-            if sp.expand((p + q * rad) ** 2 - c) == 0:
-                return p + q * rad
-    if b == 0:
-        # purely radical square root: c = r*q^2 form
-        q = _rational_sqrt(a / r)
-        if q is not None:
-            return q * rad
+            return p + b / (2 * p) * theta
     return None
 
 
 def _sign_normalize(h: RationalFunction) -> RationalFunction:
-    lc = h.num.leading_coeff()
-    if lc.is_Rational:
-        negative = lc < 0
-    else:
-        rat = lc.subs([(n, 0) for n in lc.atoms(sp.Pow)])
-        negative = rat < 0 if rat != 0 else sp.expand(lc - rat).could_extract_minus_sign()
+    """Of h and -h, the one whose leading coefficient a + b*theta has a > 0,
+    or a = 0 and b > 0."""
+    a, rest = h.num.leading_coeff().as_coeff_Add()
+    negative = a < 0 if a != 0 else rest.as_coeff_Mul()[0] < 0
     if negative:
         return RationalFunction(-h.num, h.den, reduce=False)
     return h
 
 
-def is_perfect_square(g: RationalFunction):
+def is_perfect_square(g: RationalFunction, extension=None):
     """Return h with h^2 = g when it exists, else None.
 
     g = N/D is a square iff N*D = c * s^2 with c a square constant of the
     coefficient field; then h = sqrt(c) * s / D, reduced.  The squarefree
     decomposition decides this: every multiplicity even and c a square.
+    `extension` is the quadratic irrationality of the map g came from: c
+    may be a square only there, as -7 = sqrt(-7)^2.
     """
     if g.num.is_zero():
         return RationalFunction.from_poly(MultiPoly.zero(g.vars))
@@ -760,7 +763,7 @@ def is_perfect_square(g: RationalFunction):
         if m % 2 == 1:
             return None
         s *= f ** (m // 2)
-    root_c = _field_sqrt(num.ring.domain.to_sympy(const))
+    root_c = _field_sqrt(num.ring.domain.to_sympy(const), extension)
     if root_c is None:
         return None
     h = RationalFunction(_from_ring(s, g.vars).scale(root_c), g.den)

@@ -236,7 +236,7 @@ def verify_witness(m: RationalMap, f: MultiPoly):
         g = substitute(f, m)
     except (ZeroDenominator, UndefinedVariable):
         return None
-    return is_perfect_square(g)
+    return is_perfect_square(g, m.extension)
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:

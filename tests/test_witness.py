@@ -52,6 +52,21 @@ class TestQuadricWitness:
         m, _h = res
         assert verify_witness(m, f) is not None
 
+    @pytest.mark.parametrize(
+        "text", ["-X^2 - Y^2 - 7", "-2*X^2 - 2*X - 4", "-X^2 - 2*Y^2 - 3"]
+    )
+    def test_definite_quadric_witness_over_extension(self, text):
+        # no real point: the centre and the map live over Q(sqrt(r)), and
+        # the image is r*s^2 with r a square only there
+        f = parse_poly(text)
+        res = quadric_witness(f)
+        assert res is not None
+        m, h = res
+        assert m.extension is not None
+        assert h * h == substitute(f, m)
+        lc = h.num.leading_coeff()
+        assert sp.expand(lc**2).is_Rational
+
 
 class TestPointOnQuadric:
     def test_point_satisfies_equation(self):
