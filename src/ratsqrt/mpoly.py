@@ -14,7 +14,8 @@ rings (``PolyElement``), never on expression trees.  ``_to_ring`` and
 ``_from_ring`` are the one conversion boundary: the ring is
 ``PolyRing(vars, K, lex)`` with the generators in variable order, K is QQ
 when every coefficient is rational (converted straight from the term dict)
-and otherwise the algebraic field sympy constructs for the coefficients.
+and otherwise the quadratic field QQ(theta) the coefficients a + b*theta
+lie in.
 Everything layered on top only uses the functions exported here.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy as sp
-from sympy.polys.constructor import construct_domain
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -34,15 +34,6 @@ from .errors import (
     ZeroDenominator,
     ZeroRadicand,
 )
-
-_SYMBOLS: dict[str, sp.Symbol] = {}
-
-
-def _sym(name: str) -> sp.Symbol:
-    if name not in _SYMBOLS:
-        _SYMBOLS[name] = sp.Symbol(name)
-    return _SYMBOLS[name]
-
 
 def _canon_coeff(c):
     if isinstance(c, sp.Rational):
@@ -99,7 +90,7 @@ class MultiPoly:
     @classmethod
     def from_sympy(cls, expr, variables):
         variables = tuple(variables)
-        syms = [_sym(v) for v in variables]
+        syms = [sp.Symbol(v) for v in variables]
         poly = sp.Poly(sp.expand(expr), *syms) if syms else None
         if poly is None:
             return cls.const(variables, sp.expand(expr))
@@ -270,7 +261,7 @@ class MultiPoly:
             mono = c
             for i, exp in enumerate(e):
                 if exp:
-                    mono = mono * _sym(self.vars[i]) ** exp
+                    mono = mono * sp.Symbol(self.vars[i]) ** exp
             expr += mono
         return expr
 
@@ -339,13 +330,13 @@ def poly_str(p: MultiPoly) -> str:
 
 
 def _ring(variables, domain=QQ):
-    return PolyRing([_sym(v) for v in variables], domain, lex)
+    return PolyRing([sp.Symbol(v) for v in variables], domain, lex)
 
 
 def _to_ring(*polys: MultiPoly):
     """The polynomials (sharing one variable tuple) as elements of one ring:
-    over QQ when every coefficient is rational, else over the algebraic
-    field sympy constructs for all their coefficients."""
+    over QQ when every coefficient is rational, else over the quadratic
+    field QQ(theta) of their coefficients."""
     variables = polys[0].vars
     if all(p.coefficients_rational() for p in polys):
         ring = _ring(variables)
@@ -353,15 +344,48 @@ def _to_ring(*polys: MultiPoly):
             ring.from_dict({e: QQ(c.p, c.q) for e, c in p.terms.items()})
             for p in polys
         ]
-    coeffs = [c for p in polys for c in p.terms.values()]
-    K, elems = construct_domain(coeffs, field=True, extension=True)
+    K, elems = _quadratic_field([c for p in polys for c in p.terms.values()])
     ring = _ring(variables, K)
     it = iter(elems)
     return [ring.from_dict({e: next(it) for e in p.terms}) for p in polys]
 
 
+def _quadratic_field(coeffs):
+    """QQ(theta) for coefficients a + b*theta (a, b and theta^2 rational),
+    with the coefficients as its elements."""
+    irrational = next(c for c in coeffs if not c.is_Rational)
+    theta = irrational.as_coeff_Add()[1].as_coeff_Mul()[1]
+    r = sp.expand(theta**2)
+    if not r.is_Rational:
+        raise ValueError(f"{irrational} is not in a quadratic field")
+    minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
+    K = QQ.algebraic_field(sp.AlgebraicNumber((minpoly, theta)))
+    elems = []
+    for c in coeffs:
+        a, rest = c.as_coeff_Add()
+        b = sp.expand(rest / theta)
+        if not (a.is_Rational and b.is_Rational):
+            raise ValueError(f"coefficient {c} is not in QQ({theta})")
+        elems.append(K([QQ(b.p, b.q), QQ(a.p, a.q)]))
+    return K, elems
+
+
+def _to_sympy(K):
+    """Converter from elements of QQ, or of QQ(theta) built by
+    _quadratic_field, to sympy numbers a + b*theta."""
+    if K.is_QQ:
+        return K.to_sympy
+    theta = sp.sqrt(-QQ.to_sympy(K.mod.to_list()[-1]))  # minpoly t^2 - r
+
+    def to_sympy(c):
+        a, b = (c.to_list()[::-1] + [0, 0])[:2]
+        return QQ.to_sympy(a) + QQ.to_sympy(b) * theta
+
+    return to_sympy
+
+
 def _from_ring(pe, variables) -> MultiPoly:
-    to_sympy = pe.ring.domain.to_sympy
+    to_sympy = _to_sympy(pe.ring.domain)
     return MultiPoly(variables, {e: to_sympy(c) for e, c in pe.terms()})
 
 
@@ -382,7 +406,7 @@ def factor_list(p: MultiPoly):
     (pe,) = _to_ring(p)
     const, factors = pe.factor_list()
     out = []
-    c = pe.ring.domain.to_sympy(const)
+    c = _to_sympy(pe.ring.domain)(const)
     for f, m in factors:
         mp = _from_ring(f, p.vars)
         lc = mp.leading_coeff()
@@ -763,7 +787,7 @@ def is_perfect_square(g: RationalFunction, extension=None):
         if m % 2 == 1:
             return None
         s *= f ** (m // 2)
-    root_c = _field_sqrt(num.ring.domain.to_sympy(const), extension)
+    root_c = _field_sqrt(_to_sympy(num.ring.domain)(const), extension)
     if root_c is None:
         return None
     h = RationalFunction(_from_ring(s, g.vars).scale(root_c), g.den)
