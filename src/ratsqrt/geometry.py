@@ -133,15 +133,6 @@ class AlgebraicPoint:
     def coords_str(self):
         return tuple(elem_str(c) for c in self.proj)
 
-    def field_str(self):
-        if self.field is None:
-            return "QQ"
-        gens = ", ".join(
-            f"{g}: {'+'.join(f'{elem_str(c)}*t^{i}' for i, c in enumerate(m) if c)}"
-            for g, m in self.field.describe()
-        )
-        return f"QQ[{gens}]"
-
     def sort_key(self):
         return (self.chart, _tower_key(self.field), _coords_key(self.proj))
 
@@ -552,10 +543,6 @@ def _order_partials(terms, order, nvars):
             key = tuple(sorted(d.items()))
             seen[key] = d
     return [seen[k] for k in sorted(seen)]
-
-
-def _poly_key(p):
-    return tuple(sorted(p.items()))
 
 
 class _SystemSolution:

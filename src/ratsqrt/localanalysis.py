@@ -68,16 +68,6 @@ def lp_add(P, Q):
     return out
 
 
-def lp_neg(P):
-    return {e: -c for e, c in P.items()}
-
-
-def lp_scale(P, c):
-    if not c:
-        return {}
-    return {e: co * c for e, co in P.items()}
-
-
 def lp_mul(P, Q):
     out = {}
     for (i1, j1), c1 in P.items():
@@ -134,27 +124,6 @@ def lp_restrict_u(P):
 def lp_divide_v(P):
     """Exact division by v (every term must have j >= 1)."""
     return {(i, j - 1): c for (i, j), c in P.items()}
-
-
-def lp_translate(P, a, b, field):
-    """The germ f(u + a, v + b) — recentre the origin at (a, b)."""
-    a = field_coerce(field, a)
-    b = field_coerce(field, b)
-    one = field_one(field)
-    out = {}
-    for (i, j), c in P.items():
-        # (u + a)^i expansion
-        for k in range(i + 1):
-            ca = c * (comb(i, k) * (a ** (i - k) if i > k else one))
-            for l in range(j + 1):
-                cb = ca * (comb(j, l) * (b ** (j - l) if j > l else one))
-                e = (k, l)
-                s = out.get(e, 0) + cb if e in out else cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-    return out
 
 
 def lp_blowup_finite(P, t0, field):

@@ -74,16 +74,6 @@ class NumberField:
     def gen(self):
         return NFElem(self, [self._base_zero(), self._base_one()])
 
-    def from_coeffs(self, coeffs):
-        """Element from a coefficient list over the base level (reduced)."""
-        lifted = []
-        for c in coeffs:
-            if isinstance(c, NFElem):
-                lifted.append(c)
-            else:
-                lifted.append(self._base_from_rational(c))
-        return NFElem(self, up.rem(up.trim(lifted), self.minpoly))
-
     def lift(self, e):
         """Coerce an element of a lower level (or a rational) into this field."""
         if isinstance(e, NFElem):

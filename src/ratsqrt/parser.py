@@ -89,22 +89,16 @@ class _Scanner:
 
 
 class _Parser:
-    """Parses into a (numerator, denominator) pair of ring elements.
-
-    The ring is fixed before parsing: the given variables, or every
-    identifier of the text in order of first appearance (in a text that
-    parses, each identifier token is a variable).  Constant denominators are
-    folded into the numerator at once, so polynomial input stays one ring
-    element; other denominators are cancelled once, at the end.
-    """
+    """Parses into a (numerator, denominator) pair over a ring fixed up
+    front: the given variables, or the text's identifiers in order of first
+    appearance (each one a variable in any text that parses).  Constant
+    denominators are folded into the numerator as they arise."""
 
     def __init__(self, text, variables=None):
         self.sc = _Scanner(text)
-        self.fixed = variables is not None
-        if self.fixed:
-            self.vars = list(variables)
-        else:
-            self.vars = list(dict.fromkeys(_IDENT.findall(text)))
+        if variables is None:
+            variables = dict.fromkeys(_IDENT.findall(text))
+        self.vars = list(variables)
         self.ring = _ring(self.vars)
         self.gens = dict(zip(self.vars, self.ring.gens))
 
