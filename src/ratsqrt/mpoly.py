@@ -11,11 +11,9 @@ and printing representational.
 The exact kernels (cancellation, gcd, squarefree decomposition,
 factorization, the perfect-square test) run on sympy's sparse polynomial
 rings (``PolyElement``), never on expression trees.  ``_to_ring`` and
-``_from_ring`` are the one conversion boundary: the ring is
-``PolyRing(vars, K, lex)`` with the generators in variable order, K is QQ
-when every coefficient is rational (converted straight from the term dict)
-and otherwise the quadratic field QQ(theta) the coefficients a + b*theta
-lie in.
+``_from_ring`` are the one conversion boundary: ``PolyRing(vars, K, lex)``
+with the generators in variable order, K = QQ when every coefficient is
+rational, else the quadratic field QQ(theta) of coefficients a + b*theta.
 Everything layered on top only uses the functions exported here.
 """
 
@@ -350,22 +348,34 @@ def _to_ring(*polys: MultiPoly):
     return [ring.from_dict({e: next(it) for e in p.terms}) for p in polys]
 
 
+def _theta(c):
+    """The irrationality of an irrational c = a + b*theta, scaled so that
+    its rational coefficient is 1."""
+    return c.as_coeff_Add()[1].as_coeff_Mul()[1]
+
+
+def _split(c, theta):
+    """(a, b) with c = a + b*theta and a, b rational, or None."""
+    a, rest = c.as_coeff_Add()
+    b = sp.expand(rest / theta)
+    return (a, b) if a.is_Rational and b.is_Rational else None
+
+
 def _quadratic_field(coeffs):
     """QQ(theta) for coefficients a + b*theta (a, b and theta^2 rational),
     with the coefficients as its elements."""
-    irrational = next(c for c in coeffs if not c.is_Rational)
-    theta = irrational.as_coeff_Add()[1].as_coeff_Mul()[1]
+    theta = _theta(next(c for c in coeffs if not c.is_Rational))
     r = sp.expand(theta**2)
     if not r.is_Rational:
-        raise ValueError(f"{irrational} is not in a quadratic field")
+        raise ValueError(f"{theta} does not generate a quadratic field")
     minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
     K = QQ.algebraic_field(sp.AlgebraicNumber((minpoly, theta)))
     elems = []
     for c in coeffs:
-        a, rest = c.as_coeff_Add()
-        b = sp.expand(rest / theta)
-        if not (a.is_Rational and b.is_Rational):
+        parts = _split(c, theta)
+        if parts is None:
             raise ValueError(f"coefficient {c} is not in QQ({theta})")
+        a, b = parts
         elems.append(K([QQ(b.p, b.q), QQ(a.p, a.q)]))
     return K, elems
 
@@ -687,18 +697,19 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     # f's coefficients enter as constants so that all share one ring
     parts += [MultiPoly.const(target_vars, c) for c in f.terms.values()]
     ring_parts = _to_ring(*parts)
+    ring = ring_parts[0].ring
     k = len(needed)
     nums, dens, coeffs = ring_parts[:k], ring_parts[k:2 * k], ring_parts[2 * k:]
     # clearing denominators: x_v = n_v/d_v, times prod d_v^deg_v
     num_pows = [[g**j for j in range(d + 1)] for g, d in zip(nums, degs)]
     den_pows = [[g**j for j in range(d + 1)] for g, d in zip(dens, degs)]
-    total_num = ring_parts[0].ring.zero
+    total_num = ring.zero
     for e, c in zip(f.terms, coeffs):
         term = c
         for j, i in enumerate(idx):
             term = term * num_pows[j][e[i]] * den_pows[j][degs[j] - e[i]]
         total_num += term
-    total_den = ring_parts[0].ring.one
+    total_den = ring.one
     for j in range(k):
         total_den *= den_pows[j][degs[j]]
     return RationalFunction(
@@ -731,16 +742,16 @@ def _field_sqrt(c, extension=None):
     c = sp.expand(c)
     if c == 0:
         return sp.Integer(0)
-    a, rest = c.as_coeff_Add()
     theta = extension
-    if theta is None and rest != 0:
-        theta = rest.as_coeff_Mul()[1]
+    if theta is None and not c.is_Rational:
+        theta = _theta(c)
     if theta is None:
         return _rational_sqrt(c)
     r = sp.expand(theta**2)
-    b = sp.expand(rest / theta)
-    if not (a.is_Rational and b.is_Rational and r.is_Rational):
+    parts = _split(c, theta)
+    if parts is None or not r.is_Rational:
         return None
+    a, b = parts
     if b == 0:
         # c = p^2, or c = r*q^2 = (q*theta)^2
         p = _rational_sqrt(a)

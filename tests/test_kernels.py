@@ -33,22 +33,21 @@ def _coeff(theta):
     return st.builds(lambda a, b: a + b * theta, small, small)
 
 
-def polys(theta, max_terms=3, max_deg=1, nonzero=True):
-    term = st.tuples(
-        st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)),
-        _coeff(theta),
-    )
-    out = st.lists(term, max_size=max_terms).map(
+def polys(theta):
+    """Nonzero polynomials of up to 3 terms, degree at most 1 in each
+    variable, over QQ(theta)."""
+    term = st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                     _coeff(theta))
+    return st.lists(term, max_size=3).map(
         lambda ts: MultiPoly(VARS, dict(ts))
-    )
-    return out.filter(lambda p: not p.is_zero()) if nonzero else out
+    ).filter(lambda p: not p.is_zero())
 
 
-def field_polys(**kw):
+def field_polys():
     """(theta, p1, p2, p3) over QQ(theta); theta is None for QQ."""
     return st.sampled_from(sorted(FIELDS)).flatmap(
         lambda name: st.tuples(
-            st.just(FIELDS[name]), *(polys(FIELDS[name], **kw) for _ in range(3))
+            st.just(FIELDS[name]), *(polys(FIELDS[name]) for _ in range(3))
         )
     )
 
@@ -90,7 +89,8 @@ class TestSquarefreePart:
         _, a, b, c = ps
         p = a * b * b * c * c * c
         # QQ, not ZZ, for rational input: the constant the part carries
-        opts = {"domain": "QQ"} if p.coefficients_rational() else {"extension": True}
+        opts = ({"domain": "QQ"} if p.coefficients_rational()
+                else {"extension": True})
         const, factors = sp.sqf_list(p.to_sympy(), *SYMS, **opts)
         ref = sp.sympify(const)
         for f, m in factors:
