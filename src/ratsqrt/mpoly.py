@@ -368,6 +368,7 @@ def _quadratic_field(coeffs):
     r = sp.expand(theta**2)
     if not r.is_Rational:
         raise ValueError(f"{theta} does not generate a quadratic field")
+    theta = sp.sqrt(r)  # the generator _to_sympy reads back from t^2 - r
     minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
     K = QQ.algebraic_field(sp.AlgebraicNumber((minpoly, theta)))
     elems = []
@@ -381,8 +382,7 @@ def _quadratic_field(coeffs):
 
 
 def _to_sympy(K):
-    """Converter from elements of QQ, or of QQ(theta) built by
-    _quadratic_field, to sympy numbers a + b*theta."""
+    """Converter from QQ or _quadratic_field elements to sympy numbers."""
     if K.is_QQ:
         return K.to_sympy
     theta = sp.sqrt(-QQ.to_sympy(K.mod.to_list()[-1]))  # minpoly t^2 - r
