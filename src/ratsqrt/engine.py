@@ -253,7 +253,7 @@ def _decide_reduced(f, steps, clock, config, timings):
                      {"triple_point": tp.to_json(), "decides": "not rationalizable"})
             )
             return Verdict(NOT_RATIONALIZABLE, None, None, steps, None, timings)
-        m, h, pdata = _projection_attempt(model, f, clock, config)
+        m, h, pdata = _projection_attempt(model, f, clock)
         data = {"triple_point": None, "decides": "rationalizable"}
         data.update(pdata)
         steps.append(Step("cubic-triple-point", data))
@@ -273,7 +273,7 @@ def _decide_reduced(f, steps, clock, config, timings):
             outcome = RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE
             m = h = None
             if outcome == RATIONALIZABLE:
-                m, h, pdata = _projection_attempt(model, f, clock, config)
+                m, h, pdata = _projection_attempt(model, f, clock)
                 data.update(pdata)
             steps.append(Step("simple-singularities", data))
             return Verdict(outcome, m, h, steps, records, timings)
@@ -284,7 +284,7 @@ def _decide_reduced(f, steps, clock, config, timings):
     else:
         V = build_model(f).V
     pt, certified = clock.run(
-        "high-multiplicity-point", lambda: high_mult_point_search(V, config.max_height)
+        "high-multiplicity-point", lambda: high_mult_point_search(V)
     )
     if pt is not None:
         data = {"point": pt.to_json(), "hypersurface_degree": V.total_degree()}
@@ -322,11 +322,10 @@ def _identity_witness(f):
     return m, h
 
 
-def _projection_attempt(model, f, clock, config):
+def _projection_attempt(model, f, clock):
     """Try to realize rationalizability by an explicit projection witness."""
     pt, _cert = clock.run(
-        "high-multiplicity-point",
-        lambda: high_mult_point_search(model.V, config.max_height),
+        "high-multiplicity-point", lambda: high_mult_point_search(model.V)
     )
     if pt is None:
         return None, None, {"witness": None, "note": "existence by criterion;"

@@ -19,6 +19,10 @@ The module also searches hypersurfaces for points of multiplicity D - 1
 derivatives are quadrics, so a full-rank quadric span certifies emptiness,
 and otherwise a recursive resultant elimination with exact back-substitution
 finds points or refutes their existence for up to three chart unknowns.
+
+Polynomials are exponent dicts with Fraction coefficients.  Every
+elimination is one call of :func:`_resultant_last`, a resultant on sympy's
+sparse ring QQ[t, x_1..x_{k-1}] with the eliminated variable t first.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from . import unipoly as up
 from .errors import NonReduced, TowerTooDeep
 from .localanalysis import (
+    _row_reduce_rank,
     classify_germ,
     field_coerce,
     field_one,
@@ -41,6 +47,10 @@ from .localanalysis import (
 )
 from .mpoly import (
     MultiPoly,
+    _frac_ring,
+    _frac_terms,
+    _fraction,
+    _qq,
     homogenize,
     is_squarefree,
 )
@@ -49,6 +59,7 @@ from .numberfield import (
     elem_str,
     factor_over_height1,
 )
+from .witness import _height_values
 
 
 def fresh_name(base, taken):
@@ -242,24 +253,27 @@ def _spec_univ(terms, alpha, axis, field):
     return up.trim(out)
 
 
-_SPX, _SPY = sp.symbols("_gx _gy")
-
-
-def _to_sympy_bivar(terms):
-    expr = sp.Integer(0)
-    for (i, j), c in terms.items():
-        expr += sp.Rational(c) * _SPX**i * _SPY**j
-    return expr
-
-
-def _resultant_y(a, b):
-    """Resultant in the second variable of two bivariate Fraction dicts,
-    returned as a Fraction coefficient list in the first variable."""
-    res = sp.resultant(
-        sp.Poly(_to_sympy_bivar(a), _SPY), sp.Poly(_to_sympy_bivar(b), _SPY)
+def _resultant_last(a, b, k):
+    """Resultant in the last of k variables of two Fraction dicts, as a
+    Fraction dict in the first k - 1 variables."""
+    names = tuple(f"x{i}" for i in range(k))
+    ra, rb = _frac_ring(
+        names[-1:] + names[:-1],
+        *({e[-1:] + e[:-1]: c for e, c in p.items()} for p in (a, b)),
     )
-    poly = sp.Poly(sp.expand(res), _SPX)
-    return up.trim([Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())])
+    res = ra.resultant(rb)
+    if k == 1:
+        return {(): _fraction(res)} if res else {}
+    return _frac_terms(res)
+
+
+def _dense(terms, field=None):
+    """Coefficient list over `field` of a univariate exponent dict."""
+    zero = field_coerce(field, 0)
+    out = [zero] * (1 + max((e[0] for e in terms), default=0))
+    for (i,), c in terms.items():
+        out[i] = out[i] + field_coerce(field, c)
+    return up.trim(out)
 
 
 def _affine_singular_points(g):
@@ -280,10 +294,10 @@ def _affine_singular_points(g):
     # x-coordinates of singular points are roots of both resultants below;
     # the one against the y-partial never vanishes identically (g stays
     # squarefree over the rational-function field in x)
-    r2 = _resultant_y(g, gy)
+    r2 = _dense(_resultant_last(g, gy, 2))
     if not r2:
         raise NonReduced("curve shares a component with its y-partial")
-    r1 = _resultant_y(g, gx)
+    r1 = _dense(_resultant_last(g, gx, 2))
     E = up.gcd(r1, r2) if r1 else r2
     E = up.radical(E) if up.deg(E) >= 1 else E
     if up.deg(E) < 1:
@@ -439,52 +453,6 @@ def all_simple(model: GeometricModel):
 
 
 # --------------------------------------------------------------------------
-# small exact linear algebra over the rationals
-
-
-def _kernel_vector(rows, ncols):
-    """A nonzero rational kernel vector of the row system, or None."""
-    mat = [list(r) for r in rows]
-    pivots = {}
-    rank_rows = []
-    for row in mat:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                c = row[col]
-                row = [x - c * y for x, y in zip(row, prow)]
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is not None:
-            inv = row[piv]
-            row = [x / inv for x in row]
-            pivots[piv] = row
-    free = [i for i in range(ncols) if i not in pivots]
-    if not free:
-        return None
-    j = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[j] = Fraction(1)
-    for col, prow in pivots.items():
-        vec[col] = -prow[j]
-    return vec
-
-
-def _rank(rows):
-    pivots = {}
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                c = row[col]
-                row = [x - c * y for x, y in zip(row, prow)]
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is not None:
-            inv = row[piv]
-            pivots[piv] = [x / inv for x in row]
-    return len(pivots)
-
-
-# --------------------------------------------------------------------------
 # multiplicity-3 points of plane cubics
 
 
@@ -502,28 +470,21 @@ def triple_point_of_cubic(F: MultiPoly):
     terms = to_frac_terms(F)
     rows = []
     for i, j in combinations_with_replacement(range(3), 2):
-        d = lpn_derivative(lpn_derivative(terms, i), j)
-        row = [Fraction(0)] * 3
+        d = lp_derivative(lp_derivative(terms, i), j)
+        row = [QQ(0)] * 3
         for e, c in d.items():
-            row[e.index(1)] = c
+            row[e.index(1)] = _qq(c)
         rows.append(row)
-    vec = _kernel_vector(rows, 3)
-    if vec is None:
+    # the kernel is at most a line: a cubic in one linear form is a cube
+    kernel = DomainMatrix(rows, (len(rows), 3), QQ).nullspace().to_list()
+    if not kernel:
         return None
+    vec = [_fraction(c) for c in kernel[0]]
     piv = next(i for i, x in enumerate(vec) if x)
     vec = [x / vec[piv] for x in vec]
     pt = AlgebraicPoint(None, tuple(vec), piv, 1)
     assert multiplicity_at(F, pt) == 3
     return pt
-
-
-def lpn_derivative(terms, axis):
-    out = {}
-    for e, c in terms.items():
-        if e[axis] > 0:
-            ne = e[:axis] + (e[axis] - 1,) + e[axis + 1 :]
-            out[ne] = out.get(ne, Fraction(0)) + c * e[axis]
-    return {e: c for e, c in out.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +497,7 @@ def _order_partials(terms, order, nvars):
     for combo in combinations_with_replacement(range(nvars), order):
         d = dict(terms)
         for axis in combo:
-            d = lpn_derivative(d, axis)
+            d = lp_derivative(d, axis)
             if not d:
                 break
         if d:
@@ -569,71 +530,14 @@ def _specialize_all_but_last(terms, sol):
     return up.trim(out)
 
 
-def _sym_list(k):
-    return sp.symbols(f"_e0:{k}")
-
-
-def _terms_to_sympy(terms, syms):
-    expr = sp.Integer(0)
-    for e, c in terms.items():
-        mono = sp.Rational(c)
-        for s, i in zip(syms, e):
-            if i:
-                mono *= s**i
-        expr += mono
-    return expr
-
-
-def _eliminate_last(polys, k):
-    """Resultant projection of a system onto the first k-1 variables.
-
-    Returns (projected system, had_pivot).  Completeness: every common zero
-    of the input projects to a common zero of the output.
-    """
-    syms = _sym_list(k)
-    with_t = [p for p in polys if any(e[-1] for e in p)]
-    without_t = [
-        {e[:-1]: c for e, c in p.items()} for p in polys if not any(e[-1] for e in p)
-    ]
-    if not with_t:
-        return without_t, False
-    pivot = min(with_t, key=lambda p: max(e[-1] for e in p))
-    piv_expr = sp.Poly(_terms_to_sympy(pivot, syms), syms[-1])
-    projected = list(without_t)
-    for p in with_t:
-        if p is pivot:
-            continue
-        res = sp.resultant(piv_expr, sp.Poly(_terms_to_sympy(p, syms), syms[-1]))
-        res = sp.expand(res)
-        if res == 0:
-            continue
-        if k == 1:
-            projected.append({(): Fraction(sp.Rational(res))})
-            continue
-        poly = sp.Poly(res, *syms[:-1])
-        projected.append(
-            {e: Fraction(c.p, c.q) for e, c in poly.terms()}
-        )
-    return projected, True
-
-
 def _solve_univariate(polys, base_field):
     """Solutions of a univariate system over `base_field` (None or height-1).
 
     Returns (solutions, complete, exists): complete means the list provably
     covers every solution over the algebraic closure.
     """
-    lists = []
-    for p in polys:
-        n = 1 + max((e[0] for e in p), default=0)
-        zero = field_coerce(base_field, 0)
-        out = [zero] * n
-        for e, c in p.items():
-            out[e[0]] = out[e[0]] + field_coerce(base_field, c)
-        lists.append(up.trim(out))
-    nonzero = [l for l in lists if l]
-    if len(nonzero) < len(lists):
-        pass  # identically-zero equations impose nothing
+    # identically-zero equations impose nothing
+    nonzero = [l for l in (_dense(p, base_field) for p in polys) if l]
     if not nonzero:
         # unconstrained line: infinitely many solutions; report one
         return [_SystemSolution(base_field, (field_coerce(base_field, 0),))], False, True
@@ -682,9 +586,14 @@ def _solve_system(polys, k):
         return [_SystemSolution(None, (zero,) * k)], False, True
     if k == 1:
         return _solve_univariate(polys, None)
-    projected, had_pivot = _eliminate_last(polys, k)
-    projected = [p for p in projected if p]
-    if not had_pivot:
+    # resultant projection onto the first k - 1 variables: every common
+    # zero of the system projects to a common zero of the projection
+    with_t = [p for p in polys if any(e[-1] for e in p)]
+    projected = [
+        {e[:-1]: c for e, c in p.items()} for p in polys
+        if not any(e[-1] for e in p)
+    ]
+    if not with_t:
         # last variable unconstrained; solve the rest and append t = 0
         subs, complete, exists = _solve_system(projected, k - 1)
         out = [
@@ -692,6 +601,12 @@ def _solve_system(polys, k):
             for s in subs
         ]
         return out, False, exists
+    pivot = min(with_t, key=lambda p: max(e[-1] for e in p))
+    for p in with_t:
+        if p is not pivot:
+            res = _resultant_last(pivot, p, k)
+            if res:
+                projected.append(res)
     if not projected:
         # projection degenerated (shared factors or a single equation):
         # common zeros exist on a hypersurface; extract one by scanning
@@ -755,15 +670,9 @@ def _solve_system(polys, k):
     return sols, complete, exists
 
 
-def _scan_for_solution(polys, k, height=6):
+def _scan_for_solution(polys, k):
     """Bounded-height rational scan for a common zero; None if not found."""
-    values = [Fraction(0)]
-    for h in range(1, height + 1):
-        for d in range(1, h + 1):
-            for n in range(-h, h + 1):
-                q = Fraction(n, d)
-                if max(abs(q.numerator), q.denominator) == h and q not in values:
-                    values.append(q)
+    values = _height_values(6)
 
     def rec(assign):
         if len(assign) == k:
@@ -788,7 +697,7 @@ def _scan_for_solution(polys, k, height=6):
     return _SystemSolution(None, got) if got else None
 
 
-def high_mult_point_search(H: MultiPoly, height=50):
+def high_mult_point_search(H: MultiPoly):
     """Search for a point of multiplicity D - 1 on the degree-D hypersurface H.
 
     Returns (point or None, certified_empty).  By the Euler identity the
@@ -822,7 +731,7 @@ def high_mult_point_search(H: MultiPoly, height=50):
         for e, c in q.items():
             row[mono_index[e]] = c
         rows.append(row)
-    if _rank(rows) == len(mono_index):
+    if _row_reduce_rank(rows, None) == len(mono_index):
         return None, True
     best = None
     certified = True

@@ -98,12 +98,12 @@ def lp_form(P, d):
 
 
 def lp_derivative(P, axis):
+    """Partial derivative along `axis` of an exponent dict in any number of
+    variables."""
     out = {}
-    for (i, j), c in P.items():
-        if axis == 0 and i > 0:
-            out[(i - 1, j)] = c * i
-        elif axis == 1 and j > 0:
-            out[(i, j - 1)] = c * j
+    for e, c in P.items():
+        if e[axis]:
+            out[e[:axis] + (e[axis] - 1,) + e[axis + 1 :]] = c * e[axis]
     return lp_clean(out)
 
 

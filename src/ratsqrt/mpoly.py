@@ -331,6 +331,26 @@ def _ring(variables, domain=QQ):
     return PolyRing([sp.Symbol(v) for v in variables], domain, lex)
 
 
+def _qq(c):
+    return QQ(c.numerator, c.denominator)
+
+
+def _fraction(c):
+    return Fraction(c.numerator, c.denominator)
+
+
+def _frac_ring(variables, *terms):
+    """Exponent dicts with Fraction coefficients (the form of geometry,
+    numberfield and unipoly) as elements of one ring over QQ."""
+    ring = _ring(variables)
+    return [ring.from_dict({e: _qq(c) for e, c in t.items()}) for t in terms]
+
+
+def _frac_terms(pe):
+    """The exponent dict with Fraction coefficients of a ring element."""
+    return {e: _fraction(c) for e, c in pe.terms()}
+
+
 def _to_ring(*polys: MultiPoly):
     """The polynomials (sharing one variable tuple) as elements of one ring:
     over QQ when every coefficient is rational, else over the quadratic

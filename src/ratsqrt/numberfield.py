@@ -15,18 +15,18 @@ operators.  Zero testing is canonical: the reduced representation of zero is
 the all-zero list.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
-push the problem down to the rationals with a resultant, factor there
-(sympy), and pull the factors back with gcds over the extension.
+push the problem down to the rationals with a resultant, factor there (both
+on sympy's sparse ring QQ[x, y]), and pull the factors back with gcds over
+the extension.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy as sp
-
 from . import unipoly as up
 from .errors import TowerTooDeep, ZeroInversion
+from .mpoly import _frac_ring
 
 MAX_HEIGHT = 2
 
@@ -237,15 +237,6 @@ def nf_invert(e: NFElem) -> NFElem:
 # Trager norm-based splitting over a height-one field
 
 
-def _elem_to_expr(e, sym):
-    """Height-one element -> sympy polynomial expression in sym."""
-    if isinstance(e, NFElem):
-        coeffs = [Fraction(c) for c in e.rep]
-    else:
-        coeffs = [Fraction(e)]
-    return sum((sp.Rational(c) * sym**i for i, c in enumerate(coeffs)), sp.Integer(0))
-
-
 def factor_over_height1(field: NumberField, poly):
     """Split a monic squarefree polynomial over a height-one field.
 
@@ -258,27 +249,30 @@ def factor_over_height1(field: NumberField, poly):
     poly = [field.lift(c) for c in poly]
     if up.deg(poly) <= 1:
         return [poly]
-    x, y = sp.symbols("_nfx _nfy")
-    m_expr = sum(sp.Rational(c) * x**i for i, c in enumerate(field.minpoly))
-    alpha = field.gen()
+    # QQ[x, y] with x first, so the resultant eliminates the generator x
+    m, *coeffs = _frac_ring(
+        ("x", "y"),
+        *({(i, 0): c for i, c in enumerate(rep) if c}
+          for rep in [field.minpoly] + [c.rep for c in poly]),
+    )
+    x, y = m.ring.gens
     for s in range(0, 40):
         # G_s(x, y) = poly with the generator replaced by x and y -> y - s*x
-        g_expr = sum(
-            _elem_to_expr(c, x) * (y - s * x) ** i for i, c in enumerate(poly)
-        )
-        norm = sp.Poly(sp.resultant(m_expr, sp.expand(g_expr), x), y)
-        if sp.degree(sp.gcd(norm, norm.diff(y)), y) == 0:
+        g = m.ring.zero
+        for c in reversed(coeffs):
+            g = g * (y - s * x) + c
+        norm = m.resultant(g)
+        if norm.gcd(norm.diff(norm.ring.gens[0])).degree() == 0:
             break
     else:  # pragma: no cover - shift always found at desk scale
         raise TowerTooDeep("no squarefree norm shift found")
     _, rat_factors = norm.factor_list()
     factors = []
-    shift_arg = [Fraction(s) * alpha, field.one()]  # y + s*alpha
+    shift_arg = [Fraction(s) * field.gen(), field.one()]  # y + s*alpha
     for nf_poly, _m in rat_factors:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(nf_poly.all_coeffs())]
         # n_i(y + s*alpha) over the field, by Horner composition
         comp = []
-        for c in reversed(coeffs):
+        for c in reversed(up.from_ring(nf_poly)):
             comp = up.add(up.mul(comp, shift_arg), [field.from_rational(c)])
         g = up.gcd(poly, comp)
         if up.deg(g) >= 1:

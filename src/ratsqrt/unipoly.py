@@ -8,15 +8,15 @@ routine here work uniformly over the rationals (fractions.Fraction) and over
 the number-field towers of :mod:`ratsqrt.numberfield`.
 
 Monic-gcd, extended Euclid and squarefree part are the workhorses used by
-the higher-level modules; factorization over the rationals is delegated to
-sympy in :func:`factor_rational`.
+the higher-level modules; :func:`factor_rational` factors over the rationals
+on sympy's sparse polynomial ring QQ[t].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy as sp
+from .mpoly import _frac_ring, _frac_terms, _fraction
 
 
 def trim(p):
@@ -192,17 +192,15 @@ def valuation(p):
     raise ValueError("valuation of the zero polynomial")
 
 
-# --- rational-coefficient helpers backed by sympy ---------------------------
-
-_T = sp.Symbol("_t")
+# --- rational-coefficient helpers on sympy's sparse rings --------------------
 
 
-def to_sympy(p):
-    return sp.Poly.from_list(list(reversed([sp.Rational(c) for c in p])) or [0], _T)
-
-
-def from_sympy(poly):
-    return trim([Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())])
+def from_ring(pe):
+    """Coefficient list of a univariate ring element over QQ."""
+    out = [Fraction(0)] * (pe.degree() + 1)
+    for (i,), c in _frac_terms(pe).items():
+        out[i] = c
+    return out
 
 
 def factor_rational(p):
@@ -215,11 +213,12 @@ def factor_rational(p):
         raise ValueError("cannot factor the zero polynomial")
     if deg(p) == 0:
         return p[0], []
-    content, factors = to_sympy(p).factor_list()
+    (pe,) = _frac_ring(("t",), {(i,): c for i, c in enumerate(p) if c})
+    content, factors = pe.factor_list()
     out = []
-    cont = Fraction(content.p, content.q)
-    for f, m in sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].all_coeffs())):
-        coeffs = from_sympy(f)
+    cont = _fraction(content)
+    for f, m in sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].to_dense())):
+        coeffs = from_ring(f)
         lc = coeffs[-1]
         cont *= lc**m
         out.append(([c / lc for c in coeffs], m))

@@ -133,7 +133,7 @@ class TestHighMultSearch:
     def test_quadric_never_certified_empty_without_rank(self):
         # cusp surface: W^2 = X^3 - Y^2 has a double point at the origin
         V = build_model(parse_poly("X^3 - Y^2", ("X", "Y"))).V
-        pt, certified = high_mult_point_search(V, 10)
+        pt, certified = high_mult_point_search(V)
         assert pt is not None
         assert multiplicity_at(V, pt) == V.total_degree() - 1
 
@@ -142,7 +142,7 @@ class TestHighMultSearch:
         # closure has no triple point and the quadric span certifies it
         f = parse_poly("X1^4 + X2^4 + 1", ("X1", "X2"))
         V = build_model(f).V
-        pt, certified = high_mult_point_search(V, 10)
+        pt, certified = high_mult_point_search(V)
         if pt is None:
             assert certified
         else:
@@ -150,7 +150,7 @@ class TestHighMultSearch:
 
     def test_returned_point_multiplicity_verified(self):
         V = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))).V
-        pt, _c = high_mult_point_search(V, 10)
+        pt, _c = high_mult_point_search(V)
         if pt is not None:
             assert multiplicity_at(V, pt) == V.total_degree() - 1
 

@@ -1,15 +1,21 @@
-"""The exact ring kernels of mpoly and parser against sympy references.
+"""The exact ring kernels against sympy references.
 
 Random small polynomials over QQ, Q(sqrt(2)) and Q(sqrt(-7)) are reduced,
 decomposed and square-tested by the package and by sympy's expression-level
-functions; the parser is checked against sympify on generated texts.
+functions; the parser is checked against sympify on generated texts; the
+resultant, rational factorization and norm factorization that geometry,
+unipoly and numberfield run on sparse rings are checked the same way.
 """
+
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratsqrt import geometry, localanalysis, numberfield, unipoly
+from ratsqrt.engine import decide
 from ratsqrt.errors import ZeroDenominator
 from ratsqrt.mpoly import (
     MultiPoly,
@@ -17,7 +23,8 @@ from ratsqrt.mpoly import (
     is_perfect_square,
     squarefree_part,
 )
-from ratsqrt.parser import parse_rational
+from ratsqrt.numberfield import NumberField, factor_over_height1
+from ratsqrt.parser import parse_poly, parse_rational
 
 VARS = ("X", "Y")
 SYMS = sp.symbols(VARS)
@@ -178,18 +185,135 @@ class TestParser:
         assert g.vars == ("Z", "Y", "X")
 
 
+# -- resultants and factorization on sparse rings ---------------------------
+
+def _fractions():
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _frac_dict(k):
+    """Nonzero Fraction dicts in k variables, degree at most 2 in each."""
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(k)))
+    return st.dictionaries(exps, _fractions(), min_size=1, max_size=4).map(
+        lambda d: {e: c for e, c in d.items() if c}
+    ).filter(bool)
+
+
+def _expr(terms, syms):
+    return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*(x**i for x, i in zip(syms, e)))
+                    for e, c in terms.items()))
+
+
+class TestResultant:
+    @KERNEL
+    @given(st.integers(1, 3).flatmap(
+        lambda k: st.tuples(st.just(k), _frac_dict(k), _frac_dict(k))))
+    def test_matches_sympy_resultant(self, case):
+        k, a, b = case
+        syms = sp.symbols(f"x0:{k}")
+        ref = sp.expand(sp.resultant(_expr(a, syms), _expr(b, syms), syms[-1]))
+        assert sp.expand(_expr(geometry._resultant_last(a, b, k), syms)) == ref
+
+
+def _univariate():
+    return st.lists(_fractions(), min_size=1, max_size=4).map(unipoly.trim)
+
+
+class TestFactorRational:
+    @KERNEL
+    @given(st.lists(_univariate(), min_size=1, max_size=4))
+    def test_matches_sympy_factor_list(self, parts):
+        p = [Fraction(1)]
+        for q in parts:
+            p = unipoly.mul(p, q) if q else p
+        t = sp.Symbol("t")
+        content, factors = unipoly.factor_rational(p)
+        ref_content, ref_factors = sp.factor_list(_expr(
+            {(i,): c for i, c in enumerate(p) if c}, (t,)), t)
+        ref = {}
+        for f, m in ref_factors:
+            poly = sp.Poly(f, t)
+            ref_content *= poly.LC() ** m
+            ref[tuple(Fraction(c.p, c.q)
+                      for c in poly.monic().all_coeffs()[::-1])] = m
+        assert content == ref_content
+        assert {tuple(f): m for f, m in factors} == ref
+        assert [len(f) for f, _ in factors] == sorted(len(f) for f, _ in factors)
+
+
+def _height1_case(d):
+    """(field, a monic squarefree product of small factors over it)."""
+    K = NumberField(None, "a", [Fraction(-d), Fraction(0), Fraction(1)])
+    coeff = st.builds(lambda x, y: K.from_rational(x) + K.from_rational(y) * K.gen(),
+                      st.integers(-2, 2), st.integers(-2, 2))
+    factor = st.lists(coeff, min_size=1, max_size=2).map(lambda cs: cs + [K.one()])
+
+    def product(fs):
+        p = [K.one()]
+        for f in fs:
+            p = unipoly.mul(p, f)
+        return K, unipoly.radical(p)
+
+    return st.lists(factor, min_size=1, max_size=3).map(product)
+
+
+class TestFactorOverHeight1:
+    @KERNEL
+    @given(st.sampled_from([2, -7]).flatmap(
+        lambda d: st.tuples(st.just(d), _height1_case(d))))
+    def test_product_and_count_match_sympy(self, case):
+        d, (K, p) = case
+        factors = factor_over_height1(K, p)
+        total = [K.one()]
+        for f in factors:
+            total = unipoly.mul(total, f)
+        assert total == p
+        t, theta = sp.Symbol("t"), sp.sqrt(d)
+        expr = sum(sp.Rational(c.numerator, c.denominator) * theta**j * t**i
+                   for i, e in enumerate(p) for j, c in enumerate(e.rep))
+        _, ref = sp.factor_list(expr, t, extension=theta)
+        assert len(factors) == len(ref)
+
+
 # -- no expression trees on the rational path ------------------------------
 
+# decide() inputs that reach the ring resultant and the norm factorization:
+# a conjugate class of four A1 points over QQ(sqrt(2))(sqrt(3)), then a
+# projection centre searched with three chart unknowns; a projection centre
+# found by elimination; an A9 point at infinity of the branch curve
+PATH_INPUTS = {
+    "(X^2-2)^2+(Y^2-3)^2": "Rationalizable",
+    "Y^2-X^6-1": "Rationalizable",
+    "X^5+Y^4+1": "NotRationalizable",
+}
+
+
 def test_corpus_decides_without_expression_kernels(monkeypatch):
-    """Every corpus root and bundled alphabet is decided with sympy's
-    expression-level kernels unavailable."""
+    """Every corpus root, bundled alphabet and path input is decided with
+    sympy's expression-level kernels unavailable, and geometry, numberfield,
+    unipoly and localanalysis do not reach sympy's expression API at all."""
     from ratsqrt.cli import run_corpus
     from ratsqrt.engine import Config
 
-    for name in ("cancel", "together", "simplify", "sqf_list", "factor_list"):
+    for name in ("cancel", "together", "simplify", "sqf_list", "factor_list",
+                 "resultant", "gcd", "degree"):
         def refuse(*_args, _name=name, **_kwargs):
             raise AssertionError(f"sympy.{_name} called")
 
         monkeypatch.setattr(sp, name, refuse)
     reports, mismatches = run_corpus(Config(), out=lambda _line: None)
     assert len(reports) == 9 and not mismatches
+
+    ks = []
+    resultant = geometry._resultant_last
+    monkeypatch.setattr(geometry, "_resultant_last",
+                        lambda a, b, k: ks.append(k) or resultant(a, b, k))
+    for text, outcome in PATH_INPUTS.items():
+        assert decide(parse_poly(text)).outcome == outcome
+    assert 3 in ks  # rule 8 eliminated with three chart unknowns
+    v = decide(parse_poly("(X^2-2)^2+(Y^2-3)^2"))
+    assert [len(r.point.field.describe()) for r in v.singularities] == [2]
+
+    for module in (geometry, numberfield, unipoly, localanalysis):
+        assert not hasattr(module, "sp"), module.__name__

@@ -89,7 +89,7 @@ class TestParametrize:
     def test_projection_from_node(self):
         f = parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))
         V = build_model(f).V
-        pt, _c = high_mult_point_search(V, 10)
+        pt, _c = high_mult_point_search(V)
         assert pt is not None and pt.field is None
         m = projection_witness(V, pt)
         assert m is not None
