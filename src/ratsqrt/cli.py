@@ -58,8 +58,6 @@ def _add_common(p):
                    help="alphabet size cap for subset enumeration")
     p.add_argument("--timeout", type=float, default=30.0, metavar="SECONDS",
                    help="per-rule soft time budget")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker threads (1 keeps runs deterministic)")
 
 
 def _build_parser():
@@ -96,7 +94,6 @@ def _config(args):
         max_height=args.max_height,
         max_subset_size=args.max_subset_size,
         timeout=args.timeout,
-        threads=args.threads,
     )
 
 

@@ -123,7 +123,6 @@ class Config:
     max_subset_size: int = 12
     ordering_budget: int = 24
     timeout: float = 30.0
-    threads: int = 1
 
     def to_json(self):
         return {
@@ -131,7 +130,6 @@ class Config:
             "max_subset_size": self.max_subset_size,
             "ordering_budget": self.ordering_budget,
             "timeout": self.timeout,
-            "threads": self.threads,
         }
 
 
