@@ -36,6 +36,7 @@ from .engine import (
 from .errors import TooManyRoots
 from .mpoly import (
     MultiPoly,
+    RationalFunction,
     RationalMap,
     dehomogenize,
     effective_vars,
@@ -325,8 +326,6 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
 def _pad_map(w, universe):
     """Extend a witness to the full variable universe with identities."""
     assignments = {}
-    from .mpoly import RationalFunction
-
     for v in universe:
         if v in w.assignments:
             g = w.assignments[v]

@@ -27,12 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import (
-    RatsqrtError,
-    ResourceLimit,
-    TowerTooDeep,
-    ZeroRadicand,
-)
+from .errors import ResourceLimit, TowerTooDeep
 from .geometry import (
     all_simple,
     build_model,
@@ -42,6 +37,7 @@ from .geometry import (
 )
 from .mpoly import (
     MultiPoly,
+    RationalFunction,
     RationalMap,
     dehomogenize,
     effective_vars,
@@ -167,21 +163,17 @@ def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None) -> V
         ident = RationalMap.identity(p.vars) if p.vars else None
         steps.append(Step("radicand-reduction", {"reduced": "0", "note":
                                                  "sqrt(0) = 0 is rational"}))
-        from .mpoly import RationalFunction
         h = RationalFunction.from_poly(MultiPoly.zero(p.vars)) if p.vars else None
         return Verdict(RATIONALIZABLE, ident, h, steps, None, timings)
     try:
         f = clock.run("radicand-reduction", lambda: radicand_reduce(p, q))
-    except ZeroRadicand:
-        raise
-    steps.append(
-        Step(
-            "radicand-reduction",
-            {"input": f"({poly_str(p)})/({poly_str(q)})", "reduced": poly_str(f),
-             "degree": f.total_degree()},
+        steps.append(
+            Step(
+                "radicand-reduction",
+                {"input": f"({poly_str(p)})/({poly_str(q)})",
+                 "reduced": poly_str(f), "degree": f.total_degree()},
+            )
         )
-    )
-    try:
         return _decide_reduced(f, steps, clock, config, timings)
     except (ResourceLimit, TowerTooDeep) as e:
         steps.append(Step("resource-limit", {"detail": str(e)}))
@@ -191,7 +183,7 @@ def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None) -> V
 def _decide_reduced(f, steps, clock, config, timings):
     # rule 1: constant radicand
     if f.is_constant():
-        steps.append(Step("constant-radicand", {"value": str(f.constant_value())}))
+        steps.append(Step("constant-radicand", {"value": poly_str(f)}))
         m, h = _identity_witness(f)
         return Verdict(RATIONALIZABLE, m, h, steps, None, timings)
     # rule 2: effective variables

@@ -69,19 +69,6 @@ def fresh_name(base, taken):
     return name
 
 
-# --------------------------------------------------------------------------
-# conversions between MultiPoly and exponent-dict form over Fraction
-
-
-def to_frac_terms(p: MultiPoly):
-    out = {}
-    for e, c in p.terms.items():
-        if not c.is_Rational:
-            raise ValueError("geometric analysis requires rational coefficients")
-        out[e] = Fraction(c.p, c.q)
-    return out
-
-
 def _lift_terms(terms, field):
     if field is None:
         return dict(terms)
@@ -350,7 +337,7 @@ def singular_points(B: MultiPoly):
         raise ValueError("singular_points expects a plane projective curve")
     if not is_squarefree(B):
         raise NonReduced("branch curve must be squarefree")
-    terms = to_frac_terms(B)
+    terms = _frac_terms(B.pe)
     results = []
     # chart 0: s = 1
     g0 = restrict_chart(terms, 0)
@@ -408,7 +395,7 @@ def _chart_multiplicity(chart_terms, affine_coords, fld):
 def multiplicity_at(g: MultiPoly, p: AlgebraicPoint) -> int:
     """Least total degree after translating p to the origin of its chart;
     0 means the point is not on {g = 0}."""
-    terms = to_frac_terms(g)
+    terms = _frac_terms(g.pe)
     chart_terms = restrict_chart(terms, p.chart)
     coords = tuple(c for i, c in enumerate(p.proj) if i != p.chart)
     lifted = _lift_terms(chart_terms, p.field)
@@ -419,7 +406,7 @@ def multiplicity_at(g: MultiPoly, p: AlgebraicPoint) -> int:
 
 def classify_singularity(B: MultiPoly, p: AlgebraicPoint) -> SingularityRecord:
     """ADE classification of the branch-curve germ at p."""
-    terms = to_frac_terms(B)
+    terms = _frac_terms(B.pe)
     chart_terms = restrict_chart(terms, p.chart)
     coords = tuple(c for i, c in enumerate(p.proj) if i != p.chart)
     lifted = _lift_terms(chart_terms, p.field)
@@ -467,7 +454,7 @@ def triple_point_of_cubic(F: MultiPoly):
         raise ValueError("expected a homogeneous cubic in three variables")
     if not is_squarefree(F):
         raise NonReduced("cubic must be squarefree")
-    terms = to_frac_terms(F)
+    terms = _frac_terms(F.pe)
     rows = []
     for i, j in combinations_with_replacement(range(3), 2):
         d = lp_derivative(lp_derivative(terms, i), j)
@@ -672,7 +659,7 @@ def _solve_system(polys, k):
 
 def _scan_for_solution(polys, k):
     """Bounded-height rational scan for a common zero; None if not found."""
-    values = _height_values(6)
+    values = [_fraction(v) for v in _height_values(6)]
 
     def rec(assign):
         if len(assign) == k:
@@ -708,7 +695,7 @@ def high_mult_point_search(H: MultiPoly):
     certified for up to 3 chart unknowns).  A missing point is only a
     nonexistence proof when certified_empty is True.
     """
-    terms = to_frac_terms(H)
+    terms = _frac_terms(H.pe)
     nvars = len(H.vars)
     D = H.total_degree()
     if D < 2:

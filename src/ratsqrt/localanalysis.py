@@ -291,8 +291,8 @@ def _row_reduce_rank(rows, field):
                         row[i] = row[i] - c * prow[i]
         for col in range(ncols):
             if row[col]:
-                inv = row[col]
-                row = [x / inv for x in row]
+                inv = field_one(field) / row[col]
+                row = [x * inv for x in row]
                 pivot_rows.append((row, col))
                 rank += 1
                 break

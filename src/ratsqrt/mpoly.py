@@ -1,29 +1,34 @@
 """Sparse multivariate polynomials, rational functions and substitution maps.
 
-MultiPoly is the radicand universe: an ordered variable tuple plus a mapping
-from exponent vectors to nonzero coefficients.  Coefficients are sympy
-expressions, normally rational numbers; a single quadratic irrationality
-(e.g. sqrt(-7)) is allowed so that substitution witnesses built from
-non-rational quadric points stay exact.  The canonical term order is graded
-lexicographic in the declared variable order, which makes equality, hashing
-and printing representational.
+A MultiPoly is one element of sympy's sparse polynomial ring
+(``PolyElement``) with its variable tuple: the ring is
+``PolyRing(vars, K, lex)`` with the generators in variable order, and K is
+QQ, or the one quadratic field QQ(sqrt(r)), r a squarefree integer, that a
+witness built from a non-rational quadric point needs.  A polynomial is
+over QQ exactly when its coefficients are rational; an operand over QQ is
+lifted into the field of the other, and two different quadratic fields
+never meet in one operation.  Rings and fields are built once and cached,
+so arithmetic, substitution and the exact kernels (cancellation, gcd,
+squarefree decomposition, factorization, the perfect-square test) all run
+on ring elements, never on expression trees.
 
-The exact kernels (cancellation, gcd, squarefree decomposition,
-factorization, the perfect-square test) run on sympy's sparse polynomial
-rings (``PolyElement``), never on expression trees.  ``_to_ring`` and
-``_from_ring`` are the one conversion boundary: ``PolyRing(vars, K, lex)``
-with the generators in variable order, K = QQ when every coefficient is
-rational, else the quadratic field QQ(theta) of coefficients a + b*theta.
-Everything layered on top only uses the functions exported here.
+The canonical term order for printing and for leading coefficients is
+graded lexicographic in the declared variable order.  Coefficients meet
+sympy numbers only at the edges: the ``MultiPoly(vars, {exp: c})``
+constructor, ``terms``, ``to_sympy``/``from_sympy`` and the printing of
+irrational coefficients in sympy's canonical form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
+from sympy.polys.polyclasses import ANP
 from sympy.polys.rings import PolyRing
 
 from .errors import (
@@ -33,102 +38,184 @@ from .errors import (
     ZeroRadicand,
 )
 
-def _canon_coeff(c):
-    if isinstance(c, sp.Rational):
-        return c
-    if isinstance(c, Fraction):
-        return sp.Rational(c.numerator, c.denominator)
-    if isinstance(c, int):
-        return sp.Integer(c)
-    return sp.expand(sp.sympify(c))
-
-
-def _inverse(c):
-    """1/c, with a quadratic irrationality kept in the canonical a + b*theta
-    form (the denominator rationalized)."""
-    return sp.Integer(1) / c if c.is_Rational else sp.radsimp(1 / c)
-
 
 def grlex_key(exp):
     return (sum(exp), exp)
 
 
-class MultiPoly:
-    """Immutable sparse polynomial over an ordered variable tuple."""
+# --------------------------------------------------------------------------
+# coefficient domains and rings
 
-    __slots__ = ("vars", "terms", "_hash")
+
+@lru_cache(maxsize=None)
+def _ring(variables, domain=QQ):
+    return PolyRing([sp.Symbol(v) for v in variables], domain, lex)
+
+
+@lru_cache(maxsize=None)
+def _field(r):
+    """QQ(sqrt(r)) for a squarefree integer r != 1."""
+    minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
+    return QQ.algebraic_field(sp.AlgebraicNumber((minpoly, sp.sqrt(r))))
+
+
+def _radicand(K):
+    """r with K = QQ(sqrt(r))."""
+    return int(-K.mod.to_list()[-1])
+
+
+@lru_cache(maxsize=None)
+def quadratic_field(c):
+    """(QQ(sqrt(c)), sqrt(c) as its element) for a rational c that is not a
+    rational square."""
+    c = _qq(c)
+    n, r, s = abs(c.numerator * c.denominator), -1 if c < 0 else 1, 1
+    for p, k in sp.factorint(n).items():
+        r *= p ** (k % 2)
+        s *= p ** (k // 2)
+    if r == 1:
+        raise ValueError(f"{c} is a rational square")
+    K = _field(r)
+    return K, K([QQ(s, c.denominator), QQ.zero])
+
+
+def _qq(c):
+    return c if QQ.of_type(c) else QQ(c.numerator, c.denominator)
+
+
+def _fraction(c):
+    return Fraction(c.numerator, c.denominator)
+
+
+def _rational(c):
+    """A coefficient as an element of QQ, or None when it is irrational."""
+    if not isinstance(c, ANP):
+        return c
+    rep = c.to_list()
+    return None if len(rep) > 1 else rep[0] if rep else QQ.zero
+
+
+def _coerce(c):
+    """(domain, element) of a coefficient: an int, Fraction, QQ or field
+    element, or a sympy number a + b*sqrt(n) with a, b rational."""
+    if isinstance(c, ANP):
+        return _field(int(-c.mod[-1])), c
+    if isinstance(c, sp.Basic) and not c.is_Rational:
+        c = sp.expand(sp.radsimp(c))
+        K, _ = quadratic_field(sp.expand((c - c.as_coeff_Add()[0]) ** 2))
+        return K, K.from_sympy(c)
+    return QQ, _qq(c)
+
+
+def _join(domains):
+    """QQ, or the one quadratic field among `domains`."""
+    out = QQ
+    for K in domains:
+        if K is not out and not K.is_QQ:
+            if not out.is_QQ:
+                raise ValueError("coefficients from two different quadratic fields")
+            out = K
+    return out
+
+
+def _common(*polys):
+    """The ring elements of polys (one variable tuple) over one domain."""
+    K = _join(p.pe.ring.domain for p in polys)
+    return [
+        p.pe if p.pe.ring.domain is K else p.pe.set_ring(_ring(p.vars, K))
+        for p in polys
+    ]
+
+
+def _to_sympy(c):
+    """A coefficient as a sympy number a + b*sqrt(r)."""
+    q = _rational(c)
+    if q is not None:
+        return QQ.to_sympy(q)
+    b, a = c.to_list()
+    r = int(-c.mod[-1])
+    return QQ.to_sympy(a) + QQ.to_sympy(b) * sp.sqrt(r)
+
+
+class MultiPoly:
+    """Immutable sparse polynomial: the ring element ``pe`` and the variable
+    tuple ``vars`` naming its generators."""
+
+    __slots__ = ("vars", "pe")
 
     def __init__(self, variables, terms):
-        self.vars = tuple(variables)
-        clean = {}
-        for exp, c in terms.items():
-            c = _canon_coeff(c)
-            if c != 0:
-                clean[tuple(exp)] = c
-        self.terms = clean
-        self._hash = None
+        """From {exponent tuple: coefficient}, coefficients as in _coerce."""
+        variables = tuple(variables)
+        coeffs = {tuple(e): _coerce(c) for e, c in terms.items()}
+        ring = _ring(variables, _join(K for K, _c in coeffs.values()))
+        self.vars = variables
+        self.pe = _canonical(
+            ring.from_dict({e: c for e, (_K, c) in coeffs.items()}), variables
+        )
+
+    @classmethod
+    def of(cls, variables, pe):
+        """Wrap an element of _ring(variables, K)."""
+        self = object.__new__(cls)
+        self.vars = variables
+        self.pe = _canonical(pe, variables)
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        variables = tuple(variables)
+        return cls.of(variables, _ring(variables).zero)
 
     @classmethod
     def const(cls, variables, c):
-        return cls(variables, {(0,) * len(tuple(variables)): c})
+        variables = tuple(variables)
+        K, c = _coerce(c)
+        return cls.of(variables, _ring(variables, K).ground_new(c))
 
     @classmethod
     def var(cls, variables, name):
         variables = tuple(variables)
-        exp = [0] * len(variables)
-        exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): 1})
+        return cls.of(variables, _ring(variables).gens[variables.index(name)])
 
     @classmethod
     def from_sympy(cls, expr, variables):
         variables = tuple(variables)
-        syms = [sp.Symbol(v) for v in variables]
-        poly = sp.Poly(sp.expand(expr), *syms) if syms else None
-        if poly is None:
+        if not variables:
             return cls.const(variables, sp.expand(expr))
-        terms = {exp: c for exp, c in poly.terms()}
-        return cls(variables, terms)
+        poly = sp.Poly(sp.expand(expr), *[sp.Symbol(v) for v in variables])
+        return cls(variables, dict(poly.terms()))
 
     # -- basic structure -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.pe
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return self.pe.is_ground
 
     def constant_value(self):
-        return self.terms.get((0,) * len(self.vars), sp.Integer(0))
+        return self.pe.get(self.pe.ring.zero_monom, QQ.zero)
 
     def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.pe.itermonoms()), default=-1)
 
     def degree_in(self, name):
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return self.pe.degree(self.vars.index(name)) if self.pe else -1
 
     def leading_term(self):
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self.pe.itermonoms(), key=grlex_key)
+        return exp, self.pe[exp]
 
     def leading_coeff(self):
-        return self.leading_term()[1] if self.terms else sp.Integer(0)
+        return self.leading_term()[1] if self.pe else QQ.zero
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        return sorted(self.pe.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def coefficients_rational(self):
-        return all(c.is_Rational for c in self.terms.values())
+        return self.pe.ring.domain.is_QQ
 
     # -- ring operations -----------------------------------------------------
 
@@ -136,149 +223,128 @@ class MultiPoly:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _operands(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.vars, other)
         self._check_vars(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, sp.Integer(0)) + c
-        return MultiPoly(self.vars, terms)
+        return _common(self, other)
+
+    def __add__(self, other):
+        a, b = self._operands(other)
+        return MultiPoly.of(self.vars, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.of(self.vars, -self.pe)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.vars, other)
-        return self + (-other)
+        a, b = self._operands(other)
+        return MultiPoly.of(self.vars, a - b)
 
     def __rsub__(self, other):
-        return (-self) + other
+        a, b = self._operands(other)
+        return MultiPoly.of(self.vars, b - a)
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.vars, other)
-        self._check_vars(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, sp.Integer(0)) + c1 * c2
-        return MultiPoly(self.vars, terms)
+        a, b = self._operands(other)
+        return MultiPoly.of(self.vars, a * b)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return MultiPoly.of(self.vars, self.pe**n)
 
     def scale(self, c):
-        return MultiPoly(self.vars, {e: co * c for e, co in self.terms.items()})
+        return self * c
 
     def monic(self):
         """Normalize the graded-lex leading coefficient to 1."""
-        if not self.terms:
+        if not self.pe:
             return self
-        lc = self.leading_coeff()
-        return self.scale(_inverse(lc))
+        return MultiPoly.of(self.vars, self.pe.quo_ground(self.leading_coeff()))
 
     def derivative(self, name):
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = c * e[i]
-        return MultiPoly(self.vars, terms)
+        return MultiPoly.of(self.vars, self.pe.diff(self.vars.index(name)))
 
     # -- variable plumbing -----------------------------------------------------
 
     def with_vars(self, variables):
         """Re-read in a new variable tuple (superset/permutation of the old)."""
         variables = tuple(variables)
+        if variables == self.vars:
+            return self
         idx = []
-        for v in self.vars:
-            if self.degree_in(v) > 0 and v not in variables:
+        for v, d in zip(self.vars, self.pe.degrees()):
+            if d > 0 and v not in variables:
                 raise ValueError(f"cannot drop effective variable {v}")
             idx.append(variables.index(v) if v in variables else None)
-        terms = {}
-        for e, c in self.terms.items():
+        out = _ring(variables, self.pe.ring.domain).zero
+        for e, c in self.pe.items():
             ne = [0] * len(variables)
             for i, exp in enumerate(e):
                 if exp:
                     ne[idx[i]] = exp
-            terms[tuple(ne)] = c
-        return MultiPoly(variables, terms)
+            out[tuple(ne)] = c
+        return MultiPoly.of(variables, out)
 
     def eval_at(self, values):
         """Full evaluation; values maps every effective variable to a coefficient."""
-        total = sp.Integer(0)
-        vals = [
-            _canon_coeff(values[v]) if v in values else None for v in self.vars
+        point = [
+            _coerce(values[v])[1] if v in values else None for v in self.vars
         ]
-        for e, c in self.terms.items():
-            term = c
+        total = QQ.zero
+        for e, c in self.pe.items():
             for i, exp in enumerate(e):
                 if exp:
-                    if vals[i] is None:
+                    if point[i] is None:
                         raise UndefinedVariable(self.vars[i])
-                    term = term * vals[i] ** exp
-            total += term
-        return sp.expand(total)
+                    c = c * point[i] ** exp
+            total += c
+        return total
 
     def subs_var(self, name, value):
         """Partially substitute one variable by a constant; result keeps vars."""
-        i = self.vars.index(name)
-        terms = {}
-        value = _canon_coeff(value)
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] = 0
-            ne = tuple(ne)
-            coeff = c * value ** e[i]
-            terms[ne] = terms.get(ne, sp.Integer(0)) + coeff
-        return MultiPoly(self.vars, terms)
+        value = MultiPoly.const(self.vars, value)
+        pe = _common(self, value)[0]
+        return MultiPoly.of(
+            self.vars, pe.subs(self.vars.index(name), value.constant_value())
+        )
 
     # -- sympy bridge -----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """{exponent tuple: sympy number}."""
+        return {e: _to_sympy(c) for e, c in self.pe.items()}
+
     def to_sympy(self):
-        expr = sp.Integer(0)
-        for e, c in self.terms.items():
-            mono = c
-            for i, exp in enumerate(e):
-                if exp:
-                    mono = mono * sp.Symbol(self.vars[i]) ** exp
-            expr += mono
-        return expr
+        return sp.Add(*(
+            _to_sympy(c) * sp.Mul(*(sp.Symbol(v) ** k for v, k in zip(self.vars, e)))
+            for e, c in self.pe.items()
+        ))
 
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.pe == other.pe
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-            )
-        return self._hash
+        return hash((self.vars, self.pe))
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)!r})"
+
+
+def _canonical(pe, variables):
+    """pe, moved to QQ when its coefficients are all rational."""
+    if pe.ring.domain.is_QQ or any(_rational(c) is None for c in pe.values()):
+        return pe
+    return pe.set_ring(_ring(variables))
 
 
 # --------------------------------------------------------------------------
@@ -286,15 +352,13 @@ class MultiPoly:
 
 
 def _coeff_str(c):
-    if c.is_Rational:
-        return str(c)
-    # linear combination over a quadratic irrationality
-    return str(c).replace(" ", "")
+    q = _rational(c)
+    return str(q) if q is not None else str(_to_sympy(c)).replace(" ", "")
 
 
 def poly_str(p: MultiPoly) -> str:
     """Canonical string in the input grammar (round-trippable)."""
-    if not p.terms:
+    if not p.pe:
         return "0"
     parts = []
     for e, c in p.sorted_terms():
@@ -304,18 +368,19 @@ def poly_str(p: MultiPoly) -> str:
                 factors.append(name)
             elif exp > 1:
                 factors.append(f"{name}^{exp}")
-        neg = c.is_Rational and c < 0
-        mag = -c if neg else c
+        q = _rational(c)
+        if q is None:
+            body = "(" + _coeff_str(c) + ")" + ("*" + "*".join(factors) if factors else "")
+            parts.append(("+", body))
+            continue
+        mag = -q if q < 0 else q
         if factors and mag == 1:
             body = "*".join(factors)
         elif factors:
-            body = _coeff_str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + "*".join(factors)
         else:
-            body = _coeff_str(mag)
-        if not c.is_Rational:
-            body = "(" + _coeff_str(c) + ")" + ("*" + "*".join(factors) if factors else "")
-            neg = False
-        parts.append(("-" if neg else "+", body))
+            body = str(mag)
+        parts.append(("-" if q < 0 else "+", body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in parts[1:]:
@@ -327,96 +392,18 @@ def poly_str(p: MultiPoly) -> str:
 # exact kernels on sympy's sparse polynomial rings
 
 
-def _ring(variables, domain=QQ):
-    return PolyRing([sp.Symbol(v) for v in variables], domain, lex)
-
-
-def _qq(c):
-    return QQ(c.numerator, c.denominator)
-
-
-def _fraction(c):
-    return Fraction(c.numerator, c.denominator)
-
-
 def _frac_ring(variables, *terms):
     """Exponent dicts with Fraction coefficients (the form of geometry,
     numberfield and unipoly) as elements of one ring over QQ."""
-    ring = _ring(variables)
+    ring = _ring(tuple(variables))
     return [ring.from_dict({e: _qq(c) for e, c in t.items()}) for t in terms]
 
 
 def _frac_terms(pe):
-    """The exponent dict with Fraction coefficients of a ring element."""
+    """The exponent dict with Fraction coefficients of a ring element over QQ."""
+    if not pe.ring.domain.is_QQ:
+        raise ValueError("geometric analysis requires rational coefficients")
     return {e: _fraction(c) for e, c in pe.terms()}
-
-
-def _to_ring(*polys: MultiPoly):
-    """The polynomials (sharing one variable tuple) as elements of one ring:
-    over QQ when every coefficient is rational, else over the quadratic
-    field QQ(theta) of their coefficients."""
-    variables = polys[0].vars
-    if all(p.coefficients_rational() for p in polys):
-        ring = _ring(variables)
-        return [
-            ring.from_dict({e: QQ(c.p, c.q) for e, c in p.terms.items()})
-            for p in polys
-        ]
-    K, elems = _quadratic_field([c for p in polys for c in p.terms.values()])
-    ring = _ring(variables, K)
-    it = iter(elems)
-    return [ring.from_dict({e: next(it) for e in p.terms}) for p in polys]
-
-
-def _theta(c):
-    """The irrationality of an irrational c = a + b*theta, scaled so that
-    its rational coefficient is 1."""
-    return c.as_coeff_Add()[1].as_coeff_Mul()[1]
-
-
-def _split(c, theta):
-    """(a, b) with c = a + b*theta and a, b rational, or None."""
-    a, rest = c.as_coeff_Add()
-    b = sp.expand(rest / theta)
-    return (a, b) if a.is_Rational and b.is_Rational else None
-
-
-def _quadratic_field(coeffs):
-    """QQ(theta) for coefficients a + b*theta (a, b and theta^2 rational),
-    with the coefficients as its elements."""
-    theta = _theta(next(c for c in coeffs if not c.is_Rational))
-    r = sp.expand(theta**2)
-    if not r.is_Rational:
-        raise ValueError(f"{theta} does not generate a quadratic field")
-    theta = sp.sqrt(r)  # the generator _to_sympy reads back from t^2 - r
-    minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
-    K = QQ.algebraic_field(sp.AlgebraicNumber((minpoly, theta)))
-    elems = []
-    for c in coeffs:
-        parts = _split(c, theta)
-        if parts is None:
-            raise ValueError(f"coefficient {c} is not in QQ({theta})")
-        a, b = parts
-        elems.append(K([QQ(b.p, b.q), QQ(a.p, a.q)]))
-    return K, elems
-
-
-def _to_sympy(K):
-    """Converter from QQ or _quadratic_field elements to sympy numbers."""
-    if K.is_QQ:
-        return K.to_sympy
-    theta = sp.sqrt(-QQ.to_sympy(K.mod.to_list()[-1]))  # minpoly t^2 - r
-
-    def to_sympy(c):
-        a, b = (c.to_list()[::-1] + [0, 0])[:2]
-        return QQ.to_sympy(a) + QQ.to_sympy(b) * theta
-
-    return to_sympy
-
-
-def _from_ring(pe, variables) -> MultiPoly:
-    to_sympy = _to_sympy(pe.ring.domain)
-    return MultiPoly(variables, {e: to_sympy(c) for e, c in pe.terms()})
 
 
 def mgcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -426,29 +413,21 @@ def mgcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    ra, rb = _to_ring(a, b)
-    return _from_ring(ra.gcd(rb), a.vars).monic()
+    ra, rb = _common(a, b)
+    return MultiPoly.of(a.vars, ra.gcd(rb)).monic()
 
 
 def factor_list(p: MultiPoly):
     """(constant, [(MultiPoly factor, multiplicity), ...]) with monic factors,
     deterministically sorted."""
-    (pe,) = _to_ring(p)
-    const, factors = pe.factor_list()
+    c, factors = p.pe.factor_list()
     out = []
-    c = _to_sympy(pe.ring.domain)(const)
     for f, m in factors:
-        mp = _from_ring(f, p.vars)
-        lc = mp.leading_coeff()
-        c *= lc**m
+        mp = MultiPoly.of(p.vars, f)
+        c *= mp.leading_coeff() ** m
         out.append((mp.monic(), m))
     out.sort(key=lambda fm: (fm[0].total_degree(), poly_str(fm[0])))
-    return sp.expand(c), out
-
-
-def _sqf_list(p: MultiPoly):
-    (pe,) = _to_ring(p)
-    return pe.ring, pe.sqf_list()
+    return c, out
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -463,12 +442,12 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
         raise ZeroRadicand("squarefree part of zero is undefined")
     if p.is_constant():
         return p
-    ring, (const, factors) = _sqf_list(p)
-    out = ring(const)
+    const, factors = p.pe.sqf_list()
+    out = p.pe.ring(const)
     for f, m in factors:
         if m % 2 == 1:
             out *= f
-    return _from_ring(out, p.vars)
+    return MultiPoly.of(p.vars, out)
 
 
 def radical(p: MultiPoly) -> MultiPoly:
@@ -477,11 +456,10 @@ def radical(p: MultiPoly) -> MultiPoly:
         raise ZeroRadicand("radical of zero is undefined")
     if p.is_constant():
         return MultiPoly.const(p.vars, 1)
-    ring, (_, factors) = _sqf_list(p)
-    out = ring.one
-    for f, _m in factors:
+    out = p.pe.ring.one
+    for f, _m in p.pe.sqf_list()[1]:
         out *= f
-    return _from_ring(out, p.vars).monic()
+    return MultiPoly.of(p.vars, out).monic()
 
 
 def is_squarefree(p: MultiPoly) -> bool:
@@ -489,8 +467,7 @@ def is_squarefree(p: MultiPoly) -> bool:
         return False
     if p.is_constant():
         return True
-    _, (_, factors) = _sqf_list(p)
-    return all(m == 1 for _f, m in factors)
+    return all(m == 1 for _f, m in p.pe.sqf_list()[1])
 
 
 def radicand_reduce(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -507,14 +484,14 @@ def radicand_reduce(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 
 def effective_vars(f: MultiPoly):
-    return [v for v in f.vars if f.degree_in(v) > 0]
+    return [v for v, d in zip(f.vars, f.pe.degrees()) if d > 0]
 
 
 def is_homogeneous(f: MultiPoly):
     """Total degree if all terms share it, else None."""
     if f.is_zero():
         raise ZeroRadicand("homogeneity of zero is undefined")
-    degs = {sum(e) for e in f.terms}
+    degs = {sum(e) for e in f.pe.itermonoms()}
     return degs.pop() if len(degs) == 1 else None
 
 
@@ -524,10 +501,10 @@ def homogenize(f: MultiPoly, new_var: str, degree=None) -> MultiPoly:
         raise ValueError(f"{new_var} already occurs")
     d = f.total_degree() if degree is None else degree
     variables = (new_var,) + f.vars
-    terms = {}
-    for e, c in f.terms.items():
-        terms[(d - sum(e),) + e] = c
-    return MultiPoly(variables, terms)
+    out = _ring(variables, f.pe.ring.domain).zero
+    for e, c in f.pe.items():
+        out[(d - sum(e),) + e] = c
+    return MultiPoly.of(variables, out)
 
 
 def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
@@ -569,17 +546,17 @@ class RationalFunction:
             raise ZeroDenominator("rational function with zero denominator")
         # a constant on either side leaves nothing to cancel
         if reduce and not num.is_constant() and not den.is_constant():
-            rn, rd = _to_ring(num, den)
+            rn, rd = _common(num, den)
             rn, rd = rn.cancel(rd)
-            num = _from_ring(rn, num.vars)
-            den = _from_ring(rd, den.vars)
+            num = MultiPoly.of(num.vars, rn)
+            den = MultiPoly.of(den.vars, rd)
         if num.is_zero():
             den = MultiPoly.const(den.vars, 1)
         lc = den.leading_coeff()
-        if lc != 1:
-            inv = _inverse(lc)
-            num = num.scale(inv)
-            den = den.scale(inv)
+        one = den.pe.ring.domain.one
+        if lc != one:
+            num = num.scale(one / lc)
+            den = den.monic()
         self.num = num
         self.den = den
 
@@ -645,8 +622,9 @@ def rf_str(g: RationalFunction) -> str:
 class RationalMap:
     """Assignment of one rational function to each source variable.
 
-    `extension` optionally records a quadratic irrationality (a sympy sqrt
-    expression) generating the coefficient field of the assignments.
+    `extension` optionally records the rational c whose square root
+    generates the coefficient field QQ(sqrt(c)) of the assignments; it is
+    serialized as sqrt(c).
     """
 
     __slots__ = ("source_vars", "assignments", "extension")
@@ -654,7 +632,7 @@ class RationalMap:
     def __init__(self, source_vars, assignments, extension=None):
         self.source_vars = tuple(source_vars)
         self.assignments = dict(assignments)
-        self.extension = extension
+        self.extension = None if extension is None else _qq(extension)
         for v, g in self.assignments.items():
             if not isinstance(g, RationalFunction):
                 raise TypeError(f"assignment for {v} is not a RationalFunction")
@@ -695,7 +673,7 @@ class RationalMap:
             },
         }
         if self.extension is not None:
-            out["extension"] = str(self.extension)
+            out["extension"] = str(sp.sqrt(QQ.to_sympy(self.extension)))
         return out
 
 
@@ -714,18 +692,17 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     idx = [f.vars.index(v) for v in needed]
     parts = [m.assignments[v].num.with_vars(target_vars) for v in needed]
     parts += [m.assignments[v].den.with_vars(target_vars) for v in needed]
-    # f's coefficients enter as constants so that all share one ring
-    parts += [MultiPoly.const(target_vars, c) for c in f.terms.values()]
-    ring_parts = _to_ring(*parts)
+    # f's coefficients enter the ring of the images
+    *ring_parts, coeffs = _common(*parts, f)
     ring = ring_parts[0].ring
     k = len(needed)
-    nums, dens, coeffs = ring_parts[:k], ring_parts[k:2 * k], ring_parts[2 * k:]
+    nums, dens = ring_parts[:k], ring_parts[k:]
     # clearing denominators: x_v = n_v/d_v, times prod d_v^deg_v
     num_pows = [[g**j for j in range(d + 1)] for g, d in zip(nums, degs)]
     den_pows = [[g**j for j in range(d + 1)] for g, d in zip(dens, degs)]
     total_num = ring.zero
-    for e, c in zip(f.terms, coeffs):
-        term = c
+    for e, c in coeffs.items():
+        term = ring.ground_new(c)
         for j, i in enumerate(idx):
             term = term * num_pows[j][e[i]] * den_pows[j][degs[j] - e[i]]
         total_num += term
@@ -733,7 +710,7 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     for j in range(k):
         total_den *= den_pows[j][degs[j]]
     return RationalFunction(
-        _from_ring(total_num, target_vars), _from_ring(total_den, target_vars)
+        MultiPoly.of(target_vars, total_num), MultiPoly.of(target_vars, total_den)
     )
 
 
@@ -742,60 +719,43 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
 
 
 def _rational_sqrt(c):
-    """Exact square root of a nonnegative sympy Rational, or None."""
-    if not c.is_Rational or c < 0:
+    """Exact square root in QQ of a rational c, or None."""
+    if c < 0:
         return None
-    p, q = sp.Integer(c.p), sp.Integer(c.q)
-    rp, rq = sp.integer_nthroot(p, 2), sp.integer_nthroot(q, 2)
-    if rp[1] and rq[1]:
-        return sp.Rational(rp[0], rq[0])
+    p, q = isqrt(c.numerator), isqrt(c.denominator)
+    if p * p == c.numerator and q * q == c.denominator:
+        return QQ(p, q)
     return None
 
 
-def _field_sqrt(c, extension=None):
-    """Square root of a constant c = a + b*theta within QQ(theta), or None.
-
-    theta (with theta^2 rational) is the given extension, else the
-    irrationality of c itself; a rational c with no extension is tested
-    within QQ.
-    """
-    c = sp.expand(c)
-    if c == 0:
-        return sp.Integer(0)
-    theta = extension
-    if theta is None and not c.is_Rational:
-        theta = _theta(c)
-    if theta is None:
-        return _rational_sqrt(c)
-    r = sp.expand(theta**2)
-    parts = _split(c, theta)
-    if parts is None or not r.is_Rational:
-        return None
-    a, b = parts
-    if b == 0:
-        # c = p^2, or c = r*q^2 = (q*theta)^2
-        p = _rational_sqrt(a)
-        if p is not None:
+def _field_sqrt(c, K):
+    """A square root of c within K (QQ or QQ(theta), theta^2 = r), or None."""
+    q = _rational(c)
+    if q is not None:
+        p = _rational_sqrt(q)
+        if p is not None or K.is_QQ:
             return p
-        q = _rational_sqrt(a / r)
-        return None if q is None else q * theta
-    # (p + q*theta)^2 = p^2 + r q^2 + 2pq theta
-    disc = _rational_sqrt(a * a - r * b * b)
+        # c = r*t^2 = (t*theta)^2
+        t = _rational_sqrt(q / _radicand(K))
+        return None if t is None else K([t, QQ.zero])
+    # (p + t*theta)^2 = p^2 + r t^2 + 2pt theta
+    b, a = c.to_list()
+    disc = _rational_sqrt(a * a - _radicand(K) * b * b)
     if disc is None:
         return None
     for p2 in ((a + disc) / 2, (a - disc) / 2):
         p = _rational_sqrt(p2)
-        if p is not None and p != 0:
-            return p + b / (2 * p) * theta
+        if p:
+            return K([b / (2 * p), p])
     return None
 
 
 def _sign_normalize(h: RationalFunction) -> RationalFunction:
     """Of h and -h, the one whose leading coefficient a + b*theta has a > 0,
     or a = 0 and b > 0."""
-    a, rest = h.num.leading_coeff().as_coeff_Add()
-    negative = a < 0 if a != 0 else rest.as_coeff_Mul()[0] < 0
-    if negative:
+    lc = h.num.leading_coeff()
+    rep = lc.to_list() if isinstance(lc, ANP) else [lc]
+    if (rep[-1] if rep[-1] else rep[0]) < 0:
         return RationalFunction(-h.num, h.den, reduce=False)
     return h
 
@@ -806,20 +766,23 @@ def is_perfect_square(g: RationalFunction, extension=None):
     g = N/D is a square iff N*D = c * s^2 with c a square constant of the
     coefficient field; then h = sqrt(c) * s / D, reduced.  The squarefree
     decomposition decides this: every multiplicity even and c a square.
-    `extension` is the quadratic irrationality of the map g came from: c
-    may be a square only there, as -7 = sqrt(-7)^2.
+    `extension` is the rational c of the map g came from: the constant may
+    be a square only in QQ(sqrt(c)), as -7 = sqrt(-7)^2.
     """
     if g.num.is_zero():
         return RationalFunction.from_poly(MultiPoly.zero(g.vars))
-    num, den = _to_ring(g.num, g.den)
+    num, den = _common(g.num, g.den)
+    K = num.ring.domain
+    if K.is_QQ and extension is not None:
+        K = quadratic_field(extension)[0]
     const, factors = (num * den).sqf_list()
     s = num.ring.one
     for f, m in factors:
         if m % 2 == 1:
             return None
         s *= f ** (m // 2)
-    root_c = _field_sqrt(_to_sympy(num.ring.domain)(const), extension)
+    root_c = _field_sqrt(const, K)
     if root_c is None:
         return None
-    h = RationalFunction(_from_ring(s, g.vars).scale(root_c), g.den)
+    h = RationalFunction(MultiPoly.of(g.vars, s).scale(root_c), g.den)
     return _sign_normalize(h)

@@ -21,8 +21,11 @@ Alphabets arrive as JSON documents::
                {"radicand": "X - 2"}]}
 
 Substitution maps serialize as JSON with one expression string per variable
-plus an optional ``extension`` entry naming a quadratic irrationality; see
-:func:`map_from_json`.
+plus an optional ``extension`` entry sqrt(c) naming a quadratic
+irrationality; see :func:`map_from_json`.  Their coefficients are read by
+the same parser over the declared field QQ(sqrt(c)), with the constant
+atoms ``I`` and ``sqrt(<integer>)`` (written ``sqrt(n)*I`` for sqrt(-n)),
+exactly as sympy prints such numbers.  Nothing is ever evaluated.
 """
 
 from __future__ import annotations
@@ -30,15 +33,21 @@ from __future__ import annotations
 import json
 import re
 
-import sympy as sp
-
 from .errors import (
     NonIntegerExponent,
     ParseSyntaxError,
     SchemaError,
     ZeroDenominator,
 )
-from .mpoly import MultiPoly, RationalFunction, RationalMap, _from_ring, _ring
+from .mpoly import (
+    MultiPoly,
+    RationalFunction,
+    RationalMap,
+    _field_sqrt,
+    _rational,
+    _ring,
+    quadratic_field,
+)
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT = re.compile(r"[0-9]+")
@@ -91,15 +100,16 @@ class _Scanner:
 class _Parser:
     """Parses into a (numerator, denominator) pair over a ring fixed up
     front: the given variables, or the text's identifiers in order of first
-    appearance (each one a variable in any text that parses).  Constant
+    appearance (each one a variable in any text that parses), with
+    coefficients in QQ or in a given quadratic field.  Constant
     denominators are folded into the numerator as they arise."""
 
-    def __init__(self, text, variables=None):
+    def __init__(self, text, variables=None, field=None):
         self.sc = _Scanner(text)
         if variables is None:
             variables = dict.fromkeys(_IDENT.findall(text))
-        self.vars = list(variables)
-        self.ring = _ring(self.vars)
+        self.vars = tuple(variables)
+        self.ring = _ring(self.vars) if field is None else _ring(self.vars, field)
         self.gens = dict(zip(self.vars, self.ring.gens))
 
     def parse(self):
@@ -181,27 +191,43 @@ class _Parser:
             if ch == "":
                 raise ParseSyntaxError("unexpected end of input", self.sc.pos)
             raise ParseSyntaxError(f"unexpected character '{ch}'", self.sc.pos)
-        if name not in self.gens:
-            raise ParseSyntaxError(
-                f"unknown variable '{name}'", self.sc.pos - len(name)
-            )
-        return self.gens[name], self.ring.one
+        pos = self.sc.pos - len(name)
+        if name in self.gens:
+            return self.gens[name], self.ring.one
+        if self.ring.domain.is_QQ or name not in ("I", "sqrt"):
+            raise ParseSyntaxError(f"unknown variable '{name}'", pos)
+        n = -1
+        if name == "sqrt":
+            self.sc.expect("(")
+            n = self.sc.integer()
+            if n is None:
+                raise ParseSyntaxError("expected an integer", self.sc.pos)
+            self.sc.expect(")")
+            if self.sc.text.startswith("*I", self.sc.pos) and not _IDENT.match(
+                self.sc.text, self.sc.pos + 2
+            ):
+                self.sc.pos += 2
+                n = -n
+        root = _field_sqrt(self.ring.domain.convert(n), self.ring.domain)
+        if root is None:
+            raise ParseSyntaxError(f"sqrt({n}) is not in the declared field", pos)
+        return self.ring.ground_new(root), self.ring.one
 
 
-def parse_rational(text, variables=None):
+def parse_rational(text, variables=None, field=None):
     """Parse an expression string into a RationalFunction.
 
     With ``variables`` given, only those names are accepted and the result
     lives in that exact ring; otherwise variables are collected in order of
-    first appearance.
+    first appearance.  With a quadratic ``field``, its elements may be
+    written with the atoms ``I`` and ``sqrt(<integer>)``.
     """
-    p = _Parser(text, variables)
+    p = _Parser(text, variables, field)
     num, den = p.parse()
     if not den.is_ground:
         num, den = num.cancel(den)
-    ring = tuple(p.vars)
     return RationalFunction(
-        _from_ring(num, ring), _from_ring(den, ring), reduce=False
+        MultiPoly.of(p.vars, num), MultiPoly.of(p.vars, den), reduce=False
     )
 
 
@@ -233,6 +259,16 @@ def infer_variables(texts):
 
 # --------------------------------------------------------------------------
 # alphabet documents
+
+
+def _check_variables(variables):
+    if not isinstance(variables, list) or not all(
+        isinstance(v, str) and _IDENT.fullmatch(v) for v in variables
+    ):
+        raise SchemaError("'variables' must be a list of identifiers")
+    if len(set(variables)) != len(variables):
+        raise SchemaError("duplicate variable names")
+    return variables
 
 
 def load_alphabet(doc):
@@ -270,13 +306,7 @@ def load_alphabet(doc):
     if len(set(labels)) != len(labels):
         raise SchemaError("duplicate root labels")
     if "variables" in doc:
-        variables = doc["variables"]
-        if not isinstance(variables, list) or not all(
-            isinstance(v, str) and _IDENT.fullmatch(v) for v in variables
-        ):
-            raise SchemaError("'variables' must be a list of identifiers")
-        if len(set(variables)) != len(variables):
-            raise SchemaError("duplicate variable names")
+        variables = _check_variables(doc["variables"])
     else:
         variables = infer_variables(texts)
     roots = [
@@ -293,27 +323,52 @@ def map_to_json(m: RationalMap):
     return m.to_json()
 
 
+_SQRT_ATOM = re.compile(r"sqrt\(([0-9]+)\)(\*I)?|I")
+
+
+def _extension(text):
+    """The rational c of an extension text sqrt(c), as RationalMap.to_json
+    writes it (``sqrt(7)*I``, ``2*I``, ``sqrt(69)*I/3``)."""
+    atom = _SQRT_ATOM.search(text)
+    if atom is None:
+        raise SchemaError(f"extension {text!r} is not a square root")
+    n = int(atom.group(1) or 1) * (-1 if atom.group(2) or atom.group() == "I" else 1)
+    try:
+        field = quadratic_field(n)[0]
+    except ValueError:
+        raise SchemaError(f"extension {text!r} is rational") from None
+    g = parse_rational(text, (), field)
+    c = _rational(g.num.constant_value() ** 2) if g.den.is_constant() else None
+    if c is None or _rational(g.num.constant_value()) is not None:
+        raise SchemaError(f"extension {text!r} is not a square root")
+    return c
+
+
 def map_from_json(doc):
+    """A RationalMap from its JSON form (dict or string); see
+    RationalMap.to_json.  Malformed documents raise SchemaError."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
-    variables = tuple(doc["variables"])
-    ext_name = None
-    ext_value = None
-    if "extension" in doc:
-        ext_name = "_ext"
-        ext_value = sp.sympify(doc["extension"])
-    assignments = {}
-    for v, text in doc["assignments"].items():
-        # the serialized form writes the irrationality inline, e.g. sqrt(-7);
-        # sympify-compatible, so parse through sympy for extension maps
-        if ext_value is not None:
-            expr = sp.cancel(sp.together(sp.sympify(text.replace("^", "**"))))
-            num, den = sp.fraction(expr)
-            assignments[v] = RationalFunction(
-                MultiPoly.from_sympy(num, variables),
-                MultiPoly.from_sympy(den, variables),
-                reduce=False,
-            )
-        else:
-            assignments[v] = parse_rational(text, variables)
-    return RationalMap(variables, assignments, extension=ext_value)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict) or set(doc) - {"variables", "assignments",
+                                                 "extension"}:
+        raise SchemaError("a map is an object with 'variables', 'assignments'"
+                          " and an optional 'extension'")
+    variables = _check_variables(doc.get("variables"))
+    assignments = doc.get("assignments")
+    ext = doc.get("extension")
+    if not isinstance(assignments, dict) or not all(
+        isinstance(t, str) for t in assignments.values()
+    ):
+        raise SchemaError("'assignments' must map variables to strings")
+    if ext is not None and not isinstance(ext, str):
+        raise SchemaError("'extension' must be a string")
+    c = None if ext is None else _extension(ext)
+    field = None if c is None else quadratic_field(c)[0]
+    return RationalMap(
+        variables,
+        {v: parse_rational(t, variables, field) for v, t in assignments.items()},
+        extension=c,
+    )

@@ -15,9 +15,9 @@ this module; an unverifiable candidate is discarded, never emitted.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
-import sympy as sp
+from sympy.polys.domains import QQ
 
 from .errors import (
     DegenerateProjection,
@@ -29,28 +29,13 @@ from .mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _rational,
     _rational_sqrt,
     effective_vars,
     is_perfect_square,
+    quadratic_field,
     substitute,
 )
-
-
-def _poly_compose(f: MultiPoly, values):
-    """Evaluate f with each variable replaced by a MultiPoly in a new ring.
-
-    `values` maps every variable of f to a MultiPoly; all values share one
-    variable tuple, which becomes the ring of the result.
-    """
-    ring = next(iter(values.values())).vars
-    out = MultiPoly.zero(ring)
-    for e, c in f.terms.items():
-        term = MultiPoly.const(ring, c)
-        for var, exp in zip(f.vars, e):
-            if exp:
-                term = term * values[var] ** exp
-        out = out + term
-    return out
 
 
 def point_on_quadric(f: MultiPoly, height=50):
@@ -59,78 +44,50 @@ def point_on_quadric(f: MultiPoly, height=50):
 
     Scans rational x-values in height order looking for f(x) a rational
     square; if the scan fails, the first regular x-value is kept and
-    sqrt(f(x)) adjoined as a quadratic irrationality.
+    w = sqrt(f(x)) adjoined as a quadratic irrationality.
 
-    Returns (coords: list of sympy constants, extension: sqrt expr or None).
+    Returns (coords, extension): the coordinates are QQ elements, except w
+    in the fallback, an element of QQ(sqrt(c)) for the rational
+    extension c = f(x); extension is None for a rational point.
     """
-    varnames = [v for v in f.vars]
-    n = len(varnames)
 
     def regular(x0, w0):
-        if w0 != 0:
+        if w0:
             return True
         # on w = 0 the point is regular iff some partial of f survives
-        vals = dict(zip(varnames, x0))
-        for v in varnames:
-            if f.derivative(v).eval_at(vals) != 0:
-                return True
-        return False
-
-    # fast evaluation path: all-rational coefficients stay in Fraction
-    frac_terms = None
-    if all(c.is_Rational for c in f.terms.values()):
-        frac_terms = {e: Fraction(int(c.p), int(c.q)) for e, c in f.terms.items()}
-
-    def value_at(x0):
-        if frac_terms is None:
-            return f.eval_at(dict(zip(varnames, x0)))
-        total = Fraction(0)
-        for e, c in frac_terms.items():
-            term = c
-            for xi, exp in zip(x0, e):
-                if exp:
-                    term *= xi ** exp
-            total += term
-        return sp.Rational(total)
+        vals = dict(zip(f.vars, x0))
+        return any(f.derivative(v).eval_at(vals) for v in f.vars)
 
     fallback = None
-    count = 0
     budget = max(200, 20 * height)
-    for x0 in _height_tuples(n, height):
-        count += 1
+    for count, x0 in enumerate(_height_tuples(len(f.vars), height), 1):
         if count > budget:
             break
-        c = value_at(x0)
-        if not c.is_Rational:
+        c = _rational(f.eval_at(dict(zip(f.vars, x0))))
+        if c is None:
             continue
         root = _rational_sqrt(c)
         if root is not None and regular(x0, root):
-            coords = [sp.Integer(1)] + [sp.Rational(v) for v in x0] + [root]
-            return coords, None
-        if fallback is None and c != 0:
+            return [QQ.one, *x0, root], None
+        if fallback is None and c:
             fallback = (x0, c)
     if fallback is None:
         raise DegenerateProjection("no usable point found on the quadric")
     x0, c = fallback
-    w0 = sp.sqrt(c)
-    coords = [sp.Integer(1)] + [sp.Rational(v) for v in x0] + [w0]
-    return coords, w0
+    return [QQ.one, *x0, quadratic_field(c)[1]], c
 
 
-_HEIGHT_VALS = {}
-
-
+@lru_cache(maxsize=None)
 def _height_values(height):
-    if height not in _HEIGHT_VALS:
-        vals = [Fraction(0)]
-        for h in range(1, height + 1):
-            for d in range(1, h + 1):
-                for num in range(-h, h + 1):
-                    q = Fraction(num, d)
-                    if max(abs(q.numerator), q.denominator) == h:
-                        vals.append(q)
-        _HEIGHT_VALS[height] = vals
-    return _HEIGHT_VALS[height]
+    """The rationals of height at most `height`, in height order."""
+    vals = [QQ.zero]
+    for h in range(1, height + 1):
+        for d in range(1, h + 1):
+            for num in range(-h, h + 1):
+                q = QQ(num, d)
+                if max(abs(q.numerator), q.denominator) == h:
+                    vals.append(q)
+    return vals
 
 
 def _height_tuples(n, height):
@@ -156,67 +113,49 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
 
     H is homogeneous of degree D with coordinate order (z, X_1..X_n, w):
     z the homogenizing variable and w the square-root coordinate; q is a
-    list of sympy constants (projective coordinates).  The affine line space
+    list of projective coordinates (ints, Fractions, QQ elements, or
+    elements of QQ(sqrt(extension))).  The affine line space
     is the hyperplane complementary to q's pivot coordinate, affinized by
     setting its last coordinate to 1; the surviving parameters are renamed
     X_1..X_n, so the result is a substitution in the original variables.
     """
     coords = H.vars
-    D = H.total_degree()
-    n = len(coords) - 2
     source_vars = coords[1:-1]
-    qv = [sp.sympify(c) for c in q]
-    pivot = next((i for i, c in enumerate(qv) if c != 0), None)
+    pivot = next((i for i, c in enumerate(q) if c), None)
     if pivot is None:
         raise WrongMultiplicity("projection centre must be a projective point")
-    free = [i for i in range(len(coords)) if i != pivot]
-    param_slots = free[:-1]
-    one_slot = free[-1]
+    one_slot = [i for i in range(len(coords)) if i != pivot][-1]
     ring = ("t",) + tuple(source_vars)
     t = MultiPoly.var(ring, "t")
-    values = {}
+    line = {}
     params = iter(source_vars)
     vpart = {}
     for i, name in enumerate(coords):
-        base = t.scale(qv[i]) if qv[i] != 0 else MultiPoly.zero(ring)
         if i == pivot:
-            values[name] = base
             vpart[i] = MultiPoly.zero(ring)
         elif i == one_slot:
-            values[name] = base + 1
             vpart[i] = MultiPoly.const(ring, 1)
         else:
-            p = MultiPoly.var(ring, next(params))
-            values[name] = base + p
-            vpart[i] = p
-    expanded = _poly_compose(H, values)
-    # split by t-degree: multiplicity D-1 forces H(t q + v) = t*A(v) + B(v)
-    A = {}
-    B = {}
-    for e, c in expanded.terms.items():
-        te, rest = e[0], e[1:]
-        if te == 0:
-            B[rest] = c
-        elif te == 1:
-            A[rest] = c
-        else:
-            raise WrongMultiplicity(
-                f"expansion has a t^{te} term; centre multiplicity is not D-1"
-            )
-    Ap = MultiPoly(source_vars, A)
-    Bp = MultiPoly(source_vars, B)
+            vpart[i] = MultiPoly.var(ring, next(params))
+        line[name] = RationalFunction.from_poly(t.scale(q[i]) + vpart[i])
+    expanded = substitute(H, RationalMap(ring, line)).num
+    # multiplicity D-1 forces H(t q + v) = t*A(v) + B(v)
+    te = expanded.degree_in("t")
+    if te > 1:
+        raise WrongMultiplicity(
+            f"expansion has a t^{te} term; centre multiplicity is not D-1"
+        )
+    Ap = expanded.derivative("t").with_vars(source_vars)
+    Bp = expanded.subs_var("t", 0).with_vars(source_vars)
     if Ap.is_zero():
         raise DegenerateProjection("residual-intersection form vanishes")
     # residual point: t = -B/A, so coordinate i maps to -B*q_i + A*v_i
-    den = Bp.scale(-qv[0]) + Ap * MultiPoly(
-        source_vars, {e[1:]: c for e, c in vpart[0].terms.items()}
-    )
+    den = Bp.scale(-q[0]) + Ap * vpart[0].with_vars(source_vars)
     if den.is_zero():
         raise DegenerateProjection("projection denominator vanishes")
     assignments = {}
     for slot, name in enumerate(coords[1:-1], start=1):
-        vi = MultiPoly(source_vars, {e[1:]: c for e, c in vpart[slot].terms.items()})
-        num = Bp.scale(-qv[slot]) + Ap * vi
+        num = Bp.scale(-q[slot]) + Ap * vpart[slot].with_vars(source_vars)
         assignments[name] = RationalFunction(num, den)
     return RationalMap(source_vars, assignments, extension=extension)
 
@@ -242,14 +181,14 @@ def verify_witness(m: RationalMap, f: MultiPoly):
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     """The substitution applying `outer` first, then `inner` to its output,
     i.e. substitute(f, compose(o, i)) == substitute over substitute."""
+    if None not in (outer.extension, inner.extension) \
+            and outer.extension != inner.extension:
+        raise ValueError("cannot compose maps over different extensions")
     assignments = {}
     for v, g in outer.assignments.items():
         num_img = substitute(g.num, inner)
         den_img = substitute(g.den, inner)
         assignments[v] = num_img / den_img
-    if outer.extension is not None and inner.extension is not None:
-        if sp.simplify(outer.extension - inner.extension) != 0:
-            raise ValueError("cannot compose maps over different extensions")
     ext = outer.extension if outer.extension is not None else inner.extension
     return RationalMap(inner.source_vars, assignments, extension=ext)
 
@@ -276,9 +215,8 @@ def projection_witness(V: MultiPoly, point):
     closure V (AlgebraicPoint from the geometry search); verified or None."""
     if point.field is not None:
         return None
-    coords = [sp.Rational(c) for c in point.proj]
     try:
-        return parametrize_from_point(V, coords)
+        return parametrize_from_point(V, point.proj)
     except (DegenerateProjection, WrongMultiplicity):
         return None
 

@@ -184,3 +184,14 @@ class TestInconclusive:
             s.rule == "simple-singularities" and not s.data["all_simple"]
             for s in v.steps
         )
+
+
+class TestResourceLimit:
+    def test_reduction_over_budget_is_inconclusive(self):
+        # a budget no rule can meet: the radicand reduction already
+        # exceeds it, and the verdict must still be a certificate
+        v = decide(parse_poly("X^2 + Y^2 - 1"), config=Config(timeout=1e-12))
+        assert v.outcome == INCONCLUSIVE
+        assert v.witness is None
+        assert rules(v)[-1] == "resource-limit"
+        assert "radicand-reduction" in v.steps[-1].data["detail"]

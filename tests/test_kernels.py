@@ -72,6 +72,11 @@ def _normal_form(num_expr, den_expr):
     return RationalFunction(MultiPoly(VARS, num), g.den, reduce=False)
 
 
+def _extension(theta):
+    """The rational c of a map's extension sqrt(c) = theta."""
+    return None if theta is None else theta**2
+
+
 def _negative(c):
     """The sign convention of square roots: the rational part decides,
     else the coefficient of the irrationality."""
@@ -86,7 +91,7 @@ class TestReduction:
         _, a, b, c = ps
         g = RationalFunction(a * c, b * c)
         assert g == _normal_form((a * c).to_sympy(), (b * c).to_sympy())
-        assert g.den.leading_coeff() == 1
+        assert g.den.terms[g.den.leading_term()[0]] == 1
 
 
 class TestSquarefreePart:
@@ -112,11 +117,11 @@ class TestPerfectSquare:
     def test_square_gives_sign_normalized_root(self, ps):
         theta, a, b, _ = ps
         h = RationalFunction(a, b)
-        root = is_perfect_square(h * h, theta)
+        root = is_perfect_square(h * h, _extension(theta))
         assert root is not None
         assert root * root == h * h
         assert root in (h, RationalFunction(-h.num, h.den, reduce=False))
-        assert not _negative(root.num.leading_coeff())
+        assert not _negative(root.num.terms[root.num.leading_term()[0]])
 
     @KERNEL
     @given(field_polys(), st.integers(-3, 3))
@@ -124,7 +129,7 @@ class TestPerfectSquare:
         theta, h, _, _ = ps
         lin = MultiPoly(VARS, {(1, 0): 1, (0, 0): -a})
         g = RationalFunction.from_poly(h * h * lin)
-        assert is_perfect_square(g, theta) is None
+        assert is_perfect_square(g, _extension(theta)) is None
 
 
 # -- parser -----------------------------------------------------------------
@@ -290,14 +295,18 @@ PATH_INPUTS = {
 
 
 def test_corpus_decides_without_expression_kernels(monkeypatch):
-    """Every corpus root, bundled alphabet and path input is decided with
-    sympy's expression-level kernels unavailable, and geometry, numberfield,
-    unipoly and localanalysis do not reach sympy's expression API at all."""
+    """Every corpus root, bundled alphabet, path input and witness over
+    Q(sqrt(r)) is decided with sympy's expression-level kernels
+    unavailable, and no module but mpoly reaches sympy's expression API."""
+    from ratsqrt import parser, witness
+    from ratsqrt.alphabet import decide_alphabet
     from ratsqrt.cli import run_corpus
     from ratsqrt.engine import Config
+    from ratsqrt.parser import load_alphabet
 
     for name in ("cancel", "together", "simplify", "sqf_list", "factor_list",
-                 "resultant", "gcd", "degree"):
+                 "resultant", "gcd", "degree", "expand", "sympify",
+                 "radsimp"):
         def refuse(*_args, _name=name, **_kwargs):
             raise AssertionError(f"sympy.{_name} called")
 
@@ -315,5 +324,13 @@ def test_corpus_decides_without_expression_kernels(monkeypatch):
     v = decide(parse_poly("(X^2-2)^2+(Y^2-3)^2"))
     assert [len(r.point.field.describe()) for r in v.singularities] == [2]
 
-    for module in (geometry, numberfield, unipoly, localanalysis):
+    # witnesses over Q(sqrt(-7)), Q(i) and Q(sqrt(-69))
+    for text in ("-X^2 - Y^2 - 7", "-2*X^2 - 2*X - 4"):
+        assert decide(parse_poly(text)).witness.extension is not None
+    _vars, roots = load_alphabet({"roots": [{"radicand": "3*X - 4"},
+                                            {"radicand": "-2*X - 5"}]})
+    assert decide_alphabet(roots, Config()).witness.extension is not None
+
+    for module in (geometry, numberfield, unipoly, localanalysis, parser,
+                   witness):
         assert not hasattr(module, "sp"), module.__name__

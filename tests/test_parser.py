@@ -1,10 +1,13 @@
 """Expression parsing and alphabet document validation."""
 
+import json
+
 import pytest
 
 from ratsqrt.errors import (
     NonIntegerExponent,
     ParseSyntaxError,
+    RatsqrtError,
     SchemaError,
 )
 from ratsqrt.mpoly import poly_str, rf_str
@@ -141,3 +144,48 @@ class TestMapSerialization:
         back = map_from_json(doc)
         assert back.source_vars == m.source_vars
         assert back.assignments["X"] == m.assignments["X"]
+
+    @pytest.mark.parametrize("alphabet, extension", [
+        (("-X^2 - Y^2 - 7",), "sqrt(7)*I"),
+        (("-2*X^2 - 2*X - 4",), "2*I"),
+        (("3*X - 4", "-2*X - 5"), "sqrt(69)*I/3"),
+    ])
+    def test_extension_round_trip(self, alphabet, extension):
+        from ratsqrt.alphabet import decide_alphabet
+        from ratsqrt.engine import Config
+        from ratsqrt.witness import verify_witness
+
+        _vars, roots = load_alphabet(
+            {"roots": [{"radicand": text} for text in alphabet]})
+        m = decide_alphabet(roots, Config()).witness
+        doc = map_to_json(m)
+        assert doc["extension"] == extension
+        back = map_from_json(json.dumps(doc))
+        assert back == m and back.extension == m.extension
+        assert map_to_json(back) == doc
+        for _label, f in roots:
+            assert verify_witness(back, f) is not None
+
+    @pytest.mark.parametrize("doc", [
+        {"variables": ["X"], "extension": "sqrt(7)*I",
+         "assignments": {"X": '__import__("pathlib").Path("{path}").touch()'
+                              ' or X'}},
+        {"variables": ["X"], "extension": '__import__("pathlib").Path('
+                                          '"{path}").touch() or sqrt(2)',
+         "assignments": {"X": "X"}},
+        {"variables": ["X"], "extension": "sqrt(7)*I",
+         "assignments": {"X": "sqrt(2)*X"}},
+        {"variables": ["X"], "extension": "sqrt(4)", "assignments": {"X": "X"}},
+        {"variables": ["X"], "extension": "1 + sqrt(2)",
+         "assignments": {"X": "X"}},
+        {"variables": ["X"], "assignments": {"X": "I*X"}},
+        {"variables": "X", "assignments": {"X": "X"}},
+        {"variables": ["X"], "assignments": {"X": 1}},
+        {"variables": ["X"], "assignments": {"X": "X"}, "eval": "X"},
+    ])
+    def test_hostile_document_rejected(self, doc, tmp_path):
+        path = tmp_path / "touched"
+        text = json.dumps(doc).replace("{path}", str(path))
+        with pytest.raises(RatsqrtError):
+            map_from_json(text)
+        assert not path.exists()
