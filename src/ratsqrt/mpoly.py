@@ -47,12 +47,12 @@ def grlex_key(exp):
 # coefficient domains and rings
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _ring(variables, domain=QQ):
     return PolyRing([sp.Symbol(v) for v in variables], domain, lex)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _field(r):
     """QQ(sqrt(r)) for a squarefree integer r != 1."""
     minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
@@ -64,7 +64,7 @@ def _radicand(K):
     return int(-K.mod.to_list()[-1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def quadratic_field(c):
     """(QQ(sqrt(c)), sqrt(c) as its element) for a rational c that is not a
     rational square."""
@@ -102,8 +102,9 @@ def _coerce(c):
         return _field(int(-c.mod[-1])), c
     if isinstance(c, sp.Basic) and not c.is_Rational:
         c = sp.expand(sp.radsimp(c))
-        K, _ = quadratic_field(sp.expand((c - c.as_coeff_Add()[0]) ** 2))
-        return K, K.from_sympy(c)
+        if not c.is_Rational:
+            K = quadratic_field(sp.expand((c - c.as_coeff_Add()[0]) ** 2))[0]
+            return K, K.from_sympy(c)
     return QQ, _qq(c)
 
 
@@ -112,7 +113,7 @@ def _join(domains):
     out = QQ
     for K in domains:
         if K is not out and not K.is_QQ:
-            if not out.is_QQ:
+            if not out.is_QQ and K != out:
                 raise ValueError("coefficients from two different quadratic fields")
             out = K
     return out

@@ -191,11 +191,17 @@ class _Parser:
             if ch == "":
                 raise ParseSyntaxError("unexpected end of input", self.sc.pos)
             raise ParseSyntaxError(f"unexpected character '{ch}'", self.sc.pos)
-        pos = self.sc.pos - len(name)
         if name in self.gens:
             return self.gens[name], self.ring.one
+        pos = self.sc.pos - len(name)
         if self.ring.domain.is_QQ or name not in ("I", "sqrt"):
             raise ParseSyntaxError(f"unknown variable '{name}'", pos)
+        return self._root(name, pos), self.ring.one
+
+    def _root(self, name, pos):
+        """The constant I, sqrt(n) or sqrt(n)*I as an element of the ring's
+        quadratic field.  sqrt(n)*I, as sympy prints sqrt(-n), is read as one
+        atom, so it may not follow '/' nor take an exponent."""
         n = -1
         if name == "sqrt":
             self.sc.expect("(")
@@ -203,15 +209,17 @@ class _Parser:
             if n is None:
                 raise ParseSyntaxError("expected an integer", self.sc.pos)
             self.sc.expect(")")
-            if self.sc.text.startswith("*I", self.sc.pos) and not _IDENT.match(
-                self.sc.text, self.sc.pos + 2
-            ):
-                self.sc.pos += 2
+            text, end = self.sc.text, self.sc.pos + 2
+            if text.startswith("*I", self.sc.pos) and not _IDENT.match(text, end):
+                self.sc.pos = end
+                if text[:pos].rstrip().endswith("/") or self.sc.peek() == "^":
+                    raise ParseSyntaxError("parenthesize sqrt(n)*I", pos)
                 n = -n
-        root = _field_sqrt(self.ring.domain.convert(n), self.ring.domain)
+        K = self.ring.domain
+        root = _field_sqrt(K.convert(n), K)
         if root is None:
             raise ParseSyntaxError(f"sqrt({n}) is not in the declared field", pos)
-        return self.ring.ground_new(root), self.ring.one
+        return self.ring.ground_new(root)
 
 
 def parse_rational(text, variables=None, field=None):

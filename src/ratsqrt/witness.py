@@ -77,7 +77,7 @@ def point_on_quadric(f: MultiPoly, height=50):
     return [QQ.one, *x0, quadratic_field(c)[1]], c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _height_values(height):
     """The rationals of height at most `height`, in height order."""
     vals = [QQ.zero]
@@ -87,7 +87,7 @@ def _height_values(height):
                 q = QQ(num, d)
                 if max(abs(q.numerator), q.denominator) == h:
                     vals.append(q)
-    return vals
+    return tuple(vals)
 
 
 def _height_tuples(n, height):

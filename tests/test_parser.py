@@ -3,6 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from ratsqrt.errors import (
     NonIntegerExponent,
@@ -10,7 +13,13 @@ from ratsqrt.errors import (
     RatsqrtError,
     SchemaError,
 )
-from ratsqrt.mpoly import poly_str, rf_str
+from ratsqrt.mpoly import (
+    MultiPoly,
+    RationalFunction,
+    poly_str,
+    quadratic_field,
+    rf_str,
+)
 from ratsqrt.parser import (
     infer_variables,
     load_alphabet,
@@ -189,3 +198,27 @@ class TestMapSerialization:
         with pytest.raises(RatsqrtError):
             map_from_json(text)
         assert not path.exists()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([-1, -3, -7, -69, 2, 5]),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6),
+                              st.integers(-4, 4), st.integers(1, 6)),
+                    min_size=1, max_size=3))
+    def test_field_coefficients_round_trip(self, r, coeffs):
+        # every coefficient a + b*sqrt(r) prints in sympy's form and reads
+        # back over the declared field
+        field, root = quadratic_field(r)
+        x = MultiPoly.var(("X",), "X")
+        p = MultiPoly.zero(("X",))
+        for k, (a, da, b, db) in enumerate(coeffs):
+            c = field.convert(QQ(a, da)) + field.convert(QQ(b, db)) * root
+            p = p + x**k * c
+        g = RationalFunction(p, x + root)
+        assert parse_rational(rf_str(g), ("X",), field) == g
+
+    @pytest.mark.parametrize("text", ["1/sqrt(7)*I", "sqrt(7)*I^2", "I",
+                                      "sqrt(2)", "sqrt(7)*Id"])
+    def test_atoms_outside_the_field_rejected(self, text):
+        field = quadratic_field(-7)[0]
+        with pytest.raises(ParseSyntaxError):
+            parse_rational(text, ("X",), field)
