@@ -345,11 +345,10 @@ def _extension(text):
         field = quadratic_field(n)[0]
     except ValueError:
         raise SchemaError(f"extension {text!r} is rational") from None
-    g = parse_rational(text, (), field)
-    c = _rational(g.num.constant_value() ** 2) if g.den.is_constant() else None
-    if c is None or _rational(g.num.constant_value()) is not None:
+    root = parse_rational(text, (), field).num.constant_value()
+    if _rational(root) is not None or _rational(root * root) is None:
         raise SchemaError(f"extension {text!r} is not a square root")
-    return c
+    return _rational(root * root)
 
 
 def map_from_json(doc):

@@ -16,6 +16,7 @@ this module; an unverifiable candidate is discarded, never emitted.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from sympy.polys.domains import QQ
 
@@ -84,9 +85,8 @@ def _height_values(height):
     for h in range(1, height + 1):
         for d in range(1, h + 1):
             for num in range(-h, h + 1):
-                q = QQ(num, d)
-                if max(abs(q.numerator), q.denominator) == h:
-                    vals.append(q)
+                if max(abs(num), d) == h and gcd(num, d) == 1:
+                    vals.append(QQ(num, d))
     return tuple(vals)
 
 
