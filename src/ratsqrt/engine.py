@@ -134,7 +134,8 @@ DEFAULT_CONFIG = Config()
 
 class _RuleClock:
     """Soft per-rule timing: records durations and raises ResourceLimit when
-    a completed rule exceeded the configured budget."""
+    a rule returned after exceeding the configured budget.  An exception
+    raised by the rule itself (KeyboardInterrupt included) propagates."""
 
     def __init__(self, timeout, timings):
         self.timeout = timeout
@@ -143,12 +144,13 @@ class _RuleClock:
     def run(self, rule, fn):
         t0 = time.monotonic()
         try:
-            return fn()
+            out = fn()
         finally:
             dt = time.monotonic() - t0
             self.timings[rule] = self.timings.get(rule, 0.0) + dt
-            if self.timeout and dt > self.timeout:
-                raise ResourceLimit(f"rule '{rule}' exceeded {self.timeout}s")
+        if self.timeout and dt > self.timeout:
+            raise ResourceLimit(f"rule '{rule}' exceeded {self.timeout}s")
+        return out
 
 
 def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None) -> Verdict:

@@ -13,16 +13,19 @@ For a squarefree radicand f of degree d in n variables this module builds:
 Singular points of B are found by resultant elimination chart by chart and
 grouped into Galois conjugacy classes; each class is classified once over a
 number-field tower of height at most two (:mod:`ratsqrt.localanalysis`).
+The resultants (:func:`_resultant_last`) are taken on sympy's sparse ring
+ZZ[t, x_1..x_{k-1}] with the eliminated variable t first.
 
 The module also searches hypersurfaces for points of multiplicity D - 1
 (projection centres for explicit witnesses): the order-(D-2) partial
 derivatives are quadrics, so a full-rank quadric span certifies emptiness,
-and otherwise a recursive resultant elimination with exact back-substitution
-finds points or refutes their existence for up to three chart unknowns.
+and otherwise every affine chart, in any number of unknowns, goes to one
+solver (:func:`_lex_solve`): a lex Groebner basis over QQ, then triangular
+back-substitution over the tower.  The basis [1] certifies an empty chart,
+a zero-dimensional basis is solved exactly, and a positive-dimensional one
+is cut by rational hyperplanes until a point turns up.
 
-Polynomials are exponent dicts with Fraction coefficients.  Every
-elimination is one call of :func:`_resultant_last`, a resultant on sympy's
-sparse ring QQ[t, x_1..x_{k-1}] with the eliminated variable t first.
+Polynomials are exponent dicts with Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 
 from . import unipoly as up
@@ -51,6 +55,7 @@ from .mpoly import (
     _frac_terms,
     _fraction,
     _qq,
+    _ring,
     homogenize,
     is_squarefree,
 )
@@ -59,7 +64,6 @@ from .numberfield import (
     elem_str,
     factor_over_height1,
 )
-from .witness import _height_values
 
 
 def fresh_name(base, taken):
@@ -223,44 +227,78 @@ def build_model(f: MultiPoly) -> GeometricModel:
 
 
 # --------------------------------------------------------------------------
-# singular points of the branch curve
+# back-substitution, shared by the singular points and the point search
 
 
-def _spec_univ(terms, alpha, axis, field):
-    """Specialize one variable of a bivariate exponent-dict at a field element,
-    returning a coefficient list in the other variable."""
-    alpha = field_coerce(field, alpha)
+def _specialize(terms, field, coords):
+    """Plug a partial solution into the first len(coords) variables of an
+    exponent dict; coefficient list in the next variable."""
+    j = len(coords)
     zero = field_coerce(field, 0)
-    n = 1 + max((e[1 - axis] for e in terms), default=0)
-    out = [zero] * n
+    out = [zero] * (1 + max((e[j] for e in terms), default=0))
     for e, c in terms.items():
-        out[e[1 - axis]] = out[e[1 - axis]] + field_coerce(field, c) * (
-            alpha ** e[axis] if e[axis] else field_one(field)
-        )
+        val = field_coerce(field, c)
+        for a, exp in zip(coords, e):
+            if exp:
+                val = val * (a**exp)
+        out[e[j]] = out[e[j]] + val
     return up.trim(out)
+
+
+def _extend(field, coords, g):
+    """Extend a partial solution by each root of g (one per conjugacy class).
+
+    g is a coefficient list of degree >= 1 over `field`.  Returns
+    (field', coords', degree of the root) triples, or None when the roots
+    would need a tower level above the height-2 cap.
+    """
+    g = up.radical(up.monic(g))
+    if up.deg(g) == 1:
+        factors = [g]
+    elif field is None:
+        factors = [f for f, _m in up.factor_rational(g)[1]]
+    elif field.height == 1:
+        factors = factor_over_height1(field, g)
+    else:
+        return None
+    out = []
+    for f in factors:
+        if up.deg(f) == 1:
+            out.append((field, coords + (-f[0] / f[1],), 1))
+        else:
+            K = NumberField(field, "a" if field is None else "b", up.monic(f))
+            out.append(
+                (K, tuple(K.lift(c) for c in coords) + (K.gen(),), up.deg(f))
+            )
+    return out
+
+
+# --------------------------------------------------------------------------
+# singular points of the branch curve
 
 
 def _resultant_last(a, b, k):
     """Resultant in the last of k variables of two Fraction dicts, as a
-    Fraction dict in the first k - 1 variables."""
+    Fraction dict in the first k - 1 variables.
+
+    Taken over ZZ with the denominators cleared, which is several times
+    faster than sympy's subresultant sequence over QQ, and scaled back by
+    Res_t(c*A, B) = c^(deg_t B) * Res_t(A, B).
+    """
     names = tuple(f"x{i}" for i in range(k))
-    ra, rb = _frac_ring(
-        names[-1:] + names[:-1],
-        *({e[-1:] + e[:-1]: c for e, c in p.items()} for p in (a, b)),
-    )
+    ring = _ring(names[-1:] + names[:-1], ZZ)
+    ops, dens = [], []
+    for p in (a, b):
+        den = lcm(*(c.denominator for c in p.values()))
+        ops.append(ring.from_dict({e[-1:] + e[:-1]: int(c * den)
+                                   for e, c in p.items()}))
+        dens.append(den)
+    ra, rb = ops
     res = ra.resultant(rb)
+    scale = dens[0] ** rb.degree() * dens[1] ** ra.degree()
     if k == 1:
-        return {(): _fraction(res)} if res else {}
-    return _frac_terms(res)
-
-
-def _dense(terms, field=None):
-    """Coefficient list over `field` of a univariate exponent dict."""
-    zero = field_coerce(field, 0)
-    out = [zero] * (1 + max((e[0] for e in terms), default=0))
-    for (i,), c in terms.items():
-        out[i] = out[i] + field_coerce(field, c)
-    return up.trim(out)
+        return {(): Fraction(res, scale)} if res else {}
+    return {e: Fraction(int(c), scale) for e, c in res.terms()}
 
 
 def _affine_singular_points(g):
@@ -281,47 +319,23 @@ def _affine_singular_points(g):
     # x-coordinates of singular points are roots of both resultants below;
     # the one against the y-partial never vanishes identically (g stays
     # squarefree over the rational-function field in x)
-    r2 = _dense(_resultant_last(g, gy, 2))
+    r2 = _specialize(_resultant_last(g, gy, 2), None, ())
     if not r2:
         raise NonReduced("curve shares a component with its y-partial")
-    r1 = _dense(_resultant_last(g, gx, 2))
+    r1 = _specialize(_resultant_last(g, gx, 2), None, ())
     E = up.gcd(r1, r2) if r1 else r2
-    E = up.radical(E) if up.deg(E) >= 1 else E
     if up.deg(E) < 1:
         return []
     out = []
-    _, xfactors = up.factor_rational(E)
-    for mx, _m in xfactors:
-        if up.deg(mx) == 1:
-            K1 = None
-            alpha = -mx[0]
-        else:
-            K1 = NumberField(None, "a", mx)
-            alpha = K1.gen()
-        polys = [_spec_univ(t, alpha, 0, K1) for t in (g, gx, gy)]
+    for K1, (alpha,), dx in _extend(None, (), E):
+        polys = [_specialize(t, K1, (alpha,)) for t in (g, gx, gy)]
         G = polys[0]
         for pth in polys[1:]:
             G = up.gcd(G, pth)
         if up.deg(G) < 1:
             continue
-        G = up.radical(up.monic(G))
-        if K1 is None:
-            _, yfactors = up.factor_rational([Fraction(c) for c in G])
-            yfactors = [f for f, _ in yfactors]
-        else:
-            yfactors = factor_over_height1(K1, G)
-        for fy in yfactors:
-            if up.deg(fy) == 1:
-                fld = K1
-                y0 = -fy[0] / fy[1]
-                x0 = alpha
-            else:
-                gen2 = "a" if K1 is None else "b"
-                fld = NumberField(K1, gen2, up.monic(fy))
-                y0 = fld.gen()
-                x0 = fld.lift(alpha)
-            size = up.deg(mx) * up.deg(fy)
-            out.append((fld, (x0, y0), size))
+        for fld, pt, dy in _extend(K1, (alpha,), G):
+            out.append((fld, pt, dx * dy))
     return out
 
 
@@ -347,30 +361,20 @@ def singular_points(B: MultiPoly):
         results.append((pt, m))
     # chart 1: y1 = 1, restricted to s = 0
     g1 = restrict_chart(terms, 1)  # variables (s, y2)
-    u0 = _spec_univ(g1, Fraction(0), 0, None)          # g1(0, y)
-    u1 = _spec_univ(lp_derivative(g1, 0), Fraction(0), 0, None)
+    u0 = _specialize(g1, None, (Fraction(0),))          # g1(0, y)
+    u1 = _specialize(lp_derivative(g1, 0), None, (Fraction(0),))
     u2 = up.derivative(u0)
     G = []
     for u in (u0, u1, u2):
         if u:
             G = up.gcd(G, u) if G else up.monic(list(u))
     if up.deg(G) >= 1:
-        G = up.radical(G)
-        _, yfactors = up.factor_rational(G)
-        for fy, _m in yfactors:
-            if up.deg(fy) == 1:
-                fld = None
-                y0 = -fy[0]
-            else:
-                fld = NumberField(None, "a", fy)
-                y0 = fld.gen()
-            m = _chart_multiplicity(g1, (field_coerce(fld, 0), y0), fld)
+        for fld, (y0,), size in _extend(None, (), G):
+            zero = field_coerce(fld, 0)
+            m = _chart_multiplicity(g1, (zero, y0), fld)
             if m >= 2:
                 pt = AlgebraicPoint(
-                    fld,
-                    (field_coerce(fld, 0), field_coerce(fld, 1), y0),
-                    1,
-                    up.deg(fy),
+                    fld, (zero, field_coerce(fld, 1), y0), 1, size
                 )
                 results.append((pt, m))
     # chart 2: the single point (0:0:1)
@@ -493,195 +497,67 @@ def _order_partials(terms, order, nvars):
     return [seen[k] for k in sorted(seen)]
 
 
-class _SystemSolution:
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        self.field = field
-        self.coords = tuple(coords)
+# hyperplanes x_i = c tried, in order, on a free variable of a
+# positive-dimensional system
+_CUTS = (0, 1, -1, 2, -2)
 
 
-def _specialize_all_but_last(terms, sol):
-    """Plug a solution for all variables except the last; coefficient list."""
-    fld = sol.field
-    zero = field_coerce(fld, 0)
-    one = field_one(fld)
-    n = 1 + max((e[-1] for e in terms), default=0)
-    out = [zero] * n
-    for e, c in terms.items():
-        val = field_coerce(fld, c)
-        for k, a in enumerate(sol.coords):
-            if e[k]:
-                val = val * (a ** e[k])
-        out[e[-1]] = out[e[-1]] + val
-    return up.trim(out)
+def _lex_solve(polys, k):
+    """Common zeros of Fraction dicts in k unknowns x_0..x_{k-1}.
 
-
-def _solve_univariate(polys, base_field):
-    """Solutions of a univariate system over `base_field` (None or height-1).
-
-    Returns (solutions, complete, exists): complete means the list provably
-    covers every solution over the algebraic closure.
+    Returns (solutions, complete): each solution is a (field, coords) pair
+    over a tower of height <= 2, one per Galois conjugacy class, and
+    `complete` certifies that the list covers every common zero over the
+    algebraic closure.  The lex Groebner basis with x_{k-1} > ... > x_0 is
+    triangular: [1] means no zero, a pure-power leading monomial in every
+    variable means finitely many, solved level by level from x_0 up.  A
+    positive-dimensional system is cut by hyperplanes on its lowest free
+    variable until a point turns up, and is never complete.
     """
-    # identically-zero equations impose nothing
-    nonzero = [l for l in (_dense(p, base_field) for p in polys) if l]
-    if not nonzero:
-        # unconstrained line: infinitely many solutions; report one
-        return [_SystemSolution(base_field, (field_coerce(base_field, 0),))], False, True
-    g = nonzero[0]
-    for l in nonzero[1:]:
-        g = up.gcd(g, l)
-    if up.deg(g) < 1:
-        return [], (up.deg(g) == 0), up.deg(g) < 0
-    g = up.radical(up.monic(g))
-    sols = []
+    names = tuple(f"x{i}" for i in reversed(range(k)))
+    gens = _frac_ring(names, *({e[::-1]: c for e, c in p.items()}
+                               for p in polys if p))
+    return _solve_ideal(gens, _ring(names), k)
+
+
+def _solve_ideal(gens, ring, k):
+    basis = groebner(gens, ring) if gens else []
+    if any(g.is_ground for g in basis):
+        return [], True
+    pure = {e.index(max(e)) for e in (g.LM for g in basis) if sum(e) == max(e)}
+    free = [i for i in range(k) if k - 1 - i not in pure]
+    if free:
+        x = ring.gens[k - 1 - free[0]]
+        for c in _CUTS:
+            sols, _ = _solve_ideal(basis + [x - c], ring, k)
+            if sols:
+                return sols, False
+        return [], False
+    # level j: the basis elements in x_0..x_j only that involve x_j
+    levels = [[] for _ in range(k)]
+    for g in basis:
+        terms = {e[::-1]: c for e, c in _frac_terms(g).items()}
+        j = max(i for e in terms for i, n in enumerate(e) if n)
+        levels[j].append(terms)
+    partial = [(None, ())]
     complete = True
-    if base_field is None:
-        _, factors = up.factor_rational([Fraction(c) for c in g])
-        for f, _m in factors:
-            if up.deg(f) == 1:
-                sols.append(_SystemSolution(None, (-f[0],)))
-            else:
-                K = NumberField(None, "a", f)
-                sols.append(_SystemSolution(K, (K.gen(),)))
-    elif base_field.height == 1:
-        for f in factor_over_height1(base_field, g):
-            if up.deg(f) == 1:
-                sols.append(_SystemSolution(base_field, (-f[0] / f[1],)))
-            else:
-                K = NumberField(base_field, "b", up.monic(f))
-                sols.append(_SystemSolution(K, (K.gen(),)))
-    else:
-        # solutions exist but the tower is already at maximal height
-        complete = False
-    return sols, complete, True
-
-
-def _solve_system(polys, k):
-    """Common zeros of a polynomial system over the rationals, k variables.
-
-    Returns (solutions, complete, exists).  `complete` certifies the
-    solution list is exhaustive up to Galois conjugacy; `exists` is True
-    when common zeros provably exist even if none could be extracted.
-    """
-    polys = [p for p in polys if p]
-    for p in polys:
-        if all(sum(e) == 0 for e in p):
-            return [], True, False  # a nonzero constant equation
-    if not polys:
-        zero = Fraction(0)
-        return [_SystemSolution(None, (zero,) * k)], False, True
-    if k == 1:
-        return _solve_univariate(polys, None)
-    # resultant projection onto the first k - 1 variables: every common
-    # zero of the system projects to a common zero of the projection
-    with_t = [p for p in polys if any(e[-1] for e in p)]
-    projected = [
-        {e[:-1]: c for e, c in p.items()} for p in polys
-        if not any(e[-1] for e in p)
-    ]
-    if not with_t:
-        # last variable unconstrained; solve the rest and append t = 0
-        subs, complete, exists = _solve_system(projected, k - 1)
-        out = [
-            _SystemSolution(s.field, s.coords + (field_coerce(s.field, 0),))
-            for s in subs
-        ]
-        return out, False, exists
-    pivot = min(with_t, key=lambda p: max(e[-1] for e in p))
-    for p in with_t:
-        if p is not pivot:
-            res = _resultant_last(pivot, p, k)
-            if res:
-                projected.append(res)
-    if not projected:
-        # projection degenerated (shared factors or a single equation):
-        # common zeros exist on a hypersurface; extract one by scanning
-        sol = _scan_for_solution(polys, k)
-        return ([sol] if sol else []), False, True
-    cands, complete, _ = _solve_system(projected, k - 1)
-    sols = []
-    exists = False
-    for cand in cands:
-        restrictions = [_specialize_all_but_last(p, cand) for p in polys]
-        nonzero = [r for r in restrictions if r]
-        if not nonzero:
-            sols.append(
-                _SystemSolution(
-                    cand.field, cand.coords + (field_coerce(cand.field, 0),)
-                )
-            )
-            exists = True
-            complete = False  # a positive-dimensional fibre was truncated
-            continue
-        g = nonzero[0]
-        for r in nonzero[1:]:
-            g = up.gcd(g, r)
-        if up.deg(g) < 1:
-            continue
-        exists = True
-        g = up.radical(up.monic(g))
-        fld = cand.field
-        height = 0 if fld is None else fld.height
-        if fld is None:
-            _, factors = up.factor_rational([Fraction(c) for c in g])
-            for f, _m in factors:
-                if up.deg(f) == 1:
-                    sols.append(_SystemSolution(None, cand.coords + (-f[0],)))
-                else:
-                    K = NumberField(None, "a", f)
-                    sols.append(
-                        _SystemSolution(
-                            K,
-                            tuple(K.from_rational(c) for c in cand.coords)
-                            + (K.gen(),),
-                        )
-                    )
-        elif height == 1:
-            for f in factor_over_height1(fld, g):
-                if up.deg(f) == 1:
-                    sols.append(
-                        _SystemSolution(fld, cand.coords + (-f[0] / f[1],))
-                    )
-                else:
-                    K = NumberField(fld, "b", up.monic(f))
-                    sols.append(
-                        _SystemSolution(
-                            K,
-                            tuple(K.lift(c) for c in cand.coords) + (K.gen(),),
-                        )
-                    )
-        else:
-            # roots exist over the closure but exceed the tower cap
-            complete = False
-    return sols, complete, exists
-
-
-def _scan_for_solution(polys, k):
-    """Bounded-height rational scan for a common zero; None if not found."""
-    values = [_fraction(v) for v in _height_values(6)]
-
-    def rec(assign):
-        if len(assign) == k:
-            for p in polys:
-                total = Fraction(0)
-                for e, c in p.items():
-                    term = c
-                    for a, exp in zip(assign, e):
-                        if exp:
-                            term *= a**exp
-                    total += term
-                if total:
-                    return None
-            return tuple(assign)
-        for v in values:
-            r = rec(assign + [v])
-            if r is not None:
-                return r
-        return None
-
-    got = rec([])
-    return _SystemSolution(None, got) if got else None
+    for level in levels:
+        grown = []
+        for field, coords in partial:
+            eqs = [_specialize(t, field, coords) for t in level]
+            eqs = [s for s in eqs if s]
+            g = eqs[0]
+            for s in eqs[1:]:
+                g = up.gcd(g, s)
+            if up.deg(g) < 1:
+                continue
+            roots = _extend(field, coords, g)
+            if roots is None:
+                complete = False
+                continue
+            grown.extend((fld, pt) for fld, pt, _d in roots)
+        partial = grown
+    return partial, complete
 
 
 def high_mult_point_search(H: MultiPoly):
@@ -691,9 +567,11 @@ def high_mult_point_search(H: MultiPoly):
     multiplicity-(D-1) locus is the common zero set of the order-(D-2)
     partials, which are quadrics: a full-rank quadric span certifies
     emptiness immediately; otherwise each affine chart is solved by
-    recursive resultant elimination with exact back-substitution (fully
-    certified for up to 3 chart unknowns).  A missing point is only a
-    nonexistence proof when certified_empty is True.
+    :func:`_lex_solve`, whatever its number of unknowns.  Every candidate
+    is checked by :func:`multiplicity_at`.  certified_empty is True only
+    when every chart was solved completely (no positive-dimensional part,
+    no root above the tower cap) and no point was found, so a missing
+    point is a nonexistence proof exactly then.
     """
     terms = _frac_terms(H.pe)
     nvars = len(H.vars)
@@ -722,34 +600,27 @@ def high_mult_point_search(H: MultiPoly):
         return None, True
     best = None
     certified = True
-    k = nvars - 1
     for chart in range(nvars):
-        chart_polys = [restrict_chart(q, chart) for q in quadrics]
-        if k <= 3:
-            sols, complete, exists = _solve_system(chart_polys, k)
-        else:
-            sol = _scan_for_solution(chart_polys, k)
-            sols, complete, exists = ([sol] if sol else []), False, sol is not None
-        if not complete:
-            certified = False
-        for s in sols:
-            proj = s.coords[:chart] + (field_coerce(s.field, 1),) + s.coords[chart:]
+        sols, complete = _lex_solve(
+            [restrict_chart(q, chart) for q in quadrics], nvars - 1
+        )
+        certified = certified and complete
+        for fld, coords in sols:
+            proj = coords[:chart] + (field_coerce(fld, 1),) + coords[chart:]
             piv = next(i for i, c in enumerate(proj) if c)
             if piv != chart:
                 continue  # canonical form handled by an earlier chart
-            pt = AlgebraicPoint(s.field, proj, chart, 1)
+            pt = AlgebraicPoint(fld, proj, chart, 1)
             try:
                 m = multiplicity_at(H, pt)
             except TowerTooDeep:
                 continue
             if m != D - 1:
                 continue
-            if s.field is None:
+            if fld is None:
                 return pt, False
             if best is None:
                 best = pt
-        if exists and not sols:
-            certified = False
     if best is not None:
         return best, False
     return None, certified

@@ -1,7 +1,13 @@
 """Decision cascade for single square roots."""
 
-import pytest
+import time
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ratsqrt import engine
 from ratsqrt.engine import (
     INCONCLUSIVE,
     NOT_RATIONALIZABLE,
@@ -10,7 +16,7 @@ from ratsqrt.engine import (
     Config,
     decide,
 )
-from ratsqrt.errors import ZeroDenominator
+from ratsqrt.errors import ResourceLimit, ZeroDenominator
 from ratsqrt.mpoly import MultiPoly, substitute
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.witness import verify_witness
@@ -195,3 +201,73 @@ class TestResourceLimit:
         assert v.witness is None
         assert rules(v)[-1] == "resource-limit"
         assert "radicand-reduction" in v.steps[-1].data["detail"]
+
+    def _clock(self, monkeypatch, *readings):
+        ticks = iter(readings)
+        monkeypatch.setattr(engine, "time",
+                            SimpleNamespace(monotonic=lambda: next(ticks)))
+        return engine._RuleClock(1.0, {})
+
+    def test_interrupt_after_budget_propagates(self, monkeypatch):
+        clock = self._clock(monkeypatch, 0.0, 5.0)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            clock.run("high-multiplicity-point", interrupted)
+        assert clock.timings == {"high-multiplicity-point": 5.0}
+
+    def test_over_budget_return_raises_resource_limit(self, monkeypatch):
+        clock = self._clock(monkeypatch, 0.0, 5.0)
+        with pytest.raises(ResourceLimit, match="high-multiplicity-point"):
+            clock.run("high-multiplicity-point", lambda: 42)
+        assert clock.timings == {"high-multiplicity-point": 5.0}
+
+
+class TestHighMultiplicitySolver:
+    """Inputs whose rule-8 charts have three or four unknowns; each used to
+    run until killed, and each decides within the budget now."""
+
+    @pytest.mark.parametrize("text", [
+        "X^3 + Y^3 + Z^3 + 1",
+        "X^4 + Y^4 + Z^4 + W^4 + X*Y*Z + 1",
+    ])
+    def test_certified_empty(self, text):
+        t0 = time.perf_counter()
+        v = decide(parse_poly(text), config=Config(timeout=1))
+        assert time.perf_counter() - t0 < 1
+        assert v.outcome == INCONCLUSIVE
+        assert rules(v)[-1] == "inconclusive"
+        assert v.steps[-1].data["high_mult_search_certified_empty"] is True
+
+    @pytest.mark.parametrize("text", [
+        "X^2*Y + Z^2 + 1",
+        # linear in Y, from the roots-3var benchmark workload (seed 3)
+        "-3*X*Y*Z + 2*X^2 + 3*X*Y + 3*X*Z + Y*Z + X - 2*Y + Z + 2",
+    ])
+    def test_linear_in_one_variable_gets_a_witness(self, text):
+        f = parse_poly(text)
+        t0 = time.perf_counter()
+        v = decide(f, config=Config(timeout=1))
+        assert time.perf_counter() - t0 < 1
+        assert v.outcome == RATIONALIZABLE
+        assert rules(v)[-1] == "high-multiplicity-point"
+        assert verify_witness(v.witness, f) is not None
+
+
+def _univariate_x():
+    """Polynomials in X of degree <= 4 with small integer coefficients."""
+    return st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(
+        lambda cs: MultiPoly(("X", "Y"), {(i, 0): c for i, c in enumerate(cs)
+                                          if c})
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_univariate_x().filter(lambda a: not a.is_zero()), _univariate_x())
+def test_linear_in_y_never_not_rationalizable(a, b):
+    # W^2 = a(X)*Y + b(X) is rational (solve for Y), so NotRationalizable
+    # would expose a wrong rule-7 verdict
+    f = a * MultiPoly.var(("X", "Y"), "Y") + b
+    assert decide(f).outcome != NOT_RATIONALIZABLE

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ratsqrt import geometry
 from ratsqrt.errors import NonReduced
 from ratsqrt.geometry import (
     AlgebraicPoint,
@@ -12,6 +13,7 @@ from ratsqrt.geometry import (
     high_mult_point_search,
     milnor_sum,
     multiplicity_at,
+    restrict_chart,
     singular_points,
     triple_point_of_cubic,
 )
@@ -153,6 +155,82 @@ class TestHighMultSearch:
         pt, _c = high_mult_point_search(V)
         if pt is not None:
             assert multiplicity_at(V, pt) == V.total_degree() - 1
+
+
+def _system(*texts):
+    """Chart polynomials as Fraction dicts in the unknowns x0, x1, ..."""
+    names = tuple(f"x{i}" for i in range(3))
+    return [{e: F(c.numerator, c.denominator)
+             for e, c in parse_poly(t, names).pe.terms()} for t in texts]
+
+
+def _value(terms, fld, coords):
+    total = F(0) if fld is None else fld.zero()
+    for e, c in terms.items():
+        term = c if fld is None else fld.from_rational(c)
+        for a, exp in zip(coords, e):
+            term = term * a**exp
+        total = total + term
+    return total
+
+
+def _solve(*texts):
+    return geometry._lex_solve(_system(*texts), 3)
+
+
+class TestLexSolve:
+    def test_empty_system_is_certified(self):
+        assert _solve("x0^2 + 1", "x0*x1 - 1", "x1") == ([], True)
+
+    def test_rational_points_in_order(self):
+        sols, complete = _solve("x0^2 - 1", "x1 - x0", "x2")
+        assert complete
+        assert [coords for _fld, coords in sols] == [(1, 1, 0), (-1, -1, 0)]
+
+    @pytest.mark.parametrize("texts", [
+        ("x0^2 - 2", "x1^2 - 3", "x2 - x0*x1"),
+        ("x0^3 - x0 - 1", "x1^2 - x0", "x2 - x1^3"),
+        ("x0^2 - 2", "x1^2 - 2", "x2 - 1"),
+    ])
+    def test_points_satisfy_every_equation_over_their_tower(self, texts):
+        sols, complete = _solve(*texts)
+        assert sols and complete
+        for fld, coords in sols:
+            assert len(coords) == 3
+            for p in _system(*texts):
+                assert not _value(p, fld, coords)
+
+    def test_splitting_over_the_first_level(self):
+        # x1^2 = 2 splits over QQ(sqrt(2)): two classes, both at height 1
+        sols, complete = _solve("x0^2 - 2", "x1^2 - 2", "x2")
+        assert complete
+        assert [fld.height for fld, _c in sols] == [1, 1]
+
+    def test_roots_above_the_tower_cap_make_it_incomplete(self):
+        assert _solve("x0^2 - 2", "x1^2 - 3", "x2^2 - 5") == ([], False)
+
+    def test_positive_dimensional_system_yields_a_point(self):
+        # the hyperbola x0*x1 = 1: the cut x0 = 0 misses it, x0 = 1 meets it
+        sols, complete = _solve("x0*x1 - 1", "x2 - x1")
+        assert not complete
+        assert [coords for _fld, coords in sols] == [(1, 1, 1)]
+
+    def test_quadric_charts_of_the_hung_inputs(self):
+        # charts of the order-(D-2) partials: each point solves its chart
+        found = 0
+        for text in ("X^2*Y + Z^2 + 1", "X^3 + Y^3 + Z^3 + 1"):
+            V = build_model(parse_poly(text)).V
+            n, D = len(V.vars), V.total_degree()
+            terms = {e: F(c.numerator, c.denominator)
+                     for e, c in V.pe.terms()}
+            quadrics = geometry._order_partials(terms, D - 2, n)
+            for chart in range(n):
+                polys = [restrict_chart(q, chart) for q in quadrics]
+                for fld, coords in geometry._lex_solve(polys, n - 1)[0]:
+                    found += 1
+                    for p in polys:
+                        assert not _value(p, fld, coords)
+        assert found
 
 
 class TestMultiplicityAt:

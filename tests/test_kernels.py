@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ratsqrt import geometry, localanalysis, numberfield, unipoly
@@ -29,8 +29,11 @@ from ratsqrt.parser import parse_poly, parse_rational
 VARS = ("X", "Y")
 SYMS = sp.symbols(VARS)
 FIELDS = {"QQ": None, "QQ(sqrt(2))": sp.sqrt(2), "QQ(sqrt(-7))": sp.sqrt(-7)}
+# no shrinking: it would rerun the slow sympy references (cancel over
+# Q(sqrt(-7)) above all) for minutes before a failure is reported
 KERNEL = settings(max_examples=25, deadline=None, derandomize=True,
-                  database=None)
+                  database=None,
+                  phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def _coeff(theta):
@@ -286,7 +289,8 @@ class TestFactorOverHeight1:
 # decide() inputs that reach the ring resultant and the norm factorization:
 # a conjugate class of four A1 points over QQ(sqrt(2))(sqrt(3)), then a
 # projection centre searched with three chart unknowns; a projection centre
-# found by elimination; an A9 point at infinity of the branch curve
+# found by the lex Groebner solver; an A9 point at infinity of the branch
+# curve
 PATH_INPUTS = {
     "(X^2-2)^2+(Y^2-3)^2": "Rationalizable",
     "Y^2-X^6-1": "Rationalizable",
@@ -315,12 +319,12 @@ def test_corpus_decides_without_expression_kernels(monkeypatch):
     assert len(reports) == 9 and not mismatches
 
     ks = []
-    resultant = geometry._resultant_last
-    monkeypatch.setattr(geometry, "_resultant_last",
-                        lambda a, b, k: ks.append(k) or resultant(a, b, k))
+    solve = geometry._lex_solve
+    monkeypatch.setattr(geometry, "_lex_solve",
+                        lambda polys, k: ks.append(k) or solve(polys, k))
     for text, outcome in PATH_INPUTS.items():
         assert decide(parse_poly(text)).outcome == outcome
-    assert 3 in ks  # rule 8 eliminated with three chart unknowns
+    assert 3 in ks  # rule 8 solved charts with three unknowns
     v = decide(parse_poly("(X^2-2)^2+(Y^2-3)^2"))
     assert [len(r.point.field.describe()) for r in v.singularities] == [2]
 
