@@ -10,32 +10,31 @@ For a squarefree radicand f of degree d in n variables this module builds:
   is singular exactly over the singular points of B, with germs of the same
   ADE type).
 
-Singular points of B are found by resultant elimination chart by chart and
-grouped into Galois conjugacy classes; each class is classified once over a
-number-field tower of height at most two (:mod:`ratsqrt.localanalysis`).
-The resultants (:func:`_resultant_last`) are taken on sympy's sparse ring
-ZZ[t, x_1..x_{k-1}] with the eliminated variable t first.
+Two searches share one solver (:func:`_lex_solve`): a lex Groebner basis
+over QQ, then triangular back-substitution over a number-field tower of
+height at most two.  The basis [1] certifies an empty system, a
+zero-dimensional basis is solved exactly, and a positive-dimensional one is
+cut by rational hyperplanes until a point turns up.
 
-The module also searches hypersurfaces for points of multiplicity D - 1
-(projection centres for explicit witnesses): the order-(D-2) partial
-derivatives are quadrics, so a full-rank quadric span certifies emptiness,
-and otherwise every affine chart, in any number of unknowns, goes to one
-solver (:func:`_lex_solve`): a lex Groebner basis over QQ, then triangular
-back-substitution over the tower.  The basis [1] certifies an empty chart,
-a zero-dimensional basis is solved exactly, and a positive-dimensional one
-is cut by rational hyperplanes until a point turns up.
+* Singular points of B: the zeros of (g, g_x, g_y) in the chart s = 1 come
+  from the solver, those on the line s = 0 from univariate gcds.  They are
+  grouped into Galois conjugacy classes, and each class is classified once
+  over its tower (:mod:`ratsqrt.localanalysis`).
+* Points of multiplicity D - 1 on a hypersurface (projection centres for
+  explicit witnesses): the order-(D-2) partial derivatives are quadrics, so
+  a full-rank quadric span certifies emptiness, and otherwise the solver
+  takes every affine chart, in any number of unknowns.
 
-Polynomials are exponent dicts with Fraction coefficients.
+Polynomials are exponent dicts with coefficients in sympy's QQ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb
 
-from sympy.polys.domains import QQ, ZZ
+from sympy.polys.domains import QQ
 from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 
@@ -44,25 +43,17 @@ from .errors import NonReduced, TowerTooDeep
 from .localanalysis import (
     _row_reduce_rank,
     classify_germ,
-    field_coerce,
-    field_one,
     lp_derivative,
     lp_multiplicity,
 )
-from .mpoly import (
-    MultiPoly,
-    _frac_ring,
-    _frac_terms,
-    _fraction,
-    _qq,
-    _ring,
-    homogenize,
-    is_squarefree,
-)
+from .mpoly import MultiPoly, _ring, homogenize, is_squarefree
 from .numberfield import (
+    NFElem,
     NumberField,
     elem_str,
     factor_over_height1,
+    field_coerce,
+    field_one,
 )
 
 
@@ -71,6 +62,13 @@ def fresh_name(base, taken):
     while name in taken:
         name = name + "_"
     return name
+
+
+def _terms(p: MultiPoly):
+    """The exponent dict of a polynomial over QQ."""
+    if not p.coefficients_rational():
+        raise ValueError("geometric analysis requires rational coefficients")
+    return dict(p.pe.terms())
 
 
 def _lift_terms(terms, field):
@@ -84,7 +82,7 @@ def restrict_chart(terms, index):
     out = {}
     for e, c in terms.items():
         ne = e[:index] + e[index + 1 :]
-        out[ne] = out.get(ne, Fraction(0)) + c
+        out[ne] = out.get(ne, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
@@ -129,9 +127,6 @@ class AlgebraicPoint:
     chart: int
     class_size: int = 1
 
-    def is_rational(self):
-        return self.field is None
-
     def coords_str(self):
         return tuple(elem_str(c) for c in self.proj)
 
@@ -159,11 +154,9 @@ def _tower_key(field):
 
 
 def _elem_key(e):
-    if isinstance(e, Fraction):
-        return (e,)
-    if hasattr(e, "rep"):
+    if isinstance(e, NFElem):
         return tuple(_elem_key(c) for c in e.rep)
-    return (Fraction(e),)
+    return (e,)
 
 
 def _coords_key(coords):
@@ -277,68 +270,6 @@ def _extend(field, coords, g):
 # singular points of the branch curve
 
 
-def _resultant_last(a, b, k):
-    """Resultant in the last of k variables of two Fraction dicts, as a
-    Fraction dict in the first k - 1 variables.
-
-    Taken over ZZ with the denominators cleared, which is several times
-    faster than sympy's subresultant sequence over QQ, and scaled back by
-    Res_t(c*A, B) = c^(deg_t B) * Res_t(A, B).
-    """
-    names = tuple(f"x{i}" for i in range(k))
-    ring = _ring(names[-1:] + names[:-1], ZZ)
-    ops, dens = [], []
-    for p in (a, b):
-        den = lcm(*(c.denominator for c in p.values()))
-        ops.append(ring.from_dict({e[-1:] + e[:-1]: int(c * den)
-                                   for e, c in p.items()}))
-        dens.append(den)
-    ra, rb = ops
-    res = ra.resultant(rb)
-    scale = dens[0] ** rb.degree() * dens[1] ** ra.degree()
-    if k == 1:
-        return {(): Fraction(res, scale)} if res else {}
-    return {e: Fraction(int(c), scale) for e, c in res.terms()}
-
-
-def _affine_singular_points(g):
-    """Conjugacy classes of singular points of the affine curve {g = 0}.
-
-    g is a bivariate Fraction dict, squarefree.  Returns a list of
-    (field, (x0, y0), class_size) with tower height <= 2.
-    """
-    gx = lp_derivative(g, 0)
-    gy = lp_derivative(g, 1)
-    degx = max((i for i, j in g), default=0)
-    degy = max((j for i, j in g), default=0)
-    if degx == 0 or degy == 0:
-        # effectively univariate; squarefree curves of this shape are smooth
-        # except that a product of parallel lines needs the other partial:
-        # g(x) squarefree has gcd(g, g') = 1, so no singular points
-        return []
-    # x-coordinates of singular points are roots of both resultants below;
-    # the one against the y-partial never vanishes identically (g stays
-    # squarefree over the rational-function field in x)
-    r2 = _specialize(_resultant_last(g, gy, 2), None, ())
-    if not r2:
-        raise NonReduced("curve shares a component with its y-partial")
-    r1 = _specialize(_resultant_last(g, gx, 2), None, ())
-    E = up.gcd(r1, r2) if r1 else r2
-    if up.deg(E) < 1:
-        return []
-    out = []
-    for K1, (alpha,), dx in _extend(None, (), E):
-        polys = [_specialize(t, K1, (alpha,)) for t in (g, gx, gy)]
-        G = polys[0]
-        for pth in polys[1:]:
-            G = up.gcd(G, pth)
-        if up.deg(G) < 1:
-            continue
-        for fld, pt, dy in _extend(K1, (alpha,), G):
-            out.append((fld, pt, dx * dy))
-    return out
-
-
 def singular_points(B: MultiPoly):
     """All singular points of a reduced plane projective curve, one
     representative per Galois conjugacy class, with multiplicities.
@@ -349,20 +280,22 @@ def singular_points(B: MultiPoly):
     """
     if len(B.vars) != 3:
         raise ValueError("singular_points expects a plane projective curve")
-    if not is_squarefree(B):
-        raise NonReduced("branch curve must be squarefree")
-    terms = _frac_terms(B.pe)
-    results = []
-    # chart 0: s = 1
+    terms = _terms(B)
     g0 = restrict_chart(terms, 0)
-    for fld, (x0, y0), size in _affine_singular_points(g0):
+    sols, finite = _lex_solve([g0, lp_derivative(g0, 0), lp_derivative(g0, 1)], 2)
+    # B is squarefree iff its chart-0 curve g0 is (has finitely many
+    # singular points) and s^2 does not divide B
+    if not finite or min(e[0] for e in terms) >= 2:
+        raise NonReduced("branch curve must be squarefree")
+    results = []
+    for fld, (x0, y0) in sols:
+        size = 1 if fld is None else fld.absolute_degree()
         pt = AlgebraicPoint(fld, (field_coerce(fld, 1), x0, y0), 0, size)
-        m = _chart_multiplicity(g0, (x0, y0), fld)
-        results.append((pt, m))
+        results.append((pt, _multiplicity(terms, pt)))
     # chart 1: y1 = 1, restricted to s = 0
     g1 = restrict_chart(terms, 1)  # variables (s, y2)
-    u0 = _specialize(g1, None, (Fraction(0),))          # g1(0, y)
-    u1 = _specialize(lp_derivative(g1, 0), None, (Fraction(0),))
+    u0 = _specialize(g1, None, (QQ.zero,))          # g1(0, y)
+    u1 = _specialize(lp_derivative(g1, 0), None, (QQ.zero,))
     u2 = up.derivative(u0)
     G = []
     for u in (u0, u1, u2):
@@ -370,53 +303,44 @@ def singular_points(B: MultiPoly):
             G = up.gcd(G, u) if G else up.monic(list(u))
     if up.deg(G) >= 1:
         for fld, (y0,), size in _extend(None, (), G):
-            zero = field_coerce(fld, 0)
-            m = _chart_multiplicity(g1, (zero, y0), fld)
+            pt = AlgebraicPoint(
+                fld, (field_coerce(fld, 0), field_coerce(fld, 1), y0), 1, size
+            )
+            m = _multiplicity(terms, pt)
             if m >= 2:
-                pt = AlgebraicPoint(
-                    fld, (zero, field_coerce(fld, 1), y0), 1, size
-                )
                 results.append((pt, m))
     # chart 2: the single point (0:0:1)
     g2 = restrict_chart(terms, 2)  # variables (s, y1)
     m = lp_multiplicity(g2) if g2 else 0
     if g2 and m >= 2:
-        pt = AlgebraicPoint(
-            None, (Fraction(0), Fraction(0), Fraction(1)), 2, 1
-        )
+        pt = AlgebraicPoint(None, (QQ.zero, QQ.zero, QQ.one), 2, 1)
         results.append((pt, m))
     results.sort(key=lambda pm: pm[0].sort_key())
     return results
 
 
-def _chart_multiplicity(chart_terms, affine_coords, fld):
-    lifted = _lift_terms(chart_terms, fld)
-    germ = nvar_translate(lifted, affine_coords, fld)
-    germ = {e: c for e, c in germ.items() if c}
+def _germ(terms, p):
+    """An exponent dict restricted to the chart of p and translated so that
+    p is the origin."""
+    chart_terms = restrict_chart(terms, p.chart)
+    coords = tuple(c for i, c in enumerate(p.proj) if i != p.chart)
+    return nvar_translate(_lift_terms(chart_terms, p.field), coords, p.field)
+
+
+def _multiplicity(terms, p):
+    germ = _germ(terms, p)
     return lp_multiplicity(germ) if germ else 0
 
 
 def multiplicity_at(g: MultiPoly, p: AlgebraicPoint) -> int:
     """Least total degree after translating p to the origin of its chart;
     0 means the point is not on {g = 0}."""
-    terms = _frac_terms(g.pe)
-    chart_terms = restrict_chart(terms, p.chart)
-    coords = tuple(c for i, c in enumerate(p.proj) if i != p.chart)
-    lifted = _lift_terms(chart_terms, p.field)
-    germ = nvar_translate(lifted, coords, p.field)
-    germ = {e: c for e, c in germ.items() if c}
-    return lp_multiplicity(germ) if germ else 0
+    return _multiplicity(_terms(g), p)
 
 
 def classify_singularity(B: MultiPoly, p: AlgebraicPoint) -> SingularityRecord:
     """ADE classification of the branch-curve germ at p."""
-    terms = _frac_terms(B.pe)
-    chart_terms = restrict_chart(terms, p.chart)
-    coords = tuple(c for i, c in enumerate(p.proj) if i != p.chart)
-    lifted = _lift_terms(chart_terms, p.field)
-    germ = nvar_translate(lifted, coords, p.field)
-    germ = {e: c for e, c in germ.items() if c}
-    cls = classify_germ(germ, p.field)
+    cls = classify_germ(_germ(_terms(B), p), p.field)
     return SingularityRecord(
         p, cls.multiplicity, cls.mu, cls.label(), cls.cone_shape
     )
@@ -458,19 +382,19 @@ def triple_point_of_cubic(F: MultiPoly):
         raise ValueError("expected a homogeneous cubic in three variables")
     if not is_squarefree(F):
         raise NonReduced("cubic must be squarefree")
-    terms = _frac_terms(F.pe)
+    terms = _terms(F)
     rows = []
     for i, j in combinations_with_replacement(range(3), 2):
         d = lp_derivative(lp_derivative(terms, i), j)
         row = [QQ(0)] * 3
         for e, c in d.items():
-            row[e.index(1)] = _qq(c)
+            row[e.index(1)] = c
         rows.append(row)
     # the kernel is at most a line: a cubic in one linear form is a cube
     kernel = DomainMatrix(rows, (len(rows), 3), QQ).nullspace().to_list()
     if not kernel:
         return None
-    vec = [_fraction(c) for c in kernel[0]]
+    vec = kernel[0]
     piv = next(i for i, x in enumerate(vec) if x)
     vec = [x / vec[piv] for x in vec]
     pt = AlgebraicPoint(None, tuple(vec), piv, 1)
@@ -503,7 +427,7 @@ _CUTS = (0, 1, -1, 2, -2)
 
 
 def _lex_solve(polys, k):
-    """Common zeros of Fraction dicts in k unknowns x_0..x_{k-1}.
+    """Common zeros of exponent dicts in k unknowns x_0..x_{k-1}.
 
     Returns (solutions, complete): each solution is a (field, coords) pair
     over a tower of height <= 2, one per Galois conjugacy class, and
@@ -515,9 +439,10 @@ def _lex_solve(polys, k):
     variable until a point turns up, and is never complete.
     """
     names = tuple(f"x{i}" for i in reversed(range(k)))
-    gens = _frac_ring(names, *({e[::-1]: c for e, c in p.items()}
-                               for p in polys if p))
-    return _solve_ideal(gens, _ring(names), k)
+    ring = _ring(names)
+    gens = [ring.from_dict({e[::-1]: c for e, c in p.items()})
+            for p in polys if p]
+    return _solve_ideal(gens, ring, k)
 
 
 def _solve_ideal(gens, ring, k):
@@ -536,7 +461,7 @@ def _solve_ideal(gens, ring, k):
     # level j: the basis elements in x_0..x_j only that involve x_j
     levels = [[] for _ in range(k)]
     for g in basis:
-        terms = {e[::-1]: c for e, c in _frac_terms(g).items()}
+        terms = {e[::-1]: c for e, c in g.terms()}
         j = max(i for e in terms for i, n in enumerate(e) if n)
         levels[j].append(terms)
     partial = [(None, ())]
@@ -573,7 +498,7 @@ def high_mult_point_search(H: MultiPoly):
     no root above the tower cap) and no point was found, so a missing
     point is a nonexistence proof exactly then.
     """
-    terms = _frac_terms(H.pe)
+    terms = _terms(H)
     nvars = len(H.vars)
     D = H.total_degree()
     if D < 2:
@@ -592,7 +517,7 @@ def high_mult_point_search(H: MultiPoly):
         mono_index[tuple(e)] = len(mono_index)
     rows = []
     for q in quadrics:
-        row = [Fraction(0)] * len(mono_index)
+        row = [QQ.zero] * len(mono_index)
         for e, c in q.items():
             row[mono_index[e]] = c
         rows.append(row)

@@ -2,7 +2,7 @@
 
 A germ is a bivariate polynomial in local coordinates (u, v) centred at the
 origin, stored as a dict mapping exponent pairs (i, j) to nonzero
-coefficients.  Coefficients live in an exact field K: `fractions.Fraction`
+coefficients.  Coefficients live in an exact field K: sympy's QQ elements
 when K is the rationals, :class:`~ratsqrt.numberfield.NFElem` otherwise; the
 `field` argument of each routine is None or the NumberField accordingly.
 
@@ -24,29 +24,15 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import unipoly as up
 from .errors import NonIsolated, WrongMultiplicity
+from .numberfield import field_coerce, field_one, field_zero
 
 # cap on the accumulated intersection multiplicity before declaring the
 # germ non-isolated; generous for the curve degrees this package meets
 DEFAULT_MULT_CAP = 400
-
-
-def field_zero(field):
-    return Fraction(0) if field is None else field.zero()
-
-
-def field_one(field):
-    return Fraction(1) if field is None else field.one()
-
-
-def field_coerce(field, c):
-    if field is None:
-        return Fraction(c) if not isinstance(c, Fraction) else c
-    return field.lift(c)
 
 
 # --------------------------------------------------------------------------

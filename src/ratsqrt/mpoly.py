@@ -21,7 +21,6 @@ irrational coefficients in sympy's canonical form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -80,11 +79,8 @@ def quadratic_field(c):
 
 
 def _qq(c):
+    """An int, Fraction or QQ element as an element of QQ."""
     return c if QQ.of_type(c) else QQ(c.numerator, c.denominator)
-
-
-def _fraction(c):
-    return Fraction(c.numerator, c.denominator)
 
 
 def _rational(c):
@@ -391,20 +387,6 @@ def poly_str(p: MultiPoly) -> str:
 
 # --------------------------------------------------------------------------
 # exact kernels on sympy's sparse polynomial rings
-
-
-def _frac_ring(variables, *terms):
-    """Exponent dicts with Fraction coefficients (the form of geometry,
-    numberfield and unipoly) as elements of one ring over QQ."""
-    ring = _ring(tuple(variables))
-    return [ring.from_dict({e: _qq(c) for e, c in t.items()}) for t in terms]
-
-
-def _frac_terms(pe):
-    """The exponent dict with Fraction coefficients of a ring element over QQ."""
-    if not pe.ring.domain.is_QQ:
-        raise ValueError("geometric analysis requires rational coefficients")
-    return {e: _fraction(c) for e, c in pe.terms()}
 
 
 def mgcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:

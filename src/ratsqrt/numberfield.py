@@ -6,13 +6,14 @@ a y-coordinate algebraic over that first extension.  A tower of height two
 is therefore all we ever need; asking for more raises
 :class:`~ratsqrt.errors.TowerTooDeep`.
 
-Representation.  A :class:`NumberField` stores, per level, a generator name
-and a monic irreducible minimal polynomial over the level below (coefficient
-lists as in :mod:`ratsqrt.unipoly`).  An element is a dense coefficient list
-over the level below, reduced modulo the minimal polynomial, wrapped in
-:class:`NFElem` so the generic polynomial routines can use ordinary
-operators.  Zero testing is canonical: the reduced representation of zero is
-the all-zero list.
+Representation.  A field is None for the rationals, whose elements are
+sympy's QQ elements, or a :class:`NumberField`, which stores, per level, a
+generator name and a monic irreducible minimal polynomial over the level
+below (coefficient lists as in :mod:`ratsqrt.unipoly`).  An element is a
+dense coefficient list over the level below, reduced modulo the minimal
+polynomial, wrapped in :class:`NFElem` so the generic polynomial routines
+can use ordinary operators.  Zero testing is canonical: the reduced
+representation of zero is the all-zero list.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -22,13 +23,26 @@ the extension.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from sympy.polys.domains import QQ
 
 from . import unipoly as up
 from .errors import TowerTooDeep, ZeroInversion
-from .mpoly import _frac_ring
+from .mpoly import _qq, _ring
 
 MAX_HEIGHT = 2
+
+
+def field_zero(field):
+    return QQ.zero if field is None else field.zero()
+
+
+def field_one(field):
+    return QQ.one if field is None else field.one()
+
+
+def field_coerce(field, c):
+    """A rational or a lower-level element as an element of `field`."""
+    return _qq(c) if field is None else field.lift(c)
 
 
 class NumberField:
@@ -49,30 +63,20 @@ class NumberField:
 
     # -- element construction -------------------------------------------
 
-    def _base_zero(self):
-        return Fraction(0) if self.base is None else self.base.zero()
-
-    def _base_one(self):
-        return Fraction(1) if self.base is None else self.base.one()
-
-    def _base_from_rational(self, c):
-        c = Fraction(c)
-        return c if self.base is None else self.base.from_rational(c)
-
     def zero(self):
         return NFElem(self, [])
 
     def one(self):
-        return NFElem(self, [self._base_one()])
+        return NFElem(self, [field_one(self.base)])
 
     def from_rational(self, c):
-        c = Fraction(c)
+        c = _qq(c)
         if not c:
             return self.zero()
-        return NFElem(self, [self._base_from_rational(c)])
+        return NFElem(self, [field_coerce(self.base, c)])
 
     def gen(self):
-        return NFElem(self, [self._base_zero(), self._base_one()])
+        return NFElem(self, [field_zero(self.base), field_one(self.base)])
 
     def lift(self, e):
         """Coerce an element of a lower level (or a rational) into this field."""
@@ -123,7 +127,7 @@ class NFElem:
             if self.field is other.field.base:
                 return NotImplemented  # let the taller element handle it
             raise ValueError("elements of unrelated number fields")
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, QQ.dtype)):
             return self.field.from_rational(other)
         return NotImplemented
 
@@ -164,8 +168,8 @@ class NFElem:
         g, s, _t = up.gcdex(list(self.rep), self.field.minpoly)
         if up.deg(g) != 0:
             raise ZeroInversion("element is a zero divisor (minpoly not irreducible?)")
-        inv_g = 1 / g[0] if isinstance(g[0], Fraction) else g[0].inverse()
-        return NFElem(self.field, up.rem(up.scale(s, inv_g), self.field.minpoly))
+        # g is monic, so s * rep = 1 modulo the minimal polynomial
+        return NFElem(self.field, up.rem(s, self.field.minpoly))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -197,7 +201,7 @@ class NFElem:
         return bool(self.rep)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, NFElem)):
+        if isinstance(other, (int, QQ.dtype, NFElem)):
             o = self._coerce(other)
             if o is NotImplemented:
                 return NotImplemented
@@ -207,30 +211,8 @@ class NFElem:
     def __hash__(self):
         return hash((id(self.field), self.rep))
 
-    def is_rational(self):
-        return len(self.rep) <= 1 and all(
-            (c.is_rational() if isinstance(c, NFElem) else True) for c in self.rep
-        )
-
-    def to_fraction(self):
-        if not self.rep:
-            return Fraction(0)
-        c = self.rep[0]
-        if len(self.rep) > 1:
-            raise ValueError("element is not rational")
-        return c.to_fraction() if isinstance(c, NFElem) else Fraction(c)
-
     def __repr__(self):
         return f"NFElem({self.field.gen_name}: {self.rep})"
-
-
-# --------------------------------------------------------------------------
-# module-level convenience wrappers
-
-
-def nf_invert(e: NFElem) -> NFElem:
-    """Multiplicative inverse via extended Euclid against the minimal polynomial."""
-    return e.inverse()
 
 
 # --------------------------------------------------------------------------
@@ -250,15 +232,13 @@ def factor_over_height1(field: NumberField, poly):
     if up.deg(poly) <= 1:
         return [poly]
     # QQ[x, y] with x first, so the resultant eliminates the generator x
-    m, *coeffs = _frac_ring(
-        ("x", "y"),
-        *({(i, 0): c for i, c in enumerate(rep) if c}
-          for rep in [field.minpoly] + [c.rep for c in poly]),
-    )
-    x, y = m.ring.gens
+    ring = _ring(("x", "y"))
+    m, *coeffs = (ring.from_dict({(i, 0): c for i, c in enumerate(rep) if c})
+                  for rep in [field.minpoly] + [c.rep for c in poly])
+    x, y = ring.gens
     for s in range(0, 40):
         # G_s(x, y) = poly with the generator replaced by x and y -> y - s*x
-        g = m.ring.zero
+        g = ring.zero
         for c in reversed(coeffs):
             g = g * (y - s * x) + c
         norm = m.resultant(g)
@@ -268,7 +248,7 @@ def factor_over_height1(field: NumberField, poly):
         raise TowerTooDeep("no squarefree norm shift found")
     _, rat_factors = norm.factor_list()
     factors = []
-    shift_arg = [Fraction(s) * field.gen(), field.one()]  # y + s*alpha
+    shift_arg = [field.gen() * s, field.one()]  # y + s*alpha
     for nf_poly, _m in rat_factors:
         # n_i(y + s*alpha) over the field, by Horner composition
         comp = []
@@ -281,24 +261,14 @@ def factor_over_height1(field: NumberField, poly):
     for f in factors:
         total = up.mul(total, f)
     assert up.trim(total) == up.trim(poly), "norm factorization lost a factor"
-    factors.sort(key=lambda f: (up.deg(f), _sort_key(f)))
+    factors.sort(key=lambda f: (up.deg(f), tuple(c.rep for c in f)))
     return factors
 
 
-def _sort_key(poly):
-    out = []
-    for c in poly:
-        if isinstance(c, NFElem):
-            out.append(tuple(Fraction(x) for x in c.rep))
-        else:
-            out.append((Fraction(c),))
-    return tuple(out)
-
-
 def elem_str(e):
-    """Deterministic human-readable form of a Fraction or NFElem."""
+    """Deterministic human-readable form of a rational or NFElem."""
     if not isinstance(e, NFElem):
-        return str(Fraction(e))
+        return str(e)
     gen = e.field.gen_name
     parts = []
     for i, c in enumerate(e.rep):
@@ -321,9 +291,7 @@ def elem_str(e):
 def roots_in_field(field, poly):
     """Roots of `poly` lying in `field` (height <= 1), via linear factors."""
     if field is None:
-        rational = []
-        frac_poly = [Fraction(c) for c in poly]
-        return up.rational_roots(frac_poly) if frac_poly else rational
+        return up.rational_roots(poly) if poly else []
     factors = factor_over_height1(field, poly)
     roots = []
     for f in factors:

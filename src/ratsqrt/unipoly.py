@@ -4,8 +4,8 @@ A polynomial is a plain list of coefficients, lowest degree first, with the
 top coefficient nonzero (the zero polynomial is the empty list).  The
 coefficient type only needs exact field arithmetic through the usual
 operators (+, -, *, /) and truthiness for the zero test.  This makes every
-routine here work uniformly over the rationals (fractions.Fraction) and over
-the number-field towers of :mod:`ratsqrt.numberfield`.
+routine here work uniformly over the rationals (sympy's QQ elements) and
+over the number-field towers of :mod:`ratsqrt.numberfield`.
 
 Monic-gcd, extended Euclid and squarefree part are the workhorses used by
 the higher-level modules; :func:`factor_rational` factors over the rationals
@@ -14,9 +14,9 @@ on sympy's sparse polynomial ring QQ[t].
 
 from __future__ import annotations
 
-from fractions import Fraction
+from sympy.polys.domains import QQ
 
-from .mpoly import _frac_ring, _frac_terms, _fraction
+from .mpoly import _ring
 
 
 def trim(p):
@@ -72,14 +72,6 @@ def mul(p, q):
     return trim([c if c else p[0] - p[0] for c in out])
 
 
-def shift(p, k):
-    """Multiply by x^k."""
-    if not p:
-        return []
-    zero = p[0] - p[0]
-    return [zero] * k + list(p)
-
-
 def divmod_poly(p, q):
     """Exact field division with remainder; q must be nonzero."""
     if not q:
@@ -114,7 +106,7 @@ def rem(p, q):
 def monic(p):
     if not p:
         return []
-    inv = 1 / p[-1] if isinstance(p[-1], Fraction) else p[-1].inverse()
+    inv = 1 / p[-1]
     return [c * inv for c in p]
 
 
@@ -147,8 +139,7 @@ def gcdex(p, q):
         t0, t1 = t1, sub(t0, mul(quo, t1))
     if not a:
         return [], [], []
-    lc = a[-1]
-    inv = 1 / lc if isinstance(lc, Fraction) else lc.inverse()
+    inv = 1 / a[-1]
     return scale(a, inv), scale(s0, inv), scale(t0, inv)
 
 
@@ -197,8 +188,8 @@ def valuation(p):
 
 def from_ring(pe):
     """Coefficient list of a univariate ring element over QQ."""
-    out = [Fraction(0)] * (pe.degree() + 1)
-    for (i,), c in _frac_terms(pe).items():
+    out = [QQ.zero] * (pe.degree() + 1)
+    for (i,), c in pe.terms():
         out[i] = c
     return out
 
@@ -213,10 +204,9 @@ def factor_rational(p):
         raise ValueError("cannot factor the zero polynomial")
     if deg(p) == 0:
         return p[0], []
-    (pe,) = _frac_ring(("t",), {(i,): c for i, c in enumerate(p) if c})
-    content, factors = pe.factor_list()
+    pe = _ring(("t",)).from_dict({(i,): c for i, c in enumerate(p) if c})
+    cont, factors = pe.factor_list()
     out = []
-    cont = _fraction(content)
     for f, m in sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].to_dense())):
         coeffs = from_ring(f)
         lc = coeffs[-1]

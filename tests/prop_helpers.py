@@ -5,7 +5,7 @@ suite exercises the same cases.
 """
 
 import random
-from fractions import Fraction as F
+from sympy.polys.domains import QQ
 
 from ratsqrt.alphabet import decide_alphabet
 from ratsqrt.engine import decide
@@ -29,8 +29,8 @@ def rand_univariate(rng, min_deg=1, max_deg=4):
     for i in range(d):
         c = rng.randint(-5, 5)
         if c:
-            terms[(i,)] = F(c)
-    terms[(d,)] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+            terms[(i,)] = QQ(c)
+    terms[(d,)] = QQ(rng.choice([-3, -2, -1, 1, 2, 3]))
     return MultiPoly(("X",), terms)
 
 
@@ -44,17 +44,17 @@ def rand_bivariate(rng, deg, dense=False):
         for j in range(deg + 1 - i):
             c = rng.choice([-3, -2, -1, 1, 2, 3]) if dense else rng.randint(-3, 3)
             if c:
-                terms[(i, j)] = F(c)
+                terms[(i, j)] = QQ(c)
     # force the stated total degree
     lead = rng.randint(0, deg)
-    terms[(lead, deg - lead)] = F(rng.choice([-2, -1, 1, 2]))
+    terms[(lead, deg - lead)] = QQ(rng.choice([-2, -1, 1, 2]))
     return MultiPoly(("X", "Y"), terms)
 
 
 def rand_square_factor(rng):
     d = rng.randint(1, 2)
-    terms = {(i,): F(rng.randint(-3, 3)) for i in range(d)}
-    terms[(d,)] = F(rng.choice([-2, -1, 1, 2]))
+    terms = {(i,): QQ(rng.randint(-3, 3)) for i in range(d)}
+    terms[(d,)] = QQ(rng.choice([-2, -1, 1, 2]))
     return MultiPoly(("X",), {e: c for e, c in terms.items() if c})
 
 
@@ -78,7 +78,7 @@ def _apply_affine_univ(f, a, b):
     m = RationalMap(
         ("X",),
         {"X": RationalFunction.from_poly(
-            MultiPoly(("X",), {(1,): F(a), (0,): F(b)} if b else {(1,): F(a)})
+            MultiPoly(("X",), {(1,): QQ(a), (0,): QQ(b)} if b else {(1,): QQ(a)})
         )},
     )
     img = substitute(f, m)
@@ -94,7 +94,7 @@ def _apply_shear_bivar(f, c, swap):
     gx, gy = (y, x) if swap else (x, y)
     m = RationalMap(
         xy,
-        {"X": RationalFunction.from_poly(gx + gy.scale(F(c))),
+        {"X": RationalFunction.from_poly(gx + gy.scale(QQ(c))),
          "Y": RationalFunction.from_poly(gy)},
     )
     img = substitute(f, m)

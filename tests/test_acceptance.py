@@ -210,20 +210,20 @@ def test_criterion_07_pair_with_dead_end():
 
 def test_criterion_08_singularity_catalog():
     b = Budget(5.0)
-    from fractions import Fraction as F
+    from sympy.polys.domains import QQ
 
     catalog = [
-        ({(2, 0): F(1), (0, 2): F(1)}, "A1", 1),
-        ({(2, 0): F(1), (0, 3): F(1)}, "A2", 2),
-        ({(2, 0): F(1), (0, 4): F(1)}, "A3", 3),
-        ({(2, 0): F(1), (0, 5): F(1)}, "A4", 4),
-        ({(2, 0): F(1), (0, 6): F(1)}, "A5", 5),
-        ({(2, 1): F(1), (0, 3): F(-1)}, "D4", 4),
-        ({(3, 0): F(1), (0, 4): F(1)}, "E6", 6),
-        ({(3, 0): F(1), (1, 3): F(1)}, "E7", 7),
-        ({(3, 0): F(1), (0, 5): F(1)}, "E8", 8),
-        ({(3, 0): F(1), (0, 6): F(1)}, "NonSimple", 10),
-        ({(4, 0): F(1), (0, 4): F(1)}, "NonSimple", None),
+        ({(2, 0): QQ(1), (0, 2): QQ(1)}, "A1", 1),
+        ({(2, 0): QQ(1), (0, 3): QQ(1)}, "A2", 2),
+        ({(2, 0): QQ(1), (0, 4): QQ(1)}, "A3", 3),
+        ({(2, 0): QQ(1), (0, 5): QQ(1)}, "A4", 4),
+        ({(2, 0): QQ(1), (0, 6): QQ(1)}, "A5", 5),
+        ({(2, 1): QQ(1), (0, 3): QQ(-1)}, "D4", 4),
+        ({(3, 0): QQ(1), (0, 4): QQ(1)}, "E6", 6),
+        ({(3, 0): QQ(1), (1, 3): QQ(1)}, "E7", 7),
+        ({(3, 0): QQ(1), (0, 5): QQ(1)}, "E8", 8),
+        ({(3, 0): QQ(1), (0, 6): QQ(1)}, "NonSimple", 10),
+        ({(4, 0): QQ(1), (0, 4): QQ(1)}, "NonSimple", None),
     ]
     ok = True
     for germ, label, mu in catalog:

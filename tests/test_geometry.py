@@ -1,8 +1,7 @@
 """Projective models, singular loci, and the high-multiplicity point search."""
 
-from fractions import Fraction as F
-
 import pytest
+from sympy.polys.domains import QQ
 
 from ratsqrt import geometry
 from ratsqrt.errors import NonReduced
@@ -72,6 +71,13 @@ class TestSingularPoints:
         sq = m.B * m.B
         with pytest.raises(NonReduced):
             singular_points(sq)
+
+    def test_square_of_the_line_at_infinity_rejected(self):
+        # s^2 * B is not reduced, though its chart s = 1 is the smooth conic
+        m = build_model(parse_poly("X^2 + Y^2 - 1", ("X", "Y")))
+        s = MultiPoly.var(m.B.vars, m.branch_var)
+        with pytest.raises(NonReduced):
+            singular_points(s * s * m.B)
 
     def test_conjugacy_classes_counted(self):
         # irrational singular points are reported once per Galois class,
@@ -158,14 +164,13 @@ class TestHighMultSearch:
 
 
 def _system(*texts):
-    """Chart polynomials as Fraction dicts in the unknowns x0, x1, ..."""
+    """Chart polynomials as exponent dicts in the unknowns x0, x1, ..."""
     names = tuple(f"x{i}" for i in range(3))
-    return [{e: F(c.numerator, c.denominator)
-             for e, c in parse_poly(t, names).pe.terms()} for t in texts]
+    return [dict(parse_poly(t, names).pe.terms()) for t in texts]
 
 
 def _value(terms, fld, coords):
-    total = F(0) if fld is None else fld.zero()
+    total = QQ.zero if fld is None else fld.zero()
     for e, c in terms.items():
         term = c if fld is None else fld.from_rational(c)
         for a, exp in zip(coords, e):
@@ -221,8 +226,7 @@ class TestLexSolve:
         for text in ("X^2*Y + Z^2 + 1", "X^3 + Y^3 + Z^3 + 1"):
             V = build_model(parse_poly(text)).V
             n, D = len(V.vars), V.total_degree()
-            terms = {e: F(c.numerator, c.denominator)
-                     for e, c in V.pe.terms()}
+            terms = dict(V.pe.terms())
             quadrics = geometry._order_partials(terms, D - 2, n)
             for chart in range(n):
                 polys = [restrict_chart(q, chart) for q in quadrics]

@@ -3,17 +3,20 @@
 Random small polynomials over QQ, Q(sqrt(2)) and Q(sqrt(-7)) are reduced,
 decomposed and square-tested by the package and by sympy's expression-level
 functions; the parser is checked against sympify on generated texts; the
-resultant, rational factorization and norm factorization that geometry,
-unipoly and numberfield run on sparse rings are checked the same way.
+rational factorization and norm factorization that unipoly and numberfield
+run on sparse rings are checked the same way.
 """
 
-from fractions import Fraction
+import ast
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
+import ratsqrt
 from ratsqrt import geometry, localanalysis, numberfield, unipoly
 from ratsqrt.engine import decide
 from ratsqrt.errors import ZeroDenominator
@@ -193,18 +196,10 @@ class TestParser:
         assert g.vars == ("Z", "Y", "X")
 
 
-# -- resultants and factorization on sparse rings ---------------------------
+# -- factorization on sparse rings ------------------------------------------
 
-def _fractions():
-    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-
-
-def _frac_dict(k):
-    """Nonzero Fraction dicts in k variables, degree at most 2 in each."""
-    exps = st.tuples(*(st.integers(0, 2) for _ in range(k)))
-    return st.dictionaries(exps, _fractions(), min_size=1, max_size=4).map(
-        lambda d: {e: c for e, c in d.items() if c}
-    ).filter(bool)
+def _rationals():
+    return st.builds(QQ, st.integers(-3, 3), st.integers(1, 3))
 
 
 def _expr(terms, syms):
@@ -213,26 +208,15 @@ def _expr(terms, syms):
                     for e, c in terms.items()))
 
 
-class TestResultant:
-    @KERNEL
-    @given(st.integers(1, 3).flatmap(
-        lambda k: st.tuples(st.just(k), _frac_dict(k), _frac_dict(k))))
-    def test_matches_sympy_resultant(self, case):
-        k, a, b = case
-        syms = sp.symbols(f"x0:{k}")
-        ref = sp.expand(sp.resultant(_expr(a, syms), _expr(b, syms), syms[-1]))
-        assert sp.expand(_expr(geometry._resultant_last(a, b, k), syms)) == ref
-
-
 def _univariate():
-    return st.lists(_fractions(), min_size=1, max_size=4).map(unipoly.trim)
+    return st.lists(_rationals(), min_size=1, max_size=4).map(unipoly.trim)
 
 
 class TestFactorRational:
     @KERNEL
     @given(st.lists(_univariate(), min_size=1, max_size=4))
     def test_matches_sympy_factor_list(self, parts):
-        p = [Fraction(1)]
+        p = [QQ(1)]
         for q in parts:
             p = unipoly.mul(p, q) if q else p
         t = sp.Symbol("t")
@@ -243,7 +227,7 @@ class TestFactorRational:
         for f, m in ref_factors:
             poly = sp.Poly(f, t)
             ref_content *= poly.LC() ** m
-            ref[tuple(Fraction(c.p, c.q)
+            ref[tuple(QQ(c.p, c.q)
                       for c in poly.monic().all_coeffs()[::-1])] = m
         assert content == ref_content
         assert {tuple(f): m for f, m in factors} == ref
@@ -252,7 +236,7 @@ class TestFactorRational:
 
 def _height1_case(d):
     """(field, a monic squarefree product of small factors over it)."""
-    K = NumberField(None, "a", [Fraction(-d), Fraction(0), Fraction(1)])
+    K = NumberField(None, "a", [QQ(-d), QQ(0), QQ(1)])
     coeff = st.builds(lambda x, y: K.from_rational(x) + K.from_rational(y) * K.gen(),
                       st.integers(-2, 2), st.integers(-2, 2))
     factor = st.lists(coeff, min_size=1, max_size=2).map(lambda cs: cs + [K.one()])
@@ -338,3 +322,17 @@ def test_corpus_decides_without_expression_kernels(monkeypatch):
     for module in (geometry, numberfield, unipoly, localanalysis, parser,
                    witness):
         assert not hasattr(module, "sp"), module.__name__
+
+
+def test_no_module_imports_fractions():
+    """Rationals below mpoly are sympy's QQ elements, so no ratsqrt module
+    imports the fractions module."""
+    for path in sorted(Path(ratsqrt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "fractions" not in names, path.name

@@ -1,6 +1,6 @@
 """Plane-curve germ analysis: multiplicity, blowups, Milnor numbers, ADE."""
 
-from fractions import Fraction as F
+from sympy.polys.domains import QQ
 
 import pytest
 
@@ -24,7 +24,7 @@ from ratsqrt.localanalysis import (
 
 
 def germ(entries):
-    return {e: F(c) for e, c in entries.items()}
+    return {e: QQ(c) for e, c in entries.items()}
 
 
 class TestGermBasics:

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
@@ -222,3 +222,89 @@ class TestMapSerialization:
         field = quadratic_field(-7)[0]
         with pytest.raises(ParseSyntaxError):
             parse_rational(text, ("X",), field)
+
+
+# -- untrusted input ---------------------------------------------------------
+
+# fixed examples, and no shrinking, which would rerun failing parses
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                database=None, phases=[Phase.explicit, Phase.generate])
+
+_TOKENS = ["X", "Y", "I", "sqrt", "0", "1", "2", "7", "+", "-", "*", "/",
+           "^", "(", ")", " ", ".", ",", "#", "\u00e9", "\\", '"', "{"]
+
+
+def _texts():
+    """Well-formed, malformed and hostile texts alike.  At most ten tokens,
+    digits one per token, keep every power small enough to expand."""
+    return st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
+
+
+def _json(leaf):
+    keys = st.sampled_from(["variables", "roots", "radicand", "label",
+                            "assignments", "extension", "X", "eval"])
+    return st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 3), leaf),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(keys, inner, max_size=3)),
+        max_leaves=8,
+    )
+
+
+def _documents(shaped):
+    """A document as a dict or as JSON text, shaped or free-form, or a text
+    that is not JSON at all."""
+    return st.one_of(shaped, shaped.map(json.dumps), _json(_texts()),
+                     _json(_texts()).map(json.dumps), _texts())
+
+
+_NAMES = st.lists(st.sampled_from(["X", "Y", "I", "sqrt", "1X", ""]),
+                  max_size=3)
+
+
+def _alphabets():
+    root = st.fixed_dictionaries(
+        {"radicand": _texts()},
+        optional={"label": st.one_of(_texts(), st.integers(0, 2))})
+    return _documents(st.fixed_dictionaries(
+        {"roots": st.lists(root, max_size=3)}, optional={"variables": _NAMES}))
+
+
+def _maps():
+    extension = st.one_of(_texts(), st.sampled_from(
+        ["sqrt(7)*I", "2*I", "sqrt(69)*I/3", "sqrt(2)", "sqrt(0)"]))
+    return _documents(st.fixed_dictionaries(
+        {"variables": _NAMES,
+         "assignments": st.dictionaries(st.sampled_from(["X", "Y", "I"]),
+                                        _texts(), max_size=2)},
+        optional={"extension": extension}))
+
+
+def _parsed_or_refused(read, *args):
+    try:
+        read(*args)
+    except RatsqrtError:
+        pass
+
+
+class TestUntrustedInput:
+    """Generated input is parsed or refused with a RatsqrtError; no other
+    exception escapes the readers."""
+
+    @FUZZ
+    @given(_texts(), st.sampled_from([None, -7, 2]))
+    def test_parse_rational(self, text, r):
+        _parsed_or_refused(parse_rational, text)
+        if r is not None:
+            _parsed_or_refused(parse_rational, text, ("X", "Y"),
+                               quadratic_field(r)[0])
+
+    @FUZZ
+    @given(_alphabets())
+    def test_load_alphabet(self, doc):
+        _parsed_or_refused(load_alphabet, doc)
+
+    @FUZZ
+    @given(_maps())
+    def test_map_from_json(self, doc):
+        _parsed_or_refused(map_from_json, doc)

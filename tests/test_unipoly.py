@@ -1,13 +1,13 @@
 """Dense univariate polynomial arithmetic over exact fields."""
 
 import random
-from fractions import Fraction as F
+from sympy.polys.domains import QQ
 
 from ratsqrt import unipoly as up
 
 
 def P(*coeffs):
-    return [F(c) for c in coeffs]
+    return [QQ(c) for c in coeffs]
 
 
 class TestBasics:
@@ -39,7 +39,7 @@ class TestBasics:
 
     def test_evaluate_and_valuation(self):
         p = P(0, 0, 5, 1)
-        assert up.evaluate(p, F(2)) == 28
+        assert up.evaluate(p, QQ(2)) == 28
         assert up.valuation(p) == 2
         assert up.valuation(P(7)) == 0
 
@@ -66,9 +66,9 @@ class TestGcd:
     def test_gcd_common_factor_property(self):
         rng = random.Random(7)
         for _ in range(50):
-            a = up.trim([F(rng.randint(-4, 4)) for _ in range(4)])
-            b = up.trim([F(rng.randint(-4, 4)) for _ in range(4)])
-            c = [F(rng.randint(-3, 3)) for _ in range(3)] + [F(1)]
+            a = up.trim([QQ(rng.randint(-4, 4)) for _ in range(4)])
+            b = up.trim([QQ(rng.randint(-4, 4)) for _ in range(4)])
+            c = [QQ(rng.randint(-3, 3)) for _ in range(3)] + [QQ(1)]
             if up.is_zero(a) or up.is_zero(b):
                 continue
             g1 = up.monic(up.gcd(up.mul(a, c), up.mul(b, c)))
@@ -102,11 +102,11 @@ class TestFactor:
     def test_factor_remultiplies(self):
         rng = random.Random(11)
         for _ in range(200):
-            p = up.trim([F(rng.randint(-5, 5)) for _ in range(rng.randint(2, 13))])
+            p = up.trim([QQ(rng.randint(-5, 5)) for _ in range(rng.randint(2, 13))])
             if up.is_zero(p):
                 continue
             c, factors = up.factor_rational(p)
-            prod = [F(c)]
+            prod = [QQ(c)]
             for f, m in factors:
                 for _ in range(m):
                     prod = up.mul(prod, f)
@@ -114,5 +114,5 @@ class TestFactor:
 
     def test_rational_roots(self):
         # 2x^2 - 3x + 1 has roots 1 and 1/2
-        assert sorted(up.rational_roots(P(1, -3, 2))) == [F(1, 2), F(1)]
+        assert sorted(up.rational_roots(P(1, -3, 2))) == [QQ(1, 2), QQ(1)]
         assert up.rational_roots(P(1, 0, 1)) == []
