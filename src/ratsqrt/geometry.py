@@ -380,8 +380,6 @@ def triple_point_of_cubic(F: MultiPoly):
     """
     if len(F.vars) != 3 or F.total_degree() != 3:
         raise ValueError("expected a homogeneous cubic in three variables")
-    if not is_squarefree(F):
-        raise NonReduced("cubic must be squarefree")
     terms = _terms(F)
     rows = []
     for i, j in combinations_with_replacement(range(3), 2):
@@ -390,10 +388,14 @@ def triple_point_of_cubic(F: MultiPoly):
         for e, c in d.items():
             row[e.index(1)] = c
         rows.append(row)
-    # the kernel is at most a line: a cubic in one linear form is a cube
     kernel = DomainMatrix(rows, (len(rows), 3), QQ).nullspace().to_list()
     if not kernel:
         return None
+    # a cubic with a repeated factor (l^2*m, l^3) has a triple point, so
+    # only a nonempty kernel needs the check; for a squarefree cubic the
+    # kernel is at most a line, since a cubic in one linear form is a cube
+    if not is_squarefree(F):
+        raise NonReduced("cubic must be squarefree")
     vec = kernel[0]
     piv = next(i for i, x in enumerate(vec) if x)
     vec = [x / vec[piv] for x in vec]

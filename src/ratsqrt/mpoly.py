@@ -661,7 +661,12 @@ class RationalMap:
 
 
 def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
-    """Image of f under the homomorphism defined by m, in lowest terms."""
+    """Image of f under the homomorphism defined by m, in lowest terms.
+
+    Variables whose images share a denominator d form one group G; with
+    D_G the total degree of f in G, each term is multiplied by
+    d^(D_G - |e|_G), so d^D_G, not a power of d per variable, is cleared.
+    """
     needed = effective_vars(f)
     for v in needed:
         if v not in m.assignments:
@@ -671,7 +676,6 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
             MultiPoly.const(m.source_vars or f.vars, f.constant_value())
         )
     target_vars = m.assignments[needed[0]].vars
-    degs = [f.degree_in(v) for v in needed]
     idx = [f.vars.index(v) for v in needed]
     parts = [m.assignments[v].num.with_vars(target_vars) for v in needed]
     parts += [m.assignments[v].den.with_vars(target_vars) for v in needed]
@@ -679,19 +683,32 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     *ring_parts, coeffs = _common(*parts, f)
     ring = ring_parts[0].ring
     k = len(needed)
-    nums, dens = ring_parts[:k], ring_parts[k:]
-    # clearing denominators: x_v = n_v/d_v, times prod d_v^deg_v
-    num_pows = [[g**j for j in range(d + 1)] for g, d in zip(nums, degs)]
-    den_pows = [[g**j for j in range(d + 1)] for g, d in zip(dens, degs)]
+    nums = ring_parts[:k]
+    dens, group = [], []
+    for d in ring_parts[k:]:
+        if d not in dens:
+            dens.append(d)
+        group.append(dens.index(d))
+    # x_v = n_v/d_G: |e|_G is the degree of a term in G, D_G its maximum
+    sizes = [[0] * len(dens) for _e in coeffs]
+    for e, size in zip(coeffs, sizes):
+        for j, i in enumerate(idx):
+            size[group[j]] += e[i]
+    tops = [max(col) for col in zip(*sizes)]
+    num_pows = [[g**j for j in range(f.degree_in(v) + 1)]
+                for g, v in zip(nums, needed)]
+    den_pows = [[d**j for j in range(top + 1)] for d, top in zip(dens, tops)]
     total_num = ring.zero
-    for e, c in coeffs.items():
+    for (e, c), size in zip(coeffs.items(), sizes):
         term = ring.ground_new(c)
         for j, i in enumerate(idx):
-            term = term * num_pows[j][e[i]] * den_pows[j][degs[j] - e[i]]
+            term *= num_pows[j][e[i]]
+        for G, top in enumerate(tops):
+            term *= den_pows[G][top - size[G]]
         total_num += term
     total_den = ring.one
-    for j in range(k):
-        total_den *= den_pows[j][degs[j]]
+    for G, top in enumerate(tops):
+        total_den *= den_pows[G][top]
     return RationalFunction(
         MultiPoly.of(target_vars, total_num), MultiPoly.of(target_vars, total_den)
     )
@@ -743,12 +760,34 @@ def _sign_normalize(h: RationalFunction) -> RationalFunction:
     return h
 
 
+def _monic_sqrt(p):
+    """The lex-monic s with s^2 = p, for a lex-monic ring element p, or
+    None.  Root terms come in lex order: the next one is LT(r)/(2*LT(s))
+    for the remainder r = p - s^2, and must stay inside the box of half
+    p's degree in each variable."""
+    ring = p.ring
+    if any(e % 2 for e in p.LM):
+        return None
+    box = [d // 2 for d in p.degrees()]
+    s = ring({tuple(e // 2 for e in p.LM): ring.domain.one})
+    r = p - s * s
+    while r:
+        m = ring.monomial_div(r.LM, s.LM)
+        if m is None or any(e > b for e, b in zip(m, box)):
+            return None
+        t = ring({m: r.LC / 2})
+        r -= (s + s + t) * t
+        s += t
+    return s
+
+
 def is_perfect_square(g: RationalFunction, extension=None):
     """Return h with h^2 = g when it exists, else None.
 
-    g = N/D is a square iff N*D = c * s^2 with c a square constant of the
-    coefficient field; then h = sqrt(c) * s / D, reduced.  The squarefree
-    decomposition decides this: every multiplicity even and c a square.
+    g = N/D is reduced, so it is a square iff N = a * s_N^2 and
+    D = b * s_D^2 with s_N, s_D lex-monic and a/b a square c^2 of the
+    coefficient field; then h = c * s_N / s_D, already in lowest terms.
+    The roots s_N, s_D are taken exactly, term by term (_monic_sqrt).
     `extension` is the rational c of the map g came from: the constant may
     be a square only in QQ(sqrt(c)), as -7 = sqrt(-7)^2.
     """
@@ -758,14 +797,13 @@ def is_perfect_square(g: RationalFunction, extension=None):
     K = num.ring.domain
     if K.is_QQ and extension is not None:
         K = quadratic_field(extension)[0]
-    const, factors = (num * den).sqf_list()
-    s = num.ring.one
-    for f, m in factors:
-        if m % 2 == 1:
-            return None
-        s *= f ** (m // 2)
-    root_c = _field_sqrt(const, K)
+    s_num = _monic_sqrt(num.quo_ground(num.LC))
+    s_den = None if s_num is None else _monic_sqrt(den.quo_ground(den.LC))
+    if s_den is None:
+        return None
+    root_c = _field_sqrt(num.LC / den.LC, K)
     if root_c is None:
         return None
-    h = RationalFunction(MultiPoly.of(g.vars, s).scale(root_c), g.den)
+    h = RationalFunction(MultiPoly.of(g.vars, s_num).scale(root_c),
+                         MultiPoly.of(g.vars, s_den), reduce=False)
     return _sign_normalize(h)

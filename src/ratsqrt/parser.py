@@ -370,6 +370,8 @@ def map_from_json(doc):
         isinstance(t, str) for t in assignments.values()
     ):
         raise SchemaError("'assignments' must map variables to strings")
+    if set(assignments) - set(variables):
+        raise SchemaError("'assignments' may only assign declared variables")
     if ext is not None and not isinstance(ext, str):
         raise SchemaError("'extension' must be a string")
     c = None if ext is None else _extension(ext)

@@ -7,7 +7,9 @@ expanding H(t*q + v) = t*A(v) + B(v) (all lower powers of t vanish by the
 multiplicity hypothesis), the residual intersection of the line through q
 with direction v is t = -B(v)/A(v), giving rational formulas for every
 coordinate.  For degree <= 2 the centre is any regular point of the quadric,
-found by a bounded-height rational scan with a quadratic-extension fallback.
+found by a bounded-height rational scan with a quadratic-extension fallback;
+a quadric with f < 0 on all of R^n has no real point to find, so it goes to
+the fallback at once.
 
 Every constructed map passes through :func:`verify_witness` before leaving
 this module; an unverifiable candidate is discarded, never emitted.
@@ -45,7 +47,9 @@ def point_on_quadric(f: MultiPoly, height=50):
 
     Scans rational x-values in height order looking for f(x) a rational
     square; if the scan fails, the first regular x-value is kept and
-    w = sqrt(f(x)) adjoined as a quadratic irrationality.
+    w = sqrt(f(x)) adjoined as a quadratic irrationality.  When f < 0 on
+    all of R^n (:func:`negative_everywhere`) no value can be a square, so
+    the scan is skipped and the origin, its first tuple, is taken at once.
 
     Returns (coords, extension): the coordinates are QQ elements, except w
     in the fallback, an element of QQ(sqrt(c)) for the rational
@@ -59,6 +63,9 @@ def point_on_quadric(f: MultiPoly, height=50):
         vals = dict(zip(f.vars, x0))
         return any(f.derivative(v).eval_at(vals) for v in f.vars)
 
+    if negative_everywhere(f):
+        c = f.constant_value()
+        return [QQ.one, *[QQ.zero] * len(f.vars), quadratic_field(c)[1]], c
     fallback = None
     budget = max(200, 20 * height)
     for count, x0 in enumerate(_height_tuples(len(f.vars), height), 1):
@@ -76,6 +83,25 @@ def point_on_quadric(f: MultiPoly, height=50):
         raise DegenerateProjection("no usable point found on the quadric")
     x0, c = fallback
     return [QQ.one, *x0, quadratic_field(c)[1]], c
+
+
+def negative_everywhere(f: MultiPoly):
+    """Whether f, of total degree <= 2 with rational coefficients, is < 0
+    at every real point.  Completing the square in each variable in turn,
+    f = a*x^2 + L*x + R has supremum R - L^2/(4a) over x when a < 0, is
+    unbounded when a > 0 or (a = 0 and L != 0), and is R when a = L = 0;
+    the constant left at the end is the maximum of f."""
+    if not f.coefficients_rational() or f.total_degree() > 2:
+        return False
+    g = f.pe
+    for x in g.ring.gens:
+        a = g.coeff(x**2)
+        L = g.diff(x) - x * (2 * a)
+        R = g - x * (x * a + L)
+        if a > 0 or (a == 0 and L):
+            return False
+        g = R - (L * L).quo_ground(4 * a) if a else R
+    return g.coeff(1) < 0
 
 
 @lru_cache(maxsize=16)

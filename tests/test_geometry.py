@@ -136,6 +136,16 @@ class TestTriplePoint:
         F3 = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))).F
         assert triple_point_of_cubic(F3) is None
 
+    @pytest.mark.parametrize("text", [
+        "X^2*Y", "(X + Y - Z)^2*(X - 2*Z)", "Z^2*(X + Y + Z)",
+        "X^3", "(X - Y + 3*Z)^3",
+    ])
+    def test_repeated_factor_rejected(self, text):
+        # l^2*m and l^3 have a triple point; they must not be taken for one
+        F3 = parse_poly(text, ("Z", "X", "Y"))
+        with pytest.raises(NonReduced):
+            triple_point_of_cubic(F3)
+
 
 class TestHighMultSearch:
     def test_quadric_never_certified_empty_without_rank(self):

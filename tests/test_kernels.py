@@ -1,10 +1,12 @@
 """The exact ring kernels against sympy references.
 
 Random small polynomials over QQ, Q(sqrt(2)) and Q(sqrt(-7)) are reduced,
-decomposed and square-tested by the package and by sympy's expression-level
-functions; the parser is checked against sympify on generated texts; the
-rational factorization and norm factorization that unipoly and numberfield
-run on sparse rings are checked the same way.
+decomposed, substituted and square-tested by the package and by sympy's
+expression-level functions; the parser is checked against sympify on
+generated texts; the rational factorization and norm factorization that
+unipoly and numberfield run on sparse rings are checked the same way; the
+"negative everywhere" test of a quadric is checked against the principal
+minors of its Hessian and its maximum.
 """
 
 import ast
@@ -23,11 +25,15 @@ from ratsqrt.errors import ZeroDenominator
 from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
+    RationalMap,
     is_perfect_square,
+    quadratic_field,
     squarefree_part,
+    substitute,
 )
 from ratsqrt.numberfield import NumberField, factor_over_height1
 from ratsqrt.parser import parse_poly, parse_rational
+from ratsqrt.witness import negative_everywhere
 
 VARS = ("X", "Y")
 SYMS = sp.symbols(VARS)
@@ -65,17 +71,17 @@ def field_polys():
     )
 
 
-def _normal_form(num_expr, den_expr):
+def _normal_form(num_expr, den_expr, variables=VARS):
     """sympy's reduced fraction, read back with a graded-lex monic
     denominator."""
     n, d = sp.fraction(sp.cancel(num_expr / den_expr, extension=True))
     g = RationalFunction(
-        MultiPoly.from_sympy(n, VARS), MultiPoly.from_sympy(d, VARS),
+        MultiPoly.from_sympy(n, variables), MultiPoly.from_sympy(d, variables),
         reduce=False,
     )
     # a constant denominator leaves quotients such as 7/(7 - sqrt(-7))
     num = {e: sp.expand(sp.radsimp(c)) for e, c in g.num.terms.items()}
-    return RationalFunction(MultiPoly(VARS, num), g.den, reduce=False)
+    return RationalFunction(MultiPoly(variables, num), g.den, reduce=False)
 
 
 def _extension(theta):
@@ -136,6 +142,138 @@ class TestPerfectSquare:
         lin = MultiPoly(VARS, {(1, 0): 1, (0, 0): -a})
         g = RationalFunction.from_poly(h * h * lin)
         assert is_perfect_square(g, _extension(theta)) is None
+
+    @KERNEL
+    @given(st.sampled_from([None, sp.sqrt(-7)]).flatmap(
+        lambda theta: st.tuples(st.just(theta),
+                                *(element_polys(theta) for _ in range(3)))),
+        st.sampled_from(["h^2", "c*h^2", "h^2*q"]),
+        st.sampled_from([QQ(c) for c in (4, 9, -1, 2, -7, -28)]
+                        + [QQ(9, 4), QQ(-7, 9)]))
+    def test_agrees_with_sqf_list_reference(self, ps, kind, c):
+        theta, a, b, q = ps
+        h = RationalFunction(a, b)
+        g = h * h
+        if kind == "c*h^2":
+            g = g * RationalFunction.from_poly(MultiPoly.const(VARS, c))
+        elif kind == "h^2*q":
+            g = g * RationalFunction.from_poly(q)
+        root = is_perfect_square(g, _extension(theta))
+        assert (root is not None) == _square_reference(g, theta)
+        if root is not None:
+            assert root * root == g
+
+
+def element_polys(theta):
+    """As polys(theta), with coefficients built as elements of QQ(theta)
+    rather than read from sympy numbers, which is slow."""
+    if theta is None:
+        return polys(None)
+    K, root = quadratic_field(int(theta**2))
+    coeff = st.builds(lambda a, b: K.convert(a) + root * K.convert(b),
+                      st.integers(-3, 3), st.integers(-3, 3))
+    term = st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)), coeff)
+    return st.lists(term, max_size=3).map(
+        lambda ts: MultiPoly(VARS, dict(ts))
+    ).filter(lambda p: not p.is_zero())
+
+
+def _square_reference(g, theta):
+    """Whether g = N/D is a square over QQ(theta): every multiplicity of
+    sympy's sqf_list of N and of D even, and t^2 - (the quotient of their
+    constants) split there."""
+    opts = {"domain": "QQ"} if theta is None else {"extension": theta}
+    consts = []
+    for p in (g.num, g.den):
+        const, factors = sp.sqf_list(p.to_sympy(), *SYMS, **opts)
+        if any(m % 2 for _f, m in factors):
+            return False
+        consts.append(const)
+    t = sp.Dummy("t")
+    _c, split = sp.factor_list(t**2 - consts[0] / consts[1], t, **opts)
+    return any(sp.degree(f, t) == 1 for f, _m in split)
+
+
+VARS3 = ("X", "Y", "Z")
+SHARING = {"all shared": (0, 0, 0), "partly shared": (0, 0, 1),
+           "all distinct": (0, 1, 2)}
+
+
+def polys3(degree, size):
+    """Nonzero polynomials over QQ in VARS3 of up to `size` terms, degree
+    at most `degree` in each variable."""
+    exp = st.integers(0, degree)
+    term = st.tuples(st.tuples(exp, exp, exp), _coeff(None))
+    return st.lists(term, max_size=size).map(
+        lambda ts: MultiPoly(VARS3, dict(ts))
+    ).filter(lambda p: not p.is_zero())
+
+
+class TestSubstitute:
+    # over QQ only: reducing such images over Q(sqrt(-7)) can take a minute
+    @KERNEL
+    @given(polys3(2, 4),
+           st.lists(polys3(1, 2), min_size=3, max_size=3),
+           st.lists(polys3(1, 2), min_size=3, max_size=3),
+           st.sampled_from(sorted(SHARING)))
+    def test_matches_sympy_subs(self, f, nums, dens, sharing):
+        assignments = {
+            v: RationalFunction(n, dens[k])
+            for v, n, k in zip(VARS3, nums, SHARING[sharing])
+        }
+        img = substitute(f, RationalMap(VARS3, assignments))
+        syms = sp.symbols(VARS3)
+        expr = sp.together(f.to_sympy().subs(
+            {x: g.num.to_sympy() / g.den.to_sympy()
+             for x, g in zip(syms, assignments.values())},
+            simultaneous=True))
+        assert img == _normal_form(*sp.fraction(expr), VARS3)
+
+
+def _quadratics():
+    """(n, H, b, c): f = x^T H x / 2 + b^T x + c in n variables with H
+    negative definite, positive definite or any nonsingular symmetric
+    integer matrix."""
+    def build(n, kind, entries, b, c):
+        M = sp.Matrix(n, n, entries[:n * n])
+        H = {"negative definite": -(M.T * M + sp.eye(n)),
+             "positive definite": M.T * M + sp.eye(n),
+             "any": M + M.T}[kind]
+        return n, H, sp.Matrix(b[:n]), c
+
+    small = st.integers(-3, 3)
+    return st.builds(
+        build, st.integers(1, 3),
+        st.sampled_from(["negative definite", "positive definite", "any"]),
+        st.lists(small, min_size=9, max_size=9),
+        st.lists(small, min_size=3, max_size=3), st.integers(-6, 6),
+    ).filter(lambda q: q[1].det() != 0)
+
+
+class TestNegativeEverywhere:
+    @KERNEL
+    @given(_quadratics())
+    def test_matches_principal_minors_and_maximum(self, quadratic):
+        n, H, b, c = quadratic
+        xs = sp.Matrix(sp.symbols(VARS3[:n]))
+        f = MultiPoly.from_sympy(
+            sp.expand((xs.T * H * xs)[0] / 2 + (b.T * xs)[0] + c), VARS3[:n])
+        # Sylvester: H < 0 iff its leading minors alternate, starting < 0
+        definite = all((-1) ** k * H[:k, :k].det() > 0
+                       for k in range(1, n + 1))
+        # a nonsingular H that is not negative definite leaves f unbounded
+        top = H.LUsolve(-b)
+        maximum = (top.T * H * top)[0] / 2 + (b.T * top)[0] + c
+        assert negative_everywhere(f) == (definite and maximum < 0)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("-X^2 - 1", True), ("-X^2 + Y - 1", False),
+        ("-(X - Y)^2 - 1", True), ("-(X - Y)^2 + X - Y - 1", True),
+        ("-(X - Y)^2 + X - 1", False), ("-(X - Y)^2 + X - Y", False),
+        ("-3", True), ("0*X - 1", True), ("X - 1", False), ("-X^2", False),
+    ])
+    def test_singular_hessians(self, text, expected):
+        assert negative_everywhere(parse_poly(text, ("X", "Y"))) == expected
 
 
 # -- parser -----------------------------------------------------------------

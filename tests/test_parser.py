@@ -191,6 +191,7 @@ class TestMapSerialization:
         {"variables": "X", "assignments": {"X": "X"}},
         {"variables": ["X"], "assignments": {"X": 1}},
         {"variables": ["X"], "assignments": {"X": "X"}, "eval": "X"},
+        {"variables": ["X"], "assignments": {"Y": "X"}},
     ])
     def test_hostile_document_rejected(self, doc, tmp_path):
         path = tmp_path / "touched"

@@ -1,7 +1,11 @@
 """Construction, composition, and verification of rationalizing maps."""
 
+from itertools import islice
+
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement
 
 from ratsqrt.errors import WrongMultiplicity
 from ratsqrt.geometry import build_model, high_mult_point_search
@@ -13,6 +17,7 @@ from ratsqrt.mpoly import (
 )
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.witness import (
+    _height_tuples,
     compose,
     homogeneous_lift,
     parametrize_from_point,
@@ -76,6 +81,42 @@ class TestPointOnQuadric:
         x = coords[1]
         w = coords[-1]
         assert sp.simplify(w * w - (1 - x * x)) == 0
+
+
+class TestVerifierWork:
+    """The verifier takes exact square roots instead of a squarefree
+    decomposition, and a definite quadric skips the point scan."""
+
+    DEFINITE = "-(2*X^2 + X*Y + 3*Y^2 + 5)"
+
+    def test_no_squarefree_decomposition(self, monkeypatch):
+        f = parse_poly(self.DEFINITE)
+        m, _h = quadric_witness(f)
+        image = substitute(f, m)
+        calls = []
+        for name in ("sqf_list", "cancel"):
+            kernel = getattr(PolyElement, name)
+
+            def spy(self, *args, _name=name, _kernel=kernel, **kwargs):
+                calls.append(_name)
+                return _kernel(self, *args, **kwargs)
+
+            monkeypatch.setattr(PolyElement, name, spy)
+        assert verify_witness(m, f) is not None
+        assert "sqf_list" not in calls
+        calls.clear()
+        assert is_perfect_square(image, m.extension) is not None
+        assert calls == []
+
+    def test_definite_quadric_takes_the_origin(self):
+        f = parse_poly(self.DEFINITE)
+        coords, ext = point_on_quadric(f)
+        assert coords[:-1] == [1, 0, 0] and ext == -5
+        # the scan it skips: no value among its first 1,000 tuples is a
+        # rational square
+        for x0 in islice(_height_tuples(2, 50), 1000):
+            value = QQ.to_sympy(f.eval_at(dict(zip(f.vars, x0))))
+            assert not sp.sqrt(value).is_rational
 
 
 class TestParametrize:
