@@ -5,8 +5,9 @@ Two one-directional criteria are implemented:
 * If the alphabet is rationalizable, every product over a non-empty index
   subset is rationalizable as a single square root; contrapositively, the
   first subset product decided NotRationalizable certifies the whole
-  alphabet NotRationalizable (phase 1).  Subsets are enumerated smallest
-  first so the cheapest certificate wins.
+  alphabet NotRationalizable (phase 1).  Subsets are decided in
+  certification order, singletons first and then the largest subsets, and
+  each product is built only when its turn comes.
 
 * A Rationalizable outcome requires an explicit simultaneous witness:
   roots are rationalized sequentially — rationalize one, substitute the
@@ -47,7 +48,7 @@ from .mpoly import (
     squarefree_part,
     substitute,
 )
-from .witness import compose, verify_witness
+from .witness import compose, homogeneous_lift, verify_witness
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,15 @@ class AlphabetVerdict:
 
 
 def subset_products(roots, cap=12):
-    """All non-empty index subsets with squarefree-reduced products.
+    """The non-empty index subsets with their squarefree-reduced products,
+    built lazily in certification order.
 
-    Enumeration order: by subset size, then lexicographically, so singleton
-    certificates come first.  `roots` is a list of MultiPoly over a common
-    variable tuple.
+    Singletons come first (cheap, common), then sizes n down to 2, each size
+    in lexicographic order.  Larger products accumulate degree, and the
+    degree criteria only certify non-rationalizability above degree
+    thresholds, so the richest certificates live at the top; this keeps the
+    emitted certificate aligned with the worked reference alphabets.
+    `roots` is a list of MultiPoly over a common variable tuple.
     """
     if not roots:
         raise ValueError("empty alphabet")
@@ -92,7 +97,7 @@ def subset_products(roots, cap=12):
             " raise max_subset_size explicitly to proceed"
         )
     n = len(roots)
-    for size in range(1, n + 1):
+    for size in (1, *range(n, 1, -1)):
         for J in combinations(range(n), size):
             prod = roots[J[0]]
             for j in J[1:]:
@@ -112,7 +117,8 @@ def _common_ring(roots):
 
 def _shared_dehomogenization(roots):
     """Apply one dehomogenization variable to an all-even homogeneous
-    alphabet; returns (variable or None, transformed roots)."""
+    alphabet of squarefree roots; returns (variable or None, transformed
+    roots)."""
     for f in roots:
         d = is_homogeneous(f)
         if d is None or d % 2 == 1:
@@ -122,13 +128,9 @@ def _shared_dehomogenization(roots):
     if not eff:
         return None, roots
     var = eff[-1]
-    out = []
-    for f in roots:
-        if f.degree_in(var) > 0:
-            out.append(dehomogenize(f, var))
-        else:
-            out.append(squarefree_part(f))
-    _, out = _common_ring(out)
+    _, out = _common_ring(
+        [dehomogenize(f, var) if f.degree_in(var) > 0 else f for f in roots]
+    )
     return var, out
 
 
@@ -143,16 +145,15 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     labels = [l for l, _f in roots]
     universe, polys = _common_ring([f for _l, f in roots])
     verdictnotes = []
-    originals = list(polys)
-    polys = [squarefree_part(f) for f in polys]
-    for l, f, g in zip(labels, originals, polys):
+    reduced = [squarefree_part(f) for f in polys]
+    for l, f, g in zip(labels, polys, reduced):
         if f.total_degree() > 8 and g.total_degree() < f.total_degree():
             verdictnotes.append(
                 f"root {l} contains square factors of high degree; if it"
                 " arose from an earlier substitution, analysing the"
                 " original alphabet is more decisive"
             )
-    dehom_var, polys = _shared_dehomogenization(polys)
+    dehom_var, polys = _shared_dehomogenization(reduced)
     if dehom_var is not None:
         verdictnotes.append(
             f"all roots homogeneous of even degree: shared dehomogenization"
@@ -160,14 +161,7 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         )
     trace = []
     singleton = {}
-    # Certification order: singletons first (cheap, common), then larger
-    # subsets before smaller ones.  Larger products accumulate degree, and
-    # the degree criteria only certify non-rationalizability above degree
-    # thresholds, so the richest certificates live at the top; this keeps
-    # the emitted certificate aligned with the worked reference alphabets.
-    subsets = list(subset_products(polys, config.max_subset_size))
-    subsets.sort(key=lambda jp: (0, jp[0]) if len(jp[0]) == 1 else (1, -len(jp[0]), jp[0]))
-    for J, prod in subsets:
+    for J, prod in subset_products(polys, config.max_subset_size):
         v = decide(prod, None, config)
         entry = {
             "subset": [labels[j] for j in J],
@@ -200,10 +194,10 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     if blocked:
         verdictnotes.extend(blocked)
         return AlphabetVerdict(INCONCLUSIVE, None, None, trace, verdictnotes)
-    m = sequential_rationalize(
+    found = sequential_rationalize(
         polys, config, extra_witnesses=extra_witnesses
     )
-    if m is None:
+    if found is None:
         verdictnotes.append(
             "no simultaneous witness found within the search budget; the"
             " subset criterion alone cannot prove rationalizability"
@@ -211,8 +205,8 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         return AlphabetVerdict(INCONCLUSIVE, None, None, trace, verdictnotes)
     # lift through the shared dehomogenization when one was applied
     if dehom_var is not None:
-        lift_res = _lift_alphabet_witness(m, originals, dehom_var)
-        if lift_res is None:
+        found = _lift_alphabet_witness(found[0], reduced, dehom_var)
+        if found is None:
             verdictnotes.append(
                 "simultaneous witness found for the dehomogenized roots but"
                 " its homogeneous lift failed verification"
@@ -220,38 +214,30 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
             return AlphabetVerdict(
                 INCONCLUSIVE, None, None, trace, verdictnotes
             )
-        m = lift_res
-        polys = [squarefree_part(f) for f in originals]
-    squares = {}
-    for l, f in zip(labels, polys):
-        h = verify_witness(m, f)
-        if h is None:
-            # the gate inside sequential_rationalize makes this unreachable
-            return AlphabetVerdict(
-                INCONCLUSIVE, None, None, trace,
-                verdictnotes + ["final verification unexpectedly failed"],
-            )
-        squares[l] = rf_str(h)
+    m, roots_of_images = found
+    squares = {l: rf_str(h) for l, h in zip(labels, roots_of_images)}
     return AlphabetVerdict(
         RATIONALIZABLE, m, None, trace, verdictnotes, squares
     )
 
 
-def _lift_alphabet_witness(m, originals, dehom_var):
-    from .witness import homogeneous_lift
-
-    reduced = [squarefree_part(f) for f in originals]
-    hom = next(
-        (f for f in reduced if f.degree_in(dehom_var) > 0), reduced[0]
+def _lift_alphabet_witness(m, reduced, dehom_var):
+    """Lift a witness of the dehomogenized roots to the reduced homogeneous
+    roots: (lifted map, [square root of each image]), or None."""
+    k = next(
+        (i for i, f in enumerate(reduced) if f.degree_in(dehom_var) > 0), 0
     )
-    lifted = homogeneous_lift(m, hom, dehom_var)
+    lifted = homogeneous_lift(m, reduced[k], dehom_var)
     if lifted is None:
         return None
-    lifted_map = lifted[0]
-    for f in reduced:
-        if verify_witness(lifted_map, f) is None:
-            return None
-    return lifted_map
+    lifted_map, h = lifted
+    hs = [
+        h if i == k else verify_witness(lifted_map, f)
+        for i, f in enumerate(reduced)
+    ]
+    if any(g is None for g in hs):
+        return None
+    return lifted_map, hs
 
 
 def _obstruction_note(v: Verdict):
@@ -268,13 +254,14 @@ def _obstruction_note(v: Verdict):
 
 
 def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
-    """Search for one map rationalizing every root, or None.
+    """Search for one map rationalizing every root: (map, [square root of
+    each root's image]), or None.
 
     Tries root orderings (up to the configured budget) and, per step,
     witness candidates for the current reduced image; each accepted witness
     is composed into the running substitution, which is finally verified
-    against all original roots.  Failure is not a non-rationalizability
-    proof.
+    against all original roots, and that check yields the square roots.
+    Failure is not a non-rationalizability proof.
     """
     config = config or DEFAULT_CONFIG
     universe, roots = _common_ring(list(roots))
@@ -284,17 +271,21 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
 
     def candidates(f):
         out = [w for w in extra if verify_witness(w, f) is not None]
+        # decide verified its witness against f, which is already reduced
         v = decide(f, None, config)
-        if v.witness is not None and verify_witness(v.witness, f) is not None:
+        if v.witness is not None:
             out.append(v.witness)
         return out
 
     def extend(m, remaining):
         if not remaining:
+            hs = []
             for f in roots:
-                if verify_witness(m, f) is None:
+                h = verify_witness(m, f)
+                if h is None:
                     return None
-            return m
+                hs.append(h)
+            return m, hs
         f = remaining[0]
         img = substitute(f, m)
         if is_perfect_square(img, m.extension) is not None:
@@ -315,11 +306,11 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
         count += 1
         if count > config.ordering_budget:
             break
-        m = extend(
+        found = extend(
             RationalMap.identity(universe), [roots[i] for i in order]
         )
-        if m is not None:
-            return m
+        if found is not None:
+            return found
     return None
 
 

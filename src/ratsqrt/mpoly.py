@@ -433,18 +433,6 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     return MultiPoly.of(p.vars, out)
 
 
-def radical(p: MultiPoly) -> MultiPoly:
-    """Product of all distinct irreducible factors (reduced form), monic."""
-    if p.is_zero():
-        raise ZeroRadicand("radical of zero is undefined")
-    if p.is_constant():
-        return MultiPoly.const(p.vars, 1)
-    out = p.pe.ring.one
-    for f, _m in p.pe.sqf_list()[1]:
-        out *= f
-    return MultiPoly.of(p.vars, out).monic()
-
-
 def is_squarefree(p: MultiPoly) -> bool:
     if p.is_zero():
         return False

@@ -269,6 +269,16 @@ def infer_variables(texts):
 # alphabet documents
 
 
+def _json_document(doc):
+    """The value a JSON text encodes; any other doc is returned as it is."""
+    if not isinstance(doc, str):
+        return doc
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON: {e}") from None
+
+
 def _check_variables(variables):
     if not isinstance(variables, list) or not all(
         isinstance(v, str) and _IDENT.fullmatch(v) for v in variables
@@ -284,11 +294,7 @@ def load_alphabet(doc):
 
     Returns (variables, [(label, radicand MultiPoly), ...]).
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e}") from None
+    doc = _json_document(doc)
     if not isinstance(doc, dict):
         raise SchemaError("alphabet document must be a JSON object")
     unknown = set(doc) - {"variables", "roots"}
@@ -327,10 +333,6 @@ def load_alphabet(doc):
 # substitution-map round-trip
 
 
-def map_to_json(m: RationalMap):
-    return m.to_json()
-
-
 _SQRT_ATOM = re.compile(r"sqrt\(([0-9]+)\)(\*I)?|I")
 
 
@@ -354,11 +356,7 @@ def _extension(text):
 def map_from_json(doc):
     """A RationalMap from its JSON form (dict or string); see
     RationalMap.to_json.  Malformed documents raise SchemaError."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e}") from None
+    doc = _json_document(doc)
     if not isinstance(doc, dict) or set(doc) - {"variables", "assignments",
                                                  "extension"}:
         raise SchemaError("a map is an object with 'variables', 'assignments'"

@@ -30,10 +30,6 @@ def deg(p):
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def is_zero(p):
-    return not p
-
-
 def add(p, q):
     n = max(len(p), len(q))
     out = []
@@ -163,16 +159,6 @@ def radical(p):
     quo, r = divmod_poly(p, g)
     assert not r
     return monic(quo)
-
-
-def evaluate(p, x):
-    """Horner evaluation at a field element x."""
-    if not p:
-        return x - x
-    acc = p[-1]
-    for c in reversed(p[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 def valuation(p):

@@ -11,8 +11,10 @@ found by a bounded-height rational scan with a quadratic-extension fallback;
 a quadric with f < 0 on all of R^n has no real point to find, so it goes to
 the fallback at once.
 
-Every constructed map passes through :func:`verify_witness` before leaving
-this module; an unverifiable candidate is discarded, never emitted.
+Every map passes through :func:`verify_witness` before it is emitted:
+:func:`quadric_witness` and :func:`homogeneous_lift` check what they build,
+and the callers of :func:`projection_witness` check its map against their
+radicand.  An unverifiable candidate is discarded, never emitted.
 """
 
 from __future__ import annotations
@@ -238,7 +240,8 @@ def quadric_witness(f: MultiPoly, height=50):
 
 def projection_witness(V: MultiPoly, point):
     """Witness from a rational multiplicity-(D-1) point on the hypersurface
-    closure V (AlgebraicPoint from the geometry search); verified or None."""
+    closure V (AlgebraicPoint from the geometry search), or None.  The map
+    is not verified here; the caller checks it against its radicand."""
     if point.field is not None:
         return None
     try:
@@ -260,18 +263,16 @@ def homogeneous_lift(inner: RationalMap, hom_f: MultiPoly, dehom_var: str):
     xn = MultiPoly.var(ring, dehom_var)
     xn_rf = RationalFunction.from_poly(xn)
     frac_map = RationalMap(
-        inner.source_vars,
+        ring,
         {
             v: RationalFunction(MultiPoly.var(ring, v), xn)
             for v in inner.source_vars
         },
     )
-    assignments = {}
-    for v, g in inner.assignments.items():
-        num_img = substitute(g.num, frac_map)
-        den_img = substitute(g.den, frac_map)
-        assignments[v] = xn_rf * (num_img / den_img)
-    assignments[dehom_var] = RationalFunction.from_poly(xn)
+    assignments = {
+        v: xn_rf * g for v, g in compose(inner, frac_map).assignments.items()
+    }
+    assignments[dehom_var] = xn_rf
     lifted = RationalMap(ring, assignments, extension=inner.extension)
     h = verify_witness(lifted, hom_f)
     if h is None:

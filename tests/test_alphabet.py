@@ -2,6 +2,7 @@
 
 import pytest
 
+from ratsqrt import alphabet
 from ratsqrt.alphabet import (
     decide_alphabet,
     sequential_rationalize,
@@ -14,7 +15,7 @@ from ratsqrt.engine import (
     Config,
 )
 from ratsqrt.errors import TooManyRoots
-from ratsqrt.mpoly import RationalMap, is_squarefree
+from ratsqrt.mpoly import RationalMap, is_squarefree, rf_str, substitute
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.witness import verify_witness
 
@@ -40,11 +41,34 @@ class TestSubsetProducts:
             assert is_squarefree(prod)
 
     def test_enumeration_order(self):
-        polys = [f for _l, f in HIGGS]
-        sizes = [len(J) for J, _p in subset_products(polys)]
-        assert sizes == sorted(sizes)
-        singles = [J for J, _p in subset_products(polys) if len(J) == 1]
-        assert singles == [(0,), (1,), (2,)]
+        # certification order: singletons, then sizes n down to 2, each
+        # size in lexicographic order
+        polys = [f for _l, f in DIJET]
+        order = [J for J, _p in subset_products(polys)]
+        assert order[:6] == [(0,), (1,), (2,), (3,), (4,), (0, 1, 2, 3, 4)]
+        assert order[6:11] == [
+            (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4),
+            (1, 2, 3, 4),
+        ]
+        sizes = [len(J) for J in order[5:]]
+        assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 2
+        for size in range(2, 6):
+            block = [J for J in order[5:] if len(J) == size]
+            assert block == sorted(block)
+        assert len(order) == len(set(order)) == 2 ** 5 - 1
+
+    def test_products_built_lazily(self, monkeypatch):
+        # a consumer that stops after k subsets pays for k products only
+        calls = []
+        real = alphabet.squarefree_part
+        monkeypatch.setattr(
+            alphabet, "squarefree_part", lambda p: calls.append(p) or real(p)
+        )
+        polys = [f for _l, f in DIJET]
+        gen = subset_products(polys)
+        for _ in range(7):
+            next(gen)
+        assert len(calls) == 7
 
     def test_singletons_reproduce_inputs(self):
         polys = [f for _l, f in PAIR]
@@ -120,6 +144,50 @@ class TestDecideAlphabet:
         assert v.outcome == RATIONALIZABLE
         assert v.witness is not None
 
+    def test_stops_at_the_certificate(self, monkeypatch):
+        # products after the certificate are never multiplied or reduced
+        yielded = []
+        real = alphabet.subset_products
+
+        def counting(*args, **kwargs):
+            for item in real(*args, **kwargs):
+                yielded.append(item[0])
+                yield item
+
+        monkeypatch.setattr(alphabet, "subset_products", counting)
+        v = decide_alphabet(HIGGS + [("g1", parse_poly("X + 9", ("X",)))])
+        assert v.outcome == NOT_RATIONALIZABLE
+        assert len(yielded) == len(v.trace) < 2 ** 4 - 1
+        assert yielded[-1] == v.certificate.indices
+
+    def test_one_witness_check_per_root(self, monkeypatch):
+        # after the search, the final gate checks each root once and its
+        # square roots become the report's root_squares
+        calls = []
+        real = alphabet.verify_witness
+        monkeypatch.setattr(
+            alphabet, "verify_witness",
+            lambda m, f: calls.append((m, f)) or real(m, f),
+        )
+        v = decide_alphabet(PAIR)
+        assert v.outcome == RATIONALIZABLE
+        assert len(calls) == len(PAIR)
+        assert all(m == v.witness for m, _f in calls)
+        assert [f for _m, f in calls] == [f for _l, f in PAIR]
+        assert set(v.root_squares) == {"f1", "f2"}
+
+    def test_homogeneous_alphabet_lifts_its_witness(self):
+        # an all-even homogeneous alphabet is solved dehomogenized and the
+        # witness lifted back; the lifted map rationalizes every root
+        hom = roots("X*Y", "Y*Z", "X*Z", vs=("X", "Y", "Z"))
+        v = decide_alphabet(hom)
+        assert any(n.startswith("all roots homogeneous") for n in v.notes)
+        assert v.outcome == RATIONALIZABLE
+        for label, f in hom:
+            h = verify_witness(v.witness, f)
+            assert h is not None
+            assert v.root_squares[label] == rf_str(h)
+
     def test_permutation_invariant_outcome(self):
         import itertools
 
@@ -132,10 +200,13 @@ class TestDecideAlphabet:
 class TestSequentialSearch:
     def test_pair_solution_verifies(self):
         polys = [f for _l, f in PAIR]
-        m = sequential_rationalize(polys)
-        assert m is not None
-        for f in polys:
-            assert verify_witness(m, f) is not None
+        found = sequential_rationalize(polys)
+        assert found is not None
+        m, hs = found
+        assert len(hs) == len(polys)
+        for f, h in zip(polys, hs):
+            assert h == verify_witness(m, f)
+            assert h * h == substitute(f, m)
 
     def test_dead_end_recovery(self):
         # X -> X^4 + 1 rationalizes X - 1 but turns X - 2 into the
@@ -144,14 +215,17 @@ class TestSequentialSearch:
         polys = [f for _l, f in PAIR]
         assert verify_witness(bad, polys[0]) is not None
         assert verify_witness(bad, polys[1]) is None
-        m = sequential_rationalize(polys, extra_witnesses=[bad])
-        assert m is not None
-        for f in polys:
-            assert verify_witness(m, f) is not None
+        found = sequential_rationalize(polys, extra_witnesses=[bad])
+        assert found is not None
+        m, hs = found
+        assert m != bad
+        for f, h in zip(polys, hs):
+            assert h is not None and h == verify_witness(m, f)
 
     def test_single_root(self):
-        m = sequential_rationalize([parse_poly("X - 1", ("X",))])
-        assert m is not None
+        f = parse_poly("X - 1", ("X",))
+        m, (h,) = sequential_rationalize([f])
+        assert h * h == substitute(f, m)
 
     def test_failure_is_none_not_a_proof(self):
         # roots that are individually fine but given no ordering budget

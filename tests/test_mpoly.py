@@ -19,7 +19,6 @@ from ratsqrt.mpoly import (
     is_squarefree,
     mgcd,
     poly_str,
-    radical,
     radicand_reduce,
     rf_str,
     squarefree_part,
@@ -95,9 +94,8 @@ class TestFactorization:
             ratio = RationalFunction(p, f)
             assert is_perfect_square(ratio) is not None
 
-    def test_radical_vs_squarefree_part(self):
+    def test_squarefree_part_drops_even_factors(self):
         p = P("(X - 1)^2*(X + 1)", ("X",))
-        assert radical(p).monic() == P("(X - 1)*(X + 1)", ("X",)).monic()
         assert squarefree_part(p).monic() == P("X + 1", ("X",)).monic()
 
     def test_radicand_reduce(self):

@@ -24,7 +24,6 @@ from ratsqrt.parser import (
     infer_variables,
     load_alphabet,
     map_from_json,
-    map_to_json,
     parse_poly,
     parse_rational,
 )
@@ -149,7 +148,7 @@ class TestMapSerialization:
         m = RationalMap(
             ("X",), {"X": parse_rational("(2*X)/(X^2 + 1)", ("X",))}
         )
-        doc = map_to_json(m)
+        doc = m.to_json()
         back = map_from_json(doc)
         assert back.source_vars == m.source_vars
         assert back.assignments["X"] == m.assignments["X"]
@@ -167,11 +166,11 @@ class TestMapSerialization:
         _vars, roots = load_alphabet(
             {"roots": [{"radicand": text} for text in alphabet]})
         m = decide_alphabet(roots, Config()).witness
-        doc = map_to_json(m)
+        doc = m.to_json()
         assert doc["extension"] == extension
         back = map_from_json(json.dumps(doc))
         assert back == m and back.extension == m.extension
-        assert map_to_json(back) == doc
+        assert back.to_json() == doc
         for _label, f in roots:
             assert verify_witness(back, f) is not None
 

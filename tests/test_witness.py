@@ -192,6 +192,15 @@ class TestHomogeneousLift:
         m, h = lifted
         assert h * h == substitute(hom, m)
 
+    def test_lift_of_a_polynomial_map(self):
+        # constant denominators lift too: X1 -> X1^2 rationalizes X1, so
+        # X1 -> X1^2/X2, X2 -> X2 rationalizes X1*X2
+        hom = parse_poly("X1*X2", ("X1", "X2"))
+        inner = RationalMap(("X1",), {"X1": parse_rational("X1^2", ("X1",))})
+        m, h = homogeneous_lift(inner, hom, "X2")
+        assert m.assignments["X1"] == parse_rational("X1^2/X2", ("X1", "X2"))
+        assert h * h == substitute(hom, m)
+
     def test_lift_quartic(self):
         hom = parse_poly("X1^4 + X2^4 + X3^4", ("X1", "X2", "X3"))
         from ratsqrt.engine import decide
