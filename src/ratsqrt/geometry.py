@@ -10,20 +10,21 @@ For a squarefree radicand f of degree d in n variables this module builds:
   is singular exactly over the singular points of B, with germs of the same
   ADE type).
 
-Two searches share one solver (:func:`_lex_solve`): a lex Groebner basis
-over QQ, then triangular back-substitution over a number-field tower of
-height at most two.  The basis [1] certifies an empty system, a
-zero-dimensional basis is solved exactly, and a positive-dimensional one is
-cut by rational hyperplanes until a point turns up.
-
-* Singular points of B: the zeros of (g, g_x, g_y) in the chart s = 1 come
-  from the solver, those on the line s = 0 from univariate gcds.  They are
-  grouped into Galois conjugacy classes, and each class is classified once
-  over its tower (:mod:`ratsqrt.localanalysis`).
-* Points of multiplicity D - 1 on a hypersurface (projection centres for
-  explicit witnesses): the order-(D-2) partial derivatives are quadrics, so
-  a full-rank quadric span certifies emptiness, and otherwise the solver
-  takes every affine chart, in any number of unknowns.
+Three searches share one chart loop (:func:`_vanishing_points`): the
+singular points of B (order-1 partials), the triple point of a plane cubic
+(order 2) and the points of multiplicity D - 1 on a hypersurface (order
+D - 2, projection centres for explicit witnesses).  By the Euler identity
+each is the common zero set of every partial derivative of one order.
+Chart c sets coordinate c to 1 and every earlier coordinate to 0, so the
+charts partition projective space and each point turns up once, in the
+chart of its first nonzero coordinate.  Each chart goes to one solver
+(:func:`_lex_solve`): a lex Groebner basis over QQ, then triangular
+back-substitution over a number-field tower of height at most two.  The
+basis [1] certifies an empty chart, a zero-dimensional basis is solved
+exactly, and a positive-dimensional one is cut by rational hyperplanes
+until a point turns up.  Singular points of B are grouped into Galois
+conjugacy classes, and each class is classified once over its tower
+(:mod:`ratsqrt.localanalysis`).
 
 Polynomials are exponent dicts with coefficients in sympy's QQ.
 """
@@ -34,18 +35,11 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from sympy.polys.domains import QQ
 from sympy.polys.groebnertools import groebner
-from sympy.polys.matrices import DomainMatrix
 
 from . import unipoly as up
 from .errors import NonReduced, TowerTooDeep
-from .localanalysis import (
-    _row_reduce_rank,
-    classify_germ,
-    lp_derivative,
-    lp_multiplicity,
-)
+from .localanalysis import classify_germ, lp_derivative, lp_multiplicity
 from .mpoly import MultiPoly, _ring, homogenize, is_squarefree
 from .numberfield import (
     NFElem,
@@ -220,7 +214,7 @@ def build_model(f: MultiPoly) -> GeometricModel:
 
 
 # --------------------------------------------------------------------------
-# back-substitution, shared by the singular points and the point search
+# back-substitution and the chart loop, shared by every point search
 
 
 def _specialize(terms, field, coords):
@@ -242,8 +236,8 @@ def _extend(field, coords, g):
     """Extend a partial solution by each root of g (one per conjugacy class).
 
     g is a coefficient list of degree >= 1 over `field`.  Returns
-    (field', coords', degree of the root) triples, or None when the roots
-    would need a tower level above the height-2 cap.
+    (field', coords') pairs, or None when the roots would need a tower
+    level above the height-2 cap.
     """
     g = up.radical(up.monic(g))
     if up.deg(g) == 1:
@@ -257,13 +251,114 @@ def _extend(field, coords, g):
     out = []
     for f in factors:
         if up.deg(f) == 1:
-            out.append((field, coords + (-f[0] / f[1],), 1))
+            out.append((field, coords + (-f[0] / f[1],)))
         else:
             K = NumberField(field, "a" if field is None else "b", up.monic(f))
-            out.append(
-                (K, tuple(K.lift(c) for c in coords) + (K.gen(),), up.deg(f))
-            )
+            out.append((K, tuple(K.lift(c) for c in coords) + (K.gen(),)))
     return out
+
+
+def _order_partials(terms, order, nvars):
+    """All distinct nonzero order-`order` partial derivatives."""
+    seen = {}
+    for combo in combinations_with_replacement(range(nvars), order):
+        d = dict(terms)
+        for axis in combo:
+            d = lp_derivative(d, axis)
+            if not d:
+                break
+        if d:
+            key = tuple(sorted(d.items()))
+            seen[key] = d
+    return [seen[k] for k in sorted(seen)]
+
+
+def _vanishing_points(terms, order, nvars):
+    """Common zeros of every order-`order` partial of a form, chart by chart.
+
+    Yields (chart, [(field, proj)], complete) for chart = 0..nvars-1.  Chart
+    c sets coordinate c to 1 and every earlier coordinate to 0, so the
+    charts partition projective space and :func:`_lex_solve` has
+    nvars - 1 - c unknowns; `proj` is the full coordinate tuple of a point
+    and `complete` certifies that the chart's list is exhaustive.
+    """
+    partials = _order_partials(terms, order, nvars)
+    for chart in range(nvars):
+        polys = [restrict_chart({e[chart:]: c for e, c in p.items()
+                                 if not any(e[:chart])}, 0)
+                 for p in partials]
+        sols, complete = _lex_solve(polys, nvars - 1 - chart)
+        points = [
+            (fld, (field_coerce(fld, 0),) * chart + (field_one(fld),) + coords)
+            for fld, coords in sols
+        ]
+        yield chart, points, complete
+
+
+# hyperplanes x_i = c tried, in order, on a free variable of a
+# positive-dimensional system
+_CUTS = (0, 1, -1, 2, -2)
+
+
+def _lex_solve(polys, k):
+    """Common zeros of exponent dicts in k unknowns x_0..x_{k-1}.
+
+    Returns (solutions, complete): each solution is a (field, coords) pair
+    over a tower of height <= 2, one per Galois conjugacy class, and
+    `complete` certifies that the list covers every common zero over the
+    algebraic closure.  The lex Groebner basis with x_{k-1} > ... > x_0 is
+    triangular: [1] means no zero, a pure-power leading monomial in every
+    variable means finitely many, solved level by level from x_0 up.  A
+    positive-dimensional system is cut by hyperplanes on its lowest free
+    variable until a point turns up, and is never complete.  With k = 0 the
+    system is a list of constants: any nonzero one leaves no solution, and
+    otherwise the single solution is the empty tuple.
+    """
+    names = tuple(f"x{i}" for i in reversed(range(k)))
+    ring = _ring(names)
+    gens = [ring.from_dict({e[::-1]: c for e, c in p.items()})
+            for p in polys if p]
+    return _solve_ideal(gens, ring, k)
+
+
+def _solve_ideal(gens, ring, k):
+    basis = groebner(gens, ring) if gens else []
+    if any(g.is_ground for g in basis):
+        return [], True
+    pure = {e.index(max(e)) for e in (g.LM for g in basis) if sum(e) == max(e)}
+    free = [i for i in range(k) if k - 1 - i not in pure]
+    if free:
+        x = ring.gens[k - 1 - free[0]]
+        for c in _CUTS:
+            sols, _ = _solve_ideal(basis + [x - c], ring, k)
+            if sols:
+                return sols, False
+        return [], False
+    # level j: the basis elements in x_0..x_j only that involve x_j
+    levels = [[] for _ in range(k)]
+    for g in basis:
+        terms = {e[::-1]: c for e, c in g.terms()}
+        j = max(i for e in terms for i, n in enumerate(e) if n)
+        levels[j].append(terms)
+    partial = [(None, ())]
+    complete = True
+    for level in levels:
+        grown = []
+        for field, coords in partial:
+            eqs = [_specialize(t, field, coords) for t in level]
+            eqs = [s for s in eqs if s]
+            g = eqs[0]
+            for s in eqs[1:]:
+                g = up.gcd(g, s)
+            if up.deg(g) < 1:
+                continue
+            roots = _extend(field, coords, g)
+            if roots is None:
+                complete = False
+                continue
+            grown.extend(roots)
+        partial = grown
+    return partial, complete
 
 
 # --------------------------------------------------------------------------
@@ -274,47 +369,25 @@ def singular_points(B: MultiPoly):
     """All singular points of a reduced plane projective curve, one
     representative per Galois conjugacy class, with multiplicities.
 
-    Chart layout for coordinates (s, y1, y2): chart 0 covers s != 0,
-    chart 1 covers s = 0, y1 != 0, chart 2 only the point (0:0:1); the
-    charts partition the plane, so no cross-chart duplicates arise.
+    The singular points are the common zeros of the first partials, taken
+    chart by chart by :func:`_vanishing_points`: for coordinates
+    (s, y1, y2), chart 0 covers s != 0 (two unknowns), chart 1 covers
+    s = 0, y1 != 0 (one unknown) and chart 2 the point (0:0:1) alone.  A
+    chart that is not solved completely has infinitely many singular
+    points, which happens exactly when B has a repeated factor (s^2 | B
+    included), and raises NonReduced.
     """
     if len(B.vars) != 3:
         raise ValueError("singular_points expects a plane projective curve")
     terms = _terms(B)
-    g0 = restrict_chart(terms, 0)
-    sols, finite = _lex_solve([g0, lp_derivative(g0, 0), lp_derivative(g0, 1)], 2)
-    # B is squarefree iff its chart-0 curve g0 is (has finitely many
-    # singular points) and s^2 does not divide B
-    if not finite or min(e[0] for e in terms) >= 2:
-        raise NonReduced("branch curve must be squarefree")
     results = []
-    for fld, (x0, y0) in sols:
-        size = 1 if fld is None else fld.absolute_degree()
-        pt = AlgebraicPoint(fld, (field_coerce(fld, 1), x0, y0), 0, size)
-        results.append((pt, _multiplicity(terms, pt)))
-    # chart 1: y1 = 1, restricted to s = 0
-    g1 = restrict_chart(terms, 1)  # variables (s, y2)
-    u0 = _specialize(g1, None, (QQ.zero,))          # g1(0, y)
-    u1 = _specialize(lp_derivative(g1, 0), None, (QQ.zero,))
-    u2 = up.derivative(u0)
-    G = []
-    for u in (u0, u1, u2):
-        if u:
-            G = up.gcd(G, u) if G else up.monic(list(u))
-    if up.deg(G) >= 1:
-        for fld, (y0,), size in _extend(None, (), G):
-            pt = AlgebraicPoint(
-                fld, (field_coerce(fld, 0), field_coerce(fld, 1), y0), 1, size
-            )
-            m = _multiplicity(terms, pt)
-            if m >= 2:
-                results.append((pt, m))
-    # chart 2: the single point (0:0:1)
-    g2 = restrict_chart(terms, 2)  # variables (s, y1)
-    m = lp_multiplicity(g2) if g2 else 0
-    if g2 and m >= 2:
-        pt = AlgebraicPoint(None, (QQ.zero, QQ.zero, QQ.one), 2, 1)
-        results.append((pt, m))
+    for chart, points, complete in _vanishing_points(terms, 1, 3):
+        if not complete:
+            raise NonReduced("branch curve must be squarefree")
+        for fld, proj in points:
+            size = 1 if fld is None else fld.absolute_degree()
+            pt = AlgebraicPoint(fld, proj, chart, size)
+            results.append((pt, _multiplicity(terms, pt)))
     results.sort(key=lambda pm: pm[0].sort_key())
     return results
 
@@ -374,32 +447,25 @@ def all_simple(model: GeometricModel):
 def triple_point_of_cubic(F: MultiPoly):
     """A point where all second partials of a squarefree plane cubic vanish.
 
-    The second partials of a cubic are linear forms, so this is exact
-    kernel computation; by the Euler identity a common zero of all
-    order-2 partials of a homogeneous cubic has multiplicity exactly 3.
+    The second partials of a cubic are linear forms, so
+    :func:`_vanishing_points` solves a linear system in each chart and the
+    first chart with a zero gives the point; by the Euler identity a common
+    zero of all order-2 partials of a homogeneous cubic has multiplicity
+    exactly 3.
     """
     if len(F.vars) != 3 or F.total_degree() != 3:
         raise ValueError("expected a homogeneous cubic in three variables")
-    terms = _terms(F)
-    rows = []
-    for i, j in combinations_with_replacement(range(3), 2):
-        d = lp_derivative(lp_derivative(terms, i), j)
-        row = [QQ(0)] * 3
-        for e, c in d.items():
-            row[e.index(1)] = c
-        rows.append(row)
-    kernel = DomainMatrix(rows, (len(rows), 3), QQ).nullspace().to_list()
-    if not kernel:
+    for chart, points, _complete in _vanishing_points(_terms(F), 2, 3):
+        if points:
+            break
+    else:
         return None
     # a cubic with a repeated factor (l^2*m, l^3) has a triple point, so
-    # only a nonempty kernel needs the check; for a squarefree cubic the
-    # kernel is at most a line, since a cubic in one linear form is a cube
+    # only a found point needs the check; for a squarefree cubic the zeros
+    # form at most one point, since a cubic in one linear form is a cube
     if not is_squarefree(F):
         raise NonReduced("cubic must be squarefree")
-    vec = kernel[0]
-    piv = next(i for i, x in enumerate(vec) if x)
-    vec = [x / vec[piv] for x in vec]
-    pt = AlgebraicPoint(None, tuple(vec), piv, 1)
+    pt = AlgebraicPoint(None, points[0][1], chart, 1)
     assert multiplicity_at(F, pt) == 3
     return pt
 
@@ -408,135 +474,28 @@ def triple_point_of_cubic(F: MultiPoly):
 # search for points of multiplicity D - 1 on a hypersurface
 
 
-def _order_partials(terms, order, nvars):
-    """All distinct nonzero order-`order` partial derivatives."""
-    seen = {}
-    for combo in combinations_with_replacement(range(nvars), order):
-        d = dict(terms)
-        for axis in combo:
-            d = lp_derivative(d, axis)
-            if not d:
-                break
-        if d:
-            key = tuple(sorted(d.items()))
-            seen[key] = d
-    return [seen[k] for k in sorted(seen)]
-
-
-# hyperplanes x_i = c tried, in order, on a free variable of a
-# positive-dimensional system
-_CUTS = (0, 1, -1, 2, -2)
-
-
-def _lex_solve(polys, k):
-    """Common zeros of exponent dicts in k unknowns x_0..x_{k-1}.
-
-    Returns (solutions, complete): each solution is a (field, coords) pair
-    over a tower of height <= 2, one per Galois conjugacy class, and
-    `complete` certifies that the list covers every common zero over the
-    algebraic closure.  The lex Groebner basis with x_{k-1} > ... > x_0 is
-    triangular: [1] means no zero, a pure-power leading monomial in every
-    variable means finitely many, solved level by level from x_0 up.  A
-    positive-dimensional system is cut by hyperplanes on its lowest free
-    variable until a point turns up, and is never complete.
-    """
-    names = tuple(f"x{i}" for i in reversed(range(k)))
-    ring = _ring(names)
-    gens = [ring.from_dict({e[::-1]: c for e, c in p.items()})
-            for p in polys if p]
-    return _solve_ideal(gens, ring, k)
-
-
-def _solve_ideal(gens, ring, k):
-    basis = groebner(gens, ring) if gens else []
-    if any(g.is_ground for g in basis):
-        return [], True
-    pure = {e.index(max(e)) for e in (g.LM for g in basis) if sum(e) == max(e)}
-    free = [i for i in range(k) if k - 1 - i not in pure]
-    if free:
-        x = ring.gens[k - 1 - free[0]]
-        for c in _CUTS:
-            sols, _ = _solve_ideal(basis + [x - c], ring, k)
-            if sols:
-                return sols, False
-        return [], False
-    # level j: the basis elements in x_0..x_j only that involve x_j
-    levels = [[] for _ in range(k)]
-    for g in basis:
-        terms = {e[::-1]: c for e, c in g.terms()}
-        j = max(i for e in terms for i, n in enumerate(e) if n)
-        levels[j].append(terms)
-    partial = [(None, ())]
-    complete = True
-    for level in levels:
-        grown = []
-        for field, coords in partial:
-            eqs = [_specialize(t, field, coords) for t in level]
-            eqs = [s for s in eqs if s]
-            g = eqs[0]
-            for s in eqs[1:]:
-                g = up.gcd(g, s)
-            if up.deg(g) < 1:
-                continue
-            roots = _extend(field, coords, g)
-            if roots is None:
-                complete = False
-                continue
-            grown.extend((fld, pt) for fld, pt, _d in roots)
-        partial = grown
-    return partial, complete
-
-
 def high_mult_point_search(H: MultiPoly):
     """Search for a point of multiplicity D - 1 on the degree-D hypersurface H.
 
     Returns (point or None, certified_empty).  By the Euler identity the
     multiplicity-(D-1) locus is the common zero set of the order-(D-2)
-    partials, which are quadrics: a full-rank quadric span certifies
-    emptiness immediately; otherwise each affine chart is solved by
-    :func:`_lex_solve`, whatever its number of unknowns.  Every candidate
-    is checked by :func:`multiplicity_at`.  certified_empty is True only
-    when every chart was solved completely (no positive-dimensional part,
-    no root above the tower cap) and no point was found, so a missing
-    point is a nonexistence proof exactly then.
+    partials, which are quadrics; :func:`_vanishing_points` solves them
+    chart by chart, chart c in the unknowns after coordinate c, whatever
+    their number.  Every candidate is checked by :func:`multiplicity_at`.
+    certified_empty is True only when every chart was solved completely
+    (no positive-dimensional part, no root above the tower cap) and no
+    point was found, so a missing point is a nonexistence proof exactly
+    then.
     """
-    terms = _terms(H)
-    nvars = len(H.vars)
     D = H.total_degree()
     if D < 2:
         raise ValueError("hypersurface degree must be at least 2")
-    quadrics = _order_partials(terms, D - 2, nvars)
-    if not quadrics:
-        return None, False
-    # full-span shortcut: the only common zero of a complete quadric system
-    # is the origin, which is not a projective point
-    monos = list(combinations_with_replacement(range(nvars), 2))
-    mono_index = {}
-    for i, j in monos:
-        e = [0] * nvars
-        e[i] += 1
-        e[j] += 1
-        mono_index[tuple(e)] = len(mono_index)
-    rows = []
-    for q in quadrics:
-        row = [QQ.zero] * len(mono_index)
-        for e, c in q.items():
-            row[mono_index[e]] = c
-        rows.append(row)
-    if _row_reduce_rank(rows, None) == len(mono_index):
-        return None, True
     best = None
     certified = True
-    for chart in range(nvars):
-        sols, complete = _lex_solve(
-            [restrict_chart(q, chart) for q in quadrics], nvars - 1
-        )
+    charts = _vanishing_points(_terms(H), D - 2, len(H.vars))
+    for chart, points, complete in charts:
         certified = certified and complete
-        for fld, coords in sols:
-            proj = coords[:chart] + (field_coerce(fld, 1),) + coords[chart:]
-            piv = next(i for i, c in enumerate(proj) if c)
-            if piv != chart:
-                continue  # canonical form handled by an earlier chart
+        for fld, proj in points:
             pt = AlgebraicPoint(fld, proj, chart, 1)
             try:
                 m = multiplicity_at(H, pt)

@@ -99,8 +99,12 @@ def _coerce(c):
     if isinstance(c, sp.Basic) and not c.is_Rational:
         c = sp.expand(sp.radsimp(c))
         if not c.is_Rational:
-            K = quadratic_field(sp.expand((c - c.as_coeff_Add()[0]) ** 2))[0]
-            return K, K.from_sympy(c)
+            # c = a + rest with rest = b*sqrt(n) = +-sqrt(rest^2); reading
+            # it so is much cheaper than K.from_sympy(c)
+            a, rest = c.as_coeff_Add()
+            K, root = quadratic_field(sp.expand(rest**2))
+            sign = QQ.from_sympy(rest / sp.sqrt(rest**2))
+            return K, root * sign + QQ.from_sympy(a)
     return QQ, _qq(c)
 
 

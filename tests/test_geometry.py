@@ -1,10 +1,17 @@
 """Projective models, singular loci, and the high-multiplicity point search."""
 
+from itertools import combinations_with_replacement
+
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from ratsqrt import geometry
 from ratsqrt.errors import NonReduced
+from ratsqrt.localanalysis import lp_derivative
 from ratsqrt.geometry import (
     AlgebraicPoint,
     all_simple,
@@ -93,6 +100,46 @@ class TestSingularPoints:
         assert len(pairs) == 1
         assert pairs[0].field is not None
 
+    def test_points_at_infinity_in_charts_1_and_2(self):
+        # Y = 0 and Y = 1 meet the four lines X^2 = -1, X^2 = 2 in four
+        # conjugate pairs; at infinity the two horizontal lines meet in a
+        # node (0:1:0) and the four vertical ones in (0:0:1)
+        B = build_model(
+            parse_poly("Y*(X^2+1)*(X^2-2)*(Y-1)", ("X", "Y"))
+        ).B
+        pts = singular_points(B)
+        assert [(p.chart, p.class_size, m) for p, m in pts if p.chart == 0] \
+            == [(0, 2, 2)] * 4
+        # reference for chart 1: gcd of B, B_s and B_y2 on s = 0, y1 = 1
+        s, y1, y2 = sp.symbols(B.vars)
+        b = B.to_sympy()
+        on_line = [sp.Poly(e.subs({s: 0, y1: 1}), y2)
+                   for e in (b, sp.diff(b, s), sp.diff(b, y2))]
+        g = on_line[0]
+        for e in on_line[1:]:
+            g = sp.gcd(g, e)
+        chart1 = [(p.proj, m) for p, m in pts if p.chart == 1]
+        assert [(0, 1, r) for r in sp.roots(g)] == [pr for pr, _m in chart1]
+        assert [m for _pr, m in chart1] == [2]
+        # reference for chart 2: the least degree of B(s, y1, 1)
+        at_pole = sp.Poly(b.subs(y2, 1), s, y1)
+        least = min(sum(e) for e in at_pole.monoms())
+        assert least == 4
+        assert [(p.proj, m) for p, m in pts if p.chart == 2] \
+            == [((0, 0, 1), least)]
+
+    def test_chart_c_solves_the_unknowns_after_coordinate_c(self, monkeypatch):
+        ks = []
+        solve = geometry._lex_solve
+        monkeypatch.setattr(geometry, "_lex_solve",
+                            lambda polys, k: ks.append(k) or solve(polys, k))
+        singular_points(build_model(parse_poly("X^4 + Y^4 + 1", ("X", "Y"))).B)
+        assert ks == [2, 1, 0]
+        ks.clear()
+        V = build_model(parse_poly("X1^4 + X2^4 + 1", ("X1", "X2"))).V
+        assert high_mult_point_search(V) == (None, True)
+        assert ks == [3, 2, 1, 0]
+
     def test_deterministic_order(self):
         B = build_model(bhabha_radicand()).B
         a = [p.sort_key() for p, _m in singular_points(B)]
@@ -147,7 +194,79 @@ class TestTriplePoint:
             triple_point_of_cubic(F3)
 
 
+def _nullspace_triple_point(F):
+    """Reference: the kernel of the six second-partial rows of a cubic,
+    normalized at its first nonzero entry, as (chart, coordinates)."""
+    terms = dict(F.pe.terms())
+    rows = []
+    for i, j in combinations_with_replacement(range(3), 2):
+        row = [QQ(0)] * 3
+        for e, c in lp_derivative(lp_derivative(terms, i), j).items():
+            row[e.index(1)] = c
+        rows.append(row)
+    kernel = DomainMatrix(rows, (len(rows), 3), QQ).nullspace().to_list()
+    if not kernel:
+        return None
+    vec = kernel[0]
+    piv = next(i for i, x in enumerate(vec) if x)
+    return piv, tuple(x / vec[piv] for x in vec)
+
+
+def _triple_point(F):
+    pt = triple_point_of_cubic(F)
+    return None if pt is None else (pt.chart, pt.proj)
+
+
+_ZXY = ("z", "X", "Y")
+_small = st.integers(-3, 3)
+
+
+class TestTriplePointReference:
+    @pytest.mark.parametrize("text, chart", [
+        ("X*(X-z)*(X+2*z)", 2), ("Y*(Y-z)*(Y+2*z)", 1),
+        ("(X-z)*(Y-2*z)*(X+Y-3*z)", 0),
+    ])
+    def test_concurrent_lines(self, text, chart):
+        F = parse_poly(text, _ZXY)
+        assert _triple_point(F) == _nullspace_triple_point(F)
+        assert _triple_point(F)[0] == chart
+
+    @pytest.mark.parametrize("text", ["X^3+Y^3+z^3", "z*X*Y"])
+    def test_no_triple_point(self, text):
+        F = parse_poly(text, _ZXY)
+        assert _triple_point(F) is None is _nullspace_triple_point(F)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(_small, _small, _small),
+           st.lists(st.tuples(_small, _small, _small), min_size=3, max_size=3))
+    def test_three_lines_through_a_rational_point(self, p, us):
+        # each line u x p passes through p; three distinct lines meet there
+        assume(any(p))
+        lines = [(u[1] * p[2] - u[2] * p[1], u[2] * p[0] - u[0] * p[2],
+                  u[0] * p[1] - u[1] * p[0]) for u in us]
+        assume(all(any(l) for l in lines))
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            cross = (lines[a][1] * lines[b][2] - lines[a][2] * lines[b][1],
+                     lines[a][2] * lines[b][0] - lines[a][0] * lines[b][2],
+                     lines[a][0] * lines[b][1] - lines[a][1] * lines[b][0])
+            assume(any(cross))
+        F = parse_poly("*".join(f"({a}*z+({b})*X+({c})*Y)"
+                                for a, b, c in lines), _ZXY)
+        got = _triple_point(F)
+        assert got == _nullspace_triple_point(F)
+        chart = next(i for i, x in enumerate(p) if x)
+        assert got == (chart, tuple(QQ(x, p[chart]) for x in p))
+
+
 class TestHighMultSearch:
+    def test_point_at_infinity_in_chart_2(self):
+        # W^2 = X^3 + Y: the closure z*w^2 = X^3 + Y*z^2 is singular only
+        # at (z:X:Y:w) = (0:0:1:0)
+        V = build_model(parse_poly("X^3 + Y", ("X", "Y"))).V
+        pt, certified = high_mult_point_search(V)
+        assert not certified
+        assert (pt.chart, pt.proj) == (2, (0, 0, 1, 0))
+
     def test_quadric_never_certified_empty_without_rank(self):
         # cusp surface: W^2 = X^3 - Y^2 has a double point at the origin
         V = build_model(parse_poly("X^3 - Y^2", ("X", "Y"))).V
@@ -194,6 +313,10 @@ def _solve(*texts):
 
 
 class TestLexSolve:
+    def test_zero_unknowns(self):
+        assert geometry._lex_solve([{(): QQ(3)}], 0) == ([], True)
+        assert geometry._lex_solve([{}, {}], 0) == ([(None, ())], True)
+
     def test_empty_system_is_certified(self):
         assert _solve("x0^2 + 1", "x0*x1 - 1", "x1") == ([], True)
 

@@ -474,3 +474,28 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert "fractions" not in names, path.name
+
+
+def test_one_polynomial_system_solver():
+    """Every polynomial system goes through geometry._solve_ideal: it is the
+    only caller of groebner, and no module does linear algebra through
+    sympy.polys.matrices."""
+    callers = set()
+    for path in sorted(Path(ratsqrt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = []
+            assert not any(n.startswith("sympy.polys.matrices")
+                           for n in names), path.name
+            if isinstance(node, ast.FunctionDef):
+                callers.update(
+                    (path.stem, node.name) for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and "groebner" in (getattr(call.func, "id", None),
+                                       getattr(call.func, "attr", None))
+                )
+    assert callers == {("geometry", "_solve_ideal")}

@@ -8,6 +8,7 @@ import sympy as sp
 from ratsqrt.errors import OddDegree, ZeroDenominator
 from ratsqrt.mpoly import (
     MultiPoly,
+    _coerce,
     RationalFunction,
     RationalMap,
     dehomogenize,
@@ -186,3 +187,18 @@ class TestPerfectSquare:
     def test_constant_squares(self):
         assert is_perfect_square(parse_rational("9/4", ("X",))) is not None
         assert is_perfect_square(parse_rational("-4", ("X",))) is None
+
+
+class TestCoerce:
+    @pytest.mark.parametrize("c", [
+        sp.sqrt(2), 3 - 2 * sp.sqrt(2) / 5, -sp.sqrt(12),
+        sp.sqrt(sp.Rational(2, 9)), sp.I, 1 - sp.sqrt(-7), -4 - 7 * sp.I / 3,
+        (1 + sp.sqrt(3)) / (2 - sp.sqrt(3)),
+    ])
+    def test_surd_matches_from_sympy(self, c):
+        # the sign of b in a + b*sqrt(n) is read off without K.from_sympy
+        K, elem = _coerce(c)
+        assert elem == K.from_sympy(sp.expand(sp.radsimp(c)))
+
+    def test_rational_stays_rational(self):
+        assert _coerce(sp.Rational(-3, 4))[0].is_QQ
