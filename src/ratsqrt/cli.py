@@ -52,12 +52,13 @@ def _add_common(p):
     p.add_argument("--json", metavar="PATH", help="write the JSON report")
     p.add_argument("--witness", action="store_true", help="print the witness")
     p.add_argument("--trace", action="store_true", help="print certificate steps")
-    p.add_argument("--max-height", type=int, default=50, metavar="N",
-                   help="rational point-scan height bound")
-    p.add_argument("--max-subset-size", type=int, default=12, metavar="K",
+    p.add_argument("--max-height", type=int, default=Config.max_height,
+                   metavar="N", help="rational point-scan height bound")
+    p.add_argument("--max-subset-size", type=int,
+                   default=Config.max_subset_size, metavar="K",
                    help="alphabet size cap for subset enumeration")
-    p.add_argument("--timeout", type=float, default=30.0, metavar="SECONDS",
-                   help="per-rule soft time budget")
+    p.add_argument("--timeout", type=float, default=Config.timeout,
+                   metavar="SECONDS", help="per-rule soft time budget")
 
 
 def _build_parser():
@@ -75,8 +76,8 @@ def _build_parser():
 
     p = sub.add_parser("alphabet", help="decide a set of square roots")
     p.add_argument("input", nargs="+",
-                   help="path to an alphabet JSON document, or radicand"
-                   " expressions (one per root)")
+                   help="path to an alphabet JSON document (*.json), or"
+                   " radicand expressions (one per root)")
     _add_common(p)
 
     p = sub.add_parser("singularities",
@@ -152,13 +153,10 @@ def _print_singularity_rows(rows):
 
 
 def _load_alphabet_arg(inputs, variables):
-    if len(inputs) == 1:
-        text = inputs[0]
-        looks_like_path = text.endswith(".json") or "/" in text
-        if looks_like_path:
-            with open(text) as fh:
-                doc = json.load(fh)
-            return doc, load_alphabet(doc)
+    if len(inputs) == 1 and inputs[0].endswith(".json"):
+        with open(inputs[0]) as fh:
+            doc = json.load(fh)
+        return doc, load_alphabet(doc)
     doc = {"roots": [{"radicand": t} for t in inputs]}
     if variables:
         doc["variables"] = list(variables)

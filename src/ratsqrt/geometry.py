@@ -31,15 +31,19 @@ Polynomials are exponent dicts with coefficients in sympy's QQ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
-from math import comb
 
 from sympy.polys.groebnertools import groebner
 
 from . import unipoly as up
 from .errors import NonReduced, TowerTooDeep
-from .localanalysis import classify_germ, lp_derivative, lp_multiplicity
+from .localanalysis import (
+    classify_germ,
+    lp_derivative,
+    lp_multiplicity,
+    lp_translate,
+)
 from .mpoly import MultiPoly, _ring, homogenize, is_squarefree
 from .numberfield import (
     NFElem,
@@ -65,12 +69,6 @@ def _terms(p: MultiPoly):
     return dict(p.pe.terms())
 
 
-def _lift_terms(terms, field):
-    if field is None:
-        return dict(terms)
-    return {e: field.from_rational(c) for e, c in terms.items()}
-
-
 def restrict_chart(terms, index):
     """Set coordinate `index` to 1 in an exponent-dict polynomial."""
     out = {}
@@ -78,29 +76,6 @@ def restrict_chart(terms, index):
         ne = e[:index] + e[index + 1 :]
         out[ne] = out.get(ne, 0) + c
     return {e: c for e, c in out.items() if c}
-
-
-def nvar_translate(terms, shift, field):
-    """f(x + a) for an exponent-dict polynomial and a point over `field`."""
-    cur = {e: field_coerce(field, c) for e, c in terms.items()}
-    one = field_one(field)
-    for k, a in enumerate(shift):
-        a = field_coerce(field, a)
-        if not a:
-            continue
-        nxt = {}
-        for e, c in cur.items():
-            i = e[k]
-            for t in range(i + 1):
-                coeff = c * (comb(i, t) * (a ** (i - t) if i > t else one))
-                ne = e[:k] + (t,) + e[k + 1 :]
-                s = nxt.get(ne, 0) + coeff if ne in nxt else coeff
-                if s:
-                    nxt[ne] = s
-                elif ne in nxt:
-                    del nxt[ne]
-        cur = nxt
-    return cur
 
 
 # --------------------------------------------------------------------------
@@ -113,13 +88,16 @@ class AlgebraicPoint:
 
     `proj` is the full coordinate tuple with the pivot (chart) coordinate
     equal to 1 and every earlier coordinate zero; `class_size` is the number
-    of Galois conjugates represented by this point.
+    of Galois conjugates represented by this point.  :func:`singular_points`
+    keeps in `germ` the curve's equation translated so that the point is the
+    origin of its chart; the other searches leave it None.
     """
 
     field: object  # None (rationals) or NumberField
     proj: tuple
     chart: int
     class_size: int = 1
+    germ: dict | None = dc_field(default=None, compare=False, repr=False)
 
     def coords_str(self):
         return tuple(elem_str(c) for c in self.proj)
@@ -375,7 +353,8 @@ def singular_points(B: MultiPoly):
     s = 0, y1 != 0 (one unknown) and chart 2 the point (0:0:1) alone.  A
     chart that is not solved completely has infinitely many singular
     points, which happens exactly when B has a repeated factor (s^2 | B
-    included), and raises NonReduced.
+    included), and raises NonReduced.  Each point's germ is built once,
+    kept on the point for classification, and gives its multiplicity.
     """
     if len(B.vars) != 3:
         raise ValueError("singular_points expects a plane projective curve")
@@ -386,37 +365,25 @@ def singular_points(B: MultiPoly):
             raise NonReduced("branch curve must be squarefree")
         for fld, proj in points:
             size = 1 if fld is None else fld.absolute_degree()
-            pt = AlgebraicPoint(fld, proj, chart, size)
-            results.append((pt, _multiplicity(terms, pt)))
+            germ = _germ(terms, chart, proj)
+            pt = AlgebraicPoint(fld, proj, chart, size, germ)
+            results.append((pt, lp_multiplicity(germ)))
     results.sort(key=lambda pm: pm[0].sort_key())
     return results
 
 
-def _germ(terms, p):
-    """An exponent dict restricted to the chart of p and translated so that
-    p is the origin."""
-    chart_terms = restrict_chart(terms, p.chart)
-    coords = tuple(c for i, c in enumerate(p.proj) if i != p.chart)
-    return nvar_translate(_lift_terms(chart_terms, p.field), coords, p.field)
-
-
-def _multiplicity(terms, p):
-    germ = _germ(terms, p)
-    return lp_multiplicity(germ) if germ else 0
+def _germ(terms, chart, proj):
+    """An exponent dict restricted to a chart and translated so that the
+    point `proj` of that chart is the origin."""
+    return lp_translate(restrict_chart(terms, chart),
+                        proj[:chart] + proj[chart + 1 :])
 
 
 def multiplicity_at(g: MultiPoly, p: AlgebraicPoint) -> int:
     """Least total degree after translating p to the origin of its chart;
     0 means the point is not on {g = 0}."""
-    return _multiplicity(_terms(g), p)
-
-
-def classify_singularity(B: MultiPoly, p: AlgebraicPoint) -> SingularityRecord:
-    """ADE classification of the branch-curve germ at p."""
-    cls = classify_germ(_germ(_terms(B), p), p.field)
-    return SingularityRecord(
-        p, cls.multiplicity, cls.mu, cls.label(), cls.cone_shape
-    )
+    germ = _germ(_terms(g), p.chart, p.proj)
+    return lp_multiplicity(germ) if germ else 0
 
 
 def all_simple(model: GeometricModel):
@@ -426,18 +393,18 @@ def all_simple(model: GeometricModel):
     the reduced branch curve (the u-partial forces u = 0), and the germ
     u^2 = g(x, y) is a Du Val singularity of the same letter and index as
     the plane germ g; so the surface-side hypothesis is checked entirely
-    on B.
+    on B.  Each point is classified on the germ :func:`singular_points`
+    built for it.
     """
     if model.B is None:
         raise ValueError("all_simple requires the bivariate branch curve")
     records = []
-    ok = True
     for pt, _m in singular_points(model.B):
-        rec = classify_singularity(model.B, pt)
-        records.append(rec)
-        if not rec.simple:
-            ok = False
-    return ok, records
+        cls = classify_germ(pt.germ)
+        records.append(SingularityRecord(
+            pt, cls.multiplicity, cls.mu, cls.label(), cls.cone_shape
+        ))
+    return all(rec.simple for rec in records), records
 
 
 # --------------------------------------------------------------------------

@@ -2,21 +2,24 @@
 
 A germ is a bivariate polynomial in local coordinates (u, v) centred at the
 origin, stored as a dict mapping exponent pairs (i, j) to nonzero
-coefficients.  Coefficients live in an exact field K: sympy's QQ elements
-when K is the rationals, :class:`~ratsqrt.numberfield.NFElem` otherwise; the
-`field` argument of each routine is None or the NumberField accordingly.
+coefficients.  Coefficients live in an exact field K: sympy's QQ elements,
+or :class:`~ratsqrt.numberfield.NFElem` of one number field, freely mixed.
+Every coefficient carries its field and combines with plain ints, so no
+routine takes a field argument.
 
 The module provides:
 
-* multiplicity, tangent cone and its shape (for cubic cones: three distinct
-  lines / double plus simple line / triple line, decided by the binary-cubic
-  discriminant and Hessian);
+* translation of an exponent dict in any number of variables;
+* multiplicity, tangent cone and, for cubic cones, the shape (three
+  distinct lines / double plus simple line / triple line) together with
+  the repeated direction, both read from one gcd(p, p') with
+  p(t) = cone(1, t);
 * blowup strict transforms in both charts;
 * the Milnor number of an isolated germ, computed by two independent
   methods that are cross-checked on every call — a Euclidean recursion for
   the intersection multiplicity of the two partial derivatives, and the
   dimension of the jet-truncated local algebra K[u,v]/((f_u, f_v) + m^N)
-  stabilized in N;
+  stabilized in N — each stopped at the fixed cap DEFAULT_MULT_CAP;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple), with multiplicity >= 4 immediately NonSimple.
 """
@@ -28,10 +31,10 @@ from math import comb
 
 from . import unipoly as up
 from .errors import NonIsolated, WrongMultiplicity
-from .numberfield import field_coerce, field_one, field_zero
 
-# cap on the accumulated intersection multiplicity before declaring the
-# germ non-isolated; generous for the curve degrees this package meets
+# cap on the accumulated intersection multiplicity and the jet dimension
+# before declaring the germ non-isolated; generous for the curve degrees
+# this package meets
 DEFAULT_MULT_CAP = 400
 
 
@@ -112,27 +115,36 @@ def lp_divide_v(P):
     return {(i, j - 1): c for (i, j), c in P.items()}
 
 
-def lp_blowup_finite(P, t0, field):
+def lp_translate(P, shift):
+    """P(x + shift) for an exponent dict in any number of variables."""
+    for k, a in enumerate(shift):
+        if not a:
+            continue
+        out = {}
+        for e, c in P.items():
+            i = e[k]
+            for t in range(i + 1):
+                ct = c * (comb(i, t) * a ** (i - t)) if t < i else c
+                ne = e[:k] + (t,) + e[k + 1 :]
+                s = out.get(ne, 0) + ct if ne in out else ct
+                if s:
+                    out[ne] = s
+                elif ne in out:
+                    del out[ne]
+        P = out
+    return P
+
+
+def lp_blowup_finite(P, t0):
     """Strict transform in the chart (u, v) -> (u, u*(t0 + v)).
 
     The centre direction is the line v = t0*u; the result is
-    f(u, u*(t0+v)) / u^m with m the multiplicity.
+    f(u, u*(t0+v)) / u^m with m the multiplicity: the chart map
+    (i, j) -> (i + j - m, j), then the translation by (0, t0).
     """
     m = lp_multiplicity(P)
-    t0 = field_coerce(field, t0)
-    one = field_one(field)
-    out = {}
-    for (i, j), c in P.items():
-        # u^i * u^j * (t0 + v)^j, then shift u-exponent down by m
-        for l in range(j + 1):
-            cl = c * (comb(j, l) * (t0 ** (j - l) if j > l else one))
-            e = (i + j - m, l)
-            s = out.get(e, 0) + cl if e in out else cl
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+    chart = {(i + j - m, j): c for (i, j), c in P.items()}
+    return lp_translate(chart, (0, t0))
 
 
 def lp_blowup_infinite(P):
@@ -149,120 +161,78 @@ DOUBLE_PLUS_SIMPLE = "DoublePlusSimpleLine"
 TRIPLE_LINE = "TripleLine"
 
 
-def cubic_cone_shape(cone, field):
-    """Shape of a nonzero binary cubic form, decided exactly over K.
+def cubic_cone(cone):
+    """Shape and repeated direction of a nonzero binary cubic form over K.
 
-    Writes the cone as a*u^3 + b*u^2 v + c*u v^2 + d*v^3 and uses the
-    discriminant 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 (nonzero iff
-    the three roots are distinct over the algebraic closure) and the Hessian
-    (identically zero iff the form is a perfect cube of a linear form).
+    With p(t) = cone(1, t), the line u = 0 has multiplicity 3 - deg p, and
+    the highest multiplicity of a line v = t*u is 1 + deg gcd(p, p'), since
+    a cubic has at most one repeated root.  Returns (shape, direction): the
+    direction is None for three distinct lines, ('infinite',) for u = 0 and
+    ('finite', t0) for v = t0*u.  A repeated direction is fixed by the
+    Galois action, so t0 lies in K; with gcd(p, p') = (t - t0)^k it is read
+    off the coefficient of t^(k-1), and the field is never extended.
     """
-    z = field_zero(field)
-    a = cone.get((3, 0), z)
-    b = cone.get((2, 1), z)
-    c = cone.get((1, 2), z)
-    d = cone.get((0, 3), z)
-    disc = (
-        18 * (a * b * c * d)
-        - 4 * (b * b * b * d)
-        + b * b * c * c
-        - 4 * (a * c * c * c)
-        - 27 * (a * a * d * d)
-    )
-    if disc:
-        return THREE_DISTINCT_LINES
-    hess = (b * b - 3 * (a * c), b * c - 9 * (a * d), c * c - 3 * (b * d))
-    if not any(hess):
-        return TRIPLE_LINE
-    return DOUBLE_PLUS_SIMPLE
+    p = up.trim([cone.get((3 - j, j), 0) for j in range(4)])
+    g = up.gcd(p, up.derivative(p))
+    at_infinity = 3 - up.deg(p)
+    k = up.deg(g)
+    shape = (THREE_DISTINCT_LINES, DOUBLE_PLUS_SIMPLE,
+             TRIPLE_LINE)[max(at_infinity, 1 + k) - 1]
+    if at_infinity >= 2:
+        return shape, ("infinite",)
+    if k >= 1:
+        return shape, ("finite", -g[k - 1] / k)
+    return shape, None
 
 
-def repeated_cone_directions(cone, field):
-    """Directions of multiplicity >= 2 in a binary form, each K-rational.
-
-    A direction is ('finite', t0) for the line v = t0*u or ('infinite',)
-    for the line u = 0.  Any direction of multiplicity >= 2 in a form over K
-    is fixed by the Galois action (repeated multiplicities single it out),
-    hence has a K-rational slope; this extracts it with univariate gcds
-    over K and never extends the field.
-    """
-    m = lp_multiplicity(cone)
-    # p(t) = cone(1, t): coefficient of t^j is the (m-j, j) coefficient
-    p = [0] * (m + 1)
-    for (i, j), c in cone.items():
-        p[j] = c
-    zero = field_zero(field)
-    p = up.trim([c if c else zero for c in p])
-    out = []
-    if m - up.deg(p) >= 2:
-        out.append(("infinite",))
-    if up.deg(p) >= 1:
-        g = up.gcd(p, up.derivative(p))
-        if up.deg(g) >= 1:
-            r = up.radical(g)
-            if up.deg(r) != 1:
-                # distinct repeated slopes would be separately Galois-stable
-                # and hence rational; a cubic cone admits at most one
-                raise WrongMultiplicity(
-                    "unexpected repeated-direction structure in tangent cone"
-                )
-            out.append(("finite", -r[0] / r[1]))
-    return out
-
-
-def strict_transform_at(P, direction, field):
+def strict_transform_at(P, direction):
     if direction[0] == "infinite":
         return lp_blowup_infinite(P)
-    return lp_blowup_finite(P, direction[1], field)
+    return lp_blowup_finite(P, direction[1])
 
 
 # --------------------------------------------------------------------------
 # Milnor number, two independent routes
 
 
-def _intersection_rec(P, Q, field, budget):
+def intersection_multiplicity(P, Q):
     """Intersection multiplicity of the germs P, Q at the origin.
 
     Euclidean recursion on the restrictions to v = 0: swap so the restriction
     of P has the smaller degree, cancel the leading term of Q's restriction
     with a monomial multiple of P, and split off factors of v when a
-    restriction vanishes.  `budget` caps the accumulated multiplicity;
-    exceeding it means the germs share a component (non-isolated).
+    restriction vanishes.  An accumulated multiplicity that reaches
+    DEFAULT_MULT_CAP means the germs share a component (non-isolated).
     """
-    if not P or not Q:
-        raise NonIsolated("intersection with the zero germ is infinite")
-    if lp_eval_origin(P) or lp_eval_origin(Q):
-        return 0
-    if budget <= 0:
-        raise NonIsolated("intersection multiplicity exceeds the cap")
-    f = lp_restrict_u(P)
-    g = lp_restrict_u(Q)
-    if not f and not g:
-        raise NonIsolated("both germs are divisible by v")
-    if not f:
-        # P = v * P1: I(P, Q) = I(v, Q) + I(P1, Q), and I(v, Q) = val_u g
-        return up.valuation(g) + _intersection_rec(
-            lp_divide_v(P), Q, field, budget - up.valuation(g)
-        )
-    if not g:
-        return up.valuation(f) + _intersection_rec(
-            P, lp_divide_v(Q), field, budget - up.valuation(f)
-        )
-    if up.deg(f) > up.deg(g):
-        return _intersection_rec(Q, P, field, budget)
-    # cancel the top coefficient of g with a monomial multiple of P
-    c = g[-1] / f[-1]
-    k = up.deg(g) - up.deg(f)
-    shift = {(k, 0): -c}
-    Q2 = lp_add(Q, lp_mul(shift, P))
-    return _intersection_rec(P, Q2, field, budget)
+    P, Q = lp_clean(P), lp_clean(Q)
+    total = 0
+    while True:
+        if not P or not Q:
+            raise NonIsolated("intersection with the zero germ is infinite")
+        if lp_eval_origin(P) or lp_eval_origin(Q):
+            return total
+        if total >= DEFAULT_MULT_CAP:
+            raise NonIsolated("intersection multiplicity exceeds the cap")
+        f = lp_restrict_u(P)
+        g = lp_restrict_u(Q)
+        if not f and not g:
+            raise NonIsolated("both germs are divisible by v")
+        if not f:
+            # P = v * P1: I(P, Q) = I(v, Q) + I(P1, Q), and I(v, Q) = val_u g
+            total += up.valuation(g)
+            P = lp_divide_v(P)
+        elif not g:
+            total += up.valuation(f)
+            Q = lp_divide_v(Q)
+        else:
+            if up.deg(f) > up.deg(g):
+                P, Q, f, g = Q, P, g, f
+            # cancel the top coefficient of g with a monomial multiple of P
+            shift = {(up.deg(g) - up.deg(f), 0): -(g[-1] / f[-1])}
+            Q = lp_add(Q, lp_mul(shift, P))
 
 
-def intersection_multiplicity(P, Q, field, budget=DEFAULT_MULT_CAP):
-    return _intersection_rec(lp_clean(P), lp_clean(Q), field, budget)
-
-
-def _row_reduce_rank(rows, field):
+def _row_reduce_rank(rows):
     """Rank of a list of coefficient-vector rows over the exact field."""
     rank = 0
     rows = [list(r) for r in rows if any(r)]
@@ -277,7 +247,7 @@ def _row_reduce_rank(rows, field):
                         row[i] = row[i] - c * prow[i]
         for col in range(ncols):
             if row[col]:
-                inv = field_one(field) / row[col]
+                inv = 1 / row[col]
                 row = [x * inv for x in row]
                 pivot_rows.append((row, col))
                 rank += 1
@@ -285,11 +255,10 @@ def _row_reduce_rank(rows, field):
     return rank
 
 
-def _jet_quotient_dim(fu, fv, N, field):
+def _jet_quotient_dim(fu, fv, N):
     """dim_K K[u,v] / ((fu, fv) + m^N) via a truncated-monomial matrix."""
     monos = [(i, j) for d in range(N) for i in range(d + 1) for j in [d - i]]
     index = {m: k for k, m in enumerate(monos)}
-    z = field_zero(field)
     rows = []
     for gen in (fu, fv):
         mult = lp_multiplicity(gen) if gen else N
@@ -297,7 +266,7 @@ def _jet_quotient_dim(fu, fv, N, field):
             for b in range(N - a):
                 if a + b + mult >= N:
                     continue
-                row = [z] * len(monos)
+                row = [0] * len(monos)
                 nonzero = False
                 for (i, j), c in gen.items():
                     e = (i + a, j + b)
@@ -306,10 +275,10 @@ def _jet_quotient_dim(fu, fv, N, field):
                         nonzero = True
                 if nonzero:
                     rows.append(row)
-    return len(monos) - _row_reduce_rank(rows, field)
+    return len(monos) - _row_reduce_rank(rows)
 
 
-def milnor_via_jets(fu, fv, field, cap=DEFAULT_MULT_CAP):
+def milnor_via_jets(fu, fv):
     """Stabilized jet dimension: grows the truncation order N until the
     quotient dimension repeats, which certifies m^N is inside (fu, fv)."""
     if not fu and not fv:
@@ -317,16 +286,16 @@ def milnor_via_jets(fu, fv, field, cap=DEFAULT_MULT_CAP):
     N = 3
     prev = None
     while True:
-        dim = _jet_quotient_dim(fu, fv, N, field)
+        dim = _jet_quotient_dim(fu, fv, N)
         if prev is not None and dim == prev:
             return dim
-        if dim > cap:
+        if dim > DEFAULT_MULT_CAP:
             raise NonIsolated("jet dimension exceeds the cap")
         prev = dim
         N += 1
 
 
-def milnor_number(P, field, cap=DEFAULT_MULT_CAP):
+def milnor_number(P):
     """Milnor number of the isolated germ P at the origin.
 
     Computed twice — intersection multiplicity of the partials by Euclidean
@@ -336,8 +305,8 @@ def milnor_number(P, field, cap=DEFAULT_MULT_CAP):
     fv = lp_derivative(P, 1)
     if not fu and not fv:
         raise NonIsolated("constant germ")
-    via_int = intersection_multiplicity(fu, fv, field, cap)
-    via_jet = milnor_via_jets(fu, fv, field, cap)
+    via_int = intersection_multiplicity(fu, fv)
+    via_jet = milnor_via_jets(fu, fv)
     if via_int != via_jet:
         raise NonIsolated(
             f"Milnor routes disagree ({via_int} vs {via_jet}); germ rejected"
@@ -370,14 +339,14 @@ class Classification:
         return f"{self.kind}{self.mu}"
 
 
-def classify_germ(P, field, cap=DEFAULT_MULT_CAP):
+def classify_germ(P):
     """ADE classification of a singular germ at the origin.
 
     Multiplicity 2 germs are A(mu).  Multiplicity 3 germs are resolved by a
-    single blowup: if some first-neighbourhood multiplicity exceeds 2 the
-    germ is not simple; otherwise a cone with at least two distinct lines
-    gives D(mu) and a triple-line cone gives E6/E7/E8 according to mu.
-    Multiplicity >= 4 is never simple.
+    single blowup: if the first-neighbourhood multiplicity along the
+    repeated cone direction exceeds 2 the germ is not simple; otherwise a
+    cone with at least two distinct lines gives D(mu) and a triple-line cone
+    gives E6/E7/E8 according to mu.  Multiplicity >= 4 is never simple.
     """
     P = lp_clean(P)
     m = lp_multiplicity(P)
@@ -386,11 +355,9 @@ def classify_germ(P, field, cap=DEFAULT_MULT_CAP):
     if m >= 4:
         return Classification("NonSimple", None, m)
     if m == 2:
-        mu = milnor_number(P, field, cap)
-        return Classification("A", mu, 2)
-    cone = lp_form(P, 3)
-    shape = cubic_cone_shape(cone, field)
-    mu = milnor_number(P, field, cap)
+        return Classification("A", milnor_number(P), 2)
+    shape, direction = cubic_cone(lp_form(P, 3))
+    mu = milnor_number(P)
     if shape == THREE_DISTINCT_LINES:
         if mu != 4:
             raise WrongMultiplicity(
@@ -399,12 +366,7 @@ def classify_germ(P, field, cap=DEFAULT_MULT_CAP):
         return Classification("D", 4, 3, shape)
     # exactly one repeated direction; its strict-transform multiplicity
     # decides simplicity (simple directions blow up to smooth points)
-    dirs = repeated_cone_directions(cone, field)
-    worst = 0
-    for direction in dirs:
-        st = lp_clean(strict_transform_at(P, direction, field))
-        worst = max(worst, lp_multiplicity(st))
-    if worst >= 3:
+    if lp_multiplicity(strict_transform_at(P, direction)) >= 3:
         return Classification("NonSimple", mu, 3, shape)
     if shape == DOUBLE_PLUS_SIMPLE:
         if mu < 5:

@@ -11,9 +11,11 @@ sympy's QQ elements, or a :class:`NumberField`, which stores, per level, a
 generator name and a monic irreducible minimal polynomial over the level
 below (coefficient lists as in :mod:`ratsqrt.unipoly`).  An element is a
 dense coefficient list over the level below, reduced modulo the minimal
-polynomial, wrapped in :class:`NFElem` so the generic polynomial routines
-can use ordinary operators.  Zero testing is canonical: the reduced
-representation of zero is the all-zero list.
+polynomial, wrapped in :class:`NFElem`.  An element combines with ints,
+QQ elements and elements of the level below through ordinary operators, so
+the generic routines of :mod:`ratsqrt.unipoly` and
+:mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
+canonical: the reduced representation of zero is the all-zero list.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -57,7 +59,7 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.base = base  # None means the rationals
         self.gen_name = gen_name
-        self.minpoly = list(minpoly)
+        self.minpoly = [field_coerce(base, c) for c in minpoly]
         self.top_degree = up.deg(minpoly)
         self.height = 1 if base is None else base.height + 1
 

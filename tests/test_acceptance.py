@@ -227,14 +227,14 @@ def test_criterion_08_singularity_catalog():
     ]
     ok = True
     for germ, label, mu in catalog:
-        c = classify_germ(germ, None)
+        c = classify_germ(germ)
         if c.label() != label or c.mu != mu:
             ok = False
             break
         if mu is not None:
             # the jet-quotient route must agree independently
             jets = milnor_via_jets(
-                lp_derivative(germ, 0), lp_derivative(germ, 1), None
+                lp_derivative(germ, 0), lp_derivative(germ, 1)
             )
             if jets != mu:
                 ok = False

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ratsqrt import cli
+from ratsqrt.engine import Config
 from ratsqrt.report import strip_timings
 
 
@@ -78,6 +79,12 @@ class TestAlphabet:
         assert "NotRationalizable" in out
         assert "certificate subset" in out
 
+    def test_single_expression_with_a_slash(self, capsys):
+        # only a name ending in .json is read as a document
+        code, out, err = run(capsys, "alphabet", "X^2/4 - 1")
+        assert code == 0, err
+        assert "outcome: Rationalizable" in out
+
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"roots": []}')
@@ -133,6 +140,14 @@ class TestCorpus:
         )
         code, _out, err = run(capsys, "corpus")
         assert code == 2
+
+
+class TestDefaults:
+    def test_flags_default_to_config(self):
+        for command in (["analyze", "X"], ["alphabet", "X"],
+                        ["singularities", "X*Y"], ["corpus"]):
+            args = cli._build_parser().parse_args(command)
+            assert cli._config(args) == Config()
 
 
 class TestReports:

@@ -169,6 +169,30 @@ class TestAllSimple:
         assert any(r.label == "A1" for r in records)
 
 
+class TestOneGermPerPoint:
+    def test_one_translation_per_singular_point(self, monkeypatch):
+        shifts = []
+        translate = geometry.lp_translate
+        monkeypatch.setattr(
+            geometry, "lp_translate",
+            lambda P, shift: shifts.append(shift) or translate(P, shift),
+        )
+        _ok, records = all_simple(build_model(bhabha_radicand()))
+        assert len(records) == 7
+        assert len(shifts) == len(records)
+
+    def test_all_simple_calls_the_module_global(self, monkeypatch):
+        # the tracer wraps module globals, so --trace 1 sees singular_points
+        # inside all_simple only if all_simple looks it up there
+        curves = []
+        find = geometry.singular_points
+        monkeypatch.setattr(geometry, "singular_points",
+                            lambda B: curves.append(B) or find(B))
+        m = build_model(bhabha_radicand())
+        all_simple(m)
+        assert curves == [m.B]
+
+
 class TestTriplePoint:
     def test_concurrent_lines_found(self):
         # X*Y*(X + Y): three lines through the origin
