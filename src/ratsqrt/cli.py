@@ -100,7 +100,7 @@ def _config(args):
 
 def _varlist(args):
     if args.vars:
-        return tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        return tuple(v.strip() for v in args.vars.split(","))
     return None
 
 
@@ -154,6 +154,9 @@ def _print_singularity_rows(rows):
 
 def _load_alphabet_arg(inputs, variables):
     if len(inputs) == 1 and inputs[0].endswith(".json"):
+        if variables is not None:
+            raise SchemaError("an alphabet document declares its own"
+                              " variables; --vars applies to expressions")
         with open(inputs[0]) as fh:
             doc = json.load(fh)
         return doc, load_alphabet(doc)

@@ -25,7 +25,7 @@ verdict.  An emitted witness always passes symbolic verification first.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ResourceLimit, TowerTooDeep
 from .geometry import (
@@ -121,12 +121,7 @@ class Config:
     timeout: float = 30.0
 
     def to_json(self):
-        return {
-            "max_height": self.max_height,
-            "max_subset_size": self.max_subset_size,
-            "ordering_budget": self.ordering_budget,
-            "timeout": self.timeout,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONFIG = Config()
@@ -245,7 +240,7 @@ def _decide_reduced(f, steps, clock, config, timings):
                      {"triple_point": tp.to_json(), "decides": "not rationalizable"})
             )
             return Verdict(NOT_RATIONALIZABLE, None, None, steps, None, timings)
-        m, h, pdata = _projection_attempt(model, f, clock)
+        m, h, pdata = _criterion_witness(model.V, f, clock)
         data = {"triple_point": None, "decides": "rationalizable"}
         data.update(pdata)
         steps.append(Step("cubic-triple-point", data))
@@ -265,7 +260,7 @@ def _decide_reduced(f, steps, clock, config, timings):
             outcome = RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE
             m = h = None
             if outcome == RATIONALIZABLE:
-                m, h, pdata = _projection_attempt(model, f, clock)
+                m, h, pdata = _criterion_witness(model.V, f, clock)
                 data.update(pdata)
             steps.append(Step("simple-singularities", data))
             return Verdict(outcome, m, h, steps, records, timings)
@@ -275,21 +270,12 @@ def _decide_reduced(f, steps, clock, config, timings):
         V = model.V
     else:
         V = build_model(f).V
-    pt, certified = clock.run(
-        "high-multiplicity-point", lambda: high_mult_point_search(V)
-    )
+    pt, certified, m, h, _note = _projection(V, f, clock)
     if pt is not None:
         data = {"point": pt.to_json(), "hypersurface_degree": V.total_degree()}
-        m = h = None
-        if pt.field is None:
-            m = projection_witness(V, pt)
-            if m is not None:
-                h = verify_witness(m, f)
-                if h is None:
-                    m = None
-            if m is not None:
-                data["witness"] = m.to_json()
-                data["square_root"] = rf_str(h)
+        if m is not None:
+            data["witness"] = m.to_json()
+            data["square_root"] = rf_str(h)
         steps.append(Step("high-multiplicity-point", data))
         return Verdict(RATIONALIZABLE, m, h, steps, records, timings)
     # rule 9: inconclusive
@@ -314,24 +300,39 @@ def _identity_witness(f):
     return m, h
 
 
-def _projection_attempt(model, f, clock):
-    """Try to realize rationalizability by an explicit projection witness."""
-    pt, _cert = clock.run(
-        "high-multiplicity-point", lambda: high_mult_point_search(model.V)
+def _projection(V, f, clock):
+    """Search the hypersurface V for a point of multiplicity D - 1, project
+    from it when it is rational, and verify the map on f.
+
+    Returns (point, certified_empty, map, square root, note): map and
+    square root are None unless the witness verified, and the note says
+    why not.
+    """
+    pt, certified = clock.run(
+        "high-multiplicity-point", lambda: high_mult_point_search(V)
     )
     if pt is None:
-        return None, None, {"witness": None, "note": "existence by criterion;"
-                            " no projection centre found"}
+        note = "existence by criterion; no projection centre found"
+        return None, certified, None, None, note
     if pt.field is not None:
-        return None, None, {"witness": None, "note": "projection centre is"
-                            " not rational; witness omitted"}
-    m = projection_witness(model.V, pt)
+        note = "projection centre is not rational; witness omitted"
+        return pt, certified, None, None, note
+    m = projection_witness(V, pt)
     if m is None:
-        return None, None, {"witness": None, "note": "projection degenerated"}
+        return pt, certified, None, None, "projection degenerated"
     h = verify_witness(m, f)
     if h is None:
-        return None, None, {"witness": None, "note": "candidate failed"
-                            " verification and was discarded"}
+        note = "candidate failed verification and was discarded"
+        return pt, certified, None, None, note
+    return pt, certified, m, h, None
+
+
+def _criterion_witness(V, f, clock):
+    """(map, square root, step data) of a projection witness for a verdict
+    that a criterion has already given."""
+    pt, _certified, m, h, note = _projection(V, f, clock)
+    if m is None:
+        return None, None, {"witness": None, "note": note}
     return m, h, {"witness": m.to_json(), "square_root": rf_str(h),
                   "projection_centre": pt.to_json()}
 

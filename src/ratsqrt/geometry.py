@@ -18,7 +18,7 @@ each is the common zero set of every partial derivative of one order.
 Chart c sets coordinate c to 1 and every earlier coordinate to 0, so the
 charts partition projective space and each point turns up once, in the
 chart of its first nonzero coordinate.  Each chart goes to one solver
-(:func:`_lex_solve`): a lex Groebner basis over QQ, then triangular
+(:func:`_solve_ideal`): a lex Groebner basis over QQ, then triangular
 back-substitution over a number-field tower of height at most two.  The
 basis [1] certifies an empty chart, a zero-dimensional basis is solved
 exactly, and a positive-dimensional one is cut by rational hyperplanes
@@ -26,7 +26,10 @@ until a point turns up.  Singular points of B are grouped into Galois
 conjugacy classes, and each class is classified once over its tower
 (:mod:`ratsqrt.localanalysis`).
 
-Polynomials are exponent dicts with coefficients in sympy's QQ.
+A form stays one element of sympy's sparse ring over QQ from
+:class:`~ratsqrt.mpoly.MultiPoly` down to the solver; only the germ at a
+point (:func:`_germ`) is an exponent dict, since its coefficients lie in
+the point's number-field tower.
 """
 
 from __future__ import annotations
@@ -37,14 +40,16 @@ from itertools import combinations_with_replacement
 from sympy.polys.groebnertools import groebner
 
 from . import unipoly as up
-from .errors import NonReduced, TowerTooDeep
-from .localanalysis import (
-    classify_germ,
-    lp_derivative,
-    lp_multiplicity,
-    lp_translate,
+from .errors import NonReduced
+from .localanalysis import classify_germ, lp_multiplicity, lp_translate
+from .mpoly import (
+    MultiPoly,
+    _ring,
+    effective_vars,
+    homogenize,
+    is_homogeneous,
+    is_squarefree,
 )
-from .mpoly import MultiPoly, _ring, homogenize, is_squarefree
 from .numberfield import (
     NFElem,
     NumberField,
@@ -62,20 +67,13 @@ def fresh_name(base, taken):
     return name
 
 
-def _terms(p: MultiPoly):
-    """The exponent dict of a polynomial over QQ."""
+def _form(p: MultiPoly):
+    """The ring element of a form over QQ."""
     if not p.coefficients_rational():
         raise ValueError("geometric analysis requires rational coefficients")
-    return dict(p.pe.terms())
-
-
-def restrict_chart(terms, index):
-    """Set coordinate `index` to 1 in an exponent-dict polynomial."""
-    out = {}
-    for e, c in terms.items():
-        ne = e[:index] + e[index + 1 :]
-        out[ne] = out.get(ne, 0) + c
-    return {e: c for e, c in out.items() if c}
+    if is_homogeneous(p) is None:
+        raise ValueError("geometric analysis requires a form")
+    return p.pe
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +139,6 @@ class SingularityRecord:
     multiplicity: int
     mu: int | None
     label: str
-    cone_shape: str | None = None
 
     @property
     def simple(self):
@@ -159,20 +156,15 @@ class SingularityRecord:
 @dataclass(frozen=True)
 class GeometricModel:
     f: MultiPoly
-    d: int
-    r: int
     F: MultiPoly  # homogenization of f, degree d
     V: MultiPoly  # hypersurface equation, degree D = max(d, 2)
-    B: MultiPoly | None  # branch curve, bivariate case only
-    hom_var: str = "z"
-    w_var: str = "w"
-    branch_var: str = "s"
+    B: MultiPoly | None  # branch curve s^(2r-d) * F(s, ...), bivariate only
 
 
 def build_model(f: MultiPoly) -> GeometricModel:
     """Hypersurface closure of W^2 = f, plus the branch curve when bivariate."""
-    eff = [v for v in f.vars if f.degree_in(v) > 0]
-    fr = f.with_vars(tuple(eff)) if tuple(eff) != f.vars else f
+    eff = tuple(effective_vars(f))
+    fr = f.with_vars(eff) if eff != f.vars else f
     d = fr.total_degree()
     r = (d + 1) // 2
     zname = fresh_name("z", fr.vars)
@@ -187,26 +179,27 @@ def build_model(f: MultiPoly) -> GeometricModel:
         Fs = homogenize(fr, sname)
         s = MultiPoly.var(Fs.vars, sname)
         B = s ** (2 * r - d) * Fs
-    return GeometricModel(fr, d, r, F, V, B, zname, wname,
-                          B.vars[0] if B is not None else "s")
+    return GeometricModel(fr, F, V, B)
 
 
 # --------------------------------------------------------------------------
 # back-substitution and the chart loop, shared by every point search
 
 
-def _specialize(terms, field, coords):
-    """Plug a partial solution into the first len(coords) variables of an
-    exponent dict; coefficient list in the next variable."""
+def _specialize(g, field, coords):
+    """Plug a partial solution into the unknowns x_0..x_{j-1} of a basis
+    element, j = len(coords); coefficient list in x_j.  The ring lists the
+    unknowns from x_{k-1} down to x_0, so x_i is generator k - 1 - i."""
+    top = g.ring.ngens - 1
     j = len(coords)
     zero = field_coerce(field, 0)
-    out = [zero] * (1 + max((e[j] for e in terms), default=0))
-    for e, c in terms.items():
+    out = [zero] * (1 + g.degree(top - j))
+    for e, c in g.terms():
         val = field_coerce(field, c)
-        for a, exp in zip(coords, e):
+        for a, exp in zip(coords, reversed(e)):
             if exp:
                 val = val * (a**exp)
-        out[e[j]] = out[e[j]] + val
+        out[e[top - j]] = out[e[top - j]] + val
     return up.trim(out)
 
 
@@ -236,36 +229,41 @@ def _extend(field, coords, g):
     return out
 
 
-def _order_partials(terms, order, nvars):
+def _order_partials(form, order):
     """All distinct nonzero order-`order` partial derivatives."""
     seen = {}
-    for combo in combinations_with_replacement(range(nvars), order):
-        d = dict(terms)
+    for combo in combinations_with_replacement(range(form.ring.ngens), order):
+        d = form
         for axis in combo:
-            d = lp_derivative(d, axis)
+            d = d.diff(axis)
             if not d:
                 break
         if d:
-            key = tuple(sorted(d.items()))
-            seen[key] = d
+            seen[tuple(sorted(d.items()))] = d
     return [seen[k] for k in sorted(seen)]
 
 
-def _vanishing_points(terms, order, nvars):
+def _vanishing_points(form, order):
     """Common zeros of every order-`order` partial of a form, chart by chart.
 
-    Yields (chart, [(field, proj)], complete) for chart = 0..nvars-1.  Chart
-    c sets coordinate c to 1 and every earlier coordinate to 0, so the
-    charts partition projective space and :func:`_lex_solve` has
-    nvars - 1 - c unknowns; `proj` is the full coordinate tuple of a point
-    and `complete` certifies that the chart's list is exhaustive.
+    Yields (chart, [(field, proj)], complete) for chart = 0..n-1, n the
+    number of coordinates.  Chart c sets coordinate c to 1 and every earlier
+    coordinate to 0, so the charts partition projective space.  Each partial
+    goes straight into the solver's ring, whose generators are the k =
+    n - 1 - c later coordinates, reversed, under lex order; a partial of a
+    form is a form, so dropping coordinate c never merges two terms.
+    `proj` is the full coordinate tuple of a point and `complete` certifies
+    that the chart's list is exhaustive.
     """
-    partials = _order_partials(terms, order, nvars)
+    nvars = form.ring.ngens
+    partials = _order_partials(form, order)
     for chart in range(nvars):
-        polys = [restrict_chart({e[chart:]: c for e, c in p.items()
-                                 if not any(e[:chart])}, 0)
-                 for p in partials]
-        sols, complete = _lex_solve(polys, nvars - 1 - chart)
+        k = nvars - 1 - chart
+        ring = _ring(tuple(f"x{i}" for i in reversed(range(k))))
+        gens = [ring.from_dict({e[chart + 1 :][::-1]: c for e, c in p.items()
+                                if not any(e[:chart])})
+                for p in partials]
+        sols, complete = _solve_ideal([g for g in gens if g], ring, k)
         points = [
             (fld, (field_coerce(fld, 0),) * chart + (field_one(fld),) + coords)
             for fld, coords in sols
@@ -278,28 +276,21 @@ def _vanishing_points(terms, order, nvars):
 _CUTS = (0, 1, -1, 2, -2)
 
 
-def _lex_solve(polys, k):
-    """Common zeros of exponent dicts in k unknowns x_0..x_{k-1}.
-
-    Returns (solutions, complete): each solution is a (field, coords) pair
-    over a tower of height <= 2, one per Galois conjugacy class, and
-    `complete` certifies that the list covers every common zero over the
-    algebraic closure.  The lex Groebner basis with x_{k-1} > ... > x_0 is
-    triangular: [1] means no zero, a pure-power leading monomial in every
-    variable means finitely many, solved level by level from x_0 up.  A
-    positive-dimensional system is cut by hyperplanes on its lowest free
-    variable until a point turns up, and is never complete.  With k = 0 the
-    system is a list of constants: any nonzero one leaves no solution, and
-    otherwise the single solution is the empty tuple.
-    """
-    names = tuple(f"x{i}" for i in reversed(range(k)))
-    ring = _ring(names)
-    gens = [ring.from_dict({e[::-1]: c for e, c in p.items()})
-            for p in polys if p]
-    return _solve_ideal(gens, ring, k)
-
-
 def _solve_ideal(gens, ring, k):
+    """Common zeros of nonzero elements of `ring`, whose generators are the
+    k unknowns x_{k-1}, ..., x_0 in that order under lex.
+
+    Returns (solutions, complete): each solution is a (field, coords) pair,
+    coords = (x_0, ..., x_{k-1}) over a tower of height <= 2, one per Galois
+    conjugacy class, and `complete` certifies that the list covers every
+    common zero over the algebraic closure.  The lex Groebner basis with
+    x_{k-1} > ... > x_0 is triangular: [1] means no zero, a pure-power
+    leading monomial in every variable means finitely many, solved level by
+    level from x_0 up.  A positive-dimensional system is cut by hyperplanes
+    on its lowest free variable until a point turns up, and is never
+    complete.  With k = 0 the system is a list of constants: any one leaves
+    no solution, and no generator at all leaves the empty tuple.
+    """
     basis = groebner(gens, ring) if gens else []
     if any(g.is_ground for g in basis):
         return [], True
@@ -315,15 +306,14 @@ def _solve_ideal(gens, ring, k):
     # level j: the basis elements in x_0..x_j only that involve x_j
     levels = [[] for _ in range(k)]
     for g in basis:
-        terms = {e[::-1]: c for e, c in g.terms()}
-        j = max(i for e in terms for i, n in enumerate(e) if n)
-        levels[j].append(terms)
+        first = min(i for e in g.itermonoms() for i, n in enumerate(e) if n)
+        levels[k - 1 - first].append(g)
     partial = [(None, ())]
     complete = True
     for level in levels:
         grown = []
         for field, coords in partial:
-            eqs = [_specialize(t, field, coords) for t in level]
+            eqs = [_specialize(g, field, coords) for g in level]
             eqs = [s for s in eqs if s]
             g = eqs[0]
             for s in eqs[1:]:
@@ -358,31 +348,32 @@ def singular_points(B: MultiPoly):
     """
     if len(B.vars) != 3:
         raise ValueError("singular_points expects a plane projective curve")
-    terms = _terms(B)
+    form = _form(B)
     results = []
-    for chart, points, complete in _vanishing_points(terms, 1, 3):
+    for chart, points, complete in _vanishing_points(form, 1):
         if not complete:
             raise NonReduced("branch curve must be squarefree")
         for fld, proj in points:
             size = 1 if fld is None else fld.absolute_degree()
-            germ = _germ(terms, chart, proj)
+            germ = _germ(form, chart, proj)
             pt = AlgebraicPoint(fld, proj, chart, size, germ)
             results.append((pt, lp_multiplicity(germ)))
     results.sort(key=lambda pm: pm[0].sort_key())
     return results
 
 
-def _germ(terms, chart, proj):
-    """An exponent dict restricted to a chart and translated so that the
-    point `proj` of that chart is the origin."""
-    return lp_translate(restrict_chart(terms, chart),
+def _germ(form, chart, proj):
+    """A form restricted to a chart, as an exponent dict translated so that
+    the point `proj` of that chart is the origin.  Setting coordinate
+    `chart` to 1 never merges two terms of a form."""
+    return lp_translate({e[:chart] + e[chart + 1 :]: c for e, c in form.items()},
                         proj[:chart] + proj[chart + 1 :])
 
 
 def multiplicity_at(g: MultiPoly, p: AlgebraicPoint) -> int:
     """Least total degree after translating p to the origin of its chart;
     0 means the point is not on {g = 0}."""
-    germ = _germ(_terms(g), p.chart, p.proj)
+    germ = _germ(_form(g), p.chart, p.proj)
     return lp_multiplicity(germ) if germ else 0
 
 
@@ -401,9 +392,8 @@ def all_simple(model: GeometricModel):
     records = []
     for pt, _m in singular_points(model.B):
         cls = classify_germ(pt.germ)
-        records.append(SingularityRecord(
-            pt, cls.multiplicity, cls.mu, cls.label(), cls.cone_shape
-        ))
+        records.append(
+            SingularityRecord(pt, cls.multiplicity, cls.mu, cls.label()))
     return all(rec.simple for rec in records), records
 
 
@@ -422,7 +412,7 @@ def triple_point_of_cubic(F: MultiPoly):
     """
     if len(F.vars) != 3 or F.total_degree() != 3:
         raise ValueError("expected a homogeneous cubic in three variables")
-    for chart, points, _complete in _vanishing_points(_terms(F), 2, 3):
+    for chart, points, _complete in _vanishing_points(_form(F), 2):
         if points:
             break
     else:
@@ -459,16 +449,11 @@ def high_mult_point_search(H: MultiPoly):
         raise ValueError("hypersurface degree must be at least 2")
     best = None
     certified = True
-    charts = _vanishing_points(_terms(H), D - 2, len(H.vars))
-    for chart, points, complete in charts:
+    for chart, points, complete in _vanishing_points(_form(H), D - 2):
         certified = certified and complete
         for fld, proj in points:
             pt = AlgebraicPoint(fld, proj, chart, 1)
-            try:
-                m = multiplicity_at(H, pt)
-            except TowerTooDeep:
-                continue
-            if m != D - 1:
+            if multiplicity_at(H, pt) != D - 1:
                 continue
             if fld is None:
                 return pt, False

@@ -329,10 +329,6 @@ class Classification:
     multiplicity: int
     cone_shape: str | None = None
 
-    @property
-    def simple(self):
-        return self.kind in ("A", "D", "E")
-
     def label(self):
         if self.kind == "NonSimple":
             return "NonSimple"

@@ -12,8 +12,9 @@ generator name and a monic irreducible minimal polynomial over the level
 below (coefficient lists as in :mod:`ratsqrt.unipoly`).  An element is a
 dense coefficient list over the level below, reduced modulo the minimal
 polynomial, wrapped in :class:`NFElem`.  An element combines with ints,
-QQ elements and elements of the level below through ordinary operators, so
-the generic routines of :mod:`ratsqrt.unipoly` and
+QQ elements and elements of its own field through ordinary operators (an
+element of the level below is lifted first, with :meth:`NumberField.lift`),
+so the generic routines of :mod:`ratsqrt.unipoly` and
 :mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
 canonical: the reduced representation of zero is the all-zero list.
 
@@ -124,11 +125,8 @@ class NFElem:
         if isinstance(other, NFElem):
             if other.field is self.field:
                 return other
-            if other.field is self.field.base:
-                return self.field.lift(other)
-            if self.field is other.field.base:
-                return NotImplemented  # let the taller element handle it
-            raise ValueError("elements of unrelated number fields")
+            raise ValueError("elements of different number fields; lift"
+                             " the lower one with NumberField.lift")
         if isinstance(other, (int, QQ.dtype)):
             return self.field.from_rational(other)
         return NotImplemented

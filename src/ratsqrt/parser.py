@@ -225,11 +225,14 @@ class _Parser:
 def parse_rational(text, variables=None, field=None):
     """Parse an expression string into a RationalFunction.
 
-    With ``variables`` given, only those names are accepted and the result
-    lives in that exact ring; otherwise variables are collected in order of
-    first appearance.  With a quadratic ``field``, its elements may be
-    written with the atoms ``I`` and ``sqrt(<integer>)``.
+    With ``variables`` given (distinct identifiers, in a list or tuple),
+    only those names are accepted and the result lives in that exact ring;
+    otherwise variables are collected in order of first appearance.  With a
+    quadratic ``field``, its elements may be written with the atoms ``I``
+    and ``sqrt(<integer>)``.
     """
+    if variables is not None:
+        _check_variables(variables)
     p = _Parser(text, variables, field)
     num, den = p.parse()
     if not den.is_ground:
@@ -280,7 +283,7 @@ def _json_document(doc):
 
 
 def _check_variables(variables):
-    if not isinstance(variables, list) or not all(
+    if not isinstance(variables, (list, tuple)) or not all(
         isinstance(v, str) and _IDENT.fullmatch(v) for v in variables
     ):
         raise SchemaError("'variables' must be a list of identifiers")

@@ -20,6 +20,7 @@ radicand.  An unverifiable candidate is discarded, never emitted.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from sympy.polys.domains import QQ
@@ -121,19 +122,13 @@ def _height_values(height):
 def _height_tuples(n, height):
     """Rational n-tuples enumerated by increasing height, deterministic."""
     vals = _height_values(height)
-
-    if n == 1:
-        for v in vals:
-            yield (v,)
-        return
-    # enumerate by the maximum value-index in the tuple
+    # by the largest value-index `top` in the tuple, then lexicographically;
+    # a head that reaches top takes any last index, any other head only top,
+    # so no tuple is built and thrown away
     for top in range(len(vals)):
-        stack = [[]]
-        for _k in range(n):
-            stack = [s + [i] for s in stack for i in range(top + 1)]
-        for s in stack:
-            if max(s) == top:
-                yield tuple(vals[i] for i in s)
+        for head in product(range(top + 1), repeat=n - 1):
+            for last in range(top + 1) if top in head else (top,):
+                yield tuple(vals[i] for i in (*head, last))
 
 
 def parametrize_from_point(H: MultiPoly, q, extension=None):

@@ -48,6 +48,17 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_duplicate_vars_exit_2(self, capsys):
+        code, _out, err = run(capsys, "analyze", "X^2+Y^2-1", "--vars", "X,Y,X")
+        assert code == 2
+        assert "duplicate variable names" in err
+
+    @pytest.mark.parametrize("names", ["1X,Y", "X,,Y"])
+    def test_vars_must_be_identifiers(self, capsys, names):
+        code, _out, err = run(capsys, "analyze", "X^2+Y^2-1", "--vars", names)
+        assert code == 2
+        assert "identifiers" in err and "unknown variable" not in err
+
     def test_inconclusive_is_exit_0(self, capsys):
         code, out, _err = run(
             capsys, "analyze",
@@ -84,6 +95,13 @@ class TestAlphabet:
         code, out, err = run(capsys, "alphabet", "X^2/4 - 1")
         assert code == 0, err
         assert "outcome: Rationalizable" in out
+
+    def test_vars_with_a_document_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({"roots": [{"radicand": "X - 1"}]}))
+        code, _out, err = run(capsys, "alphabet", str(path), "--vars", "Y,X")
+        assert code == 2
+        assert "declares its own variables" in err
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

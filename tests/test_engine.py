@@ -271,3 +271,36 @@ def test_linear_in_y_never_not_rationalizable(a, b):
     # would expose a wrong rule-7 verdict
     f = a * MultiPoly.var(("X", "Y"), "Y") + b
     assert decide(f).outcome != NOT_RATIONALIZABLE
+
+
+class TestProjectionNotes:
+    """What a step records when the projection witness cannot be built or
+    does not verify; rule 6 decides X^3 + Y^2 - 1 from the rational
+    centre (0:0:1:1), rule 8 decides X*Y*Z + 1."""
+
+    def test_degenerate_projection_is_noted(self, monkeypatch):
+        monkeypatch.setattr(engine, "projection_witness", lambda V, pt: None)
+        v = decide(parse_poly("X^3 + Y^2 - 1"))
+        assert v.outcome == RATIONALIZABLE and v.witness is None
+        data = v.steps[-1].data
+        assert v.steps[-1].rule == "cubic-triple-point"
+        assert data["witness"] is None
+        assert data["note"] == "projection degenerated"
+
+    def test_failed_verification_is_noted(self, monkeypatch):
+        monkeypatch.setattr(engine, "verify_witness", lambda m, f: None)
+        v = decide(parse_poly("X^3 + Y^2 - 1"))
+        assert v.outcome == RATIONALIZABLE and v.witness is None
+        data = v.steps[-1].data
+        assert data["witness"] is None
+        assert data["note"] == ("candidate failed verification and was"
+                                " discarded")
+
+    def test_rule_8_without_a_projection_keeps_its_verdict(self, monkeypatch):
+        monkeypatch.setattr(engine, "projection_witness", lambda V, pt: None)
+        v = decide(parse_poly("X*Y*Z + 1"))
+        assert v.outcome == RATIONALIZABLE and v.witness is None
+        step = v.steps[-1]
+        assert step.rule == "high-multiplicity-point"
+        assert "witness" not in step.data
+        assert step.data["point"]["coordinates"] == ["0", "1", "0", "0", "0"]

@@ -19,11 +19,10 @@ from ratsqrt.geometry import (
     high_mult_point_search,
     milnor_sum,
     multiplicity_at,
-    restrict_chart,
     singular_points,
     triple_point_of_cubic,
 )
-from ratsqrt.mpoly import MultiPoly, homogenize, is_homogeneous
+from ratsqrt.mpoly import MultiPoly, _ring, homogenize, is_homogeneous
 from ratsqrt.parser import parse_poly
 
 
@@ -39,16 +38,16 @@ def bhabha_radicand():
 class TestBuildModel:
     def test_degrees_and_shape(self):
         m = build_model(parse_poly("X^3 - Y^2", ("X", "Y")))
-        assert m.d == 3 and m.r == 2
+        assert m.f.total_degree() == 3
         assert is_homogeneous(m.F) == 3
         assert is_homogeneous(m.V) == 3
-        assert is_homogeneous(m.B) == 2 * m.r
+        assert is_homogeneous(m.B) == 4
         # odd degree: the branch curve acquires the line at infinity
-        assert m.B.degree_in(m.branch_var) >= 1
+        assert m.B.degree_in(m.B.vars[0]) >= 1
 
     def test_even_degree_branch_is_plain_homogenization(self):
         m = build_model(parse_poly("X^4 + Y^4", ("X", "Y")))
-        assert m.B == homogenize(m.f, m.branch_var)
+        assert m.B == homogenize(m.f, m.B.vars[0])
 
     def test_quadratic_floor(self):
         # V always has degree at least 2 (the w^2 term)
@@ -82,7 +81,7 @@ class TestSingularPoints:
     def test_square_of_the_line_at_infinity_rejected(self):
         # s^2 * B is not reduced, though its chart s = 1 is the smooth conic
         m = build_model(parse_poly("X^2 + Y^2 - 1", ("X", "Y")))
-        s = MultiPoly.var(m.B.vars, m.branch_var)
+        s = MultiPoly.var(m.B.vars, m.B.vars[0])
         with pytest.raises(NonReduced):
             singular_points(s * s * m.B)
 
@@ -129,10 +128,14 @@ class TestSingularPoints:
             == [((0, 0, 1), least)]
 
     def test_chart_c_solves_the_unknowns_after_coordinate_c(self, monkeypatch):
+        # a spy on the solver also sees its hyperplane cuts; these inputs
+        # make none
         ks = []
-        solve = geometry._lex_solve
-        monkeypatch.setattr(geometry, "_lex_solve",
-                            lambda polys, k: ks.append(k) or solve(polys, k))
+        solve = geometry._solve_ideal
+        monkeypatch.setattr(
+            geometry, "_solve_ideal",
+            lambda gens, ring, k: ks.append(k) or solve(gens, ring, k),
+        )
         singular_points(build_model(parse_poly("X^4 + Y^4 + 1", ("X", "Y"))).B)
         assert ks == [2, 1, 0]
         ks.clear()
@@ -316,15 +319,19 @@ class TestHighMultSearch:
             assert multiplicity_at(V, pt) == V.total_degree() - 1
 
 
+# the solver's ring for three unknowns: generators x2 > x1 > x0
+_X210 = ("x2", "x1", "x0")
+
+
 def _system(*texts):
-    """Chart polynomials as exponent dicts in the unknowns x0, x1, ..."""
-    names = tuple(f"x{i}" for i in range(3))
-    return [dict(parse_poly(t, names).pe.terms()) for t in texts]
+    """Chart polynomials as elements of the solver's ring."""
+    return [parse_poly(t, _X210).pe for t in texts]
 
 
-def _value(terms, fld, coords):
+def _value(p, fld, coords):
+    """p at coords, listed in the order of its ring's generators."""
     total = QQ.zero if fld is None else fld.zero()
-    for e, c in terms.items():
+    for e, c in p.terms():
         term = c if fld is None else fld.from_rational(c)
         for a, exp in zip(coords, e):
             term = term * a**exp
@@ -333,13 +340,16 @@ def _value(terms, fld, coords):
 
 
 def _solve(*texts):
-    return geometry._lex_solve(_system(*texts), 3)
+    return geometry._solve_ideal(_system(*texts), _ring(_X210), 3)
 
 
 class TestLexSolve:
+    """The lex solver `_solve_ideal` on systems in three unknowns."""
+
     def test_zero_unknowns(self):
-        assert geometry._lex_solve([{(): QQ(3)}], 0) == ([], True)
-        assert geometry._lex_solve([{}, {}], 0) == ([(None, ())], True)
+        ring = _ring(())
+        assert geometry._solve_ideal([ring(3)], ring, 0) == ([], True)
+        assert geometry._solve_ideal([], ring, 0) == ([(None, ())], True)
 
     def test_empty_system_is_certified(self):
         assert _solve("x0^2 + 1", "x0*x1 - 1", "x1") == ([], True)
@@ -360,7 +370,7 @@ class TestLexSolve:
         for fld, coords in sols:
             assert len(coords) == 3
             for p in _system(*texts):
-                assert not _value(p, fld, coords)
+                assert not _value(p, fld, coords[::-1])
 
     def test_splitting_over_the_first_level(self):
         # x1^2 = 2 splits over QQ(sqrt(2)): two classes, both at height 1
@@ -378,20 +388,38 @@ class TestLexSolve:
         assert [coords for _fld, coords in sols] == [(1, 1, 1)]
 
     def test_quadric_charts_of_the_hung_inputs(self):
-        # charts of the order-(D-2) partials: each point solves its chart
+        # charts of the order-(D-2) partials: each point is a zero of all
         found = 0
         for text in ("X^2*Y + Z^2 + 1", "X^3 + Y^3 + Z^3 + 1"):
             V = build_model(parse_poly(text)).V
-            n, D = len(V.vars), V.total_degree()
-            terms = dict(V.pe.terms())
-            quadrics = geometry._order_partials(terms, D - 2, n)
-            for chart in range(n):
-                polys = [restrict_chart(q, chart) for q in quadrics]
-                for fld, coords in geometry._lex_solve(polys, n - 1)[0]:
+            D = V.total_degree()
+            quadrics = geometry._order_partials(V.pe, D - 2)
+            for _chart, points, _c in geometry._vanishing_points(V.pe, D - 2):
+                for fld, proj in points:
                     found += 1
-                    for p in polys:
-                        assert not _value(p, fld, coords)
+                    for q in quadrics:
+                        assert not _value(q, fld, proj)
         assert found
+
+
+class TestFormsOnly:
+    """The point searches read a polynomial as a projective form; a
+    polynomial with terms of different degrees is refused."""
+
+    NOT_A_FORM = ("s*X^2 + Y + X*Y", ("s", "X", "Y"))
+
+    def test_singular_points(self):
+        with pytest.raises(ValueError, match="form"):
+            singular_points(parse_poly(*self.NOT_A_FORM))
+
+    def test_multiplicity_at(self):
+        pt = AlgebraicPoint(None, (QQ(1), QQ(0), QQ(0)), 0)
+        with pytest.raises(ValueError, match="form"):
+            multiplicity_at(parse_poly(*self.NOT_A_FORM), pt)
+
+    def test_triple_point_of_cubic(self):
+        with pytest.raises(ValueError, match="form"):
+            triple_point_of_cubic(parse_poly("X^3 + s*Y + 1", ("s", "X", "Y")))
 
 
 class TestMultiplicityAt:

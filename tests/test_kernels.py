@@ -441,9 +441,9 @@ def test_corpus_decides_without_expression_kernels(monkeypatch):
     assert len(reports) == 9 and not mismatches
 
     ks = []
-    solve = geometry._lex_solve
-    monkeypatch.setattr(geometry, "_lex_solve",
-                        lambda polys, k: ks.append(k) or solve(polys, k))
+    solve = geometry._solve_ideal
+    monkeypatch.setattr(geometry, "_solve_ideal",
+                        lambda gens, ring, k: ks.append(k) or solve(gens, ring, k))
     for text, outcome in PATH_INPUTS.items():
         assert decide(parse_poly(text)).outcome == outcome
     assert 3 in ks  # rule 8 solved charts with three unknowns

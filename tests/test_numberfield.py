@@ -85,6 +85,16 @@ class TestTower:
                     continue
                 assert e * e.inverse() == one
 
+    def test_levels_meet_only_through_lift(self):
+        L = tower_sqrt2_sqrt3()
+        a, b = L.base.gen(), L.gen()
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                x * y
+            with pytest.raises(ValueError):
+                x + y
+        assert L.lift(a) * b == b * L.lift(a)
+
     def test_zero_test_after_chains(self):
         L = tower_sqrt2_sqrt3()
         b = L.gen()

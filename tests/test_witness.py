@@ -18,6 +18,7 @@ from ratsqrt.mpoly import (
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.witness import (
     _height_tuples,
+    _height_values,
     compose,
     homogeneous_lift,
     parametrize_from_point,
@@ -117,6 +118,31 @@ class TestVerifierWork:
         for x0 in islice(_height_tuples(2, 50), 1000):
             value = QQ.to_sympy(f.eval_at(dict(zip(f.vars, x0))))
             assert not sp.sqrt(value).is_rational
+
+
+def _reference_height_tuples(n, height):
+    """The enumeration _height_tuples replaced: a list of index lists per
+    top index, with n = 1 handled apart."""
+    vals = _height_values(height)
+    if n == 1:
+        for v in vals:
+            yield (v,)
+        return
+    for top in range(len(vals)):
+        stack = [[]]
+        for _k in range(n):
+            stack = [s + [i] for s in stack for i in range(top + 1)]
+        for s in stack:
+            if max(s) == top:
+                yield tuple(vals[i] for i in s)
+
+
+class TestHeightTuplesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("height", [1, 3, 10, 50])
+    def test_same_sequence(self, n, height):
+        assert list(islice(_height_tuples(n, height), 3000)) == \
+            list(islice(_reference_height_tuples(n, height), 3000))
 
 
 class TestParametrize:
