@@ -19,7 +19,8 @@ The module provides:
   methods that are cross-checked on every call — a Euclidean recursion for
   the intersection multiplicity of the two partial derivatives, and the
   dimension of the jet-truncated local algebra K[u,v]/((f_u, f_v) + m^N)
-  stabilized in N — each stopped at the fixed cap DEFAULT_MULT_CAP;
+  stabilized in N, a rank taken with the row reduction that tower inverses
+  use too — each stopped at the fixed cap DEFAULT_MULT_CAP;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple), with multiplicity >= 4 immediately NonSimple.
 """
@@ -31,6 +32,7 @@ from math import comb
 
 from . import unipoly as up
 from .errors import NonIsolated, WrongMultiplicity
+from .numberfield import row_reduce
 
 # cap on the accumulated intersection multiplicity and the jet dimension
 # before declaring the germ non-isolated; generous for the curve degrees
@@ -232,29 +234,6 @@ def intersection_multiplicity(P, Q):
             Q = lp_add(Q, lp_mul(shift, P))
 
 
-def _row_reduce_rank(rows):
-    """Rank of a list of coefficient-vector rows over the exact field."""
-    rank = 0
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    pivot_rows = []
-    for row in rows:
-        for prow, pcol in pivot_rows:
-            if row[pcol]:
-                c = row[pcol]
-                for i in range(pcol, ncols):
-                    if prow[i]:
-                        row[i] = row[i] - c * prow[i]
-        for col in range(ncols):
-            if row[col]:
-                inv = 1 / row[col]
-                row = [x * inv for x in row]
-                pivot_rows.append((row, col))
-                rank += 1
-                break
-    return rank
-
-
 def _jet_quotient_dim(fu, fv, N):
     """dim_K K[u,v] / ((fu, fv) + m^N) via a truncated-monomial matrix."""
     monos = [(i, j) for d in range(N) for i in range(d + 1) for j in [d - i]]
@@ -275,7 +254,7 @@ def _jet_quotient_dim(fu, fv, N):
                         nonzero = True
                 if nonzero:
                     rows.append(row)
-    return len(monos) - _row_reduce_rank(rows)
+    return len(monos) - sum(1 for row in row_reduce(rows) if any(row))
 
 
 def milnor_via_jets(fu, fv):
@@ -322,12 +301,11 @@ def milnor_number(P):
 class Classification:
     """Singularity type of a germ: kind in {'A','D','E','NonSimple'},
     `mu` the Milnor number when computed (None for multiplicity >= 4),
-    `multiplicity` the order of vanishing, `cone_shape` for cubic cones."""
+    `multiplicity` the order of vanishing."""
 
     kind: str
     mu: int | None
     multiplicity: int
-    cone_shape: str | None = None
 
     def label(self):
         if self.kind == "NonSimple":
@@ -359,19 +337,19 @@ def classify_germ(P):
             raise WrongMultiplicity(
                 f"three-line cubic cone must have mu = 4, got {mu}"
             )
-        return Classification("D", 4, 3, shape)
+        return Classification("D", 4, 3)
     # exactly one repeated direction; its strict-transform multiplicity
     # decides simplicity (simple directions blow up to smooth points)
     if lp_multiplicity(strict_transform_at(P, direction)) >= 3:
-        return Classification("NonSimple", mu, 3, shape)
+        return Classification("NonSimple", mu, 3)
     if shape == DOUBLE_PLUS_SIMPLE:
         if mu < 5:
             raise WrongMultiplicity(
                 f"double-plus-simple cone must have mu >= 5, got {mu}"
             )
-        return Classification("D", mu, 3, shape)
+        return Classification("D", mu, 3)
     if mu not in (6, 7, 8):
         raise WrongMultiplicity(
             f"triple-line cone with tame blowup must have mu in 6..8, got {mu}"
         )
-    return Classification("E", mu, 3, shape)
+    return Classification("E", mu, 3)

@@ -9,14 +9,21 @@ is therefore all we ever need; asking for more raises
 Representation.  A field is None for the rationals, whose elements are
 sympy's QQ elements, or a :class:`NumberField`, which stores, per level, a
 generator name and a monic irreducible minimal polynomial over the level
-below (coefficient lists as in :mod:`ratsqrt.unipoly`).  An element is a
-dense coefficient list over the level below, reduced modulo the minimal
-polynomial, wrapped in :class:`NFElem`.  An element combines with ints,
-QQ elements and elements of its own field through ordinary operators (an
-element of the level below is lifted first, with :meth:`NumberField.lift`),
-so the generic routines of :mod:`ratsqrt.unipoly` and
-:mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
-canonical: the reduced representation of zero is the all-zero list.
+below (a coefficient list as in :mod:`ratsqrt.unipoly`).  An element,
+:class:`NFElem`, is a flat tuple of QQ elements on the basis a^i b^j of the
+whole tower, i running fastest (H. Cohen, *A Course in Computational
+Algebraic Number Theory*, section 4.2), so an element of the level below is
+a zero-padded prefix and :meth:`NumberField.lift` is padding.  Each field
+builds a sparse table of the products of its basis elements once; a product
+of two elements reads that table, and an inverse solves x*y = 1 over QQ with
+:func:`row_reduce`, the one Gaussian elimination of the package, which the
+Milnor jets of :mod:`ratsqrt.localanalysis` use too.  The tower-shaped view
+that reports and sort keys read, the trimmed coefficient tuple over the
+level below, is :attr:`NFElem.rep`.  An element combines with ints, QQ
+elements and elements of its own field through ordinary operators, so the
+generic routines of :mod:`ratsqrt.unipoly` and :mod:`ratsqrt.localanalysis`
+take no field argument.  Zero testing is canonical: zero is the all-zero
+vector.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -48,8 +55,31 @@ def field_coerce(field, c):
     return _qq(c) if field is None else field.lift(c)
 
 
+def row_reduce(rows):
+    """Gaussian elimination over an exact field, one row at a time.
+
+    Yields each row reduced against the pivot rows before it.  A reduced row
+    that is not zero is then scaled to 1 at its first nonzero entry and kept
+    as a pivot row by its nonzero entries only, so a sparse row costs in
+    proportion to its nonzero entries from the pivot column on.
+    """
+    pivots = []
+    for row in rows:
+        row = list(row)
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                for i, x in prow:
+                    row[i] = row[i] - c * x
+        yield row
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is not None:
+            inv = 1 / row[col]
+            pivots.append((col, [(i, x * inv) for i, x in enumerate(row) if x]))
+
+
 class NumberField:
-    """A tower QQ ( = height 0) or QQ(a) or QQ(a)(b)."""
+    """A tower QQ(a) or QQ(a)(b); QQ itself is None."""
 
     def __init__(self, base, gen_name, minpoly):
         if base is not None and base.height >= MAX_HEIGHT:
@@ -61,25 +91,37 @@ class NumberField:
         self.base = base  # None means the rationals
         self.gen_name = gen_name
         self.minpoly = [field_coerce(base, c) for c in minpoly]
-        self.top_degree = up.deg(minpoly)
         self.height = 1 if base is None else base.height + 1
+        m = 1 if base is None else base.degree
+        self.degree = m * up.deg(minpoly)
+        self.units = [tuple(QQ.one if r == k else QQ.zero
+                            for r in range(self.degree))
+                      for k in range(self.degree)]
+        # basis element a^i b^j, index i + m*j, as a coefficient list over
+        # the level below; table[k][l] lists the nonzero (index, coefficient)
+        # pairs of the product of basis elements k and l
+        lower = [QQ.one] if base is None else [NFElem(base, u) for u in base.units]
+        basis = [[field_zero(base)] * j + [c]
+                 for j in range(up.deg(minpoly)) for c in lower]
+        self.table = [[[(m * j + i, c)
+                        for j, e in enumerate(up.rem(up.mul(p, q), self.minpoly))
+                        for i, c in enumerate((e,) if base is None else e.vec)
+                        if c]
+                       for q in basis] for p in basis]
 
     # -- element construction -------------------------------------------
 
     def zero(self):
-        return NFElem(self, [])
+        return NFElem(self, (QQ.zero,) * self.degree)
 
     def one(self):
-        return NFElem(self, [field_one(self.base)])
+        return NFElem(self, self.units[0])
 
     def from_rational(self, c):
-        c = _qq(c)
-        if not c:
-            return self.zero()
-        return NFElem(self, [field_coerce(self.base, c)])
+        return NFElem(self, (_qq(c),) + (QQ.zero,) * (self.degree - 1))
 
     def gen(self):
-        return NFElem(self, [field_zero(self.base), field_one(self.base)])
+        return NFElem(self, self.units[1 if self.base is None else self.base.degree])
 
     def lift(self, e):
         """Coerce an element of a lower level (or a rational) into this field."""
@@ -87,13 +129,12 @@ class NumberField:
             if e.field is self:
                 return e
             if self.base is not None and e.field is self.base:
-                return NFElem(self, [e])
+                return NFElem(self, e.vec + (QQ.zero,) * (self.degree - len(e.vec)))
             raise ValueError("element does not belong to this tower")
         return self.from_rational(e)
 
     def absolute_degree(self):
-        d = self.top_degree
-        return d if self.base is None else d * self.base.absolute_degree()
+        return self.degree
 
     def describe(self):
         """Human-readable tower description, deterministic."""
@@ -111,13 +152,26 @@ class NumberField:
 
 
 class NFElem:
-    """Element of a NumberField; immutable once built."""
+    """Element of a NumberField: its QQ coordinates on the basis a^i b^j;
+    immutable once built."""
 
-    __slots__ = ("field", "rep")
+    __slots__ = ("field", "vec")
 
-    def __init__(self, field, rep):
+    def __init__(self, field, vec):
         self.field = field
-        self.rep = tuple(up.trim(list(rep)))
+        self.vec = tuple(vec)
+
+    @property
+    def rep(self):
+        """The trimmed coefficient tuple over the level below."""
+        base = self.field.base
+        if base is None:
+            coeffs = list(self.vec)
+        else:
+            m = base.degree
+            coeffs = [NFElem(base, self.vec[j:j + m])
+                      for j in range(0, self.field.degree, m)]
+        return tuple(up.trim(coeffs))
 
     # -- coercion --------------------------------------------------------
 
@@ -137,39 +191,44 @@ class NFElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return NFElem(self.field, up.add(list(self.rep), list(o.rep)))
+        return NFElem(self.field, [x + y for x, y in zip(self.vec, o.vec)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, up.neg(list(self.rep)))
+        return NFElem(self.field, [-x for x in self.vec])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return NFElem(self.field, [x - y for x, y in zip(self.vec, o.vec)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, QQ.dtype)):
+            return NFElem(self.field, [x * other for x in self.vec])
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        prod = up.mul(list(self.rep), list(o.rep))
-        return NFElem(self.field, up.rem(prod, self.field.minpoly))
+        return NFElem(self.field, _times(self.field.table, self.vec, o.vec))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.rep:
-            raise ZeroInversion("cannot invert zero in a number field")
-        g, s, _t = up.gcdex(list(self.rep), self.field.minpoly)
-        if up.deg(g) != 0:
-            raise ZeroInversion("element is a zero divisor (minpoly not irreducible?)")
-        # g is monic, so s * rep = 1 modulo the minimal polynomial
-        return NFElem(self.field, up.rem(s, self.field.minpoly))
+        """Solve self*y = 1: reduce the row (1 | 0) against the rows
+        (self*e_k | e_k); it reduces to (0 | -y) exactly when self is a
+        unit."""
+        field = self.field
+        rows = [_times(field.table, self.vec, e) + list(e) for e in field.units]
+        rows.append(field.units[0] + (QQ.zero,) * field.degree)
+        *_, last = row_reduce(rows)
+        if any(last[:field.degree]):
+            raise ZeroInversion("element is zero or a zero divisor"
+                                " (minpoly not irreducible?)")
+        return NFElem(field, [-c for c in last[field.degree:]])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -198,21 +257,32 @@ class NFElem:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.rep)
+        return any(self.vec)
 
     def __eq__(self, other):
         if isinstance(other, (int, QQ.dtype, NFElem)):
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
-            return self.rep == o.rep
+            return self.vec == self._coerce(other).vec
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.rep))
+        return hash((id(self.field), self.vec))
 
     def __repr__(self):
         return f"NFElem({self.field.gen_name}: {self.rep})"
+
+
+def _times(table, x, y):
+    """Product of two coordinate vectors through a multiplication table."""
+    out = [QQ.zero] * len(x)
+    for k, a in enumerate(x):
+        if a:
+            row = table[k]
+            for l, b in enumerate(y):
+                if b:
+                    ab = a * b
+                    for r, c in row[l]:
+                        out[r] += ab * c
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 A polynomial is a plain list of coefficients, lowest degree first, with the
 top coefficient nonzero (the zero polynomial is the empty list).  The
 coefficient type only needs exact field arithmetic through the usual
-operators (+, -, *, /) and truthiness for the zero test.  This makes every
-routine here work uniformly over the rationals (sympy's QQ elements) and
-over the number-field towers of :mod:`ratsqrt.numberfield`.
+operators (+, -, *, /) and truthiness for the zero test, so every routine
+here works uniformly over the rationals (sympy's QQ elements) and over the
+number-field towers of :mod:`ratsqrt.numberfield`.  Tower elements do their
+own arithmetic; this module serves polynomials over them: the gcds and
+squarefree parts of the point searches and of Trager's pull-back, and the
+products that fill each field's multiplication table.
 
-Monic-gcd, extended Euclid and squarefree part are the workhorses used by
-the higher-level modules; :func:`factor_rational` factors over the rationals
-on sympy's sparse polynomial ring QQ[t].
+Monic gcd and squarefree part are the workhorses used by the higher-level
+modules; :func:`factor_rational` factors over the rationals on sympy's
+sparse polynomial ring QQ[t].
 """
 
 from __future__ import annotations
@@ -40,20 +43,6 @@ def add(p, q):
     return trim(out)
 
 
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(p, q):
-    return add(p, neg(q))
-
-
-def scale(p, c):
-    if not c:
-        return []
-    return trim([a * c for a in p])
-
-
 def mul(p, q):
     if not p or not q:
         return []
@@ -77,8 +66,9 @@ def divmod_poly(p, q):
     quo = []
     dq = deg(q)
     lc = q[-1]
+    inv = 1 / lc  # one field inverse per call
     while deg(r) >= dq and r:
-        c = r[-1] / lc
+        c = r[-1] * inv
         k = deg(r) - dq
         quo.append((k, c))
         for i in range(len(q)):
@@ -114,29 +104,6 @@ def gcd(p, q):
     while b:
         a, b = b, rem(a, b)
     return monic(a)
-
-
-def gcdex(p, q):
-    """Extended Euclid: returns (g, s, t) with s*p + t*q = g, g monic."""
-    a, b = list(p), list(q)
-    trim(a)
-    trim(b)
-    one_src = (a or b)
-    if not one_src:
-        return [], [], []
-    zero = one_src[0] - one_src[0]
-    one = one_src[-1] / one_src[-1]
-    s0, s1 = [one], []
-    t0, t1 = [], [one]
-    while b:
-        quo, r = divmod_poly(a, b)
-        a, b = b, r
-        s0, s1 = s1, sub(s0, mul(quo, s1))
-        t0, t1 = t1, sub(t0, mul(quo, t1))
-    if not a:
-        return [], [], []
-    inv = 1 / a[-1]
-    return scale(a, inv), scale(s0, inv), scale(t0, inv)
 
 
 def derivative(p):

@@ -160,8 +160,10 @@ class TestClassifyGerm:
 
     def test_cross_assertions_hold(self):
         # a three-line cone always has mu exactly 4
-        c = classify_germ(germ({(2, 1): 1, (1, 2): 1, (3, 0): 1}))
-        assert (c.cone_shape != THREE_DISTINCT_LINES) or c.mu == 4
+        P = germ({(2, 1): 1, (1, 2): 1, (3, 0): 1})
+        c = classify_germ(P)
+        shape = cubic_cone(lp_form(P, 3))[0]
+        assert (shape != THREE_DISTINCT_LINES) or c.mu == 4
 
     def test_strict_transform_of_cusp(self):
         # u^2 + v^3 blown up along its repeated direction becomes smooth

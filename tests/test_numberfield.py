@@ -1,13 +1,17 @@
 """Number-field tower arithmetic and factorization over towers."""
 
 import random
-from sympy.polys.domains import QQ
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from ratsqrt import unipoly as up
 from ratsqrt.errors import TowerTooDeep, ZeroInversion
+from ratsqrt.geometry import _elem_key
 from ratsqrt.numberfield import (
+    NFElem,
     NumberField,
     elem_str,
     factor_over_height1,
@@ -140,3 +144,255 @@ class TestPrinting:
         K = q_sqrt2()
         e = K.gen() + 1
         assert elem_str(e) == elem_str(K.gen() + 1)
+
+
+class TestReducibleMinpoly:
+    def test_zero_divisor_raises(self):
+        # t^2 - 1 = (t - 1)(t + 1): a - 1 is a zero divisor, not a unit
+        K = NumberField(None, "a", [QQ(-1), QQ(0), QQ(1)])
+        with pytest.raises(ZeroInversion):
+            (K.gen() - 1).inverse()
+
+
+# -- reference: the recursive tower arithmetic ------------------------------
+#
+# An element is a coefficient list over the level below, reduced modulo the
+# minimal polynomial, and every operation recurses through dense polynomial
+# arithmetic; an inverse runs the extended Euclidean algorithm.  The flat
+# elements must agree with it on every operation and on every view that
+# reports read.
+
+
+def _ref_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_add(p, q):
+    n = max(len(p), len(q))
+    return _ref_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def _ref_sub(p, q):
+    return _ref_add(p, [-c for c in q])
+
+
+def _ref_mul(p, q):
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if a and b:
+                out[i + j] = out[i + j] + a * b
+    return _ref_trim([c if c else p[0] - p[0] for c in out])
+
+
+def _ref_divmod(p, q):
+    r = _ref_trim(list(p))
+    quo = [0] * max(len(r) - len(q) + 1, 0)
+    while r and len(r) >= len(q):
+        c = r[-1] / q[-1]
+        k = len(r) - len(q)
+        quo[k] = c
+        for i, b in enumerate(q):
+            r[k + i] = r[k + i] - c * b
+        r.pop()
+        _ref_trim(r)
+    return _ref_trim(quo), r
+
+
+def _ref_gcdex(p, q):
+    """(g, s) with s*p = g modulo q, g monic."""
+    a, b = list(p), list(q)
+    one = q[-1] / q[-1]
+    s0, s1 = [one], []
+    while b:
+        quo, r = _ref_divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, _ref_sub(s0, _ref_mul(quo, s1))
+    inv = 1 / a[-1]
+    return [c * inv for c in a], [c * inv for c in s0]
+
+
+class RefField:
+    def __init__(self, base, gen_name, minpoly):
+        self.base, self.gen_name = base, gen_name
+        self.minpoly = [c if base is None else base.lift(c) for c in minpoly]
+
+    def lift(self, c):
+        if isinstance(c, RefElem) and c.field is self:
+            return c
+        c = QQ(c) if isinstance(c, int) else c
+        return RefElem(self, [c if self.base is None else self.base.lift(c)])
+
+
+class RefElem:
+    def __init__(self, field, rep):
+        self.field = field
+        self.rep = tuple(_ref_trim(list(rep)))
+
+    def __add__(self, other):
+        o = self.field.lift(other)
+        return RefElem(self.field, _ref_add(list(self.rep), list(o.rep)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefElem(self.field, [-c for c in self.rep])
+
+    def __sub__(self, other):
+        return self + (-self.field.lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self.field.lift(other)
+        prod = _ref_mul(list(self.rep), list(o.rep))
+        return RefElem(self.field, _ref_divmod(prod, self.field.minpoly)[1])
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.rep:
+            raise ZeroInversion("zero")
+        g, s = _ref_gcdex(list(self.rep), self.field.minpoly)
+        if len(g) != 1:
+            raise ZeroInversion("zero divisor")
+        return RefElem(self.field, _ref_divmod(s, self.field.minpoly)[1])
+
+    def __truediv__(self, other):
+        return self * self.field.lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.field.lift(other) * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self.field.lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self.rep)
+
+    def __eq__(self, other):
+        return self.rep == self.field.lift(other).rep
+
+
+def _ref_key(e):
+    return tuple(_ref_key(c) for c in e.rep) if isinstance(e, RefElem) else (e,)
+
+
+def _ref_str(e):
+    if not isinstance(e, RefElem):
+        return str(e)
+    parts = []
+    for i, c in enumerate(e.rep):
+        cs = _ref_str(c)
+        if cs == "0":
+            continue
+        head = e.field.gen_name if i == 1 else f"{e.field.gen_name}^{i}"
+        if i == 0:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(head)
+        elif "+" in cs or cs.startswith("-"):
+            parts.append(f"({cs})*{head}")
+        else:
+            parts.append(f"{cs}*{head}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _tower(levels):
+    """The flat field and the reference field of a tower, each level given
+    by the integer coefficients of its minimal polynomial over the level
+    below, a lower-level coefficient by its own integer coefficients."""
+    flat = ref = None
+    for name, minpoly in zip("ab", levels):
+        if flat is None:
+            flat_mp, ref_mp = [QQ(c) for c in minpoly], [QQ(c) for c in minpoly]
+        else:
+            pad = flat.absolute_degree()
+            flat_mp = [_flat_elem(flat, c + (0,) * (pad - len(c))) for c in minpoly]
+            ref_mp = [_ref_elem(ref, c) for c in minpoly]
+        flat, ref = NumberField(flat, name, flat_mp), RefField(ref, name, ref_mp)
+    return flat, ref
+
+
+def _flat_elem(field, coords):
+    """The element with QQ coordinates `coords` on the basis a^i b^j."""
+    return NFElem(field, [QQ(c) for c in coords])
+
+
+def _ref_elem(field, coords):
+    """The same element, as a coefficient list over the level below."""
+    if field.base is None:
+        return RefElem(field, [QQ(c) for c in coords])
+    m = len(coords) // (len(field.minpoly) - 1)
+    return RefElem(field, [_ref_elem(field.base, coords[j:j + m])
+                           for j in range(0, len(coords), m)])
+
+
+# height one of degree 2 and 3, height two of degree 4
+TOWERS = [
+    [(-2, 0, 1)],
+    [(7, 0, 1)],
+    [(1, 1, 1)],
+    [(-2, 0, 0, 1)],
+    [(-1, -1, 0, 1)],
+    [(-2, 0, 1), ((-3,), (), (1,))],
+    [(-2, 0, 1), ((0, -1), (), (1,))],
+    [(1, 0, 1), ((-1, -1), (), (1,))],
+    [(-2, 0, 1), ((1,), (0, 1), (1,))],
+]
+
+_rational = st.builds(QQ, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _case(draw):
+    levels = draw(st.sampled_from(TOWERS))
+    flat, ref = _tower(levels)
+    degree = flat.absolute_degree()
+    coords = st.lists(_rational, min_size=degree, max_size=degree)
+    return flat, ref, draw(coords), draw(coords)
+
+
+def _agree(x, r):
+    assert [_elem_key(c) for c in x.rep] == [_ref_key(c) for c in r.rep]
+    assert all(c.field is x.field.base for c in x.rep if isinstance(c, NFElem))
+    assert _elem_key(x) == _ref_key(r)
+    assert elem_str(x) == _ref_str(r)
+    assert bool(x) == bool(r)
+
+
+class TestAgainstRecursiveReference:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_case(), st.integers(-2, 3), st.sampled_from([1, -3, QQ(2, 5)]))
+    def test_operations_agree(self, case, n, q):
+        flat, ref, cx, cy = case
+        x, rx = _flat_elem(flat, cx), _ref_elem(ref, cx)
+        y, ry = _flat_elem(flat, cy), _ref_elem(ref, cy)
+        _agree(x, rx)
+        assert (x == y) == (rx == ry)
+        assert (x == q) == (rx == q)
+        for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                          (x + q, rx + q), (q - x, q - rx), (x * q, rx * q),
+                          (x / q, rx / q)):
+            _agree(got, want)
+        if y:
+            _agree(x / y, rx / ry)
+            _agree(y.inverse(), ry.inverse())
+            _agree(q / y, q / ry)
+        else:
+            with pytest.raises(ZeroInversion):
+                y.inverse()
+        if x or n >= 0:
+            _agree(x ** n, rx ** n)
