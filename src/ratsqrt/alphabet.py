@@ -161,8 +161,9 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         )
     trace = []
     singleton = {}
+    decided = {}
     for J, prod in subset_products(polys, config.max_subset_size):
-        v = decide(prod, None, config)
+        v = _decide_once(decided, prod, config)
         entry = {
             "subset": [labels[j] for j in J],
             "reduced_product": poly_str(prod),
@@ -195,7 +196,7 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         verdictnotes.extend(blocked)
         return AlphabetVerdict(INCONCLUSIVE, None, None, trace, verdictnotes)
     found = sequential_rationalize(
-        polys, config, extra_witnesses=extra_witnesses
+        polys, config, extra_witnesses=extra_witnesses, decided=decided
     )
     if found is None:
         verdictnotes.append(
@@ -219,6 +220,18 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     return AlphabetVerdict(
         RATIONALIZABLE, m, None, trace, verdictnotes, squares
     )
+
+
+def _decide_once(decided, f, config):
+    """decide(f), once per radicand: `decided` maps each radicand, read
+    over its effective variables, to its verdict.  decide drops the other
+    variables first, so a verdict reached over more variables has the same
+    outcome and witness; only its steps differ, and the search reads only
+    the witness."""
+    key = f.with_vars(tuple(effective_vars(f)) or f.vars)
+    if key not in decided:
+        decided[key] = decide(f, None, config)
+    return decided[key]
 
 
 def _lift_alphabet_witness(m, reduced, dehom_var):
@@ -253,7 +266,8 @@ def _obstruction_note(v: Verdict):
     return {"reason": v.steps[-1].rule if v.steps else "unknown"}
 
 
-def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
+def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
+                           decided=None):
     """Search for one map rationalizing every root: (map, [square root of
     each root's image]), or None.
 
@@ -261,6 +275,9 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
     witness candidates for the current reduced image; each accepted witness
     is composed into the running substitution, which is finally verified
     against all original roots, and that check yields the square roots.
+    `decided` optionally holds verdicts already reached, as
+    :func:`_decide_once` keeps them; the search adds its own, so no reduced
+    image is decided twice.
     Failure is not a non-rationalizability proof.
     """
     config = config or DEFAULT_CONFIG
@@ -268,11 +285,12 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None):
     if not universe:
         return None
     extra = list(extra_witnesses or [])
+    decided = {} if decided is None else decided
 
     def candidates(f):
         out = [w for w in extra if verify_witness(w, f) is not None]
         # decide verified its witness against f, which is already reduced
-        v = decide(f, None, config)
+        v = _decide_once(decided, f, config)
         if v.witness is not None:
             out.append(v.witness)
         return out

@@ -31,7 +31,7 @@ from .errors import (
     ZeroRadicand,
 )
 from .geometry import all_simple, build_model
-from .mpoly import effective_vars, poly_str, rf_str, squarefree_part
+from .mpoly import effective_vars, poly_str, radicand_reduce
 from .parser import load_alphabet, parse_poly, parse_rational
 from .report import (
     alphabet_report,
@@ -196,7 +196,7 @@ def cmd_alphabet(args):
 def cmd_singularities(args):
     config = _config(args)
     g = parse_rational(args.expr, _varlist(args))
-    f = squarefree_part(g.num * g.den)
+    f = radicand_reduce(g.num, g.den)
     eff = effective_vars(f)
     if len(eff) != 2:
         print(f"error: radicand reduces to {len(eff)} effective variable(s);"

@@ -35,7 +35,6 @@ the point's number-field tower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
 
 from sympy.polys.groebnertools import groebner
 
@@ -230,16 +229,21 @@ def _extend(field, coords, g):
 
 
 def _order_partials(form, order):
-    """All distinct nonzero order-`order` partial derivatives."""
-    seen = {}
-    for combo in combinations_with_replacement(range(form.ring.ngens), order):
-        d = form
-        for axis in combo:
-            d = d.diff(axis)
-            if not d:
-                break
-        if d:
-            seen[tuple(sorted(d.items()))] = d
+    """All distinct nonzero order-`order` partial derivatives.
+
+    Each is one derivative of a nonzero partial of the order below, along
+    an axis no lower than the last it was taken along, so every multiset
+    of axes is differentiated once.
+    """
+    level = [(0, form)] if form else []  # (lowest axis left, partial)
+    for _k in range(order):
+        level = [
+            (axis, d.diff(axis))
+            for first, d in level
+            for axis in range(first, form.ring.ngens)
+        ]
+        level = [(axis, d) for axis, d in level if d]
+    seen = {tuple(sorted(d.items())): d for _axis, d in level}
     return [seen[k] for k in sorted(seen)]
 
 

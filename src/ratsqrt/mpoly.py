@@ -12,6 +12,15 @@ so arithmetic, substitution and the exact kernels (cancellation, gcd,
 squarefree decomposition, factorization, the perfect-square test) all run
 on ring elements, never on expression trees.
 
+Two certificates let the reductions skip sympy's kernels on inputs that
+need no work; each decides from univariate images, in one variable y,
+with every other variable set to a fixed small integer, and only over QQ.
+A polynomial is squarefree when, for each variable y, some image keeps
+its degree in y and is coprime to its derivative: a square factor q^2
+involving y would leave q(y)^2 in it.  A fraction is already reduced when,
+for each variable both sides involve, some degree-preserving images of
+the two are coprime.  When no image decides, sqf_list or cancel runs.
+
 The canonical term order for printing and for leading coefficients is
 graded lexicographic in the declared variable order.  Coefficients meet
 sympy numbers only at the edges: the ``MultiPoly(vars, {exp: c})``
@@ -22,13 +31,15 @@ irrational coefficients in sympy's canonical form.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.orderings import lex
 from sympy.polys.polyclasses import ANP
 from sympy.polys.rings import PolyRing
+from sympy.polys.sqfreetools import dup_sqf_p
 
 from .errors import (
     OddDegree,
@@ -417,6 +428,58 @@ def factor_list(p: MultiPoly):
     return c, out
 
 
+# the values a of the univariate images below: generator j goes to a + j
+_PROBES = (0, 1, -1, 2, 3)
+
+
+def _image(pe, y, a):
+    """The coefficients in generator y, highest first, of pe with every
+    other generator j set to a + j, as integers (pe over QQ, scaled by the
+    common denominator of its coefficients); None when the leading
+    coefficient in y vanishes there."""
+    den = lcm(*(c.denominator for c in pe.values()))
+    deg = pe.degree(y)
+    out = [0] * (deg + 1)
+    for e, c in pe.items():
+        v = c.numerator * (den // c.denominator)
+        for j, k in enumerate(e):
+            if k and j != y:
+                v *= (a + j) ** k
+        out[deg - e[y]] += v
+    return out if out[0] else None
+
+
+def _certified(pes, test):
+    """Whether, for every generator that each of `pes` (elements of one
+    ring over QQ) involves, some probe gives degree-preserving images of
+    them all on which `test` holds.  False means undecided."""
+    if not pes[0].ring.domain.is_QQ:
+        return False
+    for y in range(pes[0].ring.ngens):
+        if any(pe.degree(y) < 1 for pe in pes):
+            continue
+        for a in _PROBES:
+            images = [_image(pe, y, a) for pe in pes]
+            if None not in images and test(*images):
+                break
+        else:
+            return False
+    return True
+
+
+def _squarefree_by_images(pe):
+    """A certificate that pe is squarefree: if q^2 divides pe and q involves
+    y, then q(y, a)^2 divides every degree-preserving image in y, so one
+    squarefree image per variable rules every such q out."""
+    return _certified([pe], lambda g: dup_sqf_p(g, ZZ))
+
+
+def _coprime_by_images(a, b):
+    """A certificate that gcd(a, b) = 1: a common factor involves a variable
+    both involve, and it divides their degree-preserving images in it."""
+    return _certified([a, b], lambda g, h: len(dup_gcd(g, h, ZZ)) == 1)
+
+
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """The squarefree f with p = f * h^2 exactly (h polynomial).
 
@@ -427,7 +490,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     """
     if p.is_zero():
         raise ZeroRadicand("squarefree part of zero is undefined")
-    if p.is_constant():
+    if p.is_constant() or _squarefree_by_images(p.pe):
         return p
     const, factors = p.pe.sqf_list()
     out = p.pe.ring(const)
@@ -440,7 +503,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
 def is_squarefree(p: MultiPoly) -> bool:
     if p.is_zero():
         return False
-    if p.is_constant():
+    if p.is_constant() or _squarefree_by_images(p.pe):
         return True
     return all(m == 1 for _f, m in p.pe.sqf_list()[1])
 
@@ -519,12 +582,15 @@ class RationalFunction:
         num._check_vars(den)
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
-        # a constant on either side leaves nothing to cancel
+        # a constant on either side leaves nothing to cancel, and neither
+        # does a certified coprime pair: cancel would only rescale them,
+        # which the monic normalization below undoes
         if reduce and not num.is_constant() and not den.is_constant():
             rn, rd = _common(num, den)
-            rn, rd = rn.cancel(rd)
-            num = MultiPoly.of(num.vars, rn)
-            den = MultiPoly.of(den.vars, rd)
+            if not _coprime_by_images(rn, rd):
+                rn, rd = rn.cancel(rd)
+                num = MultiPoly.of(num.vars, rn)
+                den = MultiPoly.of(den.vars, rd)
         if num.is_zero():
             den = MultiPoly.const(den.vars, 1)
         lc = den.leading_coeff()

@@ -235,10 +235,8 @@ def parse_rational(text, variables=None, field=None):
         _check_variables(variables)
     p = _Parser(text, variables, field)
     num, den = p.parse()
-    if not den.is_ground:
-        num, den = num.cancel(den)
     return RationalFunction(
-        MultiPoly.of(p.vars, num), MultiPoly.of(p.vars, den), reduce=False
+        MultiPoly.of(p.vars, num), MultiPoly.of(p.vars, den)
     )
 
 

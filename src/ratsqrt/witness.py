@@ -3,13 +3,15 @@
 A witness is a :class:`~ratsqrt.mpoly.RationalMap` phi with phi(f) a perfect
 square in the rational-function field.  Witnesses are built by projecting
 the hypersurface closure of W^2 = f from a point of multiplicity D - 1:
-expanding H(t*q + v) = t*A(v) + B(v) (all lower powers of t vanish by the
-multiplicity hypothesis), the residual intersection of the line through q
-with direction v is t = -B(v)/A(v), giving rational formulas for every
-coordinate.  For degree <= 2 the centre is any regular point of the quadric,
-found by a bounded-height rational scan with a quadratic-extension fallback;
-a quadric with f < 0 on all of R^n has no real point to find, so it goes to
-the fallback at once.
+H(t*q + v) = t*A(v) + B(v) (the higher powers of t vanish by the
+multiplicity hypothesis), and the residual intersection of the line
+through q with direction v is t = -B(v)/A(v), giving rational formulas
+for every coordinate.  By Taylor's formula B = H(v) and A is the polar
+(q.grad)H at v, so both are read off derivatives of H, with no expansion
+of H along the line.  For degree <= 2 the centre is any regular point of
+the quadric, found by a bounded-height rational scan with a
+quadratic-extension fallback; a quadric with f < 0 on all of R^n has no
+real point to find, so it goes to the fallback at once.
 
 Every map passes through :func:`verify_witness` before it is emitted:
 :func:`quadric_witness` and :func:`homogeneous_lift` check what they build,
@@ -35,8 +37,11 @@ from .mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _coerce,
+    _join,
     _rational,
     _rational_sqrt,
+    _ring,
     effective_vars,
     is_perfect_square,
     quadratic_field,
@@ -141,6 +146,10 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
     is the hyperplane complementary to q's pivot coordinate, affinized by
     setting its last coordinate to 1; the surviving parameters are renamed
     X_1..X_n, so the result is a substitution in the original variables.
+
+    H(t*q + v) = sum_k t^k (q.grad)^k H(v) / k!, so B is H and A the polar
+    (q.grad)H, both restricted to the line space; the polars of order
+    k >= 2 must vanish there.
     """
     coords = H.vars
     source_vars = coords[1:-1]
@@ -148,37 +157,59 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
     if pivot is None:
         raise WrongMultiplicity("projection centre must be a projective point")
     one_slot = [i for i in range(len(coords)) if i != pivot][-1]
-    ring = ("t",) + tuple(source_vars)
-    t = MultiPoly.var(ring, "t")
-    line = {}
-    params = iter(source_vars)
-    vpart = {}
-    for i, name in enumerate(coords):
-        if i == pivot:
-            vpart[i] = MultiPoly.zero(ring)
-        elif i == one_slot:
-            vpart[i] = MultiPoly.const(ring, 1)
-        else:
-            vpart[i] = MultiPoly.var(ring, next(params))
-        line[name] = RationalFunction.from_poly(t.scale(q[i]) + vpart[i])
-    expanded = substitute(H, RationalMap(ring, line)).num
+    slots = [i for i in range(len(coords)) if i not in (pivot, one_slot)]
+    domains, q = zip(*(_coerce(c) for c in q))
+    K = _join((H.pe.ring.domain, *domains))
+    q = [K.convert(c) for c in q]
+    h = H.pe.set_ring(_ring(coords, K))
+    ring = _ring(source_vars, K)
+
+    def polar(P):
+        """(q.grad)P."""
+        out = P.ring.zero
+        for i, c in enumerate(q):
+            if c:
+                out += P.diff(i).mul_ground(c)
+        return out
+
+    def restrict(P):
+        """P on the line space: pivot coordinate 0, one-slot coordinate 1,
+        the others renamed X_1..X_n."""
+        terms = {}
+        for e, c in P.items():
+            if not e[pivot]:
+                m = tuple(e[i] for i in slots)
+                terms[m] = terms.get(m, K.zero) + c
+        return ring.from_dict(terms)
+
+    A = polar(h)
     # multiplicity D-1 forces H(t q + v) = t*A(v) + B(v)
-    te = expanded.degree_in("t")
+    te, P, k = 1, A, 1
+    while P:
+        P, k = polar(P), k + 1
+        if restrict(P):
+            te = k
     if te > 1:
         raise WrongMultiplicity(
             f"expansion has a t^{te} term; centre multiplicity is not D-1"
         )
-    Ap = expanded.derivative("t").with_vars(source_vars)
-    Bp = expanded.subs_var("t", 0).with_vars(source_vars)
+    Ap = MultiPoly.of(source_vars, restrict(A))
+    Bp = MultiPoly.of(source_vars, restrict(h))
     if Ap.is_zero():
         raise DegenerateProjection("residual-intersection form vanishes")
+    # v_i: 0 at the pivot, 1 at the one slot, X_j at the j-th other slot
+    vpart = {pivot: MultiPoly.zero(source_vars),
+             one_slot: MultiPoly.const(source_vars, 1)}
+    vpart.update(
+        (i, MultiPoly.var(source_vars, v)) for i, v in zip(slots, source_vars)
+    )
     # residual point: t = -B/A, so coordinate i maps to -B*q_i + A*v_i
-    den = Bp.scale(-q[0]) + Ap * vpart[0].with_vars(source_vars)
+    den = Bp.scale(-q[0]) + Ap * vpart[0]
     if den.is_zero():
         raise DegenerateProjection("projection denominator vanishes")
     assignments = {}
     for slot, name in enumerate(coords[1:-1], start=1):
-        num = Bp.scale(-q[slot]) + Ap * vpart[slot].with_vars(source_vars)
+        num = Bp.scale(-q[slot]) + Ap * vpart[slot]
         assignments[name] = RationalFunction(num, den)
     return RationalMap(source_vars, assignments, extension=extension)
 

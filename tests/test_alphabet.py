@@ -15,7 +15,14 @@ from ratsqrt.engine import (
     Config,
 )
 from ratsqrt.errors import TooManyRoots
-from ratsqrt.mpoly import RationalMap, is_squarefree, rf_str, substitute
+from ratsqrt.mpoly import (
+    RationalMap,
+    effective_vars,
+    is_squarefree,
+    poly_str,
+    rf_str,
+    substitute,
+)
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.witness import verify_witness
 
@@ -175,6 +182,26 @@ class TestDecideAlphabet:
         assert all(m == v.witness for m, _f in calls)
         assert [f for _m, f in calls] == [f for _l, f in PAIR]
         assert set(v.root_squares) == {"f1", "f2"}
+
+    @pytest.mark.parametrize("alpha", [
+        PAIR,
+        roots("X", "X + 1", "X + Y", vs=("X", "Y")),
+        roots("X*Y", "Y*Z", "X*Z", vs=("X", "Y", "Z")),
+    ], ids=["pair", "three", "homogeneous"])
+    def test_no_radicand_decided_twice(self, monkeypatch, alpha):
+        # subsets with one reduced product, and the search's reduced images,
+        # reuse the verdicts already reached
+        seen = []
+        real = alphabet.decide
+        monkeypatch.setattr(
+            alphabet, "decide",
+            lambda p, q, config: seen.append(
+                (tuple(effective_vars(p)), poly_str(p))
+            ) or real(p, q, config),
+        )
+        # Rationalizable needs the search, so both phases ran
+        assert decide_alphabet(alpha).outcome == RATIONALIZABLE
+        assert len(seen) == len(set(seen))
 
     def test_homogeneous_alphabet_lifts_its_witness(self):
         # an all-even homogeneous alphabet is solved dehomogenized and the

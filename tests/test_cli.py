@@ -6,6 +6,8 @@ import pytest
 
 from ratsqrt import cli
 from ratsqrt.engine import Config
+from ratsqrt.errors import ZeroRadicand
+from ratsqrt.mpoly import MultiPoly, radicand_reduce
 from ratsqrt.report import strip_timings
 
 
@@ -129,6 +131,19 @@ class TestSingularities:
     def test_not_bivariate_exit_4(self, capsys):
         code, _out, err = run(capsys, "singularities", "X^2 - 1")
         assert code == 4
+
+    def test_zero_radicand_exit_2(self, capsys):
+        code, _out, err = run(capsys, "singularities", "0")
+        assert code == 2
+        with pytest.raises(ZeroRadicand) as zero:
+            radicand_reduce(MultiPoly.zero(("X",)), MultiPoly.const(("X",), 1))
+        assert err == f"error: {zero.value}\n"
+
+    def test_reduces_like_decide(self, capsys):
+        # the square factor in the denominator goes, as in decide
+        _code, plain, _err = run(capsys, "singularities", "X^4 + Y^4")
+        code, out, _err = run(capsys, "singularities", "(X^4 + Y^4)/(X + 1)^2")
+        assert code == 0 and out == plain
 
 
 class TestCorpus:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyElement
 
 from ratsqrt import geometry
 from ratsqrt.errors import NonReduced
@@ -400,6 +401,43 @@ class TestLexSolve:
                     for q in quadrics:
                         assert not _value(q, fld, proj)
         assert found
+
+
+def _reference_order_partials(form, order):
+    """The enumeration _order_partials replaced: every combination of axes
+    differentiated from the form again."""
+    seen = {}
+    for combo in combinations_with_replacement(range(form.ring.ngens), order):
+        d = form
+        for axis in combo:
+            d = d.diff(axis)
+            if not d:
+                break
+        if d:
+            seen[tuple(sorted(d.items()))] = d
+    return [seen[k] for k in sorted(seen)]
+
+
+class TestOrderPartials:
+    FORMS = ("X^2*Y + Z^2 + 1", "X^3 + Y^3 + Z^3 + 1", "X1^4 + X2^4 + X3^4",
+             "X^2*(X + 1) - Y^2", "X*Y^3 + Y + 1")
+
+    @pytest.mark.parametrize("text", FORMS)
+    def test_same_partials_in_the_same_order(self, text):
+        V = build_model(parse_poly(text)).V
+        for order in range(V.total_degree() + 2):
+            assert geometry._order_partials(V.pe, order) == \
+                _reference_order_partials(V.pe, order)
+
+    def test_one_derivative_per_axis_multiset(self, monkeypatch):
+        # 5 coordinates: 5 first partials and 15 second, 30 diffs before
+        V = build_model(parse_poly("X1^4 + X2^4 + X3^4 + X1*X2*X3")).V
+        calls = []
+        real = PolyElement.diff
+        monkeypatch.setattr(PolyElement, "diff",
+                            lambda p, x: calls.append(x) or real(p, x))
+        geometry._order_partials(V.pe, 2)
+        assert len(calls) == 5 + 15
 
 
 class TestFormsOnly:

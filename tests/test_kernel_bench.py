@@ -1,0 +1,30 @@
+"""Microbenchmark of the two kernels the alphabets spend most on: the
+squarefree part of a squarefree radicand, which its univariate images
+certify without a decomposition, and the quadric witness, built from the
+polars of the closure at its centre.
+
+The rounds are fixed, so the whole file runs in well under a second; the
+timings appear in pytest-benchmark's table.  Run it alone with
+
+    PYTHONPATH=src python -m pytest tests/test_kernel_bench.py
+"""
+
+from ratsqrt.mpoly import squarefree_part, substitute
+from ratsqrt.parser import parse_poly
+from ratsqrt.witness import quadric_witness
+
+ROUNDS, ITERATIONS = 25, 4
+
+
+def test_squarefree_part_of_a_squarefree_quartic(benchmark):
+    p = parse_poly("X^4 + 2*X^2*Y*Z - 3*Y^3*Z + Z^4 - X*Y + 5")
+    out = benchmark.pedantic(squarefree_part, args=(p,), rounds=ROUNDS,
+                             iterations=ITERATIONS)
+    assert out == p
+
+
+def test_quadric_witness_of_a_univariate_quadric(benchmark):
+    f = parse_poly("-9*X^2 + 6*X + 8")
+    m, h = benchmark.pedantic(quadric_witness, args=(f,), rounds=ROUNDS,
+                              iterations=ITERATIONS)
+    assert h * h == substitute(f, m)

@@ -4,11 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsqrt.errors import OddDegree, ZeroDenominator
 from ratsqrt.mpoly import (
+    _PROBES,
     MultiPoly,
     _coerce,
+    _common,
     RationalFunction,
     RationalMap,
     dehomogenize,
@@ -202,3 +206,96 @@ class TestCoerce:
 
     def test_rational_stays_rational(self):
         assert _coerce(sp.Rational(-3, 4))[0].is_QQ
+
+
+# --------------------------------------------------------------------------
+# the univariate-image certificates against the sympy kernels they skip
+
+XYZ = ("X", "Y", "Z")
+CERT = settings(max_examples=120, deadline=None, derandomize=True,
+                database=None)
+# Y - Z + 1 vanishes when Y = a + 1, Z = a + 2, at every probe a: as a
+# factor of the leading coefficient in X it leaves no degree-preserving
+# image in X, so the certificates must fall back to sympy
+KILLER = P("Y - Z + 1", XYZ)
+
+
+def _small():
+    """Nonzero polynomials in X, Y, Z of up to 3 terms, degree at most 1 in
+    each variable, with small rational coefficients."""
+    term = st.tuples(st.tuples(*[st.integers(0, 1)] * 3),
+                     st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda ts: MultiPoly(XYZ, dict(ts))
+    ).filter(lambda p: not p.is_zero())
+
+
+def _factor():
+    """a, or KILLER*X*a + b: a factor whose leading coefficient in X
+    vanishes at every probe.  With b constant, every image of it at probe
+    0 is constant once the degree drop goes unnoticed."""
+    b = st.one_of(_small(), st.integers(1, 3).map(
+        lambda c: MultiPoly.const(XYZ, c)))
+    return st.one_of(
+        _small(),
+        st.builds(lambda a, b: KILLER * MultiPoly.var(XYZ, "X") * a + b,
+                  _small(), b),
+    ).filter(lambda p: not p.is_zero())
+
+
+def _reference_squarefree_part(p):
+    """squarefree_part without the image certificate."""
+    if p.is_constant():
+        return p
+    const, factors = p.pe.sqf_list()
+    out = p.pe.ring(const)
+    for f, m in factors:
+        if m % 2 == 1:
+            out *= f
+    return MultiPoly.of(p.vars, out)
+
+
+def _reference_is_squarefree(p):
+    return p.is_constant() or all(m == 1 for _f, m in p.pe.sqf_list()[1])
+
+
+def _always_cancelled(num, den):
+    """RationalFunction's reduction with sympy's cancel on every
+    non-constant pair."""
+    if not num.is_constant() and not den.is_constant():
+        rn, rd = _common(num, den)
+        rn, rd = rn.cancel(rd)
+        num, den = MultiPoly.of(num.vars, rn), MultiPoly.of(den.vars, rd)
+    if num.is_zero():
+        den = MultiPoly.const(den.vars, 1)
+    lc = den.leading_coeff()
+    return num.scale(1 / lc), den.monic()
+
+
+class TestImageCertificates:
+    def test_killer_vanishes_at_every_probe(self):
+        for a in _PROBES:
+            assert KILLER.eval_at({"Y": a + 1, "Z": a + 2}) == 0
+
+    @CERT
+    @given(_factor(), _factor(), st.booleans())
+    def test_squarefree_part_matches_sqf_list(self, q, r, square):
+        p = q * q * r if square else q * r
+        assert squarefree_part(p) == _reference_squarefree_part(p)
+        assert is_squarefree(p) == _reference_is_squarefree(p)
+
+    @CERT
+    @given(_factor(), _factor(), _factor(), st.booleans())
+    def test_reduction_matches_always_cancelling(self, a, b, c, common):
+        num, den = (a * c, b * c) if common else (a, b)
+        g = RationalFunction(num, den)
+        assert (g.num, g.den) == _always_cancelled(num, den)
+
+    def test_extension_takes_the_sympy_path(self):
+        a = MultiPoly(XYZ[:2], {(1, 0): 1, (0, 1): sp.sqrt(2)})
+        b = P("X - Y", XYZ[:2])
+        p = a * a * b
+        assert squarefree_part(p) == _reference_squarefree_part(p)
+        g = RationalFunction(a * b, a)
+        assert (g.num, g.den) == _always_cancelled(a * b, a)
+        assert g.den.is_constant()

@@ -1,16 +1,19 @@
 """Construction, composition, and verification of rationalizing maps."""
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 import sympy as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement
 
-from ratsqrt.errors import WrongMultiplicity
+from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
 from ratsqrt.geometry import build_model, high_mult_point_search
 from ratsqrt.mpoly import (
     MultiPoly,
+    RationalFunction,
     RationalMap,
     is_perfect_square,
     substitute,
@@ -150,7 +153,7 @@ class TestParametrize:
         # centre not of multiplicity D-1 leaves higher powers of the line
         # parameter in the expansion
         V = build_model(parse_poly("X^4 + Y^4 + 1", ("X", "Y"))).V
-        with pytest.raises(WrongMultiplicity):
+        with pytest.raises(WrongMultiplicity, match=r"has a t\^4 term"):
             parametrize_from_point(V, [1, 0, 0, 0])
 
     def test_projection_from_node(self):
@@ -161,6 +164,127 @@ class TestParametrize:
         m = projection_witness(V, pt)
         assert m is not None
         assert verify_witness(m, f) is not None
+
+
+def _reference_parametrize(H, q, extension=None):
+    """The construction parametrize_from_point replaced: expand H(t*q + v)
+    by a general substitution and read off its coefficients in t."""
+    coords = H.vars
+    source_vars = coords[1:-1]
+    pivot = next((i for i, c in enumerate(q) if c), None)
+    if pivot is None:
+        raise WrongMultiplicity("projection centre must be a projective point")
+    one_slot = [i for i in range(len(coords)) if i != pivot][-1]
+    ring = ("t",) + tuple(source_vars)
+    t = MultiPoly.var(ring, "t")
+    line = {}
+    params = iter(source_vars)
+    vpart = {}
+    for i, name in enumerate(coords):
+        if i == pivot:
+            vpart[i] = MultiPoly.zero(ring)
+        elif i == one_slot:
+            vpart[i] = MultiPoly.const(ring, 1)
+        else:
+            vpart[i] = MultiPoly.var(ring, next(params))
+        line[name] = RationalFunction.from_poly(t.scale(q[i]) + vpart[i])
+    expanded = substitute(H, RationalMap(ring, line)).num
+    te = expanded.degree_in("t")
+    if te > 1:
+        raise WrongMultiplicity(
+            f"expansion has a t^{te} term; centre multiplicity is not D-1"
+        )
+    Ap = expanded.derivative("t").with_vars(source_vars)
+    Bp = expanded.subs_var("t", 0).with_vars(source_vars)
+    if Ap.is_zero():
+        raise DegenerateProjection("residual-intersection form vanishes")
+    den = Bp.scale(-q[0]) + Ap * vpart[0].with_vars(source_vars)
+    if den.is_zero():
+        raise DegenerateProjection("projection denominator vanishes")
+    assignments = {}
+    for slot, name in enumerate(coords[1:-1], start=1):
+        num = Bp.scale(-q[slot]) + Ap * vpart[slot].with_vars(source_vars)
+        assignments[name] = RationalFunction(num, den)
+    return RationalMap(source_vars, assignments, extension=extension)
+
+
+def _outcome(build, H, q, extension):
+    """The map, or the class and text of the refusal."""
+    try:
+        m = build(H, q, extension)
+    except (WrongMultiplicity, DegenerateProjection) as e:
+        return type(e).__name__, str(e)
+    return m, m.extension
+
+
+SMALL = st.integers(-3, 3)
+X, Y = sp.symbols("X Y")
+
+
+@st.composite
+def _centres(draw):
+    """(H, q, extension): the closure H of W^2 = f and a centre on it.
+
+    f is a quadric in one to three variables, a negative definite one, a
+    bivariate cubic with a node at a small rational point, or a quartic
+    linear in Y, which has a triple point at infinity.  The centre is the
+    one the engine would take (a quadric point, over QQ(sqrt(c)) when
+    the quadric is definite or the scan height too small to find a
+    rational one, or the multiplicity-(D-1) point the search finds) or a
+    small integer point, mostly of the wrong multiplicity.
+    """
+    kind = draw(st.sampled_from(["quadric", "definite", "cubic", "quartic"]))
+    names = ("X", "Y", "Z")[:draw(st.integers(1, 3))]
+    if kind == "quadric":
+        exps = [e for e in product(range(3), repeat=len(names)) if sum(e) <= 2]
+        f = MultiPoly(names, {e: draw(SMALL) for e in exps})
+    elif kind == "definite":
+        # -(c_0 + c_1 X^2 + ...): the exponent of X_j is 2 in term j + 1
+        f = MultiPoly(names, {
+            tuple(2 * (i == j + 1) for j in range(len(names))):
+                -draw(st.integers(1, 3))
+            for i in range(len(names) + 1)
+        })
+    elif kind == "cubic":
+        u, v = X - draw(SMALL), Y - draw(SMALL)
+        f = MultiPoly.from_sympy(sum(
+            draw(SMALL) * u**i * v**(d - i)
+            for d in (2, 3) for i in range(d + 1)
+        ), ("X", "Y"))
+    else:
+        a, b = (sum(draw(SMALL) * X**i for i in range(top))
+                for top in (5, 4))
+        f = MultiPoly.from_sympy(a + b * Y, ("X", "Y"))
+    assume(not f.is_constant())
+    model = build_model(f)
+    if draw(st.booleans()):
+        q = draw(st.lists(SMALL, min_size=len(model.V.vars),
+                          max_size=len(model.V.vars)))
+        return model.V, q, None
+    if kind in ("quadric", "definite"):
+        try:
+            height = draw(st.sampled_from([1, 2, 50]))
+            q, ext = point_on_quadric(model.f, height)
+        except DegenerateProjection:
+            assume(False)
+        return model.V, q, ext
+    pt, _certified = high_mult_point_search(model.V)
+    assume(pt is not None and pt.field is None)
+    return model.V, list(pt.proj), None
+
+
+class TestPolarProjection:
+    """The projection reads A and B off the polars of H instead of
+    expanding H(t*q + v); maps and refusals must not change."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_centres())
+    def test_matches_the_substitution(self, case):
+        H, q, ext = case
+        assert _outcome(parametrize_from_point, H, q, ext) == \
+            _outcome(_reference_parametrize, H, q, ext)
 
 
 class TestVerify:
