@@ -22,6 +22,7 @@ witness is found the outcome is Inconclusive.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -40,10 +41,11 @@ from .mpoly import (
     RationalFunction,
     RationalMap,
     dehomogenize,
-    effective_vars,
     is_homogeneous,
     is_perfect_square,
+    on_effective_vars,
     poly_str,
+    radicand_reduce,
     rf_str,
     squarefree_part,
     substitute,
@@ -54,7 +56,6 @@ from .witness import compose, homogeneous_lift, verify_witness
 @dataclass(frozen=True)
 class SubsetCertificate:
     labels: tuple
-    indices: tuple
     reduced_product: MultiPoly
     inner: Verdict
 
@@ -76,9 +77,10 @@ class AlphabetVerdict:
     trace: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     root_squares: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
 
-def subset_products(roots, cap=12):
+def subset_products(roots, cap):
     """The non-empty index subsets with their squarefree-reduced products,
     built lazily in certification order.
 
@@ -162,6 +164,15 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     trace = []
     singleton = {}
     decided = {}
+
+    def verdict(outcome, m=None, cert=None, squares=None):
+        # an alphabet's timings: the per-rule sums over its decisions
+        timings = Counter()
+        for v in decided.values():
+            timings.update(v.timings)
+        return AlphabetVerdict(outcome, m, cert, trace, verdictnotes,
+                               squares or {}, dict(timings))
+
     for J, prod in subset_products(polys, config.max_subset_size):
         v = _decide_once(decided, prod, config)
         entry = {
@@ -176,12 +187,8 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         if len(J) == 1:
             singleton[J[0]] = v
         if v.outcome == NOT_RATIONALIZABLE:
-            cert = SubsetCertificate(
-                tuple(labels[j] for j in J), J, prod, v
-            )
-            return AlphabetVerdict(
-                NOT_RATIONALIZABLE, None, cert, trace, verdictnotes
-            )
+            cert = SubsetCertificate(tuple(labels[j] for j in J), prod, v)
+            return verdict(NOT_RATIONALIZABLE, cert=cert)
     # phase 2: a simultaneous witness is required for Rationalizable
     blocked = []
     for i, v in sorted(singleton.items()):
@@ -194,7 +201,7 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
             )
     if blocked:
         verdictnotes.extend(blocked)
-        return AlphabetVerdict(INCONCLUSIVE, None, None, trace, verdictnotes)
+        return verdict(INCONCLUSIVE)
     found = sequential_rationalize(
         polys, config, extra_witnesses=extra_witnesses, decided=decided
     )
@@ -203,7 +210,7 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
             "no simultaneous witness found within the search budget; the"
             " subset criterion alone cannot prove rationalizability"
         )
-        return AlphabetVerdict(INCONCLUSIVE, None, None, trace, verdictnotes)
+        return verdict(INCONCLUSIVE)
     # lift through the shared dehomogenization when one was applied
     if dehom_var is not None:
         found = _lift_alphabet_witness(found[0], reduced, dehom_var)
@@ -212,14 +219,10 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
                 "simultaneous witness found for the dehomogenized roots but"
                 " its homogeneous lift failed verification"
             )
-            return AlphabetVerdict(
-                INCONCLUSIVE, None, None, trace, verdictnotes
-            )
+            return verdict(INCONCLUSIVE)
     m, roots_of_images = found
     squares = {l: rf_str(h) for l, h in zip(labels, roots_of_images)}
-    return AlphabetVerdict(
-        RATIONALIZABLE, m, None, trace, verdictnotes, squares
-    )
+    return verdict(RATIONALIZABLE, m, squares=squares)
 
 
 def _decide_once(decided, f, config):
@@ -228,7 +231,7 @@ def _decide_once(decided, f, config):
     variables first, so a verdict reached over more variables has the same
     outcome and witness; only its steps differ, and the search reads only
     the witness."""
-    key = f.with_vars(tuple(effective_vars(f)) or f.vars)
+    key = on_effective_vars(f)
     if key not in decided:
         decided[key] = decide(f, None, config)
     return decided[key]
@@ -263,7 +266,7 @@ def _obstruction_note(v: Verdict):
                 "reason": "branch curve has non-simple singularities",
                 "non_simple_points": bad,
             }
-    return {"reason": v.steps[-1].rule if v.steps else "unknown"}
+    return {"reason": v.steps[-1].rule}
 
 
 def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
@@ -308,10 +311,10 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
         img = substitute(f, m)
         if is_perfect_square(img, m.extension) is not None:
             return extend(m, remaining[1:])
-        red = squarefree_part(img.num * img.den)
+        red = radicand_reduce(img.num, img.den)
         if red.is_constant():
             return None  # constant non-square image: dead end
-        red = red.with_vars(tuple(effective_vars(red)) or red.vars)
+        red = on_effective_vars(red)
         for w in candidates(red):
             w_full = _pad_map(w, universe)
             nxt = extend(compose(m, w_full), remaining[1:])

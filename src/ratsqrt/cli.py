@@ -16,23 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from importlib import resources
 
 from . import __version__
 from .alphabet import decide_alphabet
-from .engine import Config, decide
-from .errors import (
-    ParseSyntaxError,
-    RatsqrtError,
-    ResourceLimit,
-    SchemaError,
-    TooManyRoots,
-    ZeroDenominator,
-    ZeroRadicand,
-)
+from .engine import Config, _RuleClock, decide
+from .errors import RatsqrtError, ResourceLimit, SchemaError, TooManyRoots
 from .geometry import all_simple, build_model
 from .mpoly import effective_vars, poly_str, radicand_reduce
-from .parser import load_alphabet, parse_poly, parse_rational
+from .parser import load_alphabet, parse_rational
 from .report import (
     alphabet_report,
     dumps,
@@ -47,18 +40,25 @@ EXIT_NOT_BIVARIATE = 4
 EXIT_CORPUS_MISMATCH = 5
 
 
-def _add_common(p):
-    p.add_argument("--vars", help="comma-separated variable order")
-    p.add_argument("--json", metavar="PATH", help="write the JSON report")
-    p.add_argument("--witness", action="store_true", help="print the witness")
-    p.add_argument("--trace", action="store_true", help="print certificate steps")
-    p.add_argument("--max-height", type=int, default=Config.max_height,
-                   metavar="N", help="rational point-scan height bound")
-    p.add_argument("--max-subset-size", type=int,
-                   default=Config.max_subset_size, metavar="K",
-                   help="alphabet size cap for subset enumeration")
-    p.add_argument("--timeout", type=float, default=Config.timeout,
-                   metavar="SECONDS", help="per-rule soft time budget")
+_FLAGS = {
+    "vars": dict(help="comma-separated variable order"),
+    "json": dict(metavar="PATH", help="write the JSON report"),
+    "witness": dict(action="store_true", help="print the witness"),
+    "trace": dict(action="store_true", help="print certificate steps"),
+    "max-height": dict(type=int, default=Config.max_height, metavar="N",
+                       help="rational point-scan height bound"),
+    "max-subset-size": dict(type=int, default=Config.max_subset_size,
+                            metavar="K",
+                            help="alphabet size cap for subset enumeration"),
+    "timeout": dict(type=float, default=Config.timeout, metavar="SECONDS",
+                    help="per-rule soft time budget"),
+}
+
+
+def _add_flags(p, names):
+    """Register the named flags, the ones the subcommand's handler reads."""
+    for name in names.split():
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _build_parser():
@@ -72,30 +72,29 @@ def _build_parser():
 
     p = sub.add_parser("analyze", help="decide one square root")
     p.add_argument("expr", help="radicand p/q as an expression")
-    _add_common(p)
+    _add_flags(p, "vars json witness trace max-height timeout")
 
     p = sub.add_parser("alphabet", help="decide a set of square roots")
     p.add_argument("input", nargs="+",
                    help="path to an alphabet JSON document (*.json), or"
                    " radicand expressions (one per root)")
-    _add_common(p)
+    _add_flags(p, "vars json witness trace max-height max-subset-size timeout")
 
     p = sub.add_parser("singularities",
                        help="singularity table of the branch curve")
     p.add_argument("expr", help="bivariate radicand expression")
-    _add_common(p)
+    _add_flags(p, "vars json")
 
     p = sub.add_parser("corpus", help="run the bundled example corpus")
-    _add_common(p)
+    _add_flags(p, "json max-height max-subset-size timeout")
     return ap
 
 
 def _config(args):
-    return Config(
-        max_height=args.max_height,
-        max_subset_size=args.max_subset_size,
-        timeout=args.timeout,
-    )
+    """The Config of the limit flags the subcommand has; defaults for the
+    others."""
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)
+                     if hasattr(args, f.name)})
 
 
 def _varlist(args):
@@ -125,9 +124,7 @@ def cmd_analyze(args):
     v = decide(g.num, g.den, config)
     report = verdict_report(args.expr, v, config)
     print(f"outcome: {v.outcome}")
-    if v.steps:
-        terminal = v.steps[-1]
-        print(f"decided by: {terminal.rule}")
+    print(f"decided by: {v.steps[-1].rule}")
     if args.witness and v.witness is not None:
         print("witness (verified):")
         _print_witness(report["witness"])
@@ -194,18 +191,17 @@ def cmd_alphabet(args):
 
 
 def cmd_singularities(args):
-    config = _config(args)
     g = parse_rational(args.expr, _varlist(args))
     f = radicand_reduce(g.num, g.den)
-    eff = effective_vars(f)
-    if len(eff) != 2:
-        print(f"error: radicand reduces to {len(eff)} effective variable(s);"
+    n = len(effective_vars(f))
+    if n != 2:
+        print(f"error: radicand reduces to {n} effective variable(s);"
               " the singularity table needs exactly 2", file=sys.stderr)
         return EXIT_NOT_BIVARIATE
-    f = f.with_vars(tuple(eff))
-    model = build_model(f)
-    _ok, records = all_simple(model)
-    report = singularity_report(args.expr, model, records, config)
+    clock = _RuleClock(None)  # records timings; no limit acts on the table
+    model = clock.run("build-model", lambda: build_model(f))
+    simple = clock.run("simple-singularities", lambda: all_simple(model))
+    report = singularity_report(args.expr, model, simple, clock.timings)
     print(f"branch curve: {report['branch_curve']}"
           f"  (degree {report['branch_degree']})")
     _print_singularity_rows(report["singularities"])
@@ -233,30 +229,25 @@ def run_corpus(config, out=print):
         if kind == "root":
             g = parse_rational(e["input"])
             v = decide(g.num, g.den, config)
-            outcome = v.outcome
             reports.append(verdict_report(e["input"], v, config))
         elif kind == "alphabet":
             doc = json.loads(base.joinpath(e["input"]).read_text())
             _vars, roots = load_alphabet(doc)
             v = decide_alphabet(roots, config)
-            outcome = v.outcome
             reports.append(alphabet_report(doc, v, config))
         else:
             raise SchemaError(f"corpus entry {tag}: unknown kind {kind!r}")
-        ok = outcome == expected
+        ok = v.outcome == expected
         if not ok:
             mismatches.append(tag)
-        out(f"{'PASS' if ok else 'FAIL'}  {tag}: {outcome}"
+        out(f"{'PASS' if ok else 'FAIL'}  {tag}: {v.outcome}"
             + ("" if ok else f" (expected {expected})"))
     return reports, mismatches
 
 
 def cmd_corpus(args):
-    config = _config(args)
-    reports, mismatches = run_corpus(config)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(dumps(reports))
+    reports, mismatches = run_corpus(_config(args))
+    _emit(reports, args)
     if mismatches:
         print(f"{len(mismatches)} mismatch(es): {', '.join(mismatches)}")
         return EXIT_CORPUS_MISMATCH
@@ -274,14 +265,10 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (ParseSyntaxError, SchemaError, ZeroRadicand, ZeroDenominator,
-            json.JSONDecodeError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except (ResourceLimit, TooManyRoots) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except RatsqrtError as e:
+    except (RatsqrtError, json.JSONDecodeError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -128,13 +128,15 @@ DEFAULT_CONFIG = Config()
 
 
 class _RuleClock:
-    """Soft per-rule timing: records durations and raises ResourceLimit when
-    a rule returned after exceeding the configured budget.  An exception
-    raised by the rule itself (KeyboardInterrupt included) propagates."""
+    """The record of one decision: its certificate steps, its per-rule
+    timings and the soft per-rule budget.  run() raises ResourceLimit when
+    a rule returned after exceeding the budget; an exception raised by the
+    rule itself (KeyboardInterrupt included) propagates."""
 
-    def __init__(self, timeout, timings):
+    def __init__(self, timeout):
         self.timeout = timeout
-        self.timings = timings
+        self.steps = []
+        self.timings = {}
 
     def run(self, rule, fn):
         t0 = time.monotonic()
@@ -147,46 +149,46 @@ class _RuleClock:
             raise ResourceLimit(f"rule '{rule}' exceeded {self.timeout}s")
         return out
 
+    def step(self, rule, data):
+        self.steps.append(Step(rule, data))
+
+    def verdict(self, outcome, rule, data, m=None, h=None, records=None):
+        """The verdict, decided by the step (rule, data)."""
+        self.step(rule, data)
+        return Verdict(outcome, m, h, self.steps, records, self.timings)
+
 
 def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None) -> Verdict:
     """Verdict for sqrt(p/q) (q omitted means denominator 1)."""
     config = config or DEFAULT_CONFIG
-    steps = []
-    timings = {}
-    clock = _RuleClock(config.timeout, timings)
+    clock = _RuleClock(config.timeout)
     if q is None:
         q = MultiPoly.const(p.vars, 1)
     if p.is_zero():
         ident = RationalMap.identity(p.vars) if p.vars else None
-        steps.append(Step("radicand-reduction", {"reduced": "0", "note":
-                                                 "sqrt(0) = 0 is rational"}))
         h = RationalFunction.from_poly(MultiPoly.zero(p.vars)) if p.vars else None
-        return Verdict(RATIONALIZABLE, ident, h, steps, None, timings)
+        return clock.verdict(RATIONALIZABLE, "radicand-reduction",
+                             {"reduced": "0", "note": "sqrt(0) = 0 is rational"},
+                             ident, h)
     try:
         f = clock.run("radicand-reduction", lambda: radicand_reduce(p, q))
-        steps.append(
-            Step(
-                "radicand-reduction",
-                {"input": f"({poly_str(p)})/({poly_str(q)})",
-                 "reduced": poly_str(f), "degree": f.total_degree()},
-            )
-        )
-        return _decide_reduced(f, steps, clock, config, timings)
+        clock.step("radicand-reduction",
+                   {"input": f"({poly_str(p)})/({poly_str(q)})",
+                    "reduced": poly_str(f), "degree": f.total_degree()})
+        return _decide_reduced(f, clock, config)
     except (ResourceLimit, TowerTooDeep) as e:
-        steps.append(Step("resource-limit", {"detail": str(e)}))
-        return Verdict(INCONCLUSIVE, None, None, steps, None, timings)
+        return clock.verdict(INCONCLUSIVE, "resource-limit", {"detail": str(e)})
 
 
-def _decide_reduced(f, steps, clock, config, timings):
+def _decide_reduced(f, clock, config):
     # rule 1: constant radicand
     if f.is_constant():
-        steps.append(Step("constant-radicand", {"value": poly_str(f)}))
-        m, h = _identity_witness(f)
-        return Verdict(RATIONALIZABLE, m, h, steps, None, timings)
+        return clock.verdict(RATIONALIZABLE, "constant-radicand",
+                             {"value": poly_str(f)}, *_identity_witness(f))
     # rule 2: effective variables
     eff = effective_vars(f)
     if tuple(eff) != f.vars:
-        steps.append(Step("effective-variables", {"kept": eff}))
+        clock.step("effective-variables", {"kept": eff})
         f = f.with_vars(tuple(eff))
     d = f.total_degree()
     # rule 3: degree <= 2
@@ -199,20 +201,15 @@ def _decide_reduced(f, steps, clock, config, timings):
             m, h = res
             data["witness"] = m.to_json()
             data["square_root"] = rf_str(h)
-        steps.append(Step("degree-at-most-2", data))
-        return Verdict(RATIONALIZABLE, m, h, steps, None, timings)
+        return clock.verdict(RATIONALIZABLE, "degree-at-most-2", data, m, h)
     # rule 4: even-degree homogeneous reduction
     if is_homogeneous(f) == d and d % 2 == 0:
         var = eff[-1]
         g = clock.run("homogeneous-reduction", lambda: dehomogenize(f, var))
-        steps.append(
-            Step(
-                "homogeneous-reduction",
-                {"variable": var, "dehomogenized": poly_str(g),
-                 "degree": g.total_degree()},
-            )
-        )
-        inner = _decide_reduced(g, steps, clock, config, timings)
+        clock.step("homogeneous-reduction",
+                   {"variable": var, "dehomogenized": poly_str(g),
+                    "degree": g.total_degree()})
+        inner = _decide_reduced(g, clock, config)
         if inner.outcome == RATIONALIZABLE and inner.witness is not None:
             lifted = clock.run(
                 "homogeneous-reduction",
@@ -227,24 +224,21 @@ def _decide_reduced(f, steps, clock, config, timings):
         return inner
     # rule 5: univariate
     if len(eff) == 1:
-        steps.append(Step("univariate-degree", {"degree": d}))
-        return Verdict(NOT_RATIONALIZABLE, None, None, steps, None, timings)
+        return clock.verdict(NOT_RATIONALIZABLE, "univariate-degree",
+                             {"degree": d})
     model = clock.run("build-model", lambda: build_model(f)) if len(eff) == 2 else None
     # rule 6: bivariate cubic
     if len(eff) == 2 and d == 3:
         F = model.F
         tp = clock.run("cubic-triple-point", lambda: triple_point_of_cubic(F))
         if tp is not None:
-            steps.append(
-                Step("cubic-triple-point",
-                     {"triple_point": tp.to_json(), "decides": "not rationalizable"})
-            )
-            return Verdict(NOT_RATIONALIZABLE, None, None, steps, None, timings)
+            return clock.verdict(NOT_RATIONALIZABLE, "cubic-triple-point",
+                                 {"triple_point": tp.to_json(),
+                                  "decides": "not rationalizable"})
         m, h, pdata = _criterion_witness(model.V, f, clock)
         data = {"triple_point": None, "decides": "rationalizable"}
         data.update(pdata)
-        steps.append(Step("cubic-triple-point", data))
-        return Verdict(RATIONALIZABLE, m, h, steps, None, timings)
+        return clock.verdict(RATIONALIZABLE, "cubic-triple-point", data, m, h)
     # rule 7: bivariate, all-simple branch curve
     records = None
     if len(eff) == 2:
@@ -262,9 +256,9 @@ def _decide_reduced(f, steps, clock, config, timings):
             if outcome == RATIONALIZABLE:
                 m, h, pdata = _criterion_witness(model.V, f, clock)
                 data.update(pdata)
-            steps.append(Step("simple-singularities", data))
-            return Verdict(outcome, m, h, steps, records, timings)
-        steps.append(Step("simple-singularities", data))
+            return clock.verdict(outcome, "simple-singularities", data, m, h,
+                                 records)
+        clock.step("simple-singularities", data)
     # rule 8: high-multiplicity point on the hypersurface closure
     if len(eff) == 2:
         V = model.V
@@ -276,17 +270,13 @@ def _decide_reduced(f, steps, clock, config, timings):
         if m is not None:
             data["witness"] = m.to_json()
             data["square_root"] = rf_str(h)
-        steps.append(Step("high-multiplicity-point", data))
-        return Verdict(RATIONALIZABLE, m, h, steps, records, timings)
+        return clock.verdict(RATIONALIZABLE, "high-multiplicity-point", data,
+                             m, h, records)
     # rule 9: inconclusive
-    steps.append(
-        Step(
-            "inconclusive",
-            {"high_mult_search_certified_empty": certified,
-             "hypersurface_degree": V.total_degree()},
-        )
-    )
-    return Verdict(INCONCLUSIVE, None, None, steps, records, timings)
+    return clock.verdict(INCONCLUSIVE, "inconclusive",
+                         {"high_mult_search_certified_empty": certified,
+                          "hypersurface_degree": V.total_degree()},
+                         records=records)
 
 
 def _identity_witness(f):

@@ -44,10 +44,10 @@ from .localanalysis import classify_germ, lp_multiplicity, lp_translate
 from .mpoly import (
     MultiPoly,
     _ring,
-    effective_vars,
     homogenize,
     is_homogeneous,
     is_squarefree,
+    on_effective_vars,
 )
 from .numberfield import (
     NFElem,
@@ -162,8 +162,7 @@ class GeometricModel:
 
 def build_model(f: MultiPoly) -> GeometricModel:
     """Hypersurface closure of W^2 = f, plus the branch curve when bivariate."""
-    eff = tuple(effective_vars(f))
-    fr = f.with_vars(eff) if eff != f.vars else f
+    fr = on_effective_vars(f)
     d = fr.total_degree()
     r = (d + 1) // 2
     zname = fresh_name("z", fr.vars)

@@ -525,6 +525,11 @@ def effective_vars(f: MultiPoly):
     return [v for v, d in zip(f.vars, f.pe.degrees()) if d > 0]
 
 
+def on_effective_vars(f: MultiPoly) -> MultiPoly:
+    """f read over its effective variables; a constant keeps its ring."""
+    return f.with_vars(tuple(effective_vars(f)) or f.vars)
+
+
 def is_homogeneous(f: MultiPoly):
     """Total degree if all terms share it, else None."""
     if f.is_zero():
@@ -533,11 +538,11 @@ def is_homogeneous(f: MultiPoly):
     return degs.pop() if len(degs) == 1 else None
 
 
-def homogenize(f: MultiPoly, new_var: str, degree=None) -> MultiPoly:
+def homogenize(f: MultiPoly, new_var: str) -> MultiPoly:
     """Homogenize with a fresh variable, prepended to the variable tuple."""
     if new_var in f.vars:
         raise ValueError(f"{new_var} already occurs")
-    d = f.total_degree() if degree is None else degree
+    d = f.total_degree()
     variables = (new_var,) + f.vars
     out = _ring(variables, f.pe.ring.domain).zero
     for e, c in f.pe.items():

@@ -51,6 +51,9 @@ from .mpoly import (
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT = re.compile(r"[0-9]+")
+# levels of parentheses and unary minus a text may nest; each level costs
+# the descent a few stack frames, so deeper input would exhaust the stack
+_MAX_DEPTH = 100
 
 
 class _Scanner:
@@ -111,12 +114,23 @@ class _Parser:
         self.vars = tuple(variables)
         self.ring = _ring(self.vars) if field is None else _ring(self.vars, field)
         self.gens = dict(zip(self.vars, self.ring.gens))
+        self.depth = 0
 
     def parse(self):
         node = self.expr()
         self.sc.skip_ws()
         if self.sc.pos != len(self.sc.text):
             raise ParseSyntaxError("unexpected trailing input", self.sc.pos)
+        return node
+
+    def _nested(self, parse):
+        """parse() one level of parentheses or unary minus deeper, the
+        token just read; past _MAX_DEPTH levels the input is refused."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseSyntaxError("nesting too deep", self.sc.pos - 1)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
         return node
 
     def _frac(self, num, den):
@@ -158,7 +172,7 @@ class _Parser:
 
     def factor(self):
         if self.sc.match("-"):
-            num, den = self.factor()
+            num, den = self._nested(self.factor)
             return -num, den
         num, den = self.base()
         if self.sc.match("^"):
@@ -181,7 +195,7 @@ class _Parser:
         ch = self.sc.peek()
         if ch == "(":
             self.sc.expect("(")
-            node = self.expr()
+            node = self._nested(self.expr)
             self.sc.expect(")")
             return node
         if ch.isdigit():

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .engine import Config, Verdict
-from .mpoly import rf_str
+from .mpoly import poly_str, rf_str
 
 
 def _version():
@@ -26,13 +26,17 @@ def _version():
     return __version__
 
 
+def _timings(timings):
+    return {k: round(t, 6) for k, t in timings.items()}
+
+
 def verdict_report(input_text: str, v: Verdict, config: Config) -> dict:
     out = {
         "version": _version(),
         "input": input_text,
         "outcome": v.outcome,
         "steps": [s.to_json() for s in v.steps],
-        "timings": {k: round(t, 6) for k, t in v.timings.items()},
+        "timings": _timings(v.timings),
         "config": config.to_json(),
     }
     if v.witness is not None:
@@ -51,7 +55,7 @@ def alphabet_report(input_doc, verdict, config: Config) -> dict:
         "outcome": verdict.outcome,
         "trace": verdict.trace,
         "notes": verdict.notes,
-        "timings": {},
+        "timings": _timings(verdict.timings),
         "config": config.to_json(),
     }
     if verdict.witness is not None:
@@ -62,9 +66,11 @@ def alphabet_report(input_doc, verdict, config: Config) -> dict:
     return out
 
 
-def singularity_report(input_text: str, model, records, config: Config) -> dict:
-    from .mpoly import poly_str
-
+def singularity_report(input_text: str, model, simple, timings) -> dict:
+    """Report of a branch-curve singularity table; `simple` is the
+    (all simple, records) pair of :func:`~ratsqrt.geometry.all_simple`.
+    No limit acts on the table, so the config block holds the defaults."""
+    ok, records = simple
     return {
         "version": _version(),
         "input": input_text,
@@ -72,9 +78,9 @@ def singularity_report(input_text: str, model, records, config: Config) -> dict:
         "branch_curve": poly_str(model.B),
         "branch_degree": model.B.total_degree(),
         "singularities": [r.to_json() for r in records],
-        "all_simple": all(r.simple for r in records),
-        "timings": {},
-        "config": config.to_json(),
+        "all_simple": ok,
+        "timings": _timings(timings),
+        "config": Config().to_json(),
     }
 
 

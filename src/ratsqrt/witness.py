@@ -49,7 +49,7 @@ from .mpoly import (
 )
 
 
-def point_on_quadric(f: MultiPoly, height=50):
+def point_on_quadric(f: MultiPoly, height):
     """A regular point on the quadric W^2 = f (deg f <= 2), as projective
     coordinates (1, x..., w) for the closure in (z, x..., w).
 
@@ -247,7 +247,7 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     return RationalMap(inner.source_vars, assignments, extension=ext)
 
 
-def quadric_witness(f: MultiPoly, height=50):
+def quadric_witness(f: MultiPoly, height):
     """Witness for deg <= 2 squarefree f via the quadric parametrization;
     returns (map, h) verified, or None if construction degenerates."""
     from .geometry import build_model

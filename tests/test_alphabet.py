@@ -37,12 +37,13 @@ DIJET = roots(
     "X + 1", "X - 1", "Y + 1", "X + Y + 1", "16*X + (4 + Y)^2",
     vs=("X", "Y"),
 )
+CAP = Config.max_subset_size
 
 
 class TestSubsetProducts:
     def test_count_and_reduction(self):
         polys = [f for _l, f in HIGGS]
-        out = list(subset_products(polys))
+        out = list(subset_products(polys, CAP))
         assert len(out) == 7
         for _J, prod in out:
             assert is_squarefree(prod)
@@ -51,7 +52,7 @@ class TestSubsetProducts:
         # certification order: singletons, then sizes n down to 2, each
         # size in lexicographic order
         polys = [f for _l, f in DIJET]
-        order = [J for J, _p in subset_products(polys)]
+        order = [J for J, _p in subset_products(polys, CAP)]
         assert order[:6] == [(0,), (1,), (2,), (3,), (4,), (0, 1, 2, 3, 4)]
         assert order[6:11] == [
             (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4),
@@ -72,27 +73,27 @@ class TestSubsetProducts:
             alphabet, "squarefree_part", lambda p: calls.append(p) or real(p)
         )
         polys = [f for _l, f in DIJET]
-        gen = subset_products(polys)
+        gen = subset_products(polys, CAP)
         for _ in range(7):
             next(gen)
         assert len(calls) == 7
 
     def test_singletons_reproduce_inputs(self):
         polys = [f for _l, f in PAIR]
-        for J, prod in subset_products(polys):
+        for J, prod in subset_products(polys, CAP):
             if len(J) == 1:
                 assert prod.monic() == polys[J[0]].monic()
 
     def test_cap_enforced(self):
         polys = [parse_poly(f"X - {k}", ("X",)) for k in range(13)]
         with pytest.raises(TooManyRoots):
-            list(subset_products(polys))
+            list(subset_products(polys, CAP))
         small = [parse_poly(f"X - {k}", ("X",)) for k in range(5)]
         assert len(list(subset_products(small, cap=5))) == 2 ** 5 - 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            list(subset_products([]))
+            list(subset_products([], CAP))
 
 
 class TestDecideAlphabet:
@@ -162,10 +163,11 @@ class TestDecideAlphabet:
                 yield item
 
         monkeypatch.setattr(alphabet, "subset_products", counting)
-        v = decide_alphabet(HIGGS + [("g1", parse_poly("X + 9", ("X",)))])
+        alph = HIGGS + [("g1", parse_poly("X + 9", ("X",)))]
+        v = decide_alphabet(alph)
         assert v.outcome == NOT_RATIONALIZABLE
         assert len(yielded) == len(v.trace) < 2 ** 4 - 1
-        assert yielded[-1] == v.certificate.indices
+        assert v.certificate.labels == tuple(alph[j][0] for j in yielded[-1])
 
     def test_one_witness_check_per_root(self, monkeypatch):
         # after the search, the final gate checks each root once and its

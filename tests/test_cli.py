@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, reports, corpus runner."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -49,6 +51,17 @@ class TestAnalyze:
         code, _out, err = run(capsys, "analyze", "2X + 1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "(" * 300 + "X" + ")" * 300],
+        ["analyze", "--", "-" * 2000 + "X"],
+        ["alphabet", "X", "(" * 300 + "X" + ")" * 300],
+    ])
+    def test_deep_nesting_exit_2(self, capsys, argv):
+        # once a RecursionError with a traceback and exit 1
+        code, _out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: nesting too deep (at offset 100)\n"
 
     def test_duplicate_vars_exit_2(self, capsys):
         code, _out, err = run(capsys, "analyze", "X^2+Y^2-1", "--vars", "X,Y,X")
@@ -175,11 +188,89 @@ class TestCorpus:
         assert code == 2
 
 
+# the flags each subcommand registers: the ones its handler reads
+KEPT = {
+    "analyze": {"--vars", "--json", "--witness", "--trace", "--max-height",
+                "--timeout"},
+    "alphabet": {"--vars", "--json", "--witness", "--trace", "--max-height",
+                 "--max-subset-size", "--timeout"},
+    "singularities": {"--vars", "--json"},
+    "corpus": {"--json", "--max-height", "--max-subset-size", "--timeout"},
+}
+POSITIONAL = {"analyze": ["X"], "alphabet": ["X"], "singularities": ["X*Y"],
+              "corpus": []}
+
+
+def _options(command):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[command]._actions for o in a.option_strings
+            if o not in ("-h", "--help")}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(KEPT))
+    def test_option_set(self, command):
+        assert _options(command) == KEPT[command]
+
+    def test_nineteen_flag_slots(self):
+        assert sum(len(_options(c)) for c in KEPT) == 19
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "X", "--max-subset-size", "3"],
+        ["singularities", "X*Y", "--witness"],
+        ["singularities", "X*Y", "--timeout", "1"],
+        ["corpus", "--vars", "X"],
+        ["corpus", "--trace"],
+    ])
+    def test_dropped_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # X^2 + 7 is a square at X = 3, beyond height 1: there the scan falls
+    # back to Q(sqrt(7))
+    @pytest.mark.parametrize("flags, extension", [
+        ([], None), (["--max-height", "1"], "sqrt(7)"),
+    ])
+    def test_max_height_acts(self, capsys, tmp_path, flags, extension):
+        path = tmp_path / "r.json"
+        code, out, _err = run(capsys, "analyze", "X^2 + 7", "--witness",
+                              "--json", str(path), *flags)
+        assert code == 0 and "X ->" in out
+        witness = json.loads(path.read_text())["witness"]
+        assert witness.get("extension") == extension
+
+    def test_timeout_acts_on_analyze(self, capsys):
+        code, out, _err = run(capsys, "analyze", "X^2 + Y^2 - 1",
+                              "--timeout", "1e-12")
+        assert code == 0
+        assert "decided by: resource-limit" in out
+
+    def test_max_subset_size_acts(self, capsys):
+        code, _out, err = run(capsys, "alphabet", "X", "X+1",
+                              "--max-subset-size", "1")
+        assert code == 3
+        assert "subset cap 1" in err
+
+    def test_timeout_acts_on_corpus(self, capsys):
+        code, out, _err = run(capsys, "corpus", "--timeout", "1e-12")
+        assert code == 5
+        assert "FAIL" in out
+
+
 class TestDefaults:
     def test_flags_default_to_config(self):
-        for command in (["analyze", "X"], ["alphabet", "X"],
-                        ["singularities", "X*Y"], ["corpus"]):
-            args = cli._build_parser().parse_args(command)
+        # each limit flag a subcommand has defaults to its Config field
+        for command, flags in KEPT.items():
+            args = cli._build_parser().parse_args(
+                [command, *POSITIONAL[command]])
+            for f in fields(Config):
+                if f"--{f.name.replace('_', '-')}" in flags:
+                    assert getattr(args, f.name) == f.default
+                else:
+                    assert not hasattr(args, f.name)
             assert cli._config(args) == Config()
 
 
@@ -200,3 +291,20 @@ class TestReports:
         _c, out, _e = run(capsys, "analyze", "X - 7", "--json", str(path))
         report = json.loads(path.read_text())
         assert report["outcome"] in out
+
+    @pytest.mark.parametrize("argv, rules", [
+        # per-rule sums over the alphabet's decisions: its singletons are
+        # quadrics, its products univariate
+        (["alphabet", "X", "1 + 4*X", "X*(X - 4)"],
+         {"radicand-reduction", "degree-at-most-2"}),
+        (["singularities", "X^4 + Y^4"], {"build-model", "simple-singularities"}),
+    ])
+    def test_timings_block(self, capsys, tmp_path, argv, rules):
+        path = tmp_path / "r.json"
+        code, _o, _e = run(capsys, *argv, "--json", str(path))
+        assert code == 0
+        report = json.loads(path.read_text())
+        assert rules <= set(report["timings"])
+        assert all(t >= 0 for t in report["timings"].values())
+        del report["timings"]
+        assert strip_timings(json.loads(path.read_text())) == report

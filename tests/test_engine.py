@@ -206,7 +206,7 @@ class TestResourceLimit:
         ticks = iter(readings)
         monkeypatch.setattr(engine, "time",
                             SimpleNamespace(monotonic=lambda: next(ticks)))
-        return engine._RuleClock(1.0, {})
+        return engine._RuleClock(1.0)
 
     def test_interrupt_after_budget_propagates(self, monkeypatch):
         clock = self._clock(monkeypatch, 0.0, 5.0)

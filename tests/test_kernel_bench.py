@@ -9,6 +9,7 @@ timings appear in pytest-benchmark's table.  Run it alone with
     PYTHONPATH=src python -m pytest tests/test_kernel_bench.py
 """
 
+from ratsqrt.engine import Config
 from ratsqrt.mpoly import squarefree_part, substitute
 from ratsqrt.parser import parse_poly
 from ratsqrt.witness import quadric_witness
@@ -25,6 +26,6 @@ def test_squarefree_part_of_a_squarefree_quartic(benchmark):
 
 def test_quadric_witness_of_a_univariate_quadric(benchmark):
     f = parse_poly("-9*X^2 + 6*X + 8")
-    m, h = benchmark.pedantic(quadric_witness, args=(f,), rounds=ROUNDS,
-                              iterations=ITERATIONS)
+    m, h = benchmark.pedantic(quadric_witness, args=(f, Config.max_height),
+                              rounds=ROUNDS, iterations=ITERATIONS)
     assert h * h == substitute(f, m)

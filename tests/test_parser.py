@@ -308,3 +308,30 @@ class TestUntrustedInput:
     @given(_maps())
     def test_map_from_json(self, doc):
         _parsed_or_refused(map_from_json, doc)
+
+    # 300 nested parentheses or 2,000 unary minus signs used to exhaust
+    # the stack of the recursive descent
+    DEEP = ["(" * 300 + "X" + ")" * 300, "-" * 2000 + "X",
+            "-(" * 150 + "X" + ")" * 150]
+
+    @pytest.mark.parametrize("text", DEEP)
+    def test_deep_expression_refused(self, text):
+        with pytest.raises(ParseSyntaxError, match="nesting") as e:
+            parse_rational(text)
+        assert e.value.offset == 100
+
+    @pytest.mark.parametrize("text", DEEP)
+    def test_deep_radicand_refused(self, text):
+        with pytest.raises(ParseSyntaxError, match="nesting"):
+            load_alphabet({"roots": [{"radicand": "X"}, {"radicand": text}]})
+
+    @pytest.mark.parametrize("text", DEEP)
+    def test_deep_assignment_refused(self, text):
+        with pytest.raises(ParseSyntaxError, match="nesting"):
+            map_from_json({"variables": ["X"], "assignments": {"X": text}})
+
+    def test_nesting_up_to_the_cap_parses(self):
+        x = parse_rational("X")
+        assert parse_rational("(" * 100 + "X" + ")" * 100) == x
+        assert parse_rational("-" * 100 + "X") == x
+        assert parse_rational("-(" * 50 + "X" + ")" * 50) == x

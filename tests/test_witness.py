@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement
 
+from ratsqrt.engine import Config
 from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
 from ratsqrt.geometry import build_model, high_mult_point_search
 from ratsqrt.mpoly import (
@@ -32,24 +33,27 @@ from ratsqrt.witness import (
 )
 
 
+HEIGHT = Config.max_height
+
+
 class TestQuadricWitness:
     def test_unit_circle(self):
         f = parse_poly("1 - X^2", ("X",))
-        res = quadric_witness(f)
+        res = quadric_witness(f, HEIGHT)
         assert res is not None
         m, h = res
         assert h * h == substitute(f, m)
 
     def test_linear(self):
         f = parse_poly("X - 1", ("X",))
-        res = quadric_witness(f)
+        res = quadric_witness(f, HEIGHT)
         assert res is not None
         m, h = res
         assert verify_witness(m, f) is not None
 
     def test_bivariate_quadric(self):
         f = parse_poly("X*Y + 1", ("X", "Y"))
-        res = quadric_witness(f)
+        res = quadric_witness(f, HEIGHT)
         assert res is not None
 
     def test_extension_fallback(self):
@@ -68,7 +72,7 @@ class TestQuadricWitness:
         # no real point: the centre and the map live over Q(sqrt(r)), and
         # the image is r*s^2 with r a square only there
         f = parse_poly(text)
-        res = quadric_witness(f)
+        res = quadric_witness(f, HEIGHT)
         assert res is not None
         m, h = res
         assert m.extension is not None
@@ -80,7 +84,7 @@ class TestQuadricWitness:
 class TestPointOnQuadric:
     def test_point_satisfies_equation(self):
         f = parse_poly("1 - X^2", ("X",))
-        coords, ext = point_on_quadric(f)
+        coords, ext = point_on_quadric(f, HEIGHT)
         # coords = (1, x..., w) with w^2 = f(x)
         x = coords[1]
         w = coords[-1]
@@ -95,7 +99,7 @@ class TestVerifierWork:
 
     def test_no_squarefree_decomposition(self, monkeypatch):
         f = parse_poly(self.DEFINITE)
-        m, _h = quadric_witness(f)
+        m, _h = quadric_witness(f, HEIGHT)
         image = substitute(f, m)
         calls = []
         for name in ("sqf_list", "cancel"):
@@ -114,7 +118,7 @@ class TestVerifierWork:
 
     def test_definite_quadric_takes_the_origin(self):
         f = parse_poly(self.DEFINITE)
-        coords, ext = point_on_quadric(f)
+        coords, ext = point_on_quadric(f, HEIGHT)
         assert coords[:-1] == [1, 0, 0] and ext == -5
         # the scan it skips: no value among its first 1,000 tuples is a
         # rational square
@@ -335,7 +339,7 @@ class TestHomogeneousLift:
     def test_lift_verifies(self):
         hom = parse_poly("X1^2 - X2^2", ("X1", "X2"))
         inner_f = parse_poly("X1^2 - 1", ("X1",))
-        res = quadric_witness(inner_f)
+        res = quadric_witness(inner_f, HEIGHT)
         assert res is not None
         lifted = homogeneous_lift(res[0], hom, "X2")
         assert lifted is not None
