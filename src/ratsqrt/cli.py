@@ -25,7 +25,7 @@ from .engine import Config, _RuleClock, decide
 from .errors import RatsqrtError, ResourceLimit, SchemaError, TooManyRoots
 from .geometry import all_simple, build_model
 from .mpoly import effective_vars, poly_str, radicand_reduce
-from .parser import load_alphabet, parse_rational
+from .parser import _json_document, load_alphabet, parse_rational
 from .report import (
     alphabet_report,
     dumps,
@@ -155,7 +155,7 @@ def _load_alphabet_arg(inputs, variables):
             raise SchemaError("an alphabet document declares its own"
                               " variables; --vars applies to expressions")
         with open(inputs[0]) as fh:
-            doc = json.load(fh)
+            doc = _json_document(fh.read())
         return doc, load_alphabet(doc)
     doc = {"roots": [{"radicand": t} for t in inputs]}
     if variables:
@@ -268,7 +268,7 @@ def main(argv=None):
     except (ResourceLimit, TooManyRoots) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (RatsqrtError, json.JSONDecodeError, FileNotFoundError) as e:
+    except (RatsqrtError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

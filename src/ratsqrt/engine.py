@@ -9,8 +9,9 @@ directions.  The criteria are then applied in a fixed order:
 3. degree <= 2 -> rationalizable, with a quadric-parametrization witness;
 4. even-degree homogeneous -> dehomogenize and recurse (witness lifted back);
 5. one variable -> rationalizable iff degree <= 2 (so: not rationalizable);
-6. two variables, degree 3 -> rationalizable iff the projective cubic has
-   no multiplicity-3 point;
+6. two variables, degree 3 -> rationalizable iff the projective cubic
+   surface w^2 z = F is not a cone, that is, iff the plane cubic F has no
+   multiplicity-3 point on the line z = 0 at infinity;
 7. two variables, other degree -> if every singularity of the branch curve
    of the double cover is simple (ADE), rationalizable iff degree <= 4;
 8. a point of multiplicity D-1 on the hypersurface closure of W^2 = f
@@ -226,17 +227,20 @@ def _decide_reduced(f, clock, config):
     if len(eff) == 1:
         return clock.verdict(NOT_RATIONALIZABLE, "univariate-degree",
                              {"degree": d})
-    model = clock.run("build-model", lambda: build_model(f)) if len(eff) == 2 else None
-    # rule 6: bivariate cubic
+    model = clock.run("build-model", lambda: build_model(f))
+    # rule 6: bivariate cubic.  The closure w^2 z = F is a cone, and so not
+    # rational, exactly when F has a triple point on z = 0 (f is a cubic in
+    # one linear form); an affine triple point is a double point of it
     if len(eff) == 2 and d == 3:
-        F = model.F
-        tp = clock.run("cubic-triple-point", lambda: triple_point_of_cubic(F))
-        if tp is not None:
+        tp = clock.run("cubic-triple-point",
+                       lambda: triple_point_of_cubic(model.F))
+        if tp is not None and tp.chart > 0:
             return clock.verdict(NOT_RATIONALIZABLE, "cubic-triple-point",
                                  {"triple_point": tp.to_json(),
                                   "decides": "not rationalizable"})
         m, h, pdata = _criterion_witness(model.V, f, clock)
-        data = {"triple_point": None, "decides": "rationalizable"}
+        data = {"triple_point": None if tp is None else tp.to_json(),
+                "decides": "rationalizable"}
         data.update(pdata)
         return clock.verdict(RATIONALIZABLE, "cubic-triple-point", data, m, h)
     # rule 7: bivariate, all-simple branch curve
@@ -260,10 +264,7 @@ def _decide_reduced(f, clock, config):
                                  records)
         clock.step("simple-singularities", data)
     # rule 8: high-multiplicity point on the hypersurface closure
-    if len(eff) == 2:
-        V = model.V
-    else:
-        V = build_model(f).V
+    V = model.V
     pt, certified, m, h, _note = _projection(V, f, clock)
     if pt is not None:
         data = {"point": pt.to_json(), "hypersurface_degree": V.total_degree()}

@@ -10,21 +10,23 @@ For a squarefree radicand f of degree d in n variables this module builds:
   is singular exactly over the singular points of B, with germs of the same
   ADE type).
 
-Three searches share one chart loop (:func:`_vanishing_points`): the
-singular points of B (order-1 partials), the triple point of a plane cubic
-(order 2) and the points of multiplicity D - 1 on a hypersurface (order
-D - 2, projection centres for explicit witnesses).  By the Euler identity
-each is the common zero set of every partial derivative of one order.
-Chart c sets coordinate c to 1 and every earlier coordinate to 0, so the
-charts partition projective space and each point turns up once, in the
-chart of its first nonzero coordinate.  Each chart goes to one solver
-(:func:`_solve_ideal`): a lex Groebner basis over QQ, then triangular
-back-substitution over a number-field tower of height at most two.  The
-basis [1] certifies an empty chart, a zero-dimensional basis is solved
-exactly, and a positive-dimensional one is cut by rational hyperplanes
-until a point turns up.  Singular points of B are grouped into Galois
+Two searches share one chart loop (:func:`_vanishing_points`): the
+singular points of B (order-1 partials) and the points of multiplicity
+D - 1 on a hypersurface (order D - 2, projection centres for explicit
+witnesses).  By the Euler identity each is the common zero set of every
+partial derivative of one order.  Chart c sets coordinate c to 1 and
+every earlier coordinate to 0, so the charts partition projective space
+and each point turns up once, in the chart of its first nonzero
+coordinate.  Each chart goes to one solver (:func:`_solve_ideal`): a lex
+Groebner basis over QQ, then triangular back-substitution over a
+number-field tower of height at most two.  The basis [1] certifies an
+empty chart, a zero-dimensional basis is solved exactly, and a
+positive-dimensional one is cut by rational hyperplanes until a point
+turns up.  Singular points of B are grouped into Galois
 conjugacy classes, and each class is classified once over its tower
-(:mod:`ratsqrt.localanalysis`).
+(:mod:`ratsqrt.localanalysis`).  The triple point of a plane cubic needs
+no solver: it spans the kernel of the three first partials, which one row
+reduction finds (:func:`triple_point_of_cubic`).
 
 A form stays one element of sympy's sparse ring over QQ from
 :class:`~ratsqrt.mpoly.MultiPoly` down to the solver; only the germ at a
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from sympy.polys.domains import QQ
 from sympy.polys.groebnertools import groebner
 
 from . import unipoly as up
@@ -56,6 +59,7 @@ from .numberfield import (
     factor_over_height1,
     field_coerce,
     field_one,
+    row_reduce,
 )
 
 
@@ -405,27 +409,32 @@ def all_simple(model: GeometricModel):
 
 
 def triple_point_of_cubic(F: MultiPoly):
-    """A point where all second partials of a squarefree plane cubic vanish.
+    """The point of multiplicity 3 of a squarefree plane cubic, or None.
 
-    The second partials of a cubic are linear forms, so
-    :func:`_vanishing_points` solves a linear system in each chart and the
-    first chart with a zero gives the point; by the Euler identity a common
-    zero of all order-2 partials of a homogeneous cubic has multiplicity
-    exactly 3.
+    A second partial of a cubic is linear, so every one vanishes at p
+    exactly when p_0 F_0 + p_1 F_1 + p_2 F_2 = 0, F_i the first partials:
+    the point spans the kernel of the three first partials.  One
+    :func:`row_reduce` of the rows (F_i | e_i) finds it, as a row whose
+    coefficients reduce to zero and whose unit part is then p.
     """
     if len(F.vars) != 3 or F.total_degree() != 3:
         raise ValueError("expected a homogeneous cubic in three variables")
-    for chart, points, _complete in _vanishing_points(_form(F), 2):
-        if points:
-            break
-    else:
+    form = _form(F)
+    partials = [form.diff(x) for x in form.ring.gens]
+    monos = sorted({e for d in partials for e in d})
+    rows = [[d.get(e, QQ.zero) for e in monos] + [QQ(int(i == j)) for j in range(3)]
+            for i, d in enumerate(partials)]
+    p = next((row[len(monos):] for row in row_reduce(rows)
+              if not any(row[:len(monos)])), None)
+    if p is None:
         return None
     # a cubic with a repeated factor (l^2*m, l^3) has a triple point, so
-    # only a found point needs the check; for a squarefree cubic the zeros
-    # form at most one point, since a cubic in one linear form is a cube
+    # only a found point needs the check; for a squarefree cubic the
+    # kernel is a line, since a cubic in one linear form is a cube
     if not is_squarefree(F):
         raise NonReduced("cubic must be squarefree")
-    pt = AlgebraicPoint(None, points[0][1], chart, 1)
+    chart = next(i for i, x in enumerate(p) if x)
+    pt = AlgebraicPoint(None, tuple(x / p[chart] for x in p), chart, 1)
     assert multiplicity_at(F, pt) == 3
     return pt
 

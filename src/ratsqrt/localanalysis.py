@@ -11,10 +11,8 @@ The module provides:
 
 * translation of an exponent dict in any number of variables;
 * multiplicity, tangent cone and, for cubic cones, the shape (three
-  distinct lines / double plus simple line / triple line) together with
-  the repeated direction, both read from one gcd(p, p') with
-  p(t) = cone(1, t);
-* blowup strict transforms in both charts;
+  distinct lines / double plus simple line / triple line), read from one
+  gcd(p, p') with p(t) = cone(1, t);
 * the Milnor number of an isolated germ, computed by two independent
   methods that are cross-checked on every call — a Euclidean recursion for
   the intersection multiplicity of the two partial derivatives, and the
@@ -22,7 +20,8 @@ The module provides:
   stabilized in N, a rank taken with the row reduction that tower inverses
   use too — each stopped at the fixed cap DEFAULT_MULT_CAP;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
-  or NonSimple), with multiplicity >= 4 immediately NonSimple.
+  or NonSimple) from the multiplicity, the cone shape and the Milnor
+  number, with no blowup; multiplicity >= 4 is immediately NonSimple.
 """
 
 from __future__ import annotations
@@ -137,24 +136,6 @@ def lp_translate(P, shift):
     return P
 
 
-def lp_blowup_finite(P, t0):
-    """Strict transform in the chart (u, v) -> (u, u*(t0 + v)).
-
-    The centre direction is the line v = t0*u; the result is
-    f(u, u*(t0+v)) / u^m with m the multiplicity: the chart map
-    (i, j) -> (i + j - m, j), then the translation by (0, t0).
-    """
-    m = lp_multiplicity(P)
-    chart = {(i + j - m, j): c for (i, j), c in P.items()}
-    return lp_translate(chart, (0, t0))
-
-
-def lp_blowup_infinite(P):
-    """Strict transform in the chart (u, v) -> (v*u, v) (direction u = 0)."""
-    m = lp_multiplicity(P)
-    return {(i, i + j - m): c for (i, j), c in P.items()}
-
-
 # --------------------------------------------------------------------------
 # tangent-cone shape for cubic cones
 
@@ -164,33 +145,15 @@ TRIPLE_LINE = "TripleLine"
 
 
 def cubic_cone(cone):
-    """Shape and repeated direction of a nonzero binary cubic form over K.
+    """Shape of a nonzero binary cubic form over K.
 
     With p(t) = cone(1, t), the line u = 0 has multiplicity 3 - deg p, and
     the highest multiplicity of a line v = t*u is 1 + deg gcd(p, p'), since
-    a cubic has at most one repeated root.  Returns (shape, direction): the
-    direction is None for three distinct lines, ('infinite',) for u = 0 and
-    ('finite', t0) for v = t0*u.  A repeated direction is fixed by the
-    Galois action, so t0 lies in K; with gcd(p, p') = (t - t0)^k it is read
-    off the coefficient of t^(k-1), and the field is never extended.
+    a cubic has at most one repeated root.
     """
     p = up.trim([cone.get((3 - j, j), 0) for j in range(4)])
-    g = up.gcd(p, up.derivative(p))
-    at_infinity = 3 - up.deg(p)
-    k = up.deg(g)
-    shape = (THREE_DISTINCT_LINES, DOUBLE_PLUS_SIMPLE,
-             TRIPLE_LINE)[max(at_infinity, 1 + k) - 1]
-    if at_infinity >= 2:
-        return shape, ("infinite",)
-    if k >= 1:
-        return shape, ("finite", -g[k - 1] / k)
-    return shape, None
-
-
-def strict_transform_at(P, direction):
-    if direction[0] == "infinite":
-        return lp_blowup_infinite(P)
-    return lp_blowup_finite(P, direction[1])
+    repeated = max(3 - up.deg(p), 1 + up.deg(up.gcd(p, up.derivative(p))))
+    return (THREE_DISTINCT_LINES, DOUBLE_PLUS_SIMPLE, TRIPLE_LINE)[repeated - 1]
 
 
 # --------------------------------------------------------------------------
@@ -316,11 +279,13 @@ class Classification:
 def classify_germ(P):
     """ADE classification of a singular germ at the origin.
 
-    Multiplicity 2 germs are A(mu).  Multiplicity 3 germs are resolved by a
-    single blowup: if the first-neighbourhood multiplicity along the
-    repeated cone direction exceeds 2 the germ is not simple; otherwise a
-    cone with at least two distinct lines gives D(mu) and a triple-line cone
-    gives E6/E7/E8 according to mu.  Multiplicity >= 4 is never simple.
+    Multiplicity 2 germs are A(mu).  A multiplicity 3 germ is classified
+    by its tangent cone and mu alone (Greuel, Lossen, Shustin,
+    *Introduction to Singularities and Deformations*, ch. I.2): three
+    distinct lines give D4 and a double line D(mu), mu >= 5; a triple line
+    gives E6/E7/E8 when mu <= 8, and every other germ with that cone has
+    mu >= 10 and is not simple.  A mu the cone rules out raises
+    WrongMultiplicity.  Multiplicity >= 4 is never simple.
     """
     P = lp_clean(P)
     m = lp_multiplicity(P)
@@ -330,7 +295,7 @@ def classify_germ(P):
         return Classification("NonSimple", None, m)
     if m == 2:
         return Classification("A", milnor_number(P), 2)
-    shape, direction = cubic_cone(lp_form(P, 3))
+    shape = cubic_cone(lp_form(P, 3))
     mu = milnor_number(P)
     if shape == THREE_DISTINCT_LINES:
         if mu != 4:
@@ -338,18 +303,16 @@ def classify_germ(P):
                 f"three-line cubic cone must have mu = 4, got {mu}"
             )
         return Classification("D", 4, 3)
-    # exactly one repeated direction; its strict-transform multiplicity
-    # decides simplicity (simple directions blow up to smooth points)
-    if lp_multiplicity(strict_transform_at(P, direction)) >= 3:
-        return Classification("NonSimple", mu, 3)
     if shape == DOUBLE_PLUS_SIMPLE:
         if mu < 5:
             raise WrongMultiplicity(
                 f"double-plus-simple cone must have mu >= 5, got {mu}"
             )
         return Classification("D", mu, 3)
-    if mu not in (6, 7, 8):
+    if mu in (6, 7, 8):
+        return Classification("E", mu, 3)
+    if mu < 10:
         raise WrongMultiplicity(
-            f"triple-line cone with tame blowup must have mu in 6..8, got {mu}"
+            f"triple-line cone must have mu in 6..8 or mu >= 10, got {mu}"
         )
-    return Classification("E", mu, 3)
+    return Classification("NonSimple", mu, 3)

@@ -20,6 +20,9 @@ its degree in y and is coprime to its derivative: a square factor q^2
 involving y would leave q(y)^2 in it.  A fraction is already reduced when,
 for each variable both sides involve, some degree-preserving images of
 the two are coprime.  When no image decides, sqf_list or cancel runs.
+They also run when an image could be too large to be worth building:
+when a bound on its degree times its coefficient bits, read off the
+exponents and coefficients, exceeds a fixed cap.
 
 The canonical term order for printing and for leading coefficients is
 graded lexicographic in the declared variable order.  Coefficients meet
@@ -449,15 +452,35 @@ def _image(pe, y, a):
     return out if out[0] else None
 
 
+# the largest degree x coefficient bits of an image worth building: a
+# sparse input of high degree, such as X^20000*Y - 1, has images that cost
+# far more than sqf_list or cancel on the input itself
+_IMAGE_CAP = 1 << 14
+
+
+def _image_size(pe, y):
+    """An upper bound on degree x coefficient bits of every image of pe in
+    generator y: a coefficient sums at most len(pe) integers, each a scaled
+    coefficient times the probe values of the other generators."""
+    probe = (max(map(abs, _PROBES)) + pe.ring.ngens).bit_length()
+    den = lcm(*(c.denominator for c in pe.values()))
+    bits = max((c.numerator * den).bit_length() + (sum(e) - e[y]) * probe
+               for e, c in pe.items())
+    return pe.degree(y) * (bits + len(pe).bit_length())
+
+
 def _certified(pes, test):
     """Whether, for every generator that each of `pes` (elements of one
     ring over QQ) involves, some probe gives degree-preserving images of
-    them all on which `test` holds.  False means undecided."""
+    them all on which `test` holds.  False means undecided, and so does an
+    image above _IMAGE_CAP."""
     if not pes[0].ring.domain.is_QQ:
         return False
     for y in range(pes[0].ring.ngens):
         if any(pe.degree(y) < 1 for pe in pes):
             continue
+        if any(_image_size(pe, y) > _IMAGE_CAP for pe in pes):
+            return False
         for a in _PROBES:
             images = [_image(pe, y, a) for pe in pes]
             if None not in images and test(*images):

@@ -292,6 +292,8 @@ def _json_document(doc):
         return json.loads(doc)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nesting too deep") from None
 
 
 def _check_variables(variables):

@@ -118,6 +118,14 @@ class TestAlphabet:
         assert code == 2
         assert "declares its own variables" in err
 
+    def test_deep_document_exit_2(self, capsys, tmp_path):
+        # once a RecursionError from json.load with a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _out, err = run(capsys, "alphabet", str(path))
+        assert code == 2
+        assert err == "error: invalid JSON: nesting too deep\n"
+
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"roots": []}')

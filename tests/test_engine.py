@@ -4,7 +4,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ratsqrt import engine
@@ -117,9 +117,19 @@ class TestHomogeneous:
 
 class TestBivariate:
     def test_cubic_with_triple_point(self):
-        v = decide(parse_poly("X*Y*(X + Y)", ("X", "Y")))
+        # an affine triple point of F is a double point of the cubic
+        # surface w^2 z = F, which projection from it parametrizes
+        for text in ("X*Y*(X + Y)", "X^3 + Y^3", "(X - 1)*(Y - 2)*(X + Y - 3)"):
+            p = parse_poly(text, ("X", "Y"))
+            v = decide(p)
+            assert v.outcome == RATIONALIZABLE
+            assert rules(v)[-1] == "cubic-triple-point"
+            assert verify_witness(v.witness, p) is not None
+        # a triple point at infinity makes the surface a cone
+        v = decide(parse_poly("(X + Y)*(X + Y + 1)*(X + Y + 3)", ("X", "Y")))
         assert v.outcome == NOT_RATIONALIZABLE
         assert rules(v)[-1] == "cubic-triple-point"
+        assert v.steps[-1].data["triple_point"]["chart"] > 0
 
     def test_cubic_without_triple_point(self):
         p = parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))
@@ -271,6 +281,32 @@ def test_linear_in_y_never_not_rationalizable(a, b):
     # would expose a wrong rule-7 verdict
     f = a * MultiPoly.var(("X", "Y"), "Y") + b
     assert decide(f).outcome != NOT_RATIONALIZABLE
+
+
+_small = st.integers(-3, 3)
+_normal = st.tuples(_small, _small).filter(any)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_small, _small), st.lists(_normal, min_size=3, max_size=3),
+       st.lists(_small, min_size=3, max_size=3, unique=True))
+def test_three_lines_of_a_cubic(point, normals, offsets):
+    # three lines through one affine point: W^2 = f is a cubic surface with
+    # a double point there, rational by projection from it; three parallel
+    # lines: a cone over a smooth plane cubic, which is not rational
+    assume(all(a * d != b * c for (a, b), (c, d) in
+               zip(normals, normals[1:] + normals[:1])))
+    x0, y0 = point
+    f = parse_poly("*".join(f"({a}*(X - ({x0})) + ({b})*(Y - ({y0})))"
+                            for a, b in normals), ("X", "Y"))
+    v = decide(f)
+    assert v.outcome == RATIONALIZABLE
+    assert rules(v)[-1] == "cubic-triple-point"
+    assert verify_witness(v.witness, f) is not None
+    a, b = normals[0]
+    f = parse_poly("*".join(f"({a}*X + ({b})*Y + ({c}))" for c in offsets),
+                   ("X", "Y"))
+    assert decide(f).outcome == NOT_RATIONALIZABLE
 
 
 class TestProjectionNotes:

@@ -221,6 +221,14 @@ class TestTriplePoint:
         with pytest.raises(NonReduced):
             triple_point_of_cubic(F3)
 
+    def test_no_solver_call(self, monkeypatch):
+        def refuse(*_a):
+            raise AssertionError("triple_point_of_cubic reached the solver")
+        monkeypatch.setattr(geometry, "_solve_ideal", refuse)
+        monkeypatch.setattr(geometry, "groebner", refuse)
+        for text in ("X*Y*(X + Y)", "X*Y*(X + Y + 1)", "X^3 + Y^3 + 1"):
+            triple_point_of_cubic(build_model(parse_poly(text, ("X", "Y"))).F)
+
 
 def _nullspace_triple_point(F):
     """Reference: the kernel of the six second-partial rows of a cubic,

@@ -1,6 +1,7 @@
-"""Plane-curve germ analysis: multiplicity, blowups, Milnor numbers, ADE."""
+"""Plane-curve germ analysis: multiplicity, cone shape, Milnor numbers, ADE."""
 
 from math import comb
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from sympy.polys.domains import QQ
 
 import pytest
 
+from ratsqrt import localanalysis
 from ratsqrt.errors import NonIsolated, WrongMultiplicity
 from ratsqrt.localanalysis import (
     DOUBLE_PLUS_SIMPLE,
@@ -16,7 +18,6 @@ from ratsqrt.localanalysis import (
     classify_germ,
     cubic_cone,
     intersection_multiplicity,
-    lp_blowup_finite,
     lp_derivative,
     lp_add,
     lp_form,
@@ -24,7 +25,6 @@ from ratsqrt.localanalysis import (
     lp_multiplicity,
     milnor_number,
     milnor_via_jets,
-    strict_transform_at,
 )
 from ratsqrt.numberfield import NumberField
 
@@ -113,26 +113,19 @@ class TestConeShape:
     def test_three_distinct_lines(self):
         # uv(u + v): discriminant of the binary cubic is nonzero
         cone = germ({(2, 1): 1, (1, 2): 1})
-        assert cubic_cone(cone)[0] == THREE_DISTINCT_LINES
+        assert cubic_cone(cone) == THREE_DISTINCT_LINES
 
     def test_double_plus_simple(self):
         # u^2 v
         cone = germ({(2, 1): 1})
-        assert cubic_cone(cone)[0] == DOUBLE_PLUS_SIMPLE
+        assert cubic_cone(cone) == DOUBLE_PLUS_SIMPLE
 
     def test_triple_line(self):
         cone = germ({(3, 0): 1})
-        assert cubic_cone(cone)[0] == TRIPLE_LINE
+        assert cubic_cone(cone) == TRIPLE_LINE
         # (u + v)^3 expanded
         cone = germ({(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1})
-        assert cubic_cone(cone)[0] == TRIPLE_LINE
-
-    def test_repeated_directions_rational(self):
-        # the repeated factor of a cubic cone over the rationals is itself
-        # rational, so no field extension is ever needed
-        cone = germ({(2, 1): 1})  # u^2 v: repeated direction along u = 0
-        _shape, direction = cubic_cone(cone)
-        assert direction is not None
+        assert cubic_cone(cone) == TRIPLE_LINE
 
 
 class TestClassifyGerm:
@@ -162,18 +155,19 @@ class TestClassifyGerm:
         # a three-line cone always has mu exactly 4
         P = germ({(2, 1): 1, (1, 2): 1, (3, 0): 1})
         c = classify_germ(P)
-        shape = cubic_cone(lp_form(P, 3))[0]
+        shape = cubic_cone(lp_form(P, 3))
         assert (shape != THREE_DISTINCT_LINES) or c.mu == 4
 
-    def test_strict_transform_of_cusp(self):
-        # u^2 + v^3 blown up along its repeated direction becomes smooth
-        P = germ({(2, 0): 1, (0, 3): 1})
-        cone = lp_form(P, 2)
-        # treat the double cone u^2 as a repeated direction problem: blow up
-        # and check the strict transform has multiplicity 1
-        _shape, direction = cubic_cone(lp_mul(cone, germ({(0, 1): 1})))
-        st = strict_transform_at(P, direction)
-        assert lp_multiplicity(st) <= 2
+    @pytest.mark.parametrize("P, mu", [
+        ({(2, 1): 1, (1, 2): 1, (3, 0): 1}, 5),  # three lines: mu = 4
+        ({(2, 1): 1, (0, 4): 1}, 4),  # double line: mu >= 5
+        ({(3, 0): 1, (0, 4): 1}, 9),  # triple line: mu <= 8 or mu >= 10
+        ({(3, 0): 1, (0, 4): 1}, 5),
+    ])
+    def test_mu_the_cone_rules_out_raises(self, monkeypatch, P, mu):
+        monkeypatch.setattr(localanalysis, "milnor_number", lambda P: mu)
+        with pytest.raises(WrongMultiplicity):
+            classify_germ(germ(P))
 
 
 def _reference_shape(cone):
@@ -199,16 +193,6 @@ def _reference_blowup_finite(P, t0):
     return {e: c for e, c in out.items() if c}
 
 
-def _is_repeated(cone, direction):
-    """Whether `direction` is a line of multiplicity >= 2 in the cone."""
-    if direction[0] == "infinite":
-        return not cone.get((0, 3)) and not cone.get((1, 2))
-    t0 = direction[1]
-    p = [cone.get((3 - j, j), 0) for j in range(4)]
-    return (not sum(c * t0**j for j, c in enumerate(p))
-            and not sum(j * c * t0 ** (j - 1) for j, c in enumerate(p) if j))
-
-
 def _product(lines):
     out = {(0, 0): 1}
     for a, b in lines:
@@ -216,13 +200,40 @@ def _product(lines):
     return out
 
 
+def _repeated_direction(cone):
+    """Reference: the repeated line of a cubic cone with two or three
+    equal lines, ('infinite',) for u = 0 and ('finite', t0) for v = t0*u,
+    t0 the repeated root of p(t) = cone(1, t) by the closed forms for a
+    double and a triple root."""
+    a, b, c, d = (cone.get((3 - j, j), 0) for j in range(4))
+    if not c and not d:
+        return ("infinite",)
+    if not c * c - 3 * b * d:
+        return ("finite", -c / (3 * d))
+    return ("finite", (9 * a * d - b * c) / (2 * (c * c - 3 * b * d)))
+
+
+def _reference_classify(P):
+    """Reference: the blowup classification of a multiplicity-3 germ.  The
+    germ is simple exactly when its strict transform along the repeated
+    cone direction has multiplicity <= 2; it is then D(mu) unless the cone
+    is a triple line, which gives E(mu)."""
+    shape = _reference_shape(lp_form(P, 3))
+    mu = milnor_number(P)
+    if shape == THREE_DISTINCT_LINES:
+        return "D", mu
+    direction = _repeated_direction(lp_form(P, 3))
+    if direction[0] == "infinite":
+        strict = {(i, i + j - 3): c for (i, j), c in P.items()}
+    else:
+        strict = _reference_blowup_finite(P, direction[1])
+    if lp_multiplicity(strict) >= 3:
+        return "NonSimple", mu
+    return ("E" if shape == TRIPLE_LINE else "D"), mu
+
+
 def _check_cone(cone):
-    shape, direction = cubic_cone(cone)
-    assert shape == _reference_shape(cone)
-    assert (direction is None) == (shape == THREE_DISTINCT_LINES)
-    if direction is not None:
-        assert _is_repeated(cone, direction)
-    return direction
+    assert cubic_cone(cone) == _reference_shape(cone)
 
 
 SQRT2 = NumberField(None, "a", [-2, 0, 1])
@@ -244,13 +255,8 @@ class TestConeReference:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(_line, min_size=3, max_size=3), _pattern)
     def test_products_of_three_lines(self, lines, pattern):
-        cone = _product([(QQ(a), QQ(b)) for a, b in
-                         (lines[k] for k in pattern)])
-        direction = _check_cone(cone)
-        if pattern != (0, 1, 2):
-            a, b = lines[0]
-            assert direction == (("infinite",) if not b
-                                 else ("finite", QQ(-a, b)))
+        _check_cone(_product([(QQ(a), QQ(b)) for a, b in
+                              (lines[k] for k in pattern)]))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.tuples(_small, _small, _small, _small).filter(any))
@@ -258,12 +264,45 @@ class TestConeReference:
         _check_cone({(3 - j, j): QQ(c) for j, c in enumerate(coeffs) if c})
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.lists(_sqrt2_line, min_size=3, max_size=3), _pattern, _tail,
-           _in_sqrt2)
-    def test_germs_over_a_quadratic_field(self, lines, pattern, tail, t0):
+    @given(st.lists(_sqrt2_line, min_size=3, max_size=3), _pattern, _tail)
+    def test_germs_over_a_quadratic_field(self, lines, pattern, tail):
         P = lp_add(_product([lines[k] for k in pattern]), tail)
-        direction = _check_cone(lp_form(P, 3))
-        if direction is not None and direction[0] == "finite":
-            assert strict_transform_at(P, direction) == \
-                _reference_blowup_finite(P, direction[1])
-        assert lp_blowup_finite(P, t0) == _reference_blowup_finite(P, t0)
+        _check_cone(lp_form(P, 3))
+
+
+# a germ of multiplicity 3: a product of three lines, some repeated, plus
+# one to three terms of degree 4..7, all over QQ or all over QQ(sqrt 2);
+# lines along the axes are drawn often, so that sparse tails reach E7, E8
+# and the series beyond
+_coefficient = {"QQ": st.sampled_from([0, 0, 1, -1, 2]).map(QQ),
+                "QQ(sqrt 2)": _in_sqrt2}
+
+
+@st.composite
+def _germs_of_multiplicity_3(draw):
+    coef = _coefficient[draw(st.sampled_from(sorted(_coefficient)))]
+    lines = draw(st.lists(st.tuples(coef, coef).filter(any), min_size=3,
+                          max_size=3))
+    tail = draw(st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+            lambda e: 4 <= sum(e) <= 7),
+        coef.filter(bool), min_size=1, max_size=3))
+    return lp_add(_product([lines[k] for k in draw(_pattern)]), tail)
+
+
+class TestClassifyReference:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_germs_of_multiplicity_3())
+    def test_cone_and_mu_agree_with_the_blowup(self, P):
+        # an isolated germ of degree <= 7 has mu <= 36 (Bezout on its two
+        # partials), so a cap of 40 still tells it from a non-isolated one,
+        # which the default cap of 400 can take tens of seconds to reject
+        with mock.patch.object(localanalysis, "DEFAULT_MULT_CAP", 40):
+            try:
+                expected = _reference_classify(P)
+            except NonIsolated:
+                with pytest.raises(NonIsolated):
+                    classify_germ(P)
+                return
+            c = classify_germ(P)
+        assert (c.kind, c.mu, c.multiplicity) == (*expected, 3)

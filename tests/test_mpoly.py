@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratsqrt import mpoly
 from ratsqrt.errors import OddDegree, ZeroDenominator
 from ratsqrt.mpoly import (
     _PROBES,
@@ -299,3 +300,13 @@ class TestImageCertificates:
         g = RationalFunction(a * b, a)
         assert (g.num, g.den) == _always_cancelled(a * b, a)
         assert g.den.is_constant()
+
+    def test_no_image_above_the_size_cap(self, monkeypatch):
+        # the degree-20,000 image in X once cost 48 s; sqf_list takes
+        # well under a second
+        calls = []
+        monkeypatch.setattr(mpoly, "dup_sqf_p",
+                            lambda *a: calls.append(a) or True)
+        p = P("X^20000*Y - 1", ("X", "Y"))
+        assert squarefree_part(p) == p
+        assert calls == []

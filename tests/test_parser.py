@@ -330,6 +330,12 @@ class TestUntrustedInput:
         with pytest.raises(ParseSyntaxError, match="nesting"):
             map_from_json({"variables": ["X"], "assignments": {"X": text}})
 
+    @pytest.mark.parametrize("reader", [load_alphabet, map_from_json])
+    def test_deep_document_refused(self, reader):
+        # json.loads raises RecursionError on a document this deep
+        with pytest.raises(SchemaError, match="nesting too deep"):
+            reader("[" * 100_000 + "]" * 100_000)
+
     def test_nesting_up_to_the_cap_parses(self):
         x = parse_rational("X")
         assert parse_rational("(" * 100 + "X" + ")" * 100) == x
