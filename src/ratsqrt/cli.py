@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from importlib import resources
@@ -40,17 +41,36 @@ EXIT_NOT_BIVARIATE = 4
 EXIT_CORPUS_MISMATCH = 5
 
 
+def _seconds(text):
+    """A time budget: a finite number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}")
+    return value
+
+
+def _count(text):
+    """A bound: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 _FLAGS = {
     "vars": dict(help="comma-separated variable order"),
     "json": dict(metavar="PATH", help="write the JSON report"),
     "witness": dict(action="store_true", help="print the witness"),
     "trace": dict(action="store_true", help="print certificate steps"),
-    "max-height": dict(type=int, default=Config.max_height, metavar="N",
+    "max-height": dict(type=_count, default=Config.max_height, metavar="N",
                        help="rational point-scan height bound"),
-    "max-subset-size": dict(type=int, default=Config.max_subset_size,
+    "max-subset-size": dict(type=_count, default=Config.max_subset_size,
                             metavar="K",
                             help="alphabet size cap for subset enumeration"),
-    "timeout": dict(type=float, default=Config.timeout, metavar="SECONDS",
+    "timeout": dict(type=_seconds, default=Config.timeout, metavar="SECONDS",
                     help="per-rule soft time budget"),
 }
 

@@ -29,9 +29,11 @@ no solver: it spans the kernel of the three first partials, which one row
 reduction finds (:func:`triple_point_of_cubic`).
 
 A form stays one element of sympy's sparse ring over QQ from
-:class:`~ratsqrt.mpoly.MultiPoly` down to the solver; only the germ at a
-point (:func:`_germ`) is an exponent dict, since its coefficients lie in
-the point's number-field tower.
+:class:`~ratsqrt.mpoly.MultiPoly` down to the solver.  Below it, where
+coefficients lie in a point's number-field tower, a polynomial is an
+exponent dict of :mod:`ratsqrt.unipoly`, the shape of the ring's own
+elements: the germ at a point (:func:`_germ`) and each univariate equation
+of the back-substitution (:func:`_specialize`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from sympy.polys.groebnertools import groebner
 
 from . import unipoly as up
 from .errors import NonReduced
-from .localanalysis import classify_germ, lp_multiplicity, lp_translate
+from .localanalysis import classify_germ, lp_multiplicity
 from .mpoly import (
     MultiPoly,
     _ring,
@@ -59,6 +61,7 @@ from .numberfield import (
     factor_over_height1,
     field_coerce,
     field_one,
+    field_zero,
     row_reduce,
 )
 
@@ -190,29 +193,29 @@ def build_model(f: MultiPoly) -> GeometricModel:
 
 def _specialize(g, field, coords):
     """Plug a partial solution into the unknowns x_0..x_{j-1} of a basis
-    element, j = len(coords); coefficient list in x_j.  The ring lists the
-    unknowns from x_{k-1} down to x_0, so x_i is generator k - 1 - i."""
-    top = g.ring.ngens - 1
-    j = len(coords)
-    zero = field_coerce(field, 0)
-    out = [zero] * (1 + g.degree(top - j))
-    for e, c in g.terms():
+    element, j = len(coords); univariate exponent dict in x_j.  The ring
+    lists the unknowns from x_{k-1} down to x_0, so x_i is generator
+    k - 1 - i."""
+    axis = g.ring.ngens - 1 - len(coords)
+    out = {}
+    for e, c in g.items():
         val = field_coerce(field, c)
         for a, exp in zip(coords, reversed(e)):
             if exp:
                 val = val * (a**exp)
-        out[e[top - j]] = out[e[top - j]] + val
-    return up.trim(out)
+        k = (e[axis],)
+        out[k] = out[k] + val if k in out else val
+    return up.clean(out)
 
 
 def _extend(field, coords, g):
     """Extend a partial solution by each root of g (one per conjugacy class).
 
-    g is a coefficient list of degree >= 1 over `field`.  Returns
+    g is a univariate exponent dict of degree >= 1 over `field`.  Returns
     (field', coords') pairs, or None when the roots would need a tower
-    level above the height-2 cap.
+    level above the height-2 cap.  Every factor split off is monic.
     """
-    g = up.radical(up.monic(g))
+    g = up.radical(g)
     if up.deg(g) == 1:
         factors = [g]
     elif field is None:
@@ -224,9 +227,9 @@ def _extend(field, coords, g):
     out = []
     for f in factors:
         if up.deg(f) == 1:
-            out.append((field, coords + (-f[0] / f[1],)))
+            out.append((field, coords + (-f.get((0,), field_zero(field)),)))
         else:
-            K = NumberField(field, "a" if field is None else "b", up.monic(f))
+            K = NumberField(field, "a" if field is None else "b", f)
             out.append((K, tuple(K.lift(c) for c in coords) + (K.gen(),)))
     return out
 
@@ -272,7 +275,7 @@ def _vanishing_points(form, order):
                 for p in partials]
         sols, complete = _solve_ideal([g for g in gens if g], ring, k)
         points = [
-            (fld, (field_coerce(fld, 0),) * chart + (field_one(fld),) + coords)
+            (fld, (field_zero(fld),) * chart + (field_one(fld),) + coords)
             for fld, coords in sols
         ]
         yield chart, points, complete
@@ -373,7 +376,7 @@ def _germ(form, chart, proj):
     """A form restricted to a chart, as an exponent dict translated so that
     the point `proj` of that chart is the origin.  Setting coordinate
     `chart` to 1 never merges two terms of a form."""
-    return lp_translate({e[:chart] + e[chart + 1 :]: c for e, c in form.items()},
+    return up.translate({e[:chart] + e[chart + 1 :]: c for e, c in form.items()},
                         proj[:chart] + proj[chart + 1 :])
 
 

@@ -1,15 +1,15 @@
 """Local analysis of plane-curve germs over an exact field.
 
 A germ is a bivariate polynomial in local coordinates (u, v) centred at the
-origin, stored as a dict mapping exponent pairs (i, j) to nonzero
-coefficients.  Coefficients live in an exact field K: sympy's QQ elements,
-or :class:`~ratsqrt.numberfield.NFElem` of one number field, freely mixed.
-Every coefficient carries its field and combines with plain ints, so no
-routine takes a field argument.
+origin, stored as an exponent dict of :mod:`ratsqrt.unipoly`: exponent
+pairs (i, j) mapped to nonzero coefficients, whose sums, products and
+partial derivatives are that module's.  Coefficients live in an exact field
+K: sympy's QQ elements, or :class:`~ratsqrt.numberfield.NFElem` of one
+number field, freely mixed.  Every coefficient carries its field and
+combines with plain ints, so no routine takes a field argument.
 
 The module provides:
 
-* translation of an exponent dict in any number of variables;
 * multiplicity, tangent cone and, for cubic cones, the shape (three
   distinct lines / double plus simple line / triple line), read from one
   gcd(p, p') with p(t) = cone(1, t);
@@ -18,7 +18,9 @@ The module provides:
   the intersection multiplicity of the two partial derivatives, and the
   dimension of the jet-truncated local algebra K[u,v]/((f_u, f_v) + m^N)
   stabilized in N, a rank taken with the row reduction that tower inverses
-  use too — each stopped at the fixed cap DEFAULT_MULT_CAP;
+  use too — each stopped once it exceeds the Bezout bound, the product of
+  the degrees of the two partials, which a finite Milnor number never
+  exceeds;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple) from the multiplicity, the cone shape and the Milnor
   number, with no blowup; multiplicity >= 4 is immediately NonSimple.
@@ -27,48 +29,13 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import unipoly as up
 from .errors import NonIsolated, WrongMultiplicity
 from .numberfield import row_reduce
 
-# cap on the accumulated intersection multiplicity and the jet dimension
-# before declaring the germ non-isolated; generous for the curve degrees
-# this package meets
-DEFAULT_MULT_CAP = 400
-
-
 # --------------------------------------------------------------------------
-# germ arithmetic
-
-
-def lp_clean(P):
-    return {e: c for e, c in P.items() if c}
-
-
-def lp_add(P, Q):
-    out = dict(P)
-    for e, c in Q.items():
-        s = out.get(e, 0) + c if e in out else c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def lp_mul(P, Q):
-    out = {}
-    for (i1, j1), c1 in P.items():
-        for (i2, j2), c2 in Q.items():
-            e = (i1 + i2, j1 + j2)
-            s = out.get(e, 0) + c1 * c2 if e in out else c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+# germ helpers; the arithmetic is that of :mod:`ratsqrt.unipoly`
 
 
 def lp_eval_origin(P):
@@ -87,28 +54,9 @@ def lp_form(P, d):
     return {(i, j): c for (i, j), c in P.items() if i + j == d}
 
 
-def lp_derivative(P, axis):
-    """Partial derivative along `axis` of an exponent dict in any number of
-    variables."""
-    out = {}
-    for e, c in P.items():
-        if e[axis]:
-            out[e[:axis] + (e[axis] - 1,) + e[axis + 1 :]] = c * e[axis]
-    return lp_clean(out)
-
-
 def lp_restrict_u(P):
-    """Restriction to v = 0, as a coefficient list in u."""
-    if not P:
-        return []
-    n = max(i for i, j in P) + 1
-    out = [0] * n
-    for (i, j), c in P.items():
-        if j == 0:
-            out[i] = c
-    zero = next(iter(P.values()))
-    zero = zero - zero
-    return up.trim([c if c else zero for c in out])
+    """Restriction to v = 0, as a univariate exponent dict in u."""
+    return {(i,): c for (i, j), c in P.items() if j == 0}
 
 
 def lp_divide_v(P):
@@ -116,24 +64,8 @@ def lp_divide_v(P):
     return {(i, j - 1): c for (i, j), c in P.items()}
 
 
-def lp_translate(P, shift):
-    """P(x + shift) for an exponent dict in any number of variables."""
-    for k, a in enumerate(shift):
-        if not a:
-            continue
-        out = {}
-        for e, c in P.items():
-            i = e[k]
-            for t in range(i + 1):
-                ct = c * (comb(i, t) * a ** (i - t)) if t < i else c
-                ne = e[:k] + (t,) + e[k + 1 :]
-                s = out.get(ne, 0) + ct if ne in out else ct
-                if s:
-                    out[ne] = s
-                elif ne in out:
-                    del out[ne]
-        P = out
-    return P
+def _degree(P):
+    return max((sum(e) for e in P), default=0)
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +83,7 @@ def cubic_cone(cone):
     the highest multiplicity of a line v = t*u is 1 + deg gcd(p, p'), since
     a cubic has at most one repeated root.
     """
-    p = up.trim([cone.get((3 - j, j), 0) for j in range(4)])
+    p = {(j,): c for (_i, j), c in cone.items()}
     repeated = max(3 - up.deg(p), 1 + up.deg(up.gcd(p, up.derivative(p))))
     return (THREE_DISTINCT_LINES, DOUBLE_PLUS_SIMPLE, TRIPLE_LINE)[repeated - 1]
 
@@ -166,35 +98,40 @@ def intersection_multiplicity(P, Q):
     Euclidean recursion on the restrictions to v = 0: swap so the restriction
     of P has the smaller degree, cancel the leading term of Q's restriction
     with a monomial multiple of P, and split off factors of v when a
-    restriction vanishes.  An accumulated multiplicity that reaches
-    DEFAULT_MULT_CAP means the germs share a component (non-isolated).
+    restriction vanishes.  The accumulated multiplicity is a lower bound on
+    I(P, Q), which is at most deg P * deg Q whenever it is finite (Bezout;
+    Fulton, *Algebraic Curves*, ch. 3 and 5); a total above that bound
+    means the germs share a component (non-isolated).
     """
-    P, Q = lp_clean(P), lp_clean(Q)
+    P, Q = up.clean(P), up.clean(Q)
+    bound = _degree(P) * _degree(Q)
     total = 0
     while True:
         if not P or not Q:
             raise NonIsolated("intersection with the zero germ is infinite")
         if lp_eval_origin(P) or lp_eval_origin(Q):
             return total
-        if total >= DEFAULT_MULT_CAP:
-            raise NonIsolated("intersection multiplicity exceeds the cap")
+        if total > bound:
+            raise NonIsolated("intersection multiplicity exceeds the Bezout"
+                              " bound")
         f = lp_restrict_u(P)
         g = lp_restrict_u(Q)
         if not f and not g:
             raise NonIsolated("both germs are divisible by v")
         if not f:
             # P = v * P1: I(P, Q) = I(v, Q) + I(P1, Q), and I(v, Q) = val_u g
-            total += up.valuation(g)
+            total += min(g)[0]
             P = lp_divide_v(P)
         elif not g:
-            total += up.valuation(f)
+            total += min(f)[0]
             Q = lp_divide_v(Q)
         else:
-            if up.deg(f) > up.deg(g):
-                P, Q, f, g = Q, P, g, f
+            (df,), (dg,) = max(f), max(g)
+            if df > dg:
+                P, Q, f, g, df, dg = Q, P, g, f, dg, df
             # cancel the top coefficient of g with a monomial multiple of P
-            shift = {(up.deg(g) - up.deg(f), 0): -(g[-1] / f[-1])}
-            Q = lp_add(Q, lp_mul(shift, P))
+            shift = {(dg - df, 0): -(g[(dg,)] / f[(df,)])}
+            Q = up.add(Q, up.mul(shift, P))
 
 
 def _jet_quotient_dim(fu, fv, N):
@@ -203,7 +140,7 @@ def _jet_quotient_dim(fu, fv, N):
     index = {m: k for k, m in enumerate(monos)}
     rows = []
     for gen in (fu, fv):
-        mult = lp_multiplicity(gen) if gen else N
+        mult = lp_multiplicity(gen)
         for a in range(N):
             for b in range(N - a):
                 if a + b + mult >= N:
@@ -222,17 +159,23 @@ def _jet_quotient_dim(fu, fv, N):
 
 def milnor_via_jets(fu, fv):
     """Stabilized jet dimension: grows the truncation order N until the
-    quotient dimension repeats, which certifies m^N is inside (fu, fv)."""
-    if not fu and not fv:
-        raise NonIsolated("both partial derivatives vanish identically")
+    quotient dimension repeats, which certifies m^N is inside (fu, fv).
+
+    Each jet dimension is a lower bound on the Milnor number I(fu, fv),
+    which is at most deg fu * deg fv whenever it is finite (Bezout), so a
+    dimension above that bound means the germ is not isolated; so does a
+    zero partial."""
+    if not fu or not fv:
+        raise NonIsolated("a partial derivative vanishes identically")
+    bound = _degree(fu) * _degree(fv)
     N = 3
     prev = None
     while True:
         dim = _jet_quotient_dim(fu, fv, N)
         if prev is not None and dim == prev:
             return dim
-        if dim > DEFAULT_MULT_CAP:
-            raise NonIsolated("jet dimension exceeds the cap")
+        if dim > bound:
+            raise NonIsolated("jet dimension exceeds the Bezout bound")
         prev = dim
         N += 1
 
@@ -243,8 +186,8 @@ def milnor_number(P):
     Computed twice — intersection multiplicity of the partials by Euclidean
     recursion, and stabilized jet-quotient dimension — and cross-checked.
     """
-    fu = lp_derivative(P, 0)
-    fv = lp_derivative(P, 1)
+    fu = up.derivative(P, 0)
+    fv = up.derivative(P, 1)
     if not fu and not fv:
         raise NonIsolated("constant germ")
     via_int = intersection_multiplicity(fu, fv)
@@ -287,7 +230,7 @@ def classify_germ(P):
     mu >= 10 and is not simple.  A mu the cone rules out raises
     WrongMultiplicity.  Multiplicity >= 4 is never simple.
     """
-    P = lp_clean(P)
+    P = up.clean(P)
     m = lp_multiplicity(P)
     if m < 2:
         raise WrongMultiplicity(f"germ has multiplicity {m}; not singular")

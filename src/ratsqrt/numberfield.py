@@ -9,7 +9,9 @@ is therefore all we ever need; asking for more raises
 Representation.  A field is None for the rationals, whose elements are
 sympy's QQ elements, or a :class:`NumberField`, which stores, per level, a
 generator name and a monic irreducible minimal polynomial over the level
-below (a coefficient list as in :mod:`ratsqrt.unipoly`).  An element,
+below, an exponent dict as in :mod:`ratsqrt.unipoly`
+(:meth:`NumberField.describe` gives the dense coefficient lists that
+reports print).  An element,
 :class:`NFElem`, is a flat tuple of QQ elements on the basis a^i b^j of the
 whole tower, i running fastest (H. Cohen, *A Course in Computational
 Algebraic Number Theory*, section 4.2), so an element of the level below is
@@ -84,27 +86,27 @@ class NumberField:
     def __init__(self, base, gen_name, minpoly):
         if base is not None and base.height >= MAX_HEIGHT:
             raise TowerTooDeep("number-field towers are capped at height 2")
-        if len(minpoly) < 3:
+        n = up.deg(minpoly)
+        if n < 2:
             raise ValueError("minimal polynomial must have degree >= 2")
-        if minpoly[-1] != 1:
+        if minpoly[(n,)] != 1:
             raise ValueError("minimal polynomial must be monic")
         self.base = base  # None means the rationals
         self.gen_name = gen_name
-        self.minpoly = [field_coerce(base, c) for c in minpoly]
+        self.minpoly = {e: field_coerce(base, c) for e, c in minpoly.items()}
         self.height = 1 if base is None else base.height + 1
         m = 1 if base is None else base.degree
-        self.degree = m * up.deg(minpoly)
+        self.degree = m * n
         self.units = [tuple(QQ.one if r == k else QQ.zero
                             for r in range(self.degree))
                       for k in range(self.degree)]
-        # basis element a^i b^j, index i + m*j, as a coefficient list over
-        # the level below; table[k][l] lists the nonzero (index, coefficient)
-        # pairs of the product of basis elements k and l
+        # basis element a^i b^j, index i + m*j, as a monomial over the level
+        # below; table[k][l] lists the nonzero (index, coefficient) pairs of
+        # the product of basis elements k and l
         lower = [QQ.one] if base is None else [NFElem(base, u) for u in base.units]
-        basis = [[field_zero(base)] * j + [c]
-                 for j in range(up.deg(minpoly)) for c in lower]
+        basis = [{(j,): c} for j in range(n) for c in lower]
         self.table = [[[(m * j + i, c)
-                        for j, e in enumerate(up.rem(up.mul(p, q), self.minpoly))
+                        for (j,), e in up.rem(up.mul(p, q), self.minpoly).items()
                         for i, c in enumerate((e,) if base is None else e.vec)
                         if c]
                        for q in basis] for p in basis]
@@ -137,11 +139,15 @@ class NumberField:
         return self.degree
 
     def describe(self):
-        """Human-readable tower description, deterministic."""
+        """Human-readable tower description, deterministic: per level, the
+        generator name and the dense coefficient list of its minimal
+        polynomial, lowest degree first."""
         levels = []
         f = self
         while f is not None:
-            levels.append((f.gen_name, list(f.minpoly)))
+            zero = field_zero(f.base)
+            levels.append((f.gen_name, [f.minpoly.get((i,), zero)
+                                        for i in range(up.deg(f.minpoly) + 1)]))
             f = f.base
         levels.reverse()
         return levels
@@ -171,7 +177,9 @@ class NFElem:
             m = base.degree
             coeffs = [NFElem(base, self.vec[j:j + m])
                       for j in range(0, self.field.degree, m)]
-        return tuple(up.trim(coeffs))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
 
     # -- coercion --------------------------------------------------------
 
@@ -292,46 +300,45 @@ def _times(table, x, y):
 def factor_over_height1(field: NumberField, poly):
     """Split a monic squarefree polynomial over a height-one field.
 
-    `poly` is a coefficient list of NFElem over `field` (monic, squarefree).
-    Returns a list of monic irreducible factors (coefficient lists), sorted
-    deterministically.  Raises TowerTooDeep if `field` is not height one.
+    `poly` is a univariate exponent dict with NFElem coefficients over
+    `field` (monic, squarefree).  Returns a list of monic irreducible factors
+    (exponent dicts), sorted by degree and then by the dense tuple of their
+    coefficients.  Raises TowerTooDeep if `field` is not height one.
     """
     if field.height != 1:
         raise TowerTooDeep("norm factorization implemented for height-one fields")
-    poly = [field.lift(c) for c in poly]
+    poly = {e: field.lift(c) for e, c in poly.items()}
     if up.deg(poly) <= 1:
         return [poly]
     # QQ[x, y] with x first, so the resultant eliminates the generator x
     ring = _ring(("x", "y"))
-    m, *coeffs = (ring.from_dict({(i, 0): c for i, c in enumerate(rep) if c})
-                  for rep in [field.minpoly] + [c.rep for c in poly])
     x, y = ring.gens
+    m = ring.from_dict({(i, 0): c for (i,), c in field.minpoly.items()})
+    G = ring.from_dict({(i, k): c for (k,), e in poly.items()
+                        for i, c in enumerate(e.rep) if c})
     for s in range(0, 40):
         # G_s(x, y) = poly with the generator replaced by x and y -> y - s*x
-        g = ring.zero
-        for c in reversed(coeffs):
-            g = g * (y - s * x) + c
-        norm = m.resultant(g)
+        norm = m.resultant(G.compose(y, y - s * x))
         if norm.gcd(norm.diff(norm.ring.gens[0])).degree() == 0:
             break
     else:  # pragma: no cover - shift always found at desk scale
         raise TowerTooDeep("no squarefree norm shift found")
     _, rat_factors = norm.factor_list()
     factors = []
-    shift_arg = [field.gen() * s, field.one()]  # y + s*alpha
+    shift = (field.gen() * s,)
     for nf_poly, _m in rat_factors:
-        # n_i(y + s*alpha) over the field, by Horner composition
-        comp = []
-        for c in reversed(up.from_ring(nf_poly)):
-            comp = up.add(up.mul(comp, shift_arg), [field.from_rational(c)])
+        # n_i(y + s*alpha) over the field
+        comp = up.translate({e: field.from_rational(c) for e, c in nf_poly.items()},
+                            shift)
         g = up.gcd(poly, comp)
         if up.deg(g) >= 1:
             factors.append(g)
-    total = [field.one()]
+    total = {(0,): field.one()}
     for f in factors:
         total = up.mul(total, f)
-    assert up.trim(total) == up.trim(poly), "norm factorization lost a factor"
-    factors.sort(key=lambda f: (up.deg(f), tuple(c.rep for c in f)))
+    assert total == poly, "norm factorization lost a factor"
+    factors.sort(key=lambda f: (up.deg(f), tuple(
+        f[(i,)].rep if (i,) in f else () for i in range(up.deg(f) + 1))))
     return factors
 
 
@@ -362,9 +369,5 @@ def roots_in_field(field, poly):
     """Roots of `poly` lying in `field` (height <= 1), via linear factors."""
     if field is None:
         return up.rational_roots(poly) if poly else []
-    factors = factor_over_height1(field, poly)
-    roots = []
-    for f in factors:
-        if up.deg(f) == 1:
-            roots.append(-f[0] / f[1])
-    return roots
+    return [-f.get((0,), field.zero()) / f[(1,)]
+            for f in factor_over_height1(field, poly) if up.deg(f) == 1]

@@ -85,7 +85,8 @@ def singularity_report(input_text: str, model, simple, timings) -> dict:
 
 
 def dumps(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Standard JSON: a NaN or an infinity raises ValueError."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def strip_timings(report: dict) -> dict:

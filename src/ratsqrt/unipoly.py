@@ -1,88 +1,109 @@
-"""Dense univariate polynomial arithmetic over an arbitrary exact field.
+"""Sparse polynomial arithmetic over an arbitrary exact field.
 
-A polynomial is a plain list of coefficients, lowest degree first, with the
-top coefficient nonzero (the zero polynomial is the empty list).  The
-coefficient type only needs exact field arithmetic through the usual
-operators (+, -, *, /) and truthiness for the zero test, so every routine
-here works uniformly over the rationals (sympy's QQ elements) and over the
-number-field towers of :mod:`ratsqrt.numberfield`.  Tower elements do their
-own arithmetic; this module serves polynomials over them: the gcds and
-squarefree parts of the point searches and of Trager's pull-back, and the
-products that fill each field's multiplication table.
+A polynomial in n variables is an exponent dict: it maps exponent n-tuples
+to nonzero coefficients, and the zero polynomial is the empty dict.  That is
+the shape of sympy's ring elements too, so a :class:`PolyElement` over QQ
+converts by ``dict(pe)`` and back by ``ring.from_dict``.  The coefficient
+type only needs exact field arithmetic through the usual operators (+, -, *,
+/) and truthiness for the zero test, so every routine here works uniformly
+over the rationals (sympy's QQ elements) and over the number-field towers of
+:mod:`ratsqrt.numberfield`; a coefficient carries its field and combines with
+plain ints, so no routine takes a field argument.
 
-Monic gcd and squarefree part are the workhorses used by the higher-level
-modules; :func:`factor_rational` factors over the rationals on sympy's
-sparse polynomial ring QQ[t].
+In any number of variables: :func:`add`, :func:`mul`, :func:`derivative`
+and :func:`translate`, which serve the germs of
+:mod:`ratsqrt.localanalysis` and :mod:`ratsqrt.geometry`.  In one variable,
+with exponents 1-tuples, the Euclidean routines: division with remainder,
+monic gcd and squarefree part, which serve the point searches, Trager's
+pull-back and the multiplication table of each number field.
+:func:`factor_rational` factors over the rationals on sympy's sparse ring
+QQ[t].
 """
 
 from __future__ import annotations
+
+import operator
+from math import comb
 
 from sympy.polys.domains import QQ
 
 from .mpoly import _ring
 
 
-def trim(p):
-    """Drop trailing zero coefficients so the invariant lc != 0 holds."""
-    while p and not p[-1]:
-        p.pop()
-    return p
+def clean(P):
+    """Drop zero coefficients, so that every coefficient left is nonzero."""
+    return {e: c for e, c in P.items() if c}
+
+
+def add(P, Q):
+    out = dict(P)
+    for e, c in Q.items():
+        out[e] = out[e] + c if e in out else c
+    return clean(out)
+
+
+def mul(P, Q):
+    out = {}
+    for e1, c1 in P.items():
+        for e2, c2 in Q.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return clean(out)
+
+
+def derivative(P, axis=0):
+    """Partial derivative along `axis`."""
+    return {e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: c * e[axis]
+            for e, c in P.items() if e[axis]}
+
+
+def translate(P, shift):
+    """P(x + shift), one variable at a time."""
+    for k, a in enumerate(shift):
+        if not a:
+            continue
+        out = {}
+        for e, c in P.items():
+            i = e[k]
+            for t in range(i + 1):
+                ct = c * (comb(i, t) * a ** (i - t)) if t < i else c
+                ne = e[:k] + (t,) + e[k + 1 :]
+                out[ne] = out[ne] + ct if ne in out else ct
+        P = clean(out)
+    return P
+
+
+# --- univariate: exponents are 1-tuples --------------------------------------
 
 
 def deg(p):
-    return len(p) - 1  # -1 for the zero polynomial
-
-
-def add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        out.append(a + b)
-    return trim(out)
-
-
-def mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    # normalize plain-int zeros introduced above to field elements
-    return trim([c if c else p[0] - p[0] for c in out])
+    return max(p)[0] if p else -1  # -1 for the zero polynomial
 
 
 def divmod_poly(p, q):
     """Exact field division with remainder; q must be nonzero."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    trim(r)
-    quo = []
     dq = deg(q)
-    lc = q[-1]
-    inv = 1 / lc  # one field inverse per call
-    while deg(r) >= dq and r:
-        c = r[-1] * inv
-        k = deg(r) - dq
-        quo.append((k, c))
-        for i in range(len(q)):
-            r[k + i] = r[k + i] - c * q[i]
-        r.pop()  # leading term cancels exactly
-        trim(r)
-    if quo:
-        zero = lc - lc
-        out = [zero] * (max(k for k, _ in quo) + 1)
-        for k, c in quo:
-            out[k] = c
-    else:
-        out = []
-    return trim(out), r
+    inv = 1 / q[(dq,)]  # one field inverse per call
+    tail = [(i, b) for (i,), b in q.items() if i != dq]
+    r = dict(p)
+    quo = {}
+    while r:
+        (dr,) = top = max(r)
+        if dr < dq:
+            break
+        c = r.pop(top) * inv  # the leading term cancels exactly
+        k = dr - dq
+        quo[(k,)] = c
+        for i, b in tail:
+            e = (k + i,)
+            s = r[e] - c * b if e in r else -c * b
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    return quo, r
 
 
 def rem(p, q):
@@ -91,25 +112,16 @@ def rem(p, q):
 
 def monic(p):
     if not p:
-        return []
-    inv = 1 / p[-1]
-    return [c * inv for c in p]
+        return {}
+    inv = 1 / p[max(p)]
+    return {e: c * inv for e, c in p.items()}
 
 
 def gcd(p, q):
     """Monic greatest common divisor; gcd(0, 0) = 0 by convention."""
-    a, b = list(p), list(q)
-    trim(a)
-    trim(b)
-    while b:
-        a, b = b, rem(a, b)
-    return monic(a)
-
-
-def derivative(p):
-    if len(p) <= 1:
-        return []
-    return trim([p[i] * i for i in range(1, len(p))])
+    while q:
+        p, q = q, rem(p, q)
+    return monic(p)
 
 
 def radical(p):
@@ -122,57 +134,33 @@ def radical(p):
         raise ValueError("squarefree part of the zero polynomial")
     if deg(p) == 0:
         return monic(p)
-    g = gcd(p, derivative(p))
-    quo, r = divmod_poly(p, g)
+    quo, r = divmod_poly(p, gcd(p, derivative(p)))
     assert not r
     return monic(quo)
 
 
-def valuation(p):
-    """Order of vanishing at 0 (index of lowest nonzero coefficient)."""
-    for i, c in enumerate(p):
-        if c:
-            return i
-    raise ValueError("valuation of the zero polynomial")
-
-
 # --- rational-coefficient helpers on sympy's sparse rings --------------------
-
-
-def from_ring(pe):
-    """Coefficient list of a univariate ring element over QQ."""
-    out = [QQ.zero] * (pe.degree() + 1)
-    for (i,), c in pe.terms():
-        out[i] = c
-    return out
 
 
 def factor_rational(p):
     """Factor a nonzero polynomial over the rationals.
 
     Returns (content, [(factor, multiplicity), ...]) where each factor is a
-    monic coefficient list and content * prod(factor^mult) == p.
+    monic exponent dict and content * prod(factor^mult) == p.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     if deg(p) == 0:
-        return p[0], []
-    pe = _ring(("t",)).from_dict({(i,): c for i, c in enumerate(p) if c})
-    cont, factors = pe.factor_list()
+        return p[(0,)], []
+    cont, factors = _ring(("t",)).from_dict(p).factor_list()
     out = []
     for f, m in sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].to_dense())):
-        coeffs = from_ring(f)
-        lc = coeffs[-1]
-        cont *= lc**m
-        out.append(([c / lc for c in coeffs], m))
+        cont *= f.LC**m
+        out.append((monic(dict(f)), m))
     return cont, out
 
 
 def rational_roots(p):
     """All rational roots of p (without multiplicity), sorted."""
     _, factors = factor_rational(p)
-    roots = []
-    for f, _m in factors:
-        if deg(f) == 1:
-            roots.append(-f[0] / f[1])
-    return sorted(set(roots))
+    return sorted({-f.get((0,), QQ.zero) for f, _m in factors if deg(f) == 1})

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -10,7 +11,7 @@ from ratsqrt import cli
 from ratsqrt.engine import Config
 from ratsqrt.errors import ZeroRadicand
 from ratsqrt.mpoly import MultiPoly, radicand_reduce
-from ratsqrt.report import strip_timings
+from ratsqrt.report import dumps, strip_timings
 
 
 def run(capsys, *argv):
@@ -237,6 +238,32 @@ class TestFlags:
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    # a limit of 0, below 0, NaN or infinite seconds, or a bound that is not
+    # an integer >= 0, would switch a limit off or stop every input
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "X", "--timeout", "0"],
+        ["analyze", "X", "--timeout", "-1"],
+        ["analyze", "X", "--timeout", "nan"],
+        ["analyze", "X", "--timeout", "inf"],
+        ["corpus", "--timeout", "-inf"],
+        ["alphabet", "X", "--timeout", "soon"],
+        ["analyze", "X", "--max-height", "-1"],
+        ["analyze", "X", "--max-height", "1.5"],
+        ["alphabet", "X", "--max-subset-size", "-1"],
+        ["corpus", "--max-subset-size", "two"],
+    ])
+    def test_bad_limit_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "expected" in capsys.readouterr().err
+
+    def test_zero_bounds_accepted(self, capsys):
+        code, _out, err = run(capsys, "alphabet", "X", "--max-subset-size", "0")
+        assert code == 3 and "subset cap 0" in err
+        code, out, _err = run(capsys, "analyze", "X^2 + 7", "--max-height", "0")
+        assert code == 0 and "outcome: Rationalizable" in out
+
     # X^2 + 7 is a square at X = 3, beyond height 1: there the scan falls
     # back to Q(sqrt(7))
     @pytest.mark.parametrize("flags, extension", [
@@ -283,6 +310,11 @@ class TestDefaults:
 
 
 class TestReports:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dumps_refuses_non_finite(self, value):
+        with pytest.raises(ValueError):
+            dumps({"config": {"timeout": value}})
+
     def test_round_trip_and_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

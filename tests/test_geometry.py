@@ -10,9 +10,8 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement
 
-from ratsqrt import geometry
+from ratsqrt import geometry, unipoly
 from ratsqrt.errors import NonReduced
-from ratsqrt.localanalysis import lp_derivative
 from ratsqrt.geometry import (
     AlgebraicPoint,
     all_simple,
@@ -176,9 +175,9 @@ class TestAllSimple:
 class TestOneGermPerPoint:
     def test_one_translation_per_singular_point(self, monkeypatch):
         shifts = []
-        translate = geometry.lp_translate
+        translate = unipoly.translate
         monkeypatch.setattr(
-            geometry, "lp_translate",
+            unipoly, "translate",
             lambda P, shift: shifts.append(shift) or translate(P, shift),
         )
         _ok, records = all_simple(build_model(bhabha_radicand()))
@@ -237,7 +236,7 @@ def _nullspace_triple_point(F):
     rows = []
     for i, j in combinations_with_replacement(range(3), 2):
         row = [QQ(0)] * 3
-        for e, c in lp_derivative(lp_derivative(terms, i), j).items():
+        for e, c in unipoly.derivative(unipoly.derivative(terms, i), j).items():
             row[e.index(1)] = c
         rows.append(row)
     kernel = DomainMatrix(rows, (len(rows), 3), QQ).nullspace().to_list()

@@ -347,20 +347,20 @@ def _expr(terms, syms):
 
 
 def _univariate():
-    return st.lists(_rationals(), min_size=1, max_size=4).map(unipoly.trim)
+    return st.lists(_rationals(), min_size=1, max_size=4).map(
+        lambda cs: {(i,): c for i, c in enumerate(cs) if c})
 
 
 class TestFactorRational:
     @KERNEL
     @given(st.lists(_univariate(), min_size=1, max_size=4))
     def test_matches_sympy_factor_list(self, parts):
-        p = [QQ(1)]
+        p = {(0,): QQ(1)}
         for q in parts:
             p = unipoly.mul(p, q) if q else p
         t = sp.Symbol("t")
         content, factors = unipoly.factor_rational(p)
-        ref_content, ref_factors = sp.factor_list(_expr(
-            {(i,): c for i, c in enumerate(p) if c}, (t,)), t)
+        ref_content, ref_factors = sp.factor_list(_expr(p, (t,)), t)
         ref = {}
         for f, m in ref_factors:
             poly = sp.Poly(f, t)
@@ -368,19 +368,22 @@ class TestFactorRational:
             ref[tuple(QQ(c.p, c.q)
                       for c in poly.monic().all_coeffs()[::-1])] = m
         assert content == ref_content
-        assert {tuple(f): m for f, m in factors} == ref
-        assert [len(f) for f, _ in factors] == sorted(len(f) for f, _ in factors)
+        dense = [tuple(f.get((i,), QQ(0)) for i in range(unipoly.deg(f) + 1))
+                 for f, _m in factors]
+        assert dict(zip(dense, (m for _f, m in factors))) == ref
+        assert [len(f) for f in dense] == sorted(len(f) for f in dense)
 
 
 def _height1_case(d):
     """(field, a monic squarefree product of small factors over it)."""
-    K = NumberField(None, "a", [QQ(-d), QQ(0), QQ(1)])
+    K = NumberField(None, "a", {(0,): QQ(-d), (2,): QQ(1)})
     coeff = st.builds(lambda x, y: K.from_rational(x) + K.from_rational(y) * K.gen(),
                       st.integers(-2, 2), st.integers(-2, 2))
-    factor = st.lists(coeff, min_size=1, max_size=2).map(lambda cs: cs + [K.one()])
+    factor = st.lists(coeff, min_size=1, max_size=2).map(
+        lambda cs: unipoly.clean({(i,): c for i, c in enumerate(cs + [K.one()])}))
 
     def product(fs):
-        p = [K.one()]
+        p = {(0,): K.one()}
         for f in fs:
             p = unipoly.mul(p, f)
         return K, unipoly.radical(p)
@@ -395,13 +398,13 @@ class TestFactorOverHeight1:
     def test_product_and_count_match_sympy(self, case):
         d, (K, p) = case
         factors = factor_over_height1(K, p)
-        total = [K.one()]
+        total = {(0,): K.one()}
         for f in factors:
             total = unipoly.mul(total, f)
         assert total == p
         t, theta = sp.Symbol("t"), sp.sqrt(d)
         expr = sum(sp.Rational(c.numerator, c.denominator) * theta**j * t**i
-                   for i, e in enumerate(p) for j, c in enumerate(e.rep))
+                   for (i,), e in p.items() for j, c in enumerate(e.rep))
         _, ref = sp.factor_list(expr, t, extension=theta)
         assert len(factors) == len(ref)
 

@@ -1,7 +1,6 @@
 """Plane-curve germ analysis: multiplicity, cone shape, Milnor numbers, ADE."""
 
 from math import comb
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,15 +17,13 @@ from ratsqrt.localanalysis import (
     classify_germ,
     cubic_cone,
     intersection_multiplicity,
-    lp_derivative,
-    lp_add,
     lp_form,
-    lp_mul,
     lp_multiplicity,
     milnor_number,
     milnor_via_jets,
 )
 from ratsqrt.numberfield import NumberField
+from ratsqrt.unipoly import add, derivative, mul
 
 
 def germ(entries):
@@ -46,13 +43,13 @@ class TestGermBasics:
 
     def test_derivative(self):
         P = germ({(3, 0): 1, (1, 2): 1})
-        assert lp_derivative(P, 0) == germ({(2, 0): 3, (0, 2): 1})
+        assert derivative(P, 0) == germ({(2, 0): 3, (0, 2): 1})
 
     def test_mul(self):
         # (u + v)(u - v) = u^2 - v^2
         a = germ({(1, 0): 1, (0, 1): 1})
         b = germ({(1, 0): 1, (0, 1): -1})
-        assert lp_mul(a, b) == germ({(2, 0): 1, (0, 2): -1})
+        assert mul(a, b) == germ({(2, 0): 1, (0, 2): -1})
 
 
 class TestIntersectionMultiplicity:
@@ -100,13 +97,40 @@ class TestMilnor:
 
     def test_jet_route_agrees_alone(self):
         P = germ({(3, 0): 1, (1, 3): 1})  # E7
-        fu = lp_derivative(P, 0)
-        fv = lp_derivative(P, 1)
+        fu = derivative(P, 0)
+        fv = derivative(P, 1)
         assert milnor_via_jets(fu, fv) == 7
 
     def test_smooth_point(self):
         # regular germ: no critical point, mu = 0
         assert milnor_number(germ({(1, 0): 1, (0, 2): 1})) == 0
+
+    def test_non_isolated_rejected_by_the_bezout_bound(self):
+        # u^2 v + u^3 + u^3 v + u^6 = u^2 (v + u + u v + u^4): both partials
+        # vanish on u = 0, and each route stops past the Bezout bound 5 * 3
+        P = germ({(2, 1): 1, (3, 0): 1, (3, 1): 1, (6, 0): 1})
+        fu, fv = derivative(P, 0), derivative(P, 1)
+        with pytest.raises(NonIsolated):
+            intersection_multiplicity(fu, fv)
+        with pytest.raises(NonIsolated):
+            milnor_via_jets(fu, fv)
+        with pytest.raises(NonIsolated):
+            classify_germ(P)
+
+    def test_zero_partial_rejected_at_once(self):
+        # P = v^2: f_u = 0, so (f_u, f_v) has infinite colength
+        fv = germ({(0, 1): 2})
+        with pytest.raises(NonIsolated):
+            milnor_via_jets({}, fv)
+        with pytest.raises(NonIsolated):
+            milnor_via_jets(fv, {})
+
+    def test_bounds_reached_exactly(self):
+        # I(v - u^3, v) = 3 = deg * deg, and mu(u^4 + v^4) = 9 = 3 * 3: a
+        # value equal to the Bezout bound is still returned
+        assert intersection_multiplicity(germ({(0, 1): 1, (3, 0): -1}),
+                                         germ({(0, 1): 1})) == 3
+        assert milnor_via_jets(germ({(3, 0): 4}), germ({(0, 3): 4})) == 9
 
 
 class TestConeShape:
@@ -196,7 +220,7 @@ def _reference_blowup_finite(P, t0):
 def _product(lines):
     out = {(0, 0): 1}
     for a, b in lines:
-        out = lp_mul(out, {e: c for e, c in (((1, 0), a), ((0, 1), b)) if c})
+        out = mul(out, {e: c for e, c in (((1, 0), a), ((0, 1), b)) if c})
     return out
 
 
@@ -236,7 +260,7 @@ def _check_cone(cone):
     assert cubic_cone(cone) == _reference_shape(cone)
 
 
-SQRT2 = NumberField(None, "a", [-2, 0, 1])
+SQRT2 = NumberField(None, "a", {(0,): QQ(-2), (2,): QQ(1)})
 _small = st.integers(-3, 3)
 _line = st.tuples(_small, _small).filter(any)
 # which of the three drawn lines make up the product: distinct, one
@@ -266,7 +290,7 @@ class TestConeReference:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(_sqrt2_line, min_size=3, max_size=3), _pattern, _tail)
     def test_germs_over_a_quadratic_field(self, lines, pattern, tail):
-        P = lp_add(_product([lines[k] for k in pattern]), tail)
+        P = add(_product([lines[k] for k in pattern]), tail)
         _check_cone(lp_form(P, 3))
 
 
@@ -287,22 +311,20 @@ def _germs_of_multiplicity_3(draw):
         st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
             lambda e: 4 <= sum(e) <= 7),
         coef.filter(bool), min_size=1, max_size=3))
-    return lp_add(_product([lines[k] for k in draw(_pattern)]), tail)
+    return add(_product([lines[k] for k in draw(_pattern)]), tail)
 
 
 class TestClassifyReference:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(_germs_of_multiplicity_3())
     def test_cone_and_mu_agree_with_the_blowup(self, P):
-        # an isolated germ of degree <= 7 has mu <= 36 (Bezout on its two
-        # partials), so a cap of 40 still tells it from a non-isolated one,
-        # which the default cap of 400 can take tens of seconds to reject
-        with mock.patch.object(localanalysis, "DEFAULT_MULT_CAP", 40):
-            try:
-                expected = _reference_classify(P)
-            except NonIsolated:
-                with pytest.raises(NonIsolated):
-                    classify_germ(P)
-                return
-            c = classify_germ(P)
+        # a non-isolated germ is rejected once a Milnor route exceeds the
+        # Bezout bound of its two partials
+        try:
+            expected = _reference_classify(P)
+        except NonIsolated:
+            with pytest.raises(NonIsolated):
+                classify_germ(P)
+            return
+        c = classify_germ(P)
         assert (c.kind, c.mu, c.multiplicity) == (*expected, 3)

@@ -21,13 +21,13 @@ from ratsqrt.numberfield import (
 
 def q_sqrt2():
     # minimal polynomial t^2 - 2 over the rationals
-    return NumberField(None, "a", [QQ(-2), QQ(0), QQ(1)])
+    return NumberField(None, "a", {(0,): QQ(-2), (2,): QQ(1)})
 
 
 def tower_sqrt2_sqrt3():
     K = q_sqrt2()
     # t^2 - 3 stays irreducible over Q(sqrt 2)
-    return NumberField(K, "b", [K.from_rational(-3), K.zero(), K.one()])
+    return NumberField(K, "b", {(0,): K.from_rational(-3), (2,): K.one()})
 
 
 class TestHeightOne:
@@ -65,6 +65,27 @@ class TestHeightOne:
     def test_absolute_degree(self):
         assert q_sqrt2().absolute_degree() == 2
         assert tower_sqrt2_sqrt3().absolute_degree() == 4
+
+    def test_minpoly_is_an_exponent_dict(self):
+        K = q_sqrt2()
+        assert K.minpoly == {(0,): QQ(-2), (2,): QQ(1)}
+        with pytest.raises(ValueError):
+            NumberField(None, "a", {(1,): QQ(1)})
+        with pytest.raises(ValueError):
+            NumberField(None, "a", {(0,): QQ(-2), (2,): QQ(3)})
+
+
+class TestDescribe:
+    def test_dense_lists_with_zero_coefficients(self):
+        # reports print these lists and sort keys read them, zeros included
+        L = tower_sqrt2_sqrt3()
+        K = L.base
+        assert K.describe() == [("a", [QQ(-2), QQ(0), QQ(1)])]
+        (a, ka), (b, lb) = L.describe()
+        assert (a, ka) == ("a", [QQ(-2), QQ(0), QQ(1)])
+        assert b == "b" and lb == [K.from_rational(-3), K.zero(), K.one()]
+        assert all(c.field is K for c in lb)
+        assert [elem_str(c) for c in lb] == ["-3", "0", "1"]
 
 
 class TestTower:
@@ -111,17 +132,17 @@ class TestFactorOverTower:
     def test_x2_minus_2_splits(self):
         K = q_sqrt2()
         a = K.gen()
-        poly = [K.from_rational(-2), K.zero(), K.one()]
+        poly = {(0,): K.from_rational(-2), (2,): K.one()}
         factors = factor_over_height1(K, poly)
         assert len(factors) == 2
         for f in factors:
             assert up.deg(f) == 1
-            root = -f[0] / f[1]
+            root = -f[(0,)] / f[(1,)]
             assert root == a or root == -a
 
     def test_irreducible_stays(self):
         K = q_sqrt2()
-        poly = [K.from_rational(-3), K.zero(), K.one()]  # x^2 - 3
+        poly = {(0,): K.from_rational(-3), (2,): K.one()}  # x^2 - 3
         factors = factor_over_height1(K, poly)
         assert len(factors) == 1
         assert up.deg(factors[0]) == 2
@@ -130,8 +151,12 @@ class TestFactorOverTower:
         K = q_sqrt2()
         a = K.gen()
         # x^2 - 2 has both square roots of 2 in the field
-        roots = roots_in_field(K, [K.from_rational(-2), K.zero(), K.one()])
+        roots = roots_in_field(K, {(0,): K.from_rational(-2), (2,): K.one()})
         assert sorted(roots, key=elem_str) == sorted([a, -a], key=elem_str)
+        # x^2 - a*x has the root 0, which no dict stores
+        roots = roots_in_field(K, {(1,): -a, (2,): K.one()})
+        assert sorted(roots, key=elem_str) == sorted([K.zero(), a], key=elem_str)
+        assert all(r.field is K for r in roots)
 
 
 class TestPrinting:
@@ -149,7 +174,7 @@ class TestPrinting:
 class TestReducibleMinpoly:
     def test_zero_divisor_raises(self):
         # t^2 - 1 = (t - 1)(t + 1): a - 1 is a zero divisor, not a unit
-        K = NumberField(None, "a", [QQ(-1), QQ(0), QQ(1)])
+        K = NumberField(None, "a", {(0,): QQ(-1), (2,): QQ(1)})
         with pytest.raises(ZeroInversion):
             (K.gen() - 1).inverse()
 
@@ -316,10 +341,12 @@ def _tower(levels):
     flat = ref = None
     for name, minpoly in zip("ab", levels):
         if flat is None:
-            flat_mp, ref_mp = [QQ(c) for c in minpoly], [QQ(c) for c in minpoly]
+            flat_mp = {(i,): QQ(c) for i, c in enumerate(minpoly) if c}
+            ref_mp = [QQ(c) for c in minpoly]
         else:
             pad = flat.absolute_degree()
-            flat_mp = [_flat_elem(flat, c + (0,) * (pad - len(c))) for c in minpoly]
+            flat_mp = {(i,): _flat_elem(flat, c + (0,) * (pad - len(c)))
+                       for i, c in enumerate(minpoly) if any(c)}
             ref_mp = [_ref_elem(ref, c) for c in minpoly]
         flat, ref = NumberField(flat, name, flat_mp), RefField(ref, name, ref_mp)
     return flat, ref

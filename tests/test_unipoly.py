@@ -1,54 +1,70 @@
-"""Dense univariate polynomial arithmetic over exact fields."""
+"""Sparse polynomial arithmetic over exact fields, on exponent dicts."""
 
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
 from ratsqrt import unipoly as up
+from ratsqrt.mpoly import _ring
 
 
 def P(*coeffs):
-    return [QQ(c) for c in coeffs]
+    """The univariate exponent dict of a coefficient list, lowest first."""
+    return {(i,): QQ(c) for i, c in enumerate(coeffs) if c}
+
+
+def _random(rng, n, lo, hi):
+    return up.clean({(i,): QQ(rng.randint(lo, hi)) for i in range(n)})
 
 
 class TestBasics:
-    def test_trim_and_deg(self):
-        assert up.trim(P(1, 2, 0, 0)) == P(1, 2)
+    def test_clean_and_deg(self):
+        assert up.clean({(0,): QQ(1), (1,): QQ(2), (2,): QQ(0)}) == P(1, 2)
         assert up.deg(P(1, 0, 3)) == 2
-        assert up.deg([]) == -1
+        assert up.deg({}) == -1
 
     def test_add_sub(self):
         a, b = P(1, 2), P(3, -2)
         assert up.add(a, b) == P(4)
+        assert up.add(a, {e: -c for e, c in a.items()}) == {}
 
     def test_mul(self):
         # (x - 1)(x + 1) = x^2 - 1
         assert up.mul(P(-1, 1), P(1, 1)) == P(-1, 0, 1)
         assert up.mul(P(2), P(0, 0, 3)) == P(0, 0, 6)
-        assert up.mul([], P(1, 1)) == []
+        assert up.mul({}, P(1, 1)) == {}
 
     def test_divmod(self):
         # x^3 - 1 = (x - 1)(x^2 + x + 1)
         q, r = up.divmod_poly(P(-1, 0, 0, 1), P(-1, 1))
         assert q == P(1, 1, 1)
-        assert r == []
+        assert r == {}
         q, r = up.divmod_poly(P(1, 0, 1), P(0, 1))
         assert q == P(0, 1) and r == P(1)
 
-    def test_valuation(self):
-        p = P(0, 0, 5, 1)
-        assert up.valuation(p) == 2
-        assert up.valuation(P(7)) == 0
-
     def test_derivative(self):
         assert up.derivative(P(3, 2, 1)) == P(2, 2)
-        assert up.derivative(P(5)) == []
+        assert up.derivative(P(5)) == {}
+
+    def test_several_variables(self):
+        # d/dv (u^2 v + v^3) = u^2 + 3 v^2; (u + v)(u - v) = u^2 - v^2
+        f = {(2, 1): QQ(1), (0, 3): QQ(1)}
+        assert up.derivative(f, 1) == {(2, 0): QQ(1), (0, 2): QQ(3)}
+        assert up.mul({(1, 0): QQ(1), (0, 1): QQ(1)},
+                      {(1, 0): QQ(1), (0, 1): QQ(-1)}) == {(2, 0): QQ(1),
+                                                           (0, 2): QQ(-1)}
+        # (u + 1)*v at (u, v) -> (u - 1, v + 2) is u*v + 2*u
+        assert up.translate({(1, 1): QQ(1), (0, 1): QQ(1)},
+                            (QQ(-1), QQ(2))) == {(1, 1): QQ(1), (1, 0): QQ(2)}
 
 
 class TestGcd:
     def test_gcd_known(self):
         # gcd(x^2 - 1, x^2 - 2x + 1) = x - 1
         g = up.gcd(P(-1, 0, 1), P(1, -2, 1))
-        assert up.monic(g) == P(-1, 1)
+        assert g == P(-1, 1)
 
     def test_gcd_coprime(self):
         g = up.gcd(P(1, 1), P(2, 1))
@@ -57,26 +73,26 @@ class TestGcd:
     def test_gcd_common_factor_property(self):
         rng = random.Random(7)
         for _ in range(50):
-            a = up.trim([QQ(rng.randint(-4, 4)) for _ in range(4)])
-            b = up.trim([QQ(rng.randint(-4, 4)) for _ in range(4)])
-            c = [QQ(rng.randint(-3, 3)) for _ in range(3)] + [QQ(1)]
+            a = _random(rng, 4, -4, 4)
+            b = _random(rng, 4, -4, 4)
+            c = up.add(_random(rng, 3, -3, 3), P(0, 0, 0, 1))
             if not a or not b:
                 continue
-            g1 = up.monic(up.gcd(up.mul(a, c), up.mul(b, c)))
+            g1 = up.gcd(up.mul(a, c), up.mul(b, c))
             g2 = up.monic(up.mul(up.gcd(a, b), c))
-            assert up.monic(up.gcd(g1, g2)) == up.monic(c) or g1 == g2
+            assert up.gcd(g1, g2) == up.monic(c) or g1 == g2
 
     def test_radical(self):
         # (x - 1)^2 (x + 2) -> (x - 1)(x + 2)
         sq = up.mul(up.mul(P(-1, 1), P(-1, 1)), P(2, 1))
-        assert up.monic(up.radical(sq)) == up.monic(up.mul(P(-1, 1), P(2, 1)))
+        assert up.radical(sq) == up.monic(up.mul(P(-1, 1), P(2, 1)))
 
 
 class TestFactor:
     def test_factor_x2_minus_1(self):
         c, factors = up.factor_rational(P(-1, 0, 1))
         assert c == 1
-        assert sorted(f for f, _m in factors) == [P(-1, 1), P(1, 1)]
+        assert factors == [(P(-1, 1), 1), (P(1, 1), 1)]
 
     def test_factor_x4_plus_1_irreducible(self):
         # no rational roots and no rational quadratic split
@@ -93,17 +109,72 @@ class TestFactor:
     def test_factor_remultiplies(self):
         rng = random.Random(11)
         for _ in range(200):
-            p = up.trim([QQ(rng.randint(-5, 5)) for _ in range(rng.randint(2, 13))])
+            p = _random(rng, rng.randint(2, 13), -5, 5)
             if not p:
                 continue
             c, factors = up.factor_rational(p)
-            prod = [QQ(c)]
+            prod = {(0,): QQ(c)}
             for f, m in factors:
                 for _ in range(m):
                     prod = up.mul(prod, f)
             assert prod == p
 
     def test_rational_roots(self):
-        # 2x^2 - 3x + 1 has roots 1 and 1/2
-        assert sorted(up.rational_roots(P(1, -3, 2))) == [QQ(1, 2), QQ(1)]
+        # 2x^2 - 3x + 1 has roots 1 and 1/2; x^2 - x has 0 and 1
+        assert up.rational_roots(P(1, -3, 2)) == [QQ(1, 2), QQ(1)]
+        assert up.rational_roots(P(0, -1, 1)) == [QQ(0), QQ(1)]
         assert up.rational_roots(P(1, 0, 1)) == []
+
+
+# -- the same dicts as sympy's ring elements ----------------------------------
+
+_coeff = st.builds(QQ, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _dicts(nvars, max_exp=3):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * nvars), _coeff,
+        max_size=5).map(up.clean)
+
+
+@st.composite
+def _pair(draw):
+    nvars = draw(st.integers(1, 3))
+    return nvars, draw(_dicts(nvars)), draw(_dicts(nvars))
+
+
+def _ring_of(nvars):
+    return _ring(tuple(f"x{i}" for i in range(nvars)))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestAgainstRingElements:
+    @PROPERTY
+    @given(_pair(), st.lists(_coeff, min_size=3, max_size=3))
+    def test_sparse_arithmetic(self, case, shift):
+        nvars, p, q = case
+        R = _ring_of(nvars)
+        pe, qe = R.from_dict(p), R.from_dict(q)
+        assert up.add(p, q) == dict(pe + qe)
+        assert up.mul(p, q) == dict(pe * qe)
+        for axis in range(nvars):
+            assert up.derivative(p, axis) == dict(pe.diff(R.gens[axis]))
+        point = [g + c for g, c in zip(R.gens, shift)]
+        assert up.translate(p, shift[:nvars]) == dict(pe.compose(
+            list(zip(R.gens, point))))
+
+    @PROPERTY
+    @given(_dicts(1, max_exp=6), _dicts(1, max_exp=4), _dicts(1, max_exp=2))
+    def test_division_and_gcd(self, p, q, common):
+        R = _ring_of(1)
+        pe, qe = R.from_dict(p), R.from_dict(q)
+        if q:
+            quo, r = up.divmod_poly(p, q)
+            assert (quo, r) == tuple(dict(x) for x in pe.div(qe))
+        # a drawn common factor, so that most gcds are not constant
+        p, q = up.mul(p, common), up.mul(q, common)
+        h = R.from_dict(p).gcd(R.from_dict(q))
+        assert up.gcd(p, q) == (dict(h.monic()) if h else {})
