@@ -22,7 +22,7 @@ from importlib import resources
 
 from . import __version__
 from .alphabet import decide_alphabet
-from .engine import Config, _RuleClock, decide
+from .engine import Config, _RuleClock, decide, valid_count, valid_seconds
 from .errors import RatsqrtError, ResourceLimit, SchemaError, TooManyRoots
 from .geometry import all_simple, build_model
 from .mpoly import effective_vars, poly_str, radicand_reduce
@@ -42,22 +42,26 @@ EXIT_CORPUS_MISMATCH = 5
 
 
 def _seconds(text):
-    """A time budget: a finite number of seconds above zero."""
+    """A time budget, as :func:`valid_seconds` defines it."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    if not valid_seconds(value):
         raise argparse.ArgumentTypeError(
             f"expected a finite number of seconds > 0, got {text!r}")
     return value
 
 
 def _count(text):
-    """A bound: an integer >= 0."""
-    if not text.strip().isdecimal():
+    """A bound, as :func:`valid_count` defines it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if not valid_count(value):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    return value
 
 
 _FLAGS = {
@@ -218,7 +222,7 @@ def cmd_singularities(args):
         print(f"error: radicand reduces to {n} effective variable(s);"
               " the singularity table needs exactly 2", file=sys.stderr)
         return EXIT_NOT_BIVARIATE
-    clock = _RuleClock(None)  # records timings; no limit acts on the table
+    clock = _RuleClock(math.inf)  # records timings; no limit acts on the table
     model = clock.run("build-model", lambda: build_model(f))
     simple = clock.run("simple-singularities", lambda: all_simple(model))
     report = singularity_report(args.expr, model, simple, clock.timings)

@@ -15,7 +15,10 @@ directions.  The criteria are then applied in a fixed order:
 7. two variables, other degree -> if every singularity of the branch curve
    of the double cover is simple (ADE), rationalizable iff degree <= 4;
 8. a point of multiplicity D-1 on the hypersurface closure of W^2 = f
-   -> rationalizable by projection from that point;
+   -> rationalizable by projection from that point; for two variables and
+   degree >= 4 such points lie over the singular points at infinity of the
+   branch curve, and are read off rule 7's records, otherwise the closure
+   is searched;
 9. otherwise Inconclusive.
 
 Every step is recorded in a replayable certificate; resource or tower
@@ -25,6 +28,7 @@ verdict.  An emitted witness always passes symbolic verification first.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -32,6 +36,7 @@ from .errors import ResourceLimit, TowerTooDeep
 from .geometry import (
     all_simple,
     build_model,
+    centre_from_records,
     high_mult_point_search,
     milnor_sum,
     triple_point_of_cubic,
@@ -114,12 +119,31 @@ class Verdict:
     timings: dict = field(default_factory=dict)
 
 
+def valid_seconds(value):
+    """A time budget: a finite number of seconds above zero."""
+    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+
+
+def valid_count(value):
+    """A bound: an integer >= 0."""
+    return isinstance(value, int) and value >= 0
+
+
 @dataclass
 class Config:
     max_height: int = 50
     max_subset_size: int = 12
     ordering_budget: int = 24
     timeout: float = 30.0
+
+    def __post_init__(self):
+        if not valid_seconds(self.timeout):
+            raise ValueError("timeout must be a finite number of seconds > 0,"
+                             f" got {self.timeout!r}")
+        for name in ("max_height", "max_subset_size", "ordering_budget"):
+            if not valid_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 0,"
+                                 f" got {getattr(self, name)!r}")
 
     def to_json(self):
         return asdict(self)
@@ -146,7 +170,7 @@ class _RuleClock:
         finally:
             dt = time.monotonic() - t0
             self.timings[rule] = self.timings.get(rule, 0.0) + dt
-        if self.timeout and dt > self.timeout:
+        if dt > self.timeout:
             raise ResourceLimit(f"rule '{rule}' exceeded {self.timeout}s")
         return out
 
@@ -238,7 +262,7 @@ def _decide_reduced(f, clock, config):
             return clock.verdict(NOT_RATIONALIZABLE, "cubic-triple-point",
                                  {"triple_point": tp.to_json(),
                                   "decides": "not rationalizable"})
-        m, h, pdata = _criterion_witness(model.V, f, clock)
+        m, h, pdata = _criterion_witness(model, f, clock)
         data = {"triple_point": None if tp is None else tp.to_json(),
                 "decides": "rationalizable"}
         data.update(pdata)
@@ -258,14 +282,14 @@ def _decide_reduced(f, clock, config):
             outcome = RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE
             m = h = None
             if outcome == RATIONALIZABLE:
-                m, h, pdata = _criterion_witness(model.V, f, clock)
+                m, h, pdata = _criterion_witness(model, f, clock, records)
                 data.update(pdata)
             return clock.verdict(outcome, "simple-singularities", data, m, h,
                                  records)
         clock.step("simple-singularities", data)
     # rule 8: high-multiplicity point on the hypersurface closure
     V = model.V
-    pt, certified, m, h, _note = _projection(V, f, clock)
+    pt, certified, m, h, _note = _projection(model, f, clock, records)
     if pt is not None:
         data = {"point": pt.to_json(), "hypersurface_degree": V.total_degree()}
         if m is not None:
@@ -291,17 +315,21 @@ def _identity_witness(f):
     return m, h
 
 
-def _projection(V, f, clock):
-    """Search the hypersurface V for a point of multiplicity D - 1, project
-    from it when it is rational, and verify the map on f.
+def _projection(model, f, clock, records=None):
+    """Find a point of multiplicity D - 1 on the hypersurface V, project
+    from it when it is rational, and verify the map on f.  With the
+    branch-curve records (two variables, degree >= 4) the candidates are
+    read off them; otherwise V is searched.
 
     Returns (point, certified_empty, map, square root, note): map and
     square root are None unless the witness verified, and the note says
     why not.
     """
+    V = model.V
     pt, certified = clock.run(
-        "high-multiplicity-point", lambda: high_mult_point_search(V)
-    )
+        "high-multiplicity-point",
+        lambda: high_mult_point_search(V) if records is None
+        else centre_from_records(model, records))
     if pt is None:
         note = "existence by criterion; no projection centre found"
         return None, certified, None, None, note
@@ -318,10 +346,10 @@ def _projection(V, f, clock):
     return pt, certified, m, h, None
 
 
-def _criterion_witness(V, f, clock):
+def _criterion_witness(model, f, clock, records=None):
     """(map, square root, step data) of a projection witness for a verdict
     that a criterion has already given."""
-    pt, _certified, m, h, note = _projection(V, f, clock)
+    pt, _certified, m, h, note = _projection(model, f, clock, records)
     if m is None:
         return None, None, {"witness": None, "note": note}
     return m, h, {"witness": m.to_json(), "square_root": rf_str(h),

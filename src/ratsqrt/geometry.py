@@ -13,7 +13,8 @@ For a squarefree radicand f of degree d in n variables this module builds:
 Two searches share one chart loop (:func:`_vanishing_points`): the
 singular points of B (order-1 partials) and the points of multiplicity
 D - 1 on a hypersurface (order D - 2, projection centres for explicit
-witnesses).  By the Euler identity each is the common zero set of every
+witnesses), the latter for three or more variables and for bivariate
+cubics only.  By the Euler identity each is the common zero set of every
 partial derivative of one order.  Chart c sets coordinate c to 1 and
 every earlier coordinate to 0, so the charts partition projective space
 and each point turns up once, in the chart of its first nonzero
@@ -22,11 +23,14 @@ Groebner basis over QQ, then triangular back-substitution over a
 number-field tower of height at most two.  The basis [1] certifies an
 empty chart, a zero-dimensional basis is solved exactly, and a
 positive-dimensional one is cut by rational hyperplanes until a point
-turns up.  Singular points of B are grouped into Galois
-conjugacy classes, and each class is classified once over its tower
-(:mod:`ratsqrt.localanalysis`).  The triple point of a plane cubic needs
-no solver: it spans the kernel of the three first partials, which one row
-reduction finds (:func:`triple_point_of_cubic`).
+turns up.  Singular points of B are grouped into Galois conjugacy
+classes, and each class is classified once over its tower
+(:mod:`ratsqrt.localanalysis`).  For a bivariate radicand of degree
+d >= 4 every projection centre lies over a singular point of B at
+infinity, so :func:`centre_from_records` reads the centres off those
+records instead of solving the closure again.  The triple point of a
+plane cubic needs no solver: it spans the kernel of the three first
+partials, which one row reduction finds (:func:`triple_point_of_cubic`).
 
 A form stays one element of sympy's sparse ring over QQ from
 :class:`~ratsqrt.mpoly.MultiPoly` down to the solver.  Below it, where
@@ -45,7 +49,7 @@ from sympy.polys.groebnertools import groebner
 
 from . import unipoly as up
 from .errors import NonReduced
-from .localanalysis import classify_germ, lp_multiplicity
+from .localanalysis import classify_germ, lp_form, lp_multiplicity
 from .mpoly import (
     MultiPoly,
     _ring,
@@ -449,11 +453,13 @@ def triple_point_of_cubic(F: MultiPoly):
 def high_mult_point_search(H: MultiPoly):
     """Search for a point of multiplicity D - 1 on the degree-D hypersurface H.
 
-    Returns (point or None, certified_empty).  By the Euler identity the
-    multiplicity-(D-1) locus is the common zero set of the order-(D-2)
-    partials, which are quadrics; :func:`_vanishing_points` solves them
-    chart by chart, chart c in the unknowns after coordinate c, whatever
-    their number.  Every candidate is checked by :func:`multiplicity_at`.
+    Returns (point or None, certified_empty).  It serves three or more
+    variables and bivariate cubics, whose centres may be affine; bivariate
+    closures of degree >= 4 go to :func:`centre_from_records`.  By the
+    Euler identity the multiplicity-(D-1) locus is the common zero set of
+    the order-(D-2) partials, which are quadrics; :func:`_vanishing_points`
+    solves them chart by chart, chart c in the unknowns after coordinate
+    c, whatever their number.  Every candidate is checked by :func:`multiplicity_at`.
     certified_empty is True only when every chart was solved completely
     (no positive-dimensional part, no root above the tower cap) and no
     point was found, so a missing point is a nonexistence proof exactly
@@ -477,6 +483,57 @@ def high_mult_point_search(H: MultiPoly):
     if best is not None:
         return best, False
     return None, certified
+
+
+def centre_from_records(model: GeometricModel, records):
+    """:func:`high_mult_point_search` on the closure V of a bivariate
+    W^2 = f of degree d >= 4, read off the records of :func:`all_simple`.
+
+    Off z = 0, V has multiplicity <= 2 < d - 1, and on z = 0 a point of
+    multiplicity d - 1 lies over a singular point (0:x0:y0) of the branch
+    curve B = s^(d mod 2) * F: it is (0:x0:y0:0) when F has multiplicity
+    d - 1 there, and (0:x0:y0:w0) with w0^2 = c when F's tangent cone
+    there is exactly c*z^(d-2) (Fulton, ch. 3).  Each record at s = 0 gives
+    those candidates in V's coordinates (z, x, y, w), w0 from the solver's
+    own :func:`_extend`, and each is checked by :func:`multiplicity_at`.
+    The first rational candidate in record order is returned, else the
+    first one.  :func:`singular_points` returns every singular point of B
+    or raises, so no candidate certifies that V has no such point.
+    """
+    V = model.V
+    d = V.total_degree()
+    if model.B is None or d < 4:
+        raise ValueError("expected a bivariate model of degree at least 4")
+    first = None
+    for rec in records:
+        pt = rec.point
+        if pt.chart == 0:
+            continue
+        for fld, proj in _centres_above(pt, d):
+            cand = AlgebraicPoint(fld, proj, pt.chart, 1)
+            if multiplicity_at(V, cand) != d - 1:
+                continue
+            if fld is None:
+                return cand, False
+            if first is None:
+                first = cand
+    return first, first is None
+
+
+def _centres_above(pt, d):
+    """The (field, proj) candidates of V over a singular point of B at
+    s = 0.  B's germ there is s^(d mod 2) times F's, in (s, other)."""
+    k = d % 2
+    order = lp_multiplicity(pt.germ) - k
+    if order == d - 1:
+        return [(pt.field, pt.proj + (field_zero(pt.field),))]
+    cone = lp_form(pt.germ, d - 2 + k)
+    if order != d - 2 or list(cone) != [(d - 2 + k, 0)]:
+        return []
+    # a point at s = 0 has one unknown, so its field has height <= 1 and
+    # w0 stays within the tower cap
+    c = cone[(d - 2 + k, 0)]
+    return _extend(pt.field, pt.proj, {(2,): field_one(pt.field), (0,): -c})
 
 
 def milnor_sum(records):

@@ -258,6 +258,22 @@ class TestFlags:
         assert e.value.code == 2
         assert "expected" in capsys.readouterr().err
 
+    # the flag types and Config apply one predicate per kind of limit
+    @pytest.mark.parametrize("flag_type, field, parse, text", [
+        *[(cli._seconds, "timeout", float, t)
+          for t in ("1", "1e-12", "0", "-1", "nan", "inf")],
+        *[(cli._count, "max_height", int, t) for t in ("0", "7", "-0", "-1")],
+    ])
+    def test_flag_accepts_what_config_accepts(self, flag_type, field, parse,
+                                              text):
+        try:
+            Config(**{field: parse(text)})
+        except ValueError:
+            with pytest.raises(argparse.ArgumentTypeError):
+                flag_type(text)
+        else:
+            assert flag_type(text) == parse(text)
+
     def test_zero_bounds_accepted(self, capsys):
         code, _out, err = run(capsys, "alphabet", "X", "--max-subset-size", "0")
         assert code == 3 and "subset cap 0" in err

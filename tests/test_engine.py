@@ -1,5 +1,6 @@
 """Decision cascade for single square roots."""
 
+import math
 import time
 from types import SimpleNamespace
 
@@ -185,6 +186,38 @@ class TestCertificates:
         assert v.outcome == RATIONALIZABLE
 
 
+class TestConfigLimits:
+    """A limit that would switch itself off (a timeout of 0 or NaN) or
+    stop every input (a negative one), or a count that is not an integer
+    >= 0, is refused when the Config is built."""
+
+    @pytest.mark.parametrize("timeout", [
+        0, 0.0, -1, math.nan, math.inf, -math.inf, None, "1"])
+    def test_bad_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            Config(timeout=timeout)
+
+    @pytest.mark.parametrize("name", [
+        "max_height", "max_subset_size", "ordering_budget"])
+    @pytest.mark.parametrize("value", [-3, -1, 1.5, None, "2"])
+    def test_bad_count(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Config(**{name: value})
+
+    def test_limits_at_their_edges(self):
+        c = Config(timeout=1e-12, max_height=0, max_subset_size=0,
+                   ordering_budget=0)
+        assert (c.timeout, c.max_height) == (1e-12, 0)
+        assert Config(timeout=2).timeout == 2
+
+    @pytest.mark.parametrize("timeout", [0, math.nan, -1])
+    def test_decide_never_runs_with_a_limit_switched_off(self, timeout):
+        # each used to decide X^2 + Y^2 - 1: 0 and NaN without any limit,
+        # -1 as Inconclusive with a resource-limit step
+        with pytest.raises(ValueError, match="timeout"):
+            decide(parse_poly("X^2 + Y^2 - 1"), None, Config(timeout=timeout))
+
+
 class TestInconclusive:
     def test_drell_yan_products(self):
         # degree-6 product with a non-simple branch point: the implemented
@@ -233,6 +266,91 @@ class TestResourceLimit:
         with pytest.raises(ResourceLimit, match="high-multiplicity-point"):
             clock.run("high-multiplicity-point", lambda: 42)
         assert clock.timings == {"high-multiplicity-point": 5.0}
+
+
+# the step data the chart-loop search gave for centres (0:x0:y0:w0) with
+# w0 != 0: f is at most quadratic in X with a constant coefficient c of
+# X^2, so F's tangent cone at (0:1:0) is c*z^(d-2) and w0^2 = c
+_W_CENTRES = {
+    "X^2 + X*Y^3 + Y^4 + 1": {
+        "witness": {"variables": ["X", "Y"], "assignments": {
+            "X": "(-X^4 - Y^4 + X^2)/(X*Y^3 - 2*X^3)", "Y": "(Y)/(X)"}},
+        "square_root": "(X^4 + Y^4 - Y^3 + X^2)/(X*Y^3 - 2*X^3)",
+        "projection_centre": {"chart": 1,
+                              "coordinates": ["0", "1", "0", "1"]}},
+    "4*X^2 + X*Y^3 + Y^4 + Y + 1": {
+        "witness": {"variables": ["X", "Y"], "assignments": {
+            "X": "(-X^4 - X^3*Y - Y^4 + X^2)/(X*Y^3 - 4*X^3)",
+            "Y": "(Y)/(X)"}},
+        "square_root": "(2*X^4 + 2*X^3*Y + 2*Y^4 - Y^3 + 2*X^2)"
+                       "/(X*Y^3 - 4*X^3)",
+        "projection_centre": {"chart": 1,
+                              "coordinates": ["0", "1", "0", "2"]}},
+    "2*X^2 + X*Y^3 + Y^4 + 1": {
+        "witness": None,
+        "note": "projection centre is not rational; witness omitted"},
+}
+
+
+class TestCentresOffTheBranchCurve:
+    """Projection centres with w != 0, read off the branch-curve records;
+    no benchmark input reaches them."""
+
+    @pytest.mark.parametrize("text", list(_W_CENTRES))
+    def test_rule_7_step_data(self, text):
+        f = parse_poly(text)
+        v = decide(f)
+        assert v.outcome == RATIONALIZABLE
+        assert rules(v) == ["radicand-reduction", "simple-singularities"]
+        data = v.steps[-1].data
+        expected = _W_CENTRES[text]
+        assert {k: data[k] for k in expected} == expected
+        assert (data["degree"], data["all_simple"], data["milnor_sum"]) == (
+            4, True, 2)
+        if expected["witness"] is not None:
+            assert verify_witness(v.witness, f) is not None
+
+    def test_rule_8_point(self):
+        f = parse_poly("X^2 + X*Y^4 + Y^5 + 1")
+        v = decide(f)
+        assert v.outcome == RATIONALIZABLE
+        assert rules(v) == ["radicand-reduction", "simple-singularities",
+                            "high-multiplicity-point"]
+        data = v.steps[-1].data
+        assert data["point"] == {"chart": 1,
+                                 "coordinates": ["0", "1", "0", "1"]}
+        assert data["hypersurface_degree"] == 5
+        assert data["witness"] == {"variables": ["X", "Y"], "assignments": {
+            "X": "(-X^5 - Y^5 + X^3)/(X*Y^4 - 2*X^4)", "Y": "(Y)/(X)"}}
+        assert data["square_root"] == ("(X^5 + Y^5 - Y^4 + X^3)"
+                                       "/(X*Y^4 - 2*X^4)")
+        assert verify_witness(v.witness, f) is not None
+
+
+def test_chart_loop_search_only_for_three_variables_or_cubics(monkeypatch):
+    # bivariate radicands of degree >= 4 take their centres from the
+    # records of rule 7, in rule 7 and in rule 8
+    searched, looked_up = [], []
+    search, lookup = engine.high_mult_point_search, engine.centre_from_records
+
+    def spy_search(V):
+        searched.append((len(V.vars) - 2, V.total_degree()))
+        return search(V)
+
+    def spy_lookup(model, records):
+        looked_up.append(model.V.total_degree())
+        return lookup(model, records)
+
+    monkeypatch.setattr(engine, "high_mult_point_search", spy_search)
+    monkeypatch.setattr(engine, "centre_from_records", spy_lookup)
+    for text in ("X^3 + Y^2 - 1", "X^2*(X + 1) - Y^2", "X^4 + Y^4 + 1",
+                 "X1^4 + X2^4 + X3^4", "X^4 + Y^4 + X^2",
+                 "X^2 + X*Y^4 + Y^5 + 1", "X*Y*Z + 1", "X^2*Y + Z^2 + 1",
+                 "X^3 + Y^3 + Z^3 + 1"):
+        decide(parse_poly(text))
+    assert all(n >= 3 or d == 3 for n, d in searched)
+    assert sorted(searched) == [(2, 3), (2, 3), (3, 3), (3, 3), (3, 3)]
+    assert sorted(looked_up) == [4, 4, 4, 5]
 
 
 class TestHighMultiplicitySolver:

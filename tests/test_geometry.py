@@ -16,13 +16,21 @@ from ratsqrt.geometry import (
     AlgebraicPoint,
     all_simple,
     build_model,
+    centre_from_records,
     high_mult_point_search,
     milnor_sum,
     multiplicity_at,
     singular_points,
     triple_point_of_cubic,
 )
-from ratsqrt.mpoly import MultiPoly, _ring, homogenize, is_homogeneous
+from ratsqrt.mpoly import (
+    MultiPoly,
+    _ring,
+    effective_vars,
+    homogenize,
+    is_homogeneous,
+    squarefree_part,
+)
 from ratsqrt.parser import parse_poly
 
 
@@ -310,21 +318,123 @@ class TestHighMultSearch:
         assert multiplicity_at(V, pt) == V.total_degree() - 1
 
     def test_smooth_quartic_certified_empty(self):
-        # W^2 = X1^4 + X2^4 + X3^4 dehomogenized: smooth branch; degree-4
-        # closure has no triple point and the quadric span certifies it
-        f = parse_poly("X1^4 + X2^4 + 1", ("X1", "X2"))
-        V = build_model(f).V
-        pt, certified = high_mult_point_search(V)
-        if pt is None:
-            assert certified
-        else:
-            assert multiplicity_at(V, pt) == V.total_degree() - 1
+        # W^2 = X1^4 + X2^4 + X3^4 dehomogenized: smooth branch; the
+        # degree-4 closure has no triple point, and both the chart loop and
+        # the branch-curve records certify it
+        model = build_model(parse_poly("X1^4 + X2^4 + 1", ("X1", "X2")))
+        assert high_mult_point_search(model.V) == (None, True)
+        _ok, records = all_simple(model)
+        assert centre_from_records(model, records) == (None, True)
 
     def test_returned_point_multiplicity_verified(self):
-        V = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))).V
-        pt, _c = high_mult_point_search(V)
-        if pt is not None:
-            assert multiplicity_at(V, pt) == V.total_degree() - 1
+        # the nodal cubic's closure has its double point at the affine
+        # origin (1:0:0:0), which lies over no point at infinity, so the
+        # records serve degree >= 4 only
+        model = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y")))
+        pt, certified = high_mult_point_search(model.V)
+        assert (pt.chart, pt.proj, pt.field, certified) == (0, (1, 0, 0, 0),
+                                                            None, False)
+        assert multiplicity_at(model.V, pt) == model.V.total_degree() - 1
+        _ok, records = all_simple(model)
+        with pytest.raises(ValueError, match="degree at least 4"):
+            centre_from_records(model, records)
+
+
+def _bivariate(terms, swap=False):
+    """A polynomial in X, Y from {(i, j): c}; `swap` exchanges X and Y."""
+    return MultiPoly(("X", "Y"), {(j, i) if swap else (i, j): QQ(c)
+                                  for (i, j), c in terms.items() if c})
+
+
+def _monomials(d):
+    return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+
+_c = st.integers(-3, 3)
+_nz = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+def _dense(d):
+    n = len(_monomials(d))
+    return st.lists(_nz, min_size=n, max_size=n).map(
+        lambda cs: _bivariate(dict(zip(_monomials(d), cs))))
+
+
+def _sparse(d):
+    return st.builds(
+        lambda terms, i, c: _bivariate({**terms, (i, d - i): c}),
+        st.dictionaries(st.sampled_from(_monomials(d)), _nz, min_size=2,
+                        max_size=5),
+        st.integers(0, d), _nz)
+
+
+def _low_degree_in_x(d):
+    # a*X^k + b(Y)*X + e(Y), k = 1 or 2, a constant for k = 2: F has
+    # multiplicity d - 1 at (0:1:0) for k = 1, and for k = 2 the tangent
+    # cone a*z^(d-2) there, so the centres are (0:1:0:+-sqrt(a)), rational
+    # or not; swapped, the point is (0:0:1) in chart 2
+    def build(k, a, b, e, top, swap):
+        terms = {(1, j): c for j, c in enumerate(b)}
+        terms.update({(0, j): c for j, c in enumerate(e)})
+        terms[(0, d)] = top
+        if k == 2:
+            terms[(2, 0)] = a
+        return _bivariate(terms, swap)
+    return st.builds(build, st.sampled_from([1, 2]),
+                     st.sampled_from([1, 4, 9, 2, 3, -1, -2]),
+                     st.lists(_c, min_size=d, max_size=d),
+                     st.lists(_c, min_size=d, max_size=d), _nz, st.booleans())
+
+
+def _in_one_linear_form(d):
+    # g(a*X + b*Y), g of degree d: F is d lines through one point at
+    # infinity, of multiplicity d on F and on V, so no centre
+    def build(a, b, g):
+        return parse_poly(" + ".join(f"({c})*({a}*X + ({b})*Y)^{k}"
+                                     for k, c in enumerate(g + [1])),
+                          ("X", "Y"))
+    return st.builds(build, _nz, _c, st.lists(_c, min_size=d, max_size=d))
+
+
+def _irrational_at_infinity(d):
+    # q^2 * l^(d-4) + q * m + low with q = X^2 - n*Y^2: F is singular at
+    # the conjugate points (0:+-sqrt(n):1) at infinity
+    def build(n, l, m, low):
+        q = {(2, 0): 1, (0, 2): -n}
+        top = _bivariate(q) ** 2 * _bivariate(l) ** (d - 4)
+        return top + _bivariate(q) * _bivariate(m) + _bivariate(low)
+    return st.builds(
+        build, st.sampled_from([2, 3, 5, -1]),
+        st.tuples(_c, _nz).map(lambda ab: {(1, 0): ab[0], (0, 1): ab[1]}),
+        st.dictionaries(st.sampled_from([(i, d - 3 - i) for i in range(d - 2)]),
+                        _c),
+        st.dictionaries(st.sampled_from(_monomials(d - 2)), _c))
+
+
+def _result(res):
+    pt, certified = res
+    return (None if pt is None else pt.to_json()), certified
+
+
+# examples per family: a generic curve of degree 5 or 6 takes all_simple
+# about half a second, the others a few milliseconds
+@pytest.mark.parametrize("family, examples", [
+    (_dense, 8), (_sparse, 25), (_low_degree_in_x, 40),
+    (_in_one_linear_form, 25), (_irrational_at_infinity, 10),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_centre_from_records_matches_the_search(family, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(4, 6).flatmap(family))
+    def check(f):
+        f = squarefree_part(f)
+        assume(tuple(effective_vars(f)) == ("X", "Y") and f.total_degree() >= 4)
+        model = build_model(f)
+        _ok, records = all_simple(model)
+        assert (_result(centre_from_records(model, records))
+                == _result(high_mult_point_search(model.V)))
+
+    check()
 
 
 # the solver's ring for three unknowns: generators x2 > x1 > x0

@@ -1,7 +1,9 @@
-"""Microbenchmark of the two kernels the alphabets spend most on: the
+"""Microbenchmark of the two kernels the alphabets spend most on, the
 squarefree part of a squarefree radicand, which its univariate images
 certify without a decomposition, and the quadric witness, built from the
-polars of the closure at its centre.
+polars of the closure at its centre; and of the projection-centre lookup
+that bivariate radicands of degree >= 4 read off their branch-curve
+records.
 
 The rounds are fixed, so the whole file runs in well under a second; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -10,6 +12,7 @@ timings appear in pytest-benchmark's table.  Run it alone with
 """
 
 from ratsqrt.engine import Config
+from ratsqrt.geometry import all_simple, build_model, centre_from_records
 from ratsqrt.mpoly import squarefree_part, substitute
 from ratsqrt.parser import parse_poly
 from ratsqrt.witness import quadric_witness
@@ -29,3 +32,15 @@ def test_quadric_witness_of_a_univariate_quadric(benchmark):
     m, h = benchmark.pedantic(quadric_witness, args=(f, Config.max_height),
                               rounds=ROUNDS, iterations=ITERATIONS)
     assert h * h == substitute(f, m)
+
+
+def test_projection_centre_from_the_records_of_a_quartic(benchmark):
+    # linear in Y: F has the triple point (0:0:1) at infinity, so the
+    # closure has the rational centre (0:0:1:0) of multiplicity 3
+    model = build_model(parse_poly("X^3*Y + X^2 + Y + 1"))
+    _ok, records = all_simple(model)
+    pt, certified = benchmark.pedantic(
+        centre_from_records, args=(model, records), rounds=ROUNDS,
+        iterations=ITERATIONS)
+    assert (pt.chart, pt.proj, pt.field, certified) == (2, (0, 0, 1, 0),
+                                                        None, False)

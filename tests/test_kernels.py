@@ -412,14 +412,15 @@ class TestFactorOverHeight1:
 # -- no expression trees on the rational path ------------------------------
 
 # decide() inputs that reach the ring resultant and the norm factorization:
-# a conjugate class of four A1 points over QQ(sqrt(2))(sqrt(3)), then a
-# projection centre searched with three chart unknowns; a projection centre
-# found by the lex Groebner solver; an A9 point at infinity of the branch
-# curve
+# a conjugate class of four A1 points over QQ(sqrt(2))(sqrt(3)); a
+# projection centre read off the branch-curve records; an A9 point at
+# infinity of the branch curve; a projection centre of three variables,
+# searched by the lex Groebner solver with three chart unknowns
 PATH_INPUTS = {
     "(X^2-2)^2+(Y^2-3)^2": "Rationalizable",
     "Y^2-X^6-1": "Rationalizable",
     "X^5+Y^4+1": "NotRationalizable",
+    "X^2*Y+Z^2+1": "Rationalizable",
 }
 
 
