@@ -178,7 +178,7 @@ def _load_alphabet_arg(inputs, variables):
         if variables is not None:
             raise SchemaError("an alphabet document declares its own"
                               " variables; --vars applies to expressions")
-        with open(inputs[0]) as fh:
+        with open(inputs[0], encoding="utf-8") as fh:
             doc = _json_document(fh.read())
         return doc, load_alphabet(doc)
     doc = {"roots": [{"radicand": t} for t in inputs]}
@@ -292,7 +292,7 @@ def main(argv=None):
     except (ResourceLimit, TooManyRoots) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (RatsqrtError, FileNotFoundError) as e:
+    except (RatsqrtError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -19,7 +19,8 @@ directions.  The criteria are then applied in a fixed order:
    degree >= 4 such points lie over the singular points at infinity of the
    branch curve, and are read off rule 7's records, otherwise the closure
    is searched;
-9. otherwise Inconclusive.
+9. otherwise Inconclusive; so too, before rule 6, a radicand with
+   irrational coefficients, which the geometric criteria do not take.
 
 Every step is recorded in a replayable certificate; resource or tower
 limits surface as Inconclusive with an explanatory step, never as a wrong
@@ -251,6 +252,9 @@ def _decide_reduced(f, clock, config):
     if len(eff) == 1:
         return clock.verdict(NOT_RATIONALIZABLE, "univariate-degree",
                              {"degree": d})
+    if not f.coefficients_rational():
+        return clock.verdict(INCONCLUSIVE, "inconclusive", {
+            "note": "the geometric criteria need rational coefficients"})
     model = clock.run("build-model", lambda: build_model(f))
     # rule 6: bivariate cubic.  The closure w^2 z = F is a cone, and so not
     # rational, exactly when F has a triple point on z = 0 (f is a cubic in
@@ -319,7 +323,8 @@ def _projection(model, f, clock, records=None):
     """Find a point of multiplicity D - 1 on the hypersurface V, project
     from it when it is rational, and verify the map on f.  With the
     branch-curve records (two variables, degree >= 4) the candidates are
-    read off them; otherwise V is searched.
+    read off them; otherwise V is searched.  The search, the projection
+    and the verification all run under the high-multiplicity-point clock.
 
     Returns (point, certified_empty, map, square root, note): map and
     square root are None unless the witness verified, and the note says
@@ -336,10 +341,14 @@ def _projection(model, f, clock, records=None):
     if pt.field is not None:
         note = "projection centre is not rational; witness omitted"
         return pt, certified, None, None, note
-    m = projection_witness(V, pt)
+
+    def witness():
+        m = projection_witness(V, pt)
+        return m, None if m is None else verify_witness(m, f)
+
+    m, h = clock.run("high-multiplicity-point", witness)
     if m is None:
         return pt, certified, None, None, "projection degenerated"
-    h = verify_witness(m, f)
     if h is None:
         note = "candidate failed verification and was discarded"
         return pt, certified, None, None, note

@@ -55,8 +55,8 @@ from .mpoly import (
     _ring,
     homogenize,
     is_homogeneous,
-    is_squarefree,
     on_effective_vars,
+    squarefree_part,
 )
 from .numberfield import (
     NFElem,
@@ -438,7 +438,7 @@ def triple_point_of_cubic(F: MultiPoly):
     # a cubic with a repeated factor (l^2*m, l^3) has a triple point, so
     # only a found point needs the check; for a squarefree cubic the
     # kernel is a line, since a cubic in one linear form is a cube
-    if not is_squarefree(F):
+    if squarefree_part(F) != F:
         raise NonReduced("cubic must be squarefree")
     chart = next(i for i, x in enumerate(p) if x)
     pt = AlgebraicPoint(None, tuple(x / p[chart] for x in p), chart, 1)

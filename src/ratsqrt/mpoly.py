@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials, rational functions and substitution maps.
 
 A MultiPoly is one element of sympy's sparse polynomial ring
-(``PolyElement``) with its variable tuple: the ring is
-``PolyRing(vars, K, lex)`` with the generators in variable order, and K is
-QQ, or the one quadratic field QQ(sqrt(r)), r a squarefree integer, that a
-witness built from a non-rational quadric point needs.  A polynomial is
+(``PolyElement``), and its variable tuple is the names of that ring's
+generators: the ring is ``PolyRing(vars, K, lex)``, and K is QQ, or the
+one quadratic field QQ(sqrt(r)), r a squarefree integer, that a witness
+built from a non-rational quadric point needs.  A polynomial is
 over QQ exactly when its coefficients are rational; an operand over QQ is
 lifted into the field of the other, and two different quadratic fields
 never meet in one operation.  Rings and fields are built once and cached,
@@ -25,9 +25,8 @@ when a bound on its degree times its coefficient bits, read off the
 exponents and coefficients, exceeds a fixed cap.
 
 The canonical term order for printing and for leading coefficients is
-graded lexicographic in the declared variable order.  Coefficients meet
-sympy numbers only at the edges: the ``MultiPoly(vars, {exp: c})``
-constructor, ``terms``, ``to_sympy``/``from_sympy`` and the printing of
+graded lexicographic in the declared variable order.  sympy's expression
+API is met only at two edges: building the rings and fields, and printing
 irrational coefficients in sympy's canonical form.
 """
 
@@ -63,6 +62,12 @@ def grlex_key(exp):
 @lru_cache(maxsize=256)
 def _ring(variables, domain=QQ):
     return PolyRing([sp.Symbol(v) for v in variables], domain, lex)
+
+
+@lru_cache(maxsize=256)
+def _names(ring):
+    """The variable tuple of a _ring-built ring: its generator names."""
+    return tuple(s.name for s in ring.symbols)
 
 
 @lru_cache(maxsize=64)
@@ -107,18 +112,9 @@ def _rational(c):
 
 def _coerce(c):
     """(domain, element) of a coefficient: an int, Fraction, QQ or field
-    element, or a sympy number a + b*sqrt(n) with a, b rational."""
+    element."""
     if isinstance(c, ANP):
         return _field(int(-c.mod[-1])), c
-    if isinstance(c, sp.Basic) and not c.is_Rational:
-        c = sp.expand(sp.radsimp(c))
-        if not c.is_Rational:
-            # c = a + rest with rest = b*sqrt(n) = +-sqrt(rest^2); reading
-            # it so is much cheaper than K.from_sympy(c)
-            a, rest = c.as_coeff_Add()
-            K, root = quadratic_field(sp.expand(rest**2))
-            sign = QQ.from_sympy(rest / sp.sqrt(rest**2))
-            return K, root * sign + QQ.from_sympy(a)
     return QQ, _qq(c)
 
 
@@ -153,54 +149,41 @@ def _to_sympy(c):
 
 
 class MultiPoly:
-    """Immutable sparse polynomial: the ring element ``pe`` and the variable
-    tuple ``vars`` naming its generators."""
+    """Immutable sparse polynomial: the ring element ``pe`` and ``vars``,
+    the names of its ring's generators."""
 
     __slots__ = ("vars", "pe")
 
     def __init__(self, variables, terms):
         """From {exponent tuple: coefficient}, coefficients as in _coerce."""
-        variables = tuple(variables)
         coeffs = {tuple(e): _coerce(c) for e, c in terms.items()}
-        ring = _ring(variables, _join(K for K, _c in coeffs.values()))
-        self.vars = variables
-        self.pe = _canonical(
-            ring.from_dict({e: c for e, (_K, c) in coeffs.items()}), variables
-        )
+        ring = _ring(tuple(variables), _join(K for K, _c in coeffs.values()))
+        self.vars = _names(ring)
+        self.pe = _canonical(ring.from_dict({e: c for e, (_K, c) in coeffs.items()}))
 
     @classmethod
-    def of(cls, variables, pe):
-        """Wrap an element of _ring(variables, K)."""
+    def of(cls, pe):
+        """Wrap an element of a _ring-built ring."""
         self = object.__new__(cls)
-        self.vars = variables
-        self.pe = _canonical(pe, variables)
+        self.vars = _names(pe.ring)
+        self.pe = _canonical(pe)
         return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables):
-        variables = tuple(variables)
-        return cls.of(variables, _ring(variables).zero)
+        return cls.of(_ring(tuple(variables)).zero)
 
     @classmethod
     def const(cls, variables, c):
-        variables = tuple(variables)
         K, c = _coerce(c)
-        return cls.of(variables, _ring(variables, K).ground_new(c))
+        return cls.of(_ring(tuple(variables), K).ground_new(c))
 
     @classmethod
     def var(cls, variables, name):
         variables = tuple(variables)
-        return cls.of(variables, _ring(variables).gens[variables.index(name)])
-
-    @classmethod
-    def from_sympy(cls, expr, variables):
-        variables = tuple(variables)
-        if not variables:
-            return cls.const(variables, sp.expand(expr))
-        poly = sp.Poly(sp.expand(expr), *[sp.Symbol(v) for v in variables])
-        return cls(variables, dict(poly.terms()))
+        return cls.of(_ring(variables).gens[variables.index(name)])
 
     # -- basic structure -----------------------------------------------------
 
@@ -246,43 +229,36 @@ class MultiPoly:
 
     def __add__(self, other):
         a, b = self._operands(other)
-        return MultiPoly.of(self.vars, a + b)
+        return MultiPoly.of(a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly.of(self.vars, -self.pe)
+        return MultiPoly.of(-self.pe)
 
     def __sub__(self, other):
         a, b = self._operands(other)
-        return MultiPoly.of(self.vars, a - b)
-
-    def __rsub__(self, other):
-        a, b = self._operands(other)
-        return MultiPoly.of(self.vars, b - a)
+        return MultiPoly.of(a - b)
 
     def __mul__(self, other):
         a, b = self._operands(other)
-        return MultiPoly.of(self.vars, a * b)
+        return MultiPoly.of(a * b)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return MultiPoly.of(self.vars, self.pe**n)
-
-    def scale(self, c):
-        return self * c
+        return MultiPoly.of(self.pe**n)
 
     def monic(self):
         """Normalize the graded-lex leading coefficient to 1."""
         if not self.pe:
             return self
-        return MultiPoly.of(self.vars, self.pe.quo_ground(self.leading_coeff()))
+        return MultiPoly.of(self.pe.quo_ground(self.leading_coeff()))
 
     def derivative(self, name):
-        return MultiPoly.of(self.vars, self.pe.diff(self.vars.index(name)))
+        return MultiPoly.of(self.pe.diff(self.vars.index(name)))
 
     # -- variable plumbing -----------------------------------------------------
 
@@ -303,7 +279,7 @@ class MultiPoly:
                 if exp:
                     ne[idx[i]] = exp
             out[tuple(ne)] = c
-        return MultiPoly.of(variables, out)
+        return MultiPoly.of(out)
 
     def eval_at(self, values):
         """Full evaluation; values maps every effective variable to a coefficient."""
@@ -324,22 +300,7 @@ class MultiPoly:
         """Partially substitute one variable by a constant; result keeps vars."""
         value = MultiPoly.const(self.vars, value)
         pe = _common(self, value)[0]
-        return MultiPoly.of(
-            self.vars, pe.subs(self.vars.index(name), value.constant_value())
-        )
-
-    # -- sympy bridge -----------------------------------------------------------
-
-    @property
-    def terms(self):
-        """{exponent tuple: sympy number}."""
-        return {e: _to_sympy(c) for e, c in self.pe.items()}
-
-    def to_sympy(self):
-        return sp.Add(*(
-            _to_sympy(c) * sp.Mul(*(sp.Symbol(v) ** k for v, k in zip(self.vars, e)))
-            for e, c in self.pe.items()
-        ))
+        return MultiPoly.of(pe.subs(self.vars.index(name), value.constant_value()))
 
     # -- identity ------------------------------------------------------------
 
@@ -355,11 +316,11 @@ class MultiPoly:
         return f"MultiPoly({poly_str(self)!r})"
 
 
-def _canonical(pe, variables):
+def _canonical(pe):
     """pe, moved to QQ when its coefficients are all rational."""
     if pe.ring.domain.is_QQ or any(_rational(c) is None for c in pe.values()):
         return pe
-    return pe.set_ring(_ring(variables))
+    return pe.set_ring(_ring(_names(pe.ring)))
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +376,7 @@ def mgcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_zero():
         return a.monic()
     ra, rb = _common(a, b)
-    return MultiPoly.of(a.vars, ra.gcd(rb)).monic()
+    return MultiPoly.of(ra.gcd(rb)).monic()
 
 
 def factor_list(p: MultiPoly):
@@ -424,7 +385,7 @@ def factor_list(p: MultiPoly):
     c, factors = p.pe.factor_list()
     out = []
     for f, m in factors:
-        mp = MultiPoly.of(p.vars, f)
+        mp = MultiPoly.of(f)
         c *= mp.leading_coeff() ** m
         out.append((mp.monic(), m))
     out.sort(key=lambda fm: (fm[0].total_degree(), poly_str(fm[0])))
@@ -520,15 +481,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     for f, m in factors:
         if m % 2 == 1:
             out *= f
-    return MultiPoly.of(p.vars, out)
-
-
-def is_squarefree(p: MultiPoly) -> bool:
-    if p.is_zero():
-        return False
-    if p.is_constant() or _squarefree_by_images(p.pe):
-        return True
-    return all(m == 1 for _f, m in p.pe.sqf_list()[1])
+    return MultiPoly.of(out)
 
 
 def radicand_reduce(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -570,7 +523,7 @@ def homogenize(f: MultiPoly, new_var: str) -> MultiPoly:
     out = _ring(variables, f.pe.ring.domain).zero
     for e, c in f.pe.items():
         out[(d - sum(e),) + e] = c
-    return MultiPoly.of(variables, out)
+    return MultiPoly.of(out)
 
 
 def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
@@ -617,14 +570,13 @@ class RationalFunction:
             rn, rd = _common(num, den)
             if not _coprime_by_images(rn, rd):
                 rn, rd = rn.cancel(rd)
-                num = MultiPoly.of(num.vars, rn)
-                den = MultiPoly.of(den.vars, rd)
+                num, den = MultiPoly.of(rn), MultiPoly.of(rd)
         if num.is_zero():
             den = MultiPoly.const(den.vars, 1)
         lc = den.leading_coeff()
         one = den.pe.ring.domain.one
         if lc != one:
-            num = num.scale(one / lc)
+            num = num * (one / lc)
             den = den.monic()
         self.num = num
         self.den = den
@@ -637,21 +589,8 @@ class RationalFunction:
     def vars(self):
         return self.num.vars
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
-
-    def __add__(self, other):
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
 
     def __mul__(self, other):
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -660,11 +599,6 @@ class RationalFunction:
         if other.num.is_zero():
             raise ZeroDenominator("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n):
-        if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n, reduce=False)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -795,9 +729,7 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     total_den = ring.one
     for G, top in enumerate(tops):
         total_den *= den_pows[G][top]
-    return RationalFunction(
-        MultiPoly.of(target_vars, total_num), MultiPoly.of(target_vars, total_den)
-    )
+    return RationalFunction(MultiPoly.of(total_num), MultiPoly.of(total_den))
 
 
 # --------------------------------------------------------------------------
@@ -890,6 +822,6 @@ def is_perfect_square(g: RationalFunction, extension=None):
     root_c = _field_sqrt(num.LC / den.LC, K)
     if root_c is None:
         return None
-    h = RationalFunction(MultiPoly.of(g.vars, s_num).scale(root_c),
-                         MultiPoly.of(g.vars, s_den), reduce=False)
+    h = RationalFunction(MultiPoly.of(s_num) * root_c, MultiPoly.of(s_den),
+                         reduce=False)
     return _sign_normalize(h)

@@ -104,13 +104,16 @@ class _Parser:
     """Parses into a (numerator, denominator) pair over a ring fixed up
     front: the given variables, or the text's identifiers in order of first
     appearance (each one a variable in any text that parses), with
-    coefficients in QQ or in a given quadratic field.  Constant
-    denominators are folded into the numerator as they arise."""
+    coefficients in QQ or in a given quadratic field, whose constant atoms
+    I and sqrt are never variables.  Constant denominators are folded into
+    the numerator as they arise."""
 
     def __init__(self, text, variables=None, field=None):
         self.sc = _Scanner(text)
         if variables is None:
-            variables = dict.fromkeys(_IDENT.findall(text))
+            atoms = () if field is None else ("I", "sqrt")
+            variables = dict.fromkeys(
+                v for v in _IDENT.findall(text) if v not in atoms)
         self.vars = tuple(variables)
         self.ring = _ring(self.vars) if field is None else _ring(self.vars, field)
         self.gens = dict(zip(self.vars, self.ring.gens))
@@ -249,9 +252,7 @@ def parse_rational(text, variables=None, field=None):
         _check_variables(variables)
     p = _Parser(text, variables, field)
     num, den = p.parse()
-    return RationalFunction(
-        MultiPoly.of(p.vars, num), MultiPoly.of(p.vars, den)
-    )
+    return RationalFunction(MultiPoly.of(num), MultiPoly.of(den))
 
 
 def parse_poly(text, variables=None):

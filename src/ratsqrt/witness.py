@@ -193,8 +193,8 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
         raise WrongMultiplicity(
             f"expansion has a t^{te} term; centre multiplicity is not D-1"
         )
-    Ap = MultiPoly.of(source_vars, restrict(A))
-    Bp = MultiPoly.of(source_vars, restrict(h))
+    Ap = MultiPoly.of(restrict(A))
+    Bp = MultiPoly.of(restrict(h))
     if Ap.is_zero():
         raise DegenerateProjection("residual-intersection form vanishes")
     # v_i: 0 at the pivot, 1 at the one slot, X_j at the j-th other slot
@@ -204,12 +204,12 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
         (i, MultiPoly.var(source_vars, v)) for i, v in zip(slots, source_vars)
     )
     # residual point: t = -B/A, so coordinate i maps to -B*q_i + A*v_i
-    den = Bp.scale(-q[0]) + Ap * vpart[0]
+    den = Bp * -q[0] + Ap * vpart[0]
     if den.is_zero():
         raise DegenerateProjection("projection denominator vanishes")
     assignments = {}
     for slot, name in enumerate(coords[1:-1], start=1):
-        num = Bp.scale(-q[slot]) + Ap * vpart[slot]
+        num = Bp * -q[slot] + Ap * vpart[slot]
         assignments[name] = RationalFunction(num, den)
     return RationalMap(source_vars, assignments, extension=extension)
 

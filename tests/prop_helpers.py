@@ -94,7 +94,7 @@ def _apply_shear_bivar(f, c, swap):
     gx, gy = (y, x) if swap else (x, y)
     m = RationalMap(
         xy,
-        {"X": RationalFunction.from_poly(gx + gy.scale(QQ(c))),
+        {"X": RationalFunction.from_poly(gx + gy * QQ(c)),
          "Y": RationalFunction.from_poly(gy)},
     )
     img = substitute(f, m)

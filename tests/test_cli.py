@@ -133,6 +133,23 @@ class TestAlphabet:
         code, _out, err = run(capsys, "alphabet", str(path))
         assert code == 2
 
+    def test_directory_exit_2(self, capsys, tmp_path):
+        # once an IsADirectoryError with a traceback and exit 1
+        path = tmp_path / "d.json"
+        path.mkdir()
+        code, _out, err = run(capsys, "alphabet", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_not_utf8_exit_2(self, capsys, tmp_path):
+        # once a UnicodeDecodeError with a traceback and exit 1
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"roots": [{"radicand": "X - 1", "label": "\u00e9"}]}'
+                         .encode("latin-1"))
+        code, _out, err = run(capsys, "alphabet", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "utf-8" in err
+
 
 class TestSingularities:
     def test_table(self, capsys, tmp_path):
@@ -149,6 +166,13 @@ class TestSingularities:
         code, out, _err = run(capsys, "singularities", "X^4 + Y^4 + 1")
         assert code == 0
         assert "no singular points" in out
+
+    def test_report_to_a_directory_exit_2(self, capsys, tmp_path):
+        # once an IsADirectoryError with a traceback and exit 1
+        code, _out, err = run(capsys, "singularities", "X^4 + Y^4",
+                              "--json", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_not_bivariate_exit_4(self, capsys):
         code, _out, err = run(capsys, "singularities", "X^2 - 1")

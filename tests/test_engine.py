@@ -18,7 +18,7 @@ from ratsqrt.engine import (
     decide,
 )
 from ratsqrt.errors import ResourceLimit, ZeroDenominator
-from ratsqrt.mpoly import MultiPoly, substitute
+from ratsqrt.mpoly import MultiPoly, quadratic_field, substitute
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.witness import verify_witness
 
@@ -235,6 +235,34 @@ class TestInconclusive:
         )
 
 
+class TestIrrationalCoefficients:
+    """Radicands over QQ(sqrt(2)), which only the API can pass: the
+    geometric criteria need rational coefficients, so these end before
+    build-model; quadrics still decide."""
+
+    @pytest.mark.parametrize("text, variables", [
+        ("X^4 + sqrt(2)*Y^4 + 1", ("X", "Y")),
+        ("X^3 + sqrt(2)*Y^2 + 1", ("X", "Y")),
+        ("X^2*Y + sqrt(2)*Z^2 + 1", ("X", "Y", "Z")),
+    ])
+    def test_geometric_cases_are_inconclusive(self, text, variables):
+        # once a ValueError out of geometry
+        g = parse_rational(text, variables, quadratic_field(2)[0])
+        v = decide(g.num, g.den)
+        assert v.outcome == INCONCLUSIVE
+        assert rules(v)[-1] == "inconclusive"
+        assert "rational coefficients" in v.steps[-1].data["note"]
+        assert "build-model" not in v.timings
+
+    def test_quadric_keeps_its_witness(self):
+        g = parse_rational("X^2 + sqrt(2)*Y^2 + 1", ("X", "Y"),
+                           quadratic_field(2)[0])
+        v = decide(g.num, g.den)
+        assert v.outcome == RATIONALIZABLE
+        assert rules(v)[-1] == "degree-at-most-2"
+        assert_witness_ok(v, g.num)
+
+
 class TestResourceLimit:
     def test_reduction_over_budget_is_inconclusive(self):
         # a budget no rule can meet: the radicand reduction already
@@ -449,6 +477,35 @@ class TestProjectionNotes:
         assert data["witness"] is None
         assert data["note"] == ("candidate failed verification and was"
                                 " discarded")
+
+    @staticmethod
+    def _slow_witness(monkeypatch, seconds):
+        """A clock that only the projection witness advances."""
+        now = [0.0]
+        monkeypatch.setattr(engine, "time",
+                            SimpleNamespace(monotonic=lambda: now[0]))
+        build = engine.projection_witness
+
+        def slow(V, pt):
+            now[0] += seconds
+            return build(V, pt)
+
+        monkeypatch.setattr(engine, "projection_witness", slow)
+
+    @pytest.mark.parametrize("text", ["X^3 + Y^2 - 1", "X*Y*Z + 1"])
+    def test_witness_time_is_recorded(self, monkeypatch, text):
+        self._slow_witness(monkeypatch, 0.5)
+        v = decide(parse_poly(text), config=Config(timeout=1))
+        assert v.outcome == RATIONALIZABLE and v.witness is not None
+        assert v.timings["high-multiplicity-point"] == 0.5
+
+    @pytest.mark.parametrize("text", ["X^3 + Y^2 - 1", "X*Y*Z + 1"])
+    def test_witness_over_budget_is_inconclusive(self, monkeypatch, text):
+        self._slow_witness(monkeypatch, 5.0)
+        v = decide(parse_poly(text), config=Config(timeout=1))
+        assert v.outcome == INCONCLUSIVE
+        assert rules(v)[-1] == "resource-limit"
+        assert "high-multiplicity-point" in v.steps[-1].data["detail"]
 
     def test_rule_8_without_a_projection_keeps_its_verdict(self, monkeypatch):
         monkeypatch.setattr(engine, "projection_witness", lambda V, pt: None)

@@ -119,7 +119,7 @@ class TestSingularPoints:
             == [(0, 2, 2)] * 4
         # reference for chart 1: gcd of B, B_s and B_y2 on s = 0, y1 = 1
         s, y1, y2 = sp.symbols(B.vars)
-        b = B.to_sympy()
+        b = B.pe.as_expr()
         on_line = [sp.Poly(e.subs({s: 0, y1: 1}), y2)
                    for e in (b, sp.diff(b, s), sp.diff(b, y2))]
         g = on_line[0]

@@ -17,6 +17,8 @@ import sympy as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 import ratsqrt
 from ratsqrt import geometry, localanalysis, numberfield, unipoly
@@ -26,6 +28,7 @@ from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _to_sympy,
     is_perfect_square,
     quadratic_field,
     squarefree_part,
@@ -37,7 +40,8 @@ from ratsqrt.witness import negative_everywhere
 
 VARS = ("X", "Y")
 SYMS = sp.symbols(VARS)
-FIELDS = {"QQ": None, "QQ(sqrt(2))": sp.sqrt(2), "QQ(sqrt(-7))": sp.sqrt(-7)}
+# each field QQ(sqrt(r)) by its r; None for QQ
+FIELDS = {"QQ": None, "QQ(sqrt(2))": 2, "QQ(sqrt(-7))": -7}
 # no shrinking: it would rerun the slow sympy references (cancel over
 # Q(sqrt(-7)) above all) for minutes before a failure is reported
 KERNEL = settings(max_examples=25, deadline=None, derandomize=True,
@@ -45,25 +49,29 @@ KERNEL = settings(max_examples=25, deadline=None, derandomize=True,
                   phases=[p for p in Phase if p is not Phase.shrink])
 
 
-def _coeff(theta):
+def _coeff(r):
+    """Coefficients a/b of QQ, or a + b*sqrt(r) of QQ(sqrt(r)), built as
+    field elements."""
     small = st.integers(-3, 3)
-    if theta is None:
-        return st.builds(sp.Rational, small, st.integers(1, 3))
-    return st.builds(lambda a, b: a + b * theta, small, small)
+    if r is None:
+        return st.builds(QQ, small, st.integers(1, 3))
+    K, root = quadratic_field(r)
+    return st.builds(lambda a, b: K.convert(a) + root * K.convert(b),
+                     small, small)
 
 
-def polys(theta):
+def polys(r):
     """Nonzero polynomials of up to 3 terms, degree at most 1 in each
-    variable, over QQ(theta)."""
+    variable, over QQ(sqrt(r))."""
     term = st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                     _coeff(theta))
+                     _coeff(r))
     return st.lists(term, max_size=3).map(
         lambda ts: MultiPoly(VARS, dict(ts))
     ).filter(lambda p: not p.is_zero())
 
 
 def field_polys():
-    """(theta, p1, p2, p3) over QQ(theta); theta is None for QQ."""
+    """(r, p1, p2, p3) over QQ(sqrt(r)); r is None for QQ."""
     return st.sampled_from(sorted(FIELDS)).flatmap(
         lambda name: st.tuples(
             st.just(FIELDS[name]), *(polys(FIELDS[name]) for _ in range(3))
@@ -71,22 +79,20 @@ def field_polys():
     )
 
 
-def _normal_form(num_expr, den_expr, variables=VARS):
-    """sympy's reduced fraction, read back with a graded-lex monic
-    denominator."""
+def _read(expr, variables=VARS, r=None):
+    """The polynomial expression expr over QQ, or over QQ(sqrt(r))."""
+    if r is None:
+        return MultiPoly.of(PolyRing(variables, QQ, lex).from_expr(expr))
+    text = str(expr).replace("**", "^")
+    return parse_rational(text, variables, quadratic_field(r)[0]).num
+
+
+def _normal_form(num_expr, den_expr, variables=VARS, r=None):
+    """sympy's reduced fraction over QQ(sqrt(r)), read back with a
+    graded-lex monic denominator."""
     n, d = sp.fraction(sp.cancel(num_expr / den_expr, extension=True))
-    g = RationalFunction(
-        MultiPoly.from_sympy(n, variables), MultiPoly.from_sympy(d, variables),
-        reduce=False,
-    )
-    # a constant denominator leaves quotients such as 7/(7 - sqrt(-7))
-    num = {e: sp.expand(sp.radsimp(c)) for e, c in g.num.terms.items()}
-    return RationalFunction(MultiPoly(variables, num), g.den, reduce=False)
-
-
-def _extension(theta):
-    """The rational c of a map's extension sqrt(c) = theta."""
-    return None if theta is None else theta**2
+    return RationalFunction(_read(n, variables, r), _read(d, variables, r),
+                            reduce=False)
 
 
 def _negative(c):
@@ -100,92 +106,78 @@ class TestReduction:
     @KERNEL
     @given(field_polys())
     def test_matches_sympy_cancel(self, ps):
-        _, a, b, c = ps
+        r, a, b, c = ps
         g = RationalFunction(a * c, b * c)
-        assert g == _normal_form((a * c).to_sympy(), (b * c).to_sympy())
-        assert g.den.terms[g.den.leading_term()[0]] == 1
+        assert g == _normal_form((a * c).pe.as_expr(), (b * c).pe.as_expr(),
+                                 r=r)
+        assert _to_sympy(g.den.leading_coeff()) == 1
 
 
 class TestSquarefreePart:
     @KERNEL
     @given(field_polys())
     def test_matches_sympy_sqf_list(self, ps):
-        _, a, b, c = ps
+        r, a, b, c = ps
         p = a * b * b * c * c * c
         # QQ, not ZZ, for rational input: the constant the part carries
         opts = ({"domain": "QQ"} if p.coefficients_rational()
                 else {"extension": True})
-        const, factors = sp.sqf_list(p.to_sympy(), *SYMS, **opts)
+        const, factors = sp.sqf_list(p.pe.as_expr(), *SYMS, **opts)
         ref = sp.sympify(const)
         for f, m in factors:
             if m % 2:
                 ref *= f
-        assert squarefree_part(p) == MultiPoly.from_sympy(ref, VARS)
+        assert squarefree_part(p) == _read(ref, VARS, r)
 
 
 class TestPerfectSquare:
     @KERNEL
     @given(field_polys())
     def test_square_gives_sign_normalized_root(self, ps):
-        theta, a, b, _ = ps
+        r, a, b, _ = ps
         h = RationalFunction(a, b)
-        root = is_perfect_square(h * h, _extension(theta))
+        root = is_perfect_square(h * h, r)
         assert root is not None
         assert root * root == h * h
         assert root in (h, RationalFunction(-h.num, h.den, reduce=False))
-        assert not _negative(root.num.terms[root.num.leading_term()[0]])
+        assert not _negative(_to_sympy(root.num.leading_coeff()))
 
     @KERNEL
     @given(field_polys(), st.integers(-3, 3))
     def test_square_times_linear_factor_is_not_square(self, ps, a):
-        theta, h, _, _ = ps
+        r, h, _, _ = ps
         lin = MultiPoly(VARS, {(1, 0): 1, (0, 0): -a})
         g = RationalFunction.from_poly(h * h * lin)
-        assert is_perfect_square(g, _extension(theta)) is None
+        assert is_perfect_square(g, r) is None
 
     @KERNEL
-    @given(st.sampled_from([None, sp.sqrt(-7)]).flatmap(
-        lambda theta: st.tuples(st.just(theta),
-                                *(element_polys(theta) for _ in range(3)))),
+    @given(st.sampled_from([None, -7]).flatmap(
+        lambda r: st.tuples(st.just(r), *(polys(r) for _ in range(3)))),
         st.sampled_from(["h^2", "c*h^2", "h^2*q"]),
         st.sampled_from([QQ(c) for c in (4, 9, -1, 2, -7, -28)]
                         + [QQ(9, 4), QQ(-7, 9)]))
     def test_agrees_with_sqf_list_reference(self, ps, kind, c):
-        theta, a, b, q = ps
+        r, a, b, q = ps
         h = RationalFunction(a, b)
         g = h * h
         if kind == "c*h^2":
             g = g * RationalFunction.from_poly(MultiPoly.const(VARS, c))
         elif kind == "h^2*q":
             g = g * RationalFunction.from_poly(q)
-        root = is_perfect_square(g, _extension(theta))
-        assert (root is not None) == _square_reference(g, theta)
+        root = is_perfect_square(g, r)
+        assert (root is not None) == _square_reference(g, r)
         if root is not None:
             assert root * root == g
 
 
-def element_polys(theta):
-    """As polys(theta), with coefficients built as elements of QQ(theta)
-    rather than read from sympy numbers, which is slow."""
-    if theta is None:
-        return polys(None)
-    K, root = quadratic_field(int(theta**2))
-    coeff = st.builds(lambda a, b: K.convert(a) + root * K.convert(b),
-                      st.integers(-3, 3), st.integers(-3, 3))
-    term = st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)), coeff)
-    return st.lists(term, max_size=3).map(
-        lambda ts: MultiPoly(VARS, dict(ts))
-    ).filter(lambda p: not p.is_zero())
-
-
-def _square_reference(g, theta):
-    """Whether g = N/D is a square over QQ(theta): every multiplicity of
+def _square_reference(g, r):
+    """Whether g = N/D is a square over QQ(sqrt(r)): every multiplicity of
     sympy's sqf_list of N and of D even, and t^2 - (the quotient of their
     constants) split there."""
-    opts = {"domain": "QQ"} if theta is None else {"extension": theta}
+    opts = {"domain": "QQ"} if r is None else {"extension": sp.sqrt(r)}
     consts = []
     for p in (g.num, g.den):
-        const, factors = sp.sqf_list(p.to_sympy(), *SYMS, **opts)
+        const, factors = sp.sqf_list(p.pe.as_expr(), *SYMS, **opts)
         if any(m % 2 for _f, m in factors):
             return False
         consts.append(const)
@@ -223,8 +215,8 @@ class TestSubstitute:
         }
         img = substitute(f, RationalMap(VARS3, assignments))
         syms = sp.symbols(VARS3)
-        expr = sp.together(f.to_sympy().subs(
-            {x: g.num.to_sympy() / g.den.to_sympy()
+        expr = sp.together(f.pe.as_expr().subs(
+            {x: g.num.pe.as_expr() / g.den.pe.as_expr()
              for x, g in zip(syms, assignments.values())},
             simultaneous=True))
         assert img == _normal_form(*sp.fraction(expr), VARS3)
@@ -256,8 +248,8 @@ class TestNegativeEverywhere:
     def test_matches_principal_minors_and_maximum(self, quadratic):
         n, H, b, c = quadratic
         xs = sp.Matrix(sp.symbols(VARS3[:n]))
-        f = MultiPoly.from_sympy(
-            sp.expand((xs.T * H * xs)[0] / 2 + (b.T * xs)[0] + c), VARS3[:n])
+        f = _read(sp.expand((xs.T * H * xs)[0] / 2 + (b.T * xs)[0] + c),
+                  VARS3[:n])
         # Sylvester: H < 0 iff its leading minors alternate, starting < 0
         definite = all((-1) ** k * H[:k, :k].det() > 0
                        for k in range(1, n + 1))

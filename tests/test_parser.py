@@ -96,6 +96,13 @@ class TestVariables:
         p = parse_poly("X", ("X", "Y"))
         assert p.vars == ("X", "Y")
 
+    @pytest.mark.parametrize("text, r", [("X + sqrt(2)", 2), ("X + I", -1)])
+    def test_field_atoms_are_not_inferred(self, text, r):
+        # once "unexpected trailing input", and a second variable I
+        field = quadratic_field(r)[0]
+        assert parse_rational(text, None, field) == \
+            parse_rational(text, ("X",), field)
+
 
 class TestAlphabetDocuments:
     def test_higgs_shape(self):

@@ -7,7 +7,8 @@ import sympy as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 
 from ratsqrt.engine import Config
 from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
@@ -16,6 +17,7 @@ from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _to_sympy,
     is_perfect_square,
     substitute,
 )
@@ -77,7 +79,7 @@ class TestQuadricWitness:
         m, h = res
         assert m.extension is not None
         assert h * h == substitute(f, m)
-        lc = h.num.terms[h.num.leading_term()[0]]
+        lc = _to_sympy(h.num.leading_coeff())
         assert sp.expand(lc**2).is_Rational
 
 
@@ -191,7 +193,7 @@ def _reference_parametrize(H, q, extension=None):
             vpart[i] = MultiPoly.const(ring, 1)
         else:
             vpart[i] = MultiPoly.var(ring, next(params))
-        line[name] = RationalFunction.from_poly(t.scale(q[i]) + vpart[i])
+        line[name] = RationalFunction.from_poly(t * q[i] + vpart[i])
     expanded = substitute(H, RationalMap(ring, line)).num
     te = expanded.degree_in("t")
     if te > 1:
@@ -202,12 +204,12 @@ def _reference_parametrize(H, q, extension=None):
     Bp = expanded.subs_var("t", 0).with_vars(source_vars)
     if Ap.is_zero():
         raise DegenerateProjection("residual-intersection form vanishes")
-    den = Bp.scale(-q[0]) + Ap * vpart[0].with_vars(source_vars)
+    den = Bp * -q[0] + Ap * vpart[0].with_vars(source_vars)
     if den.is_zero():
         raise DegenerateProjection("projection denominator vanishes")
     assignments = {}
     for slot, name in enumerate(coords[1:-1], start=1):
-        num = Bp.scale(-q[slot]) + Ap * vpart[slot].with_vars(source_vars)
+        num = Bp * -q[slot] + Ap * vpart[slot].with_vars(source_vars)
         assignments[name] = RationalFunction(num, den)
     return RationalMap(source_vars, assignments, extension=extension)
 
@@ -223,6 +225,7 @@ def _outcome(build, H, q, extension):
 
 SMALL = st.integers(-3, 3)
 X, Y = sp.symbols("X Y")
+XY = PolyRing((X, Y), QQ, lex)
 
 
 @st.composite
@@ -251,14 +254,14 @@ def _centres(draw):
         })
     elif kind == "cubic":
         u, v = X - draw(SMALL), Y - draw(SMALL)
-        f = MultiPoly.from_sympy(sum(
+        f = MultiPoly.of(XY.from_expr(sum(
             draw(SMALL) * u**i * v**(d - i)
             for d in (2, 3) for i in range(d + 1)
-        ), ("X", "Y"))
+        )))
     else:
         a, b = (sum(draw(SMALL) * X**i for i in range(top))
                 for top in (5, 4))
-        f = MultiPoly.from_sympy(a + b * Y, ("X", "Y"))
+        f = MultiPoly.of(XY.from_expr(a + b * Y))
     assume(not f.is_constant())
     model = build_model(f)
     if draw(st.booleans()):
