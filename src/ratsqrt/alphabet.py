@@ -7,13 +7,15 @@ Two one-directional criteria are implemented:
   first subset product decided NotRationalizable certifies the whole
   alphabet NotRationalizable (phase 1).  Subsets are decided in
   certification order, singletons first and then the largest subsets, and
-  each product is built only when its turn comes.
+  each product is built only when its turn comes.  Phase 1 reads only
+  outcomes, so it decides without building witnesses.
 
-* A Rationalizable outcome requires an explicit simultaneous witness:
-  roots are rationalized sequentially — rationalize one, substitute the
-  witness into the rest, reduce, repeat — searching over root orderings and
-  witness choices, and the resulting composite map is verified against
-  every original root before being emitted (phase 2).
+* A Rationalizable outcome requires an explicit simultaneous witness
+  (phase 2): each root found Rationalizable in phase 1 is decided again
+  with its witness, then roots are rationalized sequentially — rationalize
+  one, substitute the witness into the rest, reduce, repeat — searching
+  over root orderings and witness choices, and the resulting composite map
+  is verified against every original root before being emitted.
 
 The converse of the subset-product criterion is unknown, so "all products
 rationalizable" alone never yields Rationalizable; when no simultaneous
@@ -163,18 +165,19 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         )
     trace = []
     singleton = {}
-    decided = {}
+    outcomes = {}  # phase 1: verdicts without witnesses
+    decided = {}  # phase 2: full verdicts
 
     def verdict(outcome, m=None, cert=None, squares=None):
         # an alphabet's timings: the per-rule sums over its decisions
         timings = Counter()
-        for v in decided.values():
+        for v in (*outcomes.values(), *decided.values()):
             timings.update(v.timings)
         return AlphabetVerdict(outcome, m, cert, trace, verdictnotes,
                                squares or {}, dict(timings))
 
     for J, prod in subset_products(polys, config.max_subset_size):
-        v = _decide_once(decided, prod, config)
+        v = _decide_once(outcomes, prod, config, witness=False)
         entry = {
             "subset": [labels[j] for j in J],
             "reduced_product": poly_str(prod),
@@ -185,13 +188,15 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
             entry["obstruction"] = _obstruction_note(v)
         trace.append(entry)
         if len(J) == 1:
-            singleton[J[0]] = v
+            singleton[J[0]] = prod, v
         if v.outcome == NOT_RATIONALIZABLE:
             cert = SubsetCertificate(tuple(labels[j] for j in J), prod, v)
             return verdict(NOT_RATIONALIZABLE, cert=cert)
     # phase 2: a simultaneous witness is required for Rationalizable
     blocked = []
-    for i, v in sorted(singleton.items()):
+    for i, (f, v) in sorted(singleton.items()):
+        if v.outcome == RATIONALIZABLE:
+            v = _decide_once(decided, f, config)
         if v.outcome != RATIONALIZABLE:
             blocked.append(f"root {labels[i]} undecided individually")
         elif v.witness is None and not extra_witnesses:
@@ -225,15 +230,16 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     return verdict(RATIONALIZABLE, m, squares=squares)
 
 
-def _decide_once(decided, f, config):
-    """decide(f), once per radicand: `decided` maps each radicand, read
-    over its effective variables, to its verdict.  decide drops the other
-    variables first, so a verdict reached over more variables has the same
-    outcome and witness; only its steps differ, and the search reads only
-    the witness."""
+def _decide_once(decided, f, config, witness=True):
+    """decide(f, witness=witness), once per radicand: `decided` maps each
+    radicand, read over its effective variables, to its verdict, and holds
+    verdicts of one kind only, full or outcome-only.  decide drops the
+    other variables first, so a verdict reached over more variables has the
+    same outcome and witness; only its steps differ, and the search reads
+    only the witness."""
     key = on_effective_vars(f)
     if key not in decided:
-        decided[key] = decide(f, None, config)
+        decided[key] = decide(f, None, config, witness=witness)
     return decided[key]
 
 

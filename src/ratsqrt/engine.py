@@ -184,15 +184,25 @@ class _RuleClock:
         return Verdict(outcome, m, h, self.steps, records, self.timings)
 
 
-def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None) -> Verdict:
-    """Verdict for sqrt(p/q) (q omitted means denominator 1)."""
+def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None,
+           *, witness: bool = True) -> Verdict:
+    """Verdict for sqrt(p/q) (q omitted means denominator 1).
+
+    With witness=False only the outcome is wanted: the cascade is the same
+    and so are its steps, but no witness is built or verified, so the
+    verdict's witness and square root are None and the steps carry no
+    witness, square root, projection centre or witness note.  Rule 8 still
+    searches for its point, which is the decision.
+    """
     config = config or DEFAULT_CONFIG
     clock = _RuleClock(config.timeout)
     if q is None:
         q = MultiPoly.const(p.vars, 1)
     if p.is_zero():
-        ident = RationalMap.identity(p.vars) if p.vars else None
-        h = RationalFunction.from_poly(MultiPoly.zero(p.vars)) if p.vars else None
+        ident = h = None
+        if p.vars and witness:
+            ident = RationalMap.identity(p.vars)
+            h = RationalFunction.from_poly(MultiPoly.zero(p.vars))
         return clock.verdict(RATIONALIZABLE, "radicand-reduction",
                              {"reduced": "0", "note": "sqrt(0) = 0 is rational"},
                              ident, h)
@@ -201,16 +211,17 @@ def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None) -> V
         clock.step("radicand-reduction",
                    {"input": f"({poly_str(p)})/({poly_str(q)})",
                     "reduced": poly_str(f), "degree": f.total_degree()})
-        return _decide_reduced(f, clock, config)
+        return _decide_reduced(f, clock, config, witness)
     except (ResourceLimit, TowerTooDeep) as e:
         return clock.verdict(INCONCLUSIVE, "resource-limit", {"detail": str(e)})
 
 
-def _decide_reduced(f, clock, config):
+def _decide_reduced(f, clock, config, witness):
     # rule 1: constant radicand
     if f.is_constant():
+        m, h = _identity_witness(f) if witness else (None, None)
         return clock.verdict(RATIONALIZABLE, "constant-radicand",
-                             {"value": poly_str(f)}, *_identity_witness(f))
+                             {"value": poly_str(f)}, m, h)
     # rule 2: effective variables
     eff = effective_vars(f)
     if tuple(eff) != f.vars:
@@ -220,7 +231,8 @@ def _decide_reduced(f, clock, config):
     # rule 3: degree <= 2
     if d <= 2:
         res = clock.run("degree-at-most-2",
-                        lambda: quadric_witness(f, config.max_height))
+                        lambda: quadric_witness(f, config.max_height)
+                        if witness else None)
         data = {"degree": d}
         m = h = None
         if res is not None:
@@ -235,7 +247,7 @@ def _decide_reduced(f, clock, config):
         clock.step("homogeneous-reduction",
                    {"variable": var, "dehomogenized": poly_str(g),
                     "degree": g.total_degree()})
-        inner = _decide_reduced(g, clock, config)
+        inner = _decide_reduced(g, clock, config, witness)
         if inner.outcome == RATIONALIZABLE and inner.witness is not None:
             lifted = clock.run(
                 "homogeneous-reduction",
@@ -266,10 +278,12 @@ def _decide_reduced(f, clock, config):
             return clock.verdict(NOT_RATIONALIZABLE, "cubic-triple-point",
                                  {"triple_point": tp.to_json(),
                                   "decides": "not rationalizable"})
-        m, h, pdata = _criterion_witness(model, f, clock)
         data = {"triple_point": None if tp is None else tp.to_json(),
                 "decides": "rationalizable"}
-        data.update(pdata)
+        m = h = None
+        if witness:
+            m, h, pdata = _criterion_witness(model, f, clock)
+            data.update(pdata)
         return clock.verdict(RATIONALIZABLE, "cubic-triple-point", data, m, h)
     # rule 7: bivariate, all-simple branch curve
     records = None
@@ -285,7 +299,7 @@ def _decide_reduced(f, clock, config):
         if ok:
             outcome = RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE
             m = h = None
-            if outcome == RATIONALIZABLE:
+            if outcome == RATIONALIZABLE and witness:
                 m, h, pdata = _criterion_witness(model, f, clock, records)
                 data.update(pdata)
             return clock.verdict(outcome, "simple-singularities", data, m, h,
@@ -293,7 +307,8 @@ def _decide_reduced(f, clock, config):
         clock.step("simple-singularities", data)
     # rule 8: high-multiplicity point on the hypersurface closure
     V = model.V
-    pt, certified, m, h, _note = _projection(model, f, clock, records)
+    pt, certified, m, h, _note = _projection(model, f, clock, records,
+                                             witness)
     if pt is not None:
         data = {"point": pt.to_json(), "hypersurface_degree": V.total_degree()}
         if m is not None:
@@ -319,12 +334,13 @@ def _identity_witness(f):
     return m, h
 
 
-def _projection(model, f, clock, records=None):
+def _projection(model, f, clock, records=None, witness=True):
     """Find a point of multiplicity D - 1 on the hypersurface V, project
-    from it when it is rational, and verify the map on f.  With the
-    branch-curve records (two variables, degree >= 4) the candidates are
-    read off them; otherwise V is searched.  The search, the projection
-    and the verification all run under the high-multiplicity-point clock.
+    from it when it is rational and `witness` asks for a map, and verify
+    the map on f.  With the branch-curve records (two variables, degree
+    >= 4) the candidates are read off them; otherwise V is searched.  The
+    search, the projection and the verification all run under the
+    high-multiplicity-point clock.
 
     Returns (point, certified_empty, map, square root, note): map and
     square root are None unless the witness verified, and the note says
@@ -341,12 +357,14 @@ def _projection(model, f, clock, records=None):
     if pt.field is not None:
         note = "projection centre is not rational; witness omitted"
         return pt, certified, None, None, note
+    if not witness:
+        return pt, certified, None, None, "witness not asked for"
 
-    def witness():
+    def build():
         m = projection_witness(V, pt)
         return m, None if m is None else verify_witness(m, f)
 
-    m, h = clock.run("high-multiplicity-point", witness)
+    m, h = clock.run("high-multiplicity-point", build)
     if m is None:
         return pt, certified, None, None, "projection degenerated"
     if h is None:

@@ -675,8 +675,16 @@ class RationalMap:
                 v: rf_str(g) for v, g in sorted(self.assignments.items())
             },
         }
-        if self.extension is not None:
-            out["extension"] = str(sp.sqrt(QQ.to_sympy(self.extension)))
+        # without a recorded extension, irrational coefficients name their
+        # field QQ(sqrt(r)), so that the document can be read back
+        ext = self.extension
+        if ext is None:
+            ext = next((_radicand(P.pe.ring.domain)
+                        for g in self.assignments.values()
+                        for P in (g.num, g.den)
+                        if not P.coefficients_rational()), None)
+        if ext is not None:
+            out["extension"] = str(sp.sqrt(QQ.to_sympy(ext)))
         return out
 
 

@@ -58,6 +58,58 @@ def rand_square_factor(rng):
     return MultiPoly(("X",), {e: c for e, c in terms.items() if c})
 
 
+def _nonzero(rng):
+    return QQ(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def _poly(variables, terms):
+    return MultiPoly(variables, {e: c for e, c in terms.items() if c})
+
+
+def rand_cascade_radicand(rng, family):
+    """A radicand of one of seven shapes which, between them, reach every
+    rule of the decision cascade: 0 a constant times a square (rule 1),
+    1 univariate over (X, Y) (rules 2, 3, 5), 2 univariate (3, 5), 3 a
+    binary form of degree 2 or 4 (3, 4), 4 bivariate of degree 2-4 (3, 6,
+    7), 5 a cubic in X, Y, Z linear in Y (8), 6 a diagonal cubic in X, Y,
+    Z (9)."""
+    if family == 0:
+        h = rand_square_factor(rng)
+        return h * h * _nonzero(rng)
+    if family == 1:
+        return rand_univariate(rng).with_vars(("X", "Y"))
+    if family == 2:
+        return rand_univariate(rng)
+    if family == 3:
+        d = rng.choice([2, 4])
+        terms = {(i, d - i): QQ(rng.randint(-3, 3)) for i in range(d + 1)}
+        terms[(0, d)] = _nonzero(rng)
+        return _poly(("X", "Y"), terms)
+    if family == 4:
+        return rand_bivariate(rng, rng.randint(2, 4))
+    xyz = ("X", "Y", "Z")
+    if family == 5:
+        a = {(i, 0, j): QQ(rng.randint(-2, 2))
+             for i in range(3) for j in range(3 - i)}
+        b = {(i, 0, j): QQ(rng.randint(-2, 2))
+             for i in range(4) for j in range(4 - i)}
+        a[(2, 0, 0)], b[(0, 0, 2)] = _nonzero(rng), _nonzero(rng)
+        return _poly(xyz, a) * MultiPoly.var(xyz, "Y") + _poly(xyz, b)
+    return _poly(xyz, {(3, 0, 0): _nonzero(rng), (0, 3, 0): _nonzero(rng),
+                       (0, 0, 3): _nonzero(rng), (0, 0, 0): _nonzero(rng)})
+
+
+def draw_cascade_radicands(n=35, seed=2020):
+    """n nonzero radicands from rand_cascade_radicand, the shapes in turn."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        f = rand_cascade_radicand(rng, len(out) % 7)
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
 def suite_square_multiple_invariance(n=200, seed=20260823):
     """sqrt(f) and sqrt(f * h^2) always get the same verdict."""
     rng = random.Random(seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ratsqrt import alphabet
+from ratsqrt import alphabet, engine, witness
 from ratsqrt.alphabet import (
     decide_alphabet,
     sequential_rationalize,
@@ -191,19 +191,58 @@ class TestDecideAlphabet:
         roots("X*Y", "Y*Z", "X*Z", vs=("X", "Y", "Z")),
     ], ids=["pair", "three", "homogeneous"])
     def test_no_radicand_decided_twice(self, monkeypatch, alpha):
-        # subsets with one reduced product, and the search's reduced images,
-        # reuse the verdicts already reached
-        seen = []
-        real = alphabet.decide
-        monkeypatch.setattr(
-            alphabet, "decide",
-            lambda p, q, config: seen.append(
-                (tuple(effective_vars(p)), poly_str(p))
-            ) or real(p, q, config),
-        )
+        # phase 1 decides each reduced product once, outcome only; a full
+        # decision comes once per radicand, for a Rationalizable singleton
+        # or for a reduced image inside the search
+        calls, in_search = [], []
+        real_decide = alphabet.decide
+        real_search = alphabet.sequential_rationalize
+
+        def spy_decide(p, q, config, *, witness=True):
+            key = (tuple(effective_vars(p)), poly_str(p))
+            calls.append((witness, key, bool(in_search)))
+            return real_decide(p, q, config, witness=witness)
+
+        def spy_search(*args, **kwargs):
+            in_search.append(True)
+            try:
+                return real_search(*args, **kwargs)
+            finally:
+                in_search.pop()
+
+        monkeypatch.setattr(alphabet, "decide", spy_decide)
+        monkeypatch.setattr(alphabet, "sequential_rationalize", spy_search)
         # Rationalizable needs the search, so both phases ran
-        assert decide_alphabet(alpha).outcome == RATIONALIZABLE
-        assert len(seen) == len(set(seen))
+        v = decide_alphabet(alpha)
+        assert v.outcome == RATIONALIZABLE
+        for kind in (False, True):
+            keys = [k for w, k, _s in calls if w is kind]
+            assert len(keys) == len(set(keys))
+        assert not any(s for w, _k, s in calls if not w)
+        singletons = {e["reduced_product"] for e in v.trace
+                      if len(e["subset"]) == 1}
+        assert {k[1] for w, k, s in calls if w and not s} == singletons
+
+    @pytest.mark.parametrize("alpha", [
+        HIGGS,
+        roots("X + Y", "X + Y + 1", "X + Y - 1", vs=("X", "Y")),
+    ], ids=["higgs", "parallel-lines"])
+    def test_not_rationalizable_builds_no_witness(self, monkeypatch, alpha):
+        # phase 1 reads only outcomes, and phase 2 never starts
+        built = []
+        for module, name in ((engine, "quadric_witness"),
+                             (engine, "projection_witness"),
+                             (engine, "homogeneous_lift"),
+                             (engine, "verify_witness"),
+                             (witness, "verify_witness"),
+                             (alphabet, "verify_witness")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                                built.append(name) or real(*a))
+        v = decide_alphabet(alpha)
+        assert v.outcome == NOT_RATIONALIZABLE
+        assert all(e["outcome"] == RATIONALIZABLE for e in v.trace[:-1])
+        assert built == []
 
     def test_homogeneous_alphabet_lifts_its_witness(self):
         # an all-even homogeneous alphabet is solved dehomogenized and the

@@ -1,5 +1,6 @@
 """Decision cascade for single square roots."""
 
+import json
 import math
 import time
 from types import SimpleNamespace
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import prop_helpers
+from test_golden import EXTENSION_ROOTS
+
 from ratsqrt import engine
+from ratsqrt.alphabet import subset_products
+from ratsqrt.cli import _corpus_entries
 from ratsqrt.engine import (
     INCONCLUSIVE,
     NOT_RATIONALIZABLE,
@@ -19,7 +25,12 @@ from ratsqrt.engine import (
 )
 from ratsqrt.errors import ResourceLimit, ZeroDenominator
 from ratsqrt.mpoly import MultiPoly, quadratic_field, substitute
-from ratsqrt.parser import parse_poly, parse_rational
+from ratsqrt.parser import (
+    load_alphabet,
+    map_from_json,
+    parse_poly,
+    parse_rational,
+)
 from ratsqrt.witness import verify_witness
 
 
@@ -261,6 +272,19 @@ class TestIrrationalCoefficients:
         assert v.outcome == RATIONALIZABLE
         assert rules(v)[-1] == "degree-at-most-2"
         assert_witness_ok(v, g.num)
+
+    def test_witness_round_trips_through_json(self):
+        # the scan finds the rational point (0, 0, 1), so the map records
+        # no extension; only its coefficients are irrational, and its JSON
+        # form names their field
+        g = parse_rational("X^2 + sqrt(2)*Y^2 + 1", ("X", "Y"),
+                           quadratic_field(2)[0])
+        m = decide(g.num, g.den).witness
+        doc = m.to_json()
+        assert doc["extension"] == "sqrt(2)"
+        back = map_from_json(doc)
+        assert back == m and back.extension == 2
+        assert verify_witness(back, g.num) is not None
 
 
 class TestResourceLimit:
@@ -515,3 +539,46 @@ class TestProjectionNotes:
         assert step.rule == "high-multiplicity-point"
         assert "witness" not in step.data
         assert step.data["point"]["coordinates"] == ["0", "1", "0", "0", "0"]
+
+
+def _agreement_radicands():
+    """(name, p, q): the corpus roots, every subset product of the bundled
+    alphabets, the golden file's roots with quadratic-field witnesses, and
+    a seeded draw whose shapes reach every rule of the cascade."""
+    base, entries = _corpus_entries()
+    out = []
+    for e in entries:
+        if e["kind"] == "root":
+            g = parse_rational(e["input"])
+            out.append((e["input"], g.num, g.den))
+            continue
+        _vars, roots = load_alphabet(
+            json.loads(base.joinpath(e["input"]).read_text()))
+        polys = [f for _l, f in roots]
+        out += [(f"{e['tag']} {J}", prod, None) for J, prod in
+                subset_products(polys, Config.max_subset_size)]
+    for text in EXTENSION_ROOTS:
+        g = parse_rational(text)
+        out.append((text, g.num, g.den))
+    out += [(str(f), f, None) for f in prop_helpers.draw_cascade_radicands()]
+    return out
+
+
+_WITNESS_KEYS = {"witness", "square_root", "projection_centre", "note"}
+
+
+def test_outcome_only_decision_agrees_with_the_full_one():
+    # witness=False skips every witness but decides the same way: same
+    # outcome, same rules, same step data once the witness entries go
+    seen = set()
+    for name, p, q in _agreement_radicands():
+        full = decide(p, q)
+        bare = decide(p, q, witness=False)
+        assert bare.outcome == full.outcome, name
+        assert rules(bare) == rules(full), name
+        assert [s.data for s in bare.steps] == [
+            {k: x for k, x in s.data.items() if k not in _WITNESS_KEYS}
+            for s in full.steps], name
+        assert bare.witness is None and bare.witness_sqrt is None, name
+        seen.update(rules(full))
+    assert seen == set(RULE_REFS) - {"resource-limit"}

@@ -3,7 +3,8 @@ squarefree part of a squarefree radicand, which its univariate images
 certify without a decomposition, and the quadric witness, built from the
 polars of the closure at its centre; and of the projection-centre lookup
 that bivariate radicands of degree >= 4 read off their branch-curve
-records.
+records; and of an alphabet that phase 1 certifies NotRationalizable, so
+that only outcomes are decided and no witness is built.
 
 The rounds are fixed, so the whole file runs in well under a second; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -11,7 +12,8 @@ timings appear in pytest-benchmark's table.  Run it alone with
     PYTHONPATH=src python -m pytest tests/test_kernel_bench.py
 """
 
-from ratsqrt.engine import Config
+from ratsqrt.alphabet import decide_alphabet
+from ratsqrt.engine import NOT_RATIONALIZABLE, Config
 from ratsqrt.geometry import all_simple, build_model, centre_from_records
 from ratsqrt.mpoly import squarefree_part, substitute
 from ratsqrt.parser import parse_poly
@@ -44,3 +46,14 @@ def test_projection_centre_from_the_records_of_a_quartic(benchmark):
         iterations=ITERATIONS)
     assert (pt.chart, pt.proj, pt.field, certified) == (2, (0, 0, 1, 0),
                                                         None, False)
+
+
+def test_decide_alphabet_certified_in_phase_1(benchmark):
+    # the Higgs alphabet: six Rationalizable subset products before the
+    # cubic product of f2 and f3 certifies NotRationalizable
+    roots = [(label, parse_poly(text, ("X",))) for label, text in
+             (("f1", "X"), ("f2", "1 + 4*X"), ("f3", "X*(X - 4)"))]
+    v = benchmark.pedantic(decide_alphabet, args=(roots,), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert v.outcome == NOT_RATIONALIZABLE
+    assert v.certificate.labels == ("f2", "f3")
