@@ -18,14 +18,15 @@ cubics only.  By the Euler identity each is the common zero set of every
 partial derivative of one order.  Chart c sets coordinate c to 1 and
 every earlier coordinate to 0, so the charts partition projective space
 and each point turns up once, in the chart of its first nonzero
-coordinate.  Each chart goes to one solver (:func:`_solve_ideal`): a lex
-Groebner basis over QQ, then triangular back-substitution over a
-number-field tower of height at most two.  The basis [1] certifies an
-empty chart, a zero-dimensional basis is solved exactly, and a
-positive-dimensional one is cut by rational hyperplanes until a point
-turns up.  Singular points of B are grouped into Galois conjugacy
-classes, and each class is classified once over its tower
-(:mod:`ratsqrt.localanalysis`).  For a bivariate radicand of degree
+coordinate.  Each chart goes to one solver (:func:`_solve_ideal`): the
+reduced lex Groebner basis, computed fraction-free over ZZ by
+:func:`ratsqrt.ideal.groebner` and made monic over QQ at the end, then
+triangular back-substitution over a number-field tower of height at most
+two.  The basis [1] certifies an empty chart, a zero-dimensional basis is
+solved exactly, and a positive-dimensional one is cut by rational
+hyperplanes until a point turns up.  Singular points of B are grouped
+into Galois conjugacy classes, and each class is classified once over its
+tower (:mod:`ratsqrt.localanalysis`).  For a bivariate radicand of degree
 d >= 4 every projection centre lies over a singular point of B at
 infinity, so :func:`centre_from_records` reads the centres off those
 records instead of solving the closure again.  The triple point of a
@@ -45,10 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from sympy.polys.domains import QQ
-from sympy.polys.groebnertools import groebner
 
 from . import unipoly as up
 from .errors import NonReduced
+from .ideal import groebner
 from .localanalysis import classify_germ, lp_form, lp_multiplicity
 from .mpoly import (
     MultiPoly,
@@ -297,15 +298,20 @@ def _solve_ideal(gens, ring, k):
     Returns (solutions, complete): each solution is a (field, coords) pair,
     coords = (x_0, ..., x_{k-1}) over a tower of height <= 2, one per Galois
     conjugacy class, and `complete` certifies that the list covers every
-    common zero over the algebraic closure.  The lex Groebner basis with
-    x_{k-1} > ... > x_0 is triangular: [1] means no zero, a pure-power
+    common zero over the algebraic closure.  The reduced lex Groebner basis
+    with x_{k-1} > ... > x_0 is triangular: [1] means no zero, a pure-power
     leading monomial in every variable means finitely many, solved level by
-    level from x_0 up.  A positive-dimensional system is cut by hyperplanes
-    on its lowest free variable until a point turns up, and is never
-    complete.  With k = 0 the system is a list of constants: any one leaves
-    no solution, and no generator at all leaves the empty tuple.
+    level from x_0 up.  :func:`ratsqrt.ideal.groebner` computes it
+    fraction-free on primitive integer polynomials and makes each element
+    monic over QQ only at the end.  A positive-dimensional system is cut by
+    hyperplanes on its lowest free variable until a point turns up, and is
+    never complete.  With k = 0 the system is a list of constants, decided
+    without a basis: any one leaves no solution, and no generator at all
+    leaves the empty tuple.
     """
-    basis = groebner(gens, ring) if gens else []
+    if k == 0:
+        return ([], True) if gens else ([(None, ())], True)
+    basis = groebner(gens, ring)
     if any(g.is_ground for g in basis):
         return [], True
     pure = {e.index(max(e)) for e in (g.LM for g in basis) if sum(e) == max(e)}

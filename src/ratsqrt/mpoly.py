@@ -527,11 +527,14 @@ def homogenize(f: MultiPoly, new_var: str) -> MultiPoly:
 
 
 def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
-    """Set `var` to 1 and squarefree-reduce; valid only for even total degree.
+    """Set `var` to 1 in a squarefree form f of even total degree.
 
     For even degree the square roots of f and of the result are
     rationalizable together; no such equivalence is available for odd degree,
-    so that case is rejected.
+    so that case is rejected.  The result is squarefree, as f is: write f =
+    var^m * g~ with var not dividing g~, so that g~ is the homogenization of
+    the result, and homogenization is multiplicative, so a square q^2
+    dividing the result would put the square of q's homogenization into f.
     """
     d = is_homogeneous(f)
     if d is None:
@@ -547,7 +550,7 @@ def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
     g = g.with_vars(rest)
     if g.is_zero():
         raise ZeroRadicand("dehomogenization vanished (var divides f to top degree)")
-    return squarefree_part(g)
+    return g
 
 
 # --------------------------------------------------------------------------

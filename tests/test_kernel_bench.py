@@ -4,7 +4,9 @@ certify without a decomposition, and the quadric witness, built from the
 polars of the closure at its centre; and of the projection-centre lookup
 that bivariate radicands of degree >= 4 read off their branch-curve
 records; and of an alphabet that phase 1 certifies NotRationalizable, so
-that only outcomes are decided and no witness is built.
+that only outcomes are decided and no witness is built; and of the lex
+Groebner basis of the chart-0 system of two branch curves, one smooth and
+one with irrational singular points.
 
 The rounds are fixed, so the whole file runs in well under a second; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -12,10 +14,12 @@ timings appear in pytest-benchmark's table.  Run it alone with
     PYTHONPATH=src python -m pytest tests/test_kernel_bench.py
 """
 
+from ratsqrt import geometry
 from ratsqrt.alphabet import decide_alphabet
 from ratsqrt.engine import NOT_RATIONALIZABLE, Config
 from ratsqrt.geometry import all_simple, build_model, centre_from_records
-from ratsqrt.mpoly import squarefree_part, substitute
+from ratsqrt.ideal import groebner
+from ratsqrt.mpoly import _ring, squarefree_part, substitute
 from ratsqrt.parser import parse_poly
 from ratsqrt.witness import quadric_witness
 
@@ -57,3 +61,37 @@ def test_decide_alphabet_certified_in_phase_1(benchmark):
                            iterations=ITERATIONS)
     assert v.outcome == NOT_RATIONALIZABLE
     assert v.certificate.labels == ("f2", "f3")
+
+
+def _chart_0_system(text):
+    """The first partials of the branch curve of a bivariate radicand at
+    s = 1, as `singular_points` hands them to the solver: generators x1 = Y
+    and x0 = X."""
+    B = build_model(parse_poly(text, ("X", "Y"))).B
+    ring = _ring(("x1", "x0"))
+    gens = [ring.from_dict({e[1:][::-1]: c for e, c in d.items()})
+            for d in geometry._order_partials(B.pe, 1)]
+    return [g for g in gens if g], ring
+
+
+def test_groebner_of_a_smooth_quartic_branch_curve(benchmark):
+    # a smooth ternary quartic, dehomogenized: no affine singular point
+    gens, ring = _chart_0_system("X^4 + 2*X^3*Y - X^2*Y^2 + 3*X*Y^3 - 2*Y^4"
+                                 " + X^3 - Y^3 + 2*X*Y + X - 3*Y + 1")
+    basis = benchmark.pedantic(groebner, args=(gens, ring), rounds=ROUNDS,
+                               iterations=ITERATIONS)
+    assert basis == [ring.one]
+
+
+def test_groebner_of_irrational_singular_points(benchmark):
+    # eight nodes: (+-sqrt(3), +-sqrt(2)), and X + Y + 2 = 0 meets
+    # X^2 = 3 and Y^2 = 2 at two conjugate pairs each
+    gens, ring = _chart_0_system("(X^2 - 3)*(Y^2 - 2)*(X + Y + 2)")
+    basis = benchmark.pedantic(groebner, args=(gens, ring), rounds=ROUNDS,
+                               iterations=ITERATIONS)
+    x1, x0 = ring.gens
+    assert basis == [
+        x1**3 + x1**2 * x0 + 2 * x1**2 - 2 * x1 - 2 * x0 - 4,
+        x1 * x0**2 - 3 * x1 + x0**3 + 2 * x0**2 - 3 * x0 - 6,
+        x0**4 + 4 * x0**3 - x0**2 - 12 * x0 - 6,
+    ]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
@@ -137,6 +137,26 @@ class TestHomogeneity:
     def test_dehomogenize_odd_rejected(self):
         with pytest.raises(OddDegree):
             dehomogenize(P("X1^3 + X2^3", ("X1", "X2")), "X2")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3),
+           st.data())
+    def test_dehomogenized_squarefree_form_is_squarefree(self, degrees, data):
+        # a product of forms, repeated factors likely, reduced to the
+        # squarefree form that rule 4 and the alphabets pass
+        p = MultiPoly.const(XYZ, 1)
+        for d in degrees + degrees[:1]:
+            monos = [(i, j, d - i - j) for i in range(d + 1)
+                     for j in range(d + 1 - i)]
+            cs = data.draw(st.lists(st.integers(-2, 2), min_size=len(monos),
+                                    max_size=len(monos)))
+            p = p * MultiPoly(XYZ, {e: QQ(c) for e, c in zip(monos, cs) if c})
+        assume(not p.is_zero())
+        f = squarefree_part(p)
+        assume(not f.is_constant() and is_homogeneous(f) % 2 == 0)
+        g = dehomogenize(f, "Z")
+        assert squarefree_part(g) == g
+        assert all(m == 1 for _f, m in g.pe.sqf_list()[1])
 
     def test_effective_vars(self):
         assert effective_vars(P("Y^2 + 1", ("X", "Y", "Z"))) == ["Y"]
