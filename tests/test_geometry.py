@@ -419,7 +419,7 @@ def _result(res):
 # examples per family: a generic curve of degree 5 or 6 takes all_simple
 # about a tenth of a second, the others a few milliseconds
 @pytest.mark.parametrize("family, examples", [
-    (_dense, 25), (_sparse, 25), (_low_degree_in_x, 40),
+    (_dense, 8), (_sparse, 25), (_low_degree_in_x, 40),
     (_in_one_linear_form, 25), (_irrational_at_infinity, 10),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_centre_from_records_matches_the_search(family, examples):
