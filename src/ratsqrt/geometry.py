@@ -448,7 +448,8 @@ def triple_point_of_cubic(F: MultiPoly):
         raise NonReduced("cubic must be squarefree")
     chart = next(i for i, x in enumerate(p) if x)
     pt = AlgebraicPoint(None, tuple(x / p[chart] for x in p), chart, 1)
-    assert multiplicity_at(F, pt) == 3
+    if multiplicity_at(F, pt) != 3:
+        raise AssertionError("the kernel point of the partials is no triple point")
     return pt
 
 

@@ -17,10 +17,11 @@ The module provides:
   methods that are cross-checked on every call — a Euclidean recursion for
   the intersection multiplicity of the two partial derivatives, and the
   dimension of the jet-truncated local algebra K[u,v]/((f_u, f_v) + m^N)
-  stabilized in N, a rank taken with the row reduction that tower inverses
-  use too — each stopped once it exceeds the Bezout bound, the product of
-  the degrees of the two partials, which a finite Milnor number never
-  exceeds;
+  stabilized in N, one echelon form kept across N — each stopped once it
+  exceeds the Bezout bound, the product of the degrees of the two
+  partials, which a finite Milnor number never exceeds.  Both cancel
+  fraction-free: over QQ on primitive integer germs, over a tower with one
+  inverse to scale a divisor or pivot whose coordinates grow tall;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple) from the multiplicity, the cone shape and the Milnor
   number, with no blowup; multiplicity >= 4 is immediately NonSimple.
@@ -29,10 +30,13 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+
+from sympy.polys.domains import QQ
 
 from . import unipoly as up
 from .errors import NonIsolated, WrongMultiplicity
-from .numberfield import row_reduce
+from .numberfield import NFElem, coordinate_bits
 
 # --------------------------------------------------------------------------
 # germ helpers; the arithmetic is that of :mod:`ratsqrt.unipoly`
@@ -92,19 +96,62 @@ def cubic_cone(cone):
 # Milnor number, two independent routes
 
 
+def _primitive(P):
+    """A nonzero germ over QQ times the positive rational that makes its
+    coefficients coprime ints."""
+    vals = P.values()
+    s = QQ(lcm(*(c.denominator for c in vals)), gcd(*(c.numerator for c in vals)))
+    return {e: int(c * s) for e, c in P.items()}
+
+
+# bits a coordinate over a tower may reach before its germ or row is scaled
+# to a coefficient 1, which costs an inverse
+MAX_BITS = 64
+
+
+def _scaled(P, k, tower):
+    """P times a nonzero constant that keeps its coefficients small: over QQ
+    the inverse of the gcd of its ints; over a tower, the inverse of its
+    coefficient at k, once a numerator or denominator of its coordinates
+    outgrows MAX_BITS bits."""
+    if not tower:
+        g = gcd(*P.values())
+        return P if g < 2 else {e: c // g for e, c in P.items()}
+    if max(map(coordinate_bits, P.values())) <= MAX_BITS:
+        return P
+    inv = QQ.one / P[k]
+    return {e: x * inv for e, x in P.items()}
+
+
+def _cancel(a, R, c, S):
+    """a*R - c*S for two sparse rows or germs, zero entries dropped."""
+    out = dict(R) if a == 1 else {k: a * x for k, x in R.items()}
+    for k, y in S.items():
+        out[k] = out[k] - c * y if k in out else -c * y
+    return {k: x for k, x in out.items() if x}
+
+
 def intersection_multiplicity(P, Q):
     """Intersection multiplicity of the germs P, Q at the origin.
 
     Euclidean recursion on the restrictions to v = 0: swap so the restriction
     of P has the smaller degree, cancel the leading term of Q's restriction
     with a monomial multiple of P, and split off factors of v when a
-    restriction vanishes.  The accumulated multiplicity is a lower bound on
-    I(P, Q), which is at most deg P * deg Q whenever it is finite (Bezout;
-    Fulton, *Algebraic Curves*, ch. 3 and 5); a total above that bound
-    means the germs share a component (non-isolated).
+    restriction vanishes.  The cancellation divides by nothing: it replaces
+    Q by f_top*Q - g_top*u^k*P, and a nonzero constant factor does not
+    change I(P, Q).  Over QQ the germs are primitive integer germs and P
+    loses its content before each step; over a tower, P is scaled to the
+    top coefficient 1 by one inverse once its coordinates grow tall.  The
+    accumulated multiplicity is a lower bound on I(P, Q), which is at most
+    deg P * deg Q whenever it is finite (Bezout; Fulton, *Algebraic
+    Curves*, ch. 3 and 5); a total above that bound means the germs share
+    a component (non-isolated).
     """
     P, Q = up.clean(P), up.clean(Q)
     bound = _degree(P) * _degree(Q)
+    tower = any(isinstance(c, NFElem) for c in (*P.values(), *Q.values()))
+    if P and Q and not tower:
+        P, Q = _primitive(P), _primitive(Q)
     total = 0
     while True:
         if not P or not Q:
@@ -129,37 +176,33 @@ def intersection_multiplicity(P, Q):
             (df,), (dg,) = max(f), max(g)
             if df > dg:
                 P, Q, f, g, df, dg = Q, P, g, f, dg, df
-            # cancel the top coefficient of g with a monomial multiple of P
-            shift = {(dg - df, 0): -(g[(dg,)] / f[(df,)])}
-            Q = up.add(Q, up.mul(shift, P))
+            P, k = _scaled(P, (df, 0), tower), dg - df
+            Q = _cancel(P[(df, 0)], Q, g[(dg,)],
+                        {(i + k, j): c for (i, j), c in P.items()})
 
 
-def _jet_quotient_dim(fu, fv, N):
-    """dim_K K[u,v] / ((fu, fv) + m^N) via a truncated-monomial matrix."""
-    monos = [(i, j) for d in range(N) for i in range(d + 1) for j in [d - i]]
-    index = {m: k for k, m in enumerate(monos)}
-    rows = []
-    for gen in (fu, fv):
-        mult = lp_multiplicity(gen)
-        for a in range(N):
-            for b in range(N - a):
-                if a + b + mult >= N:
-                    continue
-                row = [0] * len(monos)
-                nonzero = False
-                for (i, j), c in gen.items():
-                    e = (i + a, j + b)
-                    if i + a + j + b < N:
-                        row[index[e]] = row[index[e]] + c
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    return len(monos) - sum(1 for row in row_reduce(rows) if any(row))
+def _row(gen, a, b, top):
+    """gen * u^a v^b below the degree `top` as a sparse row, a monomial
+    u^i v^j at column (i+j)(i+j+1)/2 + i: by degree, then by i."""
+    return {(d + a + b) * (d + a + b + 1) // 2 + i + a: c
+            for (i, j), c in gen.items() for d in [i + j] if d + a + b < top}
 
 
 def milnor_via_jets(fu, fv):
     """Stabilized jet dimension: grows the truncation order N until the
-    quotient dimension repeats, which certifies m^N is inside (fu, fv).
+    dimension of K[u,v] / ((fu, fv) + m^N) repeats, which certifies m^N is
+    inside (fu, fv).
+
+    The rows gen*u^a v^b with a + b + mult(gen) < N span the truncated
+    ideal.  One echelon form of these rows, truncated at a degree `top` >= N,
+    is kept across N, and order N adds only the rows with
+    a + b + mult = N - 1; when N passes `top` the form is built again at
+    twice the order.  Truncation commutes with row operations and a reduced
+    row is zero before its pivot, so the truncated rank is the number of
+    pivots of degree < N.  A row is reduced at its leading column only, as
+    a*row - c*pivot, with no division; a new pivot is scaled as the divisor
+    of :func:`intersection_multiplicity` is: over QQ to a primitive integer
+    row, over a tower to the coefficient 1 once it grows tall.
 
     Each jet dimension is a lower bound on the Milnor number I(fu, fv),
     which is at most deg fu * deg fv whenever it is finite (Bezout), so a
@@ -168,10 +211,28 @@ def milnor_via_jets(fu, fv):
     if not fu or not fv:
         raise NonIsolated("a partial derivative vanishes identically")
     bound = _degree(fu) * _degree(fv)
-    N = 3
+    tower = any(isinstance(c, NFElem) for c in (*fu.values(), *fv.values()))
+    gens = [(g if tower else _primitive(g), lp_multiplicity(g)) for g in (fu, fv)]
+    N, top = 3, 0
     prev = None
     while True:
-        dim = _jet_quotient_dim(fu, fv, N)
+        low = N - 1
+        if N > top:
+            top, low, pivots, pending = 2 * N, 0, {}, []
+        for gen, mult in gens:
+            for d in range(max(low - mult, 0), N - mult):
+                pending.extend(_row(gen, a, d - a, top) for a in range(d + 1))
+        cols = N * (N + 1) // 2
+        rows, pending = pending, []
+        for row in rows:
+            # every pivot lies before cols, so a lead past it waits
+            while row and (lead := min(row)) in pivots:
+                row = _cancel(pivots[lead][lead], row, row[lead], pivots[lead])
+            if row and lead < cols:
+                pivots[lead] = _scaled(row, lead, tower)
+            elif row:
+                pending.append(row)
+        dim = cols - len(pivots)
         if prev is not None and dim == prev:
             return dim
         if dim > bound:

@@ -11,21 +11,23 @@ sympy's QQ elements, or a :class:`NumberField`, which stores, per level, a
 generator name and a monic irreducible minimal polynomial over the level
 below, an exponent dict as in :mod:`ratsqrt.unipoly`
 (:meth:`NumberField.describe` gives the dense coefficient lists that
-reports print).  An element,
-:class:`NFElem`, is a flat tuple of QQ elements on the basis a^i b^j of the
-whole tower, i running fastest (H. Cohen, *A Course in Computational
-Algebraic Number Theory*, section 4.2), so an element of the level below is
-a zero-padded prefix and :meth:`NumberField.lift` is padding.  Each field
-builds a sparse table of the products of its basis elements once; a product
-of two elements reads that table, and an inverse solves x*y = 1 over QQ with
-:func:`row_reduce`, the one Gaussian elimination of the package, which the
-Milnor jets of :mod:`ratsqrt.localanalysis` use too.  The tower-shaped view
-that reports and sort keys read, the trimmed coefficient tuple over the
-level below, is :attr:`NFElem.rep`.  An element combines with ints, QQ
-elements and elements of its own field through ordinary operators, so the
-generic routines of :mod:`ratsqrt.unipoly` and :mod:`ratsqrt.localanalysis`
-take no field argument.  Zero testing is canonical: zero is the all-zero
-vector.
+reports print).  An element, :class:`NFElem`, is a flat tuple of integer
+coordinates on the basis a^i b^j of the whole tower, i running fastest,
+over one positive common denominator, in lowest terms (H. Cohen, *A Course
+in Computational Algebraic Number Theory*, sections 2.2 and 4.2), so
+equality is a tuple compare, an element of the level below is a zero-padded
+prefix and :meth:`NumberField.lift` is padding.  Each field builds once an
+integer table of the products of its basis elements, over one denominator;
+a product of two elements reads that table and takes one gcd at the end,
+and an inverse solves x*y = 1 over QQ with :func:`row_reduce`, which cubic
+triple points use too.  The rational coordinates are :attr:`NFElem.vec`;
+the tower-shaped view that reports and sort keys read, the trimmed
+coefficient tuple over the level below, is :attr:`NFElem.rep`.  An element
+combines with ints, QQ elements and elements of its own field through
+ordinary operators, so the generic routines of :mod:`ratsqrt.unipoly` and
+:mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
+canonical: zero is the all-zero vector over 1.  An element with a rational
+value hashes as that rational, as it also compares equal to it.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -34,6 +36,8 @@ the extension.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from sympy.polys.domains import QQ
 
@@ -97,33 +101,34 @@ class NumberField:
         self.height = 1 if base is None else base.height + 1
         m = 1 if base is None else base.degree
         self.degree = m * n
-        self.units = [tuple(QQ.one if r == k else QQ.zero
-                            for r in range(self.degree))
+        self.units = [tuple(int(r == k) for r in range(self.degree))
                       for k in range(self.degree)]
         # basis element a^i b^j, index i + m*j, as a monomial over the level
-        # below; table[k][l] lists the nonzero (index, coefficient) pairs of
-        # the product of basis elements k and l
-        lower = [QQ.one] if base is None else [NFElem(base, u) for u in base.units]
+        # below; the table lists (k, l, r, c) when the product of basis
+        # elements k and l, times the denominator tden, has c at index r
+        lower = [QQ.one] if base is None else [_lowest(base, u, 1) for u in base.units]
         basis = [{(j,): c} for j in range(n) for c in lower]
-        self.table = [[[(m * j + i, c)
-                        for (j,), e in up.rem(up.mul(p, q), self.minpoly).items()
-                        for i, c in enumerate((e,) if base is None else e.vec)
-                        if c]
-                       for q in basis] for p in basis]
+        table = [(k, l, m * j + i, c) for k, p in enumerate(basis)
+                 for l, q in enumerate(basis)
+                 for (j,), e in up.rem(up.mul(p, q), self.minpoly).items()
+                 for i, c in enumerate((e,) if base is None else e.vec) if c]
+        self.tden = lcm(*(c.denominator for *_, c in table))
+        self.table = [(k, l, r, int(c * self.tden)) for k, l, r, c in table]
 
     # -- element construction -------------------------------------------
 
     def zero(self):
-        return NFElem(self, (QQ.zero,) * self.degree)
+        return _lowest(self, (0,) * self.degree, 1)
 
     def one(self):
-        return NFElem(self, self.units[0])
+        return _lowest(self, self.units[0], 1)
 
     def from_rational(self, c):
-        return NFElem(self, (_qq(c),) + (QQ.zero,) * (self.degree - 1))
+        c = _qq(c)
+        return _lowest(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def gen(self):
-        return NFElem(self, self.units[1 if self.base is None else self.base.degree])
+        return _lowest(self, self.units[1 if self.base is None else self.base.degree], 1)
 
     def lift(self, e):
         """Coerce an element of a lower level (or a rational) into this field."""
@@ -131,7 +136,7 @@ class NumberField:
             if e.field is self:
                 return e
             if self.base is not None and e.field is self.base:
-                return NFElem(self, e.vec + (QQ.zero,) * (self.degree - len(e.vec)))
+                return _lowest(self, e.num + (0,) * (self.degree - len(e.num)), e.den)
             raise ValueError("element does not belong to this tower")
         return self.from_rational(e)
 
@@ -157,15 +162,36 @@ class NumberField:
         return f"NumberField(QQ({', '.join(names)}))"
 
 
+def _lowest(field, num, den):
+    """The element num/den of `field`, den > 0, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    e = object.__new__(NFElem)
+    e.field, e.num, e.den = field, tuple(num), den
+    return e
+
+
 class NFElem:
-    """Element of a NumberField: its QQ coordinates on the basis a^i b^j;
+    """Element of a NumberField: integer coordinates `num` on the basis
+    a^i b^j over the positive denominator `den`, in lowest terms;
     immutable once built."""
 
-    __slots__ = ("field", "vec")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, vec):
-        self.field = field
-        self.vec = tuple(vec)
+        """The element with the rational coordinates `vec`."""
+        vec = [_qq(c) for c in vec]
+        den = lcm(*(c.denominator for c in vec))
+        self.field, self.den = field, den
+        self.num = tuple(c.numerator * (den // c.denominator) for c in vec)
+
+    @property
+    def vec(self):
+        """The QQ coordinates on the basis a^i b^j."""
+        return tuple(QQ(x, self.den) for x in self.num)
 
     @property
     def rep(self):
@@ -175,7 +201,7 @@ class NFElem:
             coeffs = list(self.vec)
         else:
             m = base.degree
-            coeffs = [NFElem(base, self.vec[j:j + m])
+            coeffs = [_lowest(base, self.num[j:j + m], self.den)
                       for j in range(0, self.field.degree, m)]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
@@ -195,48 +221,56 @@ class NFElem:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return NFElem(self.field, [x + y for x, y in zip(self.vec, o.vec)])
+        a, b = self.den, o.den
+        return _lowest(self.field,
+                       [x * b + sign * y * a for x, y in zip(self.num, o.num)],
+                       a * b)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, [-x for x in self.vec])
+        return _lowest(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return NFElem(self.field, [x - y for x, y in zip(self.vec, o.vec)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, NFElem):
+            f = self._coerce(other).field
+            return _lowest(f, _times(f.table, self.num, other.num),
+                           self.den * other.den * f.tden)
         if isinstance(other, (int, QQ.dtype)):
-            return NFElem(self.field, [x * other for x in self.vec])
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return NFElem(self.field, _times(self.field.table, self.vec, o.vec))
+            p = other.numerator
+            return _lowest(self.field, [x * p for x in self.num],
+                           self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Solve self*y = 1: reduce the row (1 | 0) against the rows
-        (self*e_k | e_k); it reduces to (0 | -y) exactly when self is a
-        unit."""
+        (tden*num*e_k | e_k), num the integer coordinates and tden the
+        denominator of the table; it reduces to (0 | -y) exactly when self
+        is a unit, and then y*den*tden is the inverse."""
         field = self.field
-        rows = [_times(field.table, self.vec, e) + list(e) for e in field.units]
-        rows.append(field.units[0] + (QQ.zero,) * field.degree)
+        rows = [[QQ(c) for c in _times(field.table, self.num, e) + list(e)]
+                for e in field.units]
+        rows.append([QQ.one] + [QQ.zero] * (2 * field.degree - 1))
         *_, last = row_reduce(rows)
         if any(last[:field.degree]):
             raise ZeroInversion("element is zero or a zero divisor"
                                 " (minpoly not irreducible?)")
-        return NFElem(field, [-c for c in last[field.degree:]])
+        return NFElem(field, [-c for c in last[field.degree:]]) * (self.den * field.tden)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -265,31 +299,36 @@ class NFElem:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return any(self.vec)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, QQ.dtype, NFElem)):
-            return self.vec == self._coerce(other).vec
+            o = self._coerce(other)
+            return self.num == o.num and self.den == o.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.vec))
+        if any(self.num[1:]):
+            return hash((id(self.field), self.num, self.den))
+        return hash(QQ(self.num[0], self.den))
 
     def __repr__(self):
         return f"NFElem({self.field.gen_name}: {self.rep})"
 
 
+def coordinate_bits(c):
+    """The bit length of the largest numerator or denominator among the
+    coordinates of a rational or a tower element."""
+    parts = c.num + (c.den,) if isinstance(c, NFElem) else (c.numerator, c.denominator)
+    return max(abs(x) for x in parts).bit_length()
+
+
 def _times(table, x, y):
-    """Product of two coordinate vectors through a multiplication table."""
-    out = [QQ.zero] * len(x)
-    for k, a in enumerate(x):
-        if a:
-            row = table[k]
-            for l, b in enumerate(y):
-                if b:
-                    ab = a * b
-                    for r, c in row[l]:
-                        out[r] += ab * c
+    """Product of two integer coordinate vectors through a multiplication
+    table."""
+    out = [0] * len(x)
+    for k, l, r, c in table:
+        out[r] += x[k] * y[l] * c
     return out
 
 
@@ -336,7 +375,8 @@ def factor_over_height1(field: NumberField, poly):
     total = {(0,): field.one()}
     for f in factors:
         total = up.mul(total, f)
-    assert total == poly, "norm factorization lost a factor"
+    if total != poly:
+        raise AssertionError("norm factorization lost a factor")
     factors.sort(key=lambda f: (up.deg(f), tuple(
         f[(i,)].rep if (i,) in f else () for i in range(up.deg(f) + 1))))
     return factors

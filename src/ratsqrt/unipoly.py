@@ -58,15 +58,17 @@ def derivative(P, axis=0):
 
 
 def translate(P, shift):
-    """P(x + shift), one variable at a time."""
+    """P(x + shift), one variable at a time, each power of a shift
+    coordinate computed once."""
     for k, a in enumerate(shift):
         if not a:
             continue
+        powers = [a**t for t in range(max((e[k] for e in P), default=0) + 1)]
         out = {}
         for e, c in P.items():
             i = e[k]
             for t in range(i + 1):
-                ct = c * (comb(i, t) * a ** (i - t)) if t < i else c
+                ct = c * (comb(i, t) * powers[i - t]) if t < i else c
                 ne = e[:k] + (t,) + e[k + 1 :]
                 out[ne] = out[ne] + ct if ne in out else ct
         P = clean(out)
@@ -135,7 +137,8 @@ def radical(p):
     if deg(p) == 0:
         return monic(p)
     quo, r = divmod_poly(p, gcd(p, derivative(p)))
-    assert not r
+    if r:
+        raise AssertionError("p is not divisible by gcd(p, p')")
     return monic(quo)
 
 

@@ -6,19 +6,29 @@ that bivariate radicands of degree >= 4 read off their branch-curve
 records; and of an alphabet that phase 1 certifies NotRationalizable, so
 that only outcomes are decided and no witness is built; and of the lex
 Groebner basis of the chart-0 system of two branch curves, one smooth and
-one with irrational singular points.
+one with irrational singular points; and of the ADE classification of two
+germs, a node over a height-2 tower and a rational germ with Milnor
+number 6, both Milnor routes cross-checked.
 
-The rounds are fixed, so the whole file runs in well under a second; the
+The rounds are fixed, so the whole file runs in a second or two; the
 timings appear in pytest-benchmark's table.  Run it alone with
 
     PYTHONPATH=src python -m pytest tests/test_kernel_bench.py
 """
 
+from sympy.polys.domains import QQ
+
 from ratsqrt import geometry
 from ratsqrt.alphabet import decide_alphabet
 from ratsqrt.engine import NOT_RATIONALIZABLE, Config
-from ratsqrt.geometry import all_simple, build_model, centre_from_records
+from ratsqrt.geometry import (
+    all_simple,
+    build_model,
+    centre_from_records,
+    singular_points,
+)
 from ratsqrt.ideal import groebner
+from ratsqrt.localanalysis import classify_germ
 from ratsqrt.mpoly import _ring, squarefree_part, substitute
 from ratsqrt.parser import parse_poly
 from ratsqrt.witness import quadric_witness
@@ -95,3 +105,24 @@ def test_groebner_of_irrational_singular_points(benchmark):
         x1 * x0**2 - 3 * x1 + x0**3 + 2 * x0**2 - 3 * x0 - 6,
         x0**4 + 4 * x0**3 - x0**2 - 12 * x0 - 6,
     ]
+
+
+def test_classify_germ_of_a_node_over_a_height_2_tower(benchmark):
+    # of the eight nodes of (X^2 - 3)*(Y^2 - 2)*(X + Y + 2), the pair
+    # (+-sqrt 3, +-sqrt 2) lies over QQ(a)(b), a^2 = 3, b^2 = 2
+    B = build_model(parse_poly("(X^2 - 3)*(Y^2 - 2)*(X + Y + 2)", ("X", "Y"))).B
+    pt = next(pt for pt, _m in singular_points(B)
+              if pt.field is not None and pt.field.height == 2)
+    c = benchmark.pedantic(classify_germ, args=(pt.germ,), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert (c.label(), c.mu, c.multiplicity) == ("A1", 1, 2)
+
+
+def test_classify_germ_with_milnor_number_6(benchmark):
+    # 2(v - u^2)^2 + 3u^5 v - u^8 + 5u^2 v^3, an A6 point: both routes
+    # run to mu = 6
+    germ = {e: QQ(c) for e, c in {(0, 2): 2, (2, 1): -4, (4, 0): 2, (5, 1): 3,
+                                  (8, 0): -1, (2, 3): 5}.items()}
+    c = benchmark.pedantic(classify_germ, args=(germ,), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert (c.label(), c.mu, c.multiplicity) == ("A6", 6, 2)

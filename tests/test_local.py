@@ -9,11 +9,13 @@ from sympy.polys.domains import QQ
 import pytest
 
 from ratsqrt import localanalysis
+from ratsqrt import unipoly as up
 from ratsqrt.errors import NonIsolated, WrongMultiplicity
 from ratsqrt.localanalysis import (
     DOUBLE_PLUS_SIMPLE,
     THREE_DISTINCT_LINES,
     TRIPLE_LINE,
+    _degree,
     classify_germ,
     cubic_cone,
     intersection_multiplicity,
@@ -22,7 +24,7 @@ from ratsqrt.localanalysis import (
     milnor_number,
     milnor_via_jets,
 )
-from ratsqrt.numberfield import NumberField
+from ratsqrt.numberfield import NumberField, row_reduce
 from ratsqrt.unipoly import add, derivative, mul
 
 
@@ -328,3 +330,117 @@ class TestClassifyReference:
             return
         c = classify_germ(P)
         assert (c.kind, c.mu, c.multiplicity) == (*expected, 3)
+
+
+# -- reference: both Milnor routes over the field, as they were before they
+# ran fraction-free; the Euclidean recursion divides by the top coefficient,
+# and the jet dimension row-reduces the matrix truncated at N afresh for
+# every N
+
+
+def _reference_intersection(P, Q):
+    P, Q = up.clean(P), up.clean(Q)
+    bound = _degree(P) * _degree(Q)
+    total = 0
+    while True:
+        if not P or not Q:
+            raise NonIsolated("zero germ")
+        if P.get((0, 0), 0) or Q.get((0, 0), 0):
+            return total
+        if total > bound:
+            raise NonIsolated("past the Bezout bound")
+        f = {(i,): c for (i, j), c in P.items() if j == 0}
+        g = {(i,): c for (i, j), c in Q.items() if j == 0}
+        if not f and not g:
+            raise NonIsolated("both divisible by v")
+        if not f:
+            total += min(g)[0]
+            P = {(i, j - 1): c for (i, j), c in P.items()}
+        elif not g:
+            total += min(f)[0]
+            Q = {(i, j - 1): c for (i, j), c in Q.items()}
+        else:
+            (df,), (dg,) = max(f), max(g)
+            if df > dg:
+                P, Q, f, g, df, dg = Q, P, g, f, dg, df
+            Q = add(Q, mul({(dg - df, 0): -(g[(dg,)] / f[(df,)])}, P))
+
+
+def _reference_jet_dim(fu, fv, N):
+    monos = [(i, d - i) for d in range(N) for i in range(d + 1)]
+    index = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for gen in (fu, fv):
+        mult = lp_multiplicity(gen)
+        for a in range(N):
+            for b in range(N - a - mult):
+                row = [0] * len(monos)
+                for (i, j), c in gen.items():
+                    if i + a + j + b < N:
+                        row[index[(i + a, j + b)]] += c
+                rows.append(row)
+    return len(monos) - sum(1 for row in row_reduce(rows) if any(row))
+
+
+def _reference_jets(fu, fv):
+    if not fu or not fv:
+        raise NonIsolated("a zero partial")
+    bound = _degree(fu) * _degree(fv)
+    N, prev = 3, None
+    while True:
+        dim = _reference_jet_dim(fu, fv, N)
+        if dim == prev:
+            return dim
+        if dim > bound:
+            raise NonIsolated("past the Bezout bound")
+        prev, N = dim, N + 1
+
+
+def _outcome(route, fu, fv):
+    try:
+        return route(fu, fv)
+    except NonIsolated:
+        return NonIsolated
+
+
+_SQRT2_SQRT3 = NumberField(SQRT2, "b", {(0,): SQRT2.from_rational(-3),
+                                         (2,): SQRT2.one()})
+_in_tower = st.tuples(_in_sqrt2, _in_sqrt2).map(
+    lambda xy: _SQRT2_SQRT3.lift(xy[0]) + _SQRT2_SQRT3.lift(xy[1])
+    * _SQRT2_SQRT3.gen())
+_germ_coefficient = {
+    "QQ": st.builds(QQ, st.integers(-3, 3), st.integers(1, 2)),
+    "QQ(sqrt 2)": _in_sqrt2,
+    "QQ(sqrt 2, sqrt 3)": _in_tower,
+}
+
+
+@st.composite
+def _germs(draw):
+    """A germ of multiplicity 2 or more and degree at most 5; about every
+    fourth one is l^2 times a germ of degree at most 2, for a line l
+    through the origin, so that its partials share l and the germ is not
+    isolated."""
+    coef = _germ_coefficient[draw(st.sampled_from(sorted(_germ_coefficient)))]
+    squared = draw(st.integers(0, 3)) == 0
+    top = 2 if squared else 5
+    P = up.clean(draw(st.dictionaries(
+        st.tuples(st.integers(0, top), st.integers(0, top)).filter(
+            lambda e: (0 if squared else 2) <= sum(e) <= top),
+        coef, min_size=1, max_size=5)))
+    if squared:
+        line = up.clean({(1, 0): draw(coef), (0, 1): draw(coef)})
+        P = mul(mul(line, line), P)
+    return P
+
+
+class TestMilnorRoutesAgainstReference:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(_germs())
+    def test_both_routes_match_the_field_routines(self, P):
+        fu, fv = derivative(P, 0), derivative(P, 1)
+        assert (_outcome(intersection_multiplicity, fu, fv)
+                == _outcome(_reference_intersection, fu, fv))
+        assert (_outcome(milnor_via_jets, fu, fv)
+                == _outcome(_reference_jets, fu, fv))

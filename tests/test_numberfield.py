@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, Rational
 from sympy.polys.domains import QQ
 
 from ratsqrt import unipoly as up
@@ -423,3 +424,120 @@ class TestAgainstRecursiveReference:
                 y.inverse()
         if x or n >= 0:
             _agree(x ** n, rx ** n)
+
+
+# -- reference: rational coordinate vectors ---------------------------------
+#
+# An element is its tuple of QQ coordinates on the basis a^i b^j, i running
+# fastest.  A product multiplies the two as polynomials in a and b, reduces
+# the b-degree with the minimal polynomial of b, whose coefficients are
+# polynomials in a, and then the a-degree with that of a; an inverse solves
+# the multiplication matrix with sympy's Matrix over the rationals.
+
+
+def _vec_mul(levels, x, y):
+    m1 = [QQ(c) for c in levels[0]]
+    m2 = ([[QQ(t) for t in c] for c in levels[1]] if len(levels) > 1
+          else [[QQ(0)], [QQ(1)]])
+    n1, n2 = len(m1) - 1, len(m2) - 1
+    prod = {}
+    for k, xk in enumerate(x):
+        for l, yl in enumerate(y):
+            e = (k % n1 + l % n1, k // n1 + l // n1)
+            prod[e] = prod.get(e, QQ(0)) + xk * yl
+    for j in range(2 * n2 - 2, n2 - 1, -1):  # b^j = -b^(j-n2) * (m2 - b^n2)
+        for i in sorted(e[0] for e in prod if e[1] == j):
+            c = prod.pop((i, j))
+            for k in range(n2):
+                for t, mt in enumerate(m2[k]):
+                    e = (i + t, j - n2 + k)
+                    prod[e] = prod.get(e, QQ(0)) - c * mt
+    for i in range(max(e[0] for e in prod), n1 - 1, -1):
+        for j in range(n2):
+            c = prod.pop((i, j), QQ(0))
+            for t in range(n1):
+                e = (i - n1 + t, j)
+                prod[e] = prod.get(e, QQ(0)) - c * m1[t]
+    return tuple(prod.get((i, j), QQ(0)) for j in range(n2) for i in range(n1))
+
+
+def _vec_inverse(levels, x):
+    """The inverse's coordinates, or None when x is not a unit."""
+    n = len(x)
+    units = [tuple(QQ(int(r == k)) for r in range(n)) for k in range(n)]
+    cols = [_vec_mul(levels, x, e) for e in units]
+    M = Matrix(n, n, lambda r, k: Rational(int(cols[k][r].numerator),
+                                           int(cols[k][r].denominator)))
+    if M.det() == 0:
+        return None
+    y = M.LUsolve(Matrix([1] + [0] * (n - 1)))
+    return tuple(QQ(int(c.p), int(c.q)) for c in y)
+
+
+@st.composite
+def _vec_case(draw):
+    levels = draw(st.sampled_from(TOWERS))
+    flat, _ref = _tower(levels)
+    coords = st.lists(_rational, min_size=flat.degree, max_size=flat.degree)
+    # a third of the draws make y rational-valued, so hashing meets both kinds
+    cy = draw(coords)
+    if draw(st.integers(0, 2)) == 0:
+        cy = cy[:1] + [QQ(0)] * (flat.degree - 1)
+    return levels, flat, draw(coords), cy
+
+
+class TestAgainstRationalVectors:
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(_vec_case())
+    def test_arithmetic_hash_rep_and_lift(self, case):
+        levels, flat, cx, cy = case
+        x, y = _flat_elem(flat, cx), _flat_elem(flat, cy)
+        vx, vy = tuple(QQ(c) for c in cx), tuple(QQ(c) for c in cy)
+        assert x.vec == vx and y.vec == vy
+        assert (x + y).vec == tuple(a + b for a, b in zip(vx, vy))
+        assert (x - y).vec == tuple(a - b for a, b in zip(vx, vy))
+        assert (x * y).vec == _vec_mul(levels, vx, vy)
+        inv = _vec_inverse(levels, vy)
+        if inv is None:
+            with pytest.raises(ZeroInversion):
+                y.inverse()
+        else:
+            assert y.inverse().vec == inv
+        # equality is a compare of coordinates, and equal elements hash alike
+        assert (x == y) == (vx == vy)
+        same = (x * y - y * x + y) / 1
+        assert same == y and hash(same) == hash(y)
+        if not any(vy[1:]):
+            assert y == vy[0] and hash(y) == hash(vy[0])
+            assert len({y, vy[0]}) == 1
+        # rep: the coordinates over the level below, trimmed
+        base = flat.base
+        m = 1 if base is None else base.degree
+        rep = [vx[j:j + m] for j in range(0, flat.degree, m)]
+        while rep and not any(rep[-1]):
+            rep.pop()
+        assert [c.vec if base is not None else (c,) for c in x.rep] == rep
+        if base is not None:
+            z, w = _flat_elem(base, cx[:m]), _flat_elem(base, cy[:m])
+            assert flat.lift(z).vec == vx[:m] + (QQ(0),) * (flat.degree - m)
+            assert flat.lift(z * w) == flat.lift(z) * flat.lift(w)
+            assert flat.lift(z) + y == y + flat.lift(z)
+
+
+class TestHashAgreesWithEquality:
+    def test_rational_values_hash_as_rationals(self):
+        for field in (q_sqrt2(), tower_sqrt2_sqrt3()):
+            three = field.from_rational(3)
+            assert three == 3 and hash(three) == hash(3)
+            assert len({three, 3}) == 1
+            assert len({field.from_rational(QQ(1, 3)), QQ(1, 3)}) == 1
+            assert hash(field.zero()) == hash(0)
+
+    def test_equal_elements_hash_alike(self):
+        L = tower_sqrt2_sqrt3()
+        b = L.gen()
+        x = b * L.lift(L.base.gen()) + QQ(1, 2)
+        y = (x * 6 - 1) / 6 + QQ(1, 6)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, L.from_rational(2)}) == 2
