@@ -11,11 +11,12 @@ Two one-directional criteria are implemented:
   outcomes, so it decides without building witnesses.
 
 * A Rationalizable outcome requires an explicit simultaneous witness
-  (phase 2): each root found Rationalizable in phase 1 is decided again
-  with its witness, then roots are rationalized sequentially — rationalize
-  one, substitute the witness into the rest, reduce, repeat — searching
-  over root orderings and witness choices, and the resulting composite map
-  is verified against every original root before being emitted.
+  (phase 2): the witness of each root found Rationalizable in phase 1 is
+  built from its phase-1 verdict (engine.complete), then roots are
+  rationalized sequentially — rationalize one, substitute the witness into
+  the rest, reduce, repeat — searching over root orderings and witness
+  choices, and the resulting composite map is verified against every
+  original root before being emitted.  Each radicand is decided once.
 
 The converse of the subset-product criterion is unknown, so "all products
 rationalizable" alone never yields Rationalizable; when no simultaneous
@@ -35,6 +36,7 @@ from .engine import (
     Config,
     DEFAULT_CONFIG,
     Verdict,
+    complete,
     decide,
 )
 from .errors import TooManyRoots
@@ -165,19 +167,18 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         )
     trace = []
     singleton = {}
-    outcomes = {}  # phase 1: verdicts without witnesses
-    decided = {}  # phase 2: full verdicts
+    decided = {}  # one verdict per radicand, see _decide_once
 
     def verdict(outcome, m=None, cert=None, squares=None):
         # an alphabet's timings: the per-rule sums over its decisions
         timings = Counter()
-        for v in (*outcomes.values(), *decided.values()):
+        for v in decided.values():
             timings.update(v.timings)
         return AlphabetVerdict(outcome, m, cert, trace, verdictnotes,
                                squares or {}, dict(timings))
 
     for J, prod in subset_products(polys, config.max_subset_size):
-        v = _decide_once(outcomes, prod, config, witness=False)
+        v = _decide_once(decided, prod, config)
         entry = {
             "subset": [labels[j] for j in J],
             "reduced_product": poly_str(prod),
@@ -188,16 +189,14 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
             entry["obstruction"] = _obstruction_note(v)
         trace.append(entry)
         if len(J) == 1:
-            singleton[J[0]] = prod, v
+            singleton[J[0]] = v
         if v.outcome == NOT_RATIONALIZABLE:
             cert = SubsetCertificate(tuple(labels[j] for j in J), prod, v)
             return verdict(NOT_RATIONALIZABLE, cert=cert)
     # phase 2: a simultaneous witness is required for Rationalizable
     blocked = []
-    for i, (f, v) in sorted(singleton.items()):
-        if v.outcome == RATIONALIZABLE:
-            v = _decide_once(decided, f, config)
-        if v.outcome != RATIONALIZABLE:
+    for i, v in sorted(singleton.items()):
+        if complete(v).outcome != RATIONALIZABLE:
             blocked.append(f"root {labels[i]} undecided individually")
         elif v.witness is None and not extra_witnesses:
             blocked.append(
@@ -230,16 +229,16 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     return verdict(RATIONALIZABLE, m, squares=squares)
 
 
-def _decide_once(decided, f, config, witness=True):
-    """decide(f, witness=witness), once per radicand: `decided` maps each
-    radicand, read over its effective variables, to its verdict, and holds
-    verdicts of one kind only, full or outcome-only.  decide drops the
-    other variables first, so a verdict reached over more variables has the
-    same outcome and witness; only its steps differ, and the search reads
-    only the witness."""
+def _decide_once(decided, f, config):
+    """decide(f, witness=False), once per radicand: `decided` maps each
+    radicand, read over its effective variables, to its verdict, which
+    complete() upgrades in place when a witness is wanted.  decide drops
+    the other variables first, so a verdict reached over more variables has
+    the same outcome and witness; only its steps differ, and the search
+    reads only the witness."""
     key = on_effective_vars(f)
     if key not in decided:
-        decided[key] = decide(f, None, config, witness=witness)
+        decided[key] = decide(f, None, config, witness=False)
     return decided[key]
 
 
@@ -298,8 +297,8 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
 
     def candidates(f):
         out = [w for w in extra if verify_witness(w, f) is not None]
-        # decide verified its witness against f, which is already reduced
-        v = _decide_once(decided, f, config)
+        # complete verified its witness against f, which is already reduced
+        v = complete(_decide_once(decided, f, config))
         if v.witness is not None:
             out.append(v.witness)
         return out

@@ -24,7 +24,9 @@ directions.  The criteria are then applied in a fixed order:
 
 Every step is recorded in a replayable certificate; resource or tower
 limits surface as Inconclusive with an explanatory step, never as a wrong
-verdict.  An emitted witness always passes symbolic verification first.
+verdict.  The cascade decides outcomes only; a witness is built after it,
+by complete(), from what the deciding rule computed, and an emitted
+witness always passes symbolic verification first.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from .errors import ResourceLimit, TowerTooDeep
 from .geometry import (
@@ -44,7 +47,6 @@ from .geometry import (
 )
 from .mpoly import (
     MultiPoly,
-    RationalFunction,
     RationalMap,
     dehomogenize,
     effective_vars,
@@ -118,6 +120,8 @@ class Verdict:
     steps: list = field(default_factory=list)
     singularities: list | None = None
     timings: dict = field(default_factory=dict)
+    # the witness builder that complete() runs; never serialized
+    pending: object = field(default=None, repr=False, compare=False)
 
 
 def valid_seconds(value):
@@ -178,87 +182,100 @@ class _RuleClock:
     def step(self, rule, data):
         self.steps.append(Step(rule, data))
 
-    def verdict(self, outcome, rule, data, m=None, h=None, records=None):
-        """The verdict, decided by the step (rule, data)."""
+    def verdict(self, outcome, rule, data, records=None, pending=None):
+        """The verdict, decided by the step (rule, data); `pending` builds
+        its witness, see complete()."""
         self.step(rule, data)
-        return Verdict(outcome, m, h, self.steps, records, self.timings)
+        return Verdict(outcome, None, None, self.steps, records, self.timings,
+                       pending)
 
 
 def decide(p: MultiPoly, q: MultiPoly | None = None, config: Config = None,
            *, witness: bool = True) -> Verdict:
     """Verdict for sqrt(p/q) (q omitted means denominator 1).
 
-    With witness=False only the outcome is wanted: the cascade is the same
-    and so are its steps, but no witness is built or verified, so the
-    verdict's witness and square root are None and the steps carry no
-    witness, square root, projection centre or witness note.  Rule 8 still
-    searches for its point, which is the decision.
+    The cascade decides the outcome only.  A Rationalizable verdict keeps a
+    builder over what its deciding rule computed, and complete() builds the
+    witness from it as a separate stage.  With witness=False that stage is
+    left for the caller: the verdict's witness and square root are None and
+    its steps carry no witness, square root, projection centre or witness
+    note.  Rule 8 still searches for its point, which is the decision.
     """
     config = config or DEFAULT_CONFIG
     clock = _RuleClock(config.timeout)
     if q is None:
         q = MultiPoly.const(p.vars, 1)
-    if p.is_zero():
-        ident = h = None
-        if p.vars and witness:
-            ident = RationalMap.identity(p.vars)
-            h = RationalFunction.from_poly(MultiPoly.zero(p.vars))
-        return clock.verdict(RATIONALIZABLE, "radicand-reduction",
-                             {"reduced": "0", "note": "sqrt(0) = 0 is rational"},
-                             ident, h)
     try:
-        f = clock.run("radicand-reduction", lambda: radicand_reduce(p, q))
-        clock.step("radicand-reduction",
-                   {"input": f"({poly_str(p)})/({poly_str(q)})",
-                    "reduced": poly_str(f), "degree": f.total_degree()})
-        return _decide_reduced(f, clock, config, witness)
+        if p.is_zero():
+            v = clock.verdict(
+                RATIONALIZABLE, "radicand-reduction",
+                {"reduced": "0", "note": "sqrt(0) = 0 is rational"},
+                pending=lambda: _identity_witness(p))
+        else:
+            f = clock.run("radicand-reduction", lambda: radicand_reduce(p, q))
+            clock.step("radicand-reduction",
+                       {"input": f"({poly_str(p)})/({poly_str(q)})",
+                        "reduced": poly_str(f), "degree": f.total_degree()})
+            v = _decide_reduced(f, clock, config)
     except (ResourceLimit, TowerTooDeep) as e:
-        return clock.verdict(INCONCLUSIVE, "resource-limit", {"detail": str(e)})
+        v = clock.verdict(INCONCLUSIVE, "resource-limit", {"detail": str(e)})
+    return complete(v) if witness else v
 
 
-def _decide_reduced(f, clock, config, witness):
+def complete(v: Verdict) -> Verdict:
+    """Build the witness of a verdict from decide(..., witness=False), in
+    place, and return the verdict: then it equals a fresh decide(...).
+
+    The builder runs once, under the clock of the decision, and its step
+    data (witness, square root, projection centre or note) joins the
+    deciding step.  A resource or tower limit reached while building makes
+    the verdict Inconclusive, as it does inside the cascade: the deciding
+    step gives way to a resource-limit step.  A completed, NotRationalizable
+    or Inconclusive verdict is returned unchanged.
+    """
+    build, v.pending = v.pending, None
+    if build is None:
+        return v
+    try:
+        v.witness, v.witness_sqrt, data = build()
+    except (ResourceLimit, TowerTooDeep) as e:
+        v.outcome, v.singularities = INCONCLUSIVE, None
+        v.steps[-1] = Step("resource-limit", {"detail": str(e)})
+        return v
+    v.steps[-1].data.update(data)
+    return v
+
+
+def _decide_reduced(f, clock, config):
     # rule 1: constant radicand
     if f.is_constant():
-        m, h = _identity_witness(f) if witness else (None, None)
         return clock.verdict(RATIONALIZABLE, "constant-radicand",
-                             {"value": poly_str(f)}, m, h)
+                             {"value": poly_str(f)},
+                             pending=lambda: _identity_witness(f))
     # rule 2: effective variables
     eff = effective_vars(f)
     if tuple(eff) != f.vars:
         clock.step("effective-variables", {"kept": eff})
         f = f.with_vars(tuple(eff))
     d = f.total_degree()
-    # rule 3: degree <= 2
+    # rule 3: degree <= 2; the rule keeps its timing key without a witness
     if d <= 2:
-        res = clock.run("degree-at-most-2",
-                        lambda: quadric_witness(f, config.max_height)
-                        if witness else None)
-        data = {"degree": d}
-        m = h = None
-        if res is not None:
-            m, h = res
-            data["witness"] = m.to_json()
-            data["square_root"] = rf_str(h)
-        return clock.verdict(RATIONALIZABLE, "degree-at-most-2", data, m, h)
-    # rule 4: even-degree homogeneous reduction
+        clock.run("degree-at-most-2", lambda: None)
+        return clock.verdict(RATIONALIZABLE, "degree-at-most-2", {"degree": d},
+                             pending=lambda: _found(clock.run(
+                                 "degree-at-most-2",
+                                 lambda: quadric_witness(f, config.max_height))))
+    # rule 4: even-degree homogeneous reduction; the inner witness is lifted
+    # back, and the inner step keeps the witness of the dehomogenized root
     if is_homogeneous(f) == d and d % 2 == 0:
         var = eff[-1]
         g = clock.run("homogeneous-reduction", lambda: dehomogenize(f, var))
         clock.step("homogeneous-reduction",
                    {"variable": var, "dehomogenized": poly_str(g),
                     "degree": g.total_degree()})
-        inner = _decide_reduced(g, clock, config, witness)
-        if inner.outcome == RATIONALIZABLE and inner.witness is not None:
-            lifted = clock.run(
-                "homogeneous-reduction",
-                lambda: homogeneous_lift(inner.witness, f, var),
-            )
-            if lifted is not None:
-                inner.witness, inner.witness_sqrt = lifted
-            else:
-                inner.witness = inner.witness_sqrt = None
-        elif inner.outcome == RATIONALIZABLE:
-            inner.witness = inner.witness_sqrt = None
+        inner = _decide_reduced(g, clock, config)
+        if inner.pending is not None:
+            inner.pending = partial(_lift, inner.pending, f, var, clock)
         return inner
     # rule 5: univariate
     if len(eff) == 1:
@@ -278,13 +295,11 @@ def _decide_reduced(f, clock, config, witness):
             return clock.verdict(NOT_RATIONALIZABLE, "cubic-triple-point",
                                  {"triple_point": tp.to_json(),
                                   "decides": "not rationalizable"})
-        data = {"triple_point": None if tp is None else tp.to_json(),
-                "decides": "rationalizable"}
-        m = h = None
-        if witness:
-            m, h, pdata = _criterion_witness(model, f, clock)
-            data.update(pdata)
-        return clock.verdict(RATIONALIZABLE, "cubic-triple-point", data, m, h)
+        return clock.verdict(
+            RATIONALIZABLE, "cubic-triple-point",
+            {"triple_point": None if tp is None else tp.to_json(),
+             "decides": "rationalizable"},
+            pending=lambda: _criterion_witness(model, f, clock))
     # rule 7: bivariate, all-simple branch curve
     records = None
     if len(eff) == 2:
@@ -297,25 +312,21 @@ def _decide_reduced(f, clock, config, witness):
             "singularities": [r.to_json() for r in records],
         }
         if ok:
-            outcome = RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE
-            m = h = None
-            if outcome == RATIONALIZABLE and witness:
-                m, h, pdata = _criterion_witness(model, f, clock, records)
-                data.update(pdata)
-            return clock.verdict(outcome, "simple-singularities", data, m, h,
-                                 records)
+            return clock.verdict(
+                RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE,
+                "simple-singularities", data, records,
+                (lambda: _criterion_witness(model, f, clock, records))
+                if d <= 4 else None)
         clock.step("simple-singularities", data)
     # rule 8: high-multiplicity point on the hypersurface closure
     V = model.V
-    pt, certified, m, h, _note = _projection(model, f, clock, records,
-                                             witness)
+    pt, certified = _centre(model, clock, records)
     if pt is not None:
-        data = {"point": pt.to_json(), "hypersurface_degree": V.total_degree()}
-        if m is not None:
-            data["witness"] = m.to_json()
-            data["square_root"] = rf_str(h)
-        return clock.verdict(RATIONALIZABLE, "high-multiplicity-point", data,
-                             m, h, records)
+        return clock.verdict(RATIONALIZABLE, "high-multiplicity-point",
+                             {"point": pt.to_json(),
+                              "hypersurface_degree": V.total_degree()},
+                             records,
+                             lambda: _found(_projection(model, f, clock, pt)[0]))
     # rule 9: inconclusive
     return clock.verdict(INCONCLUSIVE, "inconclusive",
                          {"high_mult_search_certified_empty": certified,
@@ -323,62 +334,70 @@ def _decide_reduced(f, clock, config, witness):
                          records=records)
 
 
+def _found(pair, **data):
+    """(map, square root, step data) of a (map, square root) pair or None."""
+    if pair is None:
+        return None, None, {}
+    m, h = pair
+    return m, h, {"witness": m.to_json(), "square_root": rf_str(h), **data}
+
+
 def _identity_witness(f):
-    """Identity witness for a constant radicand, when it verifies."""
+    """Identity witness for a constant radicand, zero included, when it
+    verifies."""
     if not f.vars:
-        return None, None
+        return None, None, {}
     m = RationalMap.identity(f.vars)
     h = verify_witness(m, f)
-    if h is None:
-        return None, None
-    return m, h
+    return (m, h, {}) if h is not None else (None, None, {})
 
 
-def _projection(model, f, clock, records=None, witness=True):
-    """Find a point of multiplicity D - 1 on the hypersurface V, project
-    from it when it is rational and `witness` asks for a map, and verify
-    the map on f.  With the branch-curve records (two variables, degree
-    >= 4) the candidates are read off them; otherwise V is searched.  The
-    search, the projection and the verification all run under the
-    high-multiplicity-point clock.
+def _lift(build, f, var, clock):
+    """The witness of rule 4: the inner witness lifted back to f."""
+    m, h, data = build()
+    if m is not None:
+        m, h = clock.run("homogeneous-reduction",
+                         lambda: homogeneous_lift(m, f, var)) or (None, None)
+    return m, h, data
 
-    Returns (point, certified_empty, map, square root, note): map and
-    square root are None unless the witness verified, and the note says
-    why not.
-    """
-    V = model.V
-    pt, certified = clock.run(
+
+def _centre(model, clock, records=None):
+    """(point, certified_empty): a point of multiplicity D - 1 on the
+    hypersurface V, read off the branch-curve records (two variables,
+    degree >= 4) when given, otherwise searched for on V."""
+    return clock.run(
         "high-multiplicity-point",
-        lambda: high_mult_point_search(V) if records is None
+        lambda: high_mult_point_search(model.V) if records is None
         else centre_from_records(model, records))
+
+
+def _projection(model, f, clock, pt):
+    """((map, square root), None) of the projection from the centre pt,
+    when pt is rational and the map verifies on f, else (None, a note on
+    why not).  Projection and verification run under the
+    high-multiplicity-point clock."""
     if pt is None:
-        note = "existence by criterion; no projection centre found"
-        return None, certified, None, None, note
+        return None, "existence by criterion; no projection centre found"
     if pt.field is not None:
-        note = "projection centre is not rational; witness omitted"
-        return pt, certified, None, None, note
-    if not witness:
-        return pt, certified, None, None, "witness not asked for"
+        return None, "projection centre is not rational; witness omitted"
 
     def build():
-        m = projection_witness(V, pt)
+        m = projection_witness(model.V, pt)
         return m, None if m is None else verify_witness(m, f)
 
     m, h = clock.run("high-multiplicity-point", build)
     if m is None:
-        return pt, certified, None, None, "projection degenerated"
+        return None, "projection degenerated"
     if h is None:
-        note = "candidate failed verification and was discarded"
-        return pt, certified, None, None, note
-    return pt, certified, m, h, None
+        return None, "candidate failed verification and was discarded"
+    return (m, h), None
 
 
 def _criterion_witness(model, f, clock, records=None):
     """(map, square root, step data) of a projection witness for a verdict
     that a criterion has already given."""
-    pt, _certified, m, h, note = _projection(model, f, clock, records)
-    if m is None:
+    pt, _certified = _centre(model, clock, records)
+    pair, note = _projection(model, f, clock, pt)
+    if pair is None:
         return None, None, {"witness": None, "note": note}
-    return m, h, {"witness": m.to_json(), "square_root": rf_str(h),
-                  "projection_centre": pt.to_json()}
-
+    return _found(pair, projection_centre=pt.to_json())

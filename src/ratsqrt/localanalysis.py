@@ -152,6 +152,8 @@ def intersection_multiplicity(P, Q):
     tower = any(isinstance(c, NFElem) for c in (*P.values(), *Q.values()))
     if P and Q and not tower:
         P, Q = _primitive(P), _primitive(Q)
+    # f, g: the restrictions of P, Q, renewed only when their germ changes
+    f, g = lp_restrict_u(P), lp_restrict_u(Q)
     total = 0
     while True:
         if not P or not Q:
@@ -161,24 +163,27 @@ def intersection_multiplicity(P, Q):
         if total > bound:
             raise NonIsolated("intersection multiplicity exceeds the Bezout"
                               " bound")
-        f = lp_restrict_u(P)
-        g = lp_restrict_u(Q)
         if not f and not g:
             raise NonIsolated("both germs are divisible by v")
         if not f:
             # P = v * P1: I(P, Q) = I(v, Q) + I(P1, Q), and I(v, Q) = val_u g
             total += min(g)[0]
             P = lp_divide_v(P)
+            f = lp_restrict_u(P)
         elif not g:
             total += min(f)[0]
             Q = lp_divide_v(Q)
+            g = lp_restrict_u(Q)
         else:
             (df,), (dg,) = max(f), max(g)
             if df > dg:
                 P, Q, f, g, df, dg = Q, P, g, f, dg, df
-            P, k = _scaled(P, (df, 0), tower), dg - df
+            scaled, k = _scaled(P, (df, 0), tower), dg - df
+            if scaled is not P:
+                P, f = scaled, lp_restrict_u(scaled)
             Q = _cancel(P[(df, 0)], Q, g[(dg,)],
                         {(i + k, j): c for (i, j), c in P.items()})
+            g = lp_restrict_u(Q)
 
 
 def _row(gen, a, b, top):

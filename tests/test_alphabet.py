@@ -1,5 +1,8 @@
 """Simultaneous rationalizability of root sets."""
 
+import json
+from importlib import resources
+
 import pytest
 
 from ratsqrt import alphabet, engine, witness
@@ -23,7 +26,7 @@ from ratsqrt.mpoly import (
     squarefree_part,
     substitute,
 )
-from ratsqrt.parser import parse_poly, parse_rational
+from ratsqrt.parser import load_alphabet, parse_poly, parse_rational
 from ratsqrt.witness import verify_witness
 
 
@@ -191,37 +194,40 @@ class TestDecideAlphabet:
         roots("X*Y", "Y*Z", "X*Z", vs=("X", "Y", "Z")),
     ], ids=["pair", "three", "homogeneous"])
     def test_no_radicand_decided_twice(self, monkeypatch, alpha):
-        # phase 1 decides each reduced product once, outcome only; a full
-        # decision comes once per radicand, for a Rationalizable singleton
-        # or for a reduced image inside the search
-        calls, in_search = [], []
+        # each radicand is decided once, outcome only: phase 1 decides the
+        # distinct subset products in trace order, and after it phase 2 and
+        # the search complete cached verdicts, deciding only new images
+        calls = []
         real_decide = alphabet.decide
-        real_search = alphabet.sequential_rationalize
 
         def spy_decide(p, q, config, *, witness=True):
-            key = (tuple(effective_vars(p)), poly_str(p))
-            calls.append((witness, key, bool(in_search)))
+            calls.append((witness, (tuple(effective_vars(p)), poly_str(p))))
             return real_decide(p, q, config, witness=witness)
 
-        def spy_search(*args, **kwargs):
-            in_search.append(True)
-            try:
-                return real_search(*args, **kwargs)
-            finally:
-                in_search.pop()
-
         monkeypatch.setattr(alphabet, "decide", spy_decide)
-        monkeypatch.setattr(alphabet, "sequential_rationalize", spy_search)
         # Rationalizable needs the search, so both phases ran
         v = decide_alphabet(alpha)
         assert v.outcome == RATIONALIZABLE
-        for kind in (False, True):
-            keys = [k for w, k, _s in calls if w is kind]
-            assert len(keys) == len(set(keys))
-        assert not any(s for w, _k, s in calls if not w)
-        singletons = {e["reduced_product"] for e in v.trace
-                      if len(e["subset"]) == 1}
-        assert {k[1] for w, k, s in calls if w and not s} == singletons
+        keys = [k for _w, k in calls]
+        assert len(keys) == len(set(keys))
+        assert not any(w for w, _k in calls)
+        products = list(dict.fromkeys(e["reduced_product"] for e in v.trace))
+        assert [k[1] for k in keys[:len(products)]] == products
+
+    @pytest.mark.parametrize("name, curves", [
+        ("dijet", 1), ("drellyan", 6), ("higgs", 0), ("pair", 0),
+    ])
+    def test_each_branch_curve_analysed_once(self, monkeypatch, name, curves):
+        # a singleton's witness is built from the model and records of its
+        # phase-1 decision, so rule 7 runs once per distinct curve
+        seen = []
+        real = engine.all_simple
+        monkeypatch.setattr(engine, "all_simple", lambda model: (
+            seen.append(poly_str(model.B)) or real(model)))
+        doc = json.loads(resources.files("ratsqrt").joinpath(
+            "data", f"{name}.json").read_text())
+        decide_alphabet(load_alphabet(doc)[1])
+        assert len(seen) == len(set(seen)) == curves
 
     @pytest.mark.parametrize("alpha", [
         HIGGS,

@@ -21,6 +21,7 @@ from ratsqrt.engine import (
     RATIONALIZABLE,
     RULE_REFS,
     Config,
+    complete,
     decide,
 )
 from ratsqrt.errors import ResourceLimit, ZeroDenominator
@@ -567,9 +568,18 @@ def _agreement_radicands():
 _WITNESS_KEYS = {"witness", "square_root", "projection_centre", "note"}
 
 
+def _snapshot(v):
+    """What a verdict reports, steps as serialized (key order included)."""
+    return (v.outcome, [json.dumps(s.to_json()) for s in v.steps], v.witness,
+            v.witness_sqrt,
+            v.singularities and [r.to_json() for r in v.singularities])
+
+
 def test_outcome_only_decision_agrees_with_the_full_one():
     # witness=False skips every witness but decides the same way: same
-    # outcome, same rules, same step data once the witness entries go
+    # outcome, same rules, same step data once the witness entries go; and
+    # complete() turns it into the full verdict, once: completing again,
+    # or completing a verdict that is not Rationalizable, changes nothing
     seen = set()
     for name, p, q in _agreement_radicands():
         full = decide(p, q)
@@ -580,5 +590,44 @@ def test_outcome_only_decision_agrees_with_the_full_one():
             {k: x for k, x in s.data.items() if k not in _WITNESS_KEYS}
             for s in full.steps], name
         assert bare.witness is None and bare.witness_sqrt is None, name
+        before = _snapshot(bare)
+        assert complete(bare) is bare, name
+        assert _snapshot(bare) == _snapshot(full), name
+        if full.outcome != RATIONALIZABLE:
+            assert _snapshot(bare) == before, name
+        assert complete(bare) is bare, name
+        assert _snapshot(bare) == _snapshot(full), name
         seen.update(rules(full))
     assert seen == set(RULE_REFS) - {"resource-limit"}
+
+
+@pytest.mark.parametrize("text, builder, rule", [
+    ("X^2 + Y^2 - 1", "quadric_witness", "degree-at-most-2"),
+    ("X^3 + Y^2 - 1", "projection_witness", "high-multiplicity-point"),
+    ("X*Y*Z + 1", "projection_witness", "high-multiplicity-point"),
+    ("X*Y^3 + Z^4", "homogeneous_lift", "homogeneous-reduction"),
+], ids=["rule-3", "rule-6", "rule-8", "rule-4-lift"])
+def test_limit_reached_during_completion(monkeypatch, text, builder, rule):
+    # a clock that only the witness builder advances: the decision holds,
+    # completion exceeds the budget and ends Inconclusive as a fresh
+    # decision does, the deciding step replaced by resource-limit
+    now = [0.0]
+    monkeypatch.setattr(engine, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+    real = getattr(engine, builder)
+
+    def slow(*args):
+        now[0] += 5.0
+        return real(*args)
+
+    monkeypatch.setattr(engine, builder, slow)
+    config = Config(timeout=1)
+    v = decide(parse_poly(text), config=config, witness=False)
+    assert v.outcome == RATIONALIZABLE
+    deciding = rules(v)
+    assert complete(v) is v
+    assert v.outcome == INCONCLUSIVE and v.witness is None
+    assert rules(v) == deciding[:-1] + ["resource-limit"]
+    assert rule in v.steps[-1].data["detail"]
+    assert v.timings[rule] >= 5.0
+    assert _snapshot(v) == _snapshot(decide(parse_poly(text), config=config))

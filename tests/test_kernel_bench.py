@@ -4,7 +4,9 @@ certify without a decomposition, and the quadric witness, built from the
 polars of the closure at its centre; and of the projection-centre lookup
 that bivariate radicands of degree >= 4 read off their branch-curve
 records; and of an alphabet that phase 1 certifies NotRationalizable, so
-that only outcomes are decided and no witness is built; and of the lex
+that only outcomes are decided and no witness is built; and of the pair
+alphabet, Rationalizable, where phase 1 is followed by the completion of
+each root's witness and the simultaneous search; and of the lex
 Groebner basis of the chart-0 system of two branch curves, one smooth and
 one with irrational singular points; and of the ADE classification of two
 germs, a node over a height-2 tower and a rational germ with Milnor
@@ -20,7 +22,7 @@ from sympy.polys.domains import QQ
 
 from ratsqrt import geometry
 from ratsqrt.alphabet import decide_alphabet
-from ratsqrt.engine import NOT_RATIONALIZABLE, Config
+from ratsqrt.engine import NOT_RATIONALIZABLE, RATIONALIZABLE, Config
 from ratsqrt.geometry import (
     all_simple,
     build_model,
@@ -71,6 +73,18 @@ def test_decide_alphabet_certified_in_phase_1(benchmark):
                            iterations=ITERATIONS)
     assert v.outcome == NOT_RATIONALIZABLE
     assert v.certificate.labels == ("f2", "f3")
+
+
+def test_decide_alphabet_rationalizable_pair(benchmark):
+    # X - 1 and X - 2: phase 1 decides three linear or quadric products,
+    # completion builds the two roots' witnesses from their phase-1
+    # verdicts, and the search composes them into one map
+    roots = [(label, parse_poly(text, ("X",))) for label, text in
+             (("f1", "X - 1"), ("f2", "X - 2"))]
+    v = benchmark.pedantic(decide_alphabet, args=(roots,), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert v.outcome == RATIONALIZABLE
+    assert set(v.root_squares) == {"f1", "f2"}
 
 
 def _chart_0_system(text):
