@@ -13,16 +13,21 @@ squarefree decomposition, factorization, the perfect-square test) all run
 on ring elements, never on expression trees.
 
 Two certificates let the reductions skip sympy's kernels on inputs that
-need no work; each decides from univariate images, in one variable y,
-with every other variable set to a fixed small integer, and only over QQ.
-A polynomial is squarefree when, for each variable y, some image keeps
-its degree in y and is coprime to its derivative: a square factor q^2
-involving y would leave q(y)^2 in it.  A fraction is already reduced when,
-for each variable both sides involve, some degree-preserving images of
-the two are coprime.  When no image decides, sqf_list or cancel runs.
-They also run when an image could be too large to be worth building:
-when a bound on its degree times its coefficient bits, read off the
-exponents and coefficients, exceeds a fixed cap.
+need no work; each decides from univariate images mod the prime
+P = 2^31 - 1, in one variable y, with every other variable set to a fixed
+small integer.  An image is degree-preserving when P divides neither its
+leading coefficient nor a coefficient's denominator; then any factor over
+QQ, taken primitive, keeps its degree in y mod P.  A polynomial over QQ is
+squarefree when, for each variable y, some degree-preserving image is
+coprime to its derivative: a square factor q^2 involving y would leave
+q(y)^2 in it.  A fraction is already reduced when, for each variable both
+sides involve, some degree-preserving images of the two are coprime; over
+QQ(sqrt(r)) these are images of the norms a0^2 - r*a1^2 of the two sides,
+since a common factor g gives their norms the common factor N(g).  Norms
+certify coprimality only, never squarefreeness.  When no image decides,
+sqf_list or cancel runs.  They also run when an image could be too large
+to be worth building: when a bound on its degree times its coefficient
+bits, read off the exponents and coefficients, exceeds a fixed cap.
 
 The canonical term order for printing and for leading coefficients is
 graded lexicographic in the declared variable order.  sympy's expression
@@ -36,12 +41,10 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 import sympy as sp
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.polyclasses import ANP
 from sympy.polys.rings import PolyRing
-from sympy.polys.sqfreetools import dup_sqf_p
 
 from .errors import (
     OddDegree,
@@ -395,22 +398,53 @@ def factor_list(p: MultiPoly):
 # the values a of the univariate images below: generator j goes to a + j
 _PROBES = (0, 1, -1, 2, 3)
 
+# the prime the images are taken mod: a repeated or common factor over QQ
+# can be taken primitive, so its leading coefficient in y divides that of
+# an image, and the factor survives mod _P whenever that coefficient does
+_P = (1 << 31) - 1
+
 
 def _image(pe, y, a):
-    """The coefficients in generator y, highest first, of pe with every
-    other generator j set to a + j, as integers (pe over QQ, scaled by the
-    common denominator of its coefficients); None when the leading
-    coefficient in y vanishes there."""
-    den = lcm(*(c.denominator for c in pe.values()))
+    """The coefficients in generator y, highest first, of pe (over QQ) mod
+    _P with every other generator j set to a + j; None, as not
+    degree-preserving, when _P divides a coefficient's denominator or the
+    image's leading coefficient."""
     deg = pe.degree(y)
     out = [0] * (deg + 1)
     for e, c in pe.items():
-        v = c.numerator * (den // c.denominator)
+        d = c.denominator
+        if d % _P == 0:
+            return None
+        v = c.numerator if d == 1 else c.numerator * pow(d, -1, _P)
         for j, k in enumerate(e):
             if k and j != y:
-                v *= (a + j) ** k
-        out[deg - e[y]] += v
+                v *= pow(a + j, k, _P)
+        out[deg - e[y]] = (out[deg - e[y]] + v) % _P
     return out if out[0] else None
+
+
+def _coprime_mod_p(f, g):
+    """Whether f and g, dense over F_P, highest coefficient first and
+    nonzero, have no common factor of positive degree (Euclid)."""
+    while len(g) > 1:
+        inv, f = pow(g[0], -1, _P), list(f)
+        for k in range(len(f) - len(g) + 1):
+            q = f[k] * inv % _P
+            if q:
+                for i in range(1, len(g)):
+                    f[k + i] = (f[k + i] - q * g[i]) % _P
+        r = f[max(len(f) - len(g) + 1, 0):]
+        lead = next((i for i, c in enumerate(r) if c), None)
+        if lead is None:
+            return False
+        f, g = g, r[lead:]
+    return True
+
+
+def _squarefree_mod_p(g):
+    """Whether g, as in _coprime_mod_p, is coprime to its derivative."""
+    n = len(g) - 1
+    return _coprime_mod_p(g, [c * (n - i) % _P for i, c in enumerate(g[:-1])])
 
 
 # the largest degree x coefficient bits of an image worth building: a
@@ -421,8 +455,9 @@ _IMAGE_CAP = 1 << 14
 
 def _image_size(pe, y):
     """An upper bound on degree x coefficient bits of every image of pe in
-    generator y: a coefficient sums at most len(pe) integers, each a scaled
-    coefficient times the probe values of the other generators."""
+    generator y taken over the integers, before reduction mod _P: a
+    coefficient sums at most len(pe) integers, each a scaled coefficient
+    times the probe values of the other generators."""
     probe = (max(map(abs, _PROBES)) + pe.ring.ngens).bit_length()
     den = lcm(*(c.denominator for c in pe.values()))
     bits = max((c.numerator * den).bit_length() + (sum(e) - e[y]) * probe
@@ -435,8 +470,6 @@ def _certified(pes, test):
     ring over QQ) involves, some probe gives degree-preserving images of
     them all on which `test` holds.  False means undecided, and so does an
     image above _IMAGE_CAP."""
-    if not pes[0].ring.domain.is_QQ:
-        return False
     for y in range(pes[0].ring.ngens):
         if any(pe.degree(y) < 1 for pe in pes):
             continue
@@ -452,16 +485,32 @@ def _certified(pes, test):
 
 
 def _squarefree_by_images(pe):
-    """A certificate that pe is squarefree: if q^2 divides pe and q involves
-    y, then q(y, a)^2 divides every degree-preserving image in y, so one
-    squarefree image per variable rules every such q out."""
-    return _certified([pe], lambda g: dup_sqf_p(g, ZZ))
+    """A certificate that pe, over QQ, is squarefree: if q^2 divides pe and
+    q involves y, then q(y, a)^2 divides every degree-preserving image in
+    y, so one squarefree image per variable rules every such q out."""
+    return pe.ring.domain.is_QQ and _certified([pe], _squarefree_mod_p)
+
+
+def _norm(pe):
+    """a0^2 - r*a1^2 over QQ, for pe = a0 + a1*sqrt(r) over QQ(sqrt(r))."""
+    parts = ({}, {})
+    for e, c in pe.items():
+        for part, q in zip(parts, reversed(c.to_list())):
+            if q:
+                part[e] = q
+    a0, a1 = (_ring(_names(pe.ring)).from_dict(part) for part in parts)
+    return a0 * a0 - (a1 * a1).mul_ground(QQ(_radicand(pe.ring.domain)))
 
 
 def _coprime_by_images(a, b):
     """A certificate that gcd(a, b) = 1: a common factor involves a variable
-    both involve, and it divides their degree-preserving images in it."""
-    return _certified([a, b], lambda g, h: len(dup_gcd(g, h, ZZ)) == 1)
+    both involve, and it divides their degree-preserving images in it.
+    Over QQ(sqrt(r)) the images are those of the norms: a common factor g
+    of a and b makes N(g), of positive degree, a common factor of N(a) and
+    N(b)."""
+    if not a.ring.domain.is_QQ:
+        a, b = _norm(a), _norm(b)
+    return _certified([a, b], _coprime_mod_p)
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:

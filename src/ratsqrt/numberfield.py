@@ -27,7 +27,9 @@ combines with ints, QQ elements and elements of its own field through
 ordinary operators, so the generic routines of :mod:`ratsqrt.unipoly` and
 :mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
 canonical: zero is the all-zero vector over 1.  An element with a rational
-value hashes as that rational, as it also compares equal to it.
+value hashes as that rational, as it also compares equal to it and to any
+element of another field with that value; other elements of two fields
+compare unequal, though arithmetic across fields raises ValueError.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -302,6 +304,10 @@ class NFElem:
         return any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, NFElem) and other.field is not self.field:
+            # across fields only rational values meet, as in __hash__
+            return (not any(self.num[1:]) and not any(other.num[1:])
+                    and (self.num[0], self.den) == (other.num[0], other.den))
         if isinstance(other, (int, QQ.dtype, NFElem)):
             o = self._coerce(other)
             return self.num == o.num and self.den == o.den

@@ -25,7 +25,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
+from sympy.ntheory import is_quad_residue
 from sympy.polys.domains import QQ
+from sympy.solvers.diophantine.diophantine import sqf_normal
 
 from .errors import (
     DegenerateProjection,
@@ -54,10 +56,13 @@ def point_on_quadric(f: MultiPoly, height):
     coordinates (1, x..., w) for the closure in (z, x..., w).
 
     Scans rational x-values in height order looking for f(x) a rational
-    square; if the scan fails, the first regular x-value is kept and
+    square; if the scan fails, the first x-value with f(x) != 0 is kept and
     w = sqrt(f(x)) adjoined as a quadratic irrationality.  When f < 0 on
     all of R^n (:func:`negative_everywhere`) no value can be a square, so
     the scan is skipped and the origin, its first tuple, is taken at once.
+    Neither can one when f is univariate and its conic has no rational
+    point (:func:`conic_has_point`): the scan then stops at the first
+    x-value with f(x) != 0, which is its fallback, so the point is the same.
 
     Returns (coords, extension): the coordinates are QQ elements, except w
     in the fallback, an element of QQ(sqrt(c)) for the rational
@@ -75,6 +80,8 @@ def point_on_quadric(f: MultiPoly, height):
         c = f.constant_value()
         return [QQ.one, *[QQ.zero] * len(f.vars), quadratic_field(c)[1]], c
     fallback = None
+    hopeless = (len(f.vars) == 1 and f.total_degree() == 2
+                and f.coefficients_rational() and not conic_has_point(f))
     budget = max(200, 20 * height)
     for count, x0 in enumerate(_height_tuples(len(f.vars), height), 1):
         if count > budget:
@@ -87,6 +94,8 @@ def point_on_quadric(f: MultiPoly, height):
             return [QQ.one, *x0, root], None
         if fallback is None and c:
             fallback = (x0, c)
+            if hopeless:
+                break
     if fallback is None:
         raise DegenerateProjection("no usable point found on the quadric")
     x0, c = fallback
@@ -110,6 +119,29 @@ def negative_everywhere(f: MultiPoly):
             return False
         g = R - (L * L).quo_ground(4 * a) if a else R
     return g.coeff(1) < 0
+
+
+def conic_has_point(f: MultiPoly):
+    """Whether the conic W^2 = a*X^2 + b*X*Z + c*Z^2 of f = a*X^2 + b*X + c
+    over QQ, a != 0, has a rational point, by Legendre's theorem.
+
+    With d = b^2 - 4ac, 4a*f = (2a*X + b)^2 - d, so the conic is
+    U^2 - d*Z^2 - a*V^2 = 0 in U = 2aX + bZ, V = 2W; a coefficient n/m
+    may be replaced by n*m, which differs from it by the square m^2.  The
+    squarefree normal form A, B, C of that (pairwise coprime) has a point
+    iff not all three have one sign and -BC, -CA, -AB are squares mod |A|,
+    |B|, |C|.  A square f (d = 0) counts as having one.
+    """
+    a, b, c = (f.pe.get((k,), QQ.zero) for k in (2, 1, 0))
+    d = b * b - 4 * a * c
+    if not d:
+        return True
+    A, B, C = map(int, sqf_normal(1, -d.numerator * d.denominator,
+                                  -a.numerator * a.denominator))
+    if (A > 0) == (B > 0) == (C > 0):
+        return False
+    return (is_quad_residue(-B * C, abs(A)) and is_quad_residue(-C * A, abs(B))
+            and is_quad_residue(-A * B, abs(C)))
 
 
 @lru_cache(maxsize=16)

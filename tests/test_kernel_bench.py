@@ -1,16 +1,20 @@
-"""Microbenchmark of the two kernels the alphabets spend most on, the
-squarefree part of a squarefree radicand, which its univariate images
-certify without a decomposition, and the quadric witness, built from the
-polars of the closure at its centre; and of the projection-centre lookup
-that bivariate radicands of degree >= 4 read off their branch-curve
-records; and of an alphabet that phase 1 certifies NotRationalizable, so
-that only outcomes are decided and no witness is built; and of the pair
-alphabet, Rationalizable, where phase 1 is followed by the completion of
-each root's witness and the simultaneous search; and of the lex
-Groebner basis of the chart-0 system of two branch curves, one smooth and
-one with irrational singular points; and of the ADE classification of two
-germs, a node over a height-2 tower and a rational germ with Milnor
-number 6, both Milnor routes cross-checked.
+"""Microbenchmark of the kernels the alphabets spend most on: the
+squarefree part of a squarefree radicand, which its univariate images mod
+a prime certify without a decomposition; the quadric witness, built from
+the polars of the closure at its centre, once for a quadric with a small
+rational point and once for one whose conic has none, which Legendre's
+theorem tells before any scan; and the reduction of a coprime fraction
+over QQ(i), which the images of the norms certify without a gcd over the
+field.  Also of the projection-centre lookup that bivariate radicands of
+degree >= 4 read off their branch-curve records; of an alphabet that
+phase 1 certifies NotRationalizable, so that only outcomes are decided
+and no witness is built; of the pair alphabet, Rationalizable, where
+phase 1 is followed by the completion of each root's witness and the
+simultaneous search; of the lex Groebner basis of the chart-0 system of
+two branch curves, one smooth and one with irrational singular points;
+and of the ADE classification of two germs, a node over a height-2 tower
+and a rational germ with Milnor number 6, both Milnor routes
+cross-checked.
 
 The rounds are fixed, so the whole file runs in a second or two; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -31,7 +35,14 @@ from ratsqrt.geometry import (
 )
 from ratsqrt.ideal import groebner
 from ratsqrt.localanalysis import classify_germ
-from ratsqrt.mpoly import _ring, squarefree_part, substitute
+from ratsqrt.mpoly import (
+    MultiPoly,
+    RationalFunction,
+    _ring,
+    quadratic_field,
+    squarefree_part,
+    substitute,
+)
 from ratsqrt.parser import parse_poly
 from ratsqrt.witness import quadric_witness
 
@@ -50,6 +61,24 @@ def test_quadric_witness_of_a_univariate_quadric(benchmark):
     m, h = benchmark.pedantic(quadric_witness, args=(f, Config.max_height),
                               rounds=ROUNDS, iterations=ITERATIONS)
     assert h * h == substitute(f, m)
+
+
+def test_quadric_witness_of_a_conic_without_rational_points(benchmark):
+    # W^2 = -9X^2 - 6X + 5 has no rational point: the witness is built over
+    # QQ(sqrt(5)) from the origin, with no scan of heights
+    f = parse_poly("-9*X^2 - 6*X + 5")
+    m, h = benchmark.pedantic(quadric_witness, args=(f, Config.max_height),
+                              rounds=ROUNDS, iterations=ITERATIONS)
+    assert m.extension == 5 and h * h == substitute(f, m)
+
+
+def test_coprime_fraction_over_qq_i(benchmark):
+    _K, i = quadratic_field(-1)
+    num = MultiPoly(("X", "Y"), {(2, 1): 1, (1, 0): i, (0, 2): 1, (0, 0): -3})
+    den = MultiPoly(("X", "Y"), {(1, 2): 1, (0, 1): 2 * i, (0, 0): -1})
+    g = benchmark.pedantic(RationalFunction, args=(num, den), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert (g.num, g.den) == (num, den)
 
 
 def test_projection_centre_from_the_records_of_a_quartic(benchmark):

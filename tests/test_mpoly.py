@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement
+
+from test_golden import EXTENSION_ROOTS
+from test_kernels import FIELDS
 
 from ratsqrt import mpoly
+from ratsqrt.engine import decide
 from ratsqrt.errors import OddDegree, ZeroDenominator
 from ratsqrt.mpoly import (
     _PROBES,
@@ -235,26 +240,31 @@ CERT = settings(max_examples=120, deadline=None, derandomize=True,
 KILLER = P("Y - Z + 1", XYZ)
 
 
-def _small():
+def _small(r=None):
     """Nonzero polynomials in X, Y, Z of up to 3 terms, degree at most 1 in
-    each variable, with small rational coefficients."""
-    term = st.tuples(st.tuples(*[st.integers(0, 1)] * 3),
-                     st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+    each variable, with small coefficients of QQ, or of QQ(sqrt(r))."""
+    if r is None:
+        coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        K, root = quadratic_field(r)
+        coeff = st.builds(lambda a, b: K.convert(a) + root * K.convert(b),
+                          st.integers(-3, 3), st.integers(-3, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 1)] * 3), coeff)
     return st.lists(term, min_size=1, max_size=3).map(
         lambda ts: MultiPoly(XYZ, dict(ts))
     ).filter(lambda p: not p.is_zero())
 
 
-def _factor():
+def _factor(r=None):
     """a, or KILLER*X*a + b: a factor whose leading coefficient in X
     vanishes at every probe.  With b constant, every image of it at probe
     0 is constant once the degree drop goes unnoticed."""
-    b = st.one_of(_small(), st.integers(1, 3).map(
+    b = st.one_of(_small(r), st.integers(1, 3).map(
         lambda c: MultiPoly.const(XYZ, c)))
     return st.one_of(
-        _small(),
+        _small(r),
         st.builds(lambda a, b: KILLER * MultiPoly.var(XYZ, "X") * a + b,
-                  _small(), b),
+                  _small(r), b),
     ).filter(lambda p: not p.is_zero())
 
 
@@ -284,7 +294,7 @@ def _always_cancelled(num, den):
     if num.is_zero():
         den = MultiPoly.const(den.vars, 1)
     lc = den.leading_coeff()
-    return num * (1 / lc), den.monic()
+    return num * (den.pe.ring.domain.one / lc), den.monic()
 
 
 class TestImageCertificates:
@@ -315,11 +325,59 @@ class TestImageCertificates:
         assert (g.num, g.den) == _always_cancelled(a * b, a)
         assert g.den.is_constant()
 
+    # c is small: cancel over a quadratic field on two products of
+    # KILLER-sized factors can take seconds, and so could shrinking
+    @settings(CERT, max_examples=60,
+              phases=[p for p in Phase if p is not Phase.shrink])
+    @given(st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda name: st.tuples(_factor(FIELDS[name]), _factor(FIELDS[name]),
+                               _small(FIELDS[name]), st.booleans())))
+    def test_reduction_over_each_field_matches_always_cancelling(self, case):
+        a, b, c, common = case
+        num, den = (a * c, b * c) if common else (a, b)
+        g = RationalFunction(num, den)
+        assert (g.num, g.den) == _always_cancelled(num, den)
+
+    def test_declined_images_fall_back_to_sympy(self):
+        # _P divides a coefficient's denominator, or the leading coefficient
+        # in X of every image: no probe certifies, and sympy's kernels decide
+        XY, p = XYZ[:2], mpoly._P
+        den = MultiPoly(XY, {(1, 1): QQ(1, p), (0, 0): QQ(1)})
+        lead = MultiPoly(XY, {(2, 0): QQ(p), (1, 1): QQ(1), (0, 0): QQ(1)})
+        for q in (den, lead, den * den * P("X - Y", XY)):
+            assert not mpoly._squarefree_by_images(q.pe)
+            assert squarefree_part(q) == _reference_squarefree_part(q)
+        for num, dn in ((den, P("X - Y", XY)), (lead, P("X*Y + 1", XY)),
+                        (den * P("X + Y", XY), den * P("X - Y", XY))):
+            assert not mpoly._coprime_by_images(*_common(num, dn))
+            g = RationalFunction(num, dn)
+            assert (g.num, g.den) == _always_cancelled(num, dn)
+
+    def test_a_probe_declined_mod_p_moves_to_the_next(self):
+        # the leading coefficient Y + _P - 1 in X is _P at probe 0 (Y = 1)
+        # only, so probe 1 certifies
+        q = MultiPoly(XYZ[:2], {(2, 1): QQ(1), (2, 0): QQ(mpoly._P - 1),
+                                (0, 0): QQ(1)})
+        assert mpoly._image(q.pe, 0, 0) is None
+        assert mpoly._image(q.pe, 0, 1) is not None
+        assert mpoly._squarefree_by_images(q.pe)
+
+    def test_golden_extension_witnesses_run_no_cancel(self, monkeypatch):
+        calls = []
+        cancel = PolyElement.cancel
+        monkeypatch.setattr(PolyElement, "cancel",
+                            lambda f, g: calls.append(f.ring.domain)
+                            or cancel(f, g))
+        # over QQ(sqrt(-7)) and QQ(i): both fractions of each map are coprime
+        for text in EXTENSION_ROOTS:
+            assert decide(parse_poly(text)).witness.extension is not None
+        assert calls == []
+
     def test_no_image_above_the_size_cap(self, monkeypatch):
         # the degree-20,000 image in X once cost 48 s; sqf_list takes
         # well under a second
         calls = []
-        monkeypatch.setattr(mpoly, "dup_sqf_p",
+        monkeypatch.setattr(mpoly, "_coprime_mod_p",
                             lambda *a: calls.append(a) or True)
         p = P("X^20000*Y - 1", ("X", "Y"))
         assert squarefree_part(p) == p

@@ -121,6 +121,18 @@ class TestTower:
                 x + y
         assert L.lift(a) * b == b * L.lift(a)
 
+    def test_fields_meet_in_sets_by_rational_value(self):
+        K, L = q_sqrt2(), tower_sqrt2_sqrt3()
+        assert len({K.one(), L.one()}) == 1
+        assert len({K.from_rational(QQ(1, 2)), L.from_rational(QQ(1, 2)),
+                    QQ(1, 2)}) == 1
+        assert K.one() != L.from_rational(2)
+        # irrational elements of two fields never compare equal, even where
+        # one is the other's lift
+        a = L.base.gen()
+        assert a != L.lift(a) and L.lift(a) != a
+        assert len({K.zero(), L.zero(), a, L.lift(a), L.gen()}) == 4
+
     def test_zero_test_after_chains(self):
         L = tower_sqrt2_sqrt3()
         b = L.gen()

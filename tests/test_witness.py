@@ -10,6 +10,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
+from ratsqrt import witness
 from ratsqrt.engine import Config
 from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
 from ratsqrt.geometry import build_model, high_mult_point_search
@@ -26,6 +27,7 @@ from ratsqrt.witness import (
     _height_tuples,
     _height_values,
     compose,
+    conic_has_point,
     homogeneous_lift,
     parametrize_from_point,
     point_on_quadric,
@@ -127,6 +129,43 @@ class TestVerifierWork:
         for x0 in islice(_height_tuples(2, 50), 1000):
             value = QQ.to_sympy(f.eval_at(dict(zip(f.vars, x0))))
             assert not sp.sqrt(value).is_rational
+
+
+def _with_full_scan(fn, *args):
+    """fn(*args) with Legendre's test switched off, so that every quadric
+    is scanned."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(witness, "conic_has_point", lambda _f: True)
+        return fn(*args)
+
+
+class TestLegendreBeforeTheScan:
+    """A univariate quadric whose conic has no rational point skips the
+    scan and takes the scan's own fallback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+    def test_no_point_means_the_full_scan_finds_none(self, a, b, c):
+        assume(a)
+        f = MultiPoly(("X",), {(2,): a, (1,): b, (0,): c})
+        if not conic_has_point(f):
+            full = _with_full_scan(point_on_quadric, f, 10)
+            assert full[1] is not None
+            assert point_on_quadric(f, 10) == full
+
+    def test_hopeless_quadric_keeps_its_witness(self, monkeypatch):
+        f = parse_poly("-9*X^2 - 6*X + 5", ("X",))
+        assert not conic_has_point(f)
+        assert quadric_witness(f, HEIGHT) == \
+            _with_full_scan(quadric_witness, f, HEIGHT)
+        full = _with_full_scan(point_on_quadric, f, HEIGHT)
+        calls = []
+        eval_at = MultiPoly.eval_at
+        monkeypatch.setattr(MultiPoly, "eval_at",
+                            lambda p, v: calls.append(v) or eval_at(p, v))
+        assert point_on_quadric(f, HEIGHT) == full
+        assert len(calls) <= 2
 
 
 def _reference_height_tuples(n, height):
