@@ -28,8 +28,9 @@ ordinary operators, so the generic routines of :mod:`ratsqrt.unipoly` and
 :mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
 canonical: zero is the all-zero vector over 1.  An element with a rational
 value hashes as that rational, as it also compares equal to it and to any
-element of another field with that value; other elements of two fields
-compare unequal, though arithmetic across fields raises ValueError.
+element of another field with that value, and unequal to an irrational
+element of another field.  Two irrational elements of two fields, like
+arithmetic across fields, raise ValueError: lift one first.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -305,7 +306,11 @@ class NFElem:
 
     def __eq__(self, other):
         if isinstance(other, NFElem) and other.field is not self.field:
-            # across fields only rational values meet, as in __hash__
+            # across fields a rational value meets only its own value, as
+            # in __hash__; two irrational elements need a lift, as in
+            # arithmetic, and _coerce raises
+            if any(self.num[1:]) and any(other.num[1:]):
+                self._coerce(other)
             return (not any(self.num[1:]) and not any(other.num[1:])
                     and (self.num[0], self.den) == (other.num[0], other.den))
         if isinstance(other, (int, QQ.dtype, NFElem)):

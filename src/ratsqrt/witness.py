@@ -51,6 +51,10 @@ from .mpoly import (
 )
 
 
+# integers above this size are not factored for Legendre's test
+_LEGENDRE_BITS = 40
+
+
 def point_on_quadric(f: MultiPoly, height):
     """A regular point on the quadric W^2 = f (deg f <= 2), as projective
     coordinates (1, x..., w) for the closure in (z, x..., w).
@@ -61,8 +65,10 @@ def point_on_quadric(f: MultiPoly, height):
     all of R^n (:func:`negative_everywhere`) no value can be a square, so
     the scan is skipped and the origin, its first tuple, is taken at once.
     Neither can one when f is univariate and its conic has no rational
-    point (:func:`conic_has_point`): the scan then stops at the first
-    x-value with f(x) != 0, which is its fallback, so the point is the same.
+    point (:func:`conic_has_point`), asked once the scan has found its
+    fallback, the first x-value with f(x) != 0: the scan then stops there,
+    so the point is the same, and a scan that ends at its first tuple asks
+    nothing.
 
     Returns (coords, extension): the coordinates are QQ elements, except w
     in the fallback, an element of QQ(sqrt(c)) for the rational
@@ -80,8 +86,8 @@ def point_on_quadric(f: MultiPoly, height):
         c = f.constant_value()
         return [QQ.one, *[QQ.zero] * len(f.vars), quadratic_field(c)[1]], c
     fallback = None
-    hopeless = (len(f.vars) == 1 and f.total_degree() == 2
-                and f.coefficients_rational() and not conic_has_point(f))
+    conic = (len(f.vars) == 1 and f.total_degree() == 2
+             and f.coefficients_rational())
     budget = max(200, 20 * height)
     for count, x0 in enumerate(_height_tuples(len(f.vars), height), 1):
         if count > budget:
@@ -94,7 +100,7 @@ def point_on_quadric(f: MultiPoly, height):
             return [QQ.one, *x0, root], None
         if fallback is None and c:
             fallback = (x0, c)
-            if hopeless:
+            if conic and not conic_has_point(f):
                 break
     if fallback is None:
         raise DegenerateProjection("no usable point found on the quadric")
@@ -131,13 +137,21 @@ def conic_has_point(f: MultiPoly):
     squarefree normal form A, B, C of that (pairwise coprime) has a point
     iff not all three have one sign and -BC, -CA, -AB are squares mod |A|,
     |B|, |C|.  A square f (d = 0) counts as having one.
+
+    So does a conic whose d or a, as the integer n*m, has more than
+    _LEGENDRE_BITS bits: the normal form factors both, which has no time
+    bound (on a 2-vCPU Xeon the worst of eight random 40-bit semiprimes
+    took 2 ms, of eight 60-bit ones 250 ms), while the scan it would save
+    costs a few milliseconds.
     """
     a, b, c = (f.pe.get((k,), QQ.zero) for k in (2, 1, 0))
     d = b * b - 4 * a * c
     if not d:
         return True
-    A, B, C = map(int, sqf_normal(1, -d.numerator * d.denominator,
-                                  -a.numerator * a.denominator))
+    dd, aa = d.numerator * d.denominator, a.numerator * a.denominator
+    if max(abs(dd), abs(aa)).bit_length() > _LEGENDRE_BITS:
+        return True
+    A, B, C = map(int, sqf_normal(1, -dd, -aa))
     if (A > 0) == (B > 0) == (C > 0):
         return False
     return (is_quad_residue(-B * C, abs(A)) and is_quad_residue(-C * A, abs(B))

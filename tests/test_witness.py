@@ -139,6 +139,10 @@ def _with_full_scan(fn, *args):
         return fn(*args)
 
 
+def _never(*_args):
+    raise AssertionError("called")
+
+
 class TestLegendreBeforeTheScan:
     """A univariate quadric whose conic has no rational point skips the
     scan and takes the scan's own fallback."""
@@ -166,6 +170,23 @@ class TestLegendreBeforeTheScan:
                             lambda p, v: calls.append(v) or eval_at(p, v))
         assert point_on_quadric(f, HEIGHT) == full
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_large_coefficients_are_not_factored(self, sign, monkeypatch):
+        # N = p*q with p, q of 25 digits: factorint would not split it
+        N = sp.nextprime(10**24) * sp.nextprime(3 * 10**24)
+        f = MultiPoly(("X",), {(2,): N, (0,): sign})
+        full = _with_full_scan(point_on_quadric, f, HEIGHT)
+        asked = []
+        has_point = witness.conic_has_point
+        monkeypatch.setattr(witness, "conic_has_point",
+                            lambda g: asked.append(g) or has_point(g))
+        monkeypatch.setattr(witness, "sqf_normal", _never)
+        assert point_on_quadric(f, HEIGHT) == full
+        # N*X^2 + 1 is a square at its first tuple, x = 0, and asks
+        # nothing; N*X^2 - 1 asks and is scanned as without the test
+        assert len(asked) == (sign < 0)
+        assert full[1] == (None if sign > 0 else -1)
 
 
 def _reference_height_tuples(n, height):
