@@ -31,8 +31,11 @@ bits, read off the exponents and coefficients, exceeds a fixed cap.
 
 The canonical term order for printing and for leading coefficients is
 graded lexicographic in the declared variable order.  sympy's expression
-API is met only at two edges: building the rings and fields, and printing
-irrational coefficients in sympy's canonical form.
+API is met at one edge only: building the rings and fields.  Coefficients
+print from their rational parts, an irrational one a + b*sqrt(r) in the
+form sympy's str gives it (_surd_str), and a RationalFunction keeps its
+text once printed, so a witness printed by the deciding step is not
+printed again by the report.
 """
 
 from __future__ import annotations
@@ -141,16 +144,6 @@ def _common(*polys):
     ]
 
 
-def _to_sympy(c):
-    """A coefficient as a sympy number a + b*sqrt(r)."""
-    q = _rational(c)
-    if q is not None:
-        return QQ.to_sympy(q)
-    b, a = c.to_list()
-    r = int(-c.mod[-1])
-    return QQ.to_sympy(a) + QQ.to_sympy(b) * sp.sqrt(r)
-
-
 class MultiPoly:
     """Immutable sparse polynomial: the ring element ``pe`` and ``vars``,
     the names of its ring's generators."""
@@ -213,7 +206,8 @@ class MultiPoly:
         return self.leading_term()[1] if self.pe else QQ.zero
 
     def sorted_terms(self):
-        return sorted(self.pe.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        return sorted(self.pe.items(), key=lambda t: (sum(t[0]), t[0]),
+                      reverse=True)
 
     def coefficients_rational(self):
         return self.pe.ring.domain.is_QQ
@@ -330,41 +324,73 @@ def _canonical(pe):
 # printing in the parser grammar
 
 
+def _q_str(q):
+    """A rational as p or p/q."""
+    n, d = q.numerator, q.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _surd_str(a, b, r):
+    """a + b*sqrt(r), for rationals a and b != 0 and a squarefree integer
+    r != 0, 1, as sympy's str prints it, without spaces: sqrt(r), I or
+    sqrt(-r)*I, times b as k*root/d, after a when r < 0.  When r > 0 the
+    smaller of a and b*sqrt(r) comes first, unless a > 0 > b, which puts
+    a first too (sympy's order of the terms of an Add)."""
+    root = f"sqrt({r})" if r > 0 else "I" if r == -1 else f"sqrt({-r})*I"
+    k, d = b.numerator, b.denominator
+    body = root if abs(k) == 1 else f"{abs(k)}*{root}"
+    if d != 1:
+        body += f"/{d}"
+    if not a:
+        return "-" + body if k < 0 else body
+    if r < 0 or a > 0 > k:
+        a_first = True
+    else:  # whether a < b*sqrt(r): a < 0 < b, or by squares for one sign
+        a_first = a < 0 < k or (a * a < b * b * r) == (k > 0)
+    if a_first:
+        return _q_str(a) + ("-" if k < 0 else "+") + body
+    return ("-" if k < 0 else "") + body + ("+" if a > 0 else "-") + _q_str(abs(a))
+
+
 def _coeff_str(c):
     q = _rational(c)
-    return str(q) if q is not None else str(_to_sympy(c)).replace(" ", "")
+    if q is not None:
+        return _q_str(q)
+    b, a = c.to_list()
+    return _surd_str(a, b, int(-c.mod[-1]))
+
+
+def _sqrt_str(c):
+    """sqrt(c), for a rational c, as _surd_str prints it."""
+    q = _rational_sqrt(c)
+    if q is not None:
+        return _q_str(q)
+    K, root = quadratic_field(c)
+    return _surd_str(QQ.zero, root.to_list()[0], _radicand(K))
 
 
 def poly_str(p: MultiPoly) -> str:
     """Canonical string in the input grammar (round-trippable)."""
     if not p.pe:
         return "0"
-    parts = []
+    out = []
     for e, c in p.sorted_terms():
-        factors = []
-        for name, exp in zip(p.vars, e):
-            if exp == 1:
-                factors.append(name)
-            elif exp > 1:
-                factors.append(f"{name}^{exp}")
+        mono = "*".join(name if k == 1 else f"{name}^{k}"
+                        for name, k in zip(p.vars, e) if k)
         q = _rational(c)
         if q is None:
-            body = "(" + _coeff_str(c) + ")" + ("*" + "*".join(factors) if factors else "")
-            parts.append(("+", body))
-            continue
-        mag = -q if q < 0 else q
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = str(mag) + "*" + "*".join(factors)
+            negative, body = False, f"({_coeff_str(c)})"
         else:
-            body = str(mag)
-        parts.append(("-" if q < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            negative, body = q < 0, _q_str(abs(q))
+            if mono and body == "1":
+                body = ""
+        body = body + "*" + mono if body and mono else body or mono
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -607,9 +633,10 @@ def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
 
 
 class RationalFunction:
-    """Reduced fraction of MultiPoly; denominator graded-lex monic."""
+    """Reduced fraction of MultiPoly; denominator graded-lex monic.
+    Immutable: its text, once rf_str has printed it, is kept."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_text")
 
     def __init__(self, num: MultiPoly, den: MultiPoly, reduce=True):
         num._check_vars(den)
@@ -632,6 +659,7 @@ class RationalFunction:
             den = den.monic()
         self.num = num
         self.den = den
+        self._text = None
 
     @classmethod
     def from_poly(cls, p: MultiPoly):
@@ -665,9 +693,12 @@ class RationalFunction:
 
 
 def rf_str(g: RationalFunction) -> str:
-    if g.den.is_constant() and g.den.constant_value() == 1:
-        return poly_str(g.num)
-    return f"({poly_str(g.num)})/({poly_str(g.den)})"
+    if g._text is None:
+        if g.den.is_constant() and g.den.constant_value() == 1:
+            g._text = poly_str(g.num)
+        else:
+            g._text = f"({poly_str(g.num)})/({poly_str(g.den)})"
+    return g._text
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +767,7 @@ class RationalMap:
                         for P in (g.num, g.den)
                         if not P.coefficients_rational()), None)
         if ext is not None:
-            out["extension"] = str(sp.sqrt(QQ.to_sympy(ext)))
+            out["extension"] = _sqrt_str(ext)
         return out
 
 

@@ -19,10 +19,11 @@ equality is a tuple compare, an element of the level below is a zero-padded
 prefix and :meth:`NumberField.lift` is padding.  Each field builds once an
 integer table of the products of its basis elements, over one denominator;
 a product of two elements reads that table and takes one gcd at the end,
-and an inverse solves x*y = 1 over QQ with :func:`row_reduce`, which cubic
-triple points use too.  The rational coordinates are :attr:`NFElem.vec`;
-the tower-shaped view that reports and sort keys read, the trimmed
-coefficient tuple over the level below, is :attr:`NFElem.rep`.  An element
+and an inverse solves x*y = 1 on the integer matrix of multiplication by
+x, fraction-free (Bareiss); :func:`row_reduce` serves cubic triple
+points.  The rational coordinates are :attr:`NFElem.vec`; the tower-shaped
+view that reports and sort keys read, the trimmed coefficient tuple over
+the level below, is :attr:`NFElem.rep`.  An element
 combines with ints, QQ elements and elements of its own field through
 ordinary operators, so the generic routines of :mod:`ratsqrt.unipoly` and
 :mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
@@ -261,19 +262,39 @@ class NFElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Solve self*y = 1: reduce the row (1 | 0) against the rows
-        (tden*num*e_k | e_k), num the integer coordinates and tden the
-        denominator of the table; it reduces to (0 | -y) exactly when self
-        is a unit, and then y*den*tden is the inverse."""
-        field = self.field
-        rows = [[QQ(c) for c in _times(field.table, self.num, e) + list(e)]
-                for e in field.units]
-        rows.append([QQ.one] + [QQ.zero] * (2 * field.degree - 1))
-        *_, last = row_reduce(rows)
-        if any(last[:field.degree]):
-            raise ZeroInversion("element is zero or a zero divisor"
-                                " (minpoly not irreducible?)")
-        return NFElem(field, [-c for c in last[field.degree:]]) * (self.den * field.tden)
+        """Solve self*y = 1 on the integers.  Column k of the matrix M is
+        _times(table, num, e_k), tden times num*e_k, so y = den*tden*x for
+        M x = e_0.  Bareiss's fraction-free elimination makes M upper
+        triangular with +-det(M) last on its diagonal, or finds a column
+        without a pivot when self is zero or a zero divisor; the
+        back-substitution then gives the integers det(M)*x (Cramer's rule),
+        one exact division each."""
+        field, n = self.field, self.field.degree
+        cols = [_times(field.table, self.num, e) for e in field.units]
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if rows[i][k]), None)
+            if p is None:
+                raise ZeroInversion("element is zero or a zero divisor"
+                                    " (minpoly not irreducible?)")
+            rows[k], rows[p] = rows[p], rows[k]
+            top = rows[k]
+            for i in range(k + 1, n):
+                row = rows[i]
+                rows[i] = [0] * (k + 1) + [
+                    (top[k] * row[j] - row[k] * top[j]) // prev
+                    for j in range(k + 1, n + 1)]
+            prev = top[k]
+        det, x = prev, [0] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            rest = sum(row[j] * x[j] for j in range(i + 1, n))
+            x[i] = (det * row[n] - rest) // row[i]
+        if det < 0:
+            det, x = -det, [-v for v in x]
+        scale = self.den * field.tden
+        return _lowest(field, [v * scale for v in x], det)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -14,6 +14,19 @@ permitted anywhere; the parse therefore produces a
 :class:`~ratsqrt.mpoly.RationalFunction`, and :func:`parse_poly` additionally
 demands a constant denominator.
 
+The text is read in one pass, one token ahead, and the ring (its variables
+and coefficient field) is fixed before the first token.  A product of
+integer literals, variables, their powers and field atoms is gathered into
+one term: a coefficient and one exponent list, with a division by a
+monomial subtracting exponents.  A sum of such terms is gathered into an
+exponent dict {exponent tuple: coefficient}, and the ring element is built
+from it once, with ``from_dict``, at the end of the text or of the
+parenthesized sum.  Ring arithmetic runs only where a sum meets another
+factor: products, quotients and powers of multi-term polynomials stay on
+the ring's ``*`` and ``**``, so ``(X + Y + 1)^120`` costs what the ring's
+multinomial power costs.  A denominator that turns out constant is folded
+into the numerator.
+
 Alphabets arrive as JSON documents::
 
     {"variables": ["X", "Y"],              # optional; inferred if absent
@@ -33,6 +46,8 @@ from __future__ import annotations
 import json
 import re
 
+from sympy.polys.domains import QQ
+
 from .errors import (
     NonIntegerExponent,
     ParseSyntaxError,
@@ -50,54 +65,47 @@ from .mpoly import (
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT = re.compile(r"[0-9]+")
+# one token after optional whitespace: an integer literal, an identifier or
+# any other single character, or none of them at the end of the text
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(.))?", re.S)
+_INT, _NAME = 1, 2
 # levels of parentheses and unary minus a text may nest; each level costs
 # the descent a few stack frames, so deeper input would exhaust the stack
 _MAX_DEPTH = 100
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _Frac:
+    """A fraction of ring elements; a denominator None stands for 1."""
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    __slots__ = ("num", "den")
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def __init__(self, num, den=None):
+        self.num, self.den = num, den
 
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise ParseSyntaxError(f"expected '{ch}'", self.pos)
-        self.pos += 1
 
-    def match(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+def _times(a, b):
+    """a*b for ring elements or None, which stands for 1."""
+    return b if a is None else a if b is None else a * b
 
-    def ident(self):
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group()
 
-    def integer(self):
-        self.skip_ws()
-        m = _INT.match(self.text, self.pos)
-        if not m:
-            return None
-        end = m.end()
-        if end < len(self.text) and self.text[end] == ".":
-            raise ParseSyntaxError("decimal literals are not accepted", self.pos)
-        self.pos = end
-        return int(m.group())
+def _element(K, c):
+    """A coefficient, an int, a QQ element or an element of K, as an
+    element of K; K.convert would take an int several times slower, and a
+    QQ element into a quadratic field through a sympy number."""
+    if type(c) is int:
+        c = QQ.dtype(c)
+    return c if K.of_type(c) else K.convert_from(c, QQ)
+
+
+def _poly(ring, terms):
+    """The ring element of {exponent tuple: coefficient}."""
+    K = ring.domain
+    return ring.from_dict({e: _element(K, c) for e, c in terms.items()})
+
+
+def _quo(K, a, b):
+    """a/b for coefficients as _element takes them."""
+    return K.quo(_element(K, a), _element(K, b))
 
 
 class _Parser:
@@ -105,138 +113,229 @@ class _Parser:
     front: the given variables, or the text's identifiers in order of first
     appearance (each one a variable in any text that parses), with
     coefficients in QQ or in a given quadratic field, whose constant atoms
-    I and sqrt are never variables.  Constant denominators are folded into
-    the numerator as they arise."""
+    I and sqrt are never variables.
+
+    The descent reads one token ahead: `tok` is its text ("" at the end),
+    `kind` the number of its group in _TOKEN (None at the end), `at` its
+    offset and `pos` the offset just past it.  A factor is a monomial
+    (coefficient, ((variable index, exponent), ...)) or a _Frac of ring
+    elements; see the module docstring for how terms and sums gather."""
 
     def __init__(self, text, variables=None, field=None):
-        self.sc = _Scanner(text)
         if variables is None:
             atoms = () if field is None else ("I", "sqrt")
             variables = dict.fromkeys(
                 v for v in _IDENT.findall(text) if v not in atoms)
         self.vars = tuple(variables)
         self.ring = _ring(self.vars) if field is None else _ring(self.vars, field)
-        self.gens = dict(zip(self.vars, self.ring.gens))
+        self.units = {v: ((i, 1),) for i, v in enumerate(self.vars)}
+        self.text = text
+        self.pos = 0
         self.depth = 0
+        self._next()
+
+    def _next(self):
+        m = _TOKEN.match(self.text, self.pos)
+        self.kind = k = m.lastindex
+        self.tok = m.group(k) if k else ""
+        self.at = m.start(k) if k else m.end()
+        self.pos = m.end()
+
+    def _expect(self, ch):
+        if self.tok != ch:
+            raise ParseSyntaxError(f"expected '{ch}'", self.at)
+        self._next()
+
+    def _integer(self):
+        """The integer literal at the token, read, or None."""
+        if self.kind != _INT:
+            return None
+        if self.text.startswith(".", self.pos):
+            raise ParseSyntaxError("decimal literals are not accepted", self.at)
+        n = int(self.tok)
+        self._next()
+        return n
 
     def parse(self):
-        node = self.expr()
-        self.sc.skip_ws()
-        if self.sc.pos != len(self.sc.text):
-            raise ParseSyntaxError("unexpected trailing input", self.sc.pos)
-        return node
+        value = self.expr()
+        if self.kind is not None:
+            raise ParseSyntaxError("unexpected trailing input", self.at)
+        ring = self.ring
+        if isinstance(value, dict):
+            return _poly(ring, value), ring.one
+        return value.num, ring.one if value.den is None else value.den
 
-    def _nested(self, parse):
+    def _nested(self, parse, at):
         """parse() one level of parentheses or unary minus deeper, the
-        token just read; past _MAX_DEPTH levels the input is refused."""
+        token at offset `at` just read; past _MAX_DEPTH levels the input is
+        refused."""
         if self.depth == _MAX_DEPTH:
-            raise ParseSyntaxError("nesting too deep", self.sc.pos - 1)
+            raise ParseSyntaxError("nesting too deep", at)
         self.depth += 1
-        node = parse()
+        value = parse()
         self.depth -= 1
-        return node
-
-    def _frac(self, num, den):
-        if den.is_ground:
-            return num.quo_ground(den.LC), self.ring.one
-        return num, den
+        return value
 
     def expr(self):
-        num, den = self.term()
+        """A dict {exponent tuple: coefficient} when every term is a
+        monomial, else a _Frac."""
+        terms, frac, sign = {}, None, 1
         while True:
-            if self.sc.match("+"):
-                n2, d2 = self.term()
-            elif self.sc.match("-"):
-                n2, d2 = self.term()
-                n2 = -n2
+            t = self.term(sign)
+            if isinstance(t, _Frac):
+                if frac is None:
+                    frac = t
+                elif frac.den == t.den:
+                    frac = _Frac(frac.num + t.num, frac.den)
+                else:
+                    frac = _Frac(_times(frac.num, t.den) + _times(t.num, frac.den),
+                                 _times(frac.den, t.den))
             else:
-                return num, den
-            if d2 == den:
-                num = num + n2
+                c, e = t
+                terms[e] = terms.get(e, 0) + c
+            if self.tok == "+":
+                sign = 1
+            elif self.tok == "-":
+                sign = -1
             else:
-                num, den = num * d2 + n2 * den, den * d2
+                break
+            self._next()
+        if frac is not None and terms:
+            rest = _poly(self.ring, terms)
+            frac = _Frac(frac.num + _times(rest, frac.den), frac.den)
+        return terms if frac is None else frac
 
-    def term(self):
-        num, den = self.factor()
+    def term(self, c):
+        """c times a product: a monomial (coefficient, exponent tuple), or
+        a _Frac when a factor is one or a monomial divides."""
+        e, frac, divided = [0] * len(self.vars), None, False
+        value, divide = self.factor(), False
         while True:
-            if self.sc.match("*"):
-                n2, d2 = self.factor()
-                num, den = self._frac(num * n2, den * d2)
-            elif self.sc.match("/"):
-                pos = self.sc.pos
-                n2, d2 = self.factor()
-                if not n2:
-                    raise ZeroDenominator(
-                        f"division by zero at offset {pos}"
-                    )
-                num, den = self._frac(num * d2, den * n2)
+            if isinstance(value, _Frac):
+                if divide:
+                    if not value.num:
+                        raise ZeroDenominator(f"division by zero at offset {at}")
+                    value = _Frac(self.ring.one if value.den is None
+                                  else value.den, value.num)
+                frac = value if frac is None else _Frac(
+                    frac.num * value.num, _times(frac.den, value.den))
             else:
-                return num, den
+                q, mono = value
+                if not divide:
+                    c = c * q
+                    for i, k in mono:
+                        e[i] += k
+                elif not q:
+                    raise ZeroDenominator(f"division by zero at offset {at}")
+                else:
+                    c = _quo(self.ring.domain, c, q)
+                    for i, k in mono:
+                        e[i] -= k
+                    divided = divided or bool(mono)
+            if self.tok == "*":
+                divide = False
+            elif self.tok == "/":
+                divide, at = True, self.pos
+            else:
+                break
+            self._next()
+            value = self.factor()
+        if frac is None and not divided:
+            return c, tuple(e)
+        # the monomial's negative exponents go to the denominator
+        ring = self.ring
+        top = tuple(k if k > 0 else 0 for k in e)
+        bottom = tuple(-k if k < 0 else 0 for k in e)
+        if frac is None:
+            num, den = _poly(ring, {top: c}), None
+        elif c == 1 and not any(top):
+            num, den = frac.num, frac.den
+        else:
+            num, den = frac.num.mul_term((top, _element(ring.domain, c))), frac.den
+        if any(bottom):
+            den = _times(_poly(ring, {bottom: 1}), den)
+        if den is not None and den.is_ground:
+            num, den = num.quo_ground(den.LC), None
+        return _Frac(num, den)
 
     def factor(self):
-        if self.sc.match("-"):
-            num, den = self._nested(self.factor)
-            return -num, den
-        num, den = self.base()
-        if self.sc.match("^"):
-            pos = self.sc.pos
-            if self.sc.peek() == "-" or self.sc.peek() == "(":
-                raise NonIntegerExponent(
-                    f"exponent must be a nonnegative integer literal (offset {pos})"
-                )
-            n = self.sc.integer()
-            if n is None:
-                raise NonIntegerExponent(
-                    f"exponent must be a nonnegative integer literal (offset {pos})"
-                )
-            if n == 0:  # also for a zero base, as 0^0 = 1
-                return self.ring.one, self.ring.one
-            return num**n, den**n
-        return num, den
+        if self.tok == "-":
+            at = self.at
+            self._next()
+            value = self._nested(self.factor, at)
+            if isinstance(value, _Frac):
+                return _Frac(-value.num, value.den)
+            return -value[0], value[1]
+        value = self.base()
+        if self.tok != "^":
+            return value
+        at = self.pos
+        self._next()
+        n = None if self.tok in ("-", "(") else self._integer()
+        if n is None:
+            raise NonIntegerExponent(
+                f"exponent must be a nonnegative integer literal (offset {at})"
+            )
+        if n == 0:  # also for a zero base, as 0^0 = 1
+            return 1, ()
+        if isinstance(value, _Frac):
+            return _Frac(value.num**n, None if value.den is None else value.den**n)
+        c, mono = value
+        return c**n, tuple((i, k * n) for i, k in mono)
 
     def base(self):
-        ch = self.sc.peek()
-        if ch == "(":
-            self.sc.expect("(")
-            node = self._nested(self.expr)
-            self.sc.expect(")")
-            return node
-        if ch.isdigit():
-            return self.ring(self.sc.integer()), self.ring.one
-        name = self.sc.ident()
-        if name is None:
-            if ch == "":
-                raise ParseSyntaxError("unexpected end of input", self.sc.pos)
-            raise ParseSyntaxError(f"unexpected character '{ch}'", self.sc.pos)
-        if name in self.gens:
-            return self.gens[name], self.ring.one
-        pos = self.sc.pos - len(name)
-        if self.ring.domain.is_QQ or name not in ("I", "sqrt"):
-            raise ParseSyntaxError(f"unknown variable '{name}'", pos)
-        return self._root(name, pos), self.ring.one
+        tok, at = self.tok, self.at
+        if tok == "(":
+            self._next()
+            value = self._nested(self.expr, at)
+            self._expect(")")
+            if not isinstance(value, dict):
+                return value
+            if len(value) > 1:
+                return _Frac(_poly(self.ring, value))
+            [(e, c)] = value.items()
+            return c, tuple((i, k) for i, k in enumerate(e) if k)
+        if self.kind == _INT:
+            return self._integer(), ()
+        if self.kind != _NAME:
+            if tok == "":
+                raise ParseSyntaxError("unexpected end of input", at)
+            raise ParseSyntaxError(f"unexpected character '{tok}'", at)
+        self._next()
+        unit = self.units.get(tok)
+        if unit is not None:
+            return 1, unit
+        if self.ring.domain.is_QQ or tok not in ("I", "sqrt"):
+            raise ParseSyntaxError(f"unknown variable '{tok}'", at)
+        return self._root(tok, at), ()
 
-    def _root(self, name, pos):
-        """The constant I, sqrt(n) or sqrt(n)*I as an element of the ring's
-        quadratic field.  sqrt(n)*I, as sympy prints sqrt(-n), is read as one
-        atom, so it may not follow '/' nor take an exponent."""
+    def _root(self, name, at):
+        """The constant I, sqrt(n) or sqrt(n)*I, the name at offset `at`
+        just read, as an element of the ring's quadratic field.
+        sqrt(n)*I, as sympy prints sqrt(-n), is read as one atom, so it may
+        not follow '/' nor take an exponent."""
         n = -1
         if name == "sqrt":
-            self.sc.expect("(")
-            n = self.sc.integer()
+            self._expect("(")
+            n = self._integer()
             if n is None:
-                raise ParseSyntaxError("expected an integer", self.sc.pos)
-            self.sc.expect(")")
-            text, end = self.sc.text, self.sc.pos + 2
-            if text.startswith("*I", self.sc.pos) and not _IDENT.match(text, end):
-                self.sc.pos = end
-                if text[:pos].rstrip().endswith("/") or self.sc.peek() == "^":
-                    raise ParseSyntaxError("parenthesize sqrt(n)*I", pos)
+                raise ParseSyntaxError("expected an integer", self.at)
+            if self.tok != ")":
+                raise ParseSyntaxError("expected ')'", self.at)
+            text, end = self.text, self.pos
+            star = text.startswith("*I", end) and not _IDENT.match(text, end + 2)
+            if star:
+                self.pos = end + 2
+            self._next()
+            if star:
+                if text[:at].rstrip().endswith("/") or self.tok == "^":
+                    raise ParseSyntaxError("parenthesize sqrt(n)*I", at)
                 n = -n
         K = self.ring.domain
-        root = _field_sqrt(K.convert(n), K)
+        root = _field_sqrt(_element(K, n), K)
         if root is None:
-            raise ParseSyntaxError(f"sqrt({n}) is not in the declared field", pos)
-        return self.ring.ground_new(root)
+            raise ParseSyntaxError(f"sqrt({n}) is not in the declared field", at)
+        return root
 
 
 def parse_rational(text, variables=None, field=None):
@@ -250,14 +349,12 @@ def parse_rational(text, variables=None, field=None):
     """
     if variables is not None:
         _check_variables(variables)
-    p = _Parser(text, variables, field)
-    num, den = p.parse()
+    num, den = _Parser(text, variables, field).parse()
     return RationalFunction(MultiPoly.of(num), MultiPoly.of(den))
 
 
-def parse_poly(text, variables=None):
-    """Parse a polynomial; division by non-constants is a syntax-level error."""
-    g = parse_rational(text, variables)
+def _polynomial(g):
+    """The numerator of g, when its denominator is constant."""
     if not g.den.is_constant():
         raise ParseSyntaxError(
             "expected a polynomial but the expression has a non-constant "
@@ -267,18 +364,23 @@ def parse_poly(text, variables=None):
     return g.num
 
 
+def parse_poly(text, variables=None):
+    """Parse a polynomial; division by non-constants is a syntax-level error."""
+    return _polynomial(parse_rational(text, variables))
+
+
+def _identifiers(texts):
+    """The identifiers of the texts, in order of first appearance."""
+    return list(dict.fromkeys(v for text in texts for v in _IDENT.findall(text)))
+
+
 def infer_variables(texts):
-    """Variables across several expressions, in order of first appearance."""
-    out = []
-    seen = set()
+    """Variables across several expressions, in order of first appearance;
+    every text must parse."""
+    texts = list(texts)
     for text in texts:
-        p = _Parser(text)
-        p.parse()
-        for v in p.vars:
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
+        _Parser(text).parse()
+    return _identifiers(texts)
 
 
 # --------------------------------------------------------------------------
@@ -339,12 +441,15 @@ def load_alphabet(doc):
         raise SchemaError("duplicate root labels")
     if "variables" in doc:
         variables = _check_variables(doc["variables"])
+        polys = [parse_poly(text, variables) for text in texts]
     else:
-        variables = infer_variables(texts)
-    roots = [
-        (label, parse_poly(text, variables)) for label, text in zip(labels, texts)
-    ]
-    return tuple(variables), roots
+        # the identifiers in order of first appearance, each text parsed
+        # once; every text is read before any denominator is checked, so a
+        # syntax error anywhere comes first, as infer_variables would raise it
+        variables = _identifiers(texts)
+        fractions = [parse_rational(text, variables) for text in texts]
+        polys = [_polynomial(g) for g in fractions]
+    return tuple(variables), list(zip(labels, polys))
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ suite exercises the same cases.
 """
 
 import random
+
+import sympy as sp
 from sympy.polys.domains import QQ
 
 from ratsqrt.alphabet import decide_alphabet
@@ -14,12 +16,23 @@ from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _rational,
     effective_vars,
     is_perfect_square,
     squarefree_part,
     substitute,
 )
 from ratsqrt.witness import verify_witness
+
+
+def to_sympy(c):
+    """A coefficient as a sympy number a + b*sqrt(r)."""
+    q = _rational(c)
+    if q is not None:
+        return QQ.to_sympy(q)
+    b, a = c.to_list()
+    r = int(-c.mod[-1])
+    return QQ.to_sympy(a) + QQ.to_sympy(b) * sp.sqrt(r)
 
 
 def rand_univariate(rng, min_deg=1, max_deg=4):

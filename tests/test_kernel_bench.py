@@ -14,7 +14,9 @@ simultaneous search; of the lex Groebner basis of the chart-0 system of
 two branch curves, one smooth and one with irrational singular points;
 and of the ADE classification of two germs, a node over a height-2 tower
 and a rational germ with Milnor number 6, both Milnor routes
-cross-checked.
+cross-checked.  At the text edges: the parse of a dense quartic in three
+variables, and the report of a quadric witness over QQ(sqrt(-2)), printed
+from fresh copies of its functions so that every round prints them.
 
 The rounds are fixed, so the whole file runs in a second or two; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -22,11 +24,19 @@ timings appear in pytest-benchmark's table.  Run it alone with
     PYTHONPATH=src python -m pytest tests/test_kernel_bench.py
 """
 
+from dataclasses import replace
+
 from sympy.polys.domains import QQ
 
 from ratsqrt import geometry
 from ratsqrt.alphabet import decide_alphabet
-from ratsqrt.engine import NOT_RATIONALIZABLE, RATIONALIZABLE, Config
+from ratsqrt.engine import (
+    DEFAULT_CONFIG,
+    NOT_RATIONALIZABLE,
+    RATIONALIZABLE,
+    Config,
+    decide,
+)
 from ratsqrt.geometry import (
     all_simple,
     build_model,
@@ -38,12 +48,15 @@ from ratsqrt.localanalysis import classify_germ
 from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
+    RationalMap,
     _ring,
+    poly_str,
     quadratic_field,
     squarefree_part,
     substitute,
 )
-from ratsqrt.parser import parse_poly
+from ratsqrt.parser import parse_poly, parse_rational
+from ratsqrt.report import dumps, verdict_report
 from ratsqrt.witness import quadric_witness
 
 ROUNDS, ITERATIONS = 25, 4
@@ -169,3 +182,37 @@ def test_classify_germ_with_milnor_number_6(benchmark):
     c = benchmark.pedantic(classify_germ, args=(germ,), rounds=ROUNDS,
                            iterations=ITERATIONS)
     assert (c.label(), c.mu, c.multiplicity) == ("A6", 6, 2)
+
+
+def test_parse_a_dense_quartic_in_three_variables(benchmark):
+    # all 35 monomials of degree <= 4 in X, Y, Z, nonzero coefficients
+    p = MultiPoly(("X", "Y", "Z"), {
+        (i, j, k): (-3, -2, -1, 1, 2, 3)[(i + 2 * j + 3 * k) % 6]
+        for i in range(5) for j in range(5 - i) for k in range(5 - i - j)})
+    g = benchmark.pedantic(parse_rational, args=(poly_str(p),),
+                           rounds=ROUNDS, iterations=ITERATIONS)
+    assert g.num == p and len(p.pe) == 35
+
+
+def _unprinted(v):
+    """v with copies of its witness functions that rf_str has not printed."""
+    def copy(g):
+        return RationalFunction(g.num, g.den, reduce=False)
+
+    m = v.witness
+    witness = RationalMap(m.source_vars,
+                          {x: copy(g) for x, g in m.assignments.items()},
+                          m.extension)
+    return replace(v, witness=witness, witness_sqrt=copy(v.witness_sqrt))
+
+
+def test_report_of_a_witness_over_qq_sqrt_minus_2(benchmark):
+    text = "-X^2 - Y^2 - 2"
+    g = parse_rational(text)
+    v = decide(g.num, g.den)
+
+    def report():
+        return dumps(verdict_report(text, _unprinted(v), DEFAULT_CONFIG))
+
+    out = benchmark.pedantic(report, rounds=ROUNDS, iterations=ITERATIONS)
+    assert '"extension": "sqrt(2)*I"' in out

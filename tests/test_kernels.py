@@ -20,6 +20,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
+from prop_helpers import to_sympy
 import ratsqrt
 from ratsqrt import geometry, localanalysis, numberfield, unipoly
 from ratsqrt.engine import decide
@@ -28,7 +29,6 @@ from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
-    _to_sympy,
     is_perfect_square,
     quadratic_field,
     squarefree_part,
@@ -110,7 +110,7 @@ class TestReduction:
         g = RationalFunction(a * c, b * c)
         assert g == _normal_form((a * c).pe.as_expr(), (b * c).pe.as_expr(),
                                  r=r)
-        assert _to_sympy(g.den.leading_coeff()) == 1
+        assert to_sympy(g.den.leading_coeff()) == 1
 
 
 class TestSquarefreePart:
@@ -140,7 +140,7 @@ class TestPerfectSquare:
         assert root is not None
         assert root * root == h * h
         assert root in (h, RationalFunction(-h.num, h.den, reduce=False))
-        assert not _negative(_to_sympy(root.num.leading_coeff()))
+        assert not _negative(to_sympy(root.num.leading_coeff()))
 
     @KERNEL
     @given(field_polys(), st.integers(-3, 3))

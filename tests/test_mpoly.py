@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,11 +17,12 @@ from test_golden import EXTENSION_ROOTS
 from test_kernels import FIELDS
 
 from ratsqrt import mpoly
-from ratsqrt.engine import decide
+from ratsqrt.engine import DEFAULT_CONFIG, decide
 from ratsqrt.errors import OddDegree, ZeroDenominator
 from ratsqrt.mpoly import (
     _PROBES,
     MultiPoly,
+    _coeff_str,
     _coerce,
     _common,
     _ring,
@@ -41,6 +43,7 @@ from ratsqrt.mpoly import (
     substitute,
 )
 from ratsqrt.parser import parse_poly, parse_rational
+from ratsqrt.report import dumps, verdict_report
 
 
 def P(text, vs):
@@ -408,8 +411,7 @@ def _sympy_users():
 def test_a_multipoly_is_one_ring_element():
     """A MultiPoly is one element of a _ring-built ring: its variables are
     the ring's generator names, it has no bridge to sympy expressions, and
-    mpoly meets sympy's expression API only to build rings and fields and
-    to print irrational coefficients."""
+    mpoly meets sympy's expression API only to build rings and fields."""
     for name in ("from_sympy", "to_sympy", "terms", "scale", "__rsub__"):
         assert not hasattr(MultiPoly, name), name
     assert list(inspect.signature(MultiPoly.of).parameters) == ["pe"]
@@ -419,5 +421,73 @@ def test_a_multipoly_is_one_ring_element():
         p = MultiPoly.of(_ring(variables, domain).ground_new(c))
         assert p.pe.ring.domain == domain
         assert p.vars == variables == tuple(str(s) for s in p.pe.ring.symbols)
-    assert _sympy_users() == {"_ring", "_field", "quadratic_field",
-                              "_to_sympy", "RationalMap.to_json"}
+    assert _sympy_users() == {"_ring", "_field", "quadratic_field"}
+
+
+# --------------------------------------------------------------------------
+# printing coefficients a + b*sqrt(r) without sympy expressions
+
+
+def _sympy_text(a, b, r):
+    """str of the sympy number a + b*sqrt(r), without spaces."""
+    a, b = (sp.Rational(q.numerator, q.denominator) for q in (a, b))
+    return str(a + b * sp.sqrt(r)).replace(" ", "")
+
+
+class TestSurdPrinter:
+    RADICANDS = (-1, -2, -3, -7, -30, -69, 2, 3, 5, 6, 7, 30, 69)
+
+    def test_matches_sympy_str(self):
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(5000):
+            r = rng.choice(self.RADICANDS)
+            a = QQ(rng.randint(-30, 30), rng.randint(1, 9)) \
+                if rng.random() < 0.8 else QQ(0)
+            k = rng.choice([-1, 1, rng.randint(-30, 30) or 1])
+            b = QQ(k, rng.randint(1, 9))
+            K, root = quadratic_field(r)
+            c = K.convert(a) + K.convert(b) * root
+            assert _coeff_str(c) == _sympy_text(a, b, r)
+            if not a:
+                seen.add("a = 0")
+            elif r < 0:
+                seen.add("r = -1" if r == -1 else "r < -1")
+            elif a > 0 > b:
+                seen.add("a > 0 > b")
+            else:
+                seen.add("a first" if float(a) < float(b) * r**0.5
+                         else "root first")
+            if abs(b.numerator) == 1:
+                seen.add("|b| = 1/d")
+        assert seen == {"a = 0", "r = -1", "r < -1", "a > 0 > b", "a first",
+                        "root first", "|b| = 1/d"}
+
+    def test_extension_matches_sympy_str(self):
+        rng = random.Random(26)
+        x = RationalFunction.from_poly(MultiPoly.var(("X",), "X"))
+        for _ in range(1000):
+            c = QQ(rng.randint(-60, 60) or 1, rng.randint(1, 30))
+            m = RationalMap(("X",), {"X": x}, extension=c)
+            want = str(sp.sqrt(sp.Rational(c.numerator, c.denominator)))
+            assert m.to_json()["extension"] == want
+
+    def test_a_verdict_over_a_quadratic_field_prints_without_sympy(
+            self, monkeypatch):
+        # no sympy.sqrt and no Basic.__str__: nothing builds or prints a
+        # sympy expression
+        g = parse_rational("-X^2 - Y^2 - 2")
+        v = decide(g.num, g.den)
+        assert v.witness.extension == -2
+
+        def refuse(*_args):
+            raise AssertionError("a sympy expression was built or printed")
+
+        monkeypatch.setattr(sp, "sqrt", refuse)
+        monkeypatch.setattr(sp.Basic, "__str__", refuse)
+        report = verdict_report("-X^2 - Y^2 - 2", v, DEFAULT_CONFIG)
+        witness = report["witness"]
+        assert witness["extension"] == "sqrt(2)*I"
+        assert witness["assignments"]["X"] == \
+            "((-2*sqrt(2)*I)*X)/(X^2 + Y^2 + 1)"
+        assert "sqrt(2)*I" in dumps(report)

@@ -15,8 +15,10 @@ from ratsqrt.numberfield import (
     NFElem,
     NumberField,
     elem_str,
+    _times,
     factor_over_height1,
     roots_in_field,
+    row_reduce,
 )
 
 
@@ -110,6 +112,36 @@ class TestTower:
                 if not e:
                     continue
                 assert e * e.inverse() == one
+
+    def test_integer_inverse_matches_row_reduction(self):
+        # the inverse by rational row reduction of the rows
+        # (num*e_k | e_k) and (1 | 0), which the integer solve replaced
+        def reduced(e):
+            field = e.field
+            rows = [[QQ(c) for c in _times(field.table, e.num, u) + list(u)]
+                    for u in field.units]
+            rows.append([QQ.one] + [QQ.zero] * (2 * field.degree - 1))
+            *_, last = row_reduce(rows)
+            if any(last[:field.degree]):
+                raise ZeroInversion("not a unit")
+            return NFElem(field, [-c for c in last[field.degree:]]) * (
+                e.den * field.tden)
+
+        rng = random.Random(11)
+        for field in (q_sqrt2(), tower_sqrt2_sqrt3()):
+            for _ in range(100):
+                e = NFElem(field, [QQ(rng.randint(-9, 9), rng.randint(1, 6))
+                                   for _ in range(field.degree)])
+                if e:
+                    assert e.inverse() == reduced(e)
+
+    def test_zero_divisor_of_a_tower_raises(self):
+        # t^2 - 2 = (t - a)(t + a) over QQ(a), a^2 = 2: b - a is no unit
+        K = q_sqrt2()
+        L = NumberField(K, "b", {(0,): K.from_rational(-2), (2,): K.one()})
+        for e in (L.gen() - L.lift(K.gen()), L.zero()):
+            with pytest.raises(ZeroInversion):
+                e.inverse()
 
     def test_levels_meet_only_through_lift(self):
         L = tower_sqrt2_sqrt3()

@@ -1,6 +1,8 @@
 """Expression parsing and alphabet document validation."""
 
 import json
+import re
+import time
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -12,15 +14,21 @@ from ratsqrt.errors import (
     ParseSyntaxError,
     RatsqrtError,
     SchemaError,
+    ZeroDenominator,
 )
 from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
+    _field_sqrt,
+    _ring,
     poly_str,
     quadratic_field,
     rf_str,
 )
+from ratsqrt import parser
 from ratsqrt.parser import (
+    _IDENT,
+    _MAX_DEPTH,
     infer_variables,
     load_alphabet,
     map_from_json,
@@ -146,6 +154,29 @@ class TestAlphabetDocuments:
     def test_bad_json_string(self):
         with pytest.raises(SchemaError):
             load_alphabet("{not json")
+
+    def test_each_radicand_parsed_once(self, monkeypatch):
+        # without "variables" they are the identifiers in order of first
+        # appearance, and no parse runs only to find them
+        texts = []
+        parse = parser._Parser.parse
+        monkeypatch.setattr(parser._Parser, "parse",
+                            lambda self: texts.append(self.text) or parse(self))
+        variables, roots = load_alphabet(
+            {"roots": [{"radicand": "Y - 1"}, {"radicand": "X*Y + Y"}]})
+        assert texts == ["Y - 1", "X*Y + Y"]
+        assert variables == ("Y", "X")
+        assert [f for _l, f in roots] == [parse_poly("Y - 1", ("Y", "X")),
+                                          parse_poly("X*Y + Y", ("Y", "X"))]
+
+    def test_syntax_error_comes_before_a_denominator(self):
+        # every radicand is read before any denominator is checked, as
+        # when a parse of each text inferred the variables first
+        doc = {"roots": [{"radicand": "1/X"}, {"radicand": "X +"}]}
+        with pytest.raises(ParseSyntaxError, match="end of input"):
+            load_alphabet(doc)
+        with pytest.raises(ParseSyntaxError, match="end of input"):
+            infer_variables([r["radicand"] for r in doc["roots"]])
 
 
 class TestMapSerialization:
@@ -348,3 +379,274 @@ class TestUntrustedInput:
         assert parse_rational("(" * 100 + "X" + ")" * 100) == x
         assert parse_rational("-" * 100 + "X") == x
         assert parse_rational("-(" * 50 + "X" + ")" * 50) == x
+
+
+# -- the one-pass parser against ring arithmetic -------------------------------
+
+
+class _RefScanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise ParseSyntaxError(f"expected '{ch}'", self.pos)
+        self.pos += 1
+
+    def match(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def ident(self):
+        self.skip_ws()
+        m = _IDENT.match(self.text, self.pos)
+        if not m:
+            return None
+        self.pos = m.end()
+        return m.group()
+
+    def integer(self):
+        self.skip_ws()
+        m = re.compile(r"[0-9]+").match(self.text, self.pos)
+        if not m:
+            return None
+        end = m.end()
+        if end < len(self.text) and self.text[end] == ".":
+            raise ParseSyntaxError("decimal literals are not accepted", self.pos)
+        self.pos = end
+        return int(m.group())
+
+
+class _RefParser:
+    """The reference evaluator: every token becomes a (numerator,
+    denominator) pair of ring elements, combined by ring arithmetic."""
+
+    def __init__(self, text, variables=None, field=None):
+        self.sc = _RefScanner(text)
+        if variables is None:
+            atoms = () if field is None else ("I", "sqrt")
+            variables = dict.fromkeys(
+                v for v in _IDENT.findall(text) if v not in atoms)
+        self.vars = tuple(variables)
+        self.ring = _ring(self.vars) if field is None else _ring(self.vars, field)
+        self.gens = dict(zip(self.vars, self.ring.gens))
+        self.depth = 0
+
+    def parse(self):
+        node = self.expr()
+        self.sc.skip_ws()
+        if self.sc.pos != len(self.sc.text):
+            raise ParseSyntaxError("unexpected trailing input", self.sc.pos)
+        return RationalFunction(MultiPoly.of(node[0]), MultiPoly.of(node[1]))
+
+    def _nested(self, parse):
+        if self.depth == _MAX_DEPTH:
+            raise ParseSyntaxError("nesting too deep", self.sc.pos - 1)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def _frac(self, num, den):
+        if den.is_ground:
+            return num.quo_ground(den.LC), self.ring.one
+        return num, den
+
+    def expr(self):
+        num, den = self.term()
+        while True:
+            if self.sc.match("+"):
+                n2, d2 = self.term()
+            elif self.sc.match("-"):
+                n2, d2 = self.term()
+                n2 = -n2
+            else:
+                return num, den
+            if d2 == den:
+                num = num + n2
+            else:
+                num, den = num * d2 + n2 * den, den * d2
+
+    def term(self):
+        num, den = self.factor()
+        while True:
+            if self.sc.match("*"):
+                n2, d2 = self.factor()
+                num, den = self._frac(num * n2, den * d2)
+            elif self.sc.match("/"):
+                pos = self.sc.pos
+                n2, d2 = self.factor()
+                if not n2:
+                    raise ZeroDenominator(f"division by zero at offset {pos}")
+                num, den = self._frac(num * d2, den * n2)
+            else:
+                return num, den
+
+    def factor(self):
+        if self.sc.match("-"):
+            num, den = self._nested(self.factor)
+            return -num, den
+        num, den = self.base()
+        if self.sc.match("^"):
+            pos = self.sc.pos
+            if self.sc.peek() == "-" or self.sc.peek() == "(":
+                raise NonIntegerExponent(
+                    f"exponent must be a nonnegative integer literal (offset {pos})")
+            n = self.sc.integer()
+            if n is None:
+                raise NonIntegerExponent(
+                    f"exponent must be a nonnegative integer literal (offset {pos})")
+            if n == 0:
+                return self.ring.one, self.ring.one
+            return num**n, den**n
+        return num, den
+
+    def base(self):
+        ch = self.sc.peek()
+        if ch == "(":
+            self.sc.expect("(")
+            node = self._nested(self.expr)
+            self.sc.expect(")")
+            return node
+        if ch.isdigit():
+            return self.ring(self.sc.integer()), self.ring.one
+        name = self.sc.ident()
+        if name is None:
+            if ch == "":
+                raise ParseSyntaxError("unexpected end of input", self.sc.pos)
+            raise ParseSyntaxError(f"unexpected character '{ch}'", self.sc.pos)
+        if name in self.gens:
+            return self.gens[name], self.ring.one
+        pos = self.sc.pos - len(name)
+        if self.ring.domain.is_QQ or name not in ("I", "sqrt"):
+            raise ParseSyntaxError(f"unknown variable '{name}'", pos)
+        return self._root(name, pos), self.ring.one
+
+    def _root(self, name, pos):
+        n = -1
+        if name == "sqrt":
+            self.sc.expect("(")
+            n = self.sc.integer()
+            if n is None:
+                raise ParseSyntaxError("expected an integer", self.sc.pos)
+            self.sc.expect(")")
+            text, end = self.sc.text, self.sc.pos + 2
+            if text.startswith("*I", self.sc.pos) and not _IDENT.match(text, end):
+                self.sc.pos = end
+                if text[:pos].rstrip().endswith("/") or self.sc.peek() == "^":
+                    raise ParseSyntaxError("parenthesize sqrt(n)*I", pos)
+                n = -n
+        K = self.ring.domain
+        root = _field_sqrt(K.convert(n), K)
+        if root is None:
+            raise ParseSyntaxError(f"sqrt({n}) is not in the declared field", pos)
+        return self.ring.ground_new(root)
+
+
+def _outcome(read):
+    """read()'s value, or the type, message and offset of its error."""
+    try:
+        return read()
+    except RatsqrtError as e:
+        return type(e), str(e), getattr(e, "offset", None)
+
+
+_ATOMS = ["0", "1", "2", "3", "12", "X", "Y", "I", "sqrt(7)*I", "sqrt(28)*I",
+          "sqrt(4)", "sqrt(7)", "sqrt( 7 )*I"]
+
+
+def _spaced(parts):
+    return st.lists(st.sampled_from(["", "", " "]), min_size=len(parts),
+                    max_size=len(parts)).map(
+        lambda ws: "".join(w + p for w, p in zip(ws, parts)))
+
+
+def _expressions():
+    """Well-formed texts: sums, products, quotients, unary minus, powers and
+    parentheses over integers, X, Y and the atoms of QQ(sqrt(-7)), with
+    whitespace here and there."""
+    leaf = st.sampled_from(_ATOMS)
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).flatmap(
+                lambda t: _spaced(list(t))),
+            inner.flatmap(lambda t: _spaced(["-", t])),
+            inner.flatmap(lambda t: _spaced(["(", t, ")"])),
+            st.tuples(inner, st.sampled_from(["0", "1", "2", "3"])).flatmap(
+                lambda t: _spaced(["(", t[0], ")", "^", t[1]])),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+_SOUP = ["X", "Y", "I", "I2", "sqrt", "0", "1", "7", "+", "-", "*", "/", "^",
+         "(", ")", " ", ".", "é", "_"]
+
+
+class TestAgainstRingArithmetic:
+    """The one-pass parser gives what token-by-token ring arithmetic gives,
+    value or error alike, over QQ and over QQ(sqrt(-7))."""
+
+    SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                        database=None)
+
+    @SETTINGS
+    @given(_expressions(), st.sampled_from([None, -7]),
+           st.sampled_from([None, ("X", "Y")]))
+    def test_well_formed_texts(self, text, r, variables):
+        field = None if r is None else quadratic_field(r)[0]
+        want = _outcome(lambda: _RefParser(text, variables, field).parse())
+        got = _outcome(lambda: parse_rational(text, variables, field))
+        assert got == want
+
+    @SETTINGS
+    @given(st.lists(st.sampled_from(_SOUP), max_size=12).map("".join),
+           st.sampled_from([None, -7]))
+    def test_token_soup(self, text, r):
+        field = None if r is None else quadratic_field(r)[0]
+        want = _outcome(lambda: _RefParser(text, None, field).parse())
+        got = _outcome(lambda: parse_rational(text, None, field))
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(7)*I2", "1/sqrt(7)*I", "2 / sqrt(7)*I", "sqrt(7)*I^2",
+        "sqrt(7) *I", "sqrt(7)*I_", "X/X", "X^2/X + 1", "(X+1)/(2+0*X)",
+        "1/(X - X)", "0/X", "-(X+1)*(X-1)/(X-1)", "2^3^2", "X^0/0^0",
+        "(2)^3*X/(4*Y)^2", "X^2.5", "1.", "1 .5", "(X", "X)", "", "   ",
+    ])
+    def test_edge_texts(self, text):
+        field = quadratic_field(-7)[0]
+        for f in (None, field):
+            want = _outcome(lambda: _RefParser(text, None, f).parse())
+            assert _outcome(lambda: parse_rational(text, None, f)) == want
+
+
+def test_power_of_a_sum_costs_what_the_ring_power_costs():
+    # the sum is built once and handed to the ring's multinomial power, so
+    # the parse takes about as long as that power alone
+    x, y = _ring(("X", "Y")).gens
+
+    def best(run):
+        times = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            out = run()
+            times.append(time.perf_counter() - t0)
+        return out, min(times)
+
+    want, ring_s = best(lambda: (x + y + 1) ** 120)
+    got, parse_s = best(lambda: parse_rational("(X + Y + 1)^120"))
+    assert got.num.pe == want and got.den.is_constant()
+    assert parse_s < 3 * ring_s

@@ -10,6 +10,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
+from prop_helpers import to_sympy
 from ratsqrt import witness
 from ratsqrt.engine import Config
 from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
@@ -18,7 +19,6 @@ from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
-    _to_sympy,
     is_perfect_square,
     substitute,
 )
@@ -81,7 +81,7 @@ class TestQuadricWitness:
         m, h = res
         assert m.extension is not None
         assert h * h == substitute(f, m)
-        lc = _to_sympy(h.num.leading_coeff())
+        lc = to_sympy(h.num.leading_coeff())
         assert sp.expand(lc**2).is_Rational
 
 
