@@ -341,14 +341,16 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
 
 
 def _pad_map(w, universe):
-    """Extend a witness to the full variable universe with identities."""
+    """Extend a witness to the full variable universe with identities; its
+    assignments are in lowest terms already, so they are not reduced
+    again."""
     assignments = {}
     for v in universe:
         if v in w.assignments:
             g = w.assignments[v]
             assignments[v] = RationalFunction(
-                g.num.with_vars(universe), g.den.with_vars(universe)
-            )
+                g.num.with_vars(universe), g.den.with_vars(universe),
+                reduce=False)
         else:
             assignments[v] = RationalFunction.from_poly(
                 MultiPoly.var(universe, v)

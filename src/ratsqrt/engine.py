@@ -11,14 +11,16 @@ directions.  The criteria are then applied in a fixed order:
 5. one variable -> rationalizable iff degree <= 2 (so: not rationalizable);
 6. two variables, degree 3 -> rationalizable iff the projective cubic
    surface w^2 z = F is not a cone, that is, iff the plane cubic F has no
-   multiplicity-3 point on the line z = 0 at infinity;
+   multiplicity-3 point on the line z = 0 at infinity; the triple point is
+   read off the singular points of the branch curve s*F, and so is the
+   projection centre, a double point of the surface;
 7. two variables, other degree -> if every singularity of the branch curve
    of the double cover is simple (ADE), rationalizable iff degree <= 4;
 8. a point of multiplicity D-1 on the hypersurface closure of W^2 = f
-   -> rationalizable by projection from that point; for two variables and
-   degree >= 4 such points lie over the singular points at infinity of the
-   branch curve, and are read off rule 7's records, otherwise the closure
-   is searched;
+   -> rationalizable by projection from that point; for two variables
+   such points lie over the singular points at infinity of the branch
+   curve, and are read off rule 7's records; for three or more variables
+   the closure is searched;
 9. otherwise Inconclusive; so too, before rule 6, a radicand with
    irrational coefficients, which the geometric criteria do not take.
 
@@ -43,6 +45,7 @@ from .geometry import (
     centre_from_records,
     high_mult_point_search,
     milnor_sum,
+    singular_points,
     triple_point_of_cubic,
 )
 from .mpoly import (
@@ -289,8 +292,9 @@ def _decide_reduced(f, clock, config):
     # rational, exactly when F has a triple point on z = 0 (f is a cubic in
     # one linear form); an affine triple point is a double point of it
     if len(eff) == 2 and d == 3:
-        tp = clock.run("cubic-triple-point",
-                       lambda: triple_point_of_cubic(model.F))
+        points = clock.run("cubic-triple-point",
+                           lambda: singular_points(model.B))
+        tp = triple_point_of_cubic(points)
         if tp is not None and tp.chart > 0:
             return clock.verdict(NOT_RATIONALIZABLE, "cubic-triple-point",
                                  {"triple_point": tp.to_json(),
@@ -299,11 +303,13 @@ def _decide_reduced(f, clock, config):
             RATIONALIZABLE, "cubic-triple-point",
             {"triple_point": None if tp is None else tp.to_json(),
              "decides": "rationalizable"},
-            pending=lambda: _criterion_witness(model, f, clock))
+            pending=lambda: _criterion_witness(
+                model, f, clock, [pt for pt, _m in points]))
     # rule 7: bivariate, all-simple branch curve
-    records = None
+    records = points = None
     if len(eff) == 2:
         ok, records = clock.run("simple-singularities", lambda: all_simple(model))
+        points = [r.point for r in records]
         data = {
             "degree": d,
             "branch_degree": model.B.total_degree(),
@@ -315,12 +321,12 @@ def _decide_reduced(f, clock, config):
             return clock.verdict(
                 RATIONALIZABLE if d <= 4 else NOT_RATIONALIZABLE,
                 "simple-singularities", data, records,
-                (lambda: _criterion_witness(model, f, clock, records))
+                (lambda: _criterion_witness(model, f, clock, points))
                 if d <= 4 else None)
         clock.step("simple-singularities", data)
     # rule 8: high-multiplicity point on the hypersurface closure
     V = model.V
-    pt, certified = _centre(model, clock, records)
+    pt, certified = _centre(model, clock, points)
     if pt is not None:
         return clock.verdict(RATIONALIZABLE, "high-multiplicity-point",
                              {"point": pt.to_json(),
@@ -361,14 +367,14 @@ def _lift(build, f, var, clock):
     return m, h, data
 
 
-def _centre(model, clock, records=None):
+def _centre(model, clock, points):
     """(point, certified_empty): a point of multiplicity D - 1 on the
-    hypersurface V, read off the branch-curve records (two variables,
-    degree >= 4) when given, otherwise searched for on V."""
+    hypersurface V, read off the singular points of the branch curve when
+    f is bivariate, otherwise searched for on V."""
     return clock.run(
         "high-multiplicity-point",
-        lambda: high_mult_point_search(model.V) if records is None
-        else centre_from_records(model, records))
+        lambda: high_mult_point_search(model.V) if model.B is None
+        else centre_from_records(model, points))
 
 
 def _projection(model, f, clock, pt):
@@ -393,10 +399,10 @@ def _projection(model, f, clock, pt):
     return (m, h), None
 
 
-def _criterion_witness(model, f, clock, records=None):
+def _criterion_witness(model, f, clock, points):
     """(map, square root, step data) of a projection witness for a verdict
     that a criterion has already given."""
-    pt, _certified = _centre(model, clock, records)
+    pt, _certified = _centre(model, clock, points)
     pair, note = _projection(model, f, clock, pt)
     if pair is None:
         return None, None, {"witness": None, "note": note}

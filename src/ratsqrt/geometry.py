@@ -4,34 +4,32 @@ For a squarefree radicand f of degree d in n variables this module builds:
 
 * the hypersurface model: the projective closure of W^2 = f, an equation of
   degree D = max(d, 2) in n + 2 coordinates (z, x_1..x_n, w);
-* for n = 2, the branch curve B = s^(2r-d) * F of the double cover
-  u^2 = s^(2r) f(y/s) with r = ceil(d/2): a plane projective curve of even
-  degree 2r whose singular points carry the whole classification (the cover
-  is singular exactly over the singular points of B, with germs of the same
-  ADE type).
+* for n = 2, the branch curve B = s^(2r-d) * F, F the homogenization of
+  f in s, of the double cover u^2 = s^(2r) f(y/s) with r = ceil(d/2): a
+  plane projective curve of even degree 2r whose singular points carry the
+  whole classification (the cover is singular exactly over the singular
+  points of B, with germs of the same ADE type).
 
 Two searches share one chart loop (:func:`_vanishing_points`): the
 singular points of B (order-1 partials) and the points of multiplicity
 D - 1 on a hypersurface (order D - 2, projection centres for explicit
-witnesses), the latter for three or more variables and for bivariate
-cubics only.  By the Euler identity each is the common zero set of every
-partial derivative of one order.  Chart c sets coordinate c to 1 and
-every earlier coordinate to 0, so the charts partition projective space
-and each point turns up once, in the chart of its first nonzero
-coordinate.  Each chart goes to one solver (:func:`_solve_ideal`): the
-reduced lex Groebner basis, computed fraction-free over ZZ by
-:func:`ratsqrt.ideal.groebner` and made monic over QQ at the end, then
-triangular back-substitution over a number-field tower of height at most
-two.  The basis [1] certifies an empty chart, a zero-dimensional basis is
-solved exactly, and a positive-dimensional one is cut by rational
-hyperplanes until a point turns up.  Singular points of B are grouped
-into Galois conjugacy classes, and each class is classified once over its
-tower (:mod:`ratsqrt.localanalysis`).  For a bivariate radicand of degree
-d >= 4 every projection centre lies over a singular point of B at
-infinity, so :func:`centre_from_records` reads the centres off those
-records instead of solving the closure again.  The triple point of a
-plane cubic needs no solver: it spans the kernel of the three first
-partials, which one row reduction finds (:func:`triple_point_of_cubic`).
+witnesses), the latter for three or more variables only.  By the Euler
+identity each is the common zero set of every partial derivative of one
+order.  Chart c sets coordinate c to 1 and every earlier coordinate to 0,
+so the charts partition projective space and each point turns up once,
+in the chart of its first nonzero coordinate.  Each chart goes to one
+solver (:func:`_solve_ideal`): the reduced lex Groebner basis, computed
+fraction-free over ZZ by :func:`ratsqrt.ideal.groebner` and made monic
+over QQ at the end, then triangular back-substitution over a number-field
+tower of height at most two.  The basis [1] certifies an empty chart, a
+zero-dimensional basis is solved exactly, and a positive-dimensional one
+is cut by rational hyperplanes until a point turns up.  Singular points of
+B are grouped into Galois conjugacy classes, and each class is classified
+once over its tower (:mod:`ratsqrt.localanalysis`).  For a bivariate
+radicand every projection centre lies over a singular point of B, at
+infinity when d >= 4, so :func:`centre_from_records` reads the centres off
+those points instead of solving the closure again; a cubic's triple point
+is read off the same points (:func:`triple_point_of_cubic`).
 
 A form stays one element of sympy's sparse ring over QQ from
 :class:`~ratsqrt.mpoly.MultiPoly` down to the solver.  Below it, where
@@ -45,8 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from sympy.polys.domains import QQ
-
 from . import unipoly as up
 from .errors import NonReduced
 from .ideal import groebner
@@ -57,7 +53,6 @@ from .mpoly import (
     homogenize,
     is_homogeneous,
     on_effective_vars,
-    squarefree_part,
 )
 from .numberfield import (
     NFElem,
@@ -67,7 +62,6 @@ from .numberfield import (
     field_coerce,
     field_one,
     field_zero,
-    row_reduce,
 )
 
 
@@ -167,7 +161,6 @@ class SingularityRecord:
 @dataclass(frozen=True)
 class GeometricModel:
     f: MultiPoly
-    F: MultiPoly  # homogenization of f, degree d
     V: MultiPoly  # hypersurface equation, degree D = max(d, 2)
     B: MultiPoly | None  # branch curve s^(2r-d) * F(s, ...), bivariate only
 
@@ -179,7 +172,6 @@ def build_model(f: MultiPoly) -> GeometricModel:
     r = (d + 1) // 2
     zname = fresh_name("z", fr.vars)
     wname = fresh_name("w", fr.vars)
-    F = homogenize(fr, zname)
     wring = fr.vars + (wname,)
     w = MultiPoly.var(wring, wname)
     V = homogenize(w * w - fr.with_vars(wring), zname)
@@ -189,7 +181,7 @@ def build_model(f: MultiPoly) -> GeometricModel:
         Fs = homogenize(fr, sname)
         s = MultiPoly.var(Fs.vars, sname)
         B = s ** (2 * r - d) * Fs
-    return GeometricModel(fr, F, V, B)
+    return GeometricModel(fr, V, B)
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +347,10 @@ def _solve_ideal(gens, ring, k):
 
 def singular_points(B: MultiPoly):
     """All singular points of a reduced plane projective curve, one
-    representative per Galois conjugacy class, with multiplicities.
+    representative per Galois conjugacy class, with multiplicities, in the
+    solver's order: chart by chart, each chart's classes in the order
+    :func:`_extend` splits them off, the order :func:`high_mult_point_search`
+    meets its candidates in too.
 
     The singular points are the common zeros of the first partials, taken
     chart by chart by :func:`_vanishing_points`: for coordinates
@@ -378,7 +373,6 @@ def singular_points(B: MultiPoly):
             germ = _germ(form, chart, proj)
             pt = AlgebraicPoint(fld, proj, chart, size, germ)
             results.append((pt, lp_multiplicity(germ)))
-    results.sort(key=lambda pm: pm[0].sort_key())
     return results
 
 
@@ -405,7 +399,7 @@ def all_simple(model: GeometricModel):
     u^2 = g(x, y) is a Du Val singularity of the same letter and index as
     the plane germ g; so the surface-side hypothesis is checked entirely
     on B.  Each point is classified on the germ :func:`singular_points`
-    built for it.
+    built for it, and the records are sorted by point.
     """
     if model.B is None:
         raise ValueError("all_simple requires the bivariate branch curve")
@@ -414,6 +408,7 @@ def all_simple(model: GeometricModel):
         cls = classify_germ(pt.germ)
         records.append(
             SingularityRecord(pt, cls.multiplicity, cls.mu, cls.label()))
+    records.sort(key=lambda rec: rec.point.sort_key())
     return all(rec.simple for rec in records), records
 
 
@@ -421,36 +416,14 @@ def all_simple(model: GeometricModel):
 # multiplicity-3 points of plane cubics
 
 
-def triple_point_of_cubic(F: MultiPoly):
-    """The point of multiplicity 3 of a squarefree plane cubic, or None.
+def triple_point_of_cubic(points):
+    """The point of multiplicity 3 of a squarefree plane cubic F, or None,
+    read off :func:`singular_points` of its branch curve B = s*F.
 
-    A second partial of a cubic is linear, so every one vanishes at p
-    exactly when p_0 F_0 + p_1 F_1 + p_2 F_2 = 0, F_i the first partials:
-    the point spans the kernel of the three first partials.  One
-    :func:`row_reduce` of the rows (F_i | e_i) finds it, as a row whose
-    coefficients reduce to zero and whose unit part is then p.
+    A triple point of F is singular on B, and B's multiplicity there is
+    F's plus one when the point lies on s = 0 (chart > 0).
     """
-    if len(F.vars) != 3 or F.total_degree() != 3:
-        raise ValueError("expected a homogeneous cubic in three variables")
-    form = _form(F)
-    partials = [form.diff(x) for x in form.ring.gens]
-    monos = sorted({e for d in partials for e in d})
-    rows = [[d.get(e, QQ.zero) for e in monos] + [QQ(int(i == j)) for j in range(3)]
-            for i, d in enumerate(partials)]
-    p = next((row[len(monos):] for row in row_reduce(rows)
-              if not any(row[:len(monos)])), None)
-    if p is None:
-        return None
-    # a cubic with a repeated factor (l^2*m, l^3) has a triple point, so
-    # only a found point needs the check; for a squarefree cubic the
-    # kernel is a line, since a cubic in one linear form is a cube
-    if squarefree_part(F) != F:
-        raise NonReduced("cubic must be squarefree")
-    chart = next(i for i, x in enumerate(p) if x)
-    pt = AlgebraicPoint(None, tuple(x / p[chart] for x in p), chart, 1)
-    if multiplicity_at(F, pt) != 3:
-        raise AssertionError("the kernel point of the partials is no triple point")
-    return pt
+    return next((pt for pt, m in points if m - (pt.chart > 0) == 3), None)
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +434,7 @@ def high_mult_point_search(H: MultiPoly):
     """Search for a point of multiplicity D - 1 on the degree-D hypersurface H.
 
     Returns (point or None, certified_empty).  It serves three or more
-    variables and bivariate cubics, whose centres may be affine; bivariate
-    closures of degree >= 4 go to :func:`centre_from_records`.  By the
+    variables; bivariate closures go to :func:`centre_from_records`.  By the
     Euler identity the multiplicity-(D-1) locus is the common zero set of
     the order-(D-2) partials, which are quadrics; :func:`_vanishing_points`
     solves them chart by chart, chart c in the unknowns after coordinate
@@ -492,31 +464,37 @@ def high_mult_point_search(H: MultiPoly):
     return None, certified
 
 
-def centre_from_records(model: GeometricModel, records):
+def centre_from_records(model: GeometricModel, points):
     """:func:`high_mult_point_search` on the closure V of a bivariate
-    W^2 = f of degree d >= 4, read off the records of :func:`all_simple`.
+    W^2 = f of degree d >= 3, read off the singular points of the branch
+    curve B = s^(d mod 2) * F that :func:`singular_points` found.
 
-    Off z = 0, V has multiplicity <= 2 < d - 1, and on z = 0 a point of
-    multiplicity d - 1 lies over a singular point (0:x0:y0) of the branch
-    curve B = s^(d mod 2) * F: it is (0:x0:y0:0) when F has multiplicity
-    d - 1 there, and (0:x0:y0:w0) with w0^2 = c when F's tangent cone
-    there is exactly c*z^(d-2) (Fulton, ch. 3).  Each record at s = 0 gives
-    those candidates in V's coordinates (z, x, y, w), w0 from the solver's
-    own :func:`_extend`, and each is checked by :func:`multiplicity_at`.
-    The first rational candidate in record order is returned, else the
-    first one.  :func:`singular_points` returns every singular point of B
-    or raises, so no candidate certifies that V has no such point.
+    Off z = 0 a point of V has multiplicity <= 2, and 2 exactly at
+    (1:x:y:0) over an affine singular point of f, which counts for a cubic
+    (d - 1 = 2) only.  On z = 0 a point of multiplicity d - 1 lies over a
+    singular point (0:x0:y0) of B: it is (0:x0:y0:0) when F has
+    multiplicity d - 1 there, and (0:x0:y0:w0) with w0^2 = c when F's
+    tangent cone there is exactly c*z^(d-2) (Fulton, ch. 3).  Each point
+    gives those candidates in V's coordinates (z, x, y, w), w0 from the
+    solver's own :func:`_extend`, and each is checked by
+    :func:`multiplicity_at`.  The first rational candidate in point order
+    is returned, else the first one.  :func:`singular_points` returns
+    every singular point of B or raises, so no candidate certifies that V
+    has no such point.
     """
     V = model.V
     d = V.total_degree()
-    if model.B is None or d < 4:
-        raise ValueError("expected a bivariate model of degree at least 4")
+    if model.B is None or d < 3:
+        raise ValueError("expected a bivariate model of degree at least 3")
     first = None
-    for rec in records:
-        pt = rec.point
-        if pt.chart == 0:
+    for pt in points:
+        if pt.chart > 0:
+            cands = _centres_above(pt, d)
+        elif d == 3:
+            cands = [(pt.field, pt.proj + (field_zero(pt.field),))]
+        else:
             continue
-        for fld, proj in _centres_above(pt, d):
+        for fld, proj in cands:
             cand = AlgebraicPoint(fld, proj, pt.chart, 1)
             if multiplicity_at(V, cand) != d - 1:
                 continue

@@ -108,6 +108,15 @@ def _qq(c):
     return c if QQ.of_type(c) else QQ(c.numerator, c.denominator)
 
 
+def _element(K, c):
+    """A coefficient, an int, a QQ element or an element of K, as an
+    element of K; K.convert would take an int several times slower, and a
+    QQ element into a quadratic field through a sympy number."""
+    if type(c) is int:
+        c = QQ.dtype(c)
+    return c if K.of_type(c) else K.convert_from(c, QQ)
+
+
 def _rational(c):
     """A coefficient as an element of QQ, or None when it is irrational."""
     if not isinstance(c, ANP):

@@ -20,18 +20,18 @@ prefix and :meth:`NumberField.lift` is padding.  Each field builds once an
 integer table of the products of its basis elements, over one denominator;
 a product of two elements reads that table and takes one gcd at the end,
 and an inverse solves x*y = 1 on the integer matrix of multiplication by
-x, fraction-free (Bareiss); :func:`row_reduce` serves cubic triple
-points.  The rational coordinates are :attr:`NFElem.vec`; the tower-shaped
-view that reports and sort keys read, the trimmed coefficient tuple over
-the level below, is :attr:`NFElem.rep`.  An element
-combines with ints, QQ elements and elements of its own field through
-ordinary operators, so the generic routines of :mod:`ratsqrt.unipoly` and
-:mod:`ratsqrt.localanalysis` take no field argument.  Zero testing is
-canonical: zero is the all-zero vector over 1.  An element with a rational
-value hashes as that rational, as it also compares equal to it and to any
-element of another field with that value, and unequal to an irrational
-element of another field.  Two irrational elements of two fields, like
-arithmetic across fields, raise ValueError: lift one first.
+x, fraction-free (Bareiss).  The rational coordinates are
+:attr:`NFElem.vec`; the tower-shaped view that reports and sort keys read,
+the trimmed coefficient tuple over the level below, is :attr:`NFElem.rep`.
+An element combines with ints, QQ elements and elements of its own field
+through ordinary operators, so the generic routines of
+:mod:`ratsqrt.unipoly` and :mod:`ratsqrt.localanalysis` take no field
+argument.  Zero testing is canonical: zero is the all-zero vector over 1.
+An element with a rational value hashes as that rational, as it also
+compares equal to it and to any element of another field with that value,
+and unequal to an irrational element of another field.  Two irrational
+elements of two fields, like arithmetic across fields, raise ValueError:
+lift one first.
 
 Splitting a polynomial over a height-one field uses Trager's norm method:
 push the problem down to the rationals with a resultant, factor there (both
@@ -63,29 +63,6 @@ def field_one(field):
 def field_coerce(field, c):
     """A rational or a lower-level element as an element of `field`."""
     return _qq(c) if field is None else field.lift(c)
-
-
-def row_reduce(rows):
-    """Gaussian elimination over an exact field, one row at a time.
-
-    Yields each row reduced against the pivot rows before it.  A reduced row
-    that is not zero is then scaled to 1 at its first nonzero entry and kept
-    as a pivot row by its nonzero entries only, so a sparse row costs in
-    proportion to its nonzero entries from the pivot column on.
-    """
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots:
-            c = row[col]
-            if c:
-                for i, x in prow:
-                    row[i] = row[i] - c * x
-        yield row
-        col = next((i for i, x in enumerate(row) if x), None)
-        if col is not None:
-            inv = 1 / row[col]
-            pivots.append((col, [(i, x * inv) for i, x in enumerate(row) if x]))
 
 
 class NumberField:

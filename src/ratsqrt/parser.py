@@ -46,8 +46,6 @@ from __future__ import annotations
 import json
 import re
 
-from sympy.polys.domains import QQ
-
 from .errors import (
     NonIntegerExponent,
     ParseSyntaxError,
@@ -58,6 +56,7 @@ from .mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _element,
     _field_sqrt,
     _rational,
     _ring,
@@ -86,15 +85,6 @@ class _Frac:
 def _times(a, b):
     """a*b for ring elements or None, which stands for 1."""
     return b if a is None else a if b is None else a * b
-
-
-def _element(K, c):
-    """A coefficient, an int, a QQ element or an element of K, as an
-    element of K; K.convert would take an int several times slower, and a
-    QQ element into a quadratic field through a sympy number."""
-    if type(c) is int:
-        c = QQ.dtype(c)
-    return c if K.of_type(c) else K.convert_from(c, QQ)
 
 
 def _poly(ring, terms):

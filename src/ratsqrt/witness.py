@@ -40,11 +40,11 @@ from .mpoly import (
     RationalFunction,
     RationalMap,
     _coerce,
+    _element,
     _join,
     _rational,
     _rational_sqrt,
     _ring,
-    effective_vars,
     is_perfect_square,
     quadratic_field,
     substitute,
@@ -206,7 +206,7 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
     slots = [i for i in range(len(coords)) if i not in (pivot, one_slot)]
     domains, q = zip(*(_coerce(c) for c in q))
     K = _join((H.pe.ring.domain, *domains))
-    q = [K.convert(c) for c in q]
+    q = [_element(K, c) for c in q]
     h = H.pe.set_ring(_ring(coords, K))
     ring = _ring(source_vars, K)
 
@@ -263,12 +263,10 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
 def verify_witness(m: RationalMap, f: MultiPoly):
     """The square root of the image of f under m, or None.
 
-    Checks that m assigns every effective variable of f, that m is not a
-    constant map, and that substitute(f, m) is a perfect square.
+    Checks that m is not a constant map, that it assigns every effective
+    variable of f (substitute raises UndefinedVariable otherwise), and that
+    substitute(f, m) is a perfect square.
     """
-    for v in effective_vars(f):
-        if v not in m.assignments:
-            return None
     if not m.is_nonconstant():
         return None
     try:

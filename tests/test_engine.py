@@ -150,6 +150,26 @@ class TestBivariate:
         assert v.outcome == RATIONALIZABLE
         assert_witness_ok(v, p)
 
+    @pytest.mark.parametrize("text", ["X^2*(X + 1) - Y^2", "Y^2 - X^3 - X - 1"])
+    def test_cubic_reads_its_centre_off_one_singular_point_pass(
+            self, monkeypatch, text):
+        # the triple point and the projection centre, affine or at
+        # infinity, both come from the singular points of B = s*F
+        curves = []
+        find = engine.singular_points
+
+        def refuse(V):
+            raise AssertionError("a bivariate cubic reached the search")
+
+        monkeypatch.setattr(engine, "singular_points",
+                            lambda B: curves.append(B) or find(B))
+        monkeypatch.setattr(engine, "high_mult_point_search", refuse)
+        p = parse_poly(text, ("X", "Y"))
+        v = decide(p)
+        assert rules(v)[-1] == "cubic-triple-point"
+        assert_witness_ok(v, p)
+        assert len(curves) == 1
+
     def test_bhabha_not_rationalizable(self):
         p = parse_poly("(X + Y)*(1 + X*Y)", ("X", "Y"))
         q = parse_poly("X + Y - 4*X*Y + X^2*Y + X*Y^2", ("X", "Y"))
@@ -380,9 +400,9 @@ class TestCentresOffTheBranchCurve:
         assert verify_witness(v.witness, f) is not None
 
 
-def test_chart_loop_search_only_for_three_variables_or_cubics(monkeypatch):
-    # bivariate radicands of degree >= 4 take their centres from the
-    # records of rule 7, in rule 7 and in rule 8
+def test_chart_loop_search_only_for_three_variables(monkeypatch):
+    # bivariate radicands take their centres from the branch curve's
+    # singular points: cubics in rule 6, the others in rules 7 and 8
     searched, looked_up = [], []
     search, lookup = engine.high_mult_point_search, engine.centre_from_records
 
@@ -390,9 +410,9 @@ def test_chart_loop_search_only_for_three_variables_or_cubics(monkeypatch):
         searched.append((len(V.vars) - 2, V.total_degree()))
         return search(V)
 
-    def spy_lookup(model, records):
+    def spy_lookup(model, points):
         looked_up.append(model.V.total_degree())
-        return lookup(model, records)
+        return lookup(model, points)
 
     monkeypatch.setattr(engine, "high_mult_point_search", spy_search)
     monkeypatch.setattr(engine, "centre_from_records", spy_lookup)
@@ -401,9 +421,8 @@ def test_chart_loop_search_only_for_three_variables_or_cubics(monkeypatch):
                  "X^2 + X*Y^4 + Y^5 + 1", "X*Y*Z + 1", "X^2*Y + Z^2 + 1",
                  "X^3 + Y^3 + Z^3 + 1"):
         decide(parse_poly(text))
-    assert all(n >= 3 or d == 3 for n, d in searched)
-    assert sorted(searched) == [(2, 3), (2, 3), (3, 3), (3, 3), (3, 3)]
-    assert sorted(looked_up) == [4, 4, 4, 5]
+    assert sorted(searched) == [(3, 3), (3, 3), (3, 3)]
+    assert sorted(looked_up) == [3, 3, 4, 4, 4, 5]
 
 
 class TestHighMultiplicitySolver:

@@ -47,7 +47,6 @@ class TestBuildModel:
     def test_degrees_and_shape(self):
         m = build_model(parse_poly("X^3 - Y^2", ("X", "Y")))
         assert m.f.total_degree() == 3
-        assert is_homogeneous(m.F) == 3
         assert is_homogeneous(m.V) == 3
         assert is_homogeneous(m.B) == 4
         # odd degree: the branch curve acquires the line at infinity
@@ -152,10 +151,12 @@ class TestSingularPoints:
         assert ks == [3, 2, 1, 0]
 
     def test_deterministic_order(self):
-        B = build_model(bhabha_radicand()).B
-        a = [p.sort_key() for p, _m in singular_points(B)]
-        b = [p.sort_key() for p, _m in singular_points(B)]
-        assert a == b == sorted(a)
+        # the solver's order, the same on every call; the records sorted
+        model = build_model(bhabha_radicand())
+        a = [p.sort_key() for p, _m in singular_points(model.B)]
+        b = [p.sort_key() for p, _m in singular_points(model.B)]
+        keys = [r.point.sort_key() for r in all_simple(model)[1]]
+        assert a == b and keys == sorted(a)
 
 
 class TestAllSimple:
@@ -204,19 +205,26 @@ class TestOneGermPerPoint:
         assert curves == [m.B]
 
 
+def _triple_point_of(F):
+    """The triple point of a cubic form F, from the singular points of its
+    branch curve z*F, z the first coordinate."""
+    z = MultiPoly.var(F.vars, F.vars[0])
+    return triple_point_of_cubic(singular_points(z * F))
+
+
 class TestTriplePoint:
     def test_concurrent_lines_found(self):
         # X*Y*(X + Y): three lines through the origin
-        F3 = build_model(parse_poly("X*Y*(X + Y)", ("X", "Y"))).F
-        assert triple_point_of_cubic(F3) is not None
+        B = build_model(parse_poly("X*Y*(X + Y)", ("X", "Y"))).B
+        assert triple_point_of_cubic(singular_points(B)) is not None
 
     def test_generic_cubic_has_none(self):
-        F3 = build_model(parse_poly("X*Y*(X + Y + 1)", ("X", "Y"))).F
-        assert triple_point_of_cubic(F3) is None
+        B = build_model(parse_poly("X*Y*(X + Y + 1)", ("X", "Y"))).B
+        assert triple_point_of_cubic(singular_points(B)) is None
 
     def test_nodal_cubic_has_none(self):
-        F3 = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))).F
-        assert triple_point_of_cubic(F3) is None
+        B = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y"))).B
+        assert triple_point_of_cubic(singular_points(B)) is None
 
     @pytest.mark.parametrize("text", [
         "X^2*Y", "(X + Y - Z)^2*(X - 2*Z)", "Z^2*(X + Y + Z)",
@@ -226,15 +234,7 @@ class TestTriplePoint:
         # l^2*m and l^3 have a triple point; they must not be taken for one
         F3 = parse_poly(text, ("Z", "X", "Y"))
         with pytest.raises(NonReduced):
-            triple_point_of_cubic(F3)
-
-    def test_no_solver_call(self, monkeypatch):
-        def refuse(*_a):
-            raise AssertionError("triple_point_of_cubic reached the solver")
-        monkeypatch.setattr(geometry, "_solve_ideal", refuse)
-        monkeypatch.setattr(geometry, "groebner", refuse)
-        for text in ("X*Y*(X + Y)", "X*Y*(X + Y + 1)", "X^3 + Y^3 + 1"):
-            triple_point_of_cubic(build_model(parse_poly(text, ("X", "Y"))).F)
+            _triple_point_of(F3)
 
 
 def _nullspace_triple_point(F):
@@ -256,7 +256,7 @@ def _nullspace_triple_point(F):
 
 
 def _triple_point(F):
-    pt = triple_point_of_cubic(F)
+    pt = _triple_point_of(F)
     return None if pt is None else (pt.chart, pt.proj)
 
 
@@ -274,7 +274,7 @@ class TestTriplePointReference:
         assert _triple_point(F) == _nullspace_triple_point(F)
         assert _triple_point(F)[0] == chart
 
-    @pytest.mark.parametrize("text", ["X^3+Y^3+z^3", "z*X*Y"])
+    @pytest.mark.parametrize("text", ["X^3+Y^3+z^3"])
     def test_no_triple_point(self, text):
         F = parse_poly(text, _ZXY)
         assert _triple_point(F) is None is _nullspace_triple_point(F)
@@ -324,20 +324,19 @@ class TestHighMultSearch:
         model = build_model(parse_poly("X1^4 + X2^4 + 1", ("X1", "X2")))
         assert high_mult_point_search(model.V) == (None, True)
         _ok, records = all_simple(model)
-        assert centre_from_records(model, records) == (None, True)
+        assert centre_from_records(model, [r.point for r in records]) \
+            == (None, True)
 
     def test_returned_point_multiplicity_verified(self):
         # the nodal cubic's closure has its double point at the affine
-        # origin (1:0:0:0), which lies over no point at infinity, so the
-        # records serve degree >= 4 only
+        # origin (1:0:0:0), over the node of the branch curve
         model = build_model(parse_poly("X^2*(X + 1) - Y^2", ("X", "Y")))
         pt, certified = high_mult_point_search(model.V)
         assert (pt.chart, pt.proj, pt.field, certified) == (0, (1, 0, 0, 0),
                                                             None, False)
         assert multiplicity_at(model.V, pt) == model.V.total_degree() - 1
-        _ok, records = all_simple(model)
-        with pytest.raises(ValueError, match="degree at least 4"):
-            centre_from_records(model, records)
+        points = [p for p, _m in singular_points(model.B)]
+        assert centre_from_records(model, points) == (pt, False)
 
 
 def _bivariate(terms, swap=False):
@@ -431,8 +430,131 @@ def test_centre_from_records_matches_the_search(family, examples):
         assume(tuple(effective_vars(f)) == ("X", "Y") and f.total_degree() >= 4)
         model = build_model(f)
         _ok, records = all_simple(model)
-        assert (_result(centre_from_records(model, records))
+        points = [r.point for r in records]
+        assert (_result(centre_from_records(model, points))
                 == _result(high_mult_point_search(model.V)))
+
+    check()
+
+
+def _line(a, b, c):
+    return _bivariate({(0, 0): a, (1, 0): b, (0, 1): c})
+
+
+def _product(polys):
+    out = polys[0]
+    for p in polys[1:]:
+        out = out * p
+    return out
+
+
+def _lines_general():
+    return st.lists(st.builds(_line, _c, _c, _c), min_size=3,
+                    max_size=3).map(_product)
+
+
+def _lines_concurrent_affine():
+    # three lines b*(X - p) + c*(Y - q) through the point (p, q)
+    return st.builds(
+        lambda p, q, dirs: _product([_line(-b * p - c * q, b, c)
+                                     for b, c in dirs]),
+        _c, _c, st.lists(st.tuples(_c, _c), min_size=3, max_size=3))
+
+
+def _lines_concurrent_at_infinity():
+    # three parallel lines: a cubic in one linear form, a cone
+    return st.builds(
+        lambda b, c, offsets: _product([_line(a, b, c) for a in offsets]),
+        _nz, _c, st.lists(_c, min_size=3, max_size=3, unique=True))
+
+
+def _conic_and_line():
+    return st.builds(
+        lambda conic, line: _bivariate(conic) * line,
+        st.dictionaries(st.sampled_from(_monomials(2)), _c, min_size=1),
+        st.builds(_line, _c, _c, _c))
+
+
+def _singular_at(square_cone):
+    # Q(u, v) + C(u, v) at u = X - p, v = Y - q: a double point at (p, q),
+    # a cusp when the tangent cone Q is a square (a*u + b*v)^2
+    def build(p, q, cone, cubic):
+        u, v = _line(-p, 1, 0), _line(-q, 0, 1)
+        a, b, c = cone
+        Q = (a * u + b * v) ** 2 if square_cone else (a * u * u + b * u * v
+                                                      + c * v * v)
+        return Q + sum((k * u ** i * v ** (3 - i)
+                        for i, k in enumerate(cubic)), 0 * u)
+    return st.builds(build, _c, _c, st.lists(_c, min_size=3, max_size=3),
+                     st.lists(_c, min_size=4, max_size=4))
+
+
+def _weierstrass():
+    # Y^2 = X^3 + a*X + b, smooth when 4a^3 + 27b^2 != 0, X and Y swapped
+    # or not
+    return st.builds(
+        lambda a, b, swap: _bivariate({(0, 2): 1, (3, 0): -1, (1, 0): -a,
+                                       (0, 0): -b}, swap),
+        _c, _c, st.booleans())
+
+
+def _irrational_affine_nodes():
+    # (X^2 - n)*(Y - a*X - c): the nodes (+-sqrt(n), ...) are conjugate;
+    # (X^2 + e*Y^2 - n)*(Y - c) meets its line where X^2 = n - e*c^2
+    n = st.sampled_from([2, 3, 5, -1, 6])
+    return st.one_of(
+        st.builds(lambda n, a, c: _bivariate({(2, 0): 1, (0, 0): -n})
+                  * _line(-c, -a, 1), n, _c, _c),
+        st.builds(lambda n, e, c: _bivariate({(2, 0): 1, (0, 2): e,
+                                              (0, 0): -n}) * _line(-c, 0, 1),
+                  n, st.sampled_from([1, -1, 2]), _c))
+
+
+# (l, t): the line l through the origin and a form t with t = 1 at the
+# point at infinity of l
+_ROOT_LINES = [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((1, -1), (1, 0))]
+
+
+def _repeated_root_of_top_form():
+    # f3 = l^2 * m, f2 = n*t^2 + l*r: f2 takes the value n, not a square,
+    # at the double root of f3, so the centres above it are irrational
+    def build(lt, m, n, r, low):
+        (lx, ly), (tx, ty) = lt
+        l, t = _line(0, lx, ly), _line(0, tx, ty)
+        return l * l * _line(0, *m) + n * t * t + l * _line(0, *r) \
+            + _bivariate(low)
+    return st.builds(build, st.sampled_from(_ROOT_LINES),
+                     st.tuples(_c, _c), st.sampled_from([2, 3, 5, -1, -2, 6]),
+                     st.tuples(_c, _c),
+                     st.dictionaries(st.sampled_from(_monomials(1)), _c))
+
+
+@pytest.mark.parametrize("family, examples", [
+    (_lines_general, 30), (_lines_concurrent_affine, 20),
+    (_lines_concurrent_at_infinity, 15), (_conic_and_line, 30),
+    (lambda: _singular_at(False), 25), (lambda: _singular_at(True), 25),
+    (_weierstrass, 15), (_irrational_affine_nodes, 20),
+    (_repeated_root_of_top_form, 25),
+], ids=["three-lines", "concurrent-affine", "concurrent-at-infinity",
+        "conic-and-line", "nodal", "cuspidal", "weierstrass",
+        "irrational-affine-nodes", "repeated-root-of-f3"])
+def test_cubic_centre_and_triple_point_from_the_branch_curve(family, examples):
+    # the centre read off the singular points of B = s*F is the search's,
+    # and the triple point the kernel of F's second partials
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(family())
+    def check(f):
+        assume(not f.is_zero())
+        f = squarefree_part(f)
+        assume(tuple(effective_vars(f)) == ("X", "Y") and f.total_degree() == 3)
+        model = build_model(f)
+        points = singular_points(model.B)
+        assert (_result(centre_from_records(model, [p for p, _m in points]))
+                == _result(high_mult_point_search(model.V)))
+        tp = triple_point_of_cubic(points)
+        assert ((None if tp is None else (tp.chart, tp.proj))
+                == _nullspace_triple_point(homogenize(f, "z")))
 
     check()
 
@@ -573,8 +695,9 @@ class TestFormsOnly:
             multiplicity_at(parse_poly(*self.NOT_A_FORM), pt)
 
     def test_triple_point_of_cubic(self):
+        # the triple point is read off the branch curve's singular points
         with pytest.raises(ValueError, match="form"):
-            triple_point_of_cubic(parse_poly("X^3 + s*Y + 1", ("s", "X", "Y")))
+            _triple_point_of(parse_poly("X^3 + s*Y + 1", ("s", "X", "Y")))
 
 
 class TestMultiplicityAt:

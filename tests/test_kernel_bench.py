@@ -6,7 +6,9 @@ rational point and once for one whose conic has none, which Legendre's
 theorem tells before any scan; and the reduction of a coprime fraction
 over QQ(i), which the images of the norms certify without a gcd over the
 field.  Also of the projection-centre lookup that bivariate radicands of
-degree >= 4 read off their branch-curve records; of an alphabet that
+degree >= 4 read off their branch-curve records, and of rule 6 on a
+Weierstrass cubic: the singular points of its branch curve, which give
+both its triple point, none, and its projection centre; of an alphabet that
 phase 1 certifies NotRationalizable, so that only outcomes are decided
 and no witness is built; of the pair alphabet, Rationalizable, where
 phase 1 is followed by the completion of each root's witness and the
@@ -42,6 +44,7 @@ from ratsqrt.geometry import (
     build_model,
     centre_from_records,
     singular_points,
+    triple_point_of_cubic,
 )
 from ratsqrt.ideal import groebner
 from ratsqrt.localanalysis import classify_germ
@@ -99,10 +102,29 @@ def test_projection_centre_from_the_records_of_a_quartic(benchmark):
     # closure has the rational centre (0:0:1:0) of multiplicity 3
     model = build_model(parse_poly("X^3*Y + X^2 + Y + 1"))
     _ok, records = all_simple(model)
+    points = [r.point for r in records]
     pt, certified = benchmark.pedantic(
-        centre_from_records, args=(model, records), rounds=ROUNDS,
+        centre_from_records, args=(model, points), rounds=ROUNDS,
         iterations=ITERATIONS)
     assert (pt.chart, pt.proj, pt.field, certified) == (2, (0, 0, 1, 0),
+                                                        None, False)
+
+
+def test_rule_6_on_a_weierstrass_cubic(benchmark):
+    # Y^2 = X^3 + X + 1: the branch curve s*F is singular only at the
+    # flex (0:0:1) where the line s = 0 meets F, which carries the
+    # rational centre (0:0:1:1)
+    model = build_model(parse_poly("Y^2 - X^3 - X - 1", ("X", "Y")))
+
+    def rule_6():
+        points = singular_points(model.B)
+        return (triple_point_of_cubic(points),
+                centre_from_records(model, [p for p, _m in points]))
+
+    tp, (pt, certified) = benchmark.pedantic(rule_6, rounds=ROUNDS,
+                                             iterations=ITERATIONS)
+    assert tp is None
+    assert (pt.chart, pt.proj, pt.field, certified) == (2, (0, 0, 1, 1),
                                                         None, False)
 
 

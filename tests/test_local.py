@@ -5,6 +5,7 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 import pytest
 
@@ -24,7 +25,7 @@ from ratsqrt.localanalysis import (
     milnor_number,
     milnor_via_jets,
 )
-from ratsqrt.numberfield import NumberField, row_reduce
+from ratsqrt.numberfield import NFElem, NumberField
 from ratsqrt.unipoly import add, derivative, mul
 
 
@@ -379,7 +380,39 @@ def _reference_jet_dim(fu, fv, N):
                     if i + a + j + b < N:
                         row[index[(i + a, j + b)]] += c
                 rows.append(row)
-    return len(monos) - sum(1 for row in row_reduce(rows) if any(row))
+    return len(monos) - _rank(rows)
+
+
+def _rank(rows):
+    """Rank over QQ or one number field: each entry x of a field of degree
+    n becomes its n x n rational multiplication matrix, which multiplies
+    the rank by n.  The rows are sparse, and so is the matrix."""
+    field = next((c.field for row in rows for c in row
+                  if isinstance(c, NFElem)), None)
+    basis = [QQ.one] if field is None else [NFElem(field, u) for u in field.units]
+    n = len(basis)
+    blocks = {}
+
+    def block(x):
+        """Column j: the coordinates of x times basis element j."""
+        if x not in blocks:
+            blocks[x] = [p.vec if isinstance(p, NFElem) else (QQ(p),)
+                         for p in (x * b for b in basis)]
+        return blocks[x]
+
+    entries = {}
+    for r, row in enumerate(rows):
+        for col, x in enumerate(row):
+            if x:
+                for j, column in enumerate(block(x)):
+                    for i, c in enumerate(column):
+                        if c:
+                            entries.setdefault(r * n + i, {})[col * n + j] = c
+    shape = (len(rows) * n, len(rows[0]) * n if rows else 0)
+    # Gauss-Jordan over QQ; the fraction-free default of rank() takes
+    # several times longer on these rows
+    _rref, pivots = DomainMatrix(entries, shape, QQ).rref(method="GJ")
+    return len(pivots) // n
 
 
 def _reference_jets(fu, fv):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational
 from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from ratsqrt import unipoly as up
 from ratsqrt.errors import TowerTooDeep, ZeroInversion
@@ -18,7 +19,6 @@ from ratsqrt.numberfield import (
     _times,
     factor_over_height1,
     roots_in_field,
-    row_reduce,
 )
 
 
@@ -114,18 +114,16 @@ class TestTower:
                 assert e * e.inverse() == one
 
     def test_integer_inverse_matches_row_reduction(self):
-        # the inverse by rational row reduction of the rows
-        # (num*e_k | e_k) and (1 | 0), which the integer solve replaced
+        # the inverse by a rational solve of sum_k y_k (num*e_k) = 1, the
+        # columns num*e_k scaled by tden, which the integer solve replaced
         def reduced(e):
             field = e.field
-            rows = [[QQ(c) for c in _times(field.table, e.num, u) + list(u)]
-                    for u in field.units]
-            rows.append([QQ.one] + [QQ.zero] * (2 * field.degree - 1))
-            *_, last = row_reduce(rows)
-            if any(last[:field.degree]):
-                raise ZeroInversion("not a unit")
-            return NFElem(field, [-c for c in last[field.degree:]]) * (
-                e.den * field.tden)
+            n = field.degree
+            cols = DomainMatrix([[QQ(c) for c in _times(field.table, e.num, u)]
+                                 for u in field.units], (n, n), QQ)
+            one = DomainMatrix([[QQ(int(k == 0))] for k in range(n)], (n, 1), QQ)
+            y = cols.transpose().lu_solve(one).to_list()
+            return NFElem(field, [c for c, in y]) * (e.den * field.tden)
 
         rng = random.Random(11)
         for field in (q_sqrt2(), tower_sqrt2_sqrt3()):

@@ -6,13 +6,13 @@ import pytest
 import sympy as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
+from sympy.polys.domains import AlgebraicField, QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 from prop_helpers import to_sympy
 from ratsqrt import witness
-from ratsqrt.engine import Config
+from ratsqrt.engine import Config, decide
 from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
 from ratsqrt.geometry import build_model, high_mult_point_search
 from ratsqrt.mpoly import (
@@ -352,6 +352,21 @@ class TestPolarProjection:
         H, q, ext = case
         assert _outcome(parametrize_from_point, H, q, ext) == \
             _outcome(_reference_parametrize, H, q, ext)
+
+
+@pytest.mark.parametrize("text", ["-X^2 - Y^2 - 2", "-9*X^2 - 6*X + 5"])
+def test_rational_centre_coordinates_enter_the_field_without_sympy(
+        monkeypatch, text):
+    # each quadric's centre has its w in QQ(sqrt(r)) and its other
+    # coordinates in QQ, which move into the field as domain elements
+    def refuse(self, a):
+        raise AssertionError("a coefficient went through a sympy number")
+
+    monkeypatch.setattr(AlgebraicField, "from_sympy", refuse)
+    p = parse_poly(text)
+    v = decide(p)
+    assert v.witness is not None and v.witness.extension is not None
+    assert verify_witness(v.witness, p) is not None
 
 
 class TestVerify:
