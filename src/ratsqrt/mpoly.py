@@ -51,6 +51,7 @@ from sympy.polys.rings import PolyRing
 
 from .errors import (
     OddDegree,
+    ResourceLimit,
     UndefinedVariable,
     ZeroDenominator,
     ZeroRadicand,
@@ -78,23 +79,40 @@ def _names(ring):
 
 @lru_cache(maxsize=64)
 def _field(r):
-    """QQ(sqrt(r)) for a squarefree integer r != 1."""
-    minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
-    return QQ.algebraic_field(sp.AlgebraicNumber((minpoly, sp.sqrt(r))))
+    """QQ(sqrt(r)) for a squarefree integer r != 1, built from its minimal
+    polynomial t^2 - r: sympy takes the pair (t^2 - r, sqrt(r)) as it is,
+    and computes no primitive element and no minimal polynomial."""
+    minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"), domain=QQ)
+    return QQ.algebraic_field((minpoly, sp.sqrt(r)))
 
 
-def _radicand(K):
-    """r with K = QQ(sqrt(r))."""
-    return int(-K.mod.to_list()[-1])
+def _radicand(x):
+    """r for a field QQ(sqrt(r)) from _field, or for an element of one: the
+    modulus of either is t^2 - r."""
+    return int(-(x if isinstance(x, ANP) else x.one).mod[-1])
+
+
+# The trial-division bound L of the radicand reduction.
+_TRIAL_BOUND = 2**15
 
 
 @lru_cache(maxsize=256)
 def quadratic_field(c):
     """(QQ(sqrt(c)), sqrt(c) as its element) for a rational c that is not a
-    rational square."""
+    rational square.
+
+    The squarefree part r of c comes from factorint bounded by trial
+    division up to L = _TRIAL_BOUND, so a cofactor it leaves unsplit has no
+    prime factor up to L.  Such a cofactor is squarefree when it is prime,
+    or when it is below L^3 and not a square: it then has at most two prime
+    factors, and they differ.  Any other cofactor raises ResourceLimit."""
     c = _qq(c)
     n, r, s = abs(c.numerator * c.denominator), -1 if c < 0 else 1, 1
-    for p, k in sp.factorint(n).items():
+    for p, k in sp.factorint(n, limit=_TRIAL_BOUND).items():
+        if p > _TRIAL_BOUND and (p >= _TRIAL_BOUND**3 or isqrt(p) ** 2 == p) \
+                and not sp.isprime(p):
+            raise ResourceLimit(f"bounded trial division leaves a composite"
+                                f" factor of {p.bit_length()} bits in {c}")
         r *= p ** (k % 2)
         s *= p ** (k // 2)
     if r == 1:
@@ -129,7 +147,7 @@ def _coerce(c):
     """(domain, element) of a coefficient: an int, Fraction, QQ or field
     element."""
     if isinstance(c, ANP):
-        return _field(int(-c.mod[-1])), c
+        return _field(_radicand(c)), c
     return QQ, _qq(c)
 
 
@@ -366,7 +384,7 @@ def _coeff_str(c):
     if q is not None:
         return _q_str(q)
     b, a = c.to_list()
-    return _surd_str(a, b, int(-c.mod[-1]))
+    return _surd_str(a, b, _radicand(c))
 
 
 def _sqrt_str(c):

@@ -16,6 +16,7 @@ from ratsqrt.mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _radicand,
     _rational,
     effective_vars,
     is_perfect_square,
@@ -31,8 +32,7 @@ def to_sympy(c):
     if q is not None:
         return QQ.to_sympy(q)
     b, a = c.to_list()
-    r = int(-c.mod[-1])
-    return QQ.to_sympy(a) + QQ.to_sympy(b) * sp.sqrt(r)
+    return QQ.to_sympy(a) + QQ.to_sympy(b) * sp.sqrt(_radicand(c))
 
 
 def rand_univariate(rng, min_deg=1, max_deg=4):

@@ -16,7 +16,8 @@ simultaneous search; of the lex Groebner basis of the chart-0 system of
 two branch curves, one smooth and one with irrational singular points;
 and of the ADE classification of two germs, a node over a height-2 tower
 and a rational germ with Milnor number 6, both Milnor routes
-cross-checked.  At the text edges: the parse of a dense quartic in three
+cross-checked.  Also of building QQ(sqrt(r)) for a radicand met for the
+first time: both field caches are cleared before every round.  At the text edges: the parse of a dense quartic in three
 variables, and the report of a quadric witness over QQ(sqrt(-2)), printed
 from fresh copies of its functions so that every round prints them.
 
@@ -30,7 +31,7 @@ from dataclasses import replace
 
 from sympy.polys.domains import QQ
 
-from ratsqrt import geometry
+from ratsqrt import geometry, mpoly
 from ratsqrt.alphabet import decide_alphabet
 from ratsqrt.engine import (
     DEFAULT_CONFIG,
@@ -95,6 +96,16 @@ def test_coprime_fraction_over_qq_i(benchmark):
     g = benchmark.pedantic(RationalFunction, args=(num, den), rounds=ROUNDS,
                            iterations=ITERATIONS)
     assert (g.num, g.den) == (num, den)
+
+
+def test_quadratic_field_of_a_fresh_radicand(benchmark):
+    def clear():
+        quadratic_field.cache_clear()
+        mpoly._field.cache_clear()
+
+    K, root = benchmark.pedantic(quadratic_field, args=(QQ(-69, 4),),
+                                 setup=clear, rounds=ROUNDS)
+    assert str(K) == "QQ<sqrt(69)*I>" and root.to_list() == [QQ(1, 2), 0]
 
 
 def test_projection_centre_from_the_records_of_a_quartic(benchmark):

@@ -2,7 +2,12 @@
 
 import ast
 import inspect
+import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,14 +16,15 @@ import sympy as sp
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 
 from test_golden import EXTENSION_ROOTS
 from test_kernels import FIELDS
 
 from ratsqrt import mpoly
-from ratsqrt.engine import DEFAULT_CONFIG, decide
-from ratsqrt.errors import OddDegree, ZeroDenominator
+from ratsqrt.engine import DEFAULT_CONFIG, INCONCLUSIVE, Config, decide
+from ratsqrt.errors import OddDegree, ResourceLimit, ZeroDenominator
 from ratsqrt.mpoly import (
     _PROBES,
     MultiPoly,
@@ -42,7 +48,7 @@ from ratsqrt.mpoly import (
     squarefree_part,
     substitute,
 )
-from ratsqrt.parser import parse_poly, parse_rational
+from ratsqrt.parser import map_from_json, parse_poly, parse_rational
 from ratsqrt.report import dumps, verdict_report
 
 
@@ -422,6 +428,173 @@ def test_a_multipoly_is_one_ring_element():
         assert p.pe.ring.domain == domain
         assert p.vars == variables == tuple(str(s) for s in p.pe.ring.symbols)
     assert _sympy_users() == {"_ring", "_field", "quadratic_field"}
+
+
+# --------------------------------------------------------------------------
+# QQ(sqrt(r)) from its minimal polynomial t^2 - r
+
+
+def _reference_field(r):
+    """QQ(sqrt(r)) from an AlgebraicNumber, as mpoly once built it: sympy
+    then computes a primitive element and its minimal polynomial."""
+    minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"))
+    return QQ.algebraic_field(sp.AlgebraicNumber((minpoly, sp.sqrt(r))))
+
+
+SQUAREFREE_RADICANDS = [r for r in range(-30, 31) if r not in (0, 1)
+                        and all(r % (p * p) for p in (2, 3, 5))]
+
+
+def _element_lists(pe):
+    return {e: c.to_list() for e, c in pe.items()}
+
+
+class TestFieldFromMinimalPolynomial:
+    @pytest.mark.parametrize("r", SQUAREFREE_RADICANDS)
+    def test_matches_the_algebraic_number_construction(self, r):
+        K, ref = mpoly._field(r), _reference_field(r)
+        # the old field's generator is an AlgebraicNumber, the new one's the
+        # surd itself, so the two print alike but do not compare equal
+        assert str(K) == str(ref) and mpoly._radicand(K) == r
+        assert K.mod.dom == ref.mod.dom == QQ
+        assert K.mod.to_list() == ref.mod.to_list()
+        rng = random.Random(r)
+
+        def pair():
+            coeffs = [QQ(rng.randint(-9, 9), rng.randint(1, 4)) for _ in "ab"]
+            return K(coeffs), ref(coeffs)
+
+        for _ in range(10):
+            (x, x_ref), (y, y_ref) = pair(), pair()
+            assert (x * y).to_list() == (x_ref * y_ref).to_list()
+            if x:
+                assert (K.one / x).to_list() == (ref.one / x_ref).to_list()
+
+        ring, ring_ref = (PolyRing(sp.symbols("X Y"), k, lex) for k in (K, ref))
+
+        def polys():
+            terms = {(rng.randint(0, 1), rng.randint(0, 1)): pair()
+                     for _ in range(3)}
+            return (ring.from_dict({e: a for e, (a, _b) in terms.items()}),
+                    ring_ref.from_dict({e: b for e, (_a, b) in terms.items()}))
+
+        for _ in range(2):
+            (f, f_ref), (g, g_ref), (h, h_ref) = polys(), polys(), polys()
+            if not (f and g and h):
+                continue
+            lc, factors = (f * f * g).sqf_list()
+            lc_ref, factors_ref = (f_ref * f_ref * g_ref).sqf_list()
+            assert lc.to_list() == lc_ref.to_list()
+            assert [(_element_lists(q), k) for q, k in factors] == \
+                [(_element_lists(q), k) for q, k in factors_ref]
+            out = (f * g).cancel(f * h)
+            out_ref = (f_ref * g_ref).cancel(f_ref * h_ref)
+            assert [_element_lists(q) for q in out] == \
+                [_element_lists(q) for q in out_ref]
+
+
+# the warm-up radicand of a benchmark worker, then a decision whose witness
+# needs the first quadratic field of the process, read back from its JSON
+_FIRST_FIELD = r"""
+import json
+import sys
+
+from ratsqrt import decide, parse_rational
+from ratsqrt.parser import map_from_json
+
+decide(parse_rational("X^2 + 3*X*Y - 5").num)
+calls = []
+
+
+def spy(module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+
+
+for module in ("sympy", "sympy.polys.numberfields",
+               "sympy.polys.numberfields.minpoly",
+               "sympy.polys.numberfields.subfield"):
+    for name in ("minimal_polynomial", "primitive_element"):
+        if hasattr(sys.modules[module], name):
+            spy(sys.modules[module], name)
+before = set(sys.modules)
+g = parse_rational("-2*X^2 + X*Y - 3*Y^2 - 1")
+v = decide(g.num, g.den)
+doc = v.witness.to_json()
+back = map_from_json(doc)
+print(json.dumps({"extension": doc.get("extension"),
+                  "read_back": back.to_json() == doc,
+                  "imported": sorted(set(sys.modules) - before),
+                  "calls": calls}))
+"""
+
+
+def test_the_first_quadratic_field_costs_no_solver_and_no_import():
+    # a benchmark worker is a fresh process and pays each first-use cost
+    # in every pass; building a field from an AlgebraicNumber ran sympy's
+    # number-field solver and imported 16 tensor and combinatorics modules
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _FIRST_FIELD], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["extension"] == "I" and out["read_back"]
+    assert out["imported"] == [] and out["calls"] == []
+
+
+# p*q with p, q of 25 digits: no bounded factorization splits it
+UNSPLIT = sp.nextprime(10**24) * sp.nextprime(3 * 10**24)
+
+
+class TestBoundedRadicandReduction:
+    @pytest.mark.parametrize("c, r", [
+        (12, 3), (-50, -2), (F(3, 8), 6), (-1, -1),
+        (3 * sp.nextprime(10**20) ** 2, 3),
+        (-7**2 * sp.nextprime(10**30), -sp.nextprime(10**30)),
+        (sp.nextprime(2**15) * sp.nextprime(2**20),
+         sp.nextprime(2**15) * sp.nextprime(2**20)),
+    ])
+    def test_reduces_exactly(self, c, r):
+        K, root = quadratic_field(c)
+        assert K is mpoly._field(r)
+        assert root * root == K.convert_from(QQ(F(c).numerator,
+                                                F(c).denominator), QQ)
+
+    def test_an_unsplit_cofactor_below_the_cube_bound(self, monkeypatch):
+        # the cofactors factorint leaves: squarefree when below L^3 and not
+        # a square, or prime; anything else is out of reach
+        L = mpoly._TRIAL_BOUND
+        p, q, s = (sp.nextprime(k * L) for k in (1, 2, 3))
+        big = -sp.nextprime(L**4)
+        fields = [mpoly._field(p * q), mpoly._field(big)]
+        monkeypatch.setattr(sp, "factorint", lambda n, limit: {n: 1})
+        reduce = quadratic_field.__wrapped__
+        assert [reduce(c)[0] for c in (p * q, big)] == fields
+        for c in (p * p, p * q * s):
+            with pytest.raises(ResourceLimit):
+                reduce(c)
+
+    def test_decide_ends_under_its_timeout(self):
+        g = parse_rational(f"-X^2 - {UNSPLIT}")
+        t0 = time.monotonic()
+        v = decide(g.num, g.den, Config(timeout=1))
+        assert time.monotonic() - t0 < 2
+        assert v.outcome == INCONCLUSIVE and v.witness is None
+        assert v.steps[-1].rule == "resource-limit"
+
+    def test_a_map_over_an_unsplit_field_is_refused(self):
+        doc = {"variables": ["X"], "assignments": {"X": "X"},
+               "extension": f"sqrt({UNSPLIT})"}
+        t0 = time.monotonic()
+        with pytest.raises(ResourceLimit):
+            map_from_json(doc)
+        assert time.monotonic() - t0 < 2
 
 
 # --------------------------------------------------------------------------
