@@ -14,14 +14,18 @@ The module provides:
   distinct lines / double plus simple line / triple line), read from one
   gcd(p, p') with p(t) = cone(1, t);
 * the Milnor number of an isolated germ, computed by two independent
-  methods that are cross-checked on every call — a Euclidean recursion for
-  the intersection multiplicity of the two partial derivatives, and the
-  dimension of the jet-truncated local algebra K[u,v]/((f_u, f_v) + m^N)
-  stabilized in N, one echelon form kept across N — each stopped once it
-  exceeds the Bezout bound, the product of the degrees of the two
-  partials, which a finite Milnor number never exceeds.  Both cancel
-  fraction-free: over QQ on primitive integer germs, over a tower with one
-  inverse to scale a divisor or pivot whose coordinates grow tall;
+  methods that are cross-checked on every germ computed — a Euclidean
+  recursion for the intersection multiplicity of the two partial
+  derivatives, and the dimension of the jet-truncated local algebra
+  K[u,v]/((f_u, f_v) + m^N) stabilized in N, one echelon form kept across
+  N — each stopped once it exceeds the Bezout bound, the product of the
+  degrees of the two partials, which a finite Milnor number never exceeds.
+  Both cancel fraction-free: over QQ on primitive integer germs, over a
+  tower with one inverse to scale a divisor or pivot whose coordinates
+  grow tall.  Both run on a jet of the germ, truncated at a degree T that
+  the jet's own Milnor number mu certifies once mu + 1 <= T, since a germ
+  with Milnor number mu is (mu + 1)-determined (Greuel, Lossen, Shustin,
+  *Introduction to Singularities and Deformations*, ch. I.2);
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple) from the multiplicity, the cone shape and the Milnor
   number, with no blowup; multiplicity >= 4 is immediately NonSimple.
@@ -246,23 +250,49 @@ def milnor_via_jets(fu, fv):
         N += 1
 
 
-def milnor_number(P):
-    """Milnor number of the isolated germ P at the origin.
-
-    Computed twice — intersection multiplicity of the partials by Euclidean
-    recursion, and stabilized jet-quotient dimension — and cross-checked.
-    """
+def _routes(P):
+    """The Milnor numbers of P by both routes; NonIsolated when P is
+    constant or not isolated."""
     fu = up.derivative(P, 0)
     fv = up.derivative(P, 1)
     if not fu and not fv:
         raise NonIsolated("constant germ")
-    via_int = intersection_multiplicity(fu, fv)
-    via_jet = milnor_via_jets(fu, fv)
+    return intersection_multiplicity(fu, fv), milnor_via_jets(fu, fv)
+
+
+def _cross_checked(via_int, via_jet):
     if via_int != via_jet:
         raise NonIsolated(
             f"Milnor routes disagree ({via_int} vs {via_jet}); germ rejected"
         )
     return via_int
+
+
+def milnor_number(P):
+    """Milnor number of the isolated germ P at the origin.
+
+    Computed twice — intersection multiplicity of the partials by Euclidean
+    recursion, and stabilized jet-quotient dimension — and cross-checked,
+    on the jet j^T P of the terms of degree <= T, from T = mult(P) + 1 on.
+    A germ with Milnor number mu is (mu + 1)-determined (Greuel, Lossen,
+    Shustin, *Introduction to Singularities and Deformations*, ch. I.2), so
+    when the jet has mu' with mu' + 1 <= T, P is right-equivalent to its
+    jet and mu(P) = mu'.  Otherwise T becomes mu' + 1, or doubles when the
+    jet is not isolated, until T reaches deg P and P itself is computed.
+    """
+    top = _degree(P)
+    T = lp_multiplicity(P) + 1
+    while T < top:
+        try:
+            routes = _routes({e: c for e, c in P.items() if sum(e) <= T})
+        except NonIsolated:
+            T *= 2
+            continue
+        mu = _cross_checked(*routes)
+        if mu + 1 <= T:
+            return mu
+        T = mu + 1
+    return _cross_checked(*_routes(P))
 
 
 # --------------------------------------------------------------------------

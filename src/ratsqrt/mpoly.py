@@ -24,10 +24,12 @@ q(y)^2 in it.  A fraction is already reduced when, for each variable both
 sides involve, some degree-preserving images of the two are coprime; over
 QQ(sqrt(r)) these are images of the norms a0^2 - r*a1^2 of the two sides,
 since a common factor g gives their norms the common factor N(g).  Norms
-certify coprimality only, never squarefreeness.  When no image decides,
-sqf_list or cancel runs.  They also run when an image could be too large
-to be worth building: when a bound on its degree times its coefficient
-bits, read off the exponents and coefficients, exceeds a fixed cap.
+certify coprimality only, never squarefreeness.  A fraction the images
+do not certify loses the common monomial of its two sides and is tried
+again.  When no image decides, sqf_list or cancel runs.  They also run
+when an image could be too large to be worth building: when a bound on
+its degree times its coefficient bits, read off the exponents and
+coefficients, exceeds a fixed cap.
 
 The canonical term order for printing and for leading coefficients is
 graded lexicographic in the declared variable order.  sympy's expression
@@ -81,9 +83,15 @@ def _names(ring):
 def _field(r):
     """QQ(sqrt(r)) for a squarefree integer r != 1, built from its minimal
     polynomial t^2 - r: sympy takes the pair (t^2 - r, sqrt(r)) as it is,
-    and computes no primitive element and no minimal polynomial."""
+    and computes no primitive element and no minimal polynomial.  The root
+    is built unevaluated, as sympy's sqrt(r) of a squarefree r reads: a
+    power of |r| times I when r < 0, so that sympy does not factor r again
+    to simplify it."""
     minpoly = sp.Poly([1, 0, -r], sp.Dummy("t"), domain=QQ)
-    return QQ.algebraic_field((minpoly, sp.sqrt(r)))
+    root = sp.Pow(abs(r), sp.S.Half, evaluate=False)
+    if r < 0:
+        root = sp.I if r == -1 else sp.Mul(sp.I, root, evaluate=False)
+    return QQ.algebraic_field((minpoly, root))
 
 
 def _radicand(x):
@@ -566,6 +574,20 @@ def _coprime_by_images(a, b):
     return _certified([a, b], _coprime_mod_p)
 
 
+def _cancel(a, b):
+    """a and b divided by their gcd, up to one constant factor, for a pair
+    the images did not certify coprime.  Their common monomial, the
+    componentwise minimum of their exponents, is divided out first, and
+    cancel runs only when the quotients are not certified coprime either."""
+    m = tuple(map(min, *a.itermonoms(), *b.itermonoms()))
+    if any(m):
+        a, b = (p.new({tuple(x - y for x, y in zip(e, m)): c
+                       for e, c in p.iterterms()}) for p in (a, b))
+        if a.is_ground or b.is_ground or _coprime_by_images(a, b):
+            return a, b
+    return a.cancel(b)
+
+
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """The squarefree f with p = f * h^2 exactly (h polynomial).
 
@@ -675,8 +697,7 @@ class RationalFunction:
         if reduce and not num.is_constant() and not den.is_constant():
             rn, rd = _common(num, den)
             if not _coprime_by_images(rn, rd):
-                rn, rd = rn.cancel(rd)
-                num, den = MultiPoly.of(rn), MultiPoly.of(rd)
+                num, den = map(MultiPoly.of, _cancel(rn, rd))
         if num.is_zero():
             den = MultiPoly.const(den.vars, 1)
         lc = den.leading_coeff()

@@ -17,7 +17,8 @@ with exponents 1-tuples, the Euclidean routines: division with remainder,
 monic gcd and squarefree part, which serve the point searches, Trager's
 pull-back and the multiplication table of each number field.
 :func:`factor_rational` factors over the rationals on sympy's sparse ring
-QQ[t].
+QQ[t], except a quadratic, which the square root of its discriminant
+splits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 
 from sympy.polys.domains import QQ
 
-from .mpoly import _ring
+from .mpoly import _qq, _rational_sqrt, _ring
 
 
 def clean(P):
@@ -155,12 +156,31 @@ def factor_rational(p):
         raise ValueError("cannot factor the zero polynomial")
     if deg(p) == 0:
         return p[(0,)], []
+    if deg(p) == 2:
+        return _factor_quadratic(p)
     cont, factors = _ring(("t",)).from_dict(p).factor_list()
     out = []
     for f, m in sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].to_dense())):
         cont *= f.LC**m
         out.append((monic(dict(f)), m))
     return cont, out
+
+
+def _factor_quadratic(p):
+    """factor_rational of a quadratic a*t^2 + b*t + c, split by the square
+    root of its discriminant.  The content, factors and order are those of
+    the factor_list route: that route sorts the primitive integer factors
+    q*t - s of two rational roots s/q by their dense coefficients (q, -s),
+    and lists a factor's terms by ascending degree."""
+    a, b, c = (_qq(p.get((k,), 0)) for k in (2, 1, 0))
+    d = _rational_sqrt(b * b - 4 * a * c)
+    if d is None:
+        return a, [(monic({e: _qq(p[e]) for e in sorted(p)}), 1)]
+    roots = sorted({(d - b) / (2 * a), (-d - b) / (2 * a)},
+                   key=lambda r: (r.denominator, -r.numerator))
+    m = 2 if len(roots) == 1 else 1
+    return a, [({(0,): -r, (1,): QQ.one} if r else {(1,): QQ.one}, m)
+               for r in roots]
 
 
 def rational_roots(p):

@@ -16,7 +16,8 @@ simultaneous search; of the lex Groebner basis of the chart-0 system of
 two branch curves, one smooth and one with irrational singular points;
 and of the ADE classification of two germs, a node over a height-2 tower
 and a rational germ with Milnor number 6, both Milnor routes
-cross-checked.  Also of building QQ(sqrt(r)) for a radicand met for the
+cross-checked; and of the decision of a product of two quadrics and a line,
+whose branch curve has nodes over a height-2 tower.  Also of building QQ(sqrt(r)) for a radicand met for the
 first time: both field caches are cleared before every round.  At the text edges: the parse of a dense quartic in three
 variables, and the report of a quadric witness over QQ(sqrt(-2)), printed
 from fresh copies of its functions so that every round prints them.
@@ -205,6 +206,18 @@ def test_classify_germ_of_a_node_over_a_height_2_tower(benchmark):
     c = benchmark.pedantic(classify_germ, args=(pt.germ,), rounds=ROUNDS,
                            iterations=ITERATIONS)
     assert (c.label(), c.mu, c.multiplicity) == ("A1", 1, 2)
+
+
+def test_decide_a_product_with_tower_nodes(benchmark):
+    # a roots-curves "product" input: its branch curve has nodes over
+    # QQ(sqrt 3) and over the height-2 tower QQ(sqrt 3)(sqrt 2), which
+    # Trager's algorithm splits off, and two rational D4 points
+    f = parse_poly("(X^2 - 3)*(Y^2 - 2)*(X + Y + 2)", ("X", "Y"))
+    v = benchmark.pedantic(decide, args=(f,), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert v.outcome == NOT_RATIONALIZABLE
+    assert [s.rule for s in v.steps][-1] == "simple-singularities"
+    assert sorted(r.label for r in v.singularities) == ["A1"] * 4 + ["D4"] * 2
 
 
 def test_classify_germ_with_milnor_number_6(benchmark):

@@ -1,8 +1,9 @@
 """Plane-curve germ analysis: multiplicity, cone shape, Milnor numbers, ADE."""
 
+from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -477,3 +478,170 @@ class TestMilnorRoutesAgainstReference:
                 == _outcome(_reference_intersection, fu, fv))
         assert (_outcome(milnor_via_jets, fu, fv)
                 == _outcome(_reference_jets, fu, fv))
+
+
+# -- Milnor numbers on certified jets, against both routes run on the whole
+# germ, which stay the reference
+
+
+def _whole_germ(P):
+    """Reference: both routes on the untruncated germ, cross-checked."""
+    fu, fv = derivative(P, 0), derivative(P, 1)
+    via_int = _outcome(intersection_multiplicity, fu, fv)
+    assert via_int == _outcome(milnor_via_jets, fu, fv)
+    return via_int
+
+
+def _jets(P):
+    try:
+        return milnor_number(P)
+    except NonIsolated:
+        return NonIsolated
+
+
+# the two monomials of a quasi-homogeneous normal form, and its Milnor
+# number; adding terms of weighted degree above 1 keeps the Milnor number
+# (the germ stays semi-quasi-homogeneous), and so does a linear change of
+# coordinates
+NORMAL_FORMS = {
+    "A1": (((2, 0), (0, 2)), 1), "A3": (((2, 0), (0, 4)), 3),
+    "A5": (((2, 0), (0, 6)), 5), "D4": (((2, 1), (0, 3)), 4),
+    "D5": (((2, 1), (0, 4)), 5), "D6": (((2, 1), (0, 5)), 6),
+    "E6": (((3, 0), (0, 4)), 6), "E7": (((3, 0), (1, 3)), 7),
+    "E8": (((3, 0), (0, 5)), 8), "X9": (((4, 0), (0, 4)), 9),
+    "J10": (((3, 0), (0, 6)), 10), "W12": (((4, 0), (0, 5)), 12),
+}
+
+
+def _above_the_diagram(form, top):
+    """The monomials of total degree <= top and of weighted degree above 1,
+    for the weights that give both monomials of `form` weighted degree 1."""
+    (a, b), (c, d) = form
+    det = a * d - b * c
+    wu, wv = Fraction(d - b, det), Fraction(a - c, det)
+    return [(i, j) for i in range(top + 1) for j in range(top + 1 - i)
+            if i * wu + j * wv > 1]
+
+
+def _linear_change(P, a, b, c, d):
+    """P(a*u + b*v, c*u + d*v)."""
+    top = _degree(P)
+    x, y = up.clean({(1, 0): a, (0, 1): b}), up.clean({(1, 0): c, (0, 1): d})
+    xs, ys = [{(0, 0): 1}], [{(0, 0): 1}]
+    for _ in range(top):
+        xs.append(mul(xs[-1], x))
+        ys.append(mul(ys[-1], y))
+    out = {}
+    for (i, j), k in P.items():
+        out = add(out, {e: k * t for e, t in mul(xs[i], ys[j]).items()})
+    return out
+
+
+@st.composite
+def _normal_form_germs(draw, name, field):
+    """A normal form with nonzero coefficients, plus terms above its Newton
+    diagram up to degree 6, in linear coordinates over `field`."""
+    form = NORMAL_FORMS[name][0]
+    coef = _germ_coefficient[field]
+    nonzero = coef.filter(bool)
+    P = {e: draw(nonzero) for e in form}
+    tail = _above_the_diagram(form, 6)
+    for e in draw(st.lists(st.sampled_from(tail), max_size=4, unique=True)):
+        P[e] = draw(coef)
+    a, b, c, d = (draw(coef) for _ in range(4))
+    assume(a * d - b * c)
+    return _linear_change(up.clean(P), a, b, c, d)
+
+
+@st.composite
+def _non_isolated_germs(draw, field):
+    """l^2 * h for a line l through the origin and a nonzero h of degree
+    <= 2 over `field`: both partials vanish on l.  The degree stays low,
+    since each route runs up to the Bezout bound before it rejects the
+    germ."""
+    coef = _germ_coefficient[field]
+    line = up.clean({(1, 0): draw(coef), (0, 1): draw(coef)})
+    assume(line)
+    h = up.clean(draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+            lambda e: sum(e) <= 2), coef, min_size=1, max_size=4)))
+    assume(h)
+    return mul(mul(line, line), h)
+
+
+def _derandomized(strategy, max_examples):
+    """A decorator running a check on `max_examples` derandomized draws."""
+    return lambda check: settings(
+        max_examples=max_examples, deadline=None, derandomize=True,
+        database=None)(given(strategy)(check))
+
+
+@st.composite
+def _hidden_a_k(draw, k, field):
+    """(u + s*v^2)^2 + t*v^(k+1), an A_k germ whose low jets mislead: the
+    3-jet u^2 + 2*s*u*v^2 is A_3 and the 4-jet a square; in linear
+    coordinates over `field`."""
+    coef = _germ_coefficient[field]
+    s, t = draw(coef.filter(bool)), draw(coef.filter(bool))
+    P = {(2, 0): 1, (1, 2): 2 * s, (0, 4): s * s, (0, k + 1): t}
+    a, b, c, d = (draw(coef) for _ in range(4))
+    assume(a * d - b * c)
+    return _linear_change(up.clean(P), a, b, c, d)
+
+
+class TestJetMilnorAgainstTheWholeGerm:
+    @pytest.mark.parametrize("field", sorted(_germ_coefficient))
+    @pytest.mark.parametrize("name", sorted(NORMAL_FORMS))
+    def test_normal_forms(self, name, field):
+        @_derandomized(_normal_form_germs(name, field), 3)
+        def check(P):
+            assert _jets(P) == _whole_germ(P) == NORMAL_FORMS[name][1]
+
+        check()
+
+    @pytest.mark.parametrize("field", sorted(_germ_coefficient))
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_misleading_jets(self, k, field):
+        @_derandomized(_hidden_a_k(k, field), 3)
+        def check(P):
+            assert _jets(P) == _whole_germ(P) == k
+
+        check()
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(_germs())
+    def test_random_germs(self, P):
+        assert _jets(P) == _whole_germ(P)
+
+    @pytest.mark.parametrize("field", sorted(_germ_coefficient))
+    def test_non_isolated_germs_raise(self, field):
+        @_derandomized(_non_isolated_germs(field), 8)
+        def check(P):
+            assert _whole_germ(P) is NonIsolated
+            with pytest.raises(NonIsolated):
+                milnor_number(P)
+
+        check()
+
+    def test_a_certified_jet_skips_the_whole_germ(self, monkeypatch):
+        # u^2 + v^2 + v^6: the 3-jet has mu = 1 and 1 + 1 <= 3, so the
+        # degree-6 germ itself is never computed
+        degrees = []
+        routes = localanalysis._routes
+        monkeypatch.setattr(localanalysis, "_routes",
+                            lambda P: degrees.append(_degree(P)) or routes(P))
+        assert milnor_number(germ({(2, 0): 1, (0, 2): 1, (0, 6): 1})) == 1
+        assert degrees == [2]
+
+    def test_an_uncertified_jet_is_not_trusted(self, monkeypatch):
+        # (u - v^2)^2 + v^7 is A_6.  Its 3-jet u^2 - 2uv^2 has mu = 3 > 3 - 1,
+        # which certifies nothing; its 4-jet is a square, not isolated, so
+        # the order doubles past the degree and the whole germ is computed
+        degrees = []
+        routes = localanalysis._routes
+        monkeypatch.setattr(localanalysis, "_routes",
+                            lambda P: degrees.append(_degree(P)) or routes(P))
+        P = germ({(2, 0): 1, (1, 2): -2, (0, 4): 1, (0, 7): 1})
+        assert milnor_number(P) == 6
+        assert degrees == [3, 4, 7]

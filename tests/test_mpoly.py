@@ -50,6 +50,7 @@ from ratsqrt.mpoly import (
 )
 from ratsqrt.parser import map_from_json, parse_poly, parse_rational
 from ratsqrt.report import dumps, verdict_report
+from ratsqrt.witness import verify_witness
 
 
 def P(text, vs):
@@ -394,6 +395,84 @@ class TestImageCertificates:
 
 
 # --------------------------------------------------------------------------
+# a common monomial is divided out before cancel
+
+
+def _spy_cancel(monkeypatch):
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel",
+                        lambda f, g: calls.append(f.ring.domain)
+                        or cancel(f, g))
+    return calls
+
+
+def _over(r, text, variables=XYZ):
+    K = None if r is None else quadratic_field(r)[0]
+    return parse_rational(text, variables, K).num
+
+
+def _monomial(exponents):
+    return MultiPoly(XYZ, {exponents: QQ(1)})
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+class TestCommonMonomial:
+    @pytest.mark.parametrize("r, num, den", [
+        (None, "X^3*(Y + 1)", "X^3*(Y - 2)"),
+        (None, "X^3*Y*(X + Y + 1)", "X^3*(X - Y)"),
+        (None, "X^2*Y^2*(X + Z)", "X^3*Y*(Y + 2*Z)"),
+        (None, "X^3*Y", "X^3"),
+        (2, "X^3*(X + sqrt(2)*Y)", "X^3*(Y - 1)"),
+        (-7, "X^3*(sqrt(7)*I*X - Z)", "2*X^3*Y*(X + Z)"),
+    ])
+    def test_coprime_cofactors_run_no_cancel(self, monkeypatch, r, num, den):
+        num, den = _over(r, num), _over(r, den)
+        ref = _always_cancelled(num, den)
+        calls = _spy_cancel(monkeypatch)
+        g = RationalFunction(num, den)
+        assert calls == []
+        assert (g.num, g.den) == ref
+
+    def test_a_common_factor_left_still_cancels(self, monkeypatch):
+        num, den = P("X^3*(Y + 1)*(Y + Z)", XYZ), P("X^3*(Y - 1)*(Y + Z)", XYZ)
+        ref = _always_cancelled(num, den)
+        calls = _spy_cancel(monkeypatch)
+        g = RationalFunction(num, den)
+        assert len(calls) == 1
+        assert (g.num, g.den) == ref
+
+    @settings(CERT, max_examples=60)
+    @given(_EXPONENTS, _EXPONENTS, _factor(), _factor(), _small(),
+           st.booleans())
+    def test_monomial_factors_match_always_cancelling(self, m1, m2, a, b,
+                                                      c, common):
+        num, den = _monomial(m1) * a, _monomial(m2) * b
+        if common:
+            num, den = num * c, den * c
+        g = RationalFunction(num, den)
+        assert (g.num, g.den) == _always_cancelled(num, den)
+
+    def test_verifying_a_weierstrass_witness_runs_no_cancel(self,
+                                                             monkeypatch):
+        # rule 6 on Y^2 = X^3 + X + 1: the witness's image of f has a
+        # denominator that shares a power of the parameter with its numerator
+        f = P("Y^2 - X^3 - X - 1", ("X", "Y"))
+        v = decide(f)
+        assert v.steps[-1].rule == "cubic-triple-point"
+        with monkeypatch.context() as m:
+            m.setattr(mpoly, "_coprime_by_images", lambda a, b: False)
+            m.setattr(mpoly, "_cancel", lambda a, b: a.cancel(b))
+            ref = verify_witness(v.witness, f)
+        calls = _spy_cancel(monkeypatch)
+        h = verify_witness(v.witness, f)
+        assert calls == []
+        assert h is not None and h == ref and rf_str(h) == rf_str(ref)
+
+
+# --------------------------------------------------------------------------
 # one ring element
 
 
@@ -491,6 +570,25 @@ class TestFieldFromMinimalPolynomial:
             out_ref = (f_ref * g_ref).cancel(f_ref * h_ref)
             assert [_element_lists(q) for q in out] == \
                 [_element_lists(q) for q in out_ref]
+
+
+def test_a_new_field_factors_nothing(monkeypatch):
+    # sympy's sqrt(r) of an integer it has not seen runs a bounded factorint
+    # of r to pull squares out, which quadratic_field has already done
+    calls = []
+    factorint = sp.ntheory.factor_.factorint
+    monkeypatch.setattr(sp.ntheory.factor_, "factorint",
+                        lambda *a, **k: calls.append(a) or factorint(*a, **k))
+    p, q = sp.nextprime(10**12), sp.nextprime(2 * 10**12)
+    sp.sqrt(-p * q - 4)
+    assert calls, "the spy sees sympy's sqrt factor its radicand"
+    calls.clear()
+    for r in (-1, -p * q, p * q, 3 * p):
+        K = mpoly._field.__wrapped__(int(r))
+        assert calls == []
+        # the root is the very expression sympy's sqrt(r) builds
+        assert mpoly._radicand(K) == r and K.ext.as_expr() == sp.sqrt(r)
+        calls.clear()
 
 
 # the warm-up radicand of a benchmark worker, then a decision whose witness

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement
 
 from ratsqrt import unipoly as up
 from ratsqrt.mpoly import _ring
@@ -128,6 +130,74 @@ class TestFactor:
         assert up.rational_roots(P(1, -3, 2)) == [QQ(1, 2), QQ(1)]
         assert up.rational_roots(P(0, -1, 1)) == [QQ(0), QQ(1)]
         assert up.rational_roots(P(1, 0, 1)) == []
+
+
+# -- quadratics, split by their discriminant ----------------------------------
+
+_FACTOR_LIST = PolyElement.factor_list
+
+
+def _factor_list_route(p):
+    """factor_rational through sympy's factor_list, as it factors every
+    polynomial of degree >= 3."""
+    cont, factors = _FACTOR_LIST(_ring(("t",)).from_dict(p))
+    out = []
+    for f, m in sorted(factors, key=lambda fm: (fm[0].degree(),
+                                                fm[0].to_dense())):
+        cont *= f.LC**m
+        out.append((up.monic(dict(f)), m))
+    return cont, out
+
+
+_q = st.builds(QQ, st.integers(-9, 9), st.integers(1, 4))
+_nonzero = _q.filter(bool)
+
+
+def _from_roots(a, r1, r2):
+    """a*(t - r1)*(t - r2)."""
+    return up.clean({(2,): a, (1,): -a * (r1 + r2), (0,): a * r1 * r2})
+
+
+def _quadratic(a, b, c):
+    return up.clean({(2,): a, (1,): b, (0,): c})
+
+
+QUADRATICS = {
+    "two rational roots": st.tuples(_nonzero, _q, _q).filter(
+        lambda arr: arr[1] != arr[2]).map(lambda arr: _from_roots(*arr)),
+    "double root": st.builds(lambda a, r: _from_roots(a, r, r), _nonzero, _q),
+    "irreducible": st.builds(_quadratic, _nonzero, _q, _nonzero).filter(
+        lambda p: up.deg(_factor_list_route(p)[1][0][0]) == 2),
+    "zero constant term": st.builds(_quadratic, _nonzero, _nonzero,
+                                    st.just(QQ(0))),
+    "non-monic": st.builds(_from_roots, _nonzero.filter(lambda a: a != 1),
+                           _q, _q),
+    "negative leading coefficient": st.builds(
+        _quadratic, _nonzero.map(lambda a: -abs(a)), _q, _q),
+}
+
+
+class TestQuadratics:
+    @pytest.mark.parametrize("kind", sorted(QUADRATICS))
+    def test_match_the_factor_list_route(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PolyElement, "factor_list",
+                            lambda f: calls.append(f) or _FACTOR_LIST(f))
+
+        @settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+        @given(QUADRATICS[kind])
+        def check(p):
+            content, factors = up.factor_rational(p)
+            ref_content, ref_factors = _factor_list_route(p)
+            assert content == ref_content
+            # the same factors with the same multiplicities, in the same
+            # order, each listing its terms in the same order
+            assert ([(list(f.items()), m) for f, m in factors]
+                    == [(list(f.items()), m) for f, m in ref_factors])
+
+        check()
+        assert calls == []
 
 
 # -- the same dicts as sympy's ring elements ----------------------------------
