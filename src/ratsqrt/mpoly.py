@@ -24,7 +24,11 @@ q(y)^2 in it.  A fraction is already reduced when, for each variable both
 sides involve, some degree-preserving images of the two are coprime; over
 QQ(sqrt(r)) these are images of the norms a0^2 - r*a1^2 of the two sides,
 since a common factor g gives their norms the common factor N(g).  Norms
-certify coprimality only, never squarefreeness.  A fraction the images
+certify coprimality only, never squarefreeness.  A polynomial over QQ that
+the images do not certify squarefree, but that carries the factors it was
+written in (MultiPoly.factors), has those certified instead, each one
+squarefree and every pair coprime; its squarefree part is then read off
+their exponents (squarefree_part).  A fraction the images
 do not certify loses the common monomial of its two sides and is tried
 again.  When no image decides, sqf_list or cancel runs.  They also run
 when an image could be too large to be worth building: when a bound on
@@ -181,9 +185,17 @@ def _common(*polys):
 
 class MultiPoly:
     """Immutable sparse polynomial: the ring element ``pe`` and ``vars``,
-    the names of its ring's generators."""
+    the names of its ring's generators.
 
-    __slots__ = ("vars", "pe")
+    ``factors`` is None, or a tuple of (ring element, exponent) pairs whose
+    product is pe up to a nonzero constant: the factors the polynomial was
+    written in.  parse_rational sets it on a numerator typed as a product
+    of powers of parenthesized sums, variables and constants, and a
+    product of two polynomials that carry one, a constant carrying the
+    empty tuple, concatenates them; every other constructor leaves it None.
+    squarefree_part reads it; equality and hashing ignore it."""
+
+    __slots__ = ("vars", "pe", "factors")
 
     def __init__(self, variables, terms):
         """From {exponent tuple: coefficient}, coefficients as in _coerce."""
@@ -191,6 +203,7 @@ class MultiPoly:
         ring = _ring(tuple(variables), _join(K for K, _c in coeffs.values()))
         self.vars = _names(ring)
         self.pe = _canonical(ring.from_dict({e: c for e, (_K, c) in coeffs.items()}))
+        self.factors = None
 
     @classmethod
     def of(cls, pe):
@@ -198,6 +211,7 @@ class MultiPoly:
         self = object.__new__(cls)
         self.vars = _names(pe.ring)
         self.pe = _canonical(pe)
+        self.factors = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -274,7 +288,10 @@ class MultiPoly:
 
     def __mul__(self, other):
         a, b = self._operands(other)
-        return MultiPoly.of(a * b)
+        # a constant, such as an int `other`, carries the empty list
+        fa = () if a.is_ground else self.factors
+        fb = () if b.is_ground else other.factors
+        return _listed(a * b, None if fa is None or fb is None else fa + fb)
 
     __rmul__ = __mul__
 
@@ -346,6 +363,13 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)!r})"
+
+
+def _listed(pe, factors):
+    """MultiPoly.of(pe), carrying the factor list `factors`."""
+    p = MultiPoly.of(pe)
+    p.factors = factors
+    return p
 
 
 def _canonical(pe):
@@ -588,23 +612,62 @@ def _cancel(a, b):
     return a.cancel(b)
 
 
+def _odd_part_of_factors(p):
+    """LC(p) times the monic factors of odd exponent in p's factor list, its
+    factors equal once made monic merged; None unless p and the list are
+    over QQ and the images certify every factor of degree >= 2 squarefree
+    and every pair of factors coprime."""
+    ring = p.pe.ring
+    if p.factors is None or not ring.domain.is_QQ:
+        return None
+    exponents = {}
+    for f, k in p.factors:
+        if f.ring is not ring:
+            return None
+        if not f.is_ground:
+            f = f.monic()
+            exponents[f] = exponents.get(f, 0) + k
+    fs = list(exponents)
+    if not all(max(map(sum, f.itermonoms())) < 2 or _squarefree_by_images(f)
+               for f in fs):
+        return None
+    if not all(_coprime_by_images(f, g)
+               for i, f in enumerate(fs) for g in fs[i + 1:]):
+        return None
+    out = ring.ground_new(p.pe.LC)
+    for f, k in exponents.items():
+        if k % 2:
+            out *= f
+    return out
+
+
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """The squarefree f with p = f * h^2 exactly (h polynomial).
 
     The constant factor is carried along so that p and f differ by a genuine
     polynomial square: a witness verified against f is then automatically a
-    witness for p.  Factor order is canonical, making the output a
-    deterministic representative of p modulo square multiples.
+    witness for p.  f is LC(p), p's leading coefficient in lex order, times
+    the lex-monic irreducible factors of odd multiplicity, a deterministic
+    representative of p modulo square multiples.
+
+    Certification order: a p that the images certify squarefree is f
+    itself.  Otherwise, when p carries a factor list over QQ whose factors,
+    once merged, are certified squarefree and pairwise coprime, each
+    irreducible factor of p divides one of them exactly once, so f is
+    LC(p) times the monic factors of odd exponent.  Otherwise sqf_list
+    decomposes p.
     """
     if p.is_zero():
         raise ZeroRadicand("squarefree part of zero is undefined")
     if p.is_constant() or _squarefree_by_images(p.pe):
         return p
-    const, factors = p.pe.sqf_list()
-    out = p.pe.ring(const)
-    for f, m in factors:
-        if m % 2 == 1:
-            out *= f
+    out = _odd_part_of_factors(p)
+    if out is None:
+        const, factors = p.pe.sqf_list()
+        out = p.pe.ring(const)
+        for f, m in factors:
+            if m % 2 == 1:
+                out *= f
     return MultiPoly.of(out)
 
 
@@ -612,12 +675,16 @@ def radicand_reduce(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Squarefree polynomial whose square root is equivalent to sqrt(p/q).
 
     Multiplying by the square of the denominator and stripping even powers
-    preserves rationalizability in both directions.
+    preserves rationalizability in both directions.  A denominator 1 is
+    not multiplied in, so p keeps its factor list.
     """
     if p.is_zero():
         raise ZeroRadicand("sqrt(0) is trivially rational")
     if q.is_zero():
         raise ZeroDenominator("denominator polynomial is zero")
+    p._check_vars(q)
+    if q.is_constant() and q.constant_value() == 1:
+        return squarefree_part(p)
     return squarefree_part(p * q)
 
 

@@ -27,6 +27,14 @@ the ring's ``*`` and ``**``, so ``(X + Y + 1)^120`` costs what the ring's
 multinomial power costs.  A denominator that turns out constant is folded
 into the numerator.
 
+A numerator written as a product of powers of parenthesized sums,
+variables and constants also keeps that product, as its factor list of
+(ring element, exponent) pairs: a parenthesized sum is one factor, a
+variable another, a constant none.  Unary minus keeps the list and ``^n``
+multiplies its exponents; a sum, a division by anything but a monomial,
+or a denominator that stays non-constant drops it.  parse_rational hands
+the list to the numerator's MultiPoly, where squarefree_part reads it.
+
 Alphabets arrive as JSON documents::
 
     {"variables": ["X", "Y"],              # optional; inferred if absent
@@ -58,6 +66,7 @@ from .mpoly import (
     RationalMap,
     _element,
     _field_sqrt,
+    _listed,
     _rational,
     _ring,
     quadratic_field,
@@ -74,12 +83,14 @@ _MAX_DEPTH = 100
 
 
 class _Frac:
-    """A fraction of ring elements; a denominator None stands for 1."""
+    """A fraction of ring elements; a denominator None stands for 1.
+    `factors`, when not None, is a tuple of (ring element, exponent) pairs
+    whose product is the numerator up to a constant, and den is None."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "factors")
 
-    def __init__(self, num, den=None):
-        self.num, self.den = num, den
+    def __init__(self, num, den=None, factors=None):
+        self.num, self.den, self.factors = num, den, factors
 
 
 def _times(a, b):
@@ -91,6 +102,11 @@ def _poly(ring, terms):
     """The ring element of {exponent tuple: coefficient}."""
     K = ring.domain
     return ring.from_dict({e: _element(K, c) for e, c in terms.items()})
+
+
+def _powers(ring, exponents):
+    """The factor list of a monic monomial: (generator, exponent) pairs."""
+    return tuple((x, k) for x, k in zip(ring.gens, exponents) if k)
 
 
 def _quo(K, a, b):
@@ -147,13 +163,19 @@ class _Parser:
         return n
 
     def parse(self):
+        """(numerator, denominator, factor list of the numerator or None)."""
         value = self.expr()
         if self.kind is not None:
             raise ParseSyntaxError("unexpected trailing input", self.at)
         ring = self.ring
         if isinstance(value, dict):
-            return _poly(ring, value), ring.one
-        return value.num, ring.one if value.den is None else value.den
+            # a monomial lists its variables, a sum of monomials nothing
+            num, den = _poly(ring, value), ring.one
+            factors = _powers(ring, next(iter(value))) if len(value) == 1 else None
+        else:
+            num, den, factors = value.num, value.den, value.factors
+            den = ring.one if den is None else den
+        return num, den, factors if num else None
 
     def _nested(self, parse, at):
         """parse() one level of parentheses or unary minus deeper, the
@@ -208,7 +230,9 @@ class _Parser:
                     value = _Frac(self.ring.one if value.den is None
                                   else value.den, value.num)
                 frac = value if frac is None else _Frac(
-                    frac.num * value.num, _times(frac.den, value.den))
+                    frac.num * value.num, _times(frac.den, value.den),
+                    None if frac.factors is None or value.factors is None
+                    else frac.factors + value.factors)
             else:
                 q, mono = value
                 if not divide:
@@ -237,16 +261,20 @@ class _Parser:
         top = tuple(k if k > 0 else 0 for k in e)
         bottom = tuple(-k if k < 0 else 0 for k in e)
         if frac is None:
-            num, den = _poly(ring, {top: c}), None
+            num, den, factors = _poly(ring, {top: c}), None, ()
         elif c == 1 and not any(top):
-            num, den = frac.num, frac.den
+            num, den, factors = frac.num, frac.den, frac.factors
         else:
-            num, den = frac.num.mul_term((top, _element(ring.domain, c))), frac.den
+            num = frac.num.mul_term((top, _element(ring.domain, c)))
+            den, factors = frac.den, frac.factors
+        # a factor list holds only while the denominator is 1
         if any(bottom):
-            den = _times(_poly(ring, {bottom: 1}), den)
+            den, factors = _times(_poly(ring, {bottom: 1}), den), None
         if den is not None and den.is_ground:
             num, den = num.quo_ground(den.LC), None
-        return _Frac(num, den)
+        elif factors is not None:
+            factors += _powers(ring, top)
+        return _Frac(num, den, factors)
 
     def factor(self):
         if self.tok == "-":
@@ -254,7 +282,7 @@ class _Parser:
             self._next()
             value = self._nested(self.factor, at)
             if isinstance(value, _Frac):
-                return _Frac(-value.num, value.den)
+                return _Frac(-value.num, value.den, value.factors)
             return -value[0], value[1]
         value = self.base()
         if self.tok != "^":
@@ -269,7 +297,11 @@ class _Parser:
         if n == 0:  # also for a zero base, as 0^0 = 1
             return 1, ()
         if isinstance(value, _Frac):
-            return _Frac(value.num**n, None if value.den is None else value.den**n)
+            factors = value.factors
+            if factors is not None:
+                factors = tuple((f, k * n) for f, k in factors)
+            return _Frac(value.num**n, None if value.den is None
+                         else value.den**n, factors)
         c, mono = value
         return c**n, tuple((i, k * n) for i, k in mono)
 
@@ -282,7 +314,8 @@ class _Parser:
             if not isinstance(value, dict):
                 return value
             if len(value) > 1:
-                return _Frac(_poly(self.ring, value))
+                pe = _poly(self.ring, value)
+                return _Frac(pe, None, ((pe, 1),))
             [(e, c)] = value.items()
             return c, tuple((i, k) for i, k in enumerate(e) if k)
         if self.kind == _INT:
@@ -339,8 +372,8 @@ def parse_rational(text, variables=None, field=None):
     """
     if variables is not None:
         _check_variables(variables)
-    num, den = _Parser(text, variables, field).parse()
-    return RationalFunction(MultiPoly.of(num), MultiPoly.of(den))
+    num, den, factors = _Parser(text, variables, field).parse()
+    return RationalFunction(_listed(num, factors), MultiPoly.of(den))
 
 
 def _polynomial(g):

@@ -1,6 +1,7 @@
 """Microbenchmark of the kernels the alphabets spend most on: the
 squarefree part of a squarefree radicand, which its univariate images mod
-a prime certify without a decomposition; the quadric witness, built from
+a prime certify without a decomposition, and of two radicands typed with
+a square factor, whose factor lists the images certify instead; the quadric witness, built from
 the polars of the closure at its centre, once for a quadric with a small
 rational point and once for one whose conic has none, which Legendre's
 theorem tells before any scan; and the reduction of a coprime fraction
@@ -72,6 +73,24 @@ def test_squarefree_part_of_a_squarefree_quartic(benchmark):
     out = benchmark.pedantic(squarefree_part, args=(p,), rounds=ROUNDS,
                              iterations=ITERATIONS)
     assert out == p
+
+
+def _bench_written_square(benchmark, text, reduced):
+    p = parse_rational(text).num
+    out = benchmark.pedantic(squarefree_part, args=(p,), rounds=ROUNDS,
+                             iterations=ITERATIONS)
+    assert poly_str(out) == reduced
+
+
+def test_squarefree_part_of_a_square_times_a_plane(benchmark):
+    # a roots-3var "square-times-linear" input
+    _bench_written_square(benchmark, "(X + Y - 2*Z - 2)^2*(X + 2*Y - Z + 2)",
+                          "X + 2*Y - Z + 2")
+
+
+def test_squarefree_part_of_a_line_times_a_squared_quadric(benchmark):
+    _bench_written_square(benchmark, "(-2*X + 3)*(-3*X^2 - 5*X + 9)^2",
+                          "-18*X + 27")
 
 
 def test_quadric_witness_of_a_univariate_quadric(benchmark):

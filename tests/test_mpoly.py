@@ -473,6 +473,115 @@ class TestCommonMonomial:
 
 
 # --------------------------------------------------------------------------
+# squarefree parts from the factors a radicand is written in
+
+
+def _spy_sqf_list(monkeypatch):
+    calls = []
+    sqf_list = PolyElement.sqf_list
+    monkeypatch.setattr(PolyElement, "sqf_list",
+                        lambda f, *args: calls.append(f) or sqf_list(f, *args))
+    return calls
+
+
+# proportional, non-coprime and non-squarefree factors, constants and
+# monomials
+_FACTOR_POOL = ["X - 1", "2*X - 2", "X + 1", "X^2 - 1", "X^2 + 2*X + 1",
+                "X + 3", "X - Y", "X*Y + 1", "Y^2 - X", "-3*X + 1", "X", "Y",
+                "3", "1/2", "X^2*Y"]
+_MONOMIALS = ["1", "X", "Y", "X^2", "X*Y", "Y^2"]
+
+
+def _small_factor_text():
+    """1-3 terms of degree <= 2 in X, Y with coefficients -3..3."""
+    term = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                     st.sampled_from(_MONOMIALS))
+    return st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[1]).map(
+        lambda ts: " + ".join(f"{c}*{m}" for c, m in ts))
+
+
+def _power_text(f, k, nested, minus):
+    """(f)^k, as ((f)^2)^(k/2) when nested and k is even, after a unary
+    minus when minus."""
+    body = f"({f})"
+    if nested and k % 2 == 0:
+        body = f"({body}^2)^{k // 2}"
+    elif k > 1:
+        body += f"^{k}"
+    return "-" + body if minus else body
+
+
+def _product_texts():
+    """Products of 1-4 factors over QQ with exponents 1-4, some over a
+    denominator."""
+    factor = st.builds(_power_text,
+                       st.one_of(st.sampled_from(_FACTOR_POOL),
+                                 _small_factor_text()),
+                       st.integers(1, 4), st.booleans(), st.booleans())
+    den = st.sampled_from(["", "", "", "/2", "/X", "/(X - 1)", "/(X^2 - 1)",
+                           "/(Y + 2)^2"])
+    return st.tuples(st.lists(factor, min_size=1, max_size=4), den).map(
+        lambda t: "*".join(t[0]) + t[1])
+
+
+class TestSquarefreePartFromFactors:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_product_texts())
+    def test_matches_the_bare_element_and_sqf_list(self, text):
+        p = parse_rational(text, ("X", "Y")).num
+        want = _reference_squarefree_part(p)
+        assert squarefree_part(MultiPoly.of(p.pe)) == want
+        assert squarefree_part(p) == want
+
+    @pytest.mark.parametrize("text, reduced", [
+        ("(X + Y - 2*Z - 2)^2*(X + 2*Y - Z + 2)", "X + 2*Y - Z + 2"),
+        ("(-2*X + 3)*(-3*X^2 - 5*X + 9)^2", "-18*X + 27"),
+    ])
+    def test_a_written_square_runs_no_sqf_list(self, monkeypatch, text,
+                                               reduced):
+        g = parse_rational(text)
+        calls = _spy_sqf_list(monkeypatch)
+        v = decide(g.num, g.den)
+        assert calls == []
+        assert v.steps[0].data["reduced"] == reduced
+        assert v.steps[0].data["reduced"] == poly_str(
+            _reference_squarefree_part(MultiPoly.of(g.num.pe)))
+
+    @pytest.mark.parametrize("text, reduced", [
+        ("(X^2 - 1)*(X - 1)", "X + 1"),            # not coprime
+        ("(X^2 + 2*X + 1)*(X + 3)", "X + 3"),      # not squarefree
+    ])
+    def test_uncertified_factors_fall_back(self, monkeypatch, text, reduced):
+        g = parse_rational(text)
+        assert g.num.factors is not None
+        calls = _spy_sqf_list(monkeypatch)
+        assert poly_str(radicand_reduce(g.num, g.den)) == reduced
+        assert len(calls) == 1
+
+    def test_products_concatenate_the_lists(self):
+        XY = ("X", "Y")
+        a = parse_rational("(X - 1)^2", XY).num
+        b = parse_rational("3*(X + Y)", XY).num
+        bare = MultiPoly.of(b.pe)
+        assert (a * b).factors == a.factors + b.factors
+        assert (a * 2).factors == (2 * a).factors == a.factors
+        assert (a * MultiPoly.const(XY, 3)).factors == a.factors
+        assert (a * bare).factors is None
+        assert bare == b and hash(bare) == hash(b)
+        for q in (-a, a + 0, a - b, a**2, a.monic(), a.with_vars(XYZ),
+                  squarefree_part(a * b)):
+            assert q.factors is None
+
+    def test_a_denominator_1_is_not_multiplied_in(self):
+        XY = ("X", "Y")
+        p = parse_rational("(X + 1)*(X - Y)", XY).num
+        assert radicand_reduce(p, MultiPoly.const(XY, 1)) is p
+        with pytest.raises(ValueError):
+            radicand_reduce(p, MultiPoly.const(XYZ, 1))
+
+
+# --------------------------------------------------------------------------
 # one ring element
 
 

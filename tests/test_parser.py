@@ -633,6 +633,54 @@ class TestAgainstRingArithmetic:
             assert _outcome(lambda: parse_rational(text, None, f)) == want
 
 
+_XY = ("X", "Y")
+
+
+class TestFactorLists:
+    """The factor list parse_rational records on a numerator written as a
+    product of powers of parenthesized sums, variables and constants."""
+
+    @pytest.mark.parametrize("text, factors", [
+        ("(X + 1)^2*(X - Y)", [("X + 1", 2), ("X - Y", 1)]),
+        ("-(X + 1)^2*3*X^2*Y/2", [("X + 1", 2), ("X", 2), ("Y", 1)]),
+        ("2*(X - Y)*-(X + 1)^2", [("X - Y", 1), ("X + 1", 2)]),
+        ("((X + 1)^2)^3*(X - 1)", [("X + 1", 6), ("X - 1", 1)]),
+        ("((X + 1)*(Y - 1))^2", [("X + 1", 2), ("Y - 1", 2)]),
+        ("(X + 1)*(X - 1)^0*(2 + 0*X)", [("X + 1", 1), ("2", 1)]),
+        ("X^3/X*(Y + 1)", [("Y + 1", 1), ("X", 2)]),
+        ("-X^2*Y", [("X", 2), ("Y", 1)]),
+        ("3/4", []),
+    ])
+    def test_the_list(self, text, factors):
+        g = parse_rational(text, _XY)
+        assert g.num.factors == tuple((parse_poly(f, _XY).pe, k)
+                                      for f, k in factors)
+
+    @pytest.mark.parametrize("text", [
+        "(X + 1)^2 + 1", "(X + 1)*(X - 1) - X", "X*(X + 1) + (X + 1)",
+        "X^2 + Y", "(X + 1)^2/X", "(X + 1)^2/(Y + 1)", "X*(X + 1)/(X - 1)",
+        "(X + 1)^2/(X + 1)", "(X + 1)/(2 + 0*X)", "(X^2 - 1)/(X - 1)",
+        "0*(X + 1)^2", "0",
+    ])
+    def test_sums_denominators_and_cancellation_drop_it(self, text):
+        assert parse_rational(text, _XY).num.factors is None
+
+    @TestAgainstRingArithmetic.SETTINGS
+    @given(_expressions(), st.sampled_from([None, -7]))
+    def test_its_product_is_the_numerator_up_to_a_constant(self, text, r):
+        field = None if r is None else quadratic_field(r)[0]
+        try:
+            g = parse_rational(text, _XY, field)
+        except RatsqrtError:
+            return
+        if g.num.factors is not None:
+            product = MultiPoly.const(_XY, 1)
+            for f, k in g.num.factors:
+                product = product * MultiPoly.of(f) ** k
+            assert g.den.is_constant() and not g.num.is_zero()
+            assert product.monic() == g.num.monic()
+
+
 def test_power_of_a_sum_costs_what_the_ring_power_costs():
     # the sum is built once and handed to the ring's multinomial power, so
     # the parse takes about as long as that power alone
