@@ -283,6 +283,8 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
     witness candidates for the current reduced image; each accepted witness
     is composed into the running substitution, which is finally verified
     against all original roots, and that check yields the square roots.
+    The running substitution starts as the identity, so the first accepted
+    witness, padded to every variable, becomes it without a composition.
     `decided` optionally holds verdicts already reached, as
     :func:`_decide_once` keeps them; the search adds its own, so no reduced
     image is decided twice.
@@ -322,19 +324,19 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
         red = on_effective_vars(red)
         for w in candidates(red):
             w_full = _pad_map(w, universe)
-            nxt = extend(compose(m, w_full), remaining[1:])
+            nxt = extend(w_full if m is identity else compose(m, w_full),
+                         remaining[1:])
             if nxt is not None:
                 return nxt
         return None
 
+    identity = RationalMap.identity(universe)
     count = 0
     for order in permutations(range(len(roots))):
         count += 1
         if count > config.ordering_budget:
             break
-        found = extend(
-            RationalMap.identity(universe), [roots[i] for i in order]
-        )
+        found = extend(identity, [roots[i] for i in order])
         if found is not None:
             return found
     return None

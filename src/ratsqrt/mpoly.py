@@ -46,8 +46,10 @@ printed again by the report.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt, lcm
+from numbers import Rational
+from operator import add, mul, sub
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -145,6 +147,17 @@ def _element(K, c):
     if type(c) is int:
         c = QQ.dtype(c)
     return c if K.of_type(c) else K.convert_from(c, QQ)
+
+
+def _ground(K, c):
+    """A rational, such as an int, Fraction or QQ element, or an element of
+    K, as an element of K; None for anything else, such as an element of
+    another field."""
+    if isinstance(c, ANP):
+        return c if not K.is_QQ and _radicand(c) == _radicand(K) else None
+    if isinstance(c, Rational) or QQ.of_type(c):
+        return _element(K, _qq(c))
+    return None
 
 
 def _rational(c):
@@ -287,9 +300,18 @@ class MultiPoly:
         return MultiPoly.of(a - b)
 
     def __mul__(self, other):
+        """The product; an int, Fraction or QQ element, or an element of
+        self's own field, scales the ring element by one mul_ground, and
+        any other operand, a polynomial or an element of another field,
+        joins self in one domain first (raising ValueError for two
+        quadratic fields).  The factor lists of the two concatenate, a
+        constant carrying the empty list."""
+        c = None if isinstance(other, MultiPoly) else _ground(
+            self.pe.ring.domain, other)
+        fa = () if self.pe.is_ground else self.factors
+        if c is not None:
+            return _listed(self.pe.mul_ground(c), fa)
         a, b = self._operands(other)
-        # a constant, such as an int `other`, carries the empty list
-        fa = () if a.is_ground else self.factors
         fb = () if b.is_ground else other.factors
         return _listed(a * b, None if fa is None or fb is None else fa + fb)
 
@@ -304,7 +326,7 @@ class MultiPoly:
         """Normalize the graded-lex leading coefficient to 1."""
         if not self.pe:
             return self
-        return MultiPoly.of(self.pe.quo_ground(self.leading_coeff()))
+        return MultiPoly.of(_divided(self.pe, self.leading_coeff()))
 
     def derivative(self, name):
         return MultiPoly.of(self.pe.diff(self.vars.index(name)))
@@ -363,6 +385,14 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)!r})"
+
+
+def _divided(pe, c):
+    """pe / c, for a nonzero c of pe's domain, as one inverse and one
+    mul_ground: quo_ground divides every coefficient, and QQ.quo wraps
+    each quotient once more."""
+    one = pe.ring.domain.one
+    return pe if c == one else pe.mul_ground(one / c)
 
 
 def _listed(pe, factors):
@@ -892,6 +922,8 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     Variables whose images share a denominator d form one group G; with
     D_G the total degree of f in G, each term is multiplied by
     d^(D_G - |e|_G), so d^D_G, not a power of d per variable, is cleared.
+    A term is the product of the nonzero powers it needs, scaled by its
+    coefficient with one mul_ground.
     """
     needed = effective_vars(f)
     for v in needed:
@@ -926,12 +958,11 @@ def substitute(f: MultiPoly, m: RationalMap) -> RationalFunction:
     den_pows = [[d**j for j in range(top + 1)] for d, top in zip(dens, tops)]
     total_num = ring.zero
     for (e, c), size in zip(coeffs.items(), sizes):
-        term = ring.ground_new(c)
-        for j, i in enumerate(idx):
-            term *= num_pows[j][e[i]]
-        for G, top in enumerate(tops):
-            term *= den_pows[G][top - size[G]]
-        total_num += term
+        # never empty: a term free of G's variables takes d^D_G, D_G >= 1
+        powers = [num_pows[j][e[i]] for j, i in enumerate(idx) if e[i]]
+        powers += [den_pows[G][top - size[G]] for G, top in enumerate(tops)
+                   if top > size[G]]
+        total_num += reduce(mul, powers).mul_ground(c)
     total_den = ring.one
     for G, top in enumerate(tops):
         total_den *= den_pows[G][top]
@@ -986,23 +1017,38 @@ def _sign_normalize(h: RationalFunction) -> RationalFunction:
 
 def _monic_sqrt(p):
     """The lex-monic s with s^2 = p, for a lex-monic ring element p, or
-    None.  Root terms come in lex order: the next one is LT(r)/(2*LT(s))
+    None.  Root terms come in lex order: the next one is t = LT(r)/(2*LT(s))
     for the remainder r = p - s^2, and must stay inside the box of half
-    p's degree in each variable."""
-    ring = p.ring
-    if any(e % 2 for e in p.LM):
+    p's degree in each variable; None also when p's leading exponent is odd
+    or LT(s) does not divide LT(r).  r and s are plain dicts of terms, and
+    r -= (2*s + t)*t touches at most |s| + 1 of r's entries; LT(s) stays
+    the first root term, since every later one is lex-smaller."""
+    lead = p.LM
+    if any(e % 2 for e in lead):
         return None
     box = [d // 2 for d in p.degrees()]
-    s = ring({tuple(e // 2 for e in p.LM): ring.domain.one})
-    r = p - s * s
+    top = tuple(e // 2 for e in lead)
+    zero = p.ring.domain.zero
+    s = {top: p.ring.domain.one}
+    r = dict(p.iterterms())
+    del r[lead]
     while r:
-        m = ring.monomial_div(r.LM, s.LM)
-        if m is None or any(e > b for e, b in zip(m, box)):
+        lm = max(r)
+        m = tuple(map(sub, lm, top))
+        if any(e < 0 or e > b for e, b in zip(m, box)):
             return None
-        t = ring({m: r.LC / 2})
-        r -= (s + s + t) * t
-        s += t
-    return s
+        c = r[lm] / 2
+        c2 = c + c
+        update = [(tuple(map(add, e, m)), a * c2) for e, a in s.items()]
+        update.append((tuple(map(add, m, m)), c * c))
+        for e, a in update:
+            v = r.get(e, zero) - a
+            if v:
+                r[e] = v
+            else:
+                del r[e]
+        s[m] = c
+    return p.new(s)
 
 
 def is_perfect_square(g: RationalFunction, extension=None):
@@ -1021,8 +1067,8 @@ def is_perfect_square(g: RationalFunction, extension=None):
     K = num.ring.domain
     if K.is_QQ and extension is not None:
         K = quadratic_field(extension)[0]
-    s_num = _monic_sqrt(num.quo_ground(num.LC))
-    s_den = None if s_num is None else _monic_sqrt(den.quo_ground(den.LC))
+    s_num = _monic_sqrt(_divided(num, num.LC))
+    s_den = None if s_num is None else _monic_sqrt(_divided(den, den.LC))
     if s_den is None:
         return None
     root_c = _field_sqrt(num.LC / den.LC, K)

@@ -64,6 +64,8 @@ def point_on_quadric(f: MultiPoly, height):
     w = sqrt(f(x)) adjoined as a quadratic irrationality.  When f < 0 on
     all of R^n (:func:`negative_everywhere`) no value can be a square, so
     the scan is skipped and the origin, its first tuple, is taken at once.
+    That is asked only when f has rational coefficients and f(0) < 0: the
+    origin already shows any other f not to be negative everywhere.
     Neither can one when f is univariate and its conic has no rational
     point (:func:`conic_has_point`), asked once the scan has found its
     fallback, the first x-value with f(x) != 0: the scan then stops there,
@@ -82,8 +84,8 @@ def point_on_quadric(f: MultiPoly, height):
         vals = dict(zip(f.vars, x0))
         return any(f.derivative(v).eval_at(vals) for v in f.vars)
 
-    if negative_everywhere(f):
-        c = f.constant_value()
+    c = f.constant_value()
+    if f.coefficients_rational() and c < 0 and negative_everywhere(f):
         return [QQ.one, *[QQ.zero] * len(f.vars), quadratic_field(c)[1]], c
     fallback = None
     conic = (len(f.vars) == 1 and f.total_degree() == 2

@@ -27,6 +27,7 @@ from ratsqrt.mpoly import (
     substitute,
 )
 from ratsqrt.parser import load_alphabet, parse_poly, parse_rational
+from ratsqrt.report import alphabet_report
 from ratsqrt.witness import verify_witness
 
 
@@ -300,6 +301,26 @@ class TestSequentialSearch:
         f = parse_poly("X - 1", ("X",))
         m, (h,) = sequential_rationalize([f])
         assert h * h == substitute(f, m)
+
+    def test_the_first_witness_is_not_composed_with_the_identity(
+            self, monkeypatch):
+        # the running map starts as the identity, so the first accepted
+        # witness becomes it: one composition for two roots, where
+        # composing with the identity made two, and the same report
+        calls = []
+        real = alphabet.compose
+        monkeypatch.setattr(alphabet, "compose",
+                            lambda o, i: calls.append((o, i)) or real(o, i))
+        doc = {"roots": [{"radicand": "X - 8"}, {"radicand": "X - 6"}]}
+        v = decide_alphabet(load_alphabet(doc)[1])
+        assert len(calls) == 1
+        report = alphabet_report(doc, v, Config())
+        assert report["witness"] == {"assignments": {
+            "X": "(33/4*X^4 + 3*X^3 - 13/2*X^2 + 3*X + 33/4)"
+                 "/(X^4 - 2*X^2 + 1)"}, "variables": ["X"]}
+        assert report["root_square_roots"] == {
+            "r1": "(1/2*X^2 + 3*X + 1/2)/(X^2 - 1)",
+            "r2": "(3/2*X^2 + X + 3/2)/(X^2 - 1)"}
 
     def test_failure_is_none_not_a_proof(self):
         # roots that are individually fine but given no ordering budget

@@ -4,7 +4,10 @@ a prime certify without a decomposition, and of two radicands typed with
 a square factor, whose factor lists the images certify instead; the quadric witness, built from
 the polars of the closure at its centre, once for a quadric with a small
 rational point and once for one whose conic has none, which Legendre's
-theorem tells before any scan; and the reduction of a coprime fraction
+theorem tells before any scan, and once for a definite quadric, built over
+QQ(sqrt(r)) from the origin; the verification of a trivariate quadric's
+map, a substitution and two exact square roots, and the perfect-square
+test of a bivariate quartic square; and the reduction of a coprime fraction
 over QQ(i), which the images of the norms certify without a gcd over the
 field.  Also of the projection-centre lookup that bivariate radicands of
 degree >= 4 read off their branch-curve records, and of rule 6 on a
@@ -56,14 +59,16 @@ from ratsqrt.mpoly import (
     RationalFunction,
     RationalMap,
     _ring,
+    is_perfect_square,
     poly_str,
     quadratic_field,
+    rf_str,
     squarefree_part,
     substitute,
 )
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.report import dumps, verdict_report
-from ratsqrt.witness import quadric_witness
+from ratsqrt.witness import quadric_witness, verify_witness
 
 ROUNDS, ITERATIONS = 25, 4
 
@@ -107,6 +112,31 @@ def test_quadric_witness_of_a_conic_without_rational_points(benchmark):
     m, h = benchmark.pedantic(quadric_witness, args=(f, Config.max_height),
                               rounds=ROUNDS, iterations=ITERATIONS)
     assert m.extension == 5 and h * h == substitute(f, m)
+
+
+def test_quadric_witness_of_a_definite_quadric(benchmark):
+    # f < 0 on all of R^2: the centre is the origin with w = sqrt(-3)
+    f = parse_poly("-X^2 - 2*Y^2 - 3")
+    m, h = benchmark.pedantic(quadric_witness, args=(f, Config.max_height),
+                              rounds=ROUNDS, iterations=ITERATIONS)
+    assert m.extension == -3 and h * h == substitute(f, m)
+
+
+def test_verify_witness_of_a_trivariate_quadric(benchmark):
+    # a roots-mixed "trivariate-quadric" input
+    f = parse_poly("X^2 - 2*X*Z + Y*Z + 3*Y - 1")
+    m, h = quadric_witness(f, Config.max_height)
+    out = benchmark.pedantic(verify_witness, args=(m, f), rounds=ROUNDS,
+                             iterations=ITERATIONS)
+    assert out == h
+
+
+def test_is_perfect_square_of_a_bivariate_quartic_square(benchmark):
+    g = parse_rational("(2*X^2 - X*Y + 3*Y^2 - X + 4)^2/(X*Y + 1)^2",
+                       ("X", "Y"))
+    h = benchmark.pedantic(is_perfect_square, args=(g,), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert rf_str(h) == "(2*X^2 - X*Y + 3*Y^2 - X + 4)/(X*Y + 1)"
 
 
 def test_coprime_fraction_over_qq_i(benchmark):

@@ -20,7 +20,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 from test_golden import EXTENSION_ROOTS
-from test_kernels import FIELDS
+from test_kernels import FIELDS, _coeff
 
 from ratsqrt import mpoly
 from ratsqrt.engine import DEFAULT_CONFIG, INCONCLUSIVE, Config, decide
@@ -871,3 +871,181 @@ class TestSurdPrinter:
         assert witness["assignments"]["X"] == \
             "((-2*sqrt(2)*I)*X)/(X^2 + Y^2 + 1)"
         assert "sqrt(2)*I" in dumps(report)
+
+
+# --------------------------------------------------------------------------
+# exact square roots on the remainder's terms
+
+
+def _ring_op_monic_sqrt(p):
+    """_monic_sqrt with ring operations on the remainder and the root, as
+    mpoly once took it: a ring product and a ring difference per root
+    term."""
+    ring = p.ring
+    if any(e % 2 for e in p.LM):
+        return None
+    box = [d // 2 for d in p.degrees()]
+    s = ring({tuple(e // 2 for e in p.LM): ring.domain.one})
+    r = p - s * s
+    while r:
+        m = ring.monomial_div(r.LM, s.LM)
+        if m is None or any(e > b for e, b in zip(m, box)):
+            return None
+        t = ring({m: r.LC / 2})
+        r -= (s + s + t) * t
+        s += t
+    return s
+
+
+def _root_candidates(r):
+    """Nonzero polynomials in X, Y of up to 4 terms, degree at most 2 in
+    each variable, with small coefficients: small enough that squaring
+    over QQ(sqrt(-7)) stays cheap."""
+    term = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                     _coeff(r))
+    return st.lists(term, min_size=1, max_size=4).map(
+        lambda ts: MultiPoly(("X", "Y"), dict(ts))
+    ).filter(lambda p: not p.is_zero())
+
+
+def _squares_and_perturbations():
+    """(root, p): p the lex-monic square of root over QQ, QQ(sqrt(2)) or
+    QQ(sqrt(-7)), or that square with one term added (then root is None),
+    made lex-monic again."""
+    def case(r):
+        bump = st.one_of(st.none(), st.tuples(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.integers(-3, 3).filter(bool)))
+        return st.tuples(_root_candidates(r), bump)
+
+    def build(pair):
+        s, bump = pair
+        p = s.pe * s.pe
+        if bump is not None:
+            e, c = bump
+            p = p + p.ring({e: p.ring.domain.convert(c)})
+            if not p:
+                return None, p
+        return (None if bump else s.pe.quo_ground(s.pe.LC)), \
+            p.quo_ground(p.LC)
+
+    return st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda name: case(FIELDS[name])).map(build).filter(lambda t: t[1])
+
+
+class TestMonicSqrtOnTerms:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(_squares_and_perturbations())
+    def test_matches_the_ring_op_reference(self, case):
+        root, p = case
+        got = mpoly._monic_sqrt(p)
+        assert got == _ring_op_monic_sqrt(p)
+        if root is not None:
+            assert got == root and got.ring is p.ring
+        if got is not None:
+            assert got * got == p
+
+    @pytest.mark.parametrize("text, branch", [
+        ("X^3 + X + 1", "odd leading exponent"),
+        ("X^2 + X*Y^2", "outside the half-degree box"),
+        ("X^2 + 2*X + 1 + Y", "negative exponent"),
+        ("X^2*Y^2 + X", "negative exponent"),
+    ])
+    def test_each_none_branch(self, text, branch):
+        for r in (None, 2, -7):
+            K = QQ if r is None else quadratic_field(r)[0]
+            pe = parse_poly(text, ("X", "Y")).pe.set_ring(_ring(("X", "Y"), K))
+            assert mpoly._monic_sqrt(pe) is None, branch
+            assert _ring_op_monic_sqrt(pe) is None, branch
+
+
+# --------------------------------------------------------------------------
+# constants by mul_ground
+
+
+def _by_operands(p, c):
+    """p * c through _operands, for a constant c, as MultiPoly.__mul__ once
+    multiplied it: a constant carries the empty factor list."""
+    a, b = p._operands(c)
+    return mpoly._listed(a * b, () if a.is_ground else p.factors)
+
+
+def _same(got, want):
+    assert got == want
+    assert got.pe.ring is want.pe.ring
+    assert got.factors == want.factors
+
+
+class TestConstantMultiply:
+    XY = ("X", "Y")
+    K2, SQRT2 = quadratic_field(2)
+
+    @pytest.mark.parametrize("c", [3, -1, 0, F(-2, 3), F(0), QQ(5, 7), QQ(0),
+                                   True])
+    @pytest.mark.parametrize("text, r", [
+        ("(X - 1)^2*(X + Y)", None), ("X^2 - 3*X*Y + 1/2", None),
+        ("7/3", None), ("0", None),
+        ("(X + sqrt(2)*Y)*(X - 1)", 2), ("sqrt(2)*X - Y + 1", 2),
+    ])
+    def test_a_rational_matches_the_operands_route(self, text, r, c):
+        field = None if r is None else quadratic_field(r)[0]
+        p = parse_rational(text, self.XY, field).num
+        _same(p * c, _by_operands(p, c))
+        _same(c * p, _by_operands(p, c))
+
+    @pytest.mark.parametrize("text", [
+        "(X + sqrt(2)*Y)*(X - 1)", "sqrt(2)*X - Y + 1", "sqrt(2)", "X - 1"])
+    def test_an_element_of_the_own_field(self, text):
+        p = parse_rational(text, self.XY, self.K2).num
+        for c in (self.SQRT2, self.K2([QQ(1, 2), QQ(-3)]), self.K2.zero,
+                  self.K2.one):
+            _same(p * c, _by_operands(p, c))
+
+    def test_a_field_element_times_a_rational_polynomial(self):
+        for text in ("(X - 1)^2*(X + Y)", "X*Y + 2", "5"):
+            p = parse_rational(text, self.XY).num
+            for c in (self.SQRT2, self.K2([QQ(2), QQ(0)])):
+                _same(p * c, _by_operands(p, c))
+            assert (p * self.SQRT2).pe.ring.domain == self.K2
+
+    def test_lists_are_kept_and_a_constant_gets_the_empty_one(self):
+        p = parse_rational("3*(X - 1)^2*(X + Y)", self.XY).num
+        assert p.factors is not None
+        for c in (2, F(1, 2), QQ(-3)):
+            assert (p * c).factors == (c * p).factors == p.factors
+        assert (MultiPoly.const(self.XY, 4) * 3).factors == ()
+        assert (MultiPoly.of(p.pe) * 3).factors is None
+
+    def test_two_fields_still_raise(self):
+        p = parse_rational("sqrt(2)*X + 1", self.XY, self.K2).num
+        _K3, sqrt3 = quadratic_field(3)
+        with pytest.raises(ValueError):
+            p * sqrt3
+        with pytest.raises(ValueError):
+            sqrt3 * p
+
+    @pytest.mark.parametrize("num, den, r", [
+        ("(X - 1)^2*(X + 2)", "2", None),
+        ("X^2 + 1", "3*X - 6", None),
+        ("X - Y", "1/2*X*Y + 3", None),
+        ("sqrt(2)*X + 1", "3*X + 1", 2),
+        ("X + 1", "sqrt(2)*X + 1", 2),
+        ("X + 1", "sqrt(2)*X + sqrt(2)", 2),
+        ("sqrt(7)*I*X^2 - Y", "(2 + sqrt(7)*I)*Y + 1", -7),
+    ])
+    def test_rational_function_normal_forms(self, num, den, r):
+        field = None if r is None else quadratic_field(r)[0]
+        n = parse_rational(num, self.XY, field).num
+        d = parse_rational(den, self.XY, field).num
+        g = RationalFunction(n, d)
+        if not n.is_constant() and not d.is_constant():
+            rn, rd = _common(n, d)
+            rn, rd = rn.cancel(rd)
+            n, d = MultiPoly.of(rn), MultiPoly.of(rd)
+        lc = d.leading_coeff()
+        want = _by_operands(n, d.pe.ring.domain.one / lc)
+        _same(g.num, want)
+        assert g.den == d.monic()
+        assert rf_str(g) == rf_str(RationalFunction(want, d.monic(),
+                                                    reduce=False))

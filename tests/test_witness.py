@@ -131,6 +131,32 @@ class TestVerifierWork:
             assert not sp.sqrt(value).is_rational
 
 
+class TestNegativityOnlyBelowZeroAtTheOrigin:
+    """point_on_quadric asks negative_everywhere only when f(0) < 0: the
+    origin is the scan's first tuple, so f(0) >= 0 already shows that f is
+    not negative everywhere."""
+
+    def _spied(self, monkeypatch, text):
+        calls = []
+        real = witness.negative_everywhere
+        monkeypatch.setattr(witness, "negative_everywhere",
+                            lambda f: calls.append(f) or real(f))
+        f = parse_poly(text)
+        return f, point_on_quadric(f, HEIGHT), calls
+
+    def test_not_asked_when_f_of_0_is_not_negative(self, monkeypatch):
+        f, (coords, ext), calls = self._spied(monkeypatch, "X^2 - 3*Y^2 + 1")
+        assert calls == []
+        assert coords == [1, 0, 0, 1] and ext is None
+        assert not witness.negative_everywhere(f)
+
+    def test_still_asked_when_f_of_0_is_negative(self, monkeypatch):
+        text = "-2*X^2 + X*Y - 3*Y^2 - 1"
+        f, (coords, ext), calls = self._spied(monkeypatch, text)
+        assert calls == [f]
+        assert coords[:-1] == [1, 0, 0] and ext == -1
+
+
 def _with_full_scan(fn, *args):
     """fn(*args) with Legendre's test switched off, so that every quadric
     is scanned."""
