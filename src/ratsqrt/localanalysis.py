@@ -25,7 +25,9 @@ The module provides:
   grow tall.  Both run on a jet of the germ, truncated at a degree T that
   the jet's own Milnor number mu certifies once mu + 1 <= T, since a germ
   with Milnor number mu is (mu + 1)-determined (Greuel, Lossen, Shustin,
-  *Introduction to Singularities and Deformations*, ch. I.2);
+  *Introduction to Singularities and Deformations*, ch. I.2); T starts
+  above (m - 1)^2, a lower bound on mu at multiplicity m, and a later jet
+  runs only while 2T stays below the germ's degree;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple) from the multiplicity, the cone shape and the Milnor
   number, with no blowup; multiplicity >= 4 is immediately NonSimple.
@@ -273,25 +275,33 @@ def milnor_number(P):
 
     Computed twice — intersection multiplicity of the partials by Euclidean
     recursion, and stabilized jet-quotient dimension — and cross-checked,
-    on the jet j^T P of the terms of degree <= T, from T = mult(P) + 1 on.
-    A germ with Milnor number mu is (mu + 1)-determined (Greuel, Lossen,
-    Shustin, *Introduction to Singularities and Deformations*, ch. I.2), so
-    when the jet has mu' with mu' + 1 <= T, P is right-equivalent to its
-    jet and mu(P) = mu'.  Otherwise T becomes mu' + 1, or doubles when the
-    jet is not isolated, until T reaches deg P and P itself is computed.
+    on the jet j^T P of the terms of degree <= T.  A germ with Milnor
+    number mu is (mu + 1)-determined (Greuel, Lossen, Shustin,
+    *Introduction to Singularities and Deformations*, ch. I.2), so when the
+    jet has mu' with mu' + 1 <= T, P is right-equivalent to its jet and
+    mu(P) = mu'.  A germ of multiplicity m has mu >= (m - 1)^2, and so does
+    each of its jets, so T starts at max(m, (m - 1)^2) + 1, the first order
+    that can certify.  Otherwise T becomes mu' + 1, or doubles when the jet
+    is not isolated.  A failed jet leaves the order at up to twice its own,
+    and a jet of order deg P / 2 or more costs about what P does, so after
+    the first jet the loop stops once 2T reaches deg P, and P itself is
+    computed.
     """
     top = _degree(P)
-    T = lp_multiplicity(P) + 1
+    m = lp_multiplicity(P)
+    T = max(m, (m - 1) ** 2) + 1
     while T < top:
         try:
             routes = _routes({e: c for e, c in P.items() if sum(e) <= T})
         except NonIsolated:
             T *= 2
-            continue
-        mu = _cross_checked(*routes)
-        if mu + 1 <= T:
-            return mu
-        T = mu + 1
+        else:
+            mu = _cross_checked(*routes)
+            if mu + 1 <= T:
+                return mu
+            T = mu + 1
+        if 2 * T >= top:
+            break
     return _cross_checked(*_routes(P))
 
 

@@ -628,15 +628,24 @@ def _coprime_by_images(a, b):
     return _certified([a, b], _coprime_mod_p)
 
 
+def _monomial_divided(a, b):
+    """a and b divided by their common monomial, the componentwise minimum
+    of their exponents; None when that monomial is 1."""
+    m = tuple(map(min, *a.itermonoms(), *b.itermonoms()))
+    if not any(m):
+        return None
+    return tuple(p.new({tuple(x - y for x, y in zip(e, m)): c
+                        for e, c in p.iterterms()}) for p in (a, b))
+
+
 def _cancel(a, b):
     """a and b divided by their gcd, up to one constant factor, for a pair
-    the images did not certify coprime.  Their common monomial, the
-    componentwise minimum of their exponents, is divided out first, and
-    cancel runs only when the quotients are not certified coprime either."""
-    m = tuple(map(min, *a.itermonoms(), *b.itermonoms()))
-    if any(m):
-        a, b = (p.new({tuple(x - y for x, y in zip(e, m)): c
-                       for e, c in p.iterterms()}) for p in (a, b))
+    the images did not certify coprime.  Their common monomial is divided
+    out first, and cancel runs only when the quotients are not certified
+    coprime either."""
+    divided = _monomial_divided(a, b)
+    if divided:
+        a, b = divided
         if a.is_ground or b.is_ground or _coprime_by_images(a, b):
             return a, b
     return a.cancel(b)
@@ -655,7 +664,7 @@ def _odd_part_of_factors(p):
         if f.ring is not ring:
             return None
         if not f.is_ground:
-            f = f.monic()
+            f = _divided(f, f.LC)
             exponents[f] = exponents.get(f, 0) + k
     fs = list(exponents)
     if not all(max(map(sum, f.itermonoms())) < 2 or _squarefree_by_images(f)

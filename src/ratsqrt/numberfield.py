@@ -33,10 +33,17 @@ and unequal to an irrational element of another field.  Two irrational
 elements of two fields, like arithmetic across fields, raise ValueError:
 lift one first.
 
-Splitting a polynomial over a height-one field uses Trager's norm method:
-push the problem down to the rationals with a resultant, factor there (both
-on sympy's sparse ring QQ[x, y]), and pull the factors back with gcds over
-the extension.
+Splitting a squarefree polynomial g over a height-one field follows
+Trager's norm method.  Over a quadratic field QQ(a), one Euclid over the
+field splits g into two parts.  Its conjugation-invariant part
+q = gcd(g, gbar) has rational coefficients and factors over the
+rationals; a rational quadratic factor then splits exactly when its
+discriminant is a square in the field.  The rest, h = g/q, has the
+squarefree norm h*hbar, whose rational factors pull back to the factors
+of h with one gcd each, with no resultant and no shift.  Over a field of
+higher degree, and for a rational factor of q of even degree >= 4, the
+norm is a resultant, after a shift that makes it squarefree, factored on
+sympy's sparse ring QQ[x, y] and pulled back with gcds over the field.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from sympy.polys.domains import QQ
 
 from . import unipoly as up
 from .errors import TowerTooDeep, ZeroInversion
-from .mpoly import _qq, _ring
+from .mpoly import _qq, _rational_sqrt, _ring
 
 MAX_HEIGHT = 2
 
@@ -342,7 +349,7 @@ def _times(table, x, y):
 
 
 # --------------------------------------------------------------------------
-# Trager norm-based splitting over a height-one field
+# splitting over a height-one field
 
 
 def factor_over_height1(field: NumberField, poly):
@@ -358,6 +365,83 @@ def factor_over_height1(field: NumberField, poly):
     poly = {e: field.lift(c) for e, c in poly.items()}
     if up.deg(poly) <= 1:
         return [poly]
+    if field.degree == 2:
+        factors = _split_over_quadratic(field, poly)
+    else:
+        factors = _split_by_norm(field, poly)
+    total = {(0,): field.one()}
+    for f in factors:
+        total = up.mul(total, f)
+    if total != poly:
+        raise AssertionError("norm factorization lost a factor")
+    factors.sort(key=lambda f: (up.deg(f), tuple(
+        f[(i,)].rep if (i,) in f else () for i in range(up.deg(f) + 1))))
+    return factors
+
+
+def _split_over_quadratic(field, g):
+    """The monic irreducible factors of g over K = QQ(a), a^2 + p*a + c = 0,
+    from its conjugation-invariant part q = gcd(g, gbar) and h = g/q, the
+    bar mapping a to its conjugate -p - a.
+
+    q has rational coefficients, and factor_rational splits it.  The
+    factors over K of an irreducible rational polynomial are conjugate, of
+    one degree, and number 1 or 2, so one of odd degree stays irreducible.
+    A rational quadratic with discriminant e splits over K exactly when
+    e*D is a rational square, D = p^2 - 4c, its roots written through
+    sqrt(D) = 2a + p; one of even degree >= 4 takes the norm route.  h
+    shares no factor with hbar, which would divide q and h, and then g
+    twice; so its norm h*hbar is squarefree and, by Trager's theorem, the
+    gcds of h with the rational factors of its norm are its factors, with
+    no resultant and no shift."""
+    p = field.minpoly.get((1,), QQ.zero)
+    D = p * p - 4 * field.minpoly.get((0,), QQ.zero)
+    sqrt_D = field.gen() * 2 + p
+    abar = -sqrt_D + field.gen()
+
+    def bar(P):
+        return {e: c.vec[0] + c.vec[1] * abar for e, c in P.items()}
+
+    q = up.gcd(g, bar(g))
+    h = up.divmod_poly(g, q)[0]
+    factors = []
+    for f, _m in _rational_factors(q):
+        n, b = up.deg(f), f.get((1,), QQ.zero)
+        s = _rational_sqrt((b * b - 4 * f.get((0,), QQ.zero)) * D) if n == 2 else None
+        if s is not None:
+            root = sqrt_D * (s / D)
+            factors += [{(0,): (b + sign * root) * QQ(1, 2), (1,): field.one()}
+                        for sign in (1, -1)]
+        elif n <= 2 or n % 2:
+            factors.append(_over(field, f))
+        else:
+            factors += _split_by_norm(field, _over(field, f))
+    if up.deg(h) == 1:
+        factors.append(h)
+    elif up.deg(h) > 1:
+        for f, _m in _rational_factors(up.mul(h, bar(h))):
+            f = up.gcd(h, _over(field, f))
+            if up.deg(f) >= 1:
+                factors.append(f)
+    return factors
+
+
+def _over(field, f):
+    """A polynomial over QQ as one over `field`."""
+    return {e: field.from_rational(c) for e, c in f.items()}
+
+
+def _rational_factors(p):
+    """factor_rational's factors of p, whose coefficients over a height-one
+    field have rational values."""
+    return up.factor_rational({e: c.vec[0] for e, c in p.items()})[1]
+
+
+def _split_by_norm(field, poly):
+    """The factors of `poly` by Trager's norm method: push the problem down
+    to the rationals with a resultant, after a shift y -> y - s*a that
+    makes it squarefree, factor there (both on sympy's sparse ring
+    QQ[x, y]), and pull the factors back with gcds over the field."""
     # QQ[x, y] with x first, so the resultant eliminates the generator x
     ring = _ring(("x", "y"))
     x, y = ring.gens
@@ -376,18 +460,10 @@ def factor_over_height1(field: NumberField, poly):
     shift = (field.gen() * s,)
     for nf_poly, _m in rat_factors:
         # n_i(y + s*alpha) over the field
-        comp = up.translate({e: field.from_rational(c) for e, c in nf_poly.items()},
-                            shift)
+        comp = up.translate(_over(field, nf_poly), shift)
         g = up.gcd(poly, comp)
         if up.deg(g) >= 1:
             factors.append(g)
-    total = {(0,): field.one()}
-    for f in factors:
-        total = up.mul(total, f)
-    if total != poly:
-        raise AssertionError("norm factorization lost a factor")
-    factors.sort(key=lambda f: (up.deg(f), tuple(
-        f[(i,)].rep if (i,) in f else () for i in range(up.deg(f) + 1))))
     return factors
 
 

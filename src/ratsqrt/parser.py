@@ -64,6 +64,7 @@ from .mpoly import (
     MultiPoly,
     RationalFunction,
     RationalMap,
+    _divided,
     _element,
     _field_sqrt,
     _listed,
@@ -271,7 +272,7 @@ class _Parser:
         if any(bottom):
             den, factors = _times(_poly(ring, {bottom: 1}), den), None
         if den is not None and den.is_ground:
-            num, den = num.quo_ground(den.LC), None
+            num, den = _divided(num, den.LC), None
         elif factors is not None:
             factors += _powers(ring, top)
         return _Frac(num, den, factors)

@@ -18,7 +18,9 @@ monic gcd and squarefree part, which serve the point searches, Trager's
 pull-back and the multiplication table of each number field.
 :func:`factor_rational` factors over the rationals on sympy's sparse ring
 QQ[t], except a quadratic, which the square root of its discriminant
-splits.
+splits, and a cubic certified irreducible: a cubic with no root mod a
+prime that divides neither its leading coefficient nor a denominator has
+no rational root, so no factor.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ def factor_rational(p):
         return p[(0,)], []
     if deg(p) == 2:
         return _factor_quadratic(p)
+    if deg(p) == 3 and _rootless_cubic(p):
+        return _qq(p[(3,)]), [(monic({e: _qq(p[e]) for e in sorted(p)}), 1)]
     cont, factors = _ring(("t",)).from_dict(p).factor_list()
     out = []
     for f, m in sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].to_dense())):
@@ -181,6 +185,28 @@ def _factor_quadratic(p):
     m = 2 if len(roots) == 1 else 1
     return a, [({(0,): -r, (1,): QQ.one} if r else {(1,): QQ.one}, m)
                for r in roots]
+
+
+# the primes the cubic certificate scans, in turn: by Chebotarev, an
+# irreducible cubic has no root mod a density 1/3 (Galois group S3) or 2/3
+# (A3) of the primes, so ten of them miss it with probability below 2 %
+_CUBIC_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def _rootless_cubic(p):
+    """Whether some prime of _CUBIC_PRIMES, dividing no numerator of p's
+    leading coefficient and no denominator, leaves p without a root mod it.
+    Then p is irreducible over QQ: a reducible cubic has a rational root
+    s/t, and t divides the leading coefficient of p taken primitive, which
+    such a prime does not divide, so s/t is a root mod that prime."""
+    cs = [_qq(p.get((k,), 0)) for k in (3, 2, 1, 0)]
+    for P in _CUBIC_PRIMES:
+        if cs[0].numerator % P == 0 or any(c.denominator % P == 0 for c in cs):
+            continue
+        a, b, c, d = (x.numerator * pow(x.denominator, -1, P) % P for x in cs)
+        if all((((a * x + b) * x + c) * x + d) % P for x in range(P)):
+            return True
+    return False
 
 
 def rational_roots(p):

@@ -40,8 +40,12 @@ from .mpoly import (
     RationalFunction,
     RationalMap,
     _coerce,
+    _common,
+    _coprime_by_images,
+    _divided,
     _element,
     _join,
+    _monomial_divided,
     _rational,
     _rational_sqrt,
     _ring,
@@ -125,7 +129,7 @@ def negative_everywhere(f: MultiPoly):
         R = g - x * (x * a + L)
         if a > 0 or (a == 0 and L):
             return False
-        g = R - (L * L).quo_ground(4 * a) if a else R
+        g = R - _divided(L * L, 4 * a) if a else R
     return g.coeff(1) < 0
 
 
@@ -198,6 +202,15 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
     H(t*q + v) = sum_k t^k (q.grad)^k H(v) / k!, so B is H and A the polar
     (q.grad)H, both restricted to the line space; the polars of order
     k >= 2 must vanish there.
+
+    Coordinate i is N_i/N_0, N_i = -B*q_i + A*v_i, and each is built
+    reduced with no cancel: q_0*N_i - q_i*N_0 = A*L_i and v_0*N_i -
+    v_i*N_0 = B*L_i for L_i = q_0*v_i - q_i*v_0, so a common factor of N_i
+    and N_0 divides gcd(A, B)*L_i.  One gcd(A, B) per map, skipped when the
+    images certify A and B coprime, is divided out of A and B first.  As
+    q_0 = 0 or v_0 = 0, L_i is a constant times v_i or v_0, which is 1 or
+    a variable, so what a pair still shares is its common monomial.  L_i
+    vanishes only when q_0 = q_i = 0, and then the pair is A*v_i, A*v_0.
     """
     coords = H.vars
     source_vars = coords[1:-1]
@@ -241,24 +254,30 @@ def parametrize_from_point(H: MultiPoly, q, extension=None):
         raise WrongMultiplicity(
             f"expansion has a t^{te} term; centre multiplicity is not D-1"
         )
-    Ap = MultiPoly.of(restrict(A))
-    Bp = MultiPoly.of(restrict(h))
-    if Ap.is_zero():
+    Ap, Bp = _common(MultiPoly.of(restrict(A)), MultiPoly.of(restrict(h)))
+    if not Ap:
         raise DegenerateProjection("residual-intersection form vanishes")
+    # gcd(A, B) divides every pair below; what is left of a common factor
+    # divides L_i (see the docstring)
+    if not (Bp and (Ap.is_ground or Bp.is_ground or _coprime_by_images(Ap, Bp))):
+        _g, Ap, Bp = Ap.cofactors(Bp)
+    Ap, Bp = Ap.set_ring(ring), Bp.set_ring(ring)
     # v_i: 0 at the pivot, 1 at the one slot, X_j at the j-th other slot
-    vpart = {pivot: MultiPoly.zero(source_vars),
-             one_slot: MultiPoly.const(source_vars, 1)}
-    vpart.update(
-        (i, MultiPoly.var(source_vars, v)) for i, v in zip(slots, source_vars)
-    )
+    vpart = {pivot: ring.zero, one_slot: ring.one}
+    vpart.update(zip(slots, ring.gens))
     # residual point: t = -B/A, so coordinate i maps to -B*q_i + A*v_i
-    den = Bp * -q[0] + Ap * vpart[0]
-    if den.is_zero():
+    den = Bp.mul_ground(-q[0]) + Ap * vpart[0]
+    if not den:
         raise DegenerateProjection("projection denominator vanishes")
     assignments = {}
     for slot, name in enumerate(coords[1:-1], start=1):
-        num = Bp * -q[slot] + Ap * vpart[slot]
-        assignments[name] = RationalFunction(num, den)
+        if q[0] or q[slot]:
+            num = Bp.mul_ground(-q[slot]) + Ap * vpart[slot]
+            pair = _monomial_divided(num, den) or (num, den)
+        else:  # A*v_i over A*v_0
+            pair = vpart[slot], vpart[0]
+        assignments[name] = RationalFunction(*map(MultiPoly.of, pair),
+                                             reduce=False)
     return RationalMap(source_vars, assignments, extension=extension)
 
 

@@ -25,6 +25,13 @@ whose branch curve has nodes over a height-2 tower.  Also of building QQ(sqrt(r)
 first time: both field caches are cleared before every round.  At the text edges: the parse of a dense quartic in three
 variables, and the report of a quadric witness over QQ(sqrt(-2)), printed
 from fresh copies of its functions so that every round prints them.
+Also of the three splitting and reduction kernels of the singular points
+and witnesses of bivariate radicands: the split of (y + 3 + a)(y^2 - 7)
+over QQ(sqrt 2), read off its conjugation-invariant part with no
+resultant; the factorization of an irreducible cubic over QQ, certified
+by a root scan mod a prime with no factor_list; and the projection map of
+a Weierstrass cubic from its centre at infinity, reduced from one
+gcd(A, B) with no cancel.
 
 The rounds are fixed, so the whole file runs in a second or two; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -37,6 +44,7 @@ from dataclasses import replace
 from sympy.polys.domains import QQ
 
 from ratsqrt import geometry, mpoly
+from ratsqrt import unipoly as up
 from ratsqrt.alphabet import decide_alphabet
 from ratsqrt.engine import (
     DEFAULT_CONFIG,
@@ -66,9 +74,14 @@ from ratsqrt.mpoly import (
     squarefree_part,
     substitute,
 )
+from ratsqrt.numberfield import NumberField, factor_over_height1
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.report import dumps, verdict_report
-from ratsqrt.witness import quadric_witness, verify_witness
+from ratsqrt.witness import (
+    parametrize_from_point,
+    quadric_witness,
+    verify_witness,
+)
 
 ROUNDS, ITERATIONS = 25, 4
 
@@ -311,3 +324,31 @@ def test_report_of_a_witness_over_qq_sqrt_minus_2(benchmark):
 
     out = benchmark.pedantic(report, rounds=ROUNDS, iterations=ITERATIONS)
     assert '"extension": "sqrt(2)*I"' in out
+
+
+def test_factor_over_height1_of_a_1_plus_2_cubic(benchmark):
+    # (y + 3 + a)(y^2 - 7) over QQ(a), a^2 = 2: the invariant part
+    # gcd(g, gbar) = y^2 - 7 stays irreducible, since 28*8 is no square
+    K = NumberField(None, "a", {(0,): QQ(-2), (2,): QQ(1)})
+    a = K.gen()
+    g = up.mul({(0,): a + 3, (1,): K.one()},
+               {(0,): K.from_rational(-7), (2,): K.one()})
+    factors = benchmark.pedantic(factor_over_height1, args=(K, g),
+                                 rounds=ROUNDS, iterations=ITERATIONS)
+    assert [up.deg(f) for f in factors] == [1, 2]
+
+
+def test_factor_rational_of_an_irreducible_cubic(benchmark):
+    # 2t^3 - t + 1/3: no root mod 109
+    p = {(3,): QQ(2), (1,): QQ(-1), (0,): QQ(1, 3)}
+    content, factors = benchmark.pedantic(up.factor_rational, args=(p,),
+                                          rounds=ROUNDS, iterations=ITERATIONS)
+    assert content == 2 and len(factors) == 1
+
+
+def test_parametrize_from_point_on_a_weierstrass_cubic(benchmark):
+    # Y^2 = X^3 + X + 1 from its centre (0:0:1:1) at infinity
+    model = build_model(parse_poly("Y^2 - X^3 - X - 1", ("X", "Y")))
+    m = benchmark.pedantic(parametrize_from_point, args=(model.V, [0, 0, 1, 1]),
+                           rounds=ROUNDS, iterations=ITERATIONS)
+    assert rf_str(m.assignments["X"]) == "(Y)/(X)"

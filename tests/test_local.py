@@ -634,14 +634,24 @@ class TestJetMilnorAgainstTheWholeGerm:
         assert milnor_number(germ({(2, 0): 1, (0, 2): 1, (0, 6): 1})) == 1
         assert degrees == [2]
 
+    def test_a_triple_point_starts_at_order_5(self, monkeypatch):
+        # u^3 + v^3 + v^6 is D4, mu = 4 >= (3 - 1)^2: no jet of order 4
+        # could certify mu + 1 <= 4, so the first jet is j^5, of degree 3
+        degrees = []
+        routes = localanalysis._routes
+        monkeypatch.setattr(localanalysis, "_routes",
+                            lambda P: degrees.append(_degree(P)) or routes(P))
+        assert milnor_number(germ({(3, 0): 1, (0, 3): 1, (0, 6): 1})) == 4
+        assert degrees == [3]
+
     def test_an_uncertified_jet_is_not_trusted(self, monkeypatch):
         # (u - v^2)^2 + v^7 is A_6.  Its 3-jet u^2 - 2uv^2 has mu = 3 > 3 - 1,
-        # which certifies nothing; its 4-jet is a square, not isolated, so
-        # the order doubles past the degree and the whole germ is computed
+        # which certifies nothing, and the next order 4 has 2*4 >= 7, so
+        # the whole germ is computed with no 4-jet
         degrees = []
         routes = localanalysis._routes
         monkeypatch.setattr(localanalysis, "_routes",
                             lambda P: degrees.append(_degree(P)) or routes(P))
         P = germ({(2, 0): 1, (1, 2): -2, (0, 4): 1, (0, 7): 1})
         assert milnor_number(P) == 6
-        assert degrees == [3, 4, 7]
+        assert degrees == [3, 7]

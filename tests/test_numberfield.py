@@ -3,12 +3,15 @@
 import random
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyElement
 
+from ratsqrt import numberfield
 from ratsqrt import unipoly as up
 from ratsqrt.errors import TowerTooDeep, ZeroInversion
 from ratsqrt.geometry import _elem_key
@@ -585,3 +588,144 @@ class TestHashAgreesWithEquality:
         y = (x * 6 - 1) / 6 + QQ(1, 6)
         assert x == y and hash(x) == hash(y)
         assert len({x, y, L.from_rational(2)}) == 2
+
+
+# -- splitting over QQ(sqrt d) by the conjugation-invariant part --------------
+
+_Y = sp.Symbol("y")
+_SMALL = st.integers(-4, 4)
+
+
+def _sqrt_field(d):
+    """QQ(a), a^2 = d, and sympy's QQ<sqrt(d)>, whose generator is a."""
+    K = NumberField(None, "a", {(0,): QQ(-d), (2,): QQ(1)})
+    ref = QQ.algebraic_field(sp.sqrt(d))
+    assert ref.mod.to_list() == [1, 0, -d]
+    return K, ref
+
+
+@st.composite
+def _factor_kinds(draw, d):
+    """A sympy expression in y: a product of one to three factors, each a
+    rational linear, quadratic or cubic, a conjugate pair, or a factor with
+    irrational coefficients over QQ(sqrt d); quadratics include ones that
+    split over the field."""
+    a = sp.sqrt(d)
+    out = sp.Integer(1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["linear", "quadratic", "split quadratic",
+                                     "cubic", "conjugates", "irrational"]))
+        r, s, u = draw(_SMALL), draw(_SMALL.filter(bool)), draw(_SMALL)
+        if kind == "linear":
+            f = _Y - r
+        elif kind == "quadratic":
+            f = _Y**2 + r * _Y + u
+        elif kind == "split quadratic":
+            # roots (r +- s*a)/2: a discriminant d*s^2
+            f = sp.expand((2 * _Y - r) ** 2 - d * s**2)
+        elif kind == "cubic":
+            f = _Y**3 + r * _Y**2 + u * _Y + s
+        elif kind == "conjugates":
+            f = sp.expand((_Y**2 + (r + s * a) * _Y + u)
+                          * (_Y**2 + (r - s * a) * _Y + u))
+        else:
+            f = _Y**draw(st.integers(1, 2)) + (r + s * a) * _Y + u
+        out *= f
+    return out
+
+
+def _nf_poly(K, ref, expr):
+    """A sympy polynomial in y over ref as a monic exponent dict over K."""
+    coeffs = sp.Poly(expr, _Y, domain=ref).rep.to_list()
+    n = len(coeffs) - 1
+    p = {}
+    for i, c in enumerate(coeffs):
+        rep = ([QQ(0)] * 2 + [QQ(x) for x in c.to_list()])[-2:]
+        if any(rep):
+            p[(n - i,)] = K.from_rational(rep[1]) + K.gen() * rep[0]
+    return up.monic(p)
+
+
+def _reference_factors(K, ref, expr, d):
+    """sympy's factor_list over QQ(sqrt d), as monic factors over K sorted
+    as factor_over_height1 sorts."""
+    _c, factors = sp.factor_list(expr, _Y, extension=sp.sqrt(d))
+    return sorted((_nf_poly(K, ref, f) for f, _m in factors if f.has(_Y)),
+                  key=_factor_key)
+
+
+class TestSplittingOverQuadraticFields:
+    @pytest.mark.parametrize("d", [2, -7, -1])
+    def test_matches_sympy_over_the_extension(self, d):
+        K, ref = _sqrt_field(d)
+
+        @settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+        @given(_factor_kinds(d))
+        def check(expr):
+            g = up.radical(_nf_poly(K, ref, expr))
+            radical = sp.Mul(*(f for f, _m in sp.factor_list(
+                expr, _Y, extension=sp.sqrt(d))[1]))
+            factors = factor_over_height1(K, g)
+            # the same factors in the same order, and the norm route agrees
+            assert factors == _reference_factors(K, ref, radical, d)
+            if up.deg(g) > 1:
+                assert factors == sorted(numberfield._split_by_norm(K, g),
+                                         key=_factor_key)
+
+        check()
+
+    def test_a_cubic_splitting_1_plus_2_runs_no_resultant(self, monkeypatch):
+        # (y + 3 + a)(y^2 - 7) over QQ(sqrt 2): q = y^2 - 7, which stays
+        # irreducible since 28*8 is no square, and h = y + 3 + a
+        K, _ref = _sqrt_field(2)
+        a = K.gen()
+        monkeypatch.setattr(PolyElement, "resultant", _refuse)
+        g = up.mul({(0,): a + 3, (1,): K.one()},
+                   {(0,): K.from_rational(-7), (2,): K.one()})
+        assert factor_over_height1(K, g) == [
+            {(0,): a + 3, (1,): K.one()},
+            {(0,): K.from_rational(-7), (2,): K.one()}]
+
+    def test_a_rational_quadratic_splits_through_sqrt_D(self, monkeypatch):
+        # y^2 - 18 = (y - 3a)(y + 3a) over QQ(a), a^2 = 2, whose D = 8 has
+        # sqrt(D) = 2a; and over QQ(b), b^2 + b - 1/4 = 0, whose D = 2 has
+        # sqrt(D) = 2b + 1
+        monkeypatch.setattr(PolyElement, "resultant", _refuse)
+        K1 = _sqrt_field(2)[0]
+        K2 = NumberField(None, "b", {(0,): QQ(-1, 4), (1,): QQ(1),
+                                     (2,): QQ(1)})
+        for K, sqrt_2 in ((K1, K1.gen()), (K2, K2.gen() * 2 + 1)):
+            root = sqrt_2 * 3
+            factors = factor_over_height1(
+                K, {(0,): K.from_rational(-18), (2,): K.one()})
+            assert [up.deg(f) for f in factors] == [1, 1]
+            assert sorted((f[(0,)].rep for f in factors)) == sorted(
+                [root.rep, (-root).rep])
+
+    def test_even_rational_factors_of_degree_4_take_the_norm_route(self):
+        # y^4 + 1 = (y^2 + ay + 1)(y^2 - ay + 1) over QQ(sqrt 2)
+        K = _sqrt_field(2)[0]
+        a = K.gen()
+        factors = factor_over_height1(K, {(0,): K.one(), (4,): K.one()})
+        assert factors == sorted([{(0,): K.one(), (1,): a, (2,): K.one()},
+                                  {(0,): K.one(), (1,): -a, (2,): K.one()}],
+                                 key=_factor_key)
+
+    def test_a_cubic_field_keeps_the_norm_route(self):
+        # QQ(c), c^3 = 2: y^3 - 2 = (y - c)(y^2 + c*y + c^2)
+        K = NumberField(None, "c", {(0,): QQ(-2), (3,): QQ(1)})
+        c = K.gen()
+        factors = factor_over_height1(
+            K, {(0,): K.from_rational(-2), (3,): K.one()})
+        assert factors == [{(0,): -c, (1,): K.one()},
+                           {(0,): c * c, (1,): c, (2,): K.one()}]
+
+
+def _factor_key(f):
+    return (up.deg(f), tuple(f[(i,)].rep if (i,) in f else ()
+                             for i in range(up.deg(f) + 1)))
+
+
+def _refuse(*_args):
+    raise AssertionError("a resultant ran")

@@ -200,6 +200,72 @@ class TestQuadratics:
         assert calls == []
 
 
+# -- cubics certified irreducible by a root scan mod a prime ------------------
+
+
+def _cubic(a, b, c, d):
+    return up.clean({(3,): a, (2,): b, (1,): c, (0,): d})
+
+
+CUBICS = {
+    "dense": st.builds(_cubic, _nonzero, _q, _q, _q),
+    "rational root": st.builds(
+        lambda a, r, b, c: up.mul({(1,): a, (0,): -a * r},
+                                  _quadratic(QQ(1), b, c)),
+        _nonzero, _q, _q, _q),
+    "three rational roots": st.builds(
+        lambda a, r, s, t: up.mul(_from_roots(a, r, s), {(1,): QQ(1),
+                                                         (0,): -t}),
+        _nonzero, _q, _q, _q),
+    "no constant term": st.builds(_cubic, _nonzero, _q, _q, st.just(QQ(0))),
+    # a denominator or leading numerator divisible by every scanned prime
+    "primes divide the coefficients": st.builds(
+        _cubic, st.sampled_from([QQ(1, 101), QQ(101 * 103), QQ(3, 149)]),
+        _q, _q, _nonzero),
+}
+
+
+class TestCubics:
+    @pytest.mark.parametrize("kind", sorted(CUBICS))
+    def test_match_the_factor_list_route(self, kind):
+        @settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+        @given(CUBICS[kind])
+        def check(p):
+            content, factors = up.factor_rational(p)
+            ref_content, ref_factors = _factor_list_route(p)
+            assert content == ref_content
+            assert ([(list(f.items()), m) for f, m in factors]
+                    == [(list(f.items()), m) for f, m in ref_factors])
+
+        check()
+
+    def test_an_irreducible_cubic_runs_no_factor_list(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PolyElement, "factor_list",
+                            lambda f: calls.append(f) or _FACTOR_LIST(f))
+        # 2t^3 - t + 1/3 has roots mod 101, 103 and 107, none mod 109
+        p = _cubic(QQ(2), QQ(0), QQ(-1), QQ(1, 3))
+        assert up.factor_rational(p) == _factor_list_route(p)
+        assert calls == []
+
+    def test_a_cubic_every_prime_divides_falls_back(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PolyElement, "factor_list",
+                            lambda f: calls.append(f) or _FACTOR_LIST(f))
+        lead = QQ(1, 1)
+        for prime in up._CUBIC_PRIMES:
+            lead *= prime
+        p = _cubic(lead, QQ(0), QQ(-1), QQ(1))
+        assert up.factor_rational(p) == _factor_list_route(p)
+        assert len(calls) == 1
+
+    def test_a_reducible_cubic_is_never_certified(self):
+        # t^3 - 2t^2 - t + 2 = (t - 2)(t - 1)(t + 1) has a root mod
+        # every prime
+        assert not up._rootless_cubic(_cubic(QQ(1), QQ(-2), QQ(-1), QQ(2)))
+
+
 # -- the same dicts as sympy's ring elements ----------------------------------
 
 _coeff = st.builds(QQ, st.integers(-3, 3), st.integers(1, 3))

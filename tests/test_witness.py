@@ -11,7 +11,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 from prop_helpers import to_sympy
-from ratsqrt import witness
+from ratsqrt import mpoly, witness
 from ratsqrt.engine import Config, decide
 from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
 from ratsqrt.geometry import build_model, high_mult_point_search
@@ -378,6 +378,107 @@ class TestPolarProjection:
         H, q, ext = case
         assert _outcome(parametrize_from_point, H, q, ext) == \
             _outcome(_reference_parametrize, H, q, ext)
+
+
+def _always_cancelled_reference(H, q, extension=None):
+    """_reference_parametrize with every fraction reduced by sympy's
+    cancel, no image certificate asked."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mpoly, "_coprime_by_images", lambda a, b: False)
+        m.setattr(mpoly, "_cancel", lambda a, b: a.cancel(b))
+        return _reference_parametrize(H, q, extension)
+
+
+def _vanishing_at(draw, point, degree):
+    """A form of `degree` in len(point) coordinates with small integer
+    coefficients, adjusted at one monomial to vanish at `point`; None when
+    the point has no nonzero coordinate to adjust at."""
+    n = len(point)
+    exps = [e for e in product(range(degree + 1), repeat=n)
+            if sum(e) == degree]
+    form = {e: QQ(draw(SMALL)) for e in exps}
+    j = next((i for i, c in enumerate(point) if c), None)
+    if j is None:
+        return None
+    value = sum(c * _monomial_at(e, point) for e, c in form.items())
+    top = tuple(degree * (i == j) for i in range(n))
+    form[top] -= value / point[j] ** degree
+    return form
+
+
+def _monomial_at(e, point):
+    out = QQ(1)
+    for x, k in zip(point, e):
+        out *= x**k
+    return out
+
+
+@st.composite
+def _reducible_closures(draw):
+    """(H, q, extension): H = L*Q or L*M*Q in (z, X..., w), with L and M
+    linear forms in z, X... and Q = w^2 - g(z, X...) all through q, so
+    that A and B share L (or L*M).  q = (z0, x..., w0) has z0 in {0, 1}
+    and w0 rational or in QQ(sqrt r), r in {2, -3}; its other coordinates
+    are small integers."""
+    names = ("X", "Y")[:draw(st.integers(1, 2))]
+    base = [QQ(draw(st.integers(0, 1)))] + [QQ(draw(SMALL)) for _ in names]
+    c = QQ(draw(st.sampled_from([1, 4, 2, -3, 8])))
+    extension = None if mpoly._rational_sqrt(c) is not None else c
+    w0 = mpoly._rational_sqrt(c) or mpoly.quadratic_field(c)[1]
+    g = _vanishing_at(draw, base, 2)
+    assume(g is not None)
+    j = next(i for i, x in enumerate(base) if x)
+    g[tuple(2 * (i == j) for i in range(len(base)))] += c / base[j] ** 2
+    n = len(base)
+    Q = MultiPoly(("z", *names, "w"), {
+        **{e + (0,): -x for e, x in g.items()}, (0,) * n + (2,): 1})
+    H = Q
+    for _ in range(draw(st.integers(1, 2))):
+        L = _vanishing_at(draw, base, 1)
+        H = H * MultiPoly(("z", *names, "w"), {e + (0,): x
+                                               for e, x in L.items()})
+    assume(not H.is_zero())
+    return H, [*base, w0], extension
+
+
+class TestReducedWithoutCancel:
+    """parametrize_from_point builds every coordinate reduced from one
+    gcd(A, B) and a common monomial; it must equal the always-cancelled
+    reference, on closures whose A and B share a factor."""
+
+    def test_matches_the_always_cancelled_reference(self):
+        gcd_runs = []
+        cofactors = PolyElement.cofactors
+
+        @settings(max_examples=80, deadline=None, derandomize=True,
+                  database=None,
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(_reducible_closures())
+        def check(case):
+            H, q, ext = case
+            ref = _outcome(_always_cancelled_reference, H, q, ext)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(PolyElement, "cofactors",
+                          lambda f, g: gcd_runs.append(1) or cofactors(f, g))
+                m.setattr(PolyElement, "cancel", _no_cancel)
+                assert _outcome(parametrize_from_point, H, q, ext) == ref
+
+        check()
+        assert gcd_runs
+
+    def test_a_centre_at_infinity_reads_v_i_over_v_0(self, monkeypatch):
+        # Y^2 = X^3 + X + 1 from its centre (0:0:1:1): the X coordinate is
+        # A*Y over A*X, so Y/X with no arithmetic
+        model = build_model(parse_poly("Y^2 - X^3 - X - 1", ("X", "Y")))
+        ref = _always_cancelled_reference(model.V, [0, 0, 1, 1])
+        monkeypatch.setattr(PolyElement, "cancel", _no_cancel)
+        m = parametrize_from_point(model.V, [0, 0, 1, 1])
+        assert m == ref
+        assert str(m.assignments["X"]) == "RationalFunction('(Y)/(X)')"
+
+
+def _no_cancel(*_args):
+    raise AssertionError("cancel ran")
 
 
 @pytest.mark.parametrize("text", ["-X^2 - Y^2 - 2", "-9*X^2 - 6*X + 5"])
