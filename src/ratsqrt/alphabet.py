@@ -321,7 +321,6 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
         red = radicand_reduce(img.num, img.den)
         if red.is_constant():
             return None  # constant non-square image: dead end
-        red = on_effective_vars(red)
         for w in candidates(red):
             w_full = _pad_map(w, universe)
             nxt = extend(w_full if m is identity else compose(m, w_full),

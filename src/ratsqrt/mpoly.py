@@ -367,12 +367,6 @@ class MultiPoly:
             total += c
         return total
 
-    def subs_var(self, name, value):
-        """Partially substitute one variable by a constant; result keeps vars."""
-        value = MultiPoly.const(self.vars, value)
-        pe = _common(self, value)[0]
-        return MultiPoly.of(pe.subs(self.vars.index(name), value.constant_value()))
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -757,7 +751,9 @@ def homogenize(f: MultiPoly, new_var: str) -> MultiPoly:
 
 
 def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
-    """Set `var` to 1 in a squarefree form f of even total degree.
+    """Set `var` to 1 in a squarefree form f of even total degree, by
+    dropping its exponent: in a form the other exponents determine it, so
+    no two terms merge, and a nonzero f stays nonzero.
 
     For even degree the square roots of f and of the result are
     rationalizable together; no such equivalence is available for odd degree,
@@ -773,14 +769,11 @@ def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
         raise OddDegree("dehomogenization equivalence requires even total degree")
     if var not in f.vars:
         raise ValueError(f"{var} is not a variable of the ring")
-    g = f.subs_var(var, 1)
-    rest = tuple(v for v in f.vars if v != var)
-    if not rest:
-        rest = (var,)  # univariate homogeneous: keep ring nonempty
-    g = g.with_vars(rest)
-    if g.is_zero():
-        raise ZeroRadicand("dehomogenization vanished (var divides f to top degree)")
-    return g
+    i = f.vars.index(var)
+    # a univariate form keeps its variable, so that the ring is not empty
+    ring = _ring(f.vars[:i] + f.vars[i + 1:] or (var,), f.pe.ring.domain)
+    return MultiPoly.of(ring.from_dict(
+        {e[:i] + e[i + 1:] or (0,): c for e, c in f.pe.items()}))
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .mpoly import (
     _rational,
     _rational_sqrt,
     _ring,
+    homogenize,
     is_perfect_square,
     quadratic_field,
     substitute,
@@ -348,22 +349,32 @@ def homogeneous_lift(inner: RationalMap, hom_f: MultiPoly, dehom_var: str):
     witness psi of the squarefree part of ftilde lifts to
     X_i -> X_n * psi_i(X_1/X_n, ..., X_{n-1}/X_n), X_n -> X_n, so the
     coordinate ratios reproduce psi and the leftover X_n^d factor is a
-    square because d is even.  The lift is verified before emission.
+    square because d is even.  A coordinate N/D in lowest terms lifts to
+    X_n^(1 + deg D - deg N) * N^h / D^h, N^h and D^h homogenized in X_n:
+    they are coprime, as N and D are, and X_n divides neither, so the lift
+    is built in lowest terms.  The inner map's own entry for X_n, the
+    identity padding of an alphabet's universe, gives way to X_n -> X_n.
+    The lift is verified before emission.
     """
     ring = hom_f.vars
     xn = MultiPoly.var(ring, dehom_var)
-    xn_rf = RationalFunction.from_poly(xn)
-    frac_map = RationalMap(
-        ring,
-        {
-            v: RationalFunction(MultiPoly.var(ring, v), xn)
-            for v in inner.source_vars
-        },
-    )
-    assignments = {
-        v: xn_rf * g for v, g in compose(inner, frac_map).assignments.items()
-    }
-    assignments[dehom_var] = xn_rf
+    assignments = {}
+    for v, g in inner.assignments.items():
+        if v == dehom_var:
+            continue
+        if dehom_var in g.vars:
+            # a map of an alphabet's universe, read at X_n = 1; reduced
+            # again only when X_n occurs, as in a supplied candidate
+            i = g.vars.index(dehom_var)
+            g = RationalFunction(
+                *(MultiPoly.of(p.pe.evaluate(i, 1)) for p in (g.num, g.den)),
+                reduce=any(p.degree_in(dehom_var) > 0 for p in (g.num, g.den)))
+        num, den = (homogenize(p, dehom_var).with_vars(ring)
+                    for p in (g.num, g.den))
+        k = 1 + den.total_degree() - num.total_degree()
+        assignments[v] = RationalFunction(num * xn**max(k, 0),
+                                          den * xn**max(-k, 0), reduce=False)
+    assignments[dehom_var] = RationalFunction.from_poly(xn)
     lifted = RationalMap(ring, assignments, extension=inner.extension)
     h = verify_witness(lifted, hom_f)
     if h is None:

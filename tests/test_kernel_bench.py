@@ -31,7 +31,9 @@ over QQ(sqrt 2), read off its conjugation-invariant part with no
 resultant; the factorization of an irreducible cubic over QQ, certified
 by a root scan mod a prime with no factor_list; and the projection map of
 a Weierstrass cubic from its centre at infinity, reduced from one
-gcd(A, B) with no cancel.
+gcd(A, B) with no cancel.  Also of rule 4's path on a roots-3var
+ternary quartic: its dehomogenization, and the lift of its chart's
+verified witness, homogenized coordinate by coordinate and verified.
 
 The rounds are fixed, so the whole file runs in a second or two; the
 timings appear in pytest-benchmark's table.  Run it alone with
@@ -67,6 +69,7 @@ from ratsqrt.mpoly import (
     RationalFunction,
     RationalMap,
     _ring,
+    dehomogenize,
     is_perfect_square,
     poly_str,
     quadratic_field,
@@ -78,6 +81,7 @@ from ratsqrt.numberfield import NumberField, factor_over_height1
 from ratsqrt.parser import parse_poly, parse_rational
 from ratsqrt.report import dumps, verdict_report
 from ratsqrt.witness import (
+    homogeneous_lift,
     parametrize_from_point,
     quadric_witness,
     verify_witness,
@@ -352,3 +356,18 @@ def test_parametrize_from_point_on_a_weierstrass_cubic(benchmark):
     m = benchmark.pedantic(parametrize_from_point, args=(model.V, [0, 0, 1, 1]),
                            rounds=ROUNDS, iterations=ITERATIONS)
     assert rf_str(m.assignments["X"]) == "(Y)/(X)"
+
+
+def test_rule_4_dehomogenize_and_lift_a_ternary_quartic(benchmark):
+    # a roots-3var homogeneous quartic whose chart Z = 1 has a triple point
+    f = parse_poly("-X^4 + 2*X^2*Y*Z + 3*X*Y*Z^2 + 3*X*Z^3 - Z^4")
+    inner = decide(dehomogenize(f, "Z")).witness
+    assert inner is not None
+
+    def path():
+        dehomogenize(f, "Z")
+        return homogeneous_lift(inner, f, "Z")
+
+    m, h = benchmark.pedantic(path, rounds=ROUNDS, iterations=ITERATIONS)
+    assert m == decide(f).witness
+    assert h * h == substitute(f, m)

