@@ -47,6 +47,7 @@ from .mpoly import (
     dehomogenize,
     is_homogeneous,
     is_perfect_square,
+    listed,
     on_effective_vars,
     poly_str,
     radicand_reduce,
@@ -151,7 +152,9 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     labels = [l for l, _f in roots]
     universe, polys = _common_ring([f for _l, f in roots])
     verdictnotes = []
-    reduced = [squarefree_part(f) for f in polys]
+    # each root listed as a factor, so that a subset product is written in
+    # its roots (MultiPoly.factors)
+    reduced = [listed(squarefree_part(f)) for f in polys]
     for l, f, g in zip(labels, polys, reduced):
         if f.total_degree() > 8 and g.total_degree() < f.total_degree():
             verdictnotes.append(
@@ -206,24 +209,27 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     if blocked:
         verdictnotes.extend(blocked)
         return verdict(INCONCLUSIVE)
+    # a witness of dehomogenized roots is lifted back inside the search, so
+    # that one without a lift is a dead end the search backs out of
+    failed_lifts = []
+
+    def lift(m):
+        out = _lift_alphabet_witness(m, reduced, dehom_var)
+        if out is None:
+            failed_lifts.append(m)
+        return out
+
     found = sequential_rationalize(
-        polys, config, extra_witnesses=extra_witnesses, decided=decided
-    )
+        polys, config, extra_witnesses=extra_witnesses, decided=decided,
+        lift=None if dehom_var is None else lift)
     if found is None:
         verdictnotes.append(
+            "simultaneous witness found for the dehomogenized roots but"
+            " its homogeneous lift failed verification" if failed_lifts else
             "no simultaneous witness found within the search budget; the"
             " subset criterion alone cannot prove rationalizability"
         )
         return verdict(INCONCLUSIVE)
-    # lift through the shared dehomogenization when one was applied
-    if dehom_var is not None:
-        found = _lift_alphabet_witness(found[0], reduced, dehom_var)
-        if found is None:
-            verdictnotes.append(
-                "simultaneous witness found for the dehomogenized roots but"
-                " its homogeneous lift failed verification"
-            )
-            return verdict(INCONCLUSIVE)
     m, roots_of_images = found
     squares = {l: rf_str(h) for l, h in zip(labels, roots_of_images)}
     return verdict(RATIONALIZABLE, m, squares=squares)
@@ -275,7 +281,7 @@ def _obstruction_note(v: Verdict):
 
 
 def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
-                           decided=None):
+                           decided=None, lift=None):
     """Search for one map rationalizing every root: (map, [square root of
     each root's image]), or None.
 
@@ -287,7 +293,9 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
     witness, padded to every variable, becomes it without a composition.
     `decided` optionally holds verdicts already reached, as
     :func:`_decide_once` keeps them; the search adds its own, so no reduced
-    image is decided twice.
+    image is decided twice.  `lift`, when given, turns a map that
+    rationalizes every root into the result instead, or into None, a dead
+    end that the search backs out of.
     Failure is not a non-rationalizability proof.
     """
     config = config or DEFAULT_CONFIG
@@ -313,7 +321,7 @@ def sequential_rationalize(roots, config: Config = None, extra_witnesses=None,
                 if h is None:
                     return None
                 hs.append(h)
-            return m, hs
+            return (m, hs) if lift is None else lift(m)
         f = remaining[0]
         img = substitute(f, m)
         if is_perfect_square(img, m.extension) is not None:

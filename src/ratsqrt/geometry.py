@@ -10,18 +10,25 @@ For a squarefree radicand f of degree d in n variables this module builds:
   whole classification (the cover is singular exactly over the singular
   points of B, with germs of the same ADE type).
 
-Two searches share one chart loop (:func:`_vanishing_points`): the
-singular points of B (order-1 partials) and the points of multiplicity
-D - 1 on a hypersurface (order D - 2, projection centres for explicit
-witnesses), the latter for three or more variables only.  By the Euler
-identity each is the common zero set of every partial derivative of one
-order.  Chart c sets coordinate c to 1 and every earlier coordinate to 0,
-so the charts partition projective space and each point turns up once,
-in the chart of its first nonzero coordinate.  Each chart goes to one
-solver (:func:`_solve_ideal`): the reduced lex Groebner basis, computed
-fraction-free over ZZ by :func:`ratsqrt.ideal.groebner` and made monic
-over QQ at the end, then triangular back-substitution over a number-field
-tower of height at most two.  The basis [1] certifies an empty chart, a
+Every point search runs one chart loop (:func:`_vanishing_points`) on the
+forms whose common zeros it seeks: the singular points of B (its first
+partials) and the points of multiplicity D - 1 on a hypersurface (its
+order-(D - 2) partials, projection centres for explicit witnesses), the
+latter for three or more variables only; by the Euler identity each is the
+common zero set of every partial derivative of one order.  When s divides
+B = s*G (d odd), chart 0 solves G's partials, which generate the same
+ideal there, of one degree less.  When f is written as a product, B =
+s^(2r-d) * prod F_i is read through its factors, squarefree and pairwise
+coprime: its singular points are those of each factor and the points
+where two factors meet, each stratum a small system of its own
+(:func:`_product_singular_points`).  Chart c sets coordinate c to 1 and
+every earlier coordinate to 0, so the charts partition projective space
+and each point turns up once, in the chart of its first nonzero
+coordinate.  Each chart goes to one solver (:func:`_solve_ideal`): the
+reduced lex Groebner basis, computed fraction-free over ZZ by
+:func:`ratsqrt.ideal.groebner` and made monic over QQ at the end, or the
+monic gcd for one unknown, then triangular back-substitution over a
+number-field tower of height at most two.  The basis [1] certifies an empty chart, a
 zero-dimensional basis is solved exactly, and a positive-dimensional one
 is cut by rational hyperplanes until a point turns up.  Singular points of
 B are grouped into Galois conjugacy classes, and each class is classified
@@ -42,6 +49,7 @@ of the back-substitution (:func:`_specialize`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 from . import unipoly as up
 from .errors import NonReduced
@@ -163,10 +171,18 @@ class GeometricModel:
     f: MultiPoly
     V: MultiPoly  # hypersurface equation, degree D = max(d, 2)
     B: MultiPoly | None  # branch curve s^(2r-d) * F(s, ...), bivariate only
+    # B's factors, forms of B's ring, when f is written as a product of two
+    # or more factors: s first when d is odd, then each factor homogenized
+    factors: tuple | None = None
 
 
 def build_model(f: MultiPoly) -> GeometricModel:
-    """Hypersurface closure of W^2 = f, plus the branch curve when bivariate."""
+    """Hypersurface closure of W^2 = f, plus the branch curve when bivariate.
+
+    A squarefree f that carries a factor list (MultiPoly.factors) of two
+    or more factors, each of exponent 1, records B's factors: they are
+    squarefree and pairwise coprime, as homogenization is multiplicative
+    and s divides no homogenization."""
     fr = on_effective_vars(f)
     d = fr.total_degree()
     r = (d + 1) // 2
@@ -175,13 +191,17 @@ def build_model(f: MultiPoly) -> GeometricModel:
     wring = fr.vars + (wname,)
     w = MultiPoly.var(wring, wname)
     V = homogenize(w * w - fr.with_vars(wring), zname)
-    B = None
+    B = factors = None
     if len(fr.vars) == 2:
         sname = fresh_name("s", fr.vars)
         Fs = homogenize(fr, sname)
         s = MultiPoly.var(Fs.vars, sname)
         B = s ** (2 * r - d) * Fs
-    return GeometricModel(fr, V, B)
+        parts = [(g, k) for g, k in fr.factors or () if not g.is_ground]
+        if len(parts) >= 2 and all(k == 1 for _g, k in parts):
+            factors = (s.pe,) * (2 * r - d) + tuple(
+                homogenize(MultiPoly.of(g), sname).pe for g, _k in parts)
+    return GeometricModel(fr, V, B, factors)
 
 
 # --------------------------------------------------------------------------
@@ -250,27 +270,27 @@ def _order_partials(form, order):
     return [seen[k] for k in sorted(seen)]
 
 
-def _vanishing_points(form, order):
-    """Common zeros of every order-`order` partial of a form, chart by chart.
+def _vanishing_points(gens, chart0=None):
+    """Common zeros of the forms `gens`, chart by chart.
 
     Yields (chart, [(field, proj)], complete) for chart = 0..n-1, n the
     number of coordinates.  Chart c sets coordinate c to 1 and every earlier
-    coordinate to 0, so the charts partition projective space.  Each partial
-    goes straight into the solver's ring, whose generators are the k =
-    n - 1 - c later coordinates, reversed, under lex order; a partial of a
-    form is a form, so dropping coordinate c never merges two terms.
-    `proj` is the full coordinate tuple of a point and `complete` certifies
-    that the chart's list is exhaustive.
+    coordinate to 0, so the charts partition projective space; chart 0
+    takes the forms `chart0` instead, when given.  Each form goes straight
+    into the solver's ring, whose generators are the k = n - 1 - c later
+    coordinates, reversed, under lex order; dropping coordinate c from a
+    form never merges two terms.  `proj` is the full coordinate tuple of a
+    point and `complete` certifies that the chart's list is exhaustive.
     """
-    nvars = form.ring.ngens
-    partials = _order_partials(form, order)
+    nvars = gens[0].ring.ngens
     for chart in range(nvars):
         k = nvars - 1 - chart
         ring = _ring(tuple(f"x{i}" for i in reversed(range(k))))
-        gens = [ring.from_dict({e[chart + 1 :][::-1]: c for e, c in p.items()
-                                if not any(e[:chart])})
-                for p in partials]
-        sols, complete = _solve_ideal([g for g in gens if g], ring, k)
+        forms = chart0 if chart == 0 and chart0 is not None else gens
+        eqs = [ring.from_dict({e[chart + 1 :][::-1]: c for e, c in p.items()
+                               if not any(e[:chart])})
+               for p in forms]
+        sols, complete = _solve_ideal([g for g in eqs if g], ring, k)
         points = [
             (fld, (field_zero(fld),) * chart + (field_one(fld),) + coords)
             for fld, coords in sols
@@ -299,11 +319,15 @@ def _solve_ideal(gens, ring, k):
     hyperplanes on its lowest free variable until a point turns up, and is
     never complete.  With k = 0 the system is a list of constants, decided
     without a basis: any one leaves no solution, and no generator at all
-    leaves the empty tuple.
+    leaves the empty tuple.  With k = 1 the reduced basis of a nonempty
+    system is its monic gcd, taken by :func:`ratsqrt.unipoly.gcd`.
     """
     if k == 0:
         return ([], True) if gens else ([(None, ())], True)
-    basis = groebner(gens, ring)
+    if k == 1 and gens:
+        basis = [ring.from_dict(reduce(up.gcd, map(dict, gens), {}))]
+    else:
+        basis = groebner(gens, ring)
     if any(g.is_ground for g in basis):
         return [], True
     pure = {e.index(max(e)) for e in (g.LM for g in basis) if sum(e) == max(e)}
@@ -355,25 +379,68 @@ def singular_points(B: MultiPoly):
     The singular points are the common zeros of the first partials, taken
     chart by chart by :func:`_vanishing_points`: for coordinates
     (s, y1, y2), chart 0 covers s != 0 (two unknowns), chart 1 covers
-    s = 0, y1 != 0 (one unknown) and chart 2 the point (0:0:1) alone.  A
-    chart that is not solved completely has infinitely many singular
-    points, which happens exactly when B has a repeated factor (s^2 | B
-    included), and raises NonReduced.  Each point's germ is built once,
-    kept on the point for classification, and gives its multiplicity.
+    s = 0, y1 != 0 (one unknown) and chart 2 the point (0:0:1) alone.  When
+    s divides B = s*G, chart 0 solves G's partials, of one degree less: at
+    s = 1 both sets generate (G, G_y1, G_y2), by the Euler identity
+    deg(G)*G = G_s + y1*G_y1 + y2*G_y2, so the reduced basis, and with it
+    the order, is the same.  A chart that is not solved completely has
+    infinitely many singular points, which happens exactly when B has a
+    repeated factor (s^2 | B included), and raises NonReduced.  Each
+    point's germ is built once, kept on the point for classification, and
+    gives its multiplicity.
     """
     if len(B.vars) != 3:
         raise ValueError("singular_points expects a plane projective curve")
     form = _form(B)
+    chart0 = None
+    if sum(form.LM) > 1 and all(e[0] for e in form.itermonoms()):
+        chart0 = _order_partials(
+            form.ring.from_dict({(e[0] - 1,) + e[1:]: c
+                                 for e, c in form.items()}), 1)
     results = []
-    for chart, points, complete in _vanishing_points(form, 1):
+    for chart, points, complete in _vanishing_points(_order_partials(form, 1),
+                                                     chart0):
         if not complete:
             raise NonReduced("branch curve must be squarefree")
         for fld, proj in points:
-            size = 1 if fld is None else fld.absolute_degree()
-            germ = _germ(form, chart, proj)
-            pt = AlgebraicPoint(fld, proj, chart, size, germ)
-            results.append((pt, lp_multiplicity(germ)))
+            pt = _singular_point(form, fld, proj, chart)
+            results.append((pt, lp_multiplicity(pt.germ)))
     return results
+
+
+def _product_singular_points(form, factors):
+    """The singular points of the curve `form`, the product of the
+    squarefree, pairwise coprime forms `factors`, one representative per
+    Galois conjugacy class, unordered.
+
+    Since the gradient of a product G*H is H*grad(G) + G*grad(H), its
+    singular points are those of each factor and the points where two
+    factors meet (Fulton, *Algebraic Curves*, ch. 3).  Each of these small
+    systems is solved chart by chart, a line's own singular points, none,
+    skipped; a class found by two systems is kept once, by its sort key,
+    since each level of the back-substitution factors into monic
+    irreducibles and so gives a class one representative whichever
+    system finds it.  An incomplete chart, a factor that is not squarefree
+    or two that share a component, raises NonReduced.
+    """
+    systems = [_order_partials(g, 1) for g in factors if sum(g.LM) > 1]
+    systems += [[g, h] for i, g in enumerate(factors) for h in factors[i + 1:]]
+    found = {}
+    for gens in systems:
+        for chart, points, complete in _vanishing_points(gens):
+            if not complete:
+                raise NonReduced("branch curve must be squarefree")
+            for fld, proj in points:
+                pt = AlgebraicPoint(fld, proj, chart)
+                found.setdefault(pt.sort_key(), pt)
+    return [_singular_point(form, pt.field, pt.proj, pt.chart)
+            for pt in found.values()]
+
+
+def _singular_point(form, fld, proj, chart):
+    """The point with its class size and its germ on the curve `form`."""
+    size = 1 if fld is None else fld.absolute_degree()
+    return AlgebraicPoint(fld, proj, chart, size, _germ(form, chart, proj))
 
 
 def _germ(form, chart, proj):
@@ -398,13 +465,18 @@ def all_simple(model: GeometricModel):
     the reduced branch curve (the u-partial forces u = 0), and the germ
     u^2 = g(x, y) is a Du Val singularity of the same letter and index as
     the plane germ g; so the surface-side hypothesis is checked entirely
-    on B.  Each point is classified on the germ :func:`singular_points`
-    built for it, and the records are sorted by point.
+    on B.  The points are read off B's factors when the model records
+    them, else off :func:`singular_points`; each is classified on the germ
+    of the whole of B built for it, and the records are sorted by point.
     """
     if model.B is None:
         raise ValueError("all_simple requires the bivariate branch curve")
+    if model.factors is None:
+        points = [pt for pt, _m in singular_points(model.B)]
+    else:
+        points = _product_singular_points(_form(model.B), model.factors)
     records = []
-    for pt, _m in singular_points(model.B):
+    for pt in points:
         cls = classify_germ(pt.germ)
         records.append(
             SingularityRecord(pt, cls.multiplicity, cls.mu, cls.label()))
@@ -449,7 +521,8 @@ def high_mult_point_search(H: MultiPoly):
         raise ValueError("hypersurface degree must be at least 2")
     best = None
     certified = True
-    for chart, points, complete in _vanishing_points(_form(H), D - 2):
+    for chart, points, complete in _vanishing_points(
+            _order_partials(_form(H), D - 2)):
         certified = certified and complete
         for fld, proj in points:
             pt = AlgebraicPoint(fld, proj, chart, 1)

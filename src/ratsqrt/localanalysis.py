@@ -26,8 +26,8 @@ The module provides:
   the jet's own Milnor number mu certifies once mu + 1 <= T, since a germ
   with Milnor number mu is (mu + 1)-determined (Greuel, Lossen, Shustin,
   *Introduction to Singularities and Deformations*, ch. I.2); T starts
-  above (m - 1)^2, a lower bound on mu at multiplicity m, and a later jet
-  runs only while 2T stays below the germ's degree;
+  above (m - 1)^2, a lower bound on mu at multiplicity m, or at 2 for a
+  node, and a later jet runs only while 2T stays below the germ's degree;
 * ADE classification of germs of multiplicity 2 and 3 (A/D/E with index,
   or NonSimple) from the multiplicity, the cone shape and the Milnor
   number, with no blowup; multiplicity >= 4 is immediately NonSimple.
@@ -281,15 +281,20 @@ def milnor_number(P):
     jet has mu' with mu' + 1 <= T, P is right-equivalent to its jet and
     mu(P) = mu'.  A germ of multiplicity m has mu >= (m - 1)^2, and so does
     each of its jets, so T starts at max(m, (m - 1)^2) + 1, the first order
-    that can certify.  Otherwise T becomes mu' + 1, or doubles when the jet
-    is not isolated.  A failed jet leaves the order at up to twice its own,
-    and a jet of order deg P / 2 or more costs about what P does, so after
-    the first jet the loop stops once 2T reaches deg P, and P itself is
-    computed.
+    that can certify, except at a node: a quadratic part with nonzero
+    discriminant has mu' = 1 on the 2-jet, which certifies at T = 2.
+    Otherwise T becomes mu' + 1, or doubles when the jet is not isolated.
+    A failed jet leaves the order at up to twice its own, and a jet of
+    order deg P / 2 or more costs about what P does, so after the first
+    jet the loop stops once 2T reaches deg P, and P itself is computed.
     """
     top = _degree(P)
     m = lp_multiplicity(P)
     T = max(m, (m - 1) ** 2) + 1
+    if m == 2:
+        a, b, c = (P.get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+        if b * b - 4 * a * c:
+            T = 2
     while T < top:
         try:
             routes = _routes({e: c for e, c in P.items() if sum(e) <= T})

@@ -203,10 +203,14 @@ class MultiPoly:
     ``factors`` is None, or a tuple of (ring element, exponent) pairs whose
     product is pe up to a nonzero constant: the factors the polynomial was
     written in.  parse_rational sets it on a numerator typed as a product
-    of powers of parenthesized sums, variables and constants, and a
-    product of two polynomials that carry one, a constant carrying the
-    empty tuple, concatenates them; every other constructor leaves it None.
-    squarefree_part reads it; equality and hashing ignore it."""
+    of powers of parenthesized sums, variables and constants, and
+    :func:`listed` gives any polynomial one.  A product of two polynomials
+    that carry one, a constant carrying the empty tuple, concatenates them;
+    with_vars and dehomogenize map it factor by factor, squarefree_part
+    keeps it or lists its odd factors, and every other constructor leaves
+    it None.  squarefree_part and the branch curve of
+    :func:`ratsqrt.geometry.build_model` read it; equality and hashing
+    ignore it."""
 
     __slots__ = ("vars", "pe", "factors")
 
@@ -334,7 +338,8 @@ class MultiPoly:
     # -- variable plumbing -----------------------------------------------------
 
     def with_vars(self, variables):
-        """Re-read in a new variable tuple (superset/permutation of the old)."""
+        """Re-read in a new variable tuple (superset/permutation of the old),
+        the factor list factor by factor."""
         variables = tuple(variables)
         if variables == self.vars:
             return self
@@ -343,14 +348,19 @@ class MultiPoly:
             if d > 0 and v not in variables:
                 raise ValueError(f"cannot drop effective variable {v}")
             idx.append(variables.index(v) if v in variables else None)
-        out = _ring(variables, self.pe.ring.domain).zero
-        for e, c in self.pe.items():
-            ne = [0] * len(variables)
-            for i, exp in enumerate(e):
-                if exp:
-                    ne[idx[i]] = exp
-            out[tuple(ne)] = c
-        return MultiPoly.of(out)
+
+        def moved(pe):
+            out = _ring(variables, pe.ring.domain).zero
+            for e, c in pe.items():
+                ne = [0] * len(variables)
+                for i, exp in enumerate(e):
+                    if exp:
+                        ne[idx[i]] = exp
+                out[tuple(ne)] = c
+            return out
+
+        return _listed(moved(self.pe), None if self.factors is None else
+                       tuple((moved(f), k) for f, k in self.factors))
 
     def eval_at(self, values):
         """Full evaluation; values maps every effective variable to a coefficient."""
@@ -394,6 +404,11 @@ def _listed(pe, factors):
     p = MultiPoly.of(pe)
     p.factors = factors
     return p
+
+
+def listed(p: MultiPoly) -> MultiPoly:
+    """p carrying a factor list: its own, else p as its one factor."""
+    return p if p.factors is not None else _listed(p.pe, ((p.pe, 1),))
 
 
 def _canonical(pe):
@@ -647,9 +662,9 @@ def _cancel(a, b):
 
 def _odd_part_of_factors(p):
     """LC(p) times the monic factors of odd exponent in p's factor list, its
-    factors equal once made monic merged; None unless p and the list are
-    over QQ and the images certify every factor of degree >= 2 squarefree
-    and every pair of factors coprime."""
+    factors equal once made monic merged, listing those factors; None
+    unless p and the list are over QQ and the images certify every factor
+    of degree >= 2 squarefree and every pair of factors coprime."""
     ring = p.pe.ring
     if p.factors is None or not ring.domain.is_QQ:
         return None
@@ -667,11 +682,11 @@ def _odd_part_of_factors(p):
     if not all(_coprime_by_images(f, g)
                for i, f in enumerate(fs) for g in fs[i + 1:]):
         return None
+    odd = tuple((f, 1) for f, k in exponents.items() if k % 2)
     out = ring.ground_new(p.pe.LC)
-    for f, k in exponents.items():
-        if k % 2:
-            out *= f
-    return out
+    for f, _k in odd:
+        out *= f
+    return _listed(out, odd)
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -684,23 +699,25 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     representative of p modulo square multiples.
 
     Certification order: a p that the images certify squarefree is f
-    itself.  Otherwise, when p carries a factor list over QQ whose factors,
-    once merged, are certified squarefree and pairwise coprime, each
-    irreducible factor of p divides one of them exactly once, so f is
-    LC(p) times the monic factors of odd exponent.  Otherwise sqf_list
-    decomposes p.
+    itself, with p's factor list.  Otherwise, when p carries a factor list
+    over QQ whose factors, once merged, are certified squarefree and
+    pairwise coprime, each irreducible factor of p divides one of them
+    exactly once, so f is LC(p) times the monic factors of odd exponent,
+    and those factors are its list.  Otherwise sqf_list decomposes p, and
+    f carries no list.
     """
     if p.is_zero():
         raise ZeroRadicand("squarefree part of zero is undefined")
     if p.is_constant() or _squarefree_by_images(p.pe):
         return p
     out = _odd_part_of_factors(p)
-    if out is None:
-        const, factors = p.pe.sqf_list()
-        out = p.pe.ring(const)
-        for f, m in factors:
-            if m % 2 == 1:
-                out *= f
+    if out is not None:
+        return out
+    const, factors = p.pe.sqf_list()
+    out = p.pe.ring(const)
+    for f, m in factors:
+        if m % 2 == 1:
+            out *= f
     return MultiPoly.of(out)
 
 
@@ -709,7 +726,8 @@ def radicand_reduce(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     Multiplying by the square of the denominator and stripping even powers
     preserves rationalizability in both directions.  A denominator 1 is
-    not multiplied in, so p keeps its factor list.
+    not multiplied in, so p keeps its factor list; otherwise p*q is listed
+    as p's list, or p, followed by q's list, or q (see :func:`listed`).
     """
     if p.is_zero():
         raise ZeroRadicand("sqrt(0) is trivially rational")
@@ -718,7 +736,7 @@ def radicand_reduce(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     p._check_vars(q)
     if q.is_constant() and q.constant_value() == 1:
         return squarefree_part(p)
-    return squarefree_part(p * q)
+    return squarefree_part(listed(p) * listed(q))
 
 
 def effective_vars(f: MultiPoly):
@@ -757,10 +775,12 @@ def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
 
     For even degree the square roots of f and of the result are
     rationalizable together; no such equivalence is available for odd degree,
-    so that case is rejected.  The result is squarefree, as f is: write f =
-    var^m * g~ with var not dividing g~, so that g~ is the homogenization of
-    the result, and homogenization is multiplicative, so a square q^2
-    dividing the result would put the square of q's homogenization into f.
+    so that case is rejected.  A factor list is mapped factor by factor,
+    as each factor of a form is a form.  The result is squarefree, as f
+    is: write f = var^m * g~ with var not dividing g~, so that g~ is the
+    homogenization of the result, and homogenization is multiplicative, so
+    a square q^2 dividing the result would put the square of q's
+    homogenization into f.
     """
     d = is_homogeneous(f)
     if d is None:
@@ -771,9 +791,14 @@ def dehomogenize(f: MultiPoly, var: str) -> MultiPoly:
         raise ValueError(f"{var} is not a variable of the ring")
     i = f.vars.index(var)
     # a univariate form keeps its variable, so that the ring is not empty
-    ring = _ring(f.vars[:i] + f.vars[i + 1:] or (var,), f.pe.ring.domain)
-    return MultiPoly.of(ring.from_dict(
-        {e[:i] + e[i + 1:] or (0,): c for e, c in f.pe.items()}))
+    variables = f.vars[:i] + f.vars[i + 1:] or (var,)
+
+    def dropped(pe):
+        return _ring(variables, pe.ring.domain).from_dict(
+            {e[:i] + e[i + 1:] or (0,): c for e, c in pe.items()})
+
+    return _listed(dropped(f.pe), None if f.factors is None else
+                   tuple((dropped(g), k) for g, k in f.factors))
 
 
 # --------------------------------------------------------------------------

@@ -354,7 +354,8 @@ def homogeneous_lift(inner: RationalMap, hom_f: MultiPoly, dehom_var: str):
     they are coprime, as N and D are, and X_n divides neither, so the lift
     is built in lowest terms.  The inner map's own entry for X_n, the
     identity padding of an alphabet's universe, gives way to X_n -> X_n.
-    The lift is verified before emission.
+    A map whose denominator vanishes at X_n = 1 has no lift, and gives
+    None.  The lift is verified before emission.
     """
     ring = hom_f.vars
     xn = MultiPoly.var(ring, dehom_var)
@@ -366,9 +367,11 @@ def homogeneous_lift(inner: RationalMap, hom_f: MultiPoly, dehom_var: str):
             # a map of an alphabet's universe, read at X_n = 1; reduced
             # again only when X_n occurs, as in a supplied candidate
             i = g.vars.index(dehom_var)
-            g = RationalFunction(
-                *(MultiPoly.of(p.pe.evaluate(i, 1)) for p in (g.num, g.den)),
-                reduce=any(p.degree_in(dehom_var) > 0 for p in (g.num, g.den)))
+            num, den = (MultiPoly.of(p.pe.evaluate(i, 1)) for p in (g.num, g.den))
+            if den.is_zero():
+                return None  # the map is undefined at X_n = 1
+            g = RationalFunction(num, den, reduce=any(
+                p.degree_in(dehom_var) > 0 for p in (g.num, g.den)))
         num, den = (homogenize(p, dehom_var).with_vars(ring)
                     for p in (g.num, g.den))
         k = 1 + den.total_degree() - num.total_degree()

@@ -297,6 +297,21 @@ class TestSequentialSearch:
         for f, h in zip(polys, hs):
             assert h is not None and h == verify_witness(m, f)
 
+    def test_a_candidate_without_a_homogeneous_lift_is_a_dead_end(self):
+        # X -> Y/(Z - 1)^2 rationalizes the dehomogenized roots, but its
+        # denominator vanishes at Z = 1, where the lift reads it; the
+        # search backs out of it and finds a witness that lifts
+        XYZ = ("X", "Y", "Z")
+        alpha = roots("X*Y", "Y*Z", "X*Z", vs=XYZ)
+        bad = RationalMap(XYZ, {"X": parse_rational("Y/(Z - 1)^2", XYZ),
+                                "Y": parse_rational("Y", XYZ)})
+        v = decide_alphabet(alpha, extra_witnesses=[bad])
+        assert v.outcome == RATIONALIZABLE
+        assert v.witness != bad
+        for _l, f in alpha:
+            assert verify_witness(v.witness, f) is not None
+        assert witness.homogeneous_lift(bad, alpha[0][1], "Z") is None
+
     def test_single_root(self):
         f = parse_poly("X - 1", ("X",))
         m, (h,) = sequential_rationalize([f])

@@ -1,5 +1,6 @@
 """Projective models, singular loci, and the high-multiplicity point search."""
 
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -23,12 +24,14 @@ from ratsqrt.geometry import (
     singular_points,
     triple_point_of_cubic,
 )
+from ratsqrt.ideal import groebner
 from ratsqrt.mpoly import (
     MultiPoly,
     _ring,
     effective_vars,
     homogenize,
     is_homogeneous,
+    listed,
     squarefree_part,
 )
 from ratsqrt.parser import parse_poly
@@ -634,7 +637,7 @@ class TestLexSolve:
             V = build_model(parse_poly(text)).V
             D = V.total_degree()
             quadrics = geometry._order_partials(V.pe, D - 2)
-            for _chart, points, _c in geometry._vanishing_points(V.pe, D - 2):
+            for _chart, points, _c in geometry._vanishing_points(quadrics):
                 for fld, proj in points:
                     found += 1
                     for q in quadrics:
@@ -706,3 +709,85 @@ class TestMultiplicityAt:
         pts = singular_points(B)
         for p, m in pts:
             assert multiplicity_at(B, p) == m
+
+
+# --------------------------------------------------------------------------
+# branch curves read through their factors
+
+
+_XY = ("X", "Y")
+_R = st.sampled_from([2, 3, 5, -1])
+
+
+def _factor_texts(p, q):
+    """Lines, conics and cusps, some through the point (p, q): concurrent
+    lines, conics tangent there, and conics X^2 - r, Y^2 - r whose points
+    lie over QQ(sqrt(r)) or, meeting, over a height-2 tower."""
+    return st.one_of(
+        st.builds(lambda b, c: f"{b}*(X - {p}) + {c}*(Y - {q})", _nz, _c),
+        st.builds(lambda a, b, c: f"{a} + {b}*X + {c}*Y", _c, _c, _nz),
+        st.builds(lambda r: f"X^2 - {r}", _R),
+        st.builds(lambda r: f"Y^2 - {r}", _R),
+        st.builds(lambda r: f"X^2 + Y^2 - {r}", _R),
+        st.builds(lambda e: f"Y - {q} - {e}*(X - {p})^2", _nz),
+        st.builds(lambda a: f"(Y - {q})^2 - {a}*(X - {p})^3", _nz),
+    )
+
+
+def _products():
+    """A product of 2-4 such factors, each listed as it is written."""
+    return st.tuples(_c, _c).flatmap(lambda pq: st.lists(
+        _factor_texts(*pq), min_size=2, max_size=4)).map(
+        lambda texts: _product([listed(parse_poly(t, _XY)) for t in texts]))
+
+
+class TestProductStrata:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_products())
+    def test_the_records_of_the_strata_are_those_of_the_whole_curve(self, f):
+        assume(f.total_degree() <= 7)
+        f = squarefree_part(f)
+        assume(tuple(effective_vars(f)) == _XY and f.total_degree() >= 3)
+        model = build_model(f)
+        assume(model.factors is not None)
+        ok, records = all_simple(model)
+        whole = [pt for pt, _m in singular_points(model.B)]
+        assert [r.point.sort_key() for r in records] == sorted(
+            pt.sort_key() for pt in whole)
+        ok_whole, by_whole = all_simple(replace(model, factors=None))
+        assert ok == ok_whole
+        assert [r.to_json() for r in records] == [r.to_json() for r in by_whole]
+
+    def test_a_factor_list_records_the_factors_of_the_branch_curve(self):
+        # odd degree: the line at infinity s is a factor, listed first
+        f = squarefree_part(parse_poly("(X - 1)*(X^2 + Y^2 - 5)", _XY))
+        model = build_model(f)
+        s = model.B.vars[0]
+        assert model.factors[0] == MultiPoly.var(model.B.vars, s).pe
+        product = MultiPoly.const(model.B.vars, 1)
+        for g in model.factors:
+            product = product * MultiPoly.of(g)
+        assert product.monic() == model.B.monic()
+        # no list, or a list of one factor: B is solved whole
+        assert build_model(parse_poly("X^3 + Y^2 + 1", _XY)).factors is None
+        assert build_model(listed(parse_poly("X^3 + Y^2 + 1", _XY))).factors \
+            is None
+
+
+def _chart0_basis(form):
+    """The reduced lex basis of a form's first partials on chart 0."""
+    ring = _ring(("x1", "x0"))
+    gens = [ring.from_dict({e[1:][::-1]: c for e, c in p.items()})
+            for p in geometry._order_partials(form, 1)]
+    return groebner([g for g in gens if g], ring)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(_sparse))
+def test_chart_0_of_s_times_F_is_chart_0_of_F(f):
+    # at s = 1, F + F_s, F_y1, F_y2 and F_s, F_y1, F_y2 both generate
+    # (F, F_y1, F_y2), by the Euler identity
+    assume(f.total_degree() >= 1)
+    F = homogenize(f, "s")
+    s = MultiPoly.var(F.vars, "s")
+    assert _chart0_basis((s * F).pe) == _chart0_basis(F.pe)

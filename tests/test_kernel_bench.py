@@ -21,7 +21,9 @@ two branch curves, one smooth and one with irrational singular points;
 and of the ADE classification of two germs, a node over a height-2 tower
 and a rational germ with Milnor number 6, both Milnor routes
 cross-checked; and of the decision of a product of two quadrics and a line,
-whose branch curve has nodes over a height-2 tower.  Also of building QQ(sqrt(r)) for a radicand met for the
+whose branch curve has nodes over a height-2 tower, and of a product of
+three concurrent lines and a circle, whose branch curve is read through
+its factors.  Also of building QQ(sqrt(r)) for a radicand met for the
 first time: both field caches are cleared before every round.  At the text edges: the parse of a dense quartic in three
 variables, and the report of a quadric witness over QQ(sqrt(-2)), printed
 from fresh copies of its functions so that every round prints them.
@@ -284,6 +286,20 @@ def test_decide_a_product_with_tower_nodes(benchmark):
     assert v.outcome == NOT_RATIONALIZABLE
     assert [s.rule for s in v.steps][-1] == "simple-singularities"
     assert sorted(r.label for r in v.singularities) == ["A1"] * 4 + ["D4"] * 2
+
+
+def test_decide_three_concurrent_lines_and_a_circle(benchmark):
+    # a roots-curves "product" input, read through its factors: the
+    # circle's singular points and the pairwise intersections of the
+    # line at infinity, three lines through (1, 0) and the circle, eleven
+    # small systems in place of the degree-4 partials of the whole curve
+    g = parse_rational("(X - 1)*(Y - X + 1)*(Y + 5*X - 5)*(X^2 + Y^2 - 5)")
+    v = benchmark.pedantic(decide, args=(g.num, g.den), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert v.outcome == NOT_RATIONALIZABLE
+    assert [s.rule for s in v.steps][-1] == "simple-singularities"
+    assert sorted((r.label, r.point.class_size) for r in v.singularities) \
+        == [("A1", 1)] * 7 + [("A1", 2)] * 2 + [("D4", 1)]
 
 
 def test_classify_germ_with_milnor_number_6(benchmark):

@@ -625,7 +625,7 @@ class TestJetMilnorAgainstTheWholeGerm:
         check()
 
     def test_a_certified_jet_skips_the_whole_germ(self, monkeypatch):
-        # u^2 + v^2 + v^6: the 3-jet has mu = 1 and 1 + 1 <= 3, so the
+        # u^2 + v^2 + v^6: the 2-jet has mu = 1 and 1 + 1 <= 2, so the
         # degree-6 germ itself is never computed
         degrees = []
         routes = localanalysis._routes
@@ -633,6 +633,23 @@ class TestJetMilnorAgainstTheWholeGerm:
                             lambda P: degrees.append(_degree(P)) or routes(P))
         assert milnor_number(germ({(2, 0): 1, (0, 2): 1, (0, 6): 1})) == 1
         assert degrees == [2]
+
+    @pytest.mark.parametrize("terms, mu, jets", [
+        # a node: its quadratic part u^2 - uv - v^2 has a nonzero
+        # discriminant, so the 2-jet certifies mu = 1 and the 3-jet, of
+        # degree 3, is never computed
+        ({(2, 0): 1, (1, 1): -1, (0, 2): -1, (3, 0): 1, (0, 6): 1}, 1, [2]),
+        # a cusp u^2 + v^3 + u^3 + v^6: a degenerate quadratic part starts
+        # at order 3, where mu = 2 certifies
+        ({(2, 0): 1, (0, 3): 1, (3, 0): 1, (0, 6): 1}, 2, [3]),
+    ])
+    def test_a_node_starts_at_order_2(self, monkeypatch, terms, mu, jets):
+        degrees = []
+        routes = localanalysis._routes
+        monkeypatch.setattr(localanalysis, "_routes",
+                            lambda P: degrees.append(_degree(P)) or routes(P))
+        assert milnor_number(germ(terms)) == mu
+        assert degrees == jets
 
     def test_a_triple_point_starts_at_order_5(self, monkeypatch):
         # u^3 + v^3 + v^6 is D4, mu = 4 >= (3 - 1)^2: no jet of order 4

@@ -41,6 +41,7 @@ from ratsqrt.mpoly import (
     homogenize,
     is_homogeneous,
     is_perfect_square,
+    listed,
     mgcd,
     poly_str,
     quadratic_field,
@@ -592,9 +593,30 @@ class TestSquarefreePartFromFactors:
         assert (a * MultiPoly.const(XY, 3)).factors == a.factors
         assert (a * bare).factors is None
         assert bare == b and hash(bare) == hash(b)
-        for q in (-a, a + 0, a - b, a**2, a.monic(), a.with_vars(XYZ),
-                  squarefree_part(a * b)):
+        for q in (-a, a + 0, a - b, a**2, a.monic()):
             assert q.factors is None
+        # with_vars maps the list factor by factor, and the odd part read
+        # off a list keeps its odd factors, made monic
+        assert a.with_vars(XYZ).factors == (
+            (parse_poly("X - 1", XYZ).pe, 2),)
+        assert squarefree_part(a * b).factors == ((parse_poly("X + Y", XY).pe, 1),)
+
+    def test_a_denominator_is_listed_as_one_more_factor(self):
+        XY = ("X", "Y")
+        g = parse_rational("(X + Y)*(1 + X*Y)/(X + Y - 4*X*Y + X^2*Y)", XY)
+        # the parser drops the numerator's list across the division, so
+        # the numerator is one factor and the denominator another
+        assert g.num.factors is None
+        f = radicand_reduce(g.num, g.den)
+        assert f.factors == ((g.num.pe, 1), (g.den.pe, 1))
+        assert listed(f) is f and listed(g.num).factors == ((g.num.pe, 1),)
+
+    def test_dehomogenize_maps_the_list(self):
+        f = parse_rational("(X + Z)*(Y - 2*Z)*Z^2", XYZ).num
+        XY = ("X", "Y")
+        assert dehomogenize(f, "Z").factors == (
+            (parse_poly("X + 1", XY).pe, 1), (parse_poly("Y - 2", XY).pe, 1),
+            (parse_poly("1", XY).pe, 2))
 
     def test_a_denominator_1_is_not_multiplied_in(self):
         XY = ("X", "Y")
