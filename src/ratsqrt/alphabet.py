@@ -211,12 +211,12 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
         return verdict(INCONCLUSIVE)
     # a witness of dehomogenized roots is lifted back inside the search, so
     # that one without a lift is a dead end the search backs out of
-    failed_lifts = []
+    unlifted = False
 
     def lift(m):
+        nonlocal unlifted
         out = _lift_alphabet_witness(m, reduced, dehom_var)
-        if out is None:
-            failed_lifts.append(m)
+        unlifted = unlifted or out is None
         return out
 
     found = sequential_rationalize(
@@ -225,7 +225,7 @@ def decide_alphabet(roots, config: Config = None, extra_witnesses=None):
     if found is None:
         verdictnotes.append(
             "simultaneous witness found for the dehomogenized roots but"
-            " its homogeneous lift failed verification" if failed_lifts else
+            " it has no verified homogeneous lift" if unlifted else
             "no simultaneous witness found within the search budget; the"
             " subset criterion alone cannot prove rationalizability"
         )

@@ -15,13 +15,15 @@ forms whose common zeros it seeks: the singular points of B (its first
 partials) and the points of multiplicity D - 1 on a hypersurface (its
 order-(D - 2) partials, projection centres for explicit witnesses), the
 latter for three or more variables only; by the Euler identity each is the
-common zero set of every partial derivative of one order.  When s divides
-B = s*G (d odd), chart 0 solves G's partials, which generate the same
-ideal there, of one degree less.  When f is written as a product, B =
-s^(2r-d) * prod F_i is read through its factors, squarefree and pairwise
-coprime: its singular points are those of each factor and the points
-where two factors meet, each stratum a small system of its own
-(:func:`_product_singular_points`).  Chart c sets coordinate c to 1 and
+common zero set of every partial derivative of one order.  Rule 7 reads
+B = s^(2r-d) * prod F_i through its factors, squarefree and pairwise
+coprime, the factors of f homogenized when f is written as a product and
+F alone otherwise: its singular points are those of each factor and the
+points where two factors meet, each stratum a small system of its own
+(:func:`_product_singular_points`).  When s divides B = s*G (d odd),
+:func:`singular_points`, which solves B whole for rule 6, takes chart 0
+from G's partials, which generate the same ideal there, of one degree
+less.  Chart c sets coordinate c to 1 and
 every earlier coordinate to 0, so the charts partition projective space
 and each point turns up once, in the chart of its first nonzero
 coordinate.  Each chart goes to one solver (:func:`_solve_ideal`): the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
+from itertools import chain
 
 from . import unipoly as up
 from .errors import NonReduced
@@ -100,8 +103,9 @@ class AlgebraicPoint:
     `proj` is the full coordinate tuple with the pivot (chart) coordinate
     equal to 1 and every earlier coordinate zero; `class_size` is the number
     of Galois conjugates represented by this point.  :func:`singular_points`
-    keeps in `germ` the curve's equation translated so that the point is the
-    origin of its chart; the other searches leave it None.
+    and :func:`_product_singular_points` keep in `germ` the curve's equation
+    translated so that the point is the origin of its chart; the other
+    searches leave it None.
     """
 
     field: object  # None (rationals) or NumberField
@@ -171,18 +175,20 @@ class GeometricModel:
     f: MultiPoly
     V: MultiPoly  # hypersurface equation, degree D = max(d, 2)
     B: MultiPoly | None  # branch curve s^(2r-d) * F(s, ...), bivariate only
-    # B's factors, forms of B's ring, when f is written as a product of two
-    # or more factors: s first when d is odd, then each factor homogenized
+    # B's factors, forms of B's ring, bivariate only: s first when d is odd,
+    # then each factor of f homogenized, or F(s, ...) alone
     factors: tuple | None = None
 
 
 def build_model(f: MultiPoly) -> GeometricModel:
     """Hypersurface closure of W^2 = f, plus the branch curve when bivariate.
 
-    A squarefree f that carries a factor list (MultiPoly.factors) of two
-    or more factors, each of exponent 1, records B's factors: they are
-    squarefree and pairwise coprime, as homogenization is multiplicative
-    and s divides no homogenization."""
+    The branch curve's factors are recorded with it.  A squarefree f that
+    carries a factor list (MultiPoly.factors) of two or more factors, each
+    of exponent 1 and over f's own ring, gives each factor homogenized:
+    they are squarefree and pairwise coprime, as homogenization is
+    multiplicative and s divides no homogenization.  Otherwise F(s, ...)
+    is one factor."""
     fr = on_effective_vars(f)
     d = fr.total_degree()
     r = (d + 1) // 2
@@ -197,10 +203,16 @@ def build_model(f: MultiPoly) -> GeometricModel:
         Fs = homogenize(fr, sname)
         s = MultiPoly.var(Fs.vars, sname)
         B = s ** (2 * r - d) * Fs
-        parts = [(g, k) for g, k in fr.factors or () if not g.is_ground]
-        if len(parts) >= 2 and all(k == 1 for _g, k in parts):
-            factors = (s.pe,) * (2 * r - d) + tuple(
-                homogenize(MultiPoly.of(g), sname).pe for g, _k in parts)
+        # a factor stays in a quadratic field's ring when f, their product,
+        # has moved to QQ: such a list is not read
+        parts = [(MultiPoly.of(g), k) for g, k in fr.factors or ()
+                 if not g.is_ground]
+        if len(parts) >= 2 and all(k == 1 and g.pe.ring is fr.pe.ring
+                                   for g, k in parts):
+            forms = tuple(homogenize(g, sname).pe for g, _k in parts)
+        else:
+            forms = (Fs.pe,)
+        factors = (s.pe,) * (2 * r - d) + forms
     return GeometricModel(fr, V, B, factors)
 
 
@@ -270,26 +282,25 @@ def _order_partials(form, order):
     return [seen[k] for k in sorted(seen)]
 
 
-def _vanishing_points(gens, chart0=None):
+def _vanishing_points(gens, charts=None):
     """Common zeros of the forms `gens`, chart by chart.
 
     Yields (chart, [(field, proj)], complete) for chart = 0..n-1, n the
-    number of coordinates.  Chart c sets coordinate c to 1 and every earlier
-    coordinate to 0, so the charts partition projective space; chart 0
-    takes the forms `chart0` instead, when given.  Each form goes straight
-    into the solver's ring, whose generators are the k = n - 1 - c later
+    number of coordinates, or for the charts `charts` alone, when given.
+    Chart c sets coordinate c to 1 and every earlier coordinate to 0, so
+    the charts partition projective space.  Each form goes straight into
+    the solver's ring, whose generators are the k = n - 1 - c later
     coordinates, reversed, under lex order; dropping coordinate c from a
     form never merges two terms.  `proj` is the full coordinate tuple of a
     point and `complete` certifies that the chart's list is exhaustive.
     """
     nvars = gens[0].ring.ngens
-    for chart in range(nvars):
+    for chart in range(nvars) if charts is None else charts:
         k = nvars - 1 - chart
         ring = _ring(tuple(f"x{i}" for i in reversed(range(k))))
-        forms = chart0 if chart == 0 and chart0 is not None else gens
         eqs = [ring.from_dict({e[chart + 1 :][::-1]: c for e, c in p.items()
                                if not any(e[:chart])})
-               for p in forms]
+               for p in gens]
         sols, complete = _solve_ideal([g for g in eqs if g], ring, k)
         points = [
             (fld, (field_zero(fld),) * chart + (field_one(fld),) + coords)
@@ -317,13 +328,16 @@ def _solve_ideal(gens, ring, k):
     fraction-free on primitive integer polynomials and makes each element
     monic over QQ only at the end.  A positive-dimensional system is cut by
     hyperplanes on its lowest free variable until a point turns up, and is
-    never complete.  With k = 0 the system is a list of constants, decided
-    without a basis: any one leaves no solution, and no generator at all
-    leaves the empty tuple.  With k = 1 the reduced basis of a nonempty
-    system is its monic gcd, taken by :func:`ratsqrt.unipoly.gcd`.
+    never complete.  A constant among the generators leaves no solution,
+    decided without a basis, and with k = 0, where every generator is one,
+    no generator at all leaves the empty tuple.  With k = 1 the reduced
+    basis of a nonempty system is its monic gcd, taken by
+    :func:`ratsqrt.unipoly.gcd`.
     """
+    if any(g.is_ground for g in gens):
+        return [], True
     if k == 0:
-        return ([], True) if gens else ([(None, ())], True)
+        return [(None, ())], True
     if k == 1 and gens:
         basis = [ring.from_dict(reduce(up.gcd, map(dict, gens), {}))]
     else:
@@ -392,14 +406,15 @@ def singular_points(B: MultiPoly):
     if len(B.vars) != 3:
         raise ValueError("singular_points expects a plane projective curve")
     form = _form(B)
-    chart0 = None
+    partials = _order_partials(form, 1)
+    charts = _vanishing_points(partials)
     if sum(form.LM) > 1 and all(e[0] for e in form.itermonoms()):
-        chart0 = _order_partials(
-            form.ring.from_dict({(e[0] - 1,) + e[1:]: c
-                                 for e, c in form.items()}), 1)
+        G = form.ring.from_dict({(e[0] - 1,) + e[1:]: c
+                                 for e, c in form.items()})
+        charts = chain(_vanishing_points(_order_partials(G, 1), (0,)),
+                       _vanishing_points(partials, (1, 2)))
     results = []
-    for chart, points, complete in _vanishing_points(_order_partials(form, 1),
-                                                     chart0):
+    for chart, points, complete in charts:
         if not complete:
             raise NonReduced("branch curve must be squarefree")
         for fld, proj in points:
@@ -420,14 +435,19 @@ def _product_singular_points(form, factors):
     skipped; a class found by two systems is kept once, by its sort key,
     since each level of the back-substitution factors into monic
     irreducibles and so gives a class one representative whichever
-    system finds it.  An incomplete chart, a factor that is not squarefree
-    or two that share a component, raises NonReduced.
+    system finds it.  When s, the first coordinate, is a factor, a singular
+    point of another factor on s = 0 is one where that factor meets s, so
+    the factors' own singular points are sought on chart 0 alone.  An
+    incomplete chart, a factor that is not squarefree or two that share a
+    component, raises NonReduced.
     """
-    systems = [_order_partials(g, 1) for g in factors if sum(g.LM) > 1]
-    systems += [[g, h] for i, g in enumerate(factors) for h in factors[i + 1:]]
+    own = (0,) if form.ring.gens[0] in factors else None
+    systems = [(_order_partials(g, 1), own) for g in factors if sum(g.LM) > 1]
+    systems += [([g, h], None)
+                for i, g in enumerate(factors) for h in factors[i + 1:]]
     found = {}
-    for gens in systems:
-        for chart, points, complete in _vanishing_points(gens):
+    for gens, charts in systems:
+        for chart, points, complete in _vanishing_points(gens, charts):
             if not complete:
                 raise NonReduced("branch curve must be squarefree")
             for fld, proj in points:
@@ -465,18 +485,14 @@ def all_simple(model: GeometricModel):
     the reduced branch curve (the u-partial forces u = 0), and the germ
     u^2 = g(x, y) is a Du Val singularity of the same letter and index as
     the plane germ g; so the surface-side hypothesis is checked entirely
-    on B.  The points are read off B's factors when the model records
-    them, else off :func:`singular_points`; each is classified on the germ
-    of the whole of B built for it, and the records are sorted by point.
+    on B.  The points are read off B's factors by
+    :func:`_product_singular_points`; each is classified on the germ of the
+    whole of B built for it, and the records are sorted by point.
     """
     if model.B is None:
         raise ValueError("all_simple requires the bivariate branch curve")
-    if model.factors is None:
-        points = [pt for pt, _m in singular_points(model.B)]
-    else:
-        points = _product_singular_points(_form(model.B), model.factors)
     records = []
-    for pt in points:
+    for pt in _product_singular_points(_form(model.B), model.factors):
         cls = classify_germ(pt.germ)
         records.append(
             SingularityRecord(pt, cls.multiplicity, cls.mu, cls.label()))

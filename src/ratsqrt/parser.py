@@ -30,10 +30,12 @@ into the numerator.
 A numerator written as a product of powers of parenthesized sums,
 variables and constants also keeps that product, as its factor list of
 (ring element, exponent) pairs: a parenthesized sum is one factor, a
-variable another, a constant none.  Unary minus keeps the list and ``^n``
-multiplies its exponents; a sum, a division by anything but a monomial,
-or a denominator that stays non-constant drops it.  parse_rational hands
-the list to the numerator's MultiPoly, where squarefree_part reads it.
+variable another, a constant none.  Unary minus keeps the list, ``^n``
+multiplies its exponents, and a division leaves the numerator's list as
+it is; a sum, a division by a fraction with a non-constant denominator,
+or a common factor cancelled between numerator and denominator drops
+it.  parse_rational hands the list to the numerator's MultiPoly, where
+squarefree_part reads it.
 
 Alphabets arrive as JSON documents::
 
@@ -86,7 +88,7 @@ _MAX_DEPTH = 100
 class _Frac:
     """A fraction of ring elements; a denominator None stands for 1.
     `factors`, when not None, is a tuple of (ring element, exponent) pairs
-    whose product is the numerator up to a constant, and den is None."""
+    whose product is the numerator up to a constant."""
 
     __slots__ = ("num", "den", "factors")
 
@@ -228,8 +230,9 @@ class _Parser:
                 if divide:
                     if not value.num:
                         raise ZeroDenominator(f"division by zero at offset {at}")
-                    value = _Frac(self.ring.one if value.den is None
-                                  else value.den, value.num)
+                    value = (_Frac(self.ring.one, value.num, ())
+                             if value.den is None
+                             else _Frac(value.den, value.num))
                 frac = value if frac is None else _Frac(
                     frac.num * value.num, _times(frac.den, value.den),
                     None if frac.factors is None or value.factors is None
@@ -268,12 +271,11 @@ class _Parser:
         else:
             num = frac.num.mul_term((top, _element(ring.domain, c)))
             den, factors = frac.den, frac.factors
-        # a factor list holds only while the denominator is 1
         if any(bottom):
-            den, factors = _times(_poly(ring, {bottom: 1}), den), None
+            den = _times(_poly(ring, {bottom: 1}), den)
         if den is not None and den.is_ground:
             num, den = _divided(num, den.LC), None
-        elif factors is not None:
+        if factors is not None:
             factors += _powers(ring, top)
         return _Frac(num, den, factors)
 

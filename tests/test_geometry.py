@@ -1,6 +1,5 @@
 """Projective models, singular loci, and the high-multiplicity point search."""
 
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -11,10 +10,11 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement
 
-from ratsqrt import geometry, unipoly
+from ratsqrt import RATIONALIZABLE, decide, geometry, unipoly
 from ratsqrt.errors import NonReduced
 from ratsqrt.geometry import (
     AlgebraicPoint,
+    SingularityRecord,
     all_simple,
     build_model,
     centre_from_records,
@@ -25,6 +25,7 @@ from ratsqrt.geometry import (
     triple_point_of_cubic,
 )
 from ratsqrt.ideal import groebner
+from ratsqrt.localanalysis import classify_germ
 from ratsqrt.mpoly import (
     MultiPoly,
     _ring,
@@ -32,9 +33,10 @@ from ratsqrt.mpoly import (
     homogenize,
     is_homogeneous,
     listed,
+    quadratic_field,
     squarefree_part,
 )
-from ratsqrt.parser import parse_poly
+from ratsqrt.parser import parse_poly, parse_rational
 
 
 def bhabha_radicand():
@@ -197,15 +199,16 @@ class TestOneGermPerPoint:
         assert len(shifts) == len(records)
 
     def test_all_simple_calls_the_module_global(self, monkeypatch):
-        # the tracer wraps module globals, so --trace 1 sees singular_points
+        # the tracer wraps module globals, so --trace 1 sees the point search
         # inside all_simple only if all_simple looks it up there
-        curves = []
-        find = geometry.singular_points
-        monkeypatch.setattr(geometry, "singular_points",
-                            lambda B: curves.append(B) or find(B))
+        calls = []
+        find = geometry._product_singular_points
+        monkeypatch.setattr(
+            geometry, "_product_singular_points",
+            lambda form, factors: calls.append(factors) or find(form, factors))
         m = build_model(bhabha_radicand())
         all_simple(m)
-        assert curves == [m.B]
+        assert calls == [m.factors]
 
 
 def _triple_point_of(F):
@@ -741,6 +744,17 @@ def _products():
         lambda texts: _product([listed(parse_poly(t, _XY)) for t in texts]))
 
 
+def _whole_curve_records(B):
+    """The records of B's singular points as singular_points(B) finds them,
+    each classified on its germ, sorted by point."""
+    records = []
+    for pt, _m in singular_points(B):
+        cls = classify_germ(pt.germ)
+        records.append(
+            SingularityRecord(pt, cls.multiplicity, cls.mu, cls.label()))
+    return sorted(records, key=lambda rec: rec.point.sort_key())
+
+
 class TestProductStrata:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(_products())
@@ -749,14 +763,17 @@ class TestProductStrata:
         f = squarefree_part(f)
         assume(tuple(effective_vars(f)) == _XY and f.total_degree() >= 3)
         model = build_model(f)
-        assume(model.factors is not None)
-        ok, records = all_simple(model)
-        whole = [pt for pt, _m in singular_points(model.B)]
-        assert [r.point.sort_key() for r in records] == sorted(
-            pt.sort_key() for pt in whole)
-        ok_whole, by_whole = all_simple(replace(model, factors=None))
-        assert ok == ok_whole
-        assert [r.to_json() for r in records] == [r.to_json() for r in by_whole]
+        odd = f.total_degree() % 2
+        assume(len(model.factors) - odd >= 2)
+        whole = _whole_curve_records(model.B)
+        # read through the listed factors, then with F(s, X, Y) whole
+        for m in (model, build_model(MultiPoly.of(f.pe))):
+            ok, records = all_simple(m)
+            assert ok == all(rec.simple for rec in whole)
+            assert [r.point.sort_key() for r in records] == [
+                r.point.sort_key() for r in whole]
+            assert [r.to_json() for r in records] == [r.to_json() for r in whole]
+        assert len(build_model(MultiPoly.of(f.pe)).factors) == 1 + odd
 
     def test_a_factor_list_records_the_factors_of_the_branch_curve(self):
         # odd degree: the line at infinity s is a factor, listed first
@@ -768,10 +785,31 @@ class TestProductStrata:
         for g in model.factors:
             product = product * MultiPoly.of(g)
         assert product.monic() == model.B.monic()
-        # no list, or a list of one factor: B is solved whole
-        assert build_model(parse_poly("X^3 + Y^2 + 1", _XY)).factors is None
-        assert build_model(listed(parse_poly("X^3 + Y^2 + 1", _XY))).factors \
-            is None
+        # no list, or a list of one factor: s and F(s, X, Y)
+        for g in (MultiPoly.of(parse_poly("X^3 + Y^2 + 1", _XY).pe),
+                  listed(parse_poly("X^3 + Y^2 + 1", _XY))):
+            model = build_model(g)
+            s = model.B.vars[0]
+            assert model.factors == (MultiPoly.var(model.B.vars, s).pe,
+                                     homogenize(model.f, s).pe)
+
+    def test_a_list_over_a_quadratic_field_is_not_read(self):
+        # f's coefficients are rational, so f has moved to QQ, while its
+        # listed factors stay over QQ(sqrt 2): F(s, X, Y) is B's one factor
+        K = quadratic_field(2)[0]
+        text = "(X - sqrt(2)*Y)*(X + sqrt(2)*Y)*(X - 1)*(Y - 1)"
+        f = parse_rational(text, _XY, K).num
+        assert f.coefficients_rational()
+        assert any(g.ring is not f.pe.ring for g, _k in f.factors)
+        model = build_model(f)
+        s = model.B.vars[0]
+        assert model.factors == (homogenize(model.f, s).pe,)
+        v = decide(f)
+        assert v.outcome == RATIONALIZABLE
+        assert [r.to_json() for r in v.singularities] == [
+            r.to_json() for r in _whole_curve_records(model.B)]
+        assert [(r.label, r.point.class_size) for r in v.singularities] == [
+            ("A1", 1), ("A1", 1), ("A1", 2), ("A1", 2)]
 
 
 def _chart0_basis(form):

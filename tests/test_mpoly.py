@@ -604,12 +604,16 @@ class TestSquarefreePartFromFactors:
     def test_a_denominator_is_listed_as_one_more_factor(self):
         XY = ("X", "Y")
         g = parse_rational("(X + Y)*(1 + X*Y)/(X + Y - 4*X*Y + X^2*Y)", XY)
-        # the parser drops the numerator's list across the division, so
-        # the numerator is one factor and the denominator another
-        assert g.num.factors is None
+        # the numerator keeps its list across the division
+        p, q = (parse_poly(t, XY).pe for t in ("X + Y", "1 + X*Y"))
+        assert g.num.factors == ((p, 1), (q, 1))
         f = radicand_reduce(g.num, g.den)
-        assert f.factors == ((g.num.pe, 1), (g.den.pe, 1))
-        assert listed(f) is f and listed(g.num).factors == ((g.num.pe, 1),)
+        assert f.factors == ((p, 1), (q, 1), (g.den.pe, 1))
+        # a numerator without a list is one factor
+        bare = MultiPoly.of(g.num.pe)
+        assert radicand_reduce(bare, g.den).factors == (
+            (g.num.pe, 1), (g.den.pe, 1))
+        assert listed(f) is f and listed(bare).factors == ((g.num.pe, 1),)
 
     def test_dehomogenize_maps_the_list(self):
         f = parse_rational("(X + Z)*(Y - 2*Z)*Z^2", XYZ).num

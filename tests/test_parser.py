@@ -658,12 +658,25 @@ class TestFactorLists:
 
     @pytest.mark.parametrize("text", [
         "(X + 1)^2 + 1", "(X + 1)*(X - 1) - X", "X*(X + 1) + (X + 1)",
-        "X^2 + Y", "(X + 1)^2/X", "(X + 1)^2/(Y + 1)", "X*(X + 1)/(X - 1)",
-        "(X + 1)^2/(X + 1)", "(X + 1)/(2 + 0*X)", "(X^2 - 1)/(X - 1)",
-        "0*(X + 1)^2", "0",
+        "X^2 + Y", "(X + 1)^2/(X + 1)", "(X^2 - 1)/(X - 1)",
+        "X/((Y + 1)/(X + 2))", "0*(X + 1)^2", "0",
     ])
-    def test_sums_denominators_and_cancellation_drop_it(self, text):
+    def test_sums_cancellation_and_a_divided_fraction_drop_it(self, text):
         assert parse_rational(text, _XY).num.factors is None
+
+    @pytest.mark.parametrize("text, factors", [
+        ("(X + 1)^2/X", [("X + 1", 2)]),
+        ("(X + 1)^2/(Y + 1)", [("X + 1", 2)]),
+        ("X*(X + 1)/(X - 1)", [("X + 1", 1), ("X", 1)]),
+        ("(X + 1)/(2 + 0*X)", [("X + 1", 1)]),
+        ("(X + 1)/Y^2*(X - 1)", [("X + 1", 1), ("X - 1", 1)]),
+        ("(X + Y)*(1 + X*Y)/(X + Y - 4*X*Y + X^2*Y + X*Y^2)",
+         [("X + Y", 1), ("1 + X*Y", 1)]),
+    ])
+    def test_a_division_keeps_the_numerators_list(self, text, factors):
+        g = parse_rational(text, _XY)
+        assert g.num.factors == tuple((parse_poly(f, _XY).pe, k)
+                                      for f, k in factors)
 
     @TestAgainstRingArithmetic.SETTINGS
     @given(_expressions(), st.sampled_from([None, -7]))
@@ -677,7 +690,7 @@ class TestFactorLists:
             product = MultiPoly.const(_XY, 1)
             for f, k in g.num.factors:
                 product = product * MultiPoly.of(f) ** k
-            assert g.den.is_constant() and not g.num.is_zero()
+            assert not g.num.is_zero()
             assert product.monic() == g.num.monic()
 
 
